@@ -317,7 +317,15 @@ def _report_csv(reports) -> str:
 def _cmd_verify(args) -> int:
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get("DGR_WORKERS", "1"))
+        env = os.environ.get("DGR_WORKERS", "1")
+        try:
+            workers = int(env)
+        except ValueError:
+            raise UsageError(f"DGR_WORKERS must be an integer, got {env!r}")
+    if workers < 1:
+        raise UsageError(f"worker count must be at least 1, got {workers}")
+    if args.samples is not None and args.samples < 1:
+        raise UsageError(f"--samples must be at least 1, got {args.samples}")
     try:
         if args.check == "eulerian_size_theorem":
             _require(args, ["order"])

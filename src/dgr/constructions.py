@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+from . import bounds as bounds_mod
 from .core import Digraph, Graph, NotStrongError, bidirect, is_strong
 
 
@@ -386,12 +388,6 @@ class ClaimedSizes:
     family_min: Fraction
 
 
-def _congruent_b(n: int, kappa: int) -> int:
-    """The unique b in {1..kappa} with b = n - 1 (mod kappa)."""
-    r = (n - 1) % kappa
-    return r if r != 0 else kappa
-
-
 def claimed_sizes(p: PathCompleteParams) -> ClaimedSizes:
     """Evaluate the closed forms the bounds rely on, for one member."""
     kappa, ell, a, b = p.kappa, p.ell, p.a, p.b
@@ -408,7 +404,7 @@ def claimed_sizes(p: PathCompleteParams) -> ClaimedSizes:
         + b
     )
     sigma = kappa * ell * (ell + 1) // 2 + (ell + 1) * (a + b) + b
-    b0 = _congruent_b(n, kappa)
+    b0 = bounds_mod._congruent_b(n - 1, kappa)
     family_min = (
         Fraction(n, 2) * (3 * kappa + n) - n - kappa * kappa - b0 * (kappa - b0)
     )

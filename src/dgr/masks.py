@@ -294,7 +294,34 @@ def canonical_mask(n: int, mask: int) -> int:
     return best
 
 
+def is_orbit_min(n: int, mask: int) -> bool:
+    """True iff no vertex relabelling maps the mask to a smaller arc mask.
+
+    Equivalent to ``canonical_mask(n, mask) == mask``, but stops at the
+    first relabelling with a smaller image, so a mask that is not the
+    minimum of its orbit usually costs a few relabellings instead of n!.
+    """
+    if n == 1:
+        return mask == 0
+    if n > 6:
+        return canonical_mask(n, mask) == mask
+    chunk_spans, tables = _perm_chunk_tables(n)
+    parts = [(mask >> ofs) & ((1 << width) - 1) for ofs, width in chunk_spans]
+    for per_chunk in tables:
+        acc = 0
+        for part, table in zip(parts, per_chunk):
+            acc |= table[part]
+        if acc < mask:
+            return False
+    return True
+
+
+def mask_bytes(n: int, mask: int) -> bytes:
+    """Order byte then the arc mask, big-endian: the canonical-form encoding."""
+    width = (n * (n - 1) + 7) // 8
+    return bytes([n]) + mask.to_bytes(max(width, 1), "big")
+
+
 def canonical_bytes(n: int, mask: int) -> bytes:
     """Canonical form as bytes: order byte then the minimal mask, big-endian."""
-    width = (n * (n - 1) + 7) // 8
-    return bytes([n]) + canonical_mask(n, mask).to_bytes(max(width, 1), "big")
+    return mask_bytes(n, canonical_mask(n, mask))

@@ -12,6 +12,7 @@ pairs and leave judgement to the reader.
 from __future__ import annotations
 
 import json
+import os
 import random
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -261,7 +262,10 @@ def _bound_fraction(bid: str, n: int, m: int, kap: int | None, lam: int | None):
 
     Eulerian bounds receive m_0 = m/2 exactly (valid for odd m as well,
     since the bound is decreasing in m_0 and holds at every integer below).
+    The Eulerian lambda bound is stated for lambda in {2, 3} only.
     """
+    if bid == "eulerian_lambda" and lam not in (2, 3):
+        return None
     m_param = Fraction(m, 2) if bid.startswith("eulerian") else m
     result = bounds_mod.evaluate_bound(bid, n, m_param, kappa=kap, lam=lam)
     if not result.applicable:
@@ -286,8 +290,27 @@ def _object_crosscheck(n: int, mask: int, sigmas, kap, lam) -> None:
             assert conn_mod.edge_connectivity(D).value == lam, mask
 
 
+def _orbit_min(n: int, mask: int) -> bool:
+    """Whether an exhaustive sweep collects this equality hit as a witness.
+
+    Every sweep decision depends only on isomorphism invariants, so an
+    exhaustive mask range holds the lex-min labeling of every class it
+    hits; keeping only orbit-minimal hits yields exactly the canonical
+    forms of all hits, without canonicalising each labeled hit. The fast
+    test is checked against ``canonical_mask`` on the chain stride.
+    """
+    found = masks.is_orbit_min(n, mask)
+    if mask % _CHAIN_STRIDE == 0:
+        assert found == (masks.canonical_mask(n, mask) == mask), mask
+    return found
+
+
 def _sweep_shard(args) -> dict:
-    """Worker body for universal bound sweeps over one mask range."""
+    """Worker body for universal bound sweeps over one mask range.
+
+    Exhaustive ranges collect orbit-minimal equality hits; a sample need
+    not hold an orbit's minimum, so sampled hits are canonicalised.
+    """
     (n, lo, hi, sample_slice, class_filter, param, bound_ids) = args
     t = masks.tables_for(n)
     full = t.full
@@ -306,7 +329,8 @@ def _sweep_shard(args) -> dict:
     instances = 0
     chain_always = n <= 4
 
-    stream = range(lo, hi) if sample_slice is None else sample_slice
+    exhaustive = sample_slice is None
+    stream = range(lo, hi) if exhaustive else sample_slice
     for mask in stream:
         rows = t.out_rows(mask)
         if eulerian_class and not masks.is_balanced(rows, n):
@@ -337,6 +361,7 @@ def _sweep_shard(args) -> dict:
         instances += 1
         m = mask.bit_count()
         sigma_max = max(sigmas)
+        form = -1  # witness form, computed at the first equality hit; None: skip
         for bid in bound_ids:
             bid_kap = kap if bid in ("kappa_digraph", "eulerian_kappa") else None
             bid_lam = lam if bid == "eulerian_lambda" else None
@@ -360,7 +385,13 @@ def _sweep_shard(args) -> dict:
                 state["violations"].append((mask, sigma_max, m, bid_kap, bid_lam))
                 row[2] += 1
             elif lhs == rhs:
-                state["equality"].add(masks.canonical_mask(n, mask))
+                if form == -1:
+                    if exhaustive:
+                        form = mask if _orbit_min(n, mask) else None
+                    else:
+                        form = masks.canonical_mask(n, mask)
+                if form is not None:
+                    state["equality"].add(form)
                 row[3] += 1
     return {"instances": instances, "per_bound": per_bound}
 
@@ -373,9 +404,11 @@ def _shards(total: int, workers: int) -> list[tuple[int, int]]:
 
 
 def _run_sharded(worker, args_list, workers: int) -> list[dict]:
+    """Run the shards in order; the pool never outnumbers shards or usable CPUs."""
     if workers <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    pool_size = min(workers, len(args_list), len(os.sched_getaffinity(0)))
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(worker, args_list))
 
 
@@ -409,7 +442,8 @@ def check_universal_bounds(
 
     For every digraph in the class, asserts rho(D) <= bound(n, m(D), ...)
     with the digraph's own m and connectivity, collecting equality
-    witnesses by canonical form.
+    witnesses by canonical form: orbit-minimal hits in exhaustive mode,
+    each hit canonicalised in sampled mode.
     """
     for bid in bound_ids:
         if bid not in _SWEEP_BOUNDS:
@@ -455,9 +489,7 @@ def check_universal_bounds(
                 _format_counterexample(n, mask, sigma_max, m, kap, lam, *entry)
             )
         violations.sort(key=lambda c: (c.canonical, c.digraph))
-        witnesses = sorted(
-            masks.canonical_bytes(n, cm).hex() for cm in equality
-        )
+        witnesses = sorted(masks.mask_bytes(n, cm).hex() for cm in equality)
         reports.append(
             CheckReport(
                 check_id=f"universal_bound:{bid}:n={n}:class={spec.class_label}",
@@ -514,7 +546,8 @@ def _uniqueness_shard(args) -> dict:
         lhs = max(sigmas) * target_den
         rhs = target_num * (n - 1)
         if lhs == rhs:
-            hits.append(mask)
+            if _orbit_min(n, mask):
+                hits.append(mask)
         elif lhs > rhs:
             breaches.append((mask, max(sigmas), mask.bit_count()))
     return {"instances": instances, "hits": hits, "breaches": breaches}
@@ -554,7 +587,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     hits = [mask for p in partials for mask in p["hits"]]
     breaches = [b for p in partials for b in p["breaches"]]
 
-    witness_forms = sorted({masks.canonical_bytes(n, h).hex() for h in hits})
+    witness_forms = sorted(masks.mask_bytes(n, h).hex() for h in hits)
     extras = [w for w in witness_forms if w != expected]
     violations = []
     for mask, sigma_max, msize in breaches:
@@ -617,6 +650,7 @@ def _eulerian_shard(args) -> dict:
         instances += 1
         m = mask.bit_count()
         diam = max(len(p) - 1 for p in profiles)
+        orbit_min = None
         for v in range(n):
             counts = profiles[v]
             if len(counts) - 1 != diam:
@@ -629,11 +663,14 @@ def _eulerian_shard(args) -> dict:
                     profile_canon[counts] = masks.canonical_mask(
                         n, masks.mask_of_digraph(profile_digraph(list(counts)))
                     )
-                canon = masks.canonical_mask(n, mask)
-                if canon != profile_canon[counts]:
+                if orbit_min is None:
+                    orbit_min = _orbit_min(n, mask)
+                if not orbit_min:
+                    continue
+                if mask != profile_canon[counts]:
                     mismatches.append((mask, v, counts))
                 else:
-                    equality.add(canon)
+                    equality.add(mask)
     return {
         "instances": instances,
         "violations": violations,
@@ -676,7 +713,7 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     violations.sort(key=lambda c: (c.canonical, c.digraph))
     mismatches = sorted(
         {
-            masks.canonical_bytes(n, mask).hex()
+            masks.mask_bytes(n, mask).hex()
             for p in partials
             for mask, _v, _c in p["mismatches"]
         }
@@ -689,7 +726,7 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
         spec={"order": n, "class": "eulerian", "mode": "exhaustive", "generator": "mask-range"},
         instances_examined=instances,
         violations=violations,
-        equality_witnesses=sorted(masks.canonical_bytes(n, c).hex() for c in equality),
+        equality_witnesses=sorted(masks.mask_bytes(n, c).hex() for c in equality),
         meta={"extra_extremal_forms": mismatches},
         elapsed=time.monotonic() - started,
     )

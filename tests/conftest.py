@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import time
+
 import pytest
 from hypothesis import strategies as st
 
-from dgr import build_digraph, build_graph
+from dgr import build_digraph, build_graph, check_universal_bounds
 
 _ACCEPTANCE_LINES: list[tuple[str, bool]] = []
 
@@ -15,6 +17,20 @@ def record_criterion(name: str, ok: bool) -> None:
 @pytest.fixture(scope="session")
 def criterion_recorder():
     return record_criterion
+
+
+@pytest.fixture(scope="session")
+def n5_sweeps():
+    """Exhaustive order-5 dual-bound sweeps at 1, 2 and 4 workers."""
+    results = {}
+    for workers in (1, 2, 4):
+        started = time.monotonic()
+        reports = check_universal_bounds(
+            5, "strong", ("digraph_order", "size_digraph"), workers=workers
+        )
+        elapsed = time.monotonic() - started
+        results[workers] = (reports, elapsed)
+    return results
 
 
 def pytest_terminal_summary(terminalreporter):

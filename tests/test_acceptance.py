@@ -18,7 +18,6 @@ from dgr import (
     check_lemma_monotonicity,
     check_eulerian_size_theorem,
     check_universal_bound,
-    check_universal_bounds,
     complete_digraph,
     digraph_from_canonical_hex,
     directed_cycle,
@@ -36,20 +35,6 @@ from oracles import (
     floyd_warshall,
 )
 from test_core import DPK_2121_ARCS
-
-
-@pytest.fixture(scope="session")
-def n5_sweeps():
-    """Exhaustive order-5 dual-bound sweeps at 1, 2 and 4 workers."""
-    results = {}
-    for workers in (1, 2, 4):
-        started = time.monotonic()
-        reports = check_universal_bounds(
-            5, "strong", ("digraph_order", "size_digraph"), workers=workers
-        )
-        elapsed = time.monotonic() - started
-        results[workers] = (reports, elapsed)
-    return results
 
 
 def _verdict(recorder, name, ok):

@@ -1,0 +1,70 @@
+"""Golden report bytes: SHA-256 of the concatenated ``to_json()`` of each sweep.
+
+Any change to enumeration, witness collection or serialisation that moves
+a byte of a report fails here.
+"""
+
+import hashlib
+
+import pytest
+
+from dgr import (
+    check_eulerian_size_theorem,
+    check_extremal_uniqueness,
+    check_universal_bounds,
+)
+
+
+def _digest(reports) -> str:
+    return hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
+
+
+N4_GOLDEN = {
+    "digraph_order": (
+        lambda: check_universal_bounds(4, "strong", ("digraph_order",)),
+        "97cf279ae1f36aa32576f6569d920fb9c251a85b73c2df9c9af6edf362b8f1bd",
+    ),
+    "size_digraph": (
+        lambda: check_universal_bounds(4, "strong", ("size_digraph",)),
+        "01adb25b00c25ef8d4085f0f7a871e4129fdcaf9ada4e7eda5b461f2cb378e82",
+    ),
+    "kappa_digraph": (
+        lambda: check_universal_bounds(4, "strong", ("kappa_digraph",)),
+        "84d3e738b13ae971bad0369b94a2867adc84e4d5bc00e7942245f7434b01cbd4",
+    ),
+    "eulerian_size": (
+        lambda: check_universal_bounds(4, "eulerian", ("eulerian_size",)),
+        "ab1b37f89035c3a359a59896e4d61c5f9a465c0fec7d5043c539a36ccc3c0168",
+    ),
+    "eulerian_kappa": (
+        lambda: check_universal_bounds(4, "eulerian", ("eulerian_kappa",)),
+        "4ac9a66efc1ade74a82584386c58d1a1e1a203c1a34d45f352235b58987ddd4d",
+    ),
+    "eulerian_lambda_class": (
+        lambda: check_universal_bounds(
+            4, "eulerian_lambda", ("eulerian_lambda",), param=2
+        ),
+        "3c06421809115117916434396ce76698707b6e2c868d563c00c255a0bdd8a551",
+    ),
+    "eulerian_size_theorem": (
+        lambda: [check_eulerian_size_theorem(4)],
+        "7f55b12e9f0f2500ba8599d11a5d7f069a320f3634a57eb4465d2e5dbb812143",
+    ),
+    "extremal_uniqueness": (
+        lambda: [check_extremal_uniqueness(4, 9, 1)],
+        "c2596f5095d2728503553be6feb91975d2ef3535236a3aaf9fbb44514c9a6487",
+    ),
+}
+
+N5_DUAL_BOUND_SHA256 = "67d434c99becee60d83fa01f8141f6f24e0bb3587e57af9f3bb7923a0b31efa1"
+
+
+@pytest.mark.parametrize("check", sorted(N4_GOLDEN))
+def test_order4_report_bytes(check):
+    run, expected = N4_GOLDEN[check]
+    assert _digest(run()) == expected
+
+
+def test_order5_dual_bound_report_bytes(n5_sweeps):
+    reports, _elapsed = n5_sweeps[1]
+    assert _digest(reports) == N5_DUAL_BOUND_SHA256

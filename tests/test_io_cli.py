@@ -16,6 +16,7 @@ from dgr.io import (
 )
 
 from conftest import digraphs
+from oracles import eulerian_mask_flags, is_strong_oracle
 from test_core import dpk_2121
 
 
@@ -246,3 +247,49 @@ class TestWorkersEnv:
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["instances"] == 18
+
+    @pytest.mark.parametrize("value", ["abc", "", "0", "-2"])
+    def test_bad_env_is_usage_error(self, monkeypatch, capsys, value):
+        monkeypatch.setenv("DGR_WORKERS", value)
+        assert run(["verify", "--check", "digraph_order", "--order", "3"]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_bad_flag_is_usage_error(self, capsys, value):
+        code = run(["verify", "--check", "digraph_order", "--order", "3", "--workers", value])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+
+class TestVerifyExitCodes:
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_nonpositive_samples_is_usage_error(self, capsys, value):
+        code = run([
+            "verify", "--check", "digraph_order", "--order", "6",
+            "--samples", value, "--seed", "1",
+        ])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    def test_eulerian_lambda_skips_lambda_one(self, capsys):
+        # the bound is stated for lambda in {2, 3}: lambda = 1 digraphs are
+        # counted as inapplicable rather than failing the sweep
+        code = run(["verify", "--check", "eulerian_lambda", "--order", "4", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["instances"] == 118 and doc["violations"] == []
+        assert doc["skipped_inapplicable"] == _eulerian_lambda_one_count(4)
+
+
+def _eulerian_lambda_one_count(n: int) -> int:
+    """Eulerian strong digraphs of order n that one arc removal disconnects."""
+    cells = [(u, v) for u in range(n) for v in range(n) if v != u]
+    count = 0
+    for mask, flag in enumerate(eulerian_mask_flags(n)):
+        if not flag:
+            continue
+        arcs = [cell for k, cell in enumerate(cells) if mask >> k & 1]
+        count += any(
+            not is_strong_oracle(n, arcs[:i] + arcs[i + 1:]) for i in range(len(arcs))
+        )
+    return count

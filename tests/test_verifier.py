@@ -197,6 +197,38 @@ class TestUniversalBoundChecks:
             assert value == Fraction(5) - Fraction(D.size, 3)
 
 
+class TestWorkerClamp:
+    def test_pool_never_outnumbers_shards_or_cpus(self, monkeypatch):
+        import dgr.verifier as verifier_mod
+
+        created = []
+
+        class FakePool:
+            """Records the requested pool size and runs the shards inline."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(verifier_mod, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(verifier_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        assert verifier_mod._run_sharded(abs, [-1, -2, -3, -4, -5], 64) == [1, 2, 3, 4, 5]
+        assert verifier_mod._run_sharded(abs, [-1, -2], 64) == [1, 2]
+        assert created == [3, 2]
+        many = check_universal_bounds(4, "strong", ("digraph_order",), workers=1000)
+        one = check_universal_bounds(4, "strong", ("digraph_order",), workers=1)
+        assert created == [3, 2, 3]
+        assert [r.to_json() for r in many] == [r.to_json() for r in one]
+
+
 class TestEulerianSizeTheorem:
     def test_n4_sweep(self):
         report = check_eulerian_size_theorem(4)
