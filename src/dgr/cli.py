@@ -35,6 +35,8 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
+_EXHAUSTIVE_ONLY_CHECKS = ("eulerian_size_theorem", "extremal_uniqueness", "lemma_monotonicity")
+
 
 class UsageError(Exception):
     pass
@@ -326,6 +328,11 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"worker count must be at least 1, got {workers}")
     if args.samples is not None and args.samples < 1:
         raise UsageError(f"--samples must be at least 1, got {args.samples}")
+    sampling_flags = args.samples is not None or args.seed is not None
+    if sampling_flags and args.check in _EXHAUSTIVE_ONLY_CHECKS:
+        raise UsageError(f"{args.check} is exhaustive only; --samples and --seed do not apply")
+    if args.seed is not None and args.samples is None:
+        raise UsageError("--seed applies only to a sampled sweep; add --samples")
     try:
         if args.check == "eulerian_size_theorem":
             _require(args, ["order"])

@@ -3,10 +3,14 @@
 Each check enumerates labeled digraphs (all arc masks in little-endian
 order, or a seeded pseudorandom sample), filters them into a class, and
 tests a universal statement against invariants computed directly on each
-instance. Reports are deterministic: identical enumeration parameters
-produce byte-identical serialized reports regardless of worker count.
-Audit checks never assert a closed form; they record (claimed, computed)
-pairs and leave judgement to the reader.
+instance. Every sweep and ``enumerate_digraphs`` share one kernel:
+``_mask_stream`` yields a contiguous stretch of the spec's mask stream,
+and ``_members`` decodes, filters, computes connectivity and runs the
+strided cross-checks; each check only consumes the members. Reports are
+deterministic: identical enumeration parameters produce byte-identical
+serialized reports regardless of worker count. Audit checks never assert
+a closed form; they record (claimed, computed) pairs and leave judgement
+to the reader.
 """
 
 from __future__ import annotations
@@ -18,7 +22,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator
+from itertools import islice
+from typing import Iterable, Iterator
 
 from . import bounds as bounds_mod
 from . import connectivity as conn_mod
@@ -209,28 +214,70 @@ def digraph_from_canonical_hex(canonical_hex: str) -> Digraph:
     return masks.digraph_of_mask(raw[0], int.from_bytes(raw[1:], "big"))
 
 
-def _mask_source(spec: EnumerationSpec) -> tuple[int, list[int] | None]:
-    """Total exhaustive mask count, or the explicit sampled mask list."""
-    t = masks.tables_for(spec.order)
+def _stream_length(spec: EnumerationSpec) -> int:
+    if spec.mode == "sampled":
+        return spec.samples
+    return masks.tables_for(spec.order).mask_count
+
+
+def _mask_stream(spec: EnumerationSpec, lo: int, hi: int) -> Iterable[int]:
+    """Masks lo..hi-1 of the spec's stream: the mask range, or seeded draws.
+
+    A sampled shard replays the seeded generator past the first ``lo``
+    draws, so every shard derives its own stretch from ``(seed, lo)`` and
+    the concatenated shards equal the single-process draw sequence.
+    """
     if spec.mode == "exhaustive":
-        return t.mask_count, None
+        return range(lo, hi)
     rng = random.Random(spec.seed)
-    return spec.samples, [rng.getrandbits(t.num_cells) for _ in range(spec.samples)]
+    bits = masks.tables_for(spec.order).num_cells
+    return islice((rng.getrandbits(bits) for _ in range(hi)), lo, None)
 
 
-def _passes_filter(spec, rows, n, full, sigmas, kap, lam) -> bool:
-    if sigmas is None:
-        return False
-    if spec.class_filter == "strong":
-        return True
-    if spec.class_filter == "strong_kappa":
-        return kap >= spec.param
-    balanced = masks.is_balanced(rows, n)
-    if spec.class_filter == "eulerian":
-        return balanced
-    if spec.class_filter == "eulerian_kappa":
-        return balanced and kap >= spec.param
-    return balanced and lam >= spec.param
+def _members(
+    spec: EnumerationSpec,
+    stream: Iterable[int],
+    need_kappa: bool = False,
+    need_lambda: bool = False,
+) -> Iterator[tuple[int, list[int], list[int], int | None, int | None]]:
+    """Class members of a mask stream: the one enumeration loop of every sweep.
+
+    Yields ``(mask, rows, sigmas, kappa, lambda)`` for each strong mask in
+    the spec's class. Connectivity is computed when the class filter, the
+    caller or the chain stride needs it, and is None otherwise; below
+    order 2 it is never computed and counts as 0 against a class
+    threshold. On the deterministic strides the connectivity chain and
+    the object-level modules are cross-checked against the mask core.
+    """
+    n = spec.order
+    t = masks.tables_for(n)
+    full = t.full
+    balanced_only = spec.class_filter.startswith("eulerian")
+    kappa_min = spec.param if spec.class_filter.endswith("_kappa") else None
+    lambda_min = spec.param if spec.class_filter.endswith("_lambda") else None
+    need_kappa = (need_kappa or kappa_min is not None) and n >= 2
+    need_lambda = (need_lambda or lambda_min is not None) and n >= 2
+    chain_always = n <= 4
+    for mask in stream:
+        rows = t.out_rows(mask)
+        if balanced_only and not masks.is_balanced(rows, n):
+            continue
+        sigmas = masks.sigma_vector(rows, n, full)
+        if sigmas is None:
+            continue
+        on_chain_stride = n >= 2 and (chain_always or mask % _CHAIN_STRIDE == 0)
+        kap = masks.kappa_mask(rows, n, full) if need_kappa or on_chain_stride else None
+        lam = masks.lambda_mask(rows, n) if need_lambda or on_chain_stride else None
+        if on_chain_stride:
+            semi = masks.min_semidegree_mask(rows, n)
+            assert kap <= lam <= semi, (mask, kap, lam, semi)
+        if mask % _OBJECT_STRIDE == 0:
+            _object_crosscheck(n, mask, sigmas, kap, lam)
+        if kappa_min is not None and (kap or 0) < kappa_min:
+            continue
+        if lambda_min is not None and (lam or 0) < lambda_min:
+            continue
+        yield mask, rows, sigmas, kap, lam
 
 
 def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
@@ -240,21 +287,9 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     mask order; sampled mode draws ``samples`` masks from the seeded
     generator and yields those passing the filter (duplicates possible).
     """
-    t = masks.tables_for(spec.order)
-    n, full = spec.order, t.full
-    total, sample = _mask_source(spec)
-    needs_kappa = spec.class_filter in ("strong_kappa", "eulerian_kappa")
-    needs_lambda = spec.class_filter == "eulerian_lambda"
-    stream = range(total) if sample is None else sample
-    for mask in stream:
-        rows = t.out_rows(mask)
-        sigmas = masks.sigma_vector(rows, n, full)
-        if sigmas is None:
-            continue
-        kap = masks.kappa_mask(rows, n, full) if needs_kappa and n >= 2 else 0
-        lam = masks.lambda_mask(rows, n) if needs_lambda and n >= 2 else 0
-        if _passes_filter(spec, rows, n, full, sigmas, kap, lam):
-            yield masks.digraph_of_mask(n, mask)
+    stream = _mask_stream(spec, 0, _stream_length(spec))
+    for mask, *_ in _members(spec, stream):
+        yield masks.digraph_of_mask(spec.order, mask)
 
 
 def _bound_fraction(bid: str, n: int, m: int, kap: int | None, lam: int | None):
@@ -306,58 +341,27 @@ def _orbit_min(n: int, mask: int) -> bool:
 
 
 def _sweep_shard(args) -> dict:
-    """Worker body for universal bound sweeps over one mask range.
+    """Worker body for universal bound sweeps over one stretch of the stream.
 
     Exhaustive ranges collect orbit-minimal equality hits; a sample need
     not hold an orbit's minimum, so sampled hits are canonicalised.
     """
-    (n, lo, hi, sample_slice, class_filter, param, bound_ids) = args
-    t = masks.tables_for(n)
-    full = t.full
-    spec_needs_kappa = class_filter in ("strong_kappa", "eulerian_kappa")
-    spec_needs_lambda = class_filter == "eulerian_lambda"
-    needs_kappa = spec_needs_kappa or any(
-        b in ("kappa_digraph", "eulerian_kappa") for b in bound_ids
-    )
-    needs_lambda = spec_needs_lambda or "eulerian_lambda" in bound_ids
-    eulerian_class = class_filter.startswith("eulerian")
+    spec, lo, hi, bound_ids = args
+    n = spec.order
+    exhaustive = spec.mode == "exhaustive"
     bound_cache: dict = {}
     per_bound = {
         bid: {"skipped": 0, "violations": [], "equality": set(), "by_m": {}}
         for bid in bound_ids
     }
     instances = 0
-    chain_always = n <= 4
-
-    exhaustive = sample_slice is None
-    stream = range(lo, hi) if exhaustive else sample_slice
-    for mask in stream:
-        rows = t.out_rows(mask)
-        if eulerian_class and not masks.is_balanced(rows, n):
-            continue
-        sigmas = masks.sigma_vector(rows, n, full)
-        if sigmas is None:
-            continue
-        on_chain_stride = chain_always or mask % _CHAIN_STRIDE == 0
-        kap = (
-            masks.kappa_mask(rows, n, full)
-            if (needs_kappa or on_chain_stride) and n >= 2
-            else None
-        )
-        lam = (
-            masks.lambda_mask(rows, n)
-            if (needs_lambda or on_chain_stride) and n >= 2
-            else None
-        )
-        if on_chain_stride and n >= 2:
-            semi = masks.min_semidegree_mask(rows, n)
-            assert kap <= lam <= semi, (mask, kap, lam, semi)
-        if mask % _OBJECT_STRIDE == 0:
-            _object_crosscheck(n, mask, sigmas, kap, lam)
-        if spec_needs_kappa and kap < param:
-            continue
-        if spec_needs_lambda and lam < param:
-            continue
+    members = _members(
+        spec,
+        _mask_stream(spec, lo, hi),
+        need_kappa=any(b in ("kappa_digraph", "eulerian_kappa") for b in bound_ids),
+        need_lambda="eulerian_lambda" in bound_ids,
+    )
+    for mask, _rows, sigmas, kap, lam in members:
         instances += 1
         m = mask.bit_count()
         sigma_max = max(sigmas)
@@ -412,6 +416,19 @@ def _run_sharded(worker, args_list, workers: int) -> list[dict]:
         return list(pool.map(worker, args_list))
 
 
+def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dict], float]:
+    """Run ``shard`` over contiguous stretches of the spec's mask stream.
+
+    Each shard receives ``(spec, lo, hi, *extra)``. Returns the partial
+    results in stream order and the wall time of the sweep.
+    """
+    started = time.monotonic()
+    args_list = [
+        (spec, lo, hi, *extra) for lo, hi in _shards(_stream_length(spec), workers)
+    ]
+    return _run_sharded(shard, args_list, workers), time.monotonic() - started
+
+
 def _format_counterexample(n, mask, sigma_max, m, kap, lam, num, den) -> Counterexample:
     D = masks.digraph_of_mask(n, mask)
     rho = Fraction(sigma_max, n - 1)
@@ -453,21 +470,7 @@ def check_universal_bounds(
     if "digraph_order" in bound_ids and n < 3:
         raise ValueError("digraph_order needs order >= 3")
     spec = EnumerationSpec(n, class_filter, param, mode, samples, seed)
-    started = time.monotonic()
-    total, sample = _mask_source(spec)
-    if sample is None:
-        args_list = [
-            (n, lo, hi, None, class_filter, param, tuple(bound_ids))
-            for lo, hi in _shards(total, workers)
-        ]
-    else:
-        args_list = [
-            (n, 0, 0, sample[lo:hi], class_filter, param, tuple(bound_ids))
-            for lo, hi in _shards(len(sample), workers)
-        ]
-    partials = _run_sharded(_sweep_shard, args_list, workers)
-    elapsed = time.monotonic() - started
-
+    partials, elapsed = _sweep(_sweep_shard, spec, workers, tuple(bound_ids))
     instances = sum(p["instances"] for p in partials)
     reports = []
     for bid in bound_ids:
@@ -527,21 +530,13 @@ def check_universal_bound(
 
 
 def _uniqueness_shard(args) -> dict:
-    (n, lo, hi, kappa, m_min, target_num, target_den) = args
-    t = masks.tables_for(n)
-    full = t.full
+    spec, lo, hi, m_min, target_num, target_den = args
+    n = spec.order
+    stream = (mask for mask in _mask_stream(spec, lo, hi) if mask.bit_count() >= m_min)
     hits = []
     breaches = []
     instances = 0
-    for mask in range(lo, hi):
-        if mask.bit_count() < m_min:
-            continue
-        rows = t.out_rows(mask)
-        sigmas = masks.sigma_vector(rows, n, full)
-        if sigmas is None:
-            continue
-        if masks.kappa_mask(rows, n, full) < kappa:
-            continue
+    for mask, _rows, sigmas, _kap, _lam in _members(spec, stream):
         instances += 1
         lhs = max(sigmas) * target_den
         rhs = target_num * (n - 1)
@@ -571,18 +566,15 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
             f"guard not met: no family member of order {n}, kappa {kappa} has"
             f" exactly {m} arcs (sizes: {sorted(sizes)})"
         )
-    started = time.monotonic()
     extremal, params = dpk_select(n, m, kappa)
     assert extremal.size == m
     rho_star, _ = remoteness(extremal)
     expected = canonical_form(extremal).hex()
 
-    t = masks.tables_for(n)
-    args_list = [
-        (n, lo, hi, kappa, m, rho_star.numerator, rho_star.denominator)
-        for lo, hi in _shards(t.mask_count, workers)
-    ]
-    partials = _run_sharded(_uniqueness_shard, args_list, workers)
+    spec = EnumerationSpec(n, "strong_kappa", kappa)
+    partials, elapsed = _sweep(
+        _uniqueness_shard, spec, workers, m, rho_star.numerator, rho_star.denominator
+    )
     instances = sum(p["instances"] for p in partials)
     hits = [mask for p in partials for mask in p["hits"]]
     breaches = [b for p in partials for b in p["breaches"]]
@@ -600,8 +592,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     violations.sort(key=lambda c: (c.canonical, c.digraph))
     report = CheckReport(
         check_id=f"extremal_uniqueness:n={n}:m={m}:kappa={kappa}",
-        spec={"order": n, "m": m, "kappa": kappa, "mode": "exhaustive",
-              "class": f"strong_kappa({kappa})", "generator": "mask-range"},
+        spec={**spec.header(), "m": m, "kappa": kappa},
         instances_examined=instances,
         violations=violations,
         equality_witnesses=witness_forms,
@@ -619,7 +610,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
             },
         ],
         meta={"extra_extremal_forms": extras, "expected_form": expected},
-        elapsed=time.monotonic() - started,
+        elapsed=elapsed,
     )
     return report
 
@@ -632,21 +623,16 @@ def _ssg_size(counts: tuple[int, ...]) -> int:
 
 
 def _eulerian_shard(args) -> dict:
-    (n, lo, hi) = args
-    t = masks.tables_for(n)
-    full = t.full
+    spec, lo, hi = args
+    n = spec.order
+    full = masks.tables_for(n).full
     instances = 0
     violations = []
     mismatches = []
     equality = set()
     profile_canon: dict[tuple[int, ...], int] = {}
-    for mask in range(lo, hi):
-        rows = t.out_rows(mask)
-        if not masks.is_balanced(rows, n):
-            continue
+    for mask, rows, _sigmas, _kap, _lam in _members(spec, _mask_stream(spec, lo, hi)):
         profiles = masks.profile_vectors(rows, n, full)
-        if profiles is None:
-            continue
         instances += 1
         m = mask.bit_count()
         diam = max(len(p) - 1 for p in profiles)
@@ -689,10 +675,8 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     """
     if n > EXHAUSTIVE_MAX_ORDER:
         raise ValueError(f"exhaustive Eulerian check limited to n <= {EXHAUSTIVE_MAX_ORDER}")
-    started = time.monotonic()
-    t = masks.tables_for(n)
-    args_list = [(n, lo, hi) for lo, hi in _shards(t.mask_count, workers)]
-    partials = _run_sharded(_eulerian_shard, args_list, workers)
+    spec = EnumerationSpec(n, "eulerian")
+    partials, elapsed = _sweep(_eulerian_shard, spec, workers)
     instances = sum(p["instances"] for p in partials)
     violations = []
     for p in partials:
@@ -723,12 +707,12 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
         equality |= p["equality"]
     report = CheckReport(
         check_id=f"eulerian_size_theorem:n={n}",
-        spec={"order": n, "class": "eulerian", "mode": "exhaustive", "generator": "mask-range"},
+        spec=spec.header(),
         instances_examined=instances,
         violations=violations,
         equality_witnesses=sorted(masks.mask_bytes(n, c).hex() for c in equality),
         meta={"extra_extremal_forms": mismatches},
-        elapsed=time.monotonic() - started,
+        elapsed=elapsed,
     )
     return report
 

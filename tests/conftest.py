@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import os
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import strategies as st
@@ -12,6 +14,15 @@ _ACCEPTANCE_LINES: list[tuple[str, bool]] = []
 
 def record_criterion(name: str, ok: bool) -> None:
     _ACCEPTANCE_LINES.append((name, ok))
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _src_on_child_path():
+    """Let tests that start ``python -m dgr.cli`` import the uninstalled package."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+        yield
 
 
 @pytest.fixture(scope="session")

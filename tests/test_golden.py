@@ -58,6 +58,29 @@ N4_GOLDEN = {
 
 N5_DUAL_BOUND_SHA256 = "67d434c99becee60d83fa01f8141f6f24e0bb3587e57af9f3bb7923a0b31efa1"
 
+# (run, digest, instances examined by each report)
+N5_GOLDEN = {
+    "eulerian_bounds": (
+        lambda: check_universal_bounds(
+            5, "eulerian", ("eulerian_size", "eulerian_kappa", "eulerian_lambda")
+        ),
+        "7fc9d3a592baeee4e3b690f5bd2b56c55250ad247667871014a837ba67e97920",
+        7_000,
+    ),
+    "eulerian_size_theorem": (
+        lambda: [check_eulerian_size_theorem(5)],
+        "3d5bea39666d61971862d610cfcedb80afee9ba4c7407fa24261e2080d9c8b32",
+        7_000,
+    ),
+    "extremal_uniqueness": (
+        lambda: [check_extremal_uniqueness(5, 16, 1)],
+        "6d42e4fe137666a7a74bfd761554c971957b74382bc2e7f2fc5c332ffa8bd9d4",
+        6_186,
+    ),
+}
+
+N6_SAMPLED_SHA256 = "3ad0f13d8b08178894ad1f1d0dd8b859162ed66080bb79e49c06b07c7a1f9d2a"
+
 
 @pytest.mark.parametrize("check", sorted(N4_GOLDEN))
 def test_order4_report_bytes(check):
@@ -68,3 +91,23 @@ def test_order4_report_bytes(check):
 def test_order5_dual_bound_report_bytes(n5_sweeps):
     reports, _elapsed = n5_sweeps[1]
     assert _digest(reports) == N5_DUAL_BOUND_SHA256
+    # labeled strong digraphs of order 5 (OEIS A003030)
+    assert all(r.instances_examined == 565_080 for r in reports)
+
+
+@pytest.mark.parametrize("check", sorted(N5_GOLDEN))
+def test_order5_report_bytes(check):
+    run, expected, instances = N5_GOLDEN[check]
+    reports = run()
+    assert _digest(reports) == expected
+    assert all(r.instances_examined == instances for r in reports)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_order6_sampled_report_bytes(workers):
+    reports = check_universal_bounds(
+        6, "strong", ("kappa_digraph", "size_digraph"),
+        mode="sampled", samples=2000, seed=1, workers=workers,
+    )
+    assert _digest(reports) == N6_SAMPLED_SHA256
+    assert all(r.instances_examined == 1_370 for r in reports)

@@ -280,6 +280,33 @@ class TestVerifyExitCodes:
         assert doc["instances"] == 118 and doc["violations"] == []
         assert doc["skipped_inapplicable"] == _eulerian_lambda_one_count(4)
 
+    def test_seed_without_samples_is_usage_error(self, capsys):
+        code = run(["verify", "--check", "digraph_order", "--order", "4", "--seed", "3"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("flags", [["--samples", "5"], ["--seed", "1"],
+                                       ["--samples", "5", "--seed", "1"]])
+    @pytest.mark.parametrize("check", [
+        ["eulerian_size_theorem", "--order", "4"],
+        ["extremal_uniqueness", "--order", "4", "--m", "9", "--kappa", "1"],
+        ["lemma_monotonicity", "--order", "6"],
+    ])
+    def test_sampling_flags_on_exhaustive_check_are_usage_errors(self, capsys, check, flags):
+        assert run(["verify", "--check", *check, *flags]) == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["size_digraph", "--class", "strong_kappa", "--kappa", "1"],
+        ["eulerian_lambda", "--class", "eulerian_lambda", "--lambda", "2"],
+    ])
+    def test_order_one_connectivity_class_is_empty(self, capsys, args):
+        # below order 2 connectivity is taken as 0, so no digraph meets a threshold
+        code = run(["verify", "--check", *args, "--order", "1", "--format", "json"])
+        assert code == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["instances"] == 0 and doc["violations"] == []
+
 
 def _eulerian_lambda_one_count(n: int) -> int:
     """Eulerian strong digraphs of order n that one arc removal disconnects."""

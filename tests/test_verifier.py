@@ -74,6 +74,43 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="parameter"):
             EnumerationSpec(4, "strong_kappa")
 
+    @pytest.mark.parametrize("n, expected", [(1, (1, 0, 1)), (2, (1, 1, 1))])
+    def test_small_order_counts(self, n, expected):
+        # below order 2 connectivity counts as 0, so strong_kappa(1) is empty
+        specs = (
+            EnumerationSpec(n, "strong"),
+            EnumerationSpec(n, "strong_kappa", param=1),
+            EnumerationSpec(n, "eulerian"),
+        )
+        assert tuple(sum(1 for _ in enumerate_digraphs(s)) for s in specs) == expected
+
+
+class TestSharedKernel:
+    @pytest.mark.parametrize("entry", [
+        lambda: check_universal_bounds(4, "strong", ("size_digraph",)),
+        lambda: check_extremal_uniqueness(4, 9, 1),
+        lambda: check_eulerian_size_theorem(4),
+        lambda: list(enumerate_digraphs(EnumerationSpec(4, "eulerian"))),
+    ], ids=["universal_bounds", "extremal_uniqueness", "eulerian_theorem", "enumerate"])
+    def test_every_sweep_runs_the_crosschecks(self, monkeypatch, entry):
+        import dgr.masks as masks_mod
+
+        # kappa = n breaks kappa <= lambda, which the chain check asserts
+        monkeypatch.setattr(masks_mod, "kappa_mask", lambda rows, n, full: n)
+        with pytest.raises(AssertionError):
+            entry()
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_sampled_shards_concatenate_to_the_seeded_draws(self, workers):
+        from dgr.verifier import _mask_stream, _shards
+
+        spec = EnumerationSpec(6, "strong", mode="sampled", samples=100, seed=7)
+        rng = random.Random(7)
+        draws = [rng.getrandbits(30) for _ in range(100)]
+        shards = _shards(100, workers)
+        assert len(shards) == workers
+        assert [m for lo, hi in shards for m in _mask_stream(spec, lo, hi)] == draws
+
 
 class TestCanonicalForm:
     def test_relabelled_triangles_match(self):
