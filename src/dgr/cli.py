@@ -36,6 +36,15 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 _EXHAUSTIVE_ONLY_CHECKS = ("eulerian_size_theorem", "extremal_uniqueness", "lemma_monotonicity")
+_KAPPA_MAX_DEFAULT = 3
+# check-specific verify flags, by argparse dest
+_CHECK_FLAGS = {
+    "class_filter": "--class",
+    "m": "--m",
+    "kappa": "--kappa",
+    "lam": "--lambda",
+    "kappa_max": "--kappa-max",
+}
 
 
 class UsageError(Exception):
@@ -126,7 +135,8 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--m", type=int, default=None)
     p_verify.add_argument("--kappa", type=int, default=None)
     p_verify.add_argument("--lambda", dest="lam", type=int, default=None)
-    p_verify.add_argument("--kappa-max", type=int, default=3)
+    p_verify.add_argument("--kappa-max", type=int, default=None,
+                          help=f"lemma_monotonicity only (default {_KAPPA_MAX_DEFAULT})")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
     p_verify.add_argument("--workers", type=int, default=None)
@@ -316,6 +326,32 @@ def _report_csv(reports) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _default_class(check: str) -> str:
+    return "eulerian" if check.startswith("eulerian") else "strong"
+
+
+def _unread_flags(args) -> list[str]:
+    """Check-specific flags given on the command line that the check ignores."""
+    if args.check == "extremal_uniqueness":
+        reads = {"m", "kappa"}
+    elif args.check == "lemma_monotonicity":
+        reads = {"kappa_max"}
+    elif args.check == "eulerian_size_theorem":
+        reads = set()
+    else:
+        class_filter = args.class_filter or ""
+        reads = {"class_filter"}
+        if class_filter.endswith("_kappa"):
+            reads.add("kappa")
+        if class_filter.endswith("_lambda"):
+            reads.add("lam")
+    return [
+        flag
+        for dest, flag in _CHECK_FLAGS.items()
+        if dest not in reads and getattr(args, dest) is not None
+    ]
+
+
 def _cmd_verify(args) -> int:
     workers = args.workers
     if workers is None:
@@ -333,6 +369,14 @@ def _cmd_verify(args) -> int:
         raise UsageError(f"{args.check} is exhaustive only; --samples and --seed do not apply")
     if args.seed is not None and args.samples is None:
         raise UsageError("--seed applies only to a sampled sweep; add --samples")
+    if args.samples is not None and args.seed is None:
+        raise UsageError("a sampled sweep needs an explicit --seed")
+    unread = _unread_flags(args)
+    if unread:
+        scope = args.check
+        if args.check not in _EXHAUSTIVE_ONLY_CHECKS:
+            scope += f" with class {args.class_filter or _default_class(args.check)}"
+        raise UsageError(f"{scope} does not read {', '.join(unread)}")
     try:
         if args.check == "eulerian_size_theorem":
             _require(args, ["order"])
@@ -344,13 +388,12 @@ def _cmd_verify(args) -> int:
             ]
         elif args.check == "lemma_monotonicity":
             _require(args, ["order"])
-            reports = [verifier.check_lemma_monotonicity(args.order, args.kappa_max)]
+            kappa_max = _KAPPA_MAX_DEFAULT if args.kappa_max is None else args.kappa_max
+            reports = [verifier.check_lemma_monotonicity(args.order, kappa_max)]
         else:
             _require(args, ["order"])
-            class_filter = args.class_filter
+            class_filter = args.class_filter or _default_class(args.check)
             param = None
-            if class_filter is None:
-                class_filter = "eulerian" if args.check.startswith("eulerian") else "strong"
             if class_filter.endswith("_kappa"):
                 param = args.kappa
             elif class_filter.endswith("_lambda"):

@@ -4,12 +4,25 @@ A digraph of order n is an arc mask: the n(n-1) off-diagonal adjacency
 cells in row-major order, cell k carried by bit 2**k. This is an internal
 optimisation layer; results are observably identical to the object-level
 modules, which the verifier cross-checks on a deterministic stride.
+
+Two kernels read masks. The scalar one decodes a single mask into
+out-neighbour rows (``out_rows``) and runs BFS on them (``sigma_vector``,
+``is_balanced``, ``kappa_mask`` ...). The block kernel (``block_planes``)
+decides a whole block of consecutive masks at once by bit-slicing: lane i
+of a block is the mask ``base + i``, where ``base`` is a multiple of the
+block width 2**bits, and each arc cell becomes a plane, a Python int whose
+bit i is that cell's bit in lane i. Cells below ``bits`` vary with the lane
+and give fixed lane patterns; cells above are constant across the block.
+Integer AND/OR/XOR on planes then run one BFS per source vertex for every
+lane together. Per-lane numbers are bit-sliced counters: a list of planes,
+least significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, zip_longest
+from typing import Iterator, NamedTuple
 
 from .core import Digraph
 
@@ -141,6 +154,143 @@ def profile_vectors(rows: list[int], n: int, full: int) -> list[tuple[int, ...]]
             return None
         profiles.append(tuple(counts))
     return profiles
+
+
+class BlockPlanes(NamedTuple):
+    """Per-lane results for one block; lane i is the mask ``base + i``.
+
+    ``strong`` and ``balanced`` are planes (``balanced`` is None unless it
+    was asked for); ``sigma_max`` and ``size`` are bit-sliced counters of
+    the largest transmission and of the arc count m. ``sigma_max`` is
+    meaningful on strong lanes only.
+    """
+
+    strong: int
+    balanced: int | None
+    sigma_max: list[int]
+    size: list[int]
+
+
+@lru_cache(maxsize=None)
+def _lane_cells(bits: int) -> tuple[int, ...]:
+    """Plane k holds bit k of every lane index 0 .. 2**bits - 1."""
+    width = 1 << bits
+    planes = []
+    for k in range(bits):
+        half = 1 << k
+        plane = ((1 << half) - 1) << half  # one period: 2**k zeros, 2**k ones
+        span = 2 * half
+        while span < width:
+            plane |= plane << span
+            span *= 2
+        planes.append(plane)
+    return tuple(planes)
+
+
+def _add_plane(counter: list[int], plane: int) -> None:
+    """Add a 0/1 plane to a bit-sliced counter in place (ripple carry)."""
+    for j, bit in enumerate(counter):
+        if not plane:
+            return
+        counter[j] = bit ^ plane
+        plane &= bit
+    if plane:
+        counter.append(plane)
+
+
+def _counter_max(a: list[int], b: list[int]) -> list[int]:
+    """Lane-wise maximum of two bit-sliced counters."""
+    pairs = list(zip_longest(a, b, fillvalue=0))
+    greater = 0  # lanes where a > b
+    equal = -1  # lanes where the bits seen so far agree
+    for x, y in reversed(pairs):
+        greater |= equal & x & ~y
+        equal &= ~(x ^ y)
+    return [y ^ ((x ^ y) & greater) for x, y in pairs]
+
+
+def block_planes(n: int, base: int, bits: int, balanced: bool = False) -> BlockPlanes:
+    """Strongness, sigma_max, size (and balance) of masks base .. base+2**bits-1.
+
+    The transmission of v is the sum, over BFS levels 0 .. n-2, of the
+    number of vertices not yet reached from v; the BFS runs on all lanes
+    at once, and a lane is strong when every source reaches every vertex
+    within n-1 levels. ``base`` must be a multiple of 2**bits.
+    """
+    if base % (1 << bits):
+        raise ValueError("block base must be a multiple of the block width")
+    t = tables_for(n)
+    ones = (1 << (1 << bits)) - 1
+    low = _lane_cells(bits)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    out_deg: list[list[int]] = [[] for _ in range(n)]
+    in_deg: list[list[int]] = [[] for _ in range(n)]
+    size: list[int] = []
+    for k, (u, v) in enumerate(t.cells):
+        plane = low[k] if k < bits else ones * (base >> k & 1)
+        _add_plane(size, plane)
+        if plane:
+            into[v].append((u, plane))
+            if balanced:
+                _add_plane(out_deg[u], plane)
+                _add_plane(in_deg[v], plane)
+    strong = ones
+    sigma_max: list[int] = []
+    for source in range(n):
+        reached = [0] * n
+        reached[source] = ones
+        sigma = [ones * (((n - 1) >> j) & 1) for j in range((n - 1).bit_length())]
+        for level in range(1, n):
+            nxt = []
+            for w in range(n):
+                r = reached[w]
+                for u, arc in into[w]:
+                    r |= reached[u] & arc
+                nxt.append(r)
+            reached = nxt
+            if level < n - 1:
+                for w in range(n):
+                    if w != source:
+                        _add_plane(sigma, ones ^ reached[w])
+        for r in reached:
+            strong &= r
+        sigma_max = _counter_max(sigma_max, sigma)
+    balance = None
+    if balanced:
+        balance = ones
+        for out_c, in_c in zip(out_deg, in_deg):
+            for x, y in zip_longest(out_c, in_c, fillvalue=0):
+                balance &= ~(x ^ y)
+    return BlockPlanes(strong, balance, sigma_max, size)
+
+
+def lane_value(counter: list[int], lane: int) -> int:
+    """The number a bit-sliced counter holds in one lane."""
+    return sum(((plane >> lane) & 1) << j for j, plane in enumerate(counter))
+
+
+def value_planes(counter: list[int], plane: int) -> dict[int, int]:
+    """Split the lanes of ``plane`` by the value the counter holds in them."""
+    groups = {0: plane} if plane else {}
+    for j, bit in enumerate(counter):
+        split = {}
+        for value, lanes_in in groups.items():
+            high = lanes_in & bit
+            if high:
+                split[value | 1 << j] = high
+            if high != lanes_in:
+                split[value] = lanes_in ^ high
+        groups = split
+    return groups
+
+
+def lanes(plane: int) -> Iterator[int]:
+    """Indices of the set bits of a plane, in increasing order."""
+    digits = f"{plane:b}"[::-1]
+    i = digits.find("1")
+    while i >= 0:
+        yield i
+        i = digits.find("1", i + 1)
 
 
 def _reaches_all(rows: list[int], start: int, rem: int) -> bool:

@@ -3,14 +3,28 @@
 Each check enumerates labeled digraphs (all arc masks in little-endian
 order, or a seeded pseudorandom sample), filters them into a class, and
 tests a universal statement against invariants computed directly on each
-instance. Every sweep and ``enumerate_digraphs`` share one kernel:
-``_mask_stream`` yields a contiguous stretch of the spec's mask stream,
-and ``_members`` decodes, filters, computes connectivity and runs the
-strided cross-checks; each check only consumes the members. Reports are
-deterministic: identical enumeration parameters produce byte-identical
-serialized reports regardless of worker count. Audit checks never assert
-a closed form; they record (claimed, computed) pairs and leave judgement
-to the reader.
+instance. Every sweep and ``enumerate_digraphs`` share one kernel,
+``_members``, which filters a contiguous stretch of the spec's stream and
+runs the strided cross-checks; each check only consumes the members.
+
+Exhaustive stretches go through the block kernel (``masks.block_planes``):
+the stretch is cut into aligned blocks of 2**bits consecutive masks,
+``bits = min(n(n-1), _BLOCK_BITS)``, and a valid-lane plane masks off the
+lanes outside the stretch. Members come out as cells, planes of lanes
+sharing (m, sigma_max, kappa, lambda), which the checks weight by their
+popcount. Lanes are pulled out one by one, in increasing mask order within
+a cell, only for scalar work: violations, equality hits, Eulerian profiles,
+and kappa/lambda where a class or bound needs them. Sampled streams are
+not contiguous and go through the scalar per-mask path, one lane per cell.
+The scalar path is also the block kernel's oracle: on every
+``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE`` lane (every lane at n <= 4) the
+scalar decode must agree with the block's strong and balanced bits,
+sigma_max and m.
+
+Reports are deterministic: identical enumeration parameters produce
+byte-identical serialized reports regardless of worker count. Audit checks
+never assert a closed form; they record (claimed, computed) pairs and
+leave judgement to the reader.
 """
 
 from __future__ import annotations
@@ -22,7 +36,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import groupby, islice
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import bounds as bounds_mod
@@ -57,6 +72,18 @@ _SWEEP_BOUNDS = (
 # slower object-level modules, are re-verified on these subsamples.
 _CHAIN_STRIDE = 101
 _OBJECT_STRIDE = 1009
+# Block width cap of the exhaustive kernel: planes of 2**14 lanes are 2 KB.
+# Wider blocks gain no speed and raise peak memory (2**20 lanes: +30 MB).
+_BLOCK_BITS = 14
+# Counters kept per sweep; merged across shards into ``CheckReport.stats``.
+_STAT_KEYS = (
+    "masks",  # masks scanned
+    "blocks",  # block-kernel calls (a block cut by a shard edge counts per shard)
+    "members",  # class members
+    "lanes_extracted",  # lanes pulled out of a cell for scalar work
+    "stride_lanes",  # lanes re-derived on the cross-check strides
+    "orbit_min_calls",  # is_orbit_min calls on equality hits
+)
 
 
 @dataclass(frozen=True)
@@ -141,7 +168,8 @@ class Counterexample:
 class CheckReport:
     """Outcome of one verification sweep or audit.
 
-    ``elapsed`` is wall time and is excluded from the canonical
+    ``elapsed`` is wall time and ``stats`` holds the sweep's work counters
+    (see ``_STAT_KEYS``); both are excluded from the canonical
     serialization so that identical runs serialize byte-identically.
     """
 
@@ -154,6 +182,7 @@ class CheckReport:
     audit_records: list[dict] = field(default_factory=list)
     meta: dict = field(default_factory=dict)
     elapsed: float = 0.0
+    stats: dict = field(default_factory=dict)
 
     @property
     def ok(self) -> bool:
@@ -197,6 +226,8 @@ class CheckReport:
             lines.append(f"meta {key}: {json.dumps(value, sort_keys=True)}")
         if include_elapsed:
             lines.append(f"elapsed: {self.elapsed:.3f}s")
+            if self.stats:
+                lines.append("stats: " + json.dumps(self.stats, sort_keys=True))
         lines.append("result: " + ("OK" if self.ok else "FAILED"))
         return "\n".join(lines) + "\n"
 
@@ -221,63 +252,192 @@ def _stream_length(spec: EnumerationSpec) -> int:
 
 
 def _mask_stream(spec: EnumerationSpec, lo: int, hi: int) -> Iterable[int]:
-    """Masks lo..hi-1 of the spec's stream: the mask range, or seeded draws.
+    """Draws lo..hi-1 of a sampled spec's seeded stream.
 
-    A sampled shard replays the seeded generator past the first ``lo``
-    draws, so every shard derives its own stretch from ``(seed, lo)`` and
-    the concatenated shards equal the single-process draw sequence.
+    A shard replays the seeded generator past the first ``lo`` draws, so
+    every shard derives its own stretch from ``(seed, lo)`` and the
+    concatenated shards equal the single-process draw sequence.
     """
-    if spec.mode == "exhaustive":
-        return range(lo, hi)
     rng = random.Random(spec.seed)
     bits = masks.tables_for(spec.order).num_cells
     return islice((rng.getrandbits(bits) for _ in range(hi)), lo, None)
 
 
+def _new_stats() -> dict:
+    return dict.fromkeys(_STAT_KEYS, 0)
+
+
+def _merge_stats(partials: list[dict]) -> dict:
+    return {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
+
+
+# (base, plane, m, sigma_max, kappa, lambda): the members base + i, for the
+# set bits i of plane, that share m, sigma_max, kappa and lambda
+_Cell = tuple[int, int, int, int, int | None, int | None]
+
+
 def _members(
     spec: EnumerationSpec,
-    stream: Iterable[int],
+    lo: int,
+    hi: int,
+    stats: dict,
     need_kappa: bool = False,
     need_lambda: bool = False,
-) -> Iterator[tuple[int, list[int], list[int], int | None, int | None]]:
-    """Class members of a mask stream: the one enumeration loop of every sweep.
+    m_min: int = 0,
+) -> Iterator[_Cell]:
+    """Class members among masks lo..hi-1 of the stream: the loop of every sweep.
 
-    Yields ``(mask, rows, sigmas, kappa, lambda)`` for each strong mask in
-    the spec's class. Connectivity is computed when the class filter, the
-    caller or the chain stride needs it, and is None otherwise; below
-    order 2 it is never computed and counts as 0 against a class
-    threshold. On the deterministic strides the connectivity chain and
-    the object-level modules are cross-checked against the mask core.
+    Yields cells ``(base, plane, m, sigma_max, kappa, lambda)``: the
+    members ``base + i``, for the set bits i of ``plane``, that share those
+    values. Cells of one block are disjoint and come out together; only
+    masks with at least ``m_min`` arcs are scanned. kappa and lambda are
+    computed per lane when the class filter or the caller needs them, and
+    are None otherwise; below order 2 they are never computed and count as
+    0 against a class threshold.
     """
     n = spec.order
+    kappa_min = spec.param if spec.class_filter.endswith("_kappa") else 0
+    lambda_min = spec.param if spec.class_filter.endswith("_lambda") else 0
+    need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
+    need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
+    source = _block_members if spec.mode == "exhaustive" else _scalar_members
+    return source(
+        spec, lo, hi, stats, (need_kappa, need_lambda), (kappa_min, lambda_min), m_min
+    )
+
+
+def _connectivity(rows: list[int], n: int, need_kappa: bool, need_lambda: bool):
+    """kappa and lambda of a strong digraph, each None where not needed."""
+    kap = masks.kappa_mask(rows, n, (1 << n) - 1) if need_kappa else None
+    lam = masks.lambda_mask(rows, n) if need_lambda else None
+    return kap, lam
+
+
+def _stride_checks(n: int, mask: int, rows, sigmas, kap, lam) -> None:
+    """Cross-checks of a strong class candidate on a stride lane.
+
+    On the chain stride (every mask at n <= 4) kappa and lambda, computed
+    here where the sweep did not need them, must satisfy kappa <= lambda
+    <= min semidegree; on the object stride the object-level modules
+    re-derive sigma, kappa and lambda.
+    """
+    if n >= 2 and (n <= 4 or mask % _CHAIN_STRIDE == 0):
+        if kap is None:
+            kap = masks.kappa_mask(rows, n, (1 << n) - 1)
+        if lam is None:
+            lam = masks.lambda_mask(rows, n)
+        semi = masks.min_semidegree_mask(rows, n)
+        assert kap <= lam <= semi, (mask, kap, lam, semi)
+    if mask % _OBJECT_STRIDE == 0:
+        _object_crosscheck(n, mask, sigmas, kap, lam)
+
+
+def _scalar_members(spec, lo, hi, stats, need, thresholds, m_min):
+    """Per-mask path for sampled streams: one cell of one lane per draw."""
+    n = spec.order
     t = masks.tables_for(n)
-    full = t.full
     balanced_only = spec.class_filter.startswith("eulerian")
-    kappa_min = spec.param if spec.class_filter.endswith("_kappa") else None
-    lambda_min = spec.param if spec.class_filter.endswith("_lambda") else None
-    need_kappa = (need_kappa or kappa_min is not None) and n >= 2
-    need_lambda = (need_lambda or lambda_min is not None) and n >= 2
-    chain_always = n <= 4
-    for mask in stream:
+    need_kappa, need_lambda = need
+    kappa_min, lambda_min = thresholds
+    thresholded = max(thresholds) > 0
+    stats["masks"] += hi - lo
+    for mask in _mask_stream(spec, lo, hi):
+        if m_min and mask.bit_count() < m_min:
+            continue
         rows = t.out_rows(mask)
         if balanced_only and not masks.is_balanced(rows, n):
             continue
-        sigmas = masks.sigma_vector(rows, n, full)
+        sigmas = masks.sigma_vector(rows, n, t.full)
         if sigmas is None:
             continue
-        on_chain_stride = n >= 2 and (chain_always or mask % _CHAIN_STRIDE == 0)
-        kap = masks.kappa_mask(rows, n, full) if need_kappa or on_chain_stride else None
-        lam = masks.lambda_mask(rows, n) if need_lambda or on_chain_stride else None
-        if on_chain_stride:
-            semi = masks.min_semidegree_mask(rows, n)
-            assert kap <= lam <= semi, (mask, kap, lam, semi)
-        if mask % _OBJECT_STRIDE == 0:
-            _object_crosscheck(n, mask, sigmas, kap, lam)
-        if kappa_min is not None and (kap or 0) < kappa_min:
+        # _connectivity inlined: these lines run once per strong sampled draw
+        kap = masks.kappa_mask(rows, n, t.full) if need_kappa else None
+        lam = masks.lambda_mask(rows, n) if need_lambda else None
+        if n <= 4 or mask % _CHAIN_STRIDE == 0 or mask % _OBJECT_STRIDE == 0:
+            stats["stride_lanes"] += 1
+            _stride_checks(n, mask, rows, sigmas, kap, lam)
+        if thresholded and ((kap or 0) < kappa_min or (lam or 0) < lambda_min):
             continue
-        if lambda_min is not None and (lam or 0) < lambda_min:
-            continue
-        yield mask, rows, sigmas, kap, lam
+        stats["members"] += 1
+        yield mask, 1, mask.bit_count(), max(sigmas), kap, lam
+
+
+def _stride_lanes(n: int, base: int, start: int, stop: int) -> Iterable[int]:
+    """Lanes start..stop-1 of a block that the scalar oracle re-derives."""
+    if n <= 4:
+        return range(start, stop)
+    return sorted(
+        {
+            i
+            for stride in (_CHAIN_STRIDE, _OBJECT_STRIDE)
+            for i in range(start + (-(base + start)) % stride, stop, stride)
+        }
+    )
+
+
+def _block_members(spec, lo, hi, stats, need, thresholds, m_min):
+    """Bit-sliced path for exhaustive stretches, checked by the scalar oracle."""
+    n = spec.order
+    t = masks.tables_for(n)
+    need_kappa, need_lambda = need
+    kappa_min, lambda_min = thresholds
+    bits = min(t.num_cells, _BLOCK_BITS)
+    width = 1 << bits
+    balanced_only = spec.class_filter.startswith("eulerian")
+    for base in range(lo - lo % width, hi, width):
+        start, stop = max(lo - base, 0), min(hi - base, width)
+        valid = (1 << stop) - (1 << start)
+        block = masks.block_planes(n, base, bits, balanced=balanced_only)
+        if m_min:
+            valid = sum(
+                p for m, p in masks.value_planes(block.size, valid).items() if m >= m_min
+            )
+        candidates = valid & block.strong
+        if balanced_only:
+            candidates &= block.balanced
+        stats["masks"] += stop - start
+        stats["blocks"] += 1
+        conn = {}
+        for i in _stride_lanes(n, base, start, stop):
+            if not (valid >> i) & 1:
+                continue
+            stats["stride_lanes"] += 1
+            mask = base + i
+            rows = t.out_rows(mask)
+            sigmas = masks.sigma_vector(rows, n, t.full)
+            assert (block.strong >> i) & 1 == (sigmas is not None), mask
+            assert masks.lane_value(block.size, i) == mask.bit_count(), mask
+            if sigmas is not None:
+                assert masks.lane_value(block.sigma_max, i) == max(sigmas), mask
+            if balanced_only:
+                assert (block.balanced >> i) & 1 == masks.is_balanced(rows, n), mask
+            if (candidates >> i) & 1:
+                conn[i] = _connectivity(rows, n, need_kappa, need_lambda)
+                _stride_checks(n, mask, rows, sigmas, *conn[i])
+        for sigma_max, s_plane in masks.value_planes(block.sigma_max, candidates).items():
+            for m, plane in masks.value_planes(block.size, s_plane).items():
+                if not (need_kappa or need_lambda):
+                    # uncomputed connectivity counts as 0 against a threshold
+                    if max(kappa_min, lambda_min) <= 0:
+                        stats["members"] += plane.bit_count()
+                        yield base, plane, m, sigma_max, None, None
+                    continue
+                by_conn: dict = {}
+                for i in _pull(plane, stats):
+                    kl = conn.get(i) or _connectivity(
+                        t.out_rows(base + i), n, need_kappa, need_lambda
+                    )
+                    if (kl[0] or 0) >= kappa_min and (kl[1] or 0) >= lambda_min:
+                        by_conn[kl] = by_conn.get(kl, 0) | 1 << i
+                for (kap, lam), p in by_conn.items():
+                    stats["members"] += p.bit_count()
+                    yield base, p, m, sigma_max, kap, lam
+
+
+def _pull(plane: int, stats: dict) -> Iterator[int]:
+    """Lanes of a cell pulled out for scalar work, in increasing order."""
+    stats["lanes_extracted"] += plane.bit_count()
+    return masks.lanes(plane)
 
 
 def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
@@ -287,9 +447,11 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     mask order; sampled mode draws ``samples`` masks from the seeded
     generator and yields those passing the filter (duplicates possible).
     """
-    stream = _mask_stream(spec, 0, _stream_length(spec))
-    for mask, *_ in _members(spec, stream):
-        yield masks.digraph_of_mask(spec.order, mask)
+    cells = _members(spec, 0, _stream_length(spec), _new_stats())
+    for base, block in groupby(cells, key=itemgetter(0)):
+        # a sampled draw repeated back to back is two cells of one lane
+        for i in sorted(i for cell in block for i in masks.lanes(cell[1])):
+            yield masks.digraph_of_mask(spec.order, base + i)
 
 
 def _bound_fraction(bid: str, n: int, m: int, kap: int | None, lam: int | None):
@@ -325,7 +487,7 @@ def _object_crosscheck(n: int, mask: int, sigmas, kap, lam) -> None:
             assert conn_mod.edge_connectivity(D).value == lam, mask
 
 
-def _orbit_min(n: int, mask: int) -> bool:
+def _orbit_min(n: int, mask: int, stats: dict) -> bool:
     """Whether an exhaustive sweep collects this equality hit as a witness.
 
     Every sweep decision depends only on isomorphism invariants, so an
@@ -334,6 +496,7 @@ def _orbit_min(n: int, mask: int) -> bool:
     forms of all hits, without canonicalising each labeled hit. The fast
     test is checked against ``canonical_mask`` on the chain stride.
     """
+    stats["orbit_min_calls"] += 1
     found = masks.is_orbit_min(n, mask)
     if mask % _CHAIN_STRIDE == 0:
         assert found == (masks.canonical_mask(n, mask) == mask), mask
@@ -343,12 +506,15 @@ def _orbit_min(n: int, mask: int) -> bool:
 def _sweep_shard(args) -> dict:
     """Worker body for universal bound sweeps over one stretch of the stream.
 
-    Exhaustive ranges collect orbit-minimal equality hits; a sample need
-    not hold an orbit's minimum, so sampled hits are canonicalised.
+    Each cell is weighed once per bound; its lanes are pulled out only to
+    record violations and equality hits. Exhaustive ranges collect
+    orbit-minimal equality hits; a sample need not hold an orbit's
+    minimum, so sampled hits are canonicalised.
     """
     spec, lo, hi, bound_ids = args
     n = spec.order
     exhaustive = spec.mode == "exhaustive"
+    stats = _new_stats()
     bound_cache: dict = {}
     per_bound = {
         bid: {"skipped": 0, "violations": [], "equality": set(), "by_m": {}}
@@ -357,15 +523,16 @@ def _sweep_shard(args) -> dict:
     instances = 0
     members = _members(
         spec,
-        _mask_stream(spec, lo, hi),
+        lo,
+        hi,
+        stats,
         need_kappa=any(b in ("kappa_digraph", "eulerian_kappa") for b in bound_ids),
         need_lambda="eulerian_lambda" in bound_ids,
     )
-    for mask, _rows, sigmas, kap, lam in members:
-        instances += 1
-        m = mask.bit_count()
-        sigma_max = max(sigmas)
-        form = -1  # witness form, computed at the first equality hit; None: skip
+    for base, plane, m, sigma_max, kap, lam in members:
+        weight = plane.bit_count()
+        instances += weight
+        attained = []  # equality sets of the bounds this cell attains
         for bid in bound_ids:
             bid_kap = kap if bid in ("kappa_digraph", "eulerian_kappa") else None
             bid_lam = lam if bid == "eulerian_lambda" else None
@@ -377,27 +544,36 @@ def _sweep_shard(args) -> dict:
             row = state["by_m"].get(m)
             if row is None:
                 row = state["by_m"][m] = [0, 0, 0, 0]
-            row[0] += 1
+            row[0] += weight
             if entry is None:
-                state["skipped"] += 1
-                row[1] += 1
+                state["skipped"] += weight
+                row[1] += weight
                 continue
             num, den = entry
             lhs = sigma_max * den
             rhs = num * (n - 1)
             if lhs > rhs:
-                state["violations"].append((mask, sigma_max, m, bid_kap, bid_lam))
-                row[2] += 1
+                state["violations"].extend(
+                    (base + i, sigma_max, m, bid_kap, bid_lam)
+                    for i in _pull(plane, stats)
+                )
+                row[2] += weight
             elif lhs == rhs:
-                if form == -1:
-                    if exhaustive:
-                        form = mask if _orbit_min(n, mask) else None
-                    else:
-                        form = masks.canonical_mask(n, mask)
-                if form is not None:
-                    state["equality"].add(form)
-                row[3] += 1
-    return {"instances": instances, "per_bound": per_bound}
+                attained.append(state["equality"])
+                row[3] += weight
+        if not attained:
+            continue
+        # one witness form per mask, shared by every bound it attains
+        for i in _pull(plane, stats):
+            mask = base + i
+            if exhaustive:
+                form = mask if _orbit_min(n, mask, stats) else None
+            else:
+                form = masks.canonical_mask(n, mask)
+            if form is not None:
+                for equality in attained:
+                    equality.add(form)
+    return {"instances": instances, "per_bound": per_bound, "stats": stats}
 
 
 def _shards(total: int, workers: int) -> list[tuple[int, int]]:
@@ -472,6 +648,7 @@ def check_universal_bounds(
     spec = EnumerationSpec(n, class_filter, param, mode, samples, seed)
     partials, elapsed = _sweep(_sweep_shard, spec, workers, tuple(bound_ids))
     instances = sum(p["instances"] for p in partials)
+    stats = _merge_stats(partials)
     reports = []
     for bid in bound_ids:
         skipped = sum(p["per_bound"][bid]["skipped"] for p in partials)
@@ -508,6 +685,7 @@ def check_universal_bounds(
                     "by_m": [[m, *by_m[m]] for m in sorted(by_m)],
                 },
                 elapsed=elapsed,
+                stats=dict(stats),
             )
         )
     return reports
@@ -532,20 +710,21 @@ def check_universal_bound(
 def _uniqueness_shard(args) -> dict:
     spec, lo, hi, m_min, target_num, target_den = args
     n = spec.order
-    stream = (mask for mask in _mask_stream(spec, lo, hi) if mask.bit_count() >= m_min)
+    stats = _new_stats()
     hits = []
     breaches = []
     instances = 0
-    for mask, _rows, sigmas, _kap, _lam in _members(spec, stream):
-        instances += 1
-        lhs = max(sigmas) * target_den
-        rhs = target_num * (n - 1)
+    rhs = target_num * (n - 1)
+    for base, plane, m, sigma_max, _kap, _lam in _members(spec, lo, hi, stats, m_min=m_min):
+        instances += plane.bit_count()
+        lhs = sigma_max * target_den
         if lhs == rhs:
-            if _orbit_min(n, mask):
-                hits.append(mask)
+            hits.extend(
+                base + i for i in _pull(plane, stats) if _orbit_min(n, base + i, stats)
+            )
         elif lhs > rhs:
-            breaches.append((mask, max(sigmas), mask.bit_count()))
-    return {"instances": instances, "hits": hits, "breaches": breaches}
+            breaches.extend((base + i, sigma_max, m) for i in _pull(plane, stats))
+    return {"instances": instances, "hits": hits, "breaches": breaches, "stats": stats}
 
 
 def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> CheckReport:
@@ -611,6 +790,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
         ],
         meta={"extra_extremal_forms": extras, "expected_form": expected},
         elapsed=elapsed,
+        stats=_merge_stats(partials),
     )
     return report
 
@@ -625,16 +805,21 @@ def _ssg_size(counts: tuple[int, ...]) -> int:
 def _eulerian_shard(args) -> dict:
     spec, lo, hi = args
     n = spec.order
-    full = masks.tables_for(n).full
+    t = masks.tables_for(n)
+    stats = _new_stats()
     instances = 0
     violations = []
     mismatches = []
     equality = set()
     profile_canon: dict[tuple[int, ...], int] = {}
-    for mask, rows, _sigmas, _kap, _lam in _members(spec, _mask_stream(spec, lo, hi)):
-        profiles = masks.profile_vectors(rows, n, full)
+    members = (
+        (base + i, m)
+        for base, plane, m, _sigma_max, _kap, _lam in _members(spec, lo, hi, stats)
+        for i in _pull(plane, stats)
+    )
+    for mask, m in members:
+        profiles = masks.profile_vectors(t.out_rows(mask), n, t.full)
         instances += 1
-        m = mask.bit_count()
         diam = max(len(p) - 1 for p in profiles)
         orbit_min = None
         for v in range(n):
@@ -650,7 +835,7 @@ def _eulerian_shard(args) -> dict:
                         n, masks.mask_of_digraph(profile_digraph(list(counts)))
                     )
                 if orbit_min is None:
-                    orbit_min = _orbit_min(n, mask)
+                    orbit_min = _orbit_min(n, mask, stats)
                 if not orbit_min:
                     continue
                 if mask != profile_canon[counts]:
@@ -662,6 +847,7 @@ def _eulerian_shard(args) -> dict:
         "violations": violations,
         "mismatches": mismatches,
         "equality": equality,
+        "stats": stats,
     }
 
 
@@ -713,6 +899,7 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
         equality_witnesses=sorted(masks.mask_bytes(n, c).hex() for c in equality),
         meta={"extra_extremal_forms": mismatches},
         elapsed=elapsed,
+        stats=_merge_stats(partials),
     )
     return report
 

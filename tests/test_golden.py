@@ -95,6 +95,14 @@ def test_order5_dual_bound_report_bytes(n5_sweeps):
     assert all(r.instances_examined == 565_080 for r in reports)
 
 
+def test_order5_dual_bound_report_bytes_at_three_workers():
+    # shard edges at 349,526 and 699,052 cut blocks of the exhaustive kernel
+    reports = check_universal_bounds(
+        5, "strong", ("digraph_order", "size_digraph"), workers=3
+    )
+    assert _digest(reports) == N5_DUAL_BOUND_SHA256
+
+
 @pytest.mark.parametrize("check", sorted(N5_GOLDEN))
 def test_order5_report_bytes(check):
     run, expected, instances = N5_GOLDEN[check]

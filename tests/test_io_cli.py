@@ -285,6 +285,37 @@ class TestVerifyExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("usage error: ")
 
+    def test_samples_without_seed_is_usage_error(self, capsys):
+        code = run(["verify", "--check", "digraph_order", "--order", "4", "--samples", "10"])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("usage error: ")
+
+    @pytest.mark.parametrize("args", [
+        ["eulerian_size_theorem", "--order", "4", "--class", "strong_kappa", "--kappa", "3"],
+        ["digraph_order", "--order", "4", "--kappa", "2"],
+        ["digraph_order", "--order", "4", "--lambda", "2"],
+        ["lemma_monotonicity", "--order", "5", "--m", "3"],
+        ["digraph_order", "--order", "4", "--m", "9"],
+        ["digraph_order", "--order", "4", "--kappa-max", "2"],
+        ["size_digraph", "--order", "4", "--class", "strong_kappa", "--kappa", "2",
+         "--lambda", "2"],
+        ["extremal_uniqueness", "--order", "4", "--m", "9", "--kappa", "1",
+         "--class", "strong"],
+        ["extremal_uniqueness", "--order", "4", "--m", "9", "--kappa", "1",
+         "--kappa-max", "2"],
+    ])
+    def test_flags_the_check_does_not_read_are_usage_errors(self, capsys, args):
+        assert run(["verify", "--check", *args]) == 1
+        assert "does not read" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("args", [
+        ["size_digraph", "--order", "4", "--class", "strong_kappa", "--kappa", "2"],
+        ["eulerian_size", "--order", "4", "--class", "eulerian_lambda", "--lambda", "2"],
+        ["lemma_monotonicity", "--order", "6", "--kappa-max", "2"],
+    ])
+    def test_flags_the_check_reads_are_accepted(self, capsys, args):
+        assert run(["verify", "--check", *args]) == 0
+
     @pytest.mark.parametrize("flags", [["--samples", "5"], ["--seed", "1"],
                                        ["--samples", "5", "--seed", "1"]])
     @pytest.mark.parametrize("check", [

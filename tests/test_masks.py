@@ -1,6 +1,16 @@
 import pytest
 
-from dgr.masks import canonical_mask, is_orbit_min, sigma_vector, tables_for
+from dgr.masks import (
+    block_planes,
+    canonical_mask,
+    is_balanced,
+    is_orbit_min,
+    lane_value,
+    lanes,
+    sigma_vector,
+    tables_for,
+    value_planes,
+)
 
 # OEIS A000273 (digraphs), A035512 (strong digraphs), A003030 (labeled
 # strong digraphs), orders 1..4
@@ -41,3 +51,48 @@ def test_orbit_min_above_table_orders():
     assert is_orbit_min(n, cycle) == (cycle == canon)
     last_arc = 1 << (tables_for(n).num_cells - 1)
     assert is_orbit_min(n, 1) and not is_orbit_min(n, last_arc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("narrow", [False, True], ids=["one_block", "nonzero_bases"])
+def test_block_planes_match_scalar_decode(n, narrow):
+    # every mask, once in a single block at base 0 and once in blocks 2**3
+    # times narrower, so that every block but the first has a nonzero base
+    t = tables_for(n)
+    bits = max(t.num_cells - 3, 0) if narrow else min(t.num_cells, 14)
+    for base in range(0, t.mask_count, 1 << bits):
+        block = block_planes(n, base, bits, balanced=True)
+        for i in range(1 << bits):
+            mask = base + i
+            rows = t.out_rows(mask)
+            sigmas = sigma_vector(rows, n, t.full)
+            assert (block.strong >> i) & 1 == (sigmas is not None), mask
+            assert (block.balanced >> i) & 1 == is_balanced(rows, n), mask
+            assert lane_value(block.size, i) == mask.bit_count(), mask
+            if sigmas is not None:
+                assert lane_value(block.sigma_max, i) == max(sigmas), mask
+
+
+def test_block_base_must_be_aligned():
+    with pytest.raises(ValueError, match="multiple"):
+        block_planes(4, 12, 3)
+
+
+def test_value_planes_and_lanes_partition_the_plane():
+    counter = [0b0110, 0b1100]  # lanes 0..3 hold 0, 1, 3, 2
+    assert value_planes(counter, 0b1111) == {0: 0b0001, 1: 0b0010, 2: 0b1000, 3: 0b0100}
+    assert value_planes(counter, 0) == {}
+    assert list(lanes(0b101001)) == [0, 3, 5]
+    assert list(lanes(0)) == []
+
+
+def test_order5_strong_counts_match_oeis():
+    # A003030 labeled and A035512 unlabeled strong digraphs of order 5: the
+    # kernel's strong lanes, and the orbit-minimal ones among them
+    labeled = unlabeled = 0
+    for base in range(0, tables_for(5).mask_count, 1 << 14):
+        strong = block_planes(5, base, 14).strong
+        labeled += strong.bit_count()
+        unlabeled += sum(is_orbit_min(5, base + i) for i in lanes(strong))
+    assert labeled == 565_080
+    assert unlabeled == 5_048

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -25,7 +26,8 @@ from dgr import (
     profile_digraph,
     remoteness,
 )
-from dgr.masks import canonical_mask, digraph_of_mask, mask_of_digraph
+from dgr.masks import canonical_mask, digraph_of_mask, mask_of_digraph, tables_for
+from dgr.verifier import _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
 from test_core import dpk_2121
@@ -85,20 +87,101 @@ class TestEnumeration:
         assert tuple(sum(1 for _ in enumerate_digraphs(s)) for s in specs) == expected
 
 
-class TestSharedKernel:
-    @pytest.mark.parametrize("entry", [
-        lambda: check_universal_bounds(4, "strong", ("size_digraph",)),
-        lambda: check_extremal_uniqueness(4, 9, 1),
-        lambda: check_eulerian_size_theorem(4),
-        lambda: list(enumerate_digraphs(EnumerationSpec(4, "eulerian"))),
-    ], ids=["universal_bounds", "extremal_uniqueness", "eulerian_theorem", "enumerate"])
-    def test_every_sweep_runs_the_crosschecks(self, monkeypatch, entry):
-        import dgr.masks as masks_mod
+def _kappa_is_order(monkeypatch):
+    """kappa = n breaks kappa <= lambda, which the chain check asserts."""
+    import dgr.masks as masks_mod
 
-        # kappa = n breaks kappa <= lambda, which the chain check asserts
-        monkeypatch.setattr(masks_mod, "kappa_mask", lambda rows, n, full: n)
+    monkeypatch.setattr(masks_mod, "kappa_mask", lambda rows, n, full: n)
+
+
+def _sigma_max_off_by_one(monkeypatch):
+    """The block kernel misreports sigma_max on the complete digraph's lane.
+
+    That lane is a stride lane (every lane is at n <= 4) and a member of
+    every class the entry points sweep, so the scalar oracle must catch it.
+    """
+    import dgr.masks as masks_mod
+
+    real = masks_mod.block_planes
+
+    def skewed(n, base, bits, balanced=False):
+        block = real(n, base, bits, balanced)
+        lane = tables_for(n).mask_count - 1 - base
+        if 0 <= lane < 1 << bits:
+            block.sigma_max[0] ^= 1 << lane
+        return block
+
+    monkeypatch.setattr(masks_mod, "block_planes", skewed)
+
+
+_ENTRY_POINTS = {
+    "universal_bounds": lambda: check_universal_bounds(4, "strong", ("size_digraph",)),
+    "extremal_uniqueness": lambda: check_extremal_uniqueness(4, 9, 1),
+    "eulerian_theorem": lambda: check_eulerian_size_theorem(4),
+    "enumerate": lambda: list(enumerate_digraphs(EnumerationSpec(4, "eulerian"))),
+}
+
+# (id, entry, sabotage): the kappa cases keep their bare entry-point ids
+_CROSSCHECK_CASES = [
+    *((name, name, _kappa_is_order) for name in _ENTRY_POINTS),
+    *((f"{name}-sigma_max", name, _sigma_max_off_by_one) for name in _ENTRY_POINTS),
+]
+
+# _sweep_shard over stretches that cut blocks, digests recorded with the
+# per-mask kernel it replaced: (spec, lo, hi, bound ids, instances, sha256)
+_ODD_STRETCHES = [
+    (EnumerationSpec(5, "strong"), 12345, 700001, ("digraph_order", "size_digraph"),
+     340419, "9da05c76a954b799e058903e479fb5cbe532e2141d3010a79461f903fb36be89"),
+    (EnumerationSpec(5, "eulerian"), 12345, 700001,
+     ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
+     4696, "ac9f5bcdd69514a3590e48104e1d9440befd411796ca9edec43628ac73fcca83"),
+    (EnumerationSpec(5, "strong"), 333333, 345679, ("kappa_digraph", "size_digraph"),
+     6856, "919bfa1dd65ca6125960e0c385217ebbead38e2a61a718e8b26b77b6a7dbc0b6"),
+    (EnumerationSpec(5, "strong_kappa", 2), 500001, 517777, ("kappa_digraph",),
+     2737, "68d4e75b78623dc46654c6b7075d8611198ac714b6f98d470f8ee70058468448"),
+    (EnumerationSpec(4, "strong"), 77, 3001, ("digraph_order", "kappa_digraph"),
+     999, "caa13f2417dc0d2fd366d8f33aae62c0eae9bf802c3dd4652ffe0a1e3df9af2b"),
+]
+
+
+def _shard_digest(out: dict) -> str:
+    doc = {
+        "instances": out["instances"],
+        "per_bound": {
+            bid: {
+                "skipped": state["skipped"],
+                "violations": sorted(state["violations"]),
+                "equality": sorted(state["equality"]),
+                "by_m": sorted(state["by_m"].items()),
+            }
+            for bid, state in out["per_bound"].items()
+        },
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestSharedKernel:
+    @pytest.mark.parametrize(
+        "entry, sabotage",
+        [case[1:] for case in _CROSSCHECK_CASES],
+        ids=[case[0] for case in _CROSSCHECK_CASES],
+    )
+    def test_every_sweep_runs_the_crosschecks(self, monkeypatch, entry, sabotage):
+        sabotage(monkeypatch)
         with pytest.raises(AssertionError):
-            entry()
+            _ENTRY_POINTS[entry]()
+
+    @pytest.mark.parametrize(
+        "spec, lo, hi, bound_ids, instances, digest",
+        _ODD_STRETCHES,
+        ids=[f"{c[0].class_label}-{c[1]}-{c[2]}" for c in _ODD_STRETCHES],
+    )
+    def test_odd_stretches_match_the_per_mask_kernel(
+        self, spec, lo, hi, bound_ids, instances, digest
+    ):
+        out = _sweep_shard((spec, lo, hi, bound_ids))
+        assert out["instances"] == instances
+        assert _shard_digest(out) == digest
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sampled_shards_concatenate_to_the_seeded_draws(self, workers):
@@ -110,6 +193,33 @@ class TestSharedKernel:
         shards = _shards(100, workers)
         assert len(shards) == workers
         assert [m for lo, hi in shards for m in _mask_stream(spec, lo, hi)] == draws
+
+
+class TestSweepStats:
+    def test_stats_stay_out_of_the_bytes_and_ignore_workers(self, n5_sweeps):
+        one, _ = n5_sweeps[1]
+        two, _ = n5_sweeps[2]
+        assert [r.to_json() for r in one] == [r.to_json() for r in two]
+        assert all("stats" not in json.loads(r.to_json()) for r in one)
+        # 2**20 masks in 64 blocks of 2**14; 10,382 + 1,039 - 10 stride lanes
+        # (mask % 101 == 0 or mask % 1009 == 0); every equality lane pulled
+        # once and tested for orbit minimality
+        expected = {
+            "masks": 1 << 20,
+            "blocks": 64,
+            "members": 565_080,
+            "lanes_extracted": 96_275,
+            "stride_lanes": 11_411,
+            "orbit_min_calls": 96_275,
+        }
+        assert all(r.stats == expected for r in one + two)
+
+    def test_text_prints_stats_beside_elapsed(self):
+        report = check_universal_bound(3, "strong", "digraph_order")
+        assert "stats: " not in report.render_text()
+        lines = report.render_text(include_elapsed=True).splitlines()
+        at = next(i for i, line in enumerate(lines) if line.startswith("elapsed: "))
+        assert json.loads(lines[at + 1].removeprefix("stats: "))["masks"] == 64
 
 
 class TestCanonicalForm:
