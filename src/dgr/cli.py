@@ -395,8 +395,10 @@ def _cmd_verify(args) -> int:
             class_filter = args.class_filter or _default_class(args.check)
             param = None
             if class_filter.endswith("_kappa"):
+                _require(args, ["kappa"])
                 param = args.kappa
             elif class_filter.endswith("_lambda"):
+                _require(args, ["lambda"])
                 param = args.lam
             mode = "sampled" if args.samples else "exhaustive"
             reports = verifier.check_universal_bounds(

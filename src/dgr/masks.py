@@ -7,22 +7,26 @@ modules, which the verifier cross-checks on a deterministic stride.
 
 Two kernels read masks. The scalar one decodes a single mask into
 out-neighbour rows (``out_rows``) and runs BFS on them (``sigma_vector``,
-``is_balanced``, ``kappa_mask`` ...). The block kernel (``block_planes``)
-decides a whole block of consecutive masks at once by bit-slicing: lane i
-of a block is the mask ``base + i``, where ``base`` is a multiple of the
-block width 2**bits, and each arc cell becomes a plane, a Python int whose
-bit i is that cell's bit in lane i. Cells below ``bits`` vary with the lane
-and give fixed lane patterns; cells above are constant across the block.
-Integer AND/OR/XOR on planes then run one BFS per source vertex for every
-lane together. Per-lane numbers are bit-sliced counters: a list of planes,
+``is_balanced``, ``kappa_mask`` ...). The block kernel decides up to 2**14
+masks at once by bit-slicing: each arc cell becomes a plane, a Python int
+whose bit i is that cell's bit in lane i. ``range_cells`` builds the planes
+of an aligned block of consecutive masks (lane i is ``base + i``; cells
+below the block width follow fixed lane patterns, the others are constant),
+and ``draw_cells`` transposes an arbitrary list of masks (lane i is the
+i-th draw). On either, integer AND/OR/XOR run one BFS per source vertex
+for every lane together: ``block_planes`` gives strongness, balance,
+sigma_max and size, and ``kappa_planes`` splits the strong lanes by vertex
+connectivity. Per-lane numbers are bit-sliced counters: a list of planes,
 least significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from functools import lru_cache
 from itertools import combinations, permutations, zip_longest
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .core import Digraph
 
@@ -157,7 +161,7 @@ def profile_vectors(rows: list[int], n: int, full: int) -> list[tuple[int, ...]]
 
 
 class BlockPlanes(NamedTuple):
-    """Per-lane results for one block; lane i is the mask ``base + i``.
+    """Per-lane results for one block or batch of masks.
 
     ``strong`` and ``balanced`` are planes (``balanced`` is None unless it
     was asked for); ``sigma_max`` and ``size`` are bit-sliced counters of
@@ -187,6 +191,49 @@ def _lane_cells(bits: int) -> tuple[int, ...]:
     return tuple(planes)
 
 
+def range_cells(n: int, base: int, bits: int) -> tuple[list[int], int]:
+    """Cell planes and the all-lanes plane of masks base .. base+2**bits-1.
+
+    Lane i is the mask ``base + i``; ``base`` must be a multiple of 2**bits.
+    Cells below ``bits`` follow fixed lane patterns, the others are
+    constant across the block.
+    """
+    if base % (1 << bits):
+        raise ValueError("block base must be a multiple of the block width")
+    ones = (1 << (1 << bits)) - 1
+    low = _lane_cells(bits)
+    cells = [
+        low[k] if k < bits else ones * (base >> k & 1)
+        for k in range(tables_for(n).num_cells)
+    ]
+    return cells, ones
+
+
+@lru_cache(maxsize=None)
+def _bit_text(j: int) -> bytes:
+    """Translation table: a byte to the ASCII digit of its bit j."""
+    return bytes(0x30 | (v >> j & 1) for v in range(256))
+
+
+def draw_cells(n: int, draws: list[int]) -> tuple[list[int], int]:
+    """Cell planes and the all-lanes plane of a list of masks: lane i is draws[i].
+
+    A transpose through text: the draws are packed as little-endian 8-byte words,
+    last draw first; the bytes holding cell k, read with stride 8 and
+    translated to the digit of its bit, spell plane k most significant lane
+    first.
+    """
+    c = tables_for(n).num_cells
+    ones = (1 << len(draws)) - 1
+    if not draws:
+        return [0] * c, ones
+    words = array("Q", reversed(draws))
+    if sys.byteorder == "big":
+        words.byteswap()
+    raw = words.tobytes()
+    return [int(raw[k // 8 :: 8].translate(_bit_text(k % 8)), 2) for k in range(c)], ones
+
+
 def _add_plane(counter: list[int], plane: int) -> None:
     """Add a 0/1 plane to a bit-sliced counter in place (ripple carry)."""
     for j, bit in enumerate(counter):
@@ -209,25 +256,21 @@ def _counter_max(a: list[int], b: list[int]) -> list[int]:
     return [y ^ ((x ^ y) & greater) for x, y in pairs]
 
 
-def block_planes(n: int, base: int, bits: int, balanced: bool = False) -> BlockPlanes:
-    """Strongness, sigma_max, size (and balance) of masks base .. base+2**bits-1.
+def block_planes(n: int, cells: list[int], ones: int, balanced: bool = False) -> BlockPlanes:
+    """Strongness, sigma_max, size (and balance) of every lane of ``ones``.
 
+    ``cells`` are the arc-cell planes from ``range_cells`` or ``draw_cells``.
     The transmission of v is the sum, over BFS levels 0 .. n-2, of the
     number of vertices not yet reached from v; the BFS runs on all lanes
     at once, and a lane is strong when every source reaches every vertex
-    within n-1 levels. ``base`` must be a multiple of 2**bits.
+    within n-1 levels.
     """
-    if base % (1 << bits):
-        raise ValueError("block base must be a multiple of the block width")
     t = tables_for(n)
-    ones = (1 << (1 << bits)) - 1
-    low = _lane_cells(bits)
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     out_deg: list[list[int]] = [[] for _ in range(n)]
     in_deg: list[list[int]] = [[] for _ in range(n)]
     size: list[int] = []
-    for k, (u, v) in enumerate(t.cells):
-        plane = low[k] if k < bits else ones * (base >> k & 1)
+    for (u, v), plane in zip(t.cells, cells):
         _add_plane(size, plane)
         if plane:
             into[v].append((u, plane))
@@ -264,9 +307,97 @@ def block_planes(n: int, base: int, bits: int, balanced: bool = False) -> BlockP
     return BlockPlanes(strong, balance, sigma_max, size)
 
 
-def lane_value(counter: list[int], lane: int) -> int:
-    """The number a bit-sliced counter holds in one lane."""
-    return sum(((plane >> lane) & 1) << j for j, plane in enumerate(counter))
+@lru_cache(maxsize=None)
+def _removal_arcs(n: int) -> tuple[tuple[int, int, tuple, tuple], ...]:
+    """The digraphs D - S that ``kappa_planes`` tests, in ``_vertex_subsets`` order.
+
+    Per vertex subset S: its size, the root (least vertex outside S), and
+    the arcs of D - S into and out of each other vertex outside S, as
+    (neighbour, cell index) pairs.
+    """
+    t = tables_for(n)
+    out = []
+    for size_idx, subsets in enumerate(_vertex_subsets(n)):
+        for s in subsets:
+            rest = [v for v in range(n) if not s >> v & 1]
+            root = rest[0]
+            into = tuple(
+                (w, tuple((u, t.bit_of[(u, w)]) for u in rest if u != w))
+                for w in rest[1:]
+            )
+            out_of = tuple(
+                (w, tuple((u, t.bit_of[(w, u)]) for u in rest if u != w))
+                for w in rest[1:]
+            )
+            out.append((size_idx + 1, root, into, out_of))
+    return tuple(out)
+
+
+def _reached_by_all(cells: list[int], root: int, arcs, start: int) -> int:
+    """Lanes of ``start`` in which every listed vertex is joined to the root.
+
+    ``arcs`` lists, per vertex w, the (neighbour, cell) pairs through which
+    w joins once the neighbour has; run to a fixed point over the planes.
+    """
+    joined = {root: start}
+    for w, _ in arcs:
+        joined[w] = 0
+    changed = True
+    while changed:
+        changed = False
+        for w, via in arcs:
+            r = joined[w]
+            for u, k in via:
+                r |= joined[u] & cells[k]
+            if r != joined[w]:
+                joined[w] = r
+                changed = True
+    out = start
+    for w, _ in arcs:
+        out &= joined[w]
+    return out
+
+
+def kappa_planes(n: int, cells: list[int], lanes_in: int) -> dict[int, int]:
+    """Split the strong lanes of ``lanes_in`` by vertex connectivity.
+
+    The plane-wise ``kappa_mask``: for every vertex subset S, in
+    ``_vertex_subsets`` order, a forward and a backward BFS from the root
+    of D - S decide on all undecided lanes whether D - S is strong; a lane
+    that is not gets kappa = |S|. Stops once every lane is decided; the
+    lanes left at the end have kappa = n - 1.
+    """
+    groups: dict[int, int] = {}
+    live = lanes_in
+    for size, root, into, out_of in _removal_arcs(n):
+        if not live:
+            break
+        forward = _reached_by_all(cells, root, into, live)
+        both = _reached_by_all(cells, root, out_of, forward) if forward else 0
+        cut = live ^ both
+        if cut:
+            groups[size] = groups.get(size, 0) | cut
+            live = both
+    if live:
+        groups[n - 1] = live
+    return groups
+
+
+def lane_values(counter: list[int], lanes_in: Iterable[int]) -> list[int]:
+    """The numbers a bit-sliced counter holds in the given lanes.
+
+    Each plane is written out once as binary digits, lane 0 first, so that
+    reading a lane is a string lookup rather than a shift of the plane.
+    """
+    digits = [f"{plane:b}"[::-1] for plane in counter]
+    values = []
+    for i in lanes_in:
+        value = 0
+        for j, text in enumerate(digits):
+            if i < len(text) and text[i] == "1":
+                value |= 1 << j
+        values.append(value)
+    return values
 
 
 def value_planes(counter: list[int], plane: int) -> dict[int, int]:

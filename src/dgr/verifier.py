@@ -7,19 +7,20 @@ instance. Every sweep and ``enumerate_digraphs`` share one kernel,
 ``_members``, which filters a contiguous stretch of the spec's stream and
 runs the strided cross-checks; each check only consumes the members.
 
-Exhaustive stretches go through the block kernel (``masks.block_planes``):
-the stretch is cut into aligned blocks of 2**bits consecutive masks,
-``bits = min(n(n-1), _BLOCK_BITS)``, and a valid-lane plane masks off the
-lanes outside the stretch. Members come out as cells, planes of lanes
-sharing (m, sigma_max, kappa, lambda), which the checks weight by their
-popcount. Lanes are pulled out one by one, in increasing mask order within
-a cell, only for scalar work: violations, equality hits, Eulerian profiles,
-and kappa/lambda where a class or bound needs them. Sampled streams are
-not contiguous and go through the scalar per-mask path, one lane per cell.
-The scalar path is also the block kernel's oracle: on every
-``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE`` lane (every lane at n <= 4) the
-scalar decode must agree with the block's strong and balanced bits,
-sigma_max and m.
+Every stretch goes through the block kernel (``masks.block_planes`` and
+``masks.kappa_planes``) in batches of up to 2**bits lanes,
+``bits = min(n(n-1), _BLOCK_BITS)``: an exhaustive stretch in aligned
+blocks of consecutive masks, where a valid-lane plane masks off the lanes
+outside the stretch, a sampled stretch in lists of consecutive draws. Lane
+i of a batch is the mask ``seq[i]``. Members come out as cells, planes of
+lanes sharing (m, sigma_max, kappa, lambda), which the checks weight by
+their popcount. Lanes are pulled out one by one, in increasing lane order
+within a cell, only for scalar work: violations, equality hits, Eulerian
+profiles, and lambda where a class or bound needs it. The scalar decode is
+the kernel's oracle: on every stride lane, a mask divisible by
+``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE`` (every lane at n <= 4), it must
+agree with the batch's strong and balanced bits, sigma_max and m, and
+``kappa_mask`` with the kappa planes.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -36,9 +37,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import groupby, islice
-from operator import itemgetter
-from typing import Iterable, Iterator
+from itertools import groupby, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from . import bounds as bounds_mod
 from . import connectivity as conn_mod
@@ -72,16 +72,18 @@ _SWEEP_BOUNDS = (
 # slower object-level modules, are re-verified on these subsamples.
 _CHAIN_STRIDE = 101
 _OBJECT_STRIDE = 1009
-# Block width cap of the exhaustive kernel: planes of 2**14 lanes are 2 KB.
+# Batch width cap of the kernel: planes of 2**14 lanes are 2 KB.
 # Wider blocks gain no speed and raise peak memory (2**20 lanes: +30 MB).
 _BLOCK_BITS = 14
 # Counters kept per sweep; merged across shards into ``CheckReport.stats``.
 _STAT_KEYS = (
     "masks",  # masks scanned
-    "blocks",  # block-kernel calls (a block cut by a shard edge counts per shard)
+    # block-kernel calls: exhaustive blocks (one cut by a shard edge counts
+    # per shard) and sampled batches
+    "blocks",
     "members",  # class members
     "lanes_extracted",  # lanes pulled out of a cell for scalar work
-    "stride_lanes",  # lanes re-derived on the cross-check strides
+    "stride_lanes",  # stride lanes re-derived by the scalar oracle, strong or not
     "orbit_min_calls",  # is_orbit_min calls on equality hits
 )
 
@@ -102,8 +104,13 @@ class EnumerationSpec:
             raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}")
         if self.class_filter not in _FILTERS:
             raise ValueError(f"unknown class filter {self.class_filter!r}")
-        if self.class_filter.endswith(("_kappa", "_lambda")) and self.param is None:
+        if not self.class_filter.endswith(("_kappa", "_lambda")):
+            if self.param is not None:
+                raise ValueError(f"{self.class_filter} takes no parameter")
+        elif self.param is None:
             raise ValueError(f"{self.class_filter} needs a parameter")
+        elif self.param < 0:
+            raise ValueError(f"class parameter must be non-negative, got {self.param}")
         if self.mode == "exhaustive":
             if self.order > EXHAUSTIVE_MAX_ORDER:
                 raise ValueError(
@@ -260,7 +267,7 @@ def _mask_stream(spec: EnumerationSpec, lo: int, hi: int) -> Iterable[int]:
     """
     rng = random.Random(spec.seed)
     bits = masks.tables_for(spec.order).num_cells
-    return islice((rng.getrandbits(bits) for _ in range(hi)), lo, None)
+    return islice(map(rng.getrandbits, repeat(bits, hi)), lo, None)
 
 
 def _new_stats() -> dict:
@@ -271,9 +278,58 @@ def _merge_stats(partials: list[dict]) -> dict:
     return {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
 
 
-# (base, plane, m, sigma_max, kappa, lambda): the members base + i, for the
-# set bits i of plane, that share m, sigma_max, kappa and lambda
-_Cell = tuple[int, int, int, int, int | None, int | None]
+# (seq, plane, m, sigma_max, kappa, lambda): the members seq[i], for the set
+# bits i of plane, that share m, sigma_max, kappa and lambda
+_Cell = tuple[Sequence[int], int, int, int, int | None, int | None]
+
+
+def _batches(
+    spec: EnumerationSpec, lo: int, hi: int, bits: int
+) -> Iterator[tuple[Sequence[int], int, list[int], int]]:
+    """Masks lo..hi-1 of the stream as (seq, valid, cells, ones) per batch.
+
+    Lane i of a batch is the mask ``seq[i]``; ``valid`` holds the lanes in
+    lo..hi-1. An exhaustive stretch is cut into aligned blocks of 2**bits
+    consecutive masks, a block cut by a shard edge keeping only its valid
+    lanes; a sampled stretch is cut into lists of up to 2**bits draws.
+    """
+    n = spec.order
+    width = 1 << bits
+    if spec.mode == "exhaustive":
+        for base in range(lo - lo % width, hi, width):
+            start, stop = max(lo - base, 0), min(hi - base, width)
+            cells, ones = masks.range_cells(n, base, bits)
+            yield range(base, base + width), (1 << stop) - (1 << start), cells, ones
+        return
+    draws = iter(_mask_stream(spec, lo, hi))
+    while seq := list(islice(draws, width)):
+        cells, ones = masks.draw_cells(n, seq)
+        yield seq, ones, cells, ones
+
+
+def _stride_lanes(n: int, seq: Sequence[int], valid: int) -> list[int]:
+    """Valid lanes that the scalar oracle re-derives, in increasing order.
+
+    A lane is chosen by the value of its mask, so one rule covers blocks
+    and batches: every lane at n <= 4, else the masks divisible by
+    ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE``.
+    """
+    if n <= 4:
+        return list(masks.lanes(valid))
+    if isinstance(seq, range):
+        found = sorted(
+            {
+                i
+                for stride in (_CHAIN_STRIDE, _OBJECT_STRIDE)
+                for i in range(-seq.start % stride, len(seq), stride)
+            }
+        )
+    else:
+        found = [
+            i for i, mask in enumerate(seq)
+            if not (mask % _CHAIN_STRIDE and mask % _OBJECT_STRIDE)
+        ]
+    return [i for i in found if valid >> i & 1]
 
 
 def _members(
@@ -287,107 +343,25 @@ def _members(
 ) -> Iterator[_Cell]:
     """Class members among masks lo..hi-1 of the stream: the loop of every sweep.
 
-    Yields cells ``(base, plane, m, sigma_max, kappa, lambda)``: the
-    members ``base + i``, for the set bits i of ``plane``, that share those
-    values. Cells of one block are disjoint and come out together; only
-    masks with at least ``m_min`` arcs are scanned. kappa and lambda are
-    computed per lane when the class filter or the caller needs them, and
-    are None otherwise; below order 2 they are never computed and count as
-    0 against a class threshold.
+    Yields cells ``(seq, plane, m, sigma_max, kappa, lambda)``: the members
+    ``seq[i]``, for the set bits i of ``plane``, that share those values.
+    Cells of one batch are disjoint and come out together; only masks with
+    at least ``m_min`` arcs are scanned. kappa comes from the kernel's kappa
+    planes and lambda is computed per lane, each when the class filter or
+    the caller needs it, and is None otherwise; below order 2 they are never
+    computed and count as 0 against a class threshold.
     """
     n = spec.order
+    t = masks.tables_for(n)
     kappa_min = spec.param if spec.class_filter.endswith("_kappa") else 0
     lambda_min = spec.param if spec.class_filter.endswith("_lambda") else 0
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
-    source = _block_members if spec.mode == "exhaustive" else _scalar_members
-    return source(
-        spec, lo, hi, stats, (need_kappa, need_lambda), (kappa_min, lambda_min), m_min
-    )
-
-
-def _connectivity(rows: list[int], n: int, need_kappa: bool, need_lambda: bool):
-    """kappa and lambda of a strong digraph, each None where not needed."""
-    kap = masks.kappa_mask(rows, n, (1 << n) - 1) if need_kappa else None
-    lam = masks.lambda_mask(rows, n) if need_lambda else None
-    return kap, lam
-
-
-def _stride_checks(n: int, mask: int, rows, sigmas, kap, lam) -> None:
-    """Cross-checks of a strong class candidate on a stride lane.
-
-    On the chain stride (every mask at n <= 4) kappa and lambda, computed
-    here where the sweep did not need them, must satisfy kappa <= lambda
-    <= min semidegree; on the object stride the object-level modules
-    re-derive sigma, kappa and lambda.
-    """
-    if n >= 2 and (n <= 4 or mask % _CHAIN_STRIDE == 0):
-        if kap is None:
-            kap = masks.kappa_mask(rows, n, (1 << n) - 1)
-        if lam is None:
-            lam = masks.lambda_mask(rows, n)
-        semi = masks.min_semidegree_mask(rows, n)
-        assert kap <= lam <= semi, (mask, kap, lam, semi)
-    if mask % _OBJECT_STRIDE == 0:
-        _object_crosscheck(n, mask, sigmas, kap, lam)
-
-
-def _scalar_members(spec, lo, hi, stats, need, thresholds, m_min):
-    """Per-mask path for sampled streams: one cell of one lane per draw."""
-    n = spec.order
-    t = masks.tables_for(n)
     balanced_only = spec.class_filter.startswith("eulerian")
-    need_kappa, need_lambda = need
-    kappa_min, lambda_min = thresholds
-    thresholded = max(thresholds) > 0
-    stats["masks"] += hi - lo
-    for mask in _mask_stream(spec, lo, hi):
-        if m_min and mask.bit_count() < m_min:
-            continue
-        rows = t.out_rows(mask)
-        if balanced_only and not masks.is_balanced(rows, n):
-            continue
-        sigmas = masks.sigma_vector(rows, n, t.full)
-        if sigmas is None:
-            continue
-        # _connectivity inlined: these lines run once per strong sampled draw
-        kap = masks.kappa_mask(rows, n, t.full) if need_kappa else None
-        lam = masks.lambda_mask(rows, n) if need_lambda else None
-        if n <= 4 or mask % _CHAIN_STRIDE == 0 or mask % _OBJECT_STRIDE == 0:
-            stats["stride_lanes"] += 1
-            _stride_checks(n, mask, rows, sigmas, kap, lam)
-        if thresholded and ((kap or 0) < kappa_min or (lam or 0) < lambda_min):
-            continue
-        stats["members"] += 1
-        yield mask, 1, mask.bit_count(), max(sigmas), kap, lam
-
-
-def _stride_lanes(n: int, base: int, start: int, stop: int) -> Iterable[int]:
-    """Lanes start..stop-1 of a block that the scalar oracle re-derives."""
-    if n <= 4:
-        return range(start, stop)
-    return sorted(
-        {
-            i
-            for stride in (_CHAIN_STRIDE, _OBJECT_STRIDE)
-            for i in range(start + (-(base + start)) % stride, stop, stride)
-        }
-    )
-
-
-def _block_members(spec, lo, hi, stats, need, thresholds, m_min):
-    """Bit-sliced path for exhaustive stretches, checked by the scalar oracle."""
-    n = spec.order
-    t = masks.tables_for(n)
-    need_kappa, need_lambda = need
-    kappa_min, lambda_min = thresholds
-    bits = min(t.num_cells, _BLOCK_BITS)
-    width = 1 << bits
-    balanced_only = spec.class_filter.startswith("eulerian")
-    for base in range(lo - lo % width, hi, width):
-        start, stop = max(lo - base, 0), min(hi - base, width)
-        valid = (1 << stop) - (1 << start)
-        block = masks.block_planes(n, base, bits, balanced=balanced_only)
+    for seq, valid, cells, ones in _batches(spec, lo, hi, min(t.num_cells, _BLOCK_BITS)):
+        block = masks.block_planes(n, cells, ones, balanced=balanced_only)
+        stats["masks"] += valid.bit_count()
+        stats["blocks"] += 1
         if m_min:
             valid = sum(
                 p for m, p in masks.value_planes(block.size, valid).items() if m >= m_min
@@ -395,43 +369,71 @@ def _block_members(spec, lo, hi, stats, need, thresholds, m_min):
         candidates = valid & block.strong
         if balanced_only:
             candidates &= block.balanced
-        stats["masks"] += stop - start
-        stats["blocks"] += 1
-        conn = {}
-        for i in _stride_lanes(n, base, start, stop):
-            if not (valid >> i) & 1:
-                continue
-            stats["stride_lanes"] += 1
-            mask = base + i
+        stride = _stride_lanes(n, seq, valid)
+        stats["stride_lanes"] += len(stride)
+        kappa: dict[int, int] = {}
+        if n >= 2:
+            # every candidate where kappa is needed, else the stride
+            # candidates only, for the oracle
+            checked = candidates if need_kappa else candidates & sum(1 << i for i in stride)
+            kappa = masks.kappa_planes(n, cells, checked)
+        lam_of = {}
+        sizes = masks.lane_values(block.size, stride)
+        sigma_maxes = masks.lane_values(block.sigma_max, stride)
+        for i, lane_size, lane_sigma_max in zip(stride, sizes, sigma_maxes):
+            mask = seq[i]
             rows = t.out_rows(mask)
             sigmas = masks.sigma_vector(rows, n, t.full)
             assert (block.strong >> i) & 1 == (sigmas is not None), mask
-            assert masks.lane_value(block.size, i) == mask.bit_count(), mask
+            assert lane_size == mask.bit_count(), mask
             if sigmas is not None:
-                assert masks.lane_value(block.sigma_max, i) == max(sigmas), mask
+                assert lane_sigma_max == max(sigmas), mask
             if balanced_only:
                 assert (block.balanced >> i) & 1 == masks.is_balanced(rows, n), mask
             if (candidates >> i) & 1:
-                conn[i] = _connectivity(rows, n, need_kappa, need_lambda)
-                _stride_checks(n, mask, rows, sigmas, *conn[i])
-        for sigma_max, s_plane in masks.value_planes(block.sigma_max, candidates).items():
-            for m, plane in masks.value_planes(block.size, s_plane).items():
-                if not (need_kappa or need_lambda):
-                    # uncomputed connectivity counts as 0 against a threshold
-                    if max(kappa_min, lambda_min) <= 0:
-                        stats["members"] += plane.bit_count()
-                        yield base, plane, m, sigma_max, None, None
-                    continue
-                by_conn: dict = {}
-                for i in _pull(plane, stats):
-                    kl = conn.get(i) or _connectivity(
-                        t.out_rows(base + i), n, need_kappa, need_lambda
-                    )
-                    if (kl[0] or 0) >= kappa_min and (kl[1] or 0) >= lambda_min:
-                        by_conn[kl] = by_conn.get(kl, 0) | 1 << i
-                for (kap, lam), p in by_conn.items():
-                    stats["members"] += p.bit_count()
-                    yield base, p, m, sigma_max, kap, lam
+                kap = next((k for k, p in kappa.items() if p >> i & 1), None)
+                lam = masks.lambda_mask(rows, n) if need_lambda else None
+                lam_of[i] = lam
+                _stride_checks(n, mask, rows, sigmas, kap, lam, need_kappa)
+        for kap, k_plane in kappa.items() if need_kappa else [(None, candidates)]:
+            if (kap or 0) < kappa_min:
+                continue
+            for sigma_max, s_plane in masks.value_planes(block.sigma_max, k_plane).items():
+                for m, plane in masks.value_planes(block.size, s_plane).items():
+                    if not need_lambda:
+                        if lambda_min <= 0:
+                            stats["members"] += plane.bit_count()
+                            yield seq, plane, m, sigma_max, kap, None
+                        continue
+                    by_lam: dict = {}
+                    for i in _pull(plane, stats):
+                        lam = lam_of.get(i) or masks.lambda_mask(t.out_rows(seq[i]), n)
+                        if lam >= lambda_min:
+                            by_lam[lam] = by_lam.get(lam, 0) | 1 << i
+                    for lam, p in by_lam.items():
+                        stats["members"] += p.bit_count()
+                        yield seq, p, m, sigma_max, kap, lam
+
+
+def _stride_checks(n: int, mask: int, rows, sigmas, kap, lam, need_kappa: bool) -> None:
+    """Cross-checks of a strong class candidate on a stride lane.
+
+    ``kap`` is the kappa planes' value and must equal ``kappa_mask``. On
+    the chain stride (every mask at n <= 4) lambda, computed here where the
+    sweep did not need it, must satisfy kappa <= lambda <= min semidegree;
+    on the object stride the object-level modules re-derive sigma and the
+    connectivity that the sweep needs or the chain stride computed.
+    """
+    chain = n <= 4 or mask % _CHAIN_STRIDE == 0
+    if n >= 2:
+        assert kap == masks.kappa_mask(rows, n, (1 << n) - 1), (mask, kap)
+        if chain:
+            if lam is None:
+                lam = masks.lambda_mask(rows, n)
+            semi = masks.min_semidegree_mask(rows, n)
+            assert kap <= lam <= semi, (mask, kap, lam, semi)
+    if mask % _OBJECT_STRIDE == 0:
+        _object_crosscheck(n, mask, sigmas, kap if chain or need_kappa else None, lam)
 
 
 def _pull(plane: int, stats: dict) -> Iterator[int]:
@@ -448,10 +450,13 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     generator and yields those passing the filter (duplicates possible).
     """
     cells = _members(spec, 0, _stream_length(spec), _new_stats())
-    for base, block in groupby(cells, key=itemgetter(0)):
-        # a sampled draw repeated back to back is two cells of one lane
-        for i in sorted(i for cell in block for i in masks.lanes(cell[1])):
-            yield masks.digraph_of_mask(spec.order, base + i)
+    # one group per batch: equal draw lists of two batches must not merge,
+    # and the previous batch is still held when the next one's key is taken
+    for _, group in groupby(cells, key=lambda cell: id(cell[0])):
+        group = list(group)
+        seq = group[0][0]
+        for i in sorted(i for cell in group for i in masks.lanes(cell[1])):
+            yield masks.digraph_of_mask(spec.order, seq[i])
 
 
 def _bound_fraction(bid: str, n: int, m: int, kap: int | None, lam: int | None):
@@ -529,7 +534,7 @@ def _sweep_shard(args) -> dict:
         need_kappa=any(b in ("kappa_digraph", "eulerian_kappa") for b in bound_ids),
         need_lambda="eulerian_lambda" in bound_ids,
     )
-    for base, plane, m, sigma_max, kap, lam in members:
+    for seq, plane, m, sigma_max, kap, lam in members:
         weight = plane.bit_count()
         instances += weight
         attained = []  # equality sets of the bounds this cell attains
@@ -554,7 +559,7 @@ def _sweep_shard(args) -> dict:
             rhs = num * (n - 1)
             if lhs > rhs:
                 state["violations"].extend(
-                    (base + i, sigma_max, m, bid_kap, bid_lam)
+                    (seq[i], sigma_max, m, bid_kap, bid_lam)
                     for i in _pull(plane, stats)
                 )
                 row[2] += weight
@@ -565,7 +570,7 @@ def _sweep_shard(args) -> dict:
             continue
         # one witness form per mask, shared by every bound it attains
         for i in _pull(plane, stats):
-            mask = base + i
+            mask = seq[i]
             if exhaustive:
                 form = mask if _orbit_min(n, mask, stats) else None
             else:
@@ -715,15 +720,15 @@ def _uniqueness_shard(args) -> dict:
     breaches = []
     instances = 0
     rhs = target_num * (n - 1)
-    for base, plane, m, sigma_max, _kap, _lam in _members(spec, lo, hi, stats, m_min=m_min):
+    for seq, plane, m, sigma_max, _kap, _lam in _members(spec, lo, hi, stats, m_min=m_min):
         instances += plane.bit_count()
         lhs = sigma_max * target_den
         if lhs == rhs:
             hits.extend(
-                base + i for i in _pull(plane, stats) if _orbit_min(n, base + i, stats)
+                seq[i] for i in _pull(plane, stats) if _orbit_min(n, seq[i], stats)
             )
         elif lhs > rhs:
-            breaches.extend((base + i, sigma_max, m) for i in _pull(plane, stats))
+            breaches.extend((seq[i], sigma_max, m) for i in _pull(plane, stats))
     return {"instances": instances, "hits": hits, "breaches": breaches, "stats": stats}
 
 
@@ -813,8 +818,8 @@ def _eulerian_shard(args) -> dict:
     equality = set()
     profile_canon: dict[tuple[int, ...], int] = {}
     members = (
-        (base + i, m)
-        for base, plane, m, _sigma_max, _kap, _lam in _members(spec, lo, hi, stats)
+        (seq[i], m)
+        for seq, plane, m, _sigma_max, _kap, _lam in _members(spec, lo, hi, stats)
         for i in _pull(plane, stats)
     )
     for mask, m in members:

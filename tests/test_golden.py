@@ -81,6 +81,37 @@ N5_GOLDEN = {
 
 N6_SAMPLED_SHA256 = "3ad0f13d8b08178894ad1f1d0dd8b859162ed66080bb79e49c06b07c7a1f9d2a"
 
+# sampled sweeps, recorded with the per-mask kernel: (run at a worker count,
+# digest, instances examined by each report). The Eulerian sample is longer
+# than one batch of 2**14 draws, so it crosses a batch edge and ends in a
+# short batch, and it pulls lambda out lane by lane.
+SAMPLED_GOLDEN = {
+    "strong_kappa2_n6": (
+        lambda workers: check_universal_bounds(
+            6, "strong_kappa", ("kappa_digraph",), param=2,
+            mode="sampled", samples=5_000, seed=2, workers=workers,
+        ),
+        "eaeb7e3bbb5530854dce3a8ffade42db5507705b2ebdc7756691677bff412345",
+        636,
+    ),
+    "eulerian_bounds_n5": (
+        lambda workers: check_universal_bounds(
+            5, "eulerian", ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
+            mode="sampled", samples=50_000, seed=5, workers=workers,
+        ),
+        "cca832d7aab0d44856739c5c6907bdeb4f53ba5f9839244e7a05fd0b5c0f7df0",
+        322,
+    ),
+    "size_digraph_n2": (
+        lambda workers: check_universal_bounds(
+            2, "strong", ("size_digraph",),
+            mode="sampled", samples=300, seed=4, workers=workers,
+        ),
+        "cba242abc6a8cf2fd389ac80b35c656f441124a8ef44db8df6683c8aaa0b5591",
+        76,
+    ),
+}
+
 
 @pytest.mark.parametrize("check", sorted(N4_GOLDEN))
 def test_order4_report_bytes(check):
@@ -119,3 +150,12 @@ def test_order6_sampled_report_bytes(workers):
     )
     assert _digest(reports) == N6_SAMPLED_SHA256
     assert all(r.instances_examined == 1_370 for r in reports)
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+@pytest.mark.parametrize("check", sorted(SAMPLED_GOLDEN))
+def test_sampled_report_bytes(check, workers):
+    run, expected, instances = SAMPLED_GOLDEN[check]
+    reports = run(workers)
+    assert _digest(reports) == expected
+    assert all(r.instances_examined == instances for r in reports)

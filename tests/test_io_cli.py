@@ -328,6 +328,26 @@ class TestVerifyExitCodes:
         assert capsys.readouterr().err.startswith("usage error: ")
 
     @pytest.mark.parametrize("args", [
+        ["kappa_digraph", "--order", "6", "--samples", "5", "--seed", "1",
+         "--class", "strong_kappa"],
+        ["eulerian_size", "--order", "4", "--class", "eulerian_kappa"],
+        ["eulerian_lambda", "--order", "4", "--class", "eulerian_lambda"],
+    ])
+    def test_missing_class_parameter_is_usage_error(self, capsys, args):
+        assert run(["verify", "--check", *args]) == 1
+        assert capsys.readouterr().err.startswith("usage error: missing flags: --")
+
+    def test_negative_class_parameter_is_input_error(self, capsys):
+        code = run([
+            "verify", "--check", "kappa_digraph", "--order", "6", "--samples", "5",
+            "--seed", "1", "--class", "strong_kappa", "--kappa", "-2",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "non-negative" in captured.err
+
+    @pytest.mark.parametrize("args", [
         ["size_digraph", "--class", "strong_kappa", "--kappa", "1"],
         ["eulerian_lambda", "--class", "eulerian_lambda", "--lambda", "2"],
     ])

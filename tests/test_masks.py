@@ -1,12 +1,18 @@
+import random
+
 import pytest
 
 from dgr.masks import (
     block_planes,
     canonical_mask,
+    draw_cells,
     is_balanced,
     is_orbit_min,
-    lane_value,
+    kappa_mask,
+    kappa_planes,
+    lane_values,
     lanes,
+    range_cells,
     sigma_vector,
     tables_for,
     value_planes,
@@ -53,6 +59,22 @@ def test_orbit_min_above_table_orders():
     assert is_orbit_min(n, 1) and not is_orbit_min(n, last_arc)
 
 
+def _assert_planes_match_scalar_decode(n, draws, block):
+    """Lane i of the block must hold the scalar decode of draws[i]."""
+    t = tables_for(n)
+    lanes_in = range(len(draws))
+    sizes = lane_values(block.size, lanes_in)
+    sigma_maxes = lane_values(block.sigma_max, lanes_in)
+    for i, mask in enumerate(draws):
+        rows = t.out_rows(mask)
+        sigmas = sigma_vector(rows, n, t.full)
+        assert (block.strong >> i) & 1 == (sigmas is not None), mask
+        assert (block.balanced >> i) & 1 == is_balanced(rows, n), mask
+        assert sizes[i] == mask.bit_count(), mask
+        if sigmas is not None:
+            assert sigma_maxes[i] == max(sigmas), mask
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 @pytest.mark.parametrize("narrow", [False, True], ids=["one_block", "nonzero_bases"])
 def test_block_planes_match_scalar_decode(n, narrow):
@@ -61,25 +83,62 @@ def test_block_planes_match_scalar_decode(n, narrow):
     t = tables_for(n)
     bits = max(t.num_cells - 3, 0) if narrow else min(t.num_cells, 14)
     for base in range(0, t.mask_count, 1 << bits):
-        block = block_planes(n, base, bits, balanced=True)
-        for i in range(1 << bits):
-            mask = base + i
-            rows = t.out_rows(mask)
-            sigmas = sigma_vector(rows, n, t.full)
-            assert (block.strong >> i) & 1 == (sigmas is not None), mask
-            assert (block.balanced >> i) & 1 == is_balanced(rows, n), mask
-            assert lane_value(block.size, i) == mask.bit_count(), mask
-            if sigmas is not None:
-                assert lane_value(block.sigma_max, i) == max(sigmas), mask
+        block = block_planes(n, *range_cells(n, base, bits), balanced=True)
+        _assert_planes_match_scalar_decode(n, range(base, base + (1 << bits)), block)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_draw_planes_match_scalar_decode(n):
+    # every mask five times, shuffled, in batches of 2**14 draws: at n = 4
+    # the 20,480 draws end in a batch of 4,096; n = 1 and 2 transpose 0 and
+    # 2 cells
+    draws = list(range(tables_for(n).mask_count)) * 5
+    random.Random(n).shuffle(draws)
+    width = 1 << 14
+    batches = [draws[at : at + width] for at in range(0, len(draws), width)]
+    assert 0 < len(batches[-1]) < width
+    for batch in batches:
+        cells, ones = draw_cells(n, batch)
+        assert len(cells) == n * (n - 1) and ones == (1 << len(batch)) - 1
+        _assert_planes_match_scalar_decode(n, batch, block_planes(n, cells, ones, balanced=True))
+
+
+def _assert_kappa_planes_match(n, draws, cells, strong):
+    t = tables_for(n)
+    groups = kappa_planes(n, cells, strong)
+    assert sum(p.bit_count() for p in groups.values()) == strong.bit_count()
+    for kappa, plane in groups.items():
+        assert plane & strong == plane
+        for i in lanes(plane):
+            assert kappa_mask(t.out_rows(draws[i]), n, t.full) == kappa, draws[i]
+    return groups
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_kappa_planes_match_kappa_mask_on_every_strong_mask(n):
+    t = tables_for(n)
+    cells, ones = range_cells(n, 0, t.num_cells)
+    strong = block_planes(n, cells, ones).strong
+    assert strong.bit_count() == LABELED_STRONG[n - 1]
+    _assert_kappa_planes_match(n, range(t.mask_count), cells, strong)
+
+
+def test_kappa_planes_match_kappa_mask_on_a_sampled_batch():
+    rng = random.Random(6)
+    draws = [rng.getrandbits(30) for _ in range(1 << 14)]
+    cells, ones = draw_cells(6, draws)
+    strong = block_planes(6, cells, ones).strong
+    assert sorted(_assert_kappa_planes_match(6, draws, cells, strong)) == [1, 2, 3]
 
 
 def test_block_base_must_be_aligned():
     with pytest.raises(ValueError, match="multiple"):
-        block_planes(4, 12, 3)
+        range_cells(4, 12, 3)
 
 
 def test_value_planes_and_lanes_partition_the_plane():
     counter = [0b0110, 0b1100]  # lanes 0..3 hold 0, 1, 3, 2
+    assert lane_values(counter, [0, 1, 2, 3, 7]) == [0, 1, 3, 2, 0]
     assert value_planes(counter, 0b1111) == {0: 0b0001, 1: 0b0010, 2: 0b1000, 3: 0b0100}
     assert value_planes(counter, 0) == {}
     assert list(lanes(0b101001)) == [0, 3, 5]
@@ -91,7 +150,7 @@ def test_order5_strong_counts_match_oeis():
     # kernel's strong lanes, and the orbit-minimal ones among them
     labeled = unlabeled = 0
     for base in range(0, tables_for(5).mask_count, 1 << 14):
-        strong = block_planes(5, base, 14).strong
+        strong = block_planes(5, *range_cells(5, base, 14)).strong
         labeled += strong.bit_count()
         unlabeled += sum(is_orbit_min(5, base + i) for i in lanes(strong))
     assert labeled == 565_080

@@ -26,7 +26,7 @@ from dgr import (
     profile_digraph,
     remoteness,
 )
-from dgr.masks import canonical_mask, digraph_of_mask, mask_of_digraph, tables_for
+from dgr.masks import canonical_mask, digraph_of_mask, mask_of_digraph
 from dgr.verifier import _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
@@ -76,6 +76,27 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="parameter"):
             EnumerationSpec(4, "strong_kappa")
 
+    def test_negative_param_rejected(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            EnumerationSpec(6, "strong_kappa", param=-2, mode="sampled", samples=5, seed=1)
+
+    @pytest.mark.parametrize("class_filter", ["strong", "eulerian"])
+    def test_param_on_a_class_without_one_rejected(self, class_filter):
+        with pytest.raises(ValueError, match="takes no parameter"):
+            EnumerationSpec(4, class_filter, param=3)
+
+    def test_sampled_yields_the_strong_draws_in_draw_order(self):
+        # every strong draw, duplicates and back-to-back repeats included,
+        # in the order drawn
+        rng = random.Random(1)
+        draws = [rng.getrandbits(6) for _ in range(500)]
+        flags = strong_mask_flags(3)
+        expected = [mask for mask in draws if flags[mask]]
+        assert len(set(expected)) < len(expected)
+        assert any(a == b and flags[a] for a, b in zip(draws, draws[1:]))
+        spec = EnumerationSpec(3, "strong", mode="sampled", samples=500, seed=1)
+        assert [mask_of_digraph(D) for D in enumerate_digraphs(spec)] == expected
+
     @pytest.mark.parametrize("n, expected", [(1, (1, 0, 1)), (2, (1, 1, 1))])
     def test_small_order_counts(self, n, expected):
         # below order 2 connectivity counts as 0, so strong_kappa(1) is empty
@@ -88,43 +109,79 @@ class TestEnumeration:
 
 
 def _kappa_is_order(monkeypatch):
-    """kappa = n breaks kappa <= lambda, which the chain check asserts."""
+    """kappa = n disagrees with the kappa planes and breaks kappa <= lambda."""
     import dgr.masks as masks_mod
 
     monkeypatch.setattr(masks_mod, "kappa_mask", lambda rows, n, full: n)
 
 
-def _sigma_max_off_by_one(monkeypatch):
-    """The block kernel misreports sigma_max on the complete digraph's lane.
+def _complete_lanes(cells: list[int], lanes_in: int) -> int:
+    """Lanes of ``lanes_in`` that hold the complete digraph: every cell set."""
+    for plane in cells:
+        lanes_in &= plane
+    return lanes_in
 
-    That lane is a stride lane (every lane is at n <= 4) and a member of
-    every class the entry points sweep, so the scalar oracle must catch it.
+
+def _sigma_max_off_by_one(monkeypatch):
+    """The kernel core misreports sigma_max on the complete digraph's lanes.
+
+    Those lanes are stride lanes (every lane is at n <= 4) and members of
+    every class the entry points sweep, exhaustive block or sampled batch,
+    so the scalar oracle must catch it.
     """
     import dgr.masks as masks_mod
 
     real = masks_mod.block_planes
 
-    def skewed(n, base, bits, balanced=False):
-        block = real(n, base, bits, balanced)
-        lane = tables_for(n).mask_count - 1 - base
-        if 0 <= lane < 1 << bits:
-            block.sigma_max[0] ^= 1 << lane
+    def skewed(n, cells, ones, balanced=False):
+        block = real(n, cells, ones, balanced)
+        block.sigma_max[0] ^= _complete_lanes(cells, ones)
         return block
 
     monkeypatch.setattr(masks_mod, "block_planes", skewed)
 
+
+def _kappa_plane_off_by_one(monkeypatch):
+    """The kappa planes put the complete digraph's lanes at kappa n - 2.
+
+    Every entry point computes kappa planes at least on its stride
+    candidates, so the scalar ``kappa_mask`` must catch it.
+    """
+    import dgr.masks as masks_mod
+
+    real = masks_mod.kappa_planes
+
+    def skewed(n, cells, lanes_in):
+        groups = real(n, cells, lanes_in)
+        complete = _complete_lanes(cells, lanes_in)
+        if complete:
+            groups[n - 1] ^= complete
+            groups[n - 2] = groups.get(n - 2, 0) | complete
+        return groups
+
+    monkeypatch.setattr(masks_mod, "kappa_planes", skewed)
+
+
+# a seeded order-3 sample that draws the complete digraph (mask 63)
+_SAMPLED_SEED = 2
+_SAMPLED_DRAWS = 200
 
 _ENTRY_POINTS = {
     "universal_bounds": lambda: check_universal_bounds(4, "strong", ("size_digraph",)),
     "extremal_uniqueness": lambda: check_extremal_uniqueness(4, 9, 1),
     "eulerian_theorem": lambda: check_eulerian_size_theorem(4),
     "enumerate": lambda: list(enumerate_digraphs(EnumerationSpec(4, "eulerian"))),
+    "sampled_universal_bounds": lambda: check_universal_bounds(
+        3, "strong", ("kappa_digraph",),
+        mode="sampled", samples=_SAMPLED_DRAWS, seed=_SAMPLED_SEED,
+    ),
 }
 
 # (id, entry, sabotage): the kappa cases keep their bare entry-point ids
 _CROSSCHECK_CASES = [
     *((name, name, _kappa_is_order) for name in _ENTRY_POINTS),
     *((f"{name}-sigma_max", name, _sigma_max_off_by_one) for name in _ENTRY_POINTS),
+    *((f"{name}-kappa_plane", name, _kappa_plane_off_by_one) for name in _ENTRY_POINTS),
 ]
 
 # _sweep_shard over stretches that cut blocks, digests recorded with the
@@ -171,6 +228,10 @@ class TestSharedKernel:
         with pytest.raises(AssertionError):
             _ENTRY_POINTS[entry]()
 
+    def test_the_sampled_entry_point_draws_the_complete_digraph(self):
+        rng = random.Random(_SAMPLED_SEED)
+        assert 63 in [rng.getrandbits(6) for _ in range(_SAMPLED_DRAWS)]
+
     @pytest.mark.parametrize(
         "spec, lo, hi, bound_ids, instances, digest",
         _ODD_STRETCHES,
@@ -213,6 +274,23 @@ class TestSweepStats:
             "orbit_min_calls": 96_275,
         }
         assert all(r.stats == expected for r in one + two)
+
+    def test_sampled_stats_ignore_workers(self):
+        # lambda is pulled out lane by lane; each shard cuts its own batches,
+        # so only the block count may depend on the worker count
+        keys = ("masks", "members", "stride_lanes", "lanes_extracted")
+        runs = [
+            check_universal_bounds(
+                5, "eulerian", ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
+                mode="sampled", samples=50_000, seed=5, workers=workers,
+            )
+            for workers in (1, 2)
+        ]
+        one, two = ([{key: r.stats[key] for key in keys} for r in reports] for reports in runs)
+        assert one == two
+        assert one[0]["masks"] == 50_000 and one[0]["members"] == 322
+        # every member pulled for lambda, then the equality hits once more
+        assert one[0]["lanes_extracted"] > 322 and one[0]["stride_lanes"] > 0
 
     def test_text_prints_stats_beside_elapsed(self):
         report = check_universal_bound(3, "strong", "digraph_order")
