@@ -75,12 +75,15 @@ _OBJECT_STRIDE = 1009
 # Batch width cap of the kernel: planes of 2**14 lanes are 2 KB.
 # Wider blocks gain no speed and raise peak memory (2**20 lanes: +30 MB).
 _BLOCK_BITS = 14
+# A pool sweep is cut into about this many pieces per worker, each whole
+# kernel batches, so a worker on a slower or busier CPU takes fewer pieces.
+_PIECES_PER_WORKER = 8
+# Generator bits drawn at a time when a piece skips the draws before it.
+_SKIP_BITS = 1 << 20
 # Counters kept per sweep; merged across shards into ``CheckReport.stats``.
 _STAT_KEYS = (
     "masks",  # masks scanned
-    # block-kernel calls: exhaustive blocks (one cut by a shard edge counts
-    # per shard) and sampled batches
-    "blocks",
+    "blocks",  # block-kernel calls: exhaustive blocks and sampled batches
     "members",  # class members
     "lanes_extracted",  # lanes pulled out of a cell for scalar work
     "stride_lanes",  # stride lanes re-derived by the scalar oracle, strong or not
@@ -267,7 +270,14 @@ def _mask_stream(spec: EnumerationSpec, lo: int, hi: int) -> Iterable[int]:
     """
     rng = random.Random(spec.seed)
     bits = masks.tables_for(spec.order).num_cells
-    return islice(map(rng.getrandbits, repeat(bits, hi)), lo, None)
+    # getrandbits(k) takes ceil(k / 32) 32-bit outputs of the generator, so
+    # the first lo draws are skipped by drawing that many outputs in bulk
+    skip = 32 * lo * -(-bits // 32)
+    while skip:
+        step = min(skip, _SKIP_BITS)
+        rng.getrandbits(step)
+        skip -= step
+    return map(rng.getrandbits, repeat(bits, hi - lo))
 
 
 def _new_stats() -> dict:
@@ -520,7 +530,7 @@ def _sweep_shard(args) -> dict:
     n = spec.order
     exhaustive = spec.mode == "exhaustive"
     stats = _new_stats()
-    bound_cache: dict = {}
+    bound_cache: dict = {} if _pool_bounds is None else _pool_bounds
     per_bound = {
         bid: {"skipped": 0, "violations": [], "equality": set(), "by_m": {}}
         for bid in bound_ids
@@ -581,31 +591,54 @@ def _sweep_shard(args) -> dict:
     return {"instances": instances, "per_bound": per_bound, "stats": stats}
 
 
-def _shards(total: int, workers: int) -> list[tuple[int, int]]:
-    """Contiguous mask ranges; boundaries never influence merged results."""
-    workers = max(1, workers)
-    step = (total + workers - 1) // workers
+def _shards(total: int, count: int, width: int = 1) -> list[tuple[int, int]]:
+    """At most ``count`` contiguous ranges of 0..total-1, cut at multiples of ``width``.
+
+    Boundaries never influence merged results.
+    """
+    units = -(-total // width)
+    step = width * -(-units // max(1, count))
     return [(lo, min(total, lo + step)) for lo in range(0, total, step)]
 
 
+# Bound values shared by the pieces that one pool worker process runs; the
+# pool, and with it this cache, lives for one sweep. None outside pools.
+_pool_bounds: dict | None = None
+
+
+def _start_pool_worker() -> None:
+    global _pool_bounds
+    _pool_bounds = {}
+
+
 def _run_sharded(worker, args_list, workers: int) -> list[dict]:
-    """Run the shards in order; the pool never outnumbers shards or usable CPUs."""
+    """Run the shards, results in order; the pool never outnumbers shards or usable CPUs.
+
+    The pool hands the shards out one at a time as its workers free up,
+    and each worker starts with an empty ``_pool_bounds``.
+    """
     if workers <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
     pool_size = min(workers, len(args_list), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size, initializer=_start_pool_worker) as pool:
         return list(pool.map(worker, args_list))
 
 
 def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dict], float]:
     """Run ``shard`` over contiguous stretches of the spec's mask stream.
 
-    Each shard receives ``(spec, lo, hi, *extra)``. Returns the partial
-    results in stream order and the wall time of the sweep.
+    One stretch at one worker; otherwise about ``_PIECES_PER_WORKER``
+    pieces per worker, each whole kernel batches, so the batches and the
+    stats are the same at every worker count and a worker that falls
+    behind takes fewer pieces instead of holding up the sweep. Each shard
+    receives ``(spec, lo, hi, *extra)``. Returns the partial results in
+    stream order and the wall time of the sweep.
     """
     started = time.monotonic()
+    width = 1 << min(masks.tables_for(spec.order).num_cells, _BLOCK_BITS)
+    count = workers * _PIECES_PER_WORKER if workers > 1 else 1
     args_list = [
-        (spec, lo, hi, *extra) for lo, hi in _shards(_stream_length(spec), workers)
+        (spec, lo, hi, *extra) for lo, hi in _shards(_stream_length(spec), count, width)
     ]
     return _run_sharded(shard, args_list, workers), time.monotonic() - started
 

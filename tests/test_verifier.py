@@ -255,6 +255,21 @@ class TestSharedKernel:
         assert len(shards) == workers
         assert [m for lo, hi in shards for m in _mask_stream(spec, lo, hi)] == draws
 
+    @pytest.mark.parametrize("order", [1, 2, 6])
+    def test_batch_pieces_skip_to_their_own_draws(self, order):
+        from dgr.verifier import _mask_stream, _shards
+
+        # a pool sweep's pieces are whole batches; at order 6 the last piece
+        # skips 49,152 draws, more than one bulk step of the generator
+        spec = EnumerationSpec(order, "strong", mode="sampled", samples=50_000, seed=7)
+        rng = random.Random(7)
+        bits = order * (order - 1)
+        draws = [rng.getrandbits(bits) for _ in range(50_000)]
+        width = 1 << min(bits, 14)
+        pieces = _shards(50_000, 16, width)
+        assert len(pieces) > 1 and all(lo % width == 0 for lo, _ in pieces)
+        assert [m for lo, hi in pieces for m in _mask_stream(spec, lo, hi)] == draws
+
 
 class TestSweepStats:
     def test_stats_stay_out_of_the_bytes_and_ignore_workers(self, n5_sweeps):
@@ -273,21 +288,21 @@ class TestSweepStats:
             "stride_lanes": 11_411,
             "orbit_min_calls": 96_275,
         }
-        assert all(r.stats == expected for r in one + two)
+        assert all(r.stats == expected for r in one + two + n5_sweeps[4][0])
 
     def test_sampled_stats_ignore_workers(self):
-        # lambda is pulled out lane by lane; each shard cuts its own batches,
-        # so only the block count may depend on the worker count
-        keys = ("masks", "members", "stride_lanes", "lanes_extracted")
+        # lambda is pulled out lane by lane; a pool sweep's pieces are whole
+        # batches, so every count, blocks included, ignores the worker count
         runs = [
             check_universal_bounds(
                 5, "eulerian", ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
                 mode="sampled", samples=50_000, seed=5, workers=workers,
             )
-            for workers in (1, 2)
+            for workers in (1, 2, 3)
         ]
-        one, two = ([{key: r.stats[key] for key in keys} for r in reports] for reports in runs)
-        assert one == two
+        one, two, three = ([r.stats for r in reports] for reports in runs)
+        assert one == two == three
+        assert one[0]["blocks"] == 4
         assert one[0]["masks"] == 50_000 and one[0]["members"] == 322
         # every member pulled for lambda, then the equality hits once more
         assert one[0]["lanes_extracted"] > 322 and one[0]["stride_lanes"] > 0
@@ -431,7 +446,7 @@ class TestWorkerClamp:
         class FakePool:
             """Records the requested pool size and runs the shards inline."""
 
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, initializer=None):
                 created.append(max_workers)
 
             def __enter__(self):
@@ -450,8 +465,25 @@ class TestWorkerClamp:
         assert created == [3, 2]
         many = check_universal_bounds(4, "strong", ("digraph_order",), workers=1000)
         one = check_universal_bounds(4, "strong", ("digraph_order",), workers=1)
+        # order 4 is one kernel block of 4,096 masks: one piece, no pool
+        assert created == [3, 2]
+        assert [r.to_json() for r in many] == [r.to_json() for r in one]
+        sampled = {"mode": "sampled", "samples": 20_000, "seed": 1}
+        many = check_universal_bounds(4, "strong", ("digraph_order",), workers=1000, **sampled)
+        one = check_universal_bounds(4, "strong", ("digraph_order",), workers=1, **sampled)
+        # five batches of up to 4,096 draws: five pieces on three CPUs
         assert created == [3, 2, 3]
         assert [r.to_json() for r in many] == [r.to_json() for r in one]
+
+    def test_pool_bound_cache_stays_in_the_pool(self):
+        import dgr.verifier as verifier_mod
+
+        spec = {"mode": "sampled", "samples": 20_000, "seed": 1}
+        two = check_universal_bounds(4, "strong", ("digraph_order", "size_digraph"), workers=2, **spec)
+        one = check_universal_bounds(4, "strong", ("digraph_order", "size_digraph"), **spec)
+        # the workers' shared bound values never reach this process
+        assert verifier_mod._pool_bounds is None
+        assert [r.to_json() for r in two] == [r.to_json() for r in one]
 
 
 class TestEulerianSizeTheorem:
