@@ -12,12 +12,13 @@ Every stretch goes through the block kernel (``masks.block_planes`` and
 ``bits = min(n(n-1), _BLOCK_BITS)``: an exhaustive stretch in aligned
 blocks of consecutive masks, where a valid-lane plane masks off the lanes
 outside the stretch, a sampled stretch in lists of consecutive draws. Lane
-i of a batch is the mask ``seq[i]``. Members come out as cells, planes of
+i of a batch is the mask ``seq[i]`` at stream position ``pos + i``. Members
+come out as cells, planes of
 lanes sharing (m, sigma_max, kappa, lambda), which the checks weight by
 their popcount. Lanes are pulled out one by one, in increasing lane order
 within a cell, only for scalar work: violations, equality hits, Eulerian
 profiles, and lambda where a class or bound needs it. The scalar decode is
-the kernel's oracle: on every stride lane, a mask divisible by
+the kernel's oracle: on every stride lane, a position divisible by
 ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE`` (every lane at n <= 4), it must
 agree with the batch's strong and balanced bits, sigma_max and m, and
 ``kappa_mask`` with the kappa planes.
@@ -37,6 +38,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import groupby, islice, repeat
 from typing import Iterable, Iterator, Sequence
 
@@ -250,9 +252,25 @@ def canonical_form(D: Digraph) -> bytes:
 
 
 def digraph_from_canonical_hex(canonical_hex: str) -> Digraph:
-    """Decode a canonical form back into a representative digraph."""
+    """Decode a canonical form back into a representative digraph.
+
+    Raises ValueError unless the text is an order byte in
+    1..``CANONICAL_MAX_ORDER`` followed by an arc mask of exactly the
+    width ``masks.mask_bytes`` gives that order.
+    """
     raw = bytes.fromhex(canonical_hex)
-    return masks.digraph_of_mask(raw[0], int.from_bytes(raw[1:], "big"))
+    if not raw:
+        raise ValueError("empty canonical form")
+    n = raw[0]
+    if not (1 <= n <= CANONICAL_MAX_ORDER):
+        raise ValueError(f"canonical order must be in 1..{CANONICAL_MAX_ORDER}, got {n}")
+    size = len(masks.mask_bytes(n, 0))
+    if len(raw) != size:
+        raise ValueError(f"a canonical form of order {n} has {size} bytes, got {len(raw)}")
+    mask = int.from_bytes(raw[1:], "big")
+    if mask >> (n * (n - 1)):
+        raise ValueError(f"arc mask {mask:#x} sets bits beyond the {n * (n - 1)} arcs of order {n}")
+    return masks.digraph_of_mask(n, mask)
 
 
 def _stream_length(spec: EnumerationSpec) -> int:
@@ -295,13 +313,15 @@ _Cell = tuple[Sequence[int], int, int, int, int | None, int | None]
 
 def _batches(
     spec: EnumerationSpec, lo: int, hi: int, bits: int
-) -> Iterator[tuple[Sequence[int], int, list[int], int]]:
-    """Masks lo..hi-1 of the stream as (seq, valid, cells, ones) per batch.
+) -> Iterator[tuple[Sequence[int], int, int, list[int], int]]:
+    """Masks lo..hi-1 of the stream as (seq, pos, valid, cells, ones) per batch.
 
-    Lane i of a batch is the mask ``seq[i]``; ``valid`` holds the lanes in
-    lo..hi-1. An exhaustive stretch is cut into aligned blocks of 2**bits
-    consecutive masks, a block cut by a shard edge keeping only its valid
-    lanes; a sampled stretch is cut into lists of up to 2**bits draws.
+    Lane i of a batch is the mask ``seq[i]`` at stream position ``pos + i``
+    (the mask itself when exhaustive, the draw's index in the whole sample
+    when sampled); ``valid`` holds the lanes in lo..hi-1. An exhaustive
+    stretch is cut into aligned blocks of 2**bits consecutive masks, a block
+    cut by a shard edge keeping only its valid lanes; a sampled stretch is
+    cut into lists of up to 2**bits draws.
     """
     n = spec.order
     width = 1 << bits
@@ -309,36 +329,31 @@ def _batches(
         for base in range(lo - lo % width, hi, width):
             start, stop = max(lo - base, 0), min(hi - base, width)
             cells, ones = masks.range_cells(n, base, bits)
-            yield range(base, base + width), (1 << stop) - (1 << start), cells, ones
+            yield range(base, base + width), base, (1 << stop) - (1 << start), cells, ones
         return
     draws = iter(_mask_stream(spec, lo, hi))
-    while seq := list(islice(draws, width)):
+    for pos in range(lo, hi, width):
+        seq = list(islice(draws, width))
         cells, ones = masks.draw_cells(n, seq)
-        yield seq, ones, cells, ones
+        yield seq, pos, ones, cells, ones
 
 
-def _stride_lanes(n: int, seq: Sequence[int], valid: int) -> list[int]:
+def _stride_lanes(n: int, pos: int, width: int, valid: int) -> list[int]:
     """Valid lanes that the scalar oracle re-derives, in increasing order.
 
-    A lane is chosen by the value of its mask, so one rule covers blocks
-    and batches: every lane at n <= 4, else the masks divisible by
-    ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE``.
+    Lane i is chosen by its stream position ``pos + i``, so one rule covers
+    blocks and batches: every lane at n <= 4, else the positions divisible
+    by ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE``.
     """
     if n <= 4:
         return list(masks.lanes(valid))
-    if isinstance(seq, range):
-        found = sorted(
-            {
-                i
-                for stride in (_CHAIN_STRIDE, _OBJECT_STRIDE)
-                for i in range(-seq.start % stride, len(seq), stride)
-            }
-        )
-    else:
-        found = [
-            i for i, mask in enumerate(seq)
-            if not (mask % _CHAIN_STRIDE and mask % _OBJECT_STRIDE)
-        ]
+    found = sorted(
+        {
+            i
+            for stride in (_CHAIN_STRIDE, _OBJECT_STRIDE)
+            for i in range(-pos % stride, width, stride)
+        }
+    )
     return [i for i in found if valid >> i & 1]
 
 
@@ -368,7 +383,7 @@ def _members(
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
     balanced_only = spec.class_filter.startswith("eulerian")
-    for seq, valid, cells, ones in _batches(spec, lo, hi, min(t.num_cells, _BLOCK_BITS)):
+    for seq, pos, valid, cells, ones in _batches(spec, lo, hi, min(t.num_cells, _BLOCK_BITS)):
         block = masks.block_planes(n, cells, ones, balanced=balanced_only)
         stats["masks"] += valid.bit_count()
         stats["blocks"] += 1
@@ -379,7 +394,7 @@ def _members(
         candidates = valid & block.strong
         if balanced_only:
             candidates &= block.balanced
-        stride = _stride_lanes(n, seq, valid)
+        stride = _stride_lanes(n, pos, len(seq), valid)
         stats["stride_lanes"] += len(stride)
         kappa: dict[int, int] = {}
         if n >= 2:
@@ -404,7 +419,7 @@ def _members(
                 kap = next((k for k, p in kappa.items() if p >> i & 1), None)
                 lam = masks.lambda_mask(rows, n) if need_lambda else None
                 lam_of[i] = lam
-                _stride_checks(n, mask, rows, sigmas, kap, lam, need_kappa)
+                _stride_checks(n, pos + i, mask, rows, sigmas, kap, lam, need_kappa)
         for kap, k_plane in kappa.items() if need_kappa else [(None, candidates)]:
             if (kap or 0) < kappa_min:
                 continue
@@ -425,16 +440,16 @@ def _members(
                         yield seq, p, m, sigma_max, kap, lam
 
 
-def _stride_checks(n: int, mask: int, rows, sigmas, kap, lam, need_kappa: bool) -> None:
-    """Cross-checks of a strong class candidate on a stride lane.
+def _stride_checks(n: int, at: int, mask: int, rows, sigmas, kap, lam, need_kappa: bool) -> None:
+    """Cross-checks of a strong class candidate at stream position ``at``.
 
     ``kap`` is the kappa planes' value and must equal ``kappa_mask``. On
-    the chain stride (every mask at n <= 4) lambda, computed here where the
+    the chain stride (every lane at n <= 4) lambda, computed here where the
     sweep did not need it, must satisfy kappa <= lambda <= min semidegree;
     on the object stride the object-level modules re-derive sigma and the
     connectivity that the sweep needs or the chain stride computed.
     """
-    chain = n <= 4 or mask % _CHAIN_STRIDE == 0
+    chain = n <= 4 or at % _CHAIN_STRIDE == 0
     if n >= 2:
         assert kap == masks.kappa_mask(rows, n, (1 << n) - 1), (mask, kap)
         if chain:
@@ -442,7 +457,7 @@ def _stride_checks(n: int, mask: int, rows, sigmas, kap, lam, need_kappa: bool) 
                 lam = masks.lambda_mask(rows, n)
             semi = masks.min_semidegree_mask(rows, n)
             assert kap <= lam <= semi, (mask, kap, lam, semi)
-    if mask % _OBJECT_STRIDE == 0:
+    if at % _OBJECT_STRIDE == 0:
         _object_crosscheck(n, mask, sigmas, kap if chain or need_kappa else None, lam)
 
 
@@ -469,8 +484,9 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
             yield masks.digraph_of_mask(spec.order, seq[i])
 
 
+@lru_cache(maxsize=None)
 def _bound_fraction(bid: str, n: int, m: int, kap: int | None, lam: int | None):
-    """Bound value as (num, den), or None when inapplicable.
+    """Bound value as (num, den), or None when inapplicable; memoised.
 
     Eulerian bounds receive m_0 = m/2 exactly (valid for odd m as well,
     since the bound is decreasing in m_0 and holds at every integer below).
@@ -530,7 +546,6 @@ def _sweep_shard(args) -> dict:
     n = spec.order
     exhaustive = spec.mode == "exhaustive"
     stats = _new_stats()
-    bound_cache: dict = {} if _pool_bounds is None else _pool_bounds
     per_bound = {
         bid: {"skipped": 0, "violations": [], "equality": set(), "by_m": {}}
         for bid in bound_ids
@@ -551,10 +566,7 @@ def _sweep_shard(args) -> dict:
         for bid in bound_ids:
             bid_kap = kap if bid in ("kappa_digraph", "eulerian_kappa") else None
             bid_lam = lam if bid == "eulerian_lambda" else None
-            key = (bid, m, bid_kap, bid_lam)
-            if key not in bound_cache:
-                bound_cache[key] = _bound_fraction(bid, n, m, bid_kap, bid_lam)
-            entry = bound_cache[key]
+            entry = _bound_fraction(bid, n, m, bid_kap, bid_lam)
             state = per_bound[bid]
             row = state["by_m"].get(m)
             if row is None:
@@ -601,26 +613,16 @@ def _shards(total: int, count: int, width: int = 1) -> list[tuple[int, int]]:
     return [(lo, min(total, lo + step)) for lo in range(0, total, step)]
 
 
-# Bound values shared by the pieces that one pool worker process runs; the
-# pool, and with it this cache, lives for one sweep. None outside pools.
-_pool_bounds: dict | None = None
-
-
-def _start_pool_worker() -> None:
-    global _pool_bounds
-    _pool_bounds = {}
-
-
 def _run_sharded(worker, args_list, workers: int) -> list[dict]:
     """Run the shards, results in order; the pool never outnumbers shards or usable CPUs.
 
-    The pool hands the shards out one at a time as its workers free up,
-    and each worker starts with an empty ``_pool_bounds``.
+    The pool hands the shards out one at a time as its workers free up;
+    each shard is a pure function of its arguments.
     """
     if workers <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
     pool_size = min(workers, len(args_list), len(os.sched_getaffinity(0)))
-    with ProcessPoolExecutor(max_workers=pool_size, initializer=_start_pool_worker) as pool:
+    with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(worker, args_list))
 
 
@@ -676,6 +678,8 @@ def check_universal_bounds(
     witnesses by canonical form: orbit-minimal hits in exhaustive mode,
     each hit canonicalised in sampled mode.
     """
+    if len(set(bound_ids)) != len(bound_ids):
+        raise ValueError(f"bound ids must not repeat, got {list(bound_ids)}")
     for bid in bound_ids:
         if bid not in _SWEEP_BOUNDS:
             raise ValueError(f"bound {bid!r} is not checkable on digraph sweeps")

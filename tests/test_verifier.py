@@ -27,7 +27,7 @@ from dgr import (
     remoteness,
 )
 from dgr.masks import canonical_mask, digraph_of_mask, mask_of_digraph
-from dgr.verifier import _sweep_shard
+from dgr.verifier import _stride_lanes, _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
 from test_core import dpk_2121
@@ -228,6 +228,28 @@ class TestSharedKernel:
         with pytest.raises(AssertionError):
             _ENTRY_POINTS[entry]()
 
+    def test_sampled_order5_sweep_runs_the_kappa_oracle(self, monkeypatch):
+        # stride lanes are chosen by position in the sample, so an order-5
+        # sample reaches kappa_mask on its strong stride draws
+        _kappa_is_order(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_universal_bounds(
+                5, "strong", ("size_digraph",), mode="sampled", samples=2_000, seed=1
+            )
+
+    @pytest.mark.parametrize("pos", [0, 1, 100, 1009, 12_345, 101 * 1009 - 7])
+    def test_stride_lanes_are_the_positions_on_either_stride(self, pos):
+        width = 1 << 14
+        valid = random.Random(pos).getrandbits(width)
+        expected = [
+            i for i in range(width)
+            if valid >> i & 1 and ((pos + i) % 101 == 0 or (pos + i) % 1009 == 0)
+        ]
+        assert _stride_lanes(5, pos, width, valid) == expected
+        assert _stride_lanes(4, pos, width, valid) == [
+            i for i in range(width) if valid >> i & 1
+        ]
+
     def test_the_sampled_entry_point_draws_the_complete_digraph(self):
         rng = random.Random(_SAMPLED_SEED)
         assert 63 in [rng.getrandbits(6) for _ in range(_SAMPLED_DRAWS)]
@@ -305,7 +327,9 @@ class TestSweepStats:
         assert one[0]["blocks"] == 4
         assert one[0]["masks"] == 50_000 and one[0]["members"] == 322
         # every member pulled for lambda, then the equality hits once more
-        assert one[0]["lanes_extracted"] > 322 and one[0]["stride_lanes"] > 0
+        assert one[0]["lanes_extracted"] > 322
+        # the positions 0..49,999 divisible by 101 or 1009: 496 + 50 - 1
+        assert one[0]["stride_lanes"] == 545
 
     def test_text_prints_stats_beside_elapsed(self):
         report = check_universal_bound(3, "strong", "digraph_order")
@@ -341,6 +365,27 @@ class TestCanonicalForm:
         D = dpk_2121()
         back = digraph_from_canonical_hex(canonical_form(D).hex())
         assert are_isomorphic(6, D.arcs, back.arcs)
+
+    def test_witness_roundtrip(self):
+        witness = check_universal_bound(4, "strong", "size_digraph").equality_witnesses[0]
+        assert canonical_form(digraph_from_canonical_hex(witness)).hex() == witness
+
+    @pytest.mark.parametrize(
+        "text, match",
+        [
+            ("", "empty"),
+            ("00", "order"),
+            ("0c00", "order"),  # order 12, above CANONICAL_MAX_ORDER
+            ("02", "bytes"),
+            ("020000", "bytes"),
+            ("0300ff", "bytes"),
+            ("02ff", "bits"),
+            ("0340", "bits"),  # bit 6 of an order-3 mask: only 6 arcs
+        ],
+    )
+    def test_decode_rejects_malformed_forms(self, text, match):
+        with pytest.raises(ValueError, match=match):
+            digraph_from_canonical_hex(text)
 
     def test_sound_vs_permutation_search_n4(self):
         # canonical equality iff brute-force isomorphism, on a seeded sample
@@ -402,6 +447,10 @@ class TestUniversalBoundChecks:
         assert report.violations == []
         assert report.skipped_inapplicable > 0  # sizes above the counted cap
 
+    def test_repeated_bound_ids_rejected(self):
+        with pytest.raises(ValueError, match="repeat"):
+            check_universal_bounds(4, "strong", ("size_digraph", "size_digraph"))
+
     def test_eulerian_bound_needs_eulerian_class(self):
         with pytest.raises(ValueError, match="eulerian"):
             check_universal_bound(4, "strong", "eulerian_size")
@@ -446,7 +495,7 @@ class TestWorkerClamp:
         class FakePool:
             """Records the requested pool size and runs the shards inline."""
 
-            def __init__(self, max_workers, initializer=None):
+            def __init__(self, max_workers):
                 created.append(max_workers)
 
             def __enter__(self):
@@ -475,14 +524,10 @@ class TestWorkerClamp:
         assert created == [3, 2, 3]
         assert [r.to_json() for r in many] == [r.to_json() for r in one]
 
-    def test_pool_bound_cache_stays_in_the_pool(self):
-        import dgr.verifier as verifier_mod
-
+    def test_sampled_pool_matches_one_process(self):
         spec = {"mode": "sampled", "samples": 20_000, "seed": 1}
         two = check_universal_bounds(4, "strong", ("digraph_order", "size_digraph"), workers=2, **spec)
         one = check_universal_bounds(4, "strong", ("digraph_order", "size_digraph"), **spec)
-        # the workers' shared bound values never reach this process
-        assert verifier_mod._pool_bounds is None
         assert [r.to_json() for r in two] == [r.to_json() for r in one]
 
 
