@@ -64,12 +64,18 @@ def _fraction_json(value: Fraction) -> dict:
     return {"num": value.numerator, "den": value.denominator, "decimal": float(value)}
 
 
-def _emit(doc: str, output: str | None) -> None:
+def _emit(doc: str, output: str | None) -> int:
+    """Write the document; an ``--output`` file that cannot be written is an input error."""
     if output:
-        with open(output, "w", encoding="utf-8") as f:
-            f.write(doc)
+        try:
+            with open(output, "w", encoding="utf-8") as f:
+                f.write(doc)
+        except OSError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(doc)
+    return EXIT_OK
 
 
 def _build_parser() -> _Parser:
@@ -212,8 +218,7 @@ def _cmd_compute(args) -> int:
         return EXIT_INPUT
 
     doc = json.dumps(payload, sort_keys=True) + "\n" if args.format == "json" else text + "\n"
-    _emit(doc, args.output)
-    return EXIT_OK
+    return _emit(doc, args.output)
 
 
 def _require(args, names) -> None:
@@ -270,8 +275,7 @@ def _cmd_generate(args) -> int:
         doc = io_mod.digraph_to_edge_list(obj) if args.format == "edges" else io_mod.digraph_to_dot(obj)
     else:
         doc = io_mod.graph_to_edge_list(obj) if args.format == "edges" else io_mod.graph_to_dot(obj)
-    _emit(doc, args.output)
-    return EXIT_OK
+    return _emit(doc, args.output)
 
 
 def _cmd_bound(args) -> int:
@@ -302,8 +306,7 @@ def _cmd_bound(args) -> int:
             doc += "".join(f"note: {note}\n" for note in result.notes)
     else:
         doc = "not applicable: " + "; ".join(result.notes) + "\n"
-    _emit(doc, args.output)
-    return EXIT_OK
+    return _emit(doc, args.output)
 
 
 def _report_csv(reports) -> str:
@@ -423,8 +426,8 @@ def _cmd_verify(args) -> int:
         doc = _report_csv(reports)
     else:
         doc = "".join(r.render_text(include_elapsed=True) for r in reports)
-    _emit(doc, args.output)
-    return EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
+    status = EXIT_OK if all(r.ok for r in reports) else EXIT_VIOLATION
+    return _emit(doc, args.output) or status
 
 
 def _cmd_audit(args) -> int:
@@ -433,8 +436,7 @@ def _cmd_audit(args) -> int:
     except ValueError as exc:
         raise UsageError(str(exc))
     doc = report.to_json() if args.format == "json" else report.render_text()
-    _emit(doc, args.output)
-    return EXIT_OK
+    return _emit(doc, args.output)
 
 
 def run(argv: list[str]) -> int:

@@ -26,7 +26,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import combinations, permutations, zip_longest
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import Digraph
 
@@ -381,23 +381,6 @@ def kappa_planes(n: int, cells: list[int], lanes_in: int) -> dict[int, int]:
     if live:
         groups[n - 1] = live
     return groups
-
-
-def lane_values(counter: list[int], lanes_in: Iterable[int]) -> list[int]:
-    """The numbers a bit-sliced counter holds in the given lanes.
-
-    Each plane is written out once as binary digits, lane 0 first, so that
-    reading a lane is a string lookup rather than a shift of the plane.
-    """
-    digits = [f"{plane:b}"[::-1] for plane in counter]
-    values = []
-    for i in lanes_in:
-        value = 0
-        for j, text in enumerate(digits):
-            if i < len(text) and text[i] == "1":
-                value |= 1 << j
-        values.append(value)
-    return values
 
 
 def value_planes(counter: list[int], plane: int) -> dict[int, int]:

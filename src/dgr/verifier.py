@@ -13,10 +13,10 @@ Every stretch goes through the block kernel (``masks.block_planes`` and
 blocks of consecutive masks, where a valid-lane plane masks off the lanes
 outside the stretch, a sampled stretch in lists of consecutive draws. Lane
 i of a batch is the mask ``seq[i]`` at stream position ``pos + i``. Members
-come out as cells, planes of
-lanes sharing (m, sigma_max, kappa, lambda), which the checks weight by
-their popcount. Lanes are pulled out one by one, in increasing lane order
-within a cell, only for scalar work: violations, equality hits, Eulerian
+come out once per batch, as cells: planes of lanes sharing (kappa, lambda,
+sigma_max, m), split in that order, which the checks weight by their
+popcount. Lanes are pulled out one by one, in increasing lane order within
+a cell, only for scalar work: violations, equality hits, Eulerian
 profiles, and lambda where a class or bound needs it. The scalar decode is
 the kernel's oracle: on every stride lane, a position divisible by
 ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE`` (every lane at n <= 4), it must
@@ -39,7 +39,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import groupby, islice, repeat
+from itertools import islice, repeat
 from typing import Iterable, Iterator, Sequence
 
 from . import bounds as bounds_mod
@@ -306,9 +306,9 @@ def _merge_stats(partials: list[dict]) -> dict:
     return {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
 
 
-# (seq, plane, m, sigma_max, kappa, lambda): the members seq[i], for the set
-# bits i of plane, that share m, sigma_max, kappa and lambda
-_Cell = tuple[Sequence[int], int, int, int, int | None, int | None]
+# (plane, m, sigma_max, kappa, lambda): the members of a batch, for the set
+# bits of plane, that share m, sigma_max, kappa and lambda
+_Cell = tuple[int, int, int, int | None, int | None]
 
 
 def _batches(
@@ -365,16 +365,15 @@ def _members(
     need_kappa: bool = False,
     need_lambda: bool = False,
     m_min: int = 0,
-) -> Iterator[_Cell]:
+) -> Iterator[tuple[Sequence[int], list[_Cell]]]:
     """Class members among masks lo..hi-1 of the stream: the loop of every sweep.
 
-    Yields cells ``(seq, plane, m, sigma_max, kappa, lambda)``: the members
-    ``seq[i]``, for the set bits i of ``plane``, that share those values.
-    Cells of one batch are disjoint and come out together; only masks with
-    at least ``m_min`` arcs are scanned. kappa comes from the kernel's kappa
-    planes and lambda is computed per lane, each when the class filter or
-    the caller needs it, and is None otherwise; below order 2 they are never
-    computed and count as 0 against a class threshold.
+    Yields ``(seq, cells)`` once per batch, its cells disjoint; only masks
+    with at least ``m_min`` arcs are scanned. kappa comes from the kernel's
+    kappa planes and lambda lane by lane on the candidates that meet the
+    kappa threshold, each when the class filter or the caller needs it, and
+    is None otherwise; below order 2 they are never computed and count as 0
+    against a class threshold.
     """
     n = spec.order
     t = masks.tables_for(n)
@@ -396,48 +395,56 @@ def _members(
             candidates &= block.balanced
         stride = _stride_lanes(n, pos, len(seq), valid)
         stats["stride_lanes"] += len(stride)
+        on_stride = sum(1 << i for i in stride)
         kappa: dict[int, int] = {}
         if n >= 2:
             # every candidate where kappa is needed, else the stride
             # candidates only, for the oracle
-            checked = candidates if need_kappa else candidates & sum(1 << i for i in stride)
+            checked = candidates if need_kappa else candidates & on_stride
             kappa = masks.kappa_planes(n, cells, checked)
+        sizes = _by_lane(masks.value_planes(block.size, on_stride))
+        sigma_maxes = _by_lane(masks.value_planes(block.sigma_max, on_stride))
+        kappas = _by_lane(kappa, on_stride)
         lam_of = {}
-        sizes = masks.lane_values(block.size, stride)
-        sigma_maxes = masks.lane_values(block.sigma_max, stride)
-        for i, lane_size, lane_sigma_max in zip(stride, sizes, sigma_maxes):
+        for i in stride:
             mask = seq[i]
             rows = t.out_rows(mask)
             sigmas = masks.sigma_vector(rows, n, t.full)
             assert (block.strong >> i) & 1 == (sigmas is not None), mask
-            assert lane_size == mask.bit_count(), mask
+            assert sizes[i] == mask.bit_count(), mask
             if sigmas is not None:
-                assert lane_sigma_max == max(sigmas), mask
+                assert sigma_maxes[i] == max(sigmas), mask
             if balanced_only:
                 assert (block.balanced >> i) & 1 == masks.is_balanced(rows, n), mask
             if (candidates >> i) & 1:
-                kap = next((k for k, p in kappa.items() if p >> i & 1), None)
-                lam = masks.lambda_mask(rows, n) if need_lambda else None
-                lam_of[i] = lam
+                kap = kappas.get(i)
+                lam = lam_of[i] = masks.lambda_mask(rows, n) if need_lambda else None
                 _stride_checks(n, pos + i, mask, rows, sigmas, kap, lam, need_kappa)
-        for kap, k_plane in kappa.items() if need_kappa else [(None, candidates)]:
-            if (kap or 0) < kappa_min:
-                continue
-            for sigma_max, s_plane in masks.value_planes(block.sigma_max, k_plane).items():
-                for m, plane in masks.value_planes(block.size, s_plane).items():
-                    if not need_lambda:
-                        if lambda_min <= 0:
-                            stats["members"] += plane.bit_count()
-                            yield seq, plane, m, sigma_max, kap, None
-                        continue
-                    by_lam: dict = {}
-                    for i in _pull(plane, stats):
-                        lam = lam_of.get(i) or masks.lambda_mask(t.out_rows(seq[i]), n)
-                        if lam >= lambda_min:
-                            by_lam[lam] = by_lam.get(lam, 0) | 1 << i
-                    for lam, p in by_lam.items():
-                        stats["members"] += p.bit_count()
-                        yield seq, p, m, sigma_max, kap, lam
+        by_kappa = kappa if need_kappa else {None: candidates}
+        passing = sum(p for kap, p in by_kappa.items() if (kap or 0) >= kappa_min)
+        by_lambda = {None: passing}
+        if need_lambda:
+            by_lambda = {}
+            for i in _pull(passing, stats):
+                lam = lam_of.get(i) or masks.lambda_mask(t.out_rows(seq[i]), n)
+                by_lambda[lam] = by_lambda.get(lam, 0) | 1 << i
+        batch = [
+            (plane, m, sigma_max, kap, lam)
+            for kap, k_plane in by_kappa.items()
+            for lam, l_plane in by_lambda.items()
+            if (lam or 0) >= lambda_min
+            for sigma_max, s_plane in masks.value_planes(
+                block.sigma_max, k_plane & l_plane
+            ).items()
+            for m, plane in masks.value_planes(block.size, s_plane).items()
+        ]
+        stats["members"] += sum(plane.bit_count() for plane, *_ in batch)
+        yield seq, batch
+
+
+def _by_lane(groups: dict, plane: int = -1) -> dict[int, int]:
+    """Invert a value-to-plane map to lane-to-value on the lanes of ``plane``."""
+    return {i: value for value, p in groups.items() for i in masks.lanes(p & plane)}
 
 
 def _stride_checks(n: int, at: int, mask: int, rows, sigmas, kap, lam, need_kappa: bool) -> None:
@@ -474,13 +481,9 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     mask order; sampled mode draws ``samples`` masks from the seeded
     generator and yields those passing the filter (duplicates possible).
     """
-    cells = _members(spec, 0, _stream_length(spec), _new_stats())
-    # one group per batch: equal draw lists of two batches must not merge,
-    # and the previous batch is still held when the next one's key is taken
-    for _, group in groupby(cells, key=lambda cell: id(cell[0])):
-        group = list(group)
-        seq = group[0][0]
-        for i in sorted(i for cell in group for i in masks.lanes(cell[1])):
+    for seq, cells in _members(spec, 0, _stream_length(spec), _new_stats()):
+        # the cells are disjoint, so their sum is their union
+        for i in masks.lanes(sum(plane for plane, *_ in cells)):
             yield masks.digraph_of_mask(spec.order, seq[i])
 
 
@@ -518,40 +521,42 @@ def _object_crosscheck(n: int, mask: int, sigmas, kap, lam) -> None:
             assert conn_mod.edge_connectivity(D).value == lam, mask
 
 
-def _orbit_min(n: int, mask: int, stats: dict) -> bool:
-    """Whether an exhaustive sweep collects this equality hit as a witness.
+def _witness(spec: EnumerationSpec, mask: int, stats: dict) -> int | None:
+    """The canonical form under which a sweep collects an equality hit, or None.
 
     Every sweep decision depends only on isomorphism invariants, so an
     exhaustive mask range holds the lex-min labeling of every class it
-    hits; keeping only orbit-minimal hits yields exactly the canonical
-    forms of all hits, without canonicalising each labeled hit. The fast
-    test is checked against ``canonical_mask`` on the chain stride.
+    hits: keeping only orbit-minimal hits yields the canonical forms of all
+    hits (the fast test checked against ``canonical_mask`` on the chain
+    stride). A sample need not hold an orbit's minimum; its hits are
+    canonicalised.
     """
+    n = spec.order
+    if spec.mode == "sampled":
+        return masks.canonical_mask(n, mask)
     stats["orbit_min_calls"] += 1
     found = masks.is_orbit_min(n, mask)
     if mask % _CHAIN_STRIDE == 0:
         assert found == (masks.canonical_mask(n, mask) == mask), mask
-    return found
+    return mask if found else None
 
 
 def _sweep_shard(args) -> dict:
     """Worker body for universal bound sweeps over one stretch of the stream.
 
     Each cell is weighed once per bound; its lanes are pulled out only to
-    record violations and equality hits. Exhaustive ranges collect
-    orbit-minimal equality hits; a sample need not hold an orbit's
-    minimum, so sampled hits are canonicalised.
+    record violations and equality hits, which ``_witness`` turns into
+    canonical forms.
     """
     spec, lo, hi, bound_ids = args
     n = spec.order
-    exhaustive = spec.mode == "exhaustive"
     stats = _new_stats()
     per_bound = {
         bid: {"skipped": 0, "violations": [], "equality": set(), "by_m": {}}
         for bid in bound_ids
     }
     instances = 0
-    members = _members(
+    batches = _members(
         spec,
         lo,
         hi,
@@ -559,47 +564,44 @@ def _sweep_shard(args) -> dict:
         need_kappa=any(b in ("kappa_digraph", "eulerian_kappa") for b in bound_ids),
         need_lambda="eulerian_lambda" in bound_ids,
     )
-    for seq, plane, m, sigma_max, kap, lam in members:
-        weight = plane.bit_count()
-        instances += weight
-        attained = []  # equality sets of the bounds this cell attains
-        for bid in bound_ids:
-            bid_kap = kap if bid in ("kappa_digraph", "eulerian_kappa") else None
-            bid_lam = lam if bid == "eulerian_lambda" else None
-            entry = _bound_fraction(bid, n, m, bid_kap, bid_lam)
-            state = per_bound[bid]
-            row = state["by_m"].get(m)
-            if row is None:
-                row = state["by_m"][m] = [0, 0, 0, 0]
-            row[0] += weight
-            if entry is None:
-                state["skipped"] += weight
-                row[1] += weight
+    for seq, cells in batches:
+        for plane, m, sigma_max, kap, lam in cells:
+            weight = plane.bit_count()
+            instances += weight
+            attained = []  # equality sets of the bounds this cell attains
+            for bid in bound_ids:
+                bid_kap = kap if bid in ("kappa_digraph", "eulerian_kappa") else None
+                bid_lam = lam if bid == "eulerian_lambda" else None
+                entry = _bound_fraction(bid, n, m, bid_kap, bid_lam)
+                state = per_bound[bid]
+                row = state["by_m"].get(m)
+                if row is None:
+                    row = state["by_m"][m] = [0, 0, 0, 0]
+                row[0] += weight
+                if entry is None:
+                    state["skipped"] += weight
+                    row[1] += weight
+                    continue
+                num, den = entry
+                lhs = sigma_max * den
+                rhs = num * (n - 1)
+                if lhs > rhs:
+                    state["violations"].extend(
+                        (seq[i], sigma_max, m, bid_kap, bid_lam)
+                        for i in _pull(plane, stats)
+                    )
+                    row[2] += weight
+                elif lhs == rhs:
+                    attained.append(state["equality"])
+                    row[3] += weight
+            if not attained:
                 continue
-            num, den = entry
-            lhs = sigma_max * den
-            rhs = num * (n - 1)
-            if lhs > rhs:
-                state["violations"].extend(
-                    (seq[i], sigma_max, m, bid_kap, bid_lam)
-                    for i in _pull(plane, stats)
-                )
-                row[2] += weight
-            elif lhs == rhs:
-                attained.append(state["equality"])
-                row[3] += weight
-        if not attained:
-            continue
-        # one witness form per mask, shared by every bound it attains
-        for i in _pull(plane, stats):
-            mask = seq[i]
-            if exhaustive:
-                form = mask if _orbit_min(n, mask, stats) else None
-            else:
-                form = masks.canonical_mask(n, mask)
-            if form is not None:
-                for equality in attained:
-                    equality.add(form)
+            # one witness form per mask, shared by every bound it attains
+            for i in _pull(plane, stats):
+                form = _witness(spec, seq[i], stats)
+                if form is not None:
+                    for equality in attained:
+                        equality.add(form)
     return {"instances": instances, "per_bound": per_bound, "stats": stats}
 
 
@@ -678,6 +680,8 @@ def check_universal_bounds(
     witnesses by canonical form: orbit-minimal hits in exhaustive mode,
     each hit canonicalised in sampled mode.
     """
+    if not bound_ids:
+        raise ValueError("at least one bound id is needed")
     if len(set(bound_ids)) != len(bound_ids):
         raise ValueError(f"bound ids must not repeat, got {list(bound_ids)}")
     for bid in bound_ids:
@@ -757,15 +761,15 @@ def _uniqueness_shard(args) -> dict:
     breaches = []
     instances = 0
     rhs = target_num * (n - 1)
-    for seq, plane, m, sigma_max, _kap, _lam in _members(spec, lo, hi, stats, m_min=m_min):
-        instances += plane.bit_count()
-        lhs = sigma_max * target_den
-        if lhs == rhs:
-            hits.extend(
-                seq[i] for i in _pull(plane, stats) if _orbit_min(n, seq[i], stats)
-            )
-        elif lhs > rhs:
-            breaches.extend((seq[i], sigma_max, m) for i in _pull(plane, stats))
+    for seq, cells in _members(spec, lo, hi, stats, m_min=m_min):
+        for plane, m, sigma_max, _kap, _lam in cells:
+            instances += plane.bit_count()
+            lhs = sigma_max * target_den
+            if lhs == rhs:
+                forms = (_witness(spec, seq[i], stats) for i in _pull(plane, stats))
+                hits.extend(form for form in forms if form is not None)
+            elif lhs > rhs:
+                breaches.extend((seq[i], sigma_max, m) for i in _pull(plane, stats))
     return {"instances": instances, "hits": hits, "breaches": breaches, "stats": stats}
 
 
@@ -856,14 +860,15 @@ def _eulerian_shard(args) -> dict:
     profile_canon: dict[tuple[int, ...], int] = {}
     members = (
         (seq[i], m)
-        for seq, plane, m, _sigma_max, _kap, _lam in _members(spec, lo, hi, stats)
+        for seq, cells in _members(spec, lo, hi, stats)
+        for plane, m, *_ in cells
         for i in _pull(plane, stats)
     )
     for mask, m in members:
         profiles = masks.profile_vectors(t.out_rows(mask), n, t.full)
         instances += 1
         diam = max(len(p) - 1 for p in profiles)
-        orbit_min = None
+        attained = []  # (vertex, profile) pairs at the cap
         for v in range(n):
             counts = profiles[v]
             if len(counts) - 1 != diam:
@@ -876,14 +881,15 @@ def _eulerian_shard(args) -> dict:
                     profile_canon[counts] = masks.canonical_mask(
                         n, masks.mask_of_digraph(profile_digraph(list(counts)))
                     )
-                if orbit_min is None:
-                    orbit_min = _orbit_min(n, mask, stats)
-                if not orbit_min:
-                    continue
-                if mask != profile_canon[counts]:
-                    mismatches.append((mask, v, counts))
-                else:
-                    equality.add(mask)
+                attained.append((v, counts))
+        form = _witness(spec, mask, stats) if attained else None
+        if form is None:
+            continue
+        for v, counts in attained:
+            if form != profile_canon[counts]:
+                mismatches.append((mask, v, counts))
+            else:
+                equality.add(form)
     return {
         "instances": instances,
         "violations": violations,

@@ -4,6 +4,7 @@ Any change to enumeration, witness collection or serialisation that moves
 a byte of a report fails here.
 """
 
+import functools
 import hashlib
 
 import pytest
@@ -17,6 +18,10 @@ from dgr import (
 
 def _digest(reports) -> str:
     return hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
+
+
+# a sweep that two tests pin, by report bytes and by stats, runs once
+_shared_sweep = functools.cache(check_universal_bounds)
 
 
 N4_GOLDEN = {
@@ -77,6 +82,45 @@ N5_GOLDEN = {
         "6d42e4fe137666a7a74bfd761554c971957b74382bc2e7f2fc5c332ffa8bd9d4",
         6_186,
     ),
+    # lambda decides the class
+    "eulerian_lambda_class": (
+        lambda: _shared_sweep(
+            5, "eulerian_lambda", ("eulerian_size", "eulerian_lambda"), param=2
+        ),
+        "2784ae8f1d45427f5560593dfb8a9802223cad197c5706c4e6dbe8fe6339b7a6",
+        2_561,
+    ),
+    # kappa decides the class and a bound needs lambda
+    "eulerian_kappa_class_lambda_bound": (
+        lambda: _shared_sweep(
+            5, "eulerian_kappa", ("eulerian_kappa", "eulerian_lambda"), param=2
+        ),
+        "38c0854688283302627134987728133cb2d83b57256e057a155d7fd2aed2d43c",
+        2_366,
+    ),
+}
+
+# work counters of the lambda sweeps above. lambda is pulled out once on
+# every candidate that meets the kappa threshold: the lambda class pulls
+# all 7,000 Eulerian digraphs and then its 41 equality hits, the kappa class
+# exactly its 2,366 members, since no lambda is computed below the threshold.
+N5_LAMBDA_STATS = {
+    "eulerian_lambda_class": {
+        "masks": 1 << 20,
+        "blocks": 64,
+        "members": 2_561,
+        "lanes_extracted": 7_041,
+        "stride_lanes": 11_411,
+        "orbit_min_calls": 41,
+    },
+    "eulerian_kappa_class_lambda_bound": {
+        "masks": 1 << 20,
+        "blocks": 64,
+        "members": 2_366,
+        "lanes_extracted": 2_366,
+        "stride_lanes": 11_411,
+        "orbit_min_calls": 0,
+    },
 }
 
 N6_SAMPLED_SHA256 = "3ad0f13d8b08178894ad1f1d0dd8b859162ed66080bb79e49c06b07c7a1f9d2a"
@@ -127,7 +171,7 @@ def test_order5_dual_bound_report_bytes(n5_sweeps):
 
 
 def test_order5_dual_bound_report_bytes_at_three_workers():
-    # shard edges at 349,526 and 699,052 cut blocks of the exhaustive kernel
+    # 22 pieces, each at most three whole blocks of the exhaustive kernel
     reports = check_universal_bounds(
         5, "strong", ("digraph_order", "size_digraph"), workers=3
     )
@@ -140,6 +184,12 @@ def test_order5_report_bytes(check):
     reports = run()
     assert _digest(reports) == expected
     assert all(r.instances_examined == instances for r in reports)
+
+
+@pytest.mark.parametrize("check", sorted(N5_LAMBDA_STATS))
+def test_order5_lambda_sweep_stats(check):
+    run, _expected, _instances = N5_GOLDEN[check]
+    assert all(r.stats == N5_LAMBDA_STATS[check] for r in run())
 
 
 @pytest.mark.parametrize("workers", [1, 2])

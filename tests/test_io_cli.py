@@ -239,6 +239,27 @@ class TestCLI:
         assert result.returncode == 0
         assert result.stdout.startswith("4 (= 4)")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--check", "digraph_order", "--order", "3"],
+            ["bound", "--bound", "size_digraph", "--n", "5", "--m", "10"],
+            ["generate", "cycle", "--n", "4"],
+            ["audit", "--n", "6", "--kappa", "2"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unwritable_output_is_input_error(self, tmp_path, argv):
+        out = tmp_path / "missing" / "out"
+        result = subprocess.run(
+            [sys.executable, "-m", "dgr.cli", *argv, "--output", str(out)],
+            capture_output=True, text=True,
+        )
+        assert result.returncode == 2
+        assert result.stderr.startswith("input error: ")
+        assert "Traceback" not in result.stderr
+        assert not out.parent.exists()
+
 
 class TestWorkersEnv:
     def test_env_default(self, tmp_path, monkeypatch, capsys):

@@ -10,7 +10,6 @@ from dgr.masks import (
     is_orbit_min,
     kappa_mask,
     kappa_planes,
-    lane_values,
     lanes,
     range_cells,
     sigma_vector,
@@ -62,9 +61,11 @@ def test_orbit_min_above_table_orders():
 def _assert_planes_match_scalar_decode(n, draws, block):
     """Lane i of the block must hold the scalar decode of draws[i]."""
     t = tables_for(n)
-    lanes_in = range(len(draws))
-    sizes = lane_values(block.size, lanes_in)
-    sigma_maxes = lane_values(block.sigma_max, lanes_in)
+    lanes_in = (1 << len(draws)) - 1
+    sizes = {i: v for v, p in value_planes(block.size, lanes_in).items() for i in lanes(p)}
+    sigma_maxes = {
+        i: v for v, p in value_planes(block.sigma_max, lanes_in).items() for i in lanes(p)
+    }
     for i, mask in enumerate(draws):
         rows = t.out_rows(mask)
         sigmas = sigma_vector(rows, n, t.full)
@@ -138,7 +139,10 @@ def test_block_base_must_be_aligned():
 
 def test_value_planes_and_lanes_partition_the_plane():
     counter = [0b0110, 0b1100]  # lanes 0..3 hold 0, 1, 3, 2
-    assert lane_values(counter, [0, 1, 2, 3, 7]) == [0, 1, 3, 2, 0]
+    # lane 7 lies beyond every set bit of the counter, so it holds 0
+    assert value_planes(counter, 0b10001111) == {
+        0: 0b10000001, 1: 0b0010, 2: 0b1000, 3: 0b0100
+    }
     assert value_planes(counter, 0b1111) == {0: 0b0001, 1: 0b0010, 2: 0b1000, 3: 0b0100}
     assert value_planes(counter, 0) == {}
     assert list(lanes(0b101001)) == [0, 3, 5]

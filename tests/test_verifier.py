@@ -451,6 +451,10 @@ class TestUniversalBoundChecks:
         with pytest.raises(ValueError, match="repeat"):
             check_universal_bounds(4, "strong", ("size_digraph", "size_digraph"))
 
+    def test_empty_bound_ids_rejected(self):
+        with pytest.raises(ValueError, match="at least one bound"):
+            check_universal_bounds(4, "strong", ())
+
     def test_eulerian_bound_needs_eulerian_class(self):
         with pytest.raises(ValueError, match="eulerian"):
             check_universal_bound(4, "strong", "eulerian_size")
