@@ -15,8 +15,10 @@ below the block width follow fixed lane patterns, the others are constant),
 and ``draw_cells`` transposes an arbitrary list of masks (lane i is the
 i-th draw). On either, integer AND/OR/XOR run one BFS per source vertex
 for every lane together: ``block_planes`` gives strongness, balance,
-sigma_max and size, and ``kappa_planes`` splits the strong lanes by vertex
-connectivity. Per-lane numbers are bit-sliced counters: a list of planes,
+sigma_max and size, ``kappa_planes`` splits the strong lanes by vertex
+connectivity, and ``orbit_min_planes`` keeps the lanes whose mask is the
+least of its relabellings, the orbit-minimal witnesses of a sweep's
+equality hits. Per-lane numbers are bit-sliced counters: a list of planes,
 least significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 """
 
@@ -516,9 +518,9 @@ def _perm_chunk_tables(n: int):
     that relabels shares the 720 x 4 tables with its parent instead of
     copying every page of them on its first pass (about 3,300 page faults,
     12 ms), and the parent takes no such faults after a fork either.
-    Below n=6 the tables are small and tuples of ints read faster (an
-    order-5 ``is_orbit_min`` pass over the equality lanes of the strong
-    sweep takes 15% longer from arrays).
+    Below n=6 the tables are small and tuples of ints read faster (at
+    order 5, relabelling every equality lane of the strong sweep was
+    measured 15% slower from arrays).
     """
     t = tables_for(n)
     k = t.num_cells
@@ -568,26 +570,60 @@ def canonical_mask(n: int, mask: int) -> int:
     return best
 
 
-def is_orbit_min(n: int, mask: int) -> bool:
-    """True iff no vertex relabelling maps the mask to a smaller arc mask.
+@lru_cache(maxsize=None)
+def _relabel_sources(n: int) -> tuple[tuple[bytes, bytes], ...]:
+    """Per vertex relabelling, the cells its image takes from elsewhere.
 
-    Equivalent to ``canonical_mask(n, mask) == mask``, but stops at the
-    first relabelling with a smaller image, so a mask that is not the
-    minimum of its orbit usually costs a few relabellings instead of n!.
+    The image of a mask under the permutation p carries cell (u, v) at cell
+    (p[u], p[v]). Listed as image cells and their source cells, from the
+    highest image cell down, skipping the cells that p maps to themselves
+    (all of them for the identity); bytes, since a cell index is below 64
+    at n <= 8, keep the n! entries small.
     """
-    if n == 1:
-        return mask == 0
-    if n > 6:
-        return canonical_mask(n, mask) == mask
-    chunk_spans, tables = _perm_chunk_tables(n)
-    parts = [(mask >> ofs) & ((1 << width) - 1) for ofs, width in chunk_spans]
-    for per_chunk in tables:
-        acc = 0
-        for part, table in zip(parts, per_chunk):
-            acc |= table[part]
-        if acc < mask:
-            return False
-    return True
+    t = tables_for(n)
+    out = []
+    for perm in permutations(range(n)):
+        src = [0] * t.num_cells
+        for k, (u, v) in enumerate(t.cells):
+            src[t.bit_of[(perm[u], perm[v])]] = k
+        moved = [k for k in reversed(range(t.num_cells)) if src[k] != k]
+        out.append((bytes(moved), bytes(src[k] for k in moved)))
+    return tuple(out)
+
+
+def orbit_min_planes(n: int, cells: list[int], lanes_in: int) -> int:
+    """Lanes of ``lanes_in`` whose mask no vertex relabelling makes smaller.
+
+    The plane-wise ``canonical_mask(n, mask) == mask``. Per relabelling, a
+    lex comparator runs from the highest cell down on every live lane at
+    once: ``eq`` holds the lanes whose image agrees with the mask so far,
+    and a lane leaves ``eq`` at the first differing cell, as smaller when
+    the mask has the 1 there. The comparator stops once ``eq`` is empty,
+    and the search once no lane is live. Whenever the live lanes span at
+    most half the planes in use, the planes are cut to that span, so the
+    few lanes left after the first relabellings compare in short integers.
+    """
+    live = lanes_in
+    low = width = 0  # lane of bit 0, and bit width, of the planes in use
+    for image, source in _relabel_sources(n):
+        if not live:
+            break
+        first = (live & -live).bit_length() - 1
+        if not width or 2 * (live.bit_length() - first) <= width:
+            width = live.bit_length() - first
+            cells = [(c >> first) & ((1 << width) - 1) for c in cells]
+            live >>= first
+            low += first
+        eq = live
+        for k, s in zip(image, source):
+            x = cells[k]
+            d = (x ^ cells[s]) & eq
+            if d:
+                live ^= d & x
+                eq ^= d
+                if not eq:
+                    break
+    return live << low
 
 
 def mask_bytes(n: int, mask: int) -> bytes:

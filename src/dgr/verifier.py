@@ -15,13 +15,17 @@ outside the stretch, a sampled stretch in lists of consecutive draws. Lane
 i of a batch is the mask ``seq[i]`` at stream position ``pos + i``. Members
 come out once per batch, as cells: planes of lanes sharing (kappa, lambda,
 sigma_max, m), split in that order, which the checks weight by their
-popcount. Lanes are pulled out one by one, in increasing lane order within
-a cell, only for scalar work: violations, equality hits, Eulerian
-profiles, and lambda where a class or bound needs it. The scalar decode is
-the kernel's oracle: on every stride lane, a position divisible by
-``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE`` (every lane at n <= 4), it must
-agree with the batch's strong and balanced bits, sigma_max and m, and
-``kappa_mask`` with the kappa planes.
+popcount. Equality hits gather into one plane per batch, and on an
+exhaustive block ``masks.orbit_min_planes`` decides which of them are the
+orbit-minimal witnesses. Lanes are pulled out one by one, in increasing
+lane order within a plane, only for scalar work: violations, witnesses,
+sampled equality hits, Eulerian profiles, and lambda where a class or
+bound needs it. The scalar decode is the kernel's oracle: on every stride
+lane, a position divisible by ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE``
+(every lane at n <= 4), it must agree with the batch's strong and balanced
+bits, sigma_max and m, and ``kappa_mask`` with the kappa planes; on every
+equality hit at a position divisible by ``_CHAIN_STRIDE`` (every hit at
+n <= 4), ``canonical_mask`` must agree with the orbit-minimality planes.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -89,7 +93,7 @@ _STAT_KEYS = (
     "members",  # class members
     "lanes_extracted",  # lanes pulled out of a cell for scalar work
     "stride_lanes",  # stride lanes re-derived by the scalar oracle, strong or not
-    "orbit_min_calls",  # is_orbit_min calls on equality hits
+    "orbit_min_lanes",  # equality lanes decided by orbit_min_planes
 )
 
 
@@ -521,32 +525,48 @@ def _object_crosscheck(n: int, mask: int, sigmas, kap, lam) -> None:
             assert conn_mod.edge_connectivity(D).value == lam, mask
 
 
-def _witness(spec: EnumerationSpec, mask: int, stats: dict) -> int | None:
-    """The canonical form under which a sweep collects an equality hit, or None.
+def _witnesses(
+    spec: EnumerationSpec, seq: Sequence[int], hits: int, stats: dict
+) -> dict[int, int]:
+    """Lane to canonical form, for the lanes of ``hits`` that give a witness.
 
-    Every sweep decision depends only on isomorphism invariants, so an
-    exhaustive mask range holds the lex-min labeling of every class it
-    hits: keeping only orbit-minimal hits yields the canonical forms of all
-    hits (the fast test checked against ``canonical_mask`` on the chain
-    stride). A sample need not hold an orbit's minimum; its hits are
-    canonicalised.
+    ``hits`` is the union of a batch's equality lanes. Every sweep decision
+    depends only on isomorphism invariants, so an exhaustive mask range
+    holds the lex-min labeling of every class it hits: keeping only the
+    orbit-minimal hits, decided as planes on the batch's own block, yields
+    the canonical forms of all hits. On the chain stride (every hit at
+    n <= 4) the plane bit must equal ``canonical_mask``'s verdict. A sample
+    need not hold an orbit's minimum; its hits are canonicalised lane by
+    lane.
     """
     n = spec.order
     if spec.mode == "sampled":
-        return masks.canonical_mask(n, mask)
-    stats["orbit_min_calls"] += 1
-    found = masks.is_orbit_min(n, mask)
-    if mask % _CHAIN_STRIDE == 0:
-        assert found == (masks.canonical_mask(n, mask) == mask), mask
-    return mask if found else None
+        return {i: masks.canonical_mask(n, seq[i]) for i in _pull(hits, stats)}
+    stats["orbit_min_lanes"] += hits.bit_count()
+    width = len(seq)
+    cells, _ones = masks.range_cells(n, seq[0], width.bit_length() - 1)
+    minimal = masks.orbit_min_planes(n, cells, hits)
+    chain = hits
+    if n > 4:
+        # one bit every _CHAIN_STRIDE lanes, from the block's first position
+        # divisible by it
+        comb, span = 1, _CHAIN_STRIDE
+        while span < width:
+            comb |= comb << span
+            span *= 2
+        chain &= comb << (-seq[0] % _CHAIN_STRIDE)
+    for i in _pull(chain, stats):
+        mask = seq[i]
+        assert (minimal >> i) & 1 == (masks.canonical_mask(n, mask) == mask), mask
+    return {i: seq[i] for i in _pull(minimal, stats)}
 
 
 def _sweep_shard(args) -> dict:
     """Worker body for universal bound sweeps over one stretch of the stream.
 
     Each cell is weighed once per bound; its lanes are pulled out only to
-    record violations and equality hits, which ``_witness`` turns into
-    canonical forms.
+    record violations. A bound's equality lanes gather into one plane per
+    batch, which ``_witnesses`` turns into canonical forms.
     """
     spec, lo, hi, bound_ids = args
     n = spec.order
@@ -565,10 +585,11 @@ def _sweep_shard(args) -> dict:
         need_lambda="eulerian_lambda" in bound_ids,
     )
     for seq, cells in batches:
+        attained = dict.fromkeys(bound_ids, 0)  # equality lanes per bound
+        hits = 0
         for plane, m, sigma_max, kap, lam in cells:
             weight = plane.bit_count()
             instances += weight
-            attained = []  # equality sets of the bounds this cell attains
             for bid in bound_ids:
                 bid_kap = kap if bid in ("kappa_digraph", "eulerian_kappa") else None
                 bid_lam = lam if bid == "eulerian_lambda" else None
@@ -592,16 +613,17 @@ def _sweep_shard(args) -> dict:
                     )
                     row[2] += weight
                 elif lhs == rhs:
-                    attained.append(state["equality"])
+                    attained[bid] |= plane
+                    hits |= plane
                     row[3] += weight
-            if not attained:
-                continue
-            # one witness form per mask, shared by every bound it attains
-            for i in _pull(plane, stats):
-                form = _witness(spec, seq[i], stats)
-                if form is not None:
-                    for equality in attained:
-                        equality.add(form)
+        if not hits:
+            continue
+        # one witness form per mask, shared by every bound it attains
+        forms = _witnesses(spec, seq, hits, stats)
+        for bid, plane in attained.items():
+            per_bound[bid]["equality"].update(
+                form for i, form in forms.items() if plane >> i & 1
+            )
     return {"instances": instances, "per_bound": per_bound, "stats": stats}
 
 
@@ -762,14 +784,16 @@ def _uniqueness_shard(args) -> dict:
     instances = 0
     rhs = target_num * (n - 1)
     for seq, cells in _members(spec, lo, hi, stats, m_min=m_min):
+        attained = 0
         for plane, m, sigma_max, _kap, _lam in cells:
             instances += plane.bit_count()
             lhs = sigma_max * target_den
             if lhs == rhs:
-                forms = (_witness(spec, seq[i], stats) for i in _pull(plane, stats))
-                hits.extend(form for form in forms if form is not None)
+                attained |= plane
             elif lhs > rhs:
                 breaches.extend((seq[i], sigma_max, m) for i in _pull(plane, stats))
+        if attained:
+            hits.extend(_witnesses(spec, seq, attained, stats).values())
     return {"instances": instances, "hits": hits, "breaches": breaches, "stats": stats}
 
 
@@ -858,38 +882,36 @@ def _eulerian_shard(args) -> dict:
     mismatches = []
     equality = set()
     profile_canon: dict[tuple[int, ...], int] = {}
-    members = (
-        (seq[i], m)
-        for seq, cells in _members(spec, lo, hi, stats)
-        for plane, m, *_ in cells
-        for i in _pull(plane, stats)
-    )
-    for mask, m in members:
-        profiles = masks.profile_vectors(t.out_rows(mask), n, t.full)
-        instances += 1
-        diam = max(len(p) - 1 for p in profiles)
-        attained = []  # (vertex, profile) pairs at the cap
-        for v in range(n):
-            counts = profiles[v]
-            if len(counts) - 1 != diam:
-                continue
-            cap = 2 * _ssg_size(counts)
-            if m > cap:
-                violations.append((mask, v, counts, m, cap))
-            elif m == cap:
-                if counts not in profile_canon:
-                    profile_canon[counts] = masks.canonical_mask(
-                        n, masks.mask_of_digraph(profile_digraph(list(counts)))
-                    )
-                attained.append((v, counts))
-        form = _witness(spec, mask, stats) if attained else None
-        if form is None:
+    for seq, cells in _members(spec, lo, hi, stats):
+        attained: dict[int, list] = {}  # lane: (vertex, profile) pairs at the cap
+        for plane, m, *_ in cells:
+            for i in _pull(plane, stats):
+                mask = seq[i]
+                profiles = masks.profile_vectors(t.out_rows(mask), n, t.full)
+                instances += 1
+                diam = max(len(p) - 1 for p in profiles)
+                for v in range(n):
+                    counts = profiles[v]
+                    if len(counts) - 1 != diam:
+                        continue
+                    cap = 2 * _ssg_size(counts)
+                    if m > cap:
+                        violations.append((mask, v, counts, m, cap))
+                    elif m == cap:
+                        if counts not in profile_canon:
+                            profile_canon[counts] = masks.canonical_mask(
+                                n, masks.mask_of_digraph(profile_digraph(list(counts)))
+                            )
+                        attained.setdefault(i, []).append((v, counts))
+        if not attained:
             continue
-        for v, counts in attained:
-            if form != profile_canon[counts]:
-                mismatches.append((mask, v, counts))
-            else:
-                equality.add(form)
+        hits = sum(1 << i for i in attained)
+        for i, form in _witnesses(spec, seq, hits, stats).items():
+            for v, counts in attained[i]:
+                if form != profile_canon[counts]:
+                    mismatches.append((seq[i], v, counts))
+                else:
+                    equality.add(form)
     return {
         "instances": instances,
         "violations": violations,

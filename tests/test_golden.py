@@ -102,16 +102,18 @@ N5_GOLDEN = {
 
 # work counters of the lambda sweeps above. lambda is pulled out once on
 # every candidate that meets the kappa threshold: the lambda class pulls
-# all 7,000 Eulerian digraphs and then its 41 equality hits, the kappa class
-# exactly its 2,366 members, since no lambda is computed below the threshold.
+# all 7,000 Eulerian digraphs, decides its 41 equality hits as planes and
+# pulls out the 3 orbit-minimal ones (none of the 41 is on the chain stride,
+# mask % 101 == 0); the kappa class pulls exactly its 2,366 members, since
+# no lambda is computed below the threshold, and has no equality hit.
 N5_LAMBDA_STATS = {
     "eulerian_lambda_class": {
         "masks": 1 << 20,
         "blocks": 64,
         "members": 2_561,
-        "lanes_extracted": 7_041,
+        "lanes_extracted": 7_000 + 3,
         "stride_lanes": 11_411,
-        "orbit_min_calls": 41,
+        "orbit_min_lanes": 41,
     },
     "eulerian_kappa_class_lambda_bound": {
         "masks": 1 << 20,
@@ -119,7 +121,7 @@ N5_LAMBDA_STATS = {
         "members": 2_366,
         "lanes_extracted": 2_366,
         "stride_lanes": 11_411,
-        "orbit_min_calls": 0,
+        "orbit_min_lanes": 0,
     },
 }
 

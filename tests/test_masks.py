@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import pytest
 
@@ -7,10 +8,10 @@ from dgr.masks import (
     canonical_mask,
     draw_cells,
     is_balanced,
-    is_orbit_min,
     kappa_mask,
     kappa_planes,
     lanes,
+    orbit_min_planes,
     range_cells,
     sigma_vector,
     tables_for,
@@ -26,36 +27,72 @@ LABELED_STRONG = (1, 1, 18, 1606)
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_orbit_min_agrees_with_canonical_mask(n):
-    for mask in range(tables_for(n).mask_count):
-        assert is_orbit_min(n, mask) == (canonical_mask(n, mask) == mask), mask
+    # every mask of the order, in one block
+    t = tables_for(n)
+    cells, ones = range_cells(n, 0, t.num_cells)
+    expected = sum(1 << mask for mask in range(t.mask_count) if canonical_mask(n, mask) == mask)
+    assert orbit_min_planes(n, cells, ones) == expected
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_enumeration_counts_match_oeis(n):
     t = tables_for(n)
-    orbit_min = 0
-    strong_orbit_min = 0
-    strong = 0
-    for mask in range(t.mask_count):
-        is_strong = sigma_vector(t.out_rows(mask), n, t.full) is not None
-        minimal = is_orbit_min(n, mask)
-        orbit_min += minimal
-        strong += is_strong
-        strong_orbit_min += minimal and is_strong
-    assert orbit_min == DIGRAPHS[n - 1]
-    assert strong_orbit_min == STRONG_DIGRAPHS[n - 1]
-    assert strong == LABELED_STRONG[n - 1]
+    strong = sum(
+        1 << mask
+        for mask in range(t.mask_count)
+        if sigma_vector(t.out_rows(mask), n, t.full) is not None
+    )
+    cells, ones = range_cells(n, 0, t.num_cells)
+    assert orbit_min_planes(n, cells, ones).bit_count() == DIGRAPHS[n - 1]
+    assert orbit_min_planes(n, cells, strong).bit_count() == STRONG_DIGRAPHS[n - 1]
+    assert strong.bit_count() == LABELED_STRONG[n - 1]
+
+
+def _has_smaller_relabelling(n, mask):
+    t = tables_for(n)
+    arcs = [t.cells[k] for k in range(t.num_cells) if mask >> k & 1]
+    return any(
+        sum(1 << t.bit_of[(p[u], p[v])] for u, v in arcs) < mask
+        for p in permutations(range(n))
+    )
+
+
+def _assert_orbit_min_planes_agree(n, draws):
+    """The planes of drawn masks against ``canonical_mask``, lane by lane.
+
+    A lane kept as minimal must be its own canonical form; a dropped lane
+    must have a relabelling with a smaller image, found by a direct search
+    that stops at the first one.
+    """
+    minimal = orbit_min_planes(n, *draw_cells(n, draws))
+    for i, mask in enumerate(draws):
+        if minimal >> i & 1:
+            assert canonical_mask(n, mask) == mask, mask
+        else:
+            assert _has_smaller_relabelling(n, mask), mask
+    return minimal
+
+
+def test_orbit_min_planes_on_drawn_order6_masks():
+    # half uniform draws, half shifted right by a random amount, so that
+    # many draws leave the high cells empty and are orbit-minimal
+    rng = random.Random(6)
+    draws = [rng.getrandbits(30) for _ in range(1_000)]
+    draws += [rng.getrandbits(30) >> rng.randrange(31) for _ in range(1_000)]
+    minimal = _assert_orbit_min_planes_agree(6, draws)
+    assert 100 < minimal.bit_count() < 1_000
 
 
 def test_orbit_min_above_table_orders():
-    # n = 7 falls back to the direct permutation search
+    # n = 7 lies above the orders whose relabellings canonical_mask tabulates
     n = 7
-    cycle = sum(1 << tables_for(n).bit_of[(v, (v + 1) % n)] for v in range(n))
+    t = tables_for(n)
+    cycle = sum(1 << t.bit_of[(v, (v + 1) % n)] for v in range(n))
     canon = canonical_mask(n, cycle)
-    assert is_orbit_min(n, canon)
-    assert is_orbit_min(n, cycle) == (cycle == canon)
-    last_arc = 1 << (tables_for(n).num_cells - 1)
-    assert is_orbit_min(n, 1) and not is_orbit_min(n, last_arc)
+    last_arc = 1 << (t.num_cells - 1)
+    draws = [cycle, canon, 0, 1, last_arc, (1 << t.num_cells) - 1]
+    minimal = _assert_orbit_min_planes_agree(n, draws)
+    assert [minimal >> i & 1 for i in range(len(draws))] == [cycle == canon, 1, 1, 1, 0, 1]
 
 
 def _assert_planes_match_scalar_decode(n, draws, block):
@@ -151,11 +188,15 @@ def test_value_planes_and_lanes_partition_the_plane():
 
 def test_order5_strong_counts_match_oeis():
     # A003030 labeled and A035512 unlabeled strong digraphs of order 5: the
-    # kernel's strong lanes, and the orbit-minimal ones among them
-    labeled = unlabeled = 0
+    # kernel's strong lanes, and the orbit-minimal ones among them; A000273
+    # digraphs of order 5, the orbit-minimal lanes of every block
+    labeled = unlabeled = digraphs = 0
     for base in range(0, tables_for(5).mask_count, 1 << 14):
-        strong = block_planes(5, *range_cells(5, base, 14)).strong
+        cells, ones = range_cells(5, base, 14)
+        strong = block_planes(5, cells, ones).strong
         labeled += strong.bit_count()
-        unlabeled += sum(is_orbit_min(5, base + i) for i in lanes(strong))
+        unlabeled += orbit_min_planes(5, cells, strong).bit_count()
+        digraphs += orbit_min_planes(5, cells, ones).bit_count()
     assert labeled == 565_080
     assert unlabeled == 5_048
+    assert digraphs == 9_608

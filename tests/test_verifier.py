@@ -162,6 +162,18 @@ def _kappa_plane_off_by_one(monkeypatch):
     monkeypatch.setattr(masks_mod, "kappa_planes", skewed)
 
 
+def _every_hit_orbit_min(monkeypatch):
+    """The orbit-minimality planes keep every equality hit as a witness.
+
+    At n <= 4 the witness oracle compares every hit lane with
+    ``canonical_mask``, so any hit that is not its class's least labeling
+    must trip it.
+    """
+    import dgr.masks as masks_mod
+
+    monkeypatch.setattr(masks_mod, "orbit_min_planes", lambda n, cells, lanes_in: lanes_in)
+
+
 # a seeded order-3 sample that draws the complete digraph (mask 63)
 _SAMPLED_SEED = 2
 _SAMPLED_DRAWS = 200
@@ -182,6 +194,11 @@ _CROSSCHECK_CASES = [
     *((name, name, _kappa_is_order) for name in _ENTRY_POINTS),
     *((f"{name}-sigma_max", name, _sigma_max_off_by_one) for name in _ENTRY_POINTS),
     *((f"{name}-kappa_plane", name, _kappa_plane_off_by_one) for name in _ENTRY_POINTS),
+    # the exhaustive entry points that collect witnesses
+    *(
+        (f"{name}-orbit_min", name, _every_hit_orbit_min)
+        for name in ("universal_bounds", "extremal_uniqueness", "eulerian_theorem")
+    ),
 ]
 
 # _sweep_shard over stretches that cut blocks, digests recorded with the
@@ -300,15 +317,17 @@ class TestSweepStats:
         assert [r.to_json() for r in one] == [r.to_json() for r in two]
         assert all("stats" not in json.loads(r.to_json()) for r in one)
         # 2**20 masks in 64 blocks of 2**14; 10,382 + 1,039 - 10 stride lanes
-        # (mask % 101 == 0 or mask % 1009 == 0); every equality lane pulled
-        # once and tested for orbit minimality
+        # (mask % 101 == 0 or mask % 1009 == 0); all 96,275 equality lanes
+        # decided as planes, then pulled out: the 939 on the chain stride
+        # (mask % 101 == 0) for the canonical_mask oracle, and the 813
+        # orbit-minimal witnesses
         expected = {
             "masks": 1 << 20,
             "blocks": 64,
             "members": 565_080,
-            "lanes_extracted": 96_275,
+            "lanes_extracted": 939 + 813,
             "stride_lanes": 11_411,
-            "orbit_min_calls": 96_275,
+            "orbit_min_lanes": 96_275,
         }
         assert all(r.stats == expected for r in one + two + n5_sweeps[4][0])
 
@@ -327,6 +346,7 @@ class TestSweepStats:
         assert one[0]["blocks"] == 4
         assert one[0]["masks"] == 50_000 and one[0]["members"] == 322
         # every member pulled for lambda, then the equality hits once more
+        # to be canonicalised
         assert one[0]["lanes_extracted"] > 322
         # the positions 0..49,999 divisible by 101 or 1009: 496 + 50 - 1
         assert one[0]["stride_lanes"] == 545
