@@ -20,6 +20,12 @@ connectivity, and ``orbit_min_planes`` keeps the lanes whose mask is the
 least of its relabellings, the orbit-minimal witnesses of a sweep's
 equality hits. Per-lane numbers are bit-sliced counters: a list of planes,
 least significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
+
+``canonical_mask`` gives a digraph's canonical form, the least mask over
+all n! vertex relabellings, at every order up to 8 by one path: a table
+built once per order holds each relabelling's image bit of every cell, and
+a mask's image is the sum of the image bits of its arcs. It is the oracle
+of ``orbit_min_planes``, so the two read separate tables.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ import sys
 from array import array
 from functools import lru_cache
 from itertools import combinations, permutations, zip_longest
+from operator import itemgetter
 from typing import Iterator, NamedTuple
 
 from .core import Digraph
@@ -510,64 +517,33 @@ def min_semidegree_mask(rows: list[int], n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _perm_chunk_tables(n: int):
-    """Per-permutation chunk lookup tables for fast mask relabelling (n <= 6).
+def _cell_images(n: int) -> tuple[tuple[int, ...], ...]:
+    """Per vertex relabelling p, the image bit of every cell, then a 0.
 
-    At n=6 each table is an ``array``, not a tuple of ints: reading an
-    array writes nothing to the memory it sits in, so a forked pool worker
-    that relabels shares the 720 x 4 tables with its parent instead of
-    copying every page of them on its first pass (about 3,300 page faults,
-    12 ms), and the parent takes no such faults after a fork either.
-    Below n=6 the tables are small and tuples of ints read faster (at
-    order 5, relabelling every equality lane of the strong sweep was
-    measured 15% slower from arrays).
+    Entry k of a row is ``1 << bit_of[(p[u], p[v])]`` for cell k = (u, v),
+    so the image of a mask under p is the sum of the entries of its arcs:
+    the bits are distinct, so the sum is their OR. The n(n-1) bit ints are
+    shared by all n! rows, so a row costs a pointer per cell (20 MB at n=8).
+    The trailing 0, which adds nothing to an image, lets ``canonical_mask``
+    pick a tuple out of a row for every mask.
     """
     t = tables_for(n)
-    k = t.num_cells
-    chunk_spans = [(ofs, min(8, k - ofs)) for ofs in range(0, k, 8)]
-    tables = []
-    for perm in permutations(range(n)):
-        per_chunk = []
-        for ofs, width in chunk_spans:
-            table = [0] * (1 << width)
-            for value in range(1, 1 << width):
-                low = value & -value
-                j = low.bit_length() - 1
-                u, v = t.cells[ofs + j]
-                table[value] = table[value ^ low] | (
-                    1 << t.bit_of[(perm[u], perm[v])]
-                )
-            per_chunk.append(array("L", table) if n == 6 else tuple(table))
-        tables.append(tuple(per_chunk))
-    return chunk_spans, tuple(tables)
+    bits = [1 << k for k in range(t.num_cells)]
+    return tuple(
+        tuple([bits[t.bit_of[(p[u], p[v])]] for u, v in t.cells] + [0])
+        for p in permutations(range(n))
+    )
 
 
 def canonical_mask(n: int, mask: int) -> int:
-    """Minimum arc mask over all n! vertex relabellings."""
-    if n == 1:
-        return 0
-    if n <= 6:
-        chunk_spans, tables = _perm_chunk_tables(n)
-        best = None
-        for per_chunk in tables:
-            acc = 0
-            for (ofs, width), table in zip(chunk_spans, per_chunk):
-                acc |= table[(mask >> ofs) & ((1 << width) - 1)]
-            if best is None or acc < best:
-                best = acc
-        return best
+    """Minimum arc mask over all n! vertex relabellings (order <= 8)."""
     if n > 8:
         raise ValueError("canonical form limited to order <= 8")
-    t = tables_for(n)
-    arcs = [t.cells[k] for k in range(t.num_cells) if (mask >> k) & 1]
-    best = None
-    for perm in permutations(range(n)):
-        acc = 0
-        for u, v in arcs:
-            acc |= 1 << t.bit_of[(perm[u], perm[v])]
-        if best is None or acc < best:
-            best = acc
-    return best
+    images = _cell_images(n)
+    arcs = [k for k in range(n * (n - 1)) if mask >> k & 1]
+    # two reads of the trailing 0 keep every pick a tuple, even of no arc
+    pick = itemgetter(*arcs, -1, -1)
+    return min(map(sum, map(pick, images)))
 
 
 @lru_cache(maxsize=None)

@@ -25,7 +25,8 @@ lane, a position divisible by ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE``
 (every lane at n <= 4), it must agree with the batch's strong and balanced
 bits, sigma_max and m, and ``kappa_mask`` with the kappa planes; on every
 equality hit at a position divisible by ``_CHAIN_STRIDE`` (every hit at
-n <= 4), ``canonical_mask`` must agree with the orbit-minimality planes.
+n <= 4), ``canonical_mask`` must agree with the orbit-minimality planes,
+and every witness they keep must be its own canonical form.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -342,23 +343,27 @@ def _batches(
         yield seq, pos, ones, cells, ones
 
 
-def _stride_lanes(n: int, pos: int, width: int, valid: int) -> list[int]:
-    """Valid lanes that the scalar oracle re-derives, in increasing order.
+def _stride_plane(
+    n: int, pos: int, width: int, valid: int,
+    strides: tuple[int, ...] = (_CHAIN_STRIDE, _OBJECT_STRIDE),
+) -> int:
+    """Valid lanes that the scalar oracle re-derives, as a plane.
 
     Lane i is chosen by its stream position ``pos + i``, so one rule covers
     blocks and batches: every lane at n <= 4, else the positions divisible
-    by ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE``.
+    by one of ``strides``. Each stride is a doubling comb, one bit every
+    ``stride`` lanes, shifted to the batch's first position divisible by it.
     """
     if n <= 4:
-        return list(masks.lanes(valid))
-    found = sorted(
-        {
-            i
-            for stride in (_CHAIN_STRIDE, _OBJECT_STRIDE)
-            for i in range(-pos % stride, width, stride)
-        }
-    )
-    return [i for i in found if valid >> i & 1]
+        return valid
+    plane = 0
+    for stride in strides:
+        comb, span = 1, stride
+        while span < width:
+            comb |= comb << span
+            span *= 2
+        plane |= comb << (-pos % stride)
+    return plane & valid
 
 
 def _members(
@@ -397,9 +402,9 @@ def _members(
         candidates = valid & block.strong
         if balanced_only:
             candidates &= block.balanced
-        stride = _stride_lanes(n, pos, len(seq), valid)
+        on_stride = _stride_plane(n, pos, len(seq), valid)
+        stride = list(masks.lanes(on_stride))
         stats["stride_lanes"] += len(stride)
-        on_stride = sum(1 << i for i in stride)
         kappa: dict[int, int] = {}
         if n >= 2:
             # every candidate where kappa is needed, else the stride
@@ -535,9 +540,10 @@ def _witnesses(
     holds the lex-min labeling of every class it hits: keeping only the
     orbit-minimal hits, decided as planes on the batch's own block, yields
     the canonical forms of all hits. On the chain stride (every hit at
-    n <= 4) the plane bit must equal ``canonical_mask``'s verdict. A sample
-    need not hold an orbit's minimum; its hits are canonicalised lane by
-    lane.
+    n <= 4) the plane bit must equal ``canonical_mask``'s verdict; every
+    kept witness, on the stride or not, must be its own ``canonical_mask``.
+    A sample need not hold an orbit's minimum; its hits are canonicalised
+    lane by lane.
     """
     n = spec.order
     if spec.mode == "sampled":
@@ -546,19 +552,14 @@ def _witnesses(
     width = len(seq)
     cells, _ones = masks.range_cells(n, seq[0], width.bit_length() - 1)
     minimal = masks.orbit_min_planes(n, cells, hits)
-    chain = hits
-    if n > 4:
-        # one bit every _CHAIN_STRIDE lanes, from the block's first position
-        # divisible by it
-        comb, span = 1, _CHAIN_STRIDE
-        while span < width:
-            comb |= comb << span
-            span *= 2
-        chain &= comb << (-seq[0] % _CHAIN_STRIDE)
-    for i in _pull(chain, stats):
+    for i in _pull(_stride_plane(n, seq[0], width, hits, (_CHAIN_STRIDE,)), stats):
         mask = seq[i]
         assert (minimal >> i) & 1 == (masks.canonical_mask(n, mask) == mask), mask
-    return {i: seq[i] for i in _pull(minimal, stats)}
+    forms = {}
+    for i in _pull(minimal, stats):
+        mask = forms[i] = seq[i]
+        assert masks.canonical_mask(n, mask) == mask, mask
+    return forms
 
 
 def _sweep_shard(args) -> dict:

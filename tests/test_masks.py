@@ -48,13 +48,43 @@ def test_enumeration_counts_match_oeis(n):
     assert strong.bit_count() == LABELED_STRONG[n - 1]
 
 
-def _has_smaller_relabelling(n, mask):
+def _relabellings(n, mask):
+    """The image of the mask under every vertex permutation, one at a time."""
     t = tables_for(n)
     arcs = [t.cells[k] for k in range(t.num_cells) if mask >> k & 1]
-    return any(
-        sum(1 << t.bit_of[(p[u], p[v])] for u, v in arcs) < mask
-        for p in permutations(range(n))
-    )
+    for p in permutations(range(n)):
+        yield sum(1 << t.bit_of[(p[u], p[v])] for u, v in arcs)
+
+
+def _has_smaller_relabelling(n, mask):
+    return any(image < mask for image in _relabellings(n, mask))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_canonical_mask_is_the_least_relabelling_of_every_mask(n):
+    for mask in range(tables_for(n).mask_count):
+        assert canonical_mask(n, mask) == min(_relabellings(n, mask)), mask
+
+
+@pytest.mark.parametrize("n, draws", [(5, 40), (6, 12), (7, 3), (8, 1)])
+def test_canonical_mask_is_the_least_relabelling_of_drawn_masks(n, draws):
+    # no arc, one arc (the last cell), every arc, and seeded uniform draws;
+    # each must also keep its value under a random relabelling
+    rng = random.Random(n)
+    t = tables_for(n)
+    masks = [0, 1 << (t.num_cells - 1), (1 << t.num_cells) - 1]
+    masks += [rng.getrandbits(t.num_cells) for _ in range(draws)]
+    for mask in masks:
+        images = list(_relabellings(n, mask))
+        canon = canonical_mask(n, mask)
+        assert canon == min(images), mask
+        image = rng.choice(images)
+        assert canonical_mask(n, image) == canon, (mask, image)
+
+
+def test_canonical_mask_rejects_orders_above_8():
+    with pytest.raises(ValueError, match="order <= 8"):
+        canonical_mask(9, 0)
 
 
 def _assert_orbit_min_planes_agree(n, draws):
@@ -84,7 +114,8 @@ def test_orbit_min_planes_on_drawn_order6_masks():
 
 
 def test_orbit_min_above_table_orders():
-    # n = 7 lies above the orders whose relabellings canonical_mask tabulates
+    # n = 7, where the plane search and canonical_mask both try 5,040
+    # relabellings
     n = 7
     t = tables_for(n)
     cycle = sum(1 << t.bit_of[(v, (v + 1) % n)] for v in range(n))

@@ -26,8 +26,8 @@ from dgr import (
     profile_digraph,
     remoteness,
 )
-from dgr.masks import canonical_mask, digraph_of_mask, mask_of_digraph
-from dgr.verifier import _stride_lanes, _sweep_shard
+from dgr.masks import canonical_mask, digraph_of_mask, lanes, mask_of_digraph
+from dgr.verifier import _stride_plane, _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
 from test_core import dpk_2121
@@ -165,9 +165,9 @@ def _kappa_plane_off_by_one(monkeypatch):
 def _every_hit_orbit_min(monkeypatch):
     """The orbit-minimality planes keep every equality hit as a witness.
 
-    At n <= 4 the witness oracle compares every hit lane with
-    ``canonical_mask``, so any hit that is not its class's least labeling
-    must trip it.
+    Every kept witness must be its own ``canonical_mask``, so any hit that
+    is not its class's least labeling must trip the witness oracle, at
+    n <= 4 and at n = 5, where these sweeps have no hit on the chain stride.
     """
     import dgr.masks as masks_mod
 
@@ -189,6 +189,16 @@ _ENTRY_POINTS = {
     ),
 }
 
+# order-5 exhaustive sweeps none of whose equality hits lies on the chain
+# stride (mask % 101 == 0); the lambda class is the N5_GOLDEN pin
+_ORDER5_WITNESS_SWEEPS = {
+    "eulerian_theorem_n5": lambda: check_eulerian_size_theorem(5),
+    "extremal_uniqueness_n5": lambda: check_extremal_uniqueness(5, 16, 1),
+    "eulerian_lambda_class_n5": lambda: check_universal_bounds(
+        5, "eulerian_lambda", ("eulerian_size", "eulerian_lambda"), param=2
+    ),
+}
+
 # (id, entry, sabotage): the kappa cases keep their bare entry-point ids
 _CROSSCHECK_CASES = [
     *((name, name, _kappa_is_order) for name in _ENTRY_POINTS),
@@ -197,7 +207,10 @@ _CROSSCHECK_CASES = [
     # the exhaustive entry points that collect witnesses
     *(
         (f"{name}-orbit_min", name, _every_hit_orbit_min)
-        for name in ("universal_bounds", "extremal_uniqueness", "eulerian_theorem")
+        for name in (
+            "universal_bounds", "extremal_uniqueness", "eulerian_theorem",
+            *_ORDER5_WITNESS_SWEEPS,
+        )
     ),
 ]
 
@@ -243,7 +256,7 @@ class TestSharedKernel:
     def test_every_sweep_runs_the_crosschecks(self, monkeypatch, entry, sabotage):
         sabotage(monkeypatch)
         with pytest.raises(AssertionError):
-            _ENTRY_POINTS[entry]()
+            {**_ENTRY_POINTS, **_ORDER5_WITNESS_SWEEPS}[entry]()
 
     def test_sampled_order5_sweep_runs_the_kappa_oracle(self, monkeypatch):
         # stride lanes are chosen by position in the sample, so an order-5
@@ -262,10 +275,11 @@ class TestSharedKernel:
             i for i in range(width)
             if valid >> i & 1 and ((pos + i) % 101 == 0 or (pos + i) % 1009 == 0)
         ]
-        assert _stride_lanes(5, pos, width, valid) == expected
-        assert _stride_lanes(4, pos, width, valid) == [
-            i for i in range(width) if valid >> i & 1
+        assert list(lanes(_stride_plane(5, pos, width, valid))) == expected
+        assert list(lanes(_stride_plane(5, pos, width, valid, (101,)))) == [
+            i for i in expected if (pos + i) % 101 == 0
         ]
+        assert _stride_plane(4, pos, width, valid) == valid
 
     def test_the_sampled_entry_point_draws_the_complete_digraph(self):
         rng = random.Random(_SAMPLED_SEED)
@@ -426,7 +440,8 @@ class TestCanonicalForm:
         assert canonical_mask(6, c) == c
 
     def test_large_orders_use_direct_search(self):
-        # n = 7 and 8 fall back to per-permutation remapping
+        # n = 7 and 8 build the largest relabelling tables: 5,040 and 40,320
+        # images per cell
         rng = random.Random(17)
         for n in (7, 8):
             D = directed_cycle(n)
