@@ -39,6 +39,8 @@ from typing import Iterator, NamedTuple
 
 from .core import Digraph
 
+CANONICAL_MAX_ORDER = 8  # canonical_mask's image table holds n! rows
+
 
 class MaskTables:
     """Per-order lookup tables for decoding arc masks."""
@@ -537,8 +539,8 @@ def _cell_images(n: int) -> tuple[tuple[int, ...], ...]:
 
 def canonical_mask(n: int, mask: int) -> int:
     """Minimum arc mask over all n! vertex relabellings (order <= 8)."""
-    if n > 8:
-        raise ValueError("canonical form limited to order <= 8")
+    if n > CANONICAL_MAX_ORDER:
+        raise ValueError(f"canonical form limited to order <= {CANONICAL_MAX_ORDER}")
     images = _cell_images(n)
     arcs = [k for k in range(n * (n - 1)) if mask >> k & 1]
     # two reads of the trailing 0 keep every pick a tuple, even of no arc

@@ -20,13 +20,13 @@ exhaustive block ``masks.orbit_min_planes`` decides which of them are the
 orbit-minimal witnesses. Lanes are pulled out one by one, in increasing
 lane order within a plane, only for scalar work: violations, witnesses,
 sampled equality hits, Eulerian profiles, and lambda where a class or
-bound needs it. The scalar decode is the kernel's oracle: on every stride
-lane, a position divisible by ``_CHAIN_STRIDE`` or ``_OBJECT_STRIDE``
-(every lane at n <= 4), it must agree with the batch's strong and balanced
-bits, sigma_max and m, and ``kappa_mask`` with the kappa planes; on every
-equality hit at a position divisible by ``_CHAIN_STRIDE`` (every hit at
-n <= 4), ``canonical_mask`` must agree with the orbit-minimality planes,
-and every witness they keep must be its own canonical form.
+bound needs it. The scalar decode is the kernel's oracle on the stride
+lanes, which ``_stride_planes`` alone chooses by stream position: once per
+batch it builds on them the maps the kernel yields (strong and balanced
+planes, value-to-plane maps of m, sigma_max and kappa), which must equal
+the kernel's; on the chain-stride equality hits ``canonical_mask`` must
+agree with the orbit-minimality planes, and every witness they keep must
+be its own canonical form.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -60,10 +60,10 @@ from .constructions import (
     profile_digraph,
 )
 from .core import Digraph, complement, remoteness
+from .masks import CANONICAL_MAX_ORDER
 
 EXHAUSTIVE_MAX_ORDER = 5
 ENUMERATION_MAX_ORDER = 6
-CANONICAL_MAX_ORDER = 8
 
 _FILTERS = ("strong", "strong_kappa", "eulerian", "eulerian_kappa", "eulerian_lambda")
 _SWEEP_BOUNDS = (
@@ -251,8 +251,6 @@ class CheckReport:
 
 def canonical_form(D: Digraph) -> bytes:
     """Minimal relabelled arc-mask encoding; equal iff digraphs are isomorphic."""
-    if D.order > CANONICAL_MAX_ORDER:
-        raise ValueError(f"canonical form limited to order <= {CANONICAL_MAX_ORDER}")
     return masks.canonical_bytes(D.order, masks.mask_of_digraph(D))
 
 
@@ -343,27 +341,23 @@ def _batches(
         yield seq, pos, ones, cells, ones
 
 
-def _stride_plane(
-    n: int, pos: int, width: int, valid: int,
-    strides: tuple[int, ...] = (_CHAIN_STRIDE, _OBJECT_STRIDE),
-) -> int:
-    """Valid lanes that the scalar oracle re-derives, as a plane.
+def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int]:
+    """The valid lanes that the scalar oracle re-derives, as (chain, objects) planes.
 
     Lane i is chosen by its stream position ``pos + i``, so one rule covers
-    blocks and batches: every lane at n <= 4, else the positions divisible
-    by one of ``strides``. Each stride is a doubling comb, one bit every
-    ``stride`` lanes, shifted to the batch's first position divisible by it.
+    blocks and batches: the positions divisible by ``_CHAIN_STRIDE`` (every
+    lane at n <= 4), and those divisible by ``_OBJECT_STRIDE``. Each stride
+    is a doubling comb, one bit every ``stride`` lanes, shifted to the
+    batch's first position divisible by it.
     """
-    if n <= 4:
-        return valid
-    plane = 0
-    for stride in strides:
+    planes = []
+    for stride in (_CHAIN_STRIDE, _OBJECT_STRIDE):
         comb, span = 1, stride
         while span < width:
             comb |= comb << span
             span *= 2
-        plane |= comb << (-pos % stride)
-    return plane & valid
+        planes.append(comb << (-pos % stride) & valid)
+    return (valid if n <= 4 else planes[0]), planes[1]
 
 
 def _members(
@@ -402,41 +396,59 @@ def _members(
         candidates = valid & block.strong
         if balanced_only:
             candidates &= block.balanced
-        on_stride = _stride_plane(n, pos, len(seq), valid)
-        stride = list(masks.lanes(on_stride))
-        stats["stride_lanes"] += len(stride)
+        chain, objects = _stride_planes(n, pos, len(seq), valid)
+        on_stride = chain | objects
+        stats["stride_lanes"] += on_stride.bit_count()
         kappa: dict[int, int] = {}
         if n >= 2:
             # every candidate where kappa is needed, else the stride
             # candidates only, for the oracle
             checked = candidates if need_kappa else candidates & on_stride
             kappa = masks.kappa_planes(n, cells, checked)
-        sizes = _by_lane(masks.value_planes(block.size, on_stride))
-        sigma_maxes = _by_lane(masks.value_planes(block.sigma_max, on_stride))
-        kappas = _by_lane(kappa, on_stride)
-        lam_of = {}
-        for i in stride:
-            mask = seq[i]
-            rows = t.out_rows(mask)
-            sigmas = masks.sigma_vector(rows, n, t.full)
-            assert (block.strong >> i) & 1 == (sigmas is not None), mask
-            assert sizes[i] == mask.bit_count(), mask
-            if sigmas is not None:
-                assert sigma_maxes[i] == max(sigmas), mask
-            if balanced_only:
-                assert (block.balanced >> i) & 1 == masks.is_balanced(rows, n), mask
-            if (candidates >> i) & 1:
-                kap = kappas.get(i)
-                lam = lam_of[i] = masks.lambda_mask(rows, n) if need_lambda else None
-                _stride_checks(n, pos + i, mask, rows, sigmas, kap, lam, need_kappa)
+        # the scalar oracle: the stride lanes, decoded one by one, give the
+        # kernel's own maps restricted to them
+        on_chain, on_objects = set(masks.lanes(chain)), set(masks.lanes(objects))
+        rows = {i: t.out_rows(seq[i]) for i in on_chain | on_objects}
+        sigmas = {i: masks.sigma_vector(r, n, t.full) for i, r in rows.items()}
+        sigma_max_of = {i: max(s) for i, s in sigmas.items() if s is not None}  # strong lanes
+        balanced = {i for i, r in rows.items() if balanced_only and masks.is_balanced(r, n)}
+        found = [i for i in sigma_max_of if i in balanced or not balanced_only]  # candidates
+        kappa_of = {i: masks.kappa_mask(rows[i], n, t.full) for i in found} if n >= 2 else {}
+        lam_of = {i: masks.lambda_mask(rows[i], n) for i in found} if need_lambda else {}
+        scalar = {
+            "strong": sum(1 << i for i in sigma_max_of),
+            "balanced": sum(1 << i for i in balanced),
+            "size": _planes({i: seq[i].bit_count() for i in rows}),
+            "sigma_max": _planes(sigma_max_of),
+            "kappa": _planes(kappa_of),
+        }
+        kernel = {
+            "strong": block.strong & on_stride,
+            "balanced": block.balanced & on_stride if balanced_only else 0,
+            "size": masks.value_planes(block.size, on_stride),
+            "sigma_max": masks.value_planes(block.sigma_max, block.strong & on_stride),
+            "kappa": {k: p & on_stride for k, p in kappa.items() if p & on_stride},
+        }
+        differ = [key for key in kernel if scalar[key] != kernel[key]]
+        assert not differ, f"batch at stream position {pos}: kernel and oracle differ in {differ}"
+        for i in found:
+            # lambda, computed here where the sweep does not need it, must
+            # satisfy kappa <= lambda <= min semidegree
+            if i in kappa_of and i in on_chain:
+                lam_of[i] = lam = lam_of.get(i) or masks.lambda_mask(rows[i], n)
+                semi = masks.min_semidegree_mask(rows[i], n)
+                assert kappa_of[i] <= lam <= semi, (seq[i], kappa_of[i], lam, semi)
+            if i in on_objects:
+                kap = kappa_of.get(i) if i in on_chain or need_kappa else None
+                _object_crosscheck(n, seq[i], sigmas[i], kap, lam_of.get(i))
         by_kappa = kappa if need_kappa else {None: candidates}
         passing = sum(p for kap, p in by_kappa.items() if (kap or 0) >= kappa_min)
         by_lambda = {None: passing}
         if need_lambda:
-            by_lambda = {}
-            for i in _pull(passing, stats):
-                lam = lam_of.get(i) or masks.lambda_mask(t.out_rows(seq[i]), n)
-                by_lambda[lam] = by_lambda.get(lam, 0) | 1 << i
+            by_lambda = _planes({
+                i: lam_of.get(i) or masks.lambda_mask(t.out_rows(seq[i]), n)
+                for i in _pull(passing, stats)
+            })
         batch = [
             (plane, m, sigma_max, kap, lam)
             for kap, k_plane in by_kappa.items()
@@ -451,30 +463,12 @@ def _members(
         yield seq, batch
 
 
-def _by_lane(groups: dict, plane: int = -1) -> dict[int, int]:
-    """Invert a value-to-plane map to lane-to-value on the lanes of ``plane``."""
-    return {i: value for value, p in groups.items() for i in masks.lanes(p & plane)}
-
-
-def _stride_checks(n: int, at: int, mask: int, rows, sigmas, kap, lam, need_kappa: bool) -> None:
-    """Cross-checks of a strong class candidate at stream position ``at``.
-
-    ``kap`` is the kappa planes' value and must equal ``kappa_mask``. On
-    the chain stride (every lane at n <= 4) lambda, computed here where the
-    sweep did not need it, must satisfy kappa <= lambda <= min semidegree;
-    on the object stride the object-level modules re-derive sigma and the
-    connectivity that the sweep needs or the chain stride computed.
-    """
-    chain = n <= 4 or at % _CHAIN_STRIDE == 0
-    if n >= 2:
-        assert kap == masks.kappa_mask(rows, n, (1 << n) - 1), (mask, kap)
-        if chain:
-            if lam is None:
-                lam = masks.lambda_mask(rows, n)
-            semi = masks.min_semidegree_mask(rows, n)
-            assert kap <= lam <= semi, (mask, kap, lam, semi)
-    if at % _OBJECT_STRIDE == 0:
-        _object_crosscheck(n, mask, sigmas, kap if chain or need_kappa else None, lam)
+def _planes(values: dict[int, object]) -> dict:
+    """Invert a lane-to-value map to value-to-plane."""
+    groups: dict = {}
+    for i, value in values.items():
+        groups[value] = groups.get(value, 0) | 1 << i
+    return groups
 
 
 def _pull(plane: int, stats: dict) -> Iterator[int]:
@@ -552,7 +546,7 @@ def _witnesses(
     width = len(seq)
     cells, _ones = masks.range_cells(n, seq[0], width.bit_length() - 1)
     minimal = masks.orbit_min_planes(n, cells, hits)
-    for i in _pull(_stride_plane(n, seq[0], width, hits, (_CHAIN_STRIDE,)), stats):
+    for i in _pull(_stride_planes(n, seq[0], width, hits)[0], stats):
         mask = seq[i]
         assert (minimal >> i) & 1 == (masks.canonical_mask(n, mask) == mask), mask
     forms = {}
@@ -646,7 +640,8 @@ def _run_sharded(worker, args_list, workers: int) -> list[dict]:
     """
     if workers <= 1 or len(args_list) <= 1:
         return [worker(a) for a in args_list]
-    pool_size = min(workers, len(args_list), len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    pool_size = min(workers, len(args_list), cpus or 1)
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(worker, args_list))
 
@@ -993,7 +988,8 @@ def check_lemma_monotonicity(
     members_examined = 0
     arcs_examined = 0
     pairs_examined = 0
-    for kappa in range(1, kappa_max + 1):
+    # a family of connectivity kappa needs order 2 * kappa + 2 or more
+    for kappa in range(1, min(kappa_max, (n_max - 2) // 2) + 1):
         for n in range(2 * kappa + 2, n_max + 1):
             family = enumerate_kappa_pc_family(n, kappa)
             values = []

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given
@@ -218,6 +219,20 @@ class TestCLI:
 
     def test_verify_lemma(self, capsys):
         assert run(["verify", "--check", "lemma_monotonicity", "--order", "7"]) == 0
+
+    def test_verify_lemma_with_huge_kappa_max(self, capsys):
+        # families of connectivity kappa start at order 2 * kappa + 2, so the
+        # sweep stops at kappa = 1 however large --kappa-max is
+        args = ["verify", "--check", "lemma_monotonicity", "--order", "5", "--format", "json"]
+        started = time.monotonic()
+        assert run([*args, "--kappa-max", "100000000"]) == 0
+        assert time.monotonic() - started < 5
+        huge = json.loads(capsys.readouterr().out)
+        assert run([*args, "--kappa-max", "3"]) == 0
+        small = json.loads(capsys.readouterr().out)
+        assert huge["spec"] == {**small["spec"], "kappa_max": 100_000_000}
+        assert huge["meta"] == small["meta"] and huge["meta"]["members"] == 4
+        assert huge["violations"] == small["violations"] == []
 
     def test_verify_infeasible_order(self, capsys):
         assert run(["verify", "--check", "digraph_order", "--order", "6"]) == 2

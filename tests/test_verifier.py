@@ -27,7 +27,7 @@ from dgr import (
     remoteness,
 )
 from dgr.masks import canonical_mask, digraph_of_mask, lanes, mask_of_digraph
-from dgr.verifier import _stride_plane, _sweep_shard
+from dgr.verifier import _stride_planes, _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
 from test_core import dpk_2121
@@ -115,6 +115,21 @@ def _kappa_is_order(monkeypatch):
     monkeypatch.setattr(masks_mod, "kappa_mask", lambda rows, n, full: n)
 
 
+def _lambda_is_zero(monkeypatch):
+    """lambda = 0 breaks kappa <= lambda on every chain-stride candidate."""
+    import dgr.masks as masks_mod
+
+    monkeypatch.setattr(masks_mod, "lambda_mask", lambda rows, n: 0)
+
+
+def _transmission_off_by_one(monkeypatch):
+    """The object-level transmissions disagree with the mask core's sigma."""
+    import dgr.core as core_mod
+
+    real = core_mod.transmission
+    monkeypatch.setattr(core_mod, "transmission", lambda D, v: real(D, v) + 1)
+
+
 def _complete_lanes(cells: list[int], lanes_in: int) -> int:
     """Lanes of ``lanes_in`` that hold the complete digraph: every cell set."""
     for plane in cells:
@@ -122,23 +137,44 @@ def _complete_lanes(cells: list[int], lanes_in: int) -> int:
     return lanes_in
 
 
-def _sigma_max_off_by_one(monkeypatch):
-    """The kernel core misreports sigma_max on the complete digraph's lanes.
+def _block_planes_skewed(edit):
+    """A sabotage: ``block_planes`` misreports on the complete digraph's lanes.
 
-    Those lanes are stride lanes (every lane is at n <= 4) and members of
-    every class the entry points sweep, exhaustive block or sampled batch,
-    so the scalar oracle must catch it.
+    ``edit(block, lanes)`` gives the misreported block. Those lanes are
+    stride lanes (every lane is at n <= 4) and members of every class the
+    entry points sweep, exhaustive block or sampled batch, so the scalar
+    oracle must catch it.
     """
-    import dgr.masks as masks_mod
 
-    real = masks_mod.block_planes
+    def sabotage(monkeypatch):
+        import dgr.masks as masks_mod
 
-    def skewed(n, cells, ones, balanced=False):
-        block = real(n, cells, ones, balanced)
-        block.sigma_max[0] ^= _complete_lanes(cells, ones)
-        return block
+        real = masks_mod.block_planes
 
-    monkeypatch.setattr(masks_mod, "block_planes", skewed)
+        def skewed(n, cells, ones, balanced=False):
+            return edit(real(n, cells, ones, balanced), _complete_lanes(cells, ones))
+
+        monkeypatch.setattr(masks_mod, "block_planes", skewed)
+
+    return sabotage
+
+
+def _flip_bit0(counter: list[int], lanes_in: int) -> list[int]:
+    return [counter[0] ^ lanes_in, *counter[1:]]
+
+
+_sigma_max_off_by_one = _block_planes_skewed(
+    lambda block, lanes_in: block._replace(sigma_max=_flip_bit0(block.sigma_max, lanes_in))
+)
+_size_off_by_one = _block_planes_skewed(
+    lambda block, lanes_in: block._replace(size=_flip_bit0(block.size, lanes_in))
+)
+_strong_plane_drops = _block_planes_skewed(
+    lambda block, lanes_in: block._replace(strong=block.strong & ~lanes_in)
+)
+_balanced_plane_drops = _block_planes_skewed(
+    lambda block, lanes_in: block._replace(balanced=block.balanced & ~lanes_in)
+)
 
 
 def _kappa_plane_off_by_one(monkeypatch):
@@ -204,6 +240,19 @@ _CROSSCHECK_CASES = [
     *((name, name, _kappa_is_order) for name in _ENTRY_POINTS),
     *((f"{name}-sigma_max", name, _sigma_max_off_by_one) for name in _ENTRY_POINTS),
     *((f"{name}-kappa_plane", name, _kappa_plane_off_by_one) for name in _ENTRY_POINTS),
+    *((f"{name}-size", name, _size_off_by_one) for name in _ENTRY_POINTS),
+    *((f"{name}-strong_plane", name, _strong_plane_drops) for name in _ENTRY_POINTS),
+    *((f"{name}-lambda_chain", name, _lambda_is_zero) for name in _ENTRY_POINTS),
+    # the entry points with a class candidate on the object stride
+    *(
+        (f"{name}-object_level", name, _transmission_off_by_one)
+        for name in ("universal_bounds", "sampled_universal_bounds")
+    ),
+    # the entry points whose class asks the kernel for a balanced plane
+    *(
+        (f"{name}-balanced_plane", name, _balanced_plane_drops)
+        for name in ("eulerian_theorem", "enumerate")
+    ),
     # the exhaustive entry points that collect witnesses
     *(
         (f"{name}-orbit_min", name, _every_hit_orbit_min)
@@ -271,15 +320,18 @@ class TestSharedKernel:
     def test_stride_lanes_are_the_positions_on_either_stride(self, pos):
         width = 1 << 14
         valid = random.Random(pos).getrandbits(width)
-        expected = [
-            i for i in range(width)
-            if valid >> i & 1 and ((pos + i) % 101 == 0 or (pos + i) % 1009 == 0)
-        ]
-        assert list(lanes(_stride_plane(5, pos, width, valid))) == expected
-        assert list(lanes(_stride_plane(5, pos, width, valid, (101,)))) == [
-            i for i in expected if (pos + i) % 101 == 0
-        ]
-        assert _stride_plane(4, pos, width, valid) == valid
+
+        def on(stride):
+            return [i for i in range(width) if valid >> i & 1 and (pos + i) % stride == 0]
+
+        chain, objects = _stride_planes(5, pos, width, valid)
+        assert list(lanes(chain)) == on(101)
+        assert list(lanes(objects)) == on(1009)
+        # every valid lane is on the chain stride at n <= 4; the object
+        # stride stays the positions divisible by 1009
+        chain, objects = _stride_planes(4, pos, width, valid)
+        assert chain == valid
+        assert list(lanes(objects)) == on(1009)
 
     def test_the_sampled_entry_point_draws_the_complete_digraph(self):
         rng = random.Random(_SAMPLED_SEED)
@@ -392,7 +444,12 @@ class TestCanonicalForm:
         assert canonical_form(D) == canonical_form(relabelled)
 
     def test_order_cap(self):
-        with pytest.raises(ValueError):
+        import dgr.masks as masks_mod
+        import dgr.verifier as verifier_mod
+
+        # one cap, kept by masks, that verifier re-exports
+        assert verifier_mod.CANONICAL_MAX_ORDER == masks_mod.CANONICAL_MAX_ORDER == 8
+        with pytest.raises(ValueError, match="order <= 8"):
             canonical_form(complete_digraph(9))
 
     def test_roundtrip_decode(self):
@@ -525,28 +582,37 @@ class TestUniversalBoundChecks:
             assert value == Fraction(5) - Fraction(D.size, 3)
 
 
+@pytest.fixture
+def pool_sizes(monkeypatch) -> list[int]:
+    """The sizes of the process pools the verifier asks for; shards run inline."""
+    import dgr.verifier as verifier_mod
+
+    created = []
+
+    class FakePool:
+        """Records the requested pool size and runs the shards inline."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(verifier_mod, "ProcessPoolExecutor", FakePool)
+    return created
+
+
 class TestWorkerClamp:
-    def test_pool_never_outnumbers_shards_or_cpus(self, monkeypatch):
+    def test_pool_never_outnumbers_shards_or_cpus(self, monkeypatch, pool_sizes):
         import dgr.verifier as verifier_mod
 
-        created = []
-
-        class FakePool:
-            """Records the requested pool size and runs the shards inline."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(verifier_mod, "ProcessPoolExecutor", FakePool)
+        created = pool_sizes
         monkeypatch.setattr(verifier_mod.os, "sched_getaffinity", lambda pid: {0, 1, 2})
         assert verifier_mod._run_sharded(abs, [-1, -2, -3, -4, -5], 64) == [1, 2, 3, 4, 5]
         assert verifier_mod._run_sharded(abs, [-1, -2], 64) == [1, 2]
@@ -562,6 +628,18 @@ class TestWorkerClamp:
         # five batches of up to 4,096 draws: five pieces on three CPUs
         assert created == [3, 2, 3]
         assert [r.to_json() for r in many] == [r.to_json() for r in one]
+
+    def test_pool_size_without_sched_getaffinity(self, monkeypatch, pool_sizes):
+        # macOS and Windows Pythons have no os.sched_getaffinity; the pool
+        # is then clamped to os.cpu_count(), or to 1 when that is unknown
+        import dgr.verifier as verifier_mod
+
+        monkeypatch.delattr(verifier_mod.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(verifier_mod.os, "cpu_count", lambda: 2)
+        assert verifier_mod._run_sharded(abs, [-1, -2, -3], 64) == [1, 2, 3]
+        monkeypatch.setattr(verifier_mod.os, "cpu_count", lambda: None)
+        assert verifier_mod._run_sharded(abs, [-1, -2, -3], 64) == [1, 2, 3]
+        assert pool_sizes == [2, 1]
 
     def test_sampled_pool_matches_one_process(self):
         spec = {"mode": "sampled", "samples": 20_000, "seed": 1}
@@ -645,6 +723,19 @@ class TestLemmaMonotonicity:
     def test_order_cap(self):
         with pytest.raises(ValueError):
             check_lemma_monotonicity(10, 1)
+
+    def test_huge_kappa_max_stops_at_the_largest_family(self):
+        # a family of connectivity kappa starts at order 2 * kappa + 2, so at
+        # n_max = 5 only kappa = 1 has members; the kappa loop must stop there
+        huge = check_lemma_monotonicity(5, 10**8)
+        assert huge.elapsed < 5
+        small = check_lemma_monotonicity(5, 3)
+        assert huge.spec == {**small.spec, "kappa_max": 10**8}
+        assert huge.check_id == "lemma_monotonicity:n<=5:kappa<=100000000"
+        doc, expected = json.loads(huge.to_json()), json.loads(small.to_json())
+        for key in ("check_id", "spec"):
+            del doc[key], expected[key]
+        assert doc == expected and doc["meta"]["members"] == 4
 
 
 class TestAuditSizeFormulas:
