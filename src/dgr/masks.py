@@ -7,16 +7,18 @@ modules, which the verifier cross-checks on a deterministic stride.
 
 Two kernels read masks. The scalar one decodes a single mask into
 out-neighbour rows (``out_rows``) and runs BFS on them (``sigma_vector``,
-``is_balanced``, ``kappa_mask`` ...). The block kernel decides up to 2**14
-masks at once by bit-slicing: each arc cell becomes a plane, a Python int
-whose bit i is that cell's bit in lane i. ``range_cells`` builds the planes
-of an aligned block of consecutive masks (lane i is ``base + i``; cells
-below the block width follow fixed lane patterns, the others are constant),
-and ``draw_cells`` transposes an arbitrary list of masks (lane i is the
+``profile_vectors``, ``kappa_mask`` ...); ``is_balanced`` counts degrees
+on the mask itself. The block kernel decides up to 2**14 masks at once by
+bit-slicing: each arc cell becomes a plane, a Python int whose bit i is
+that cell's bit in lane i. ``range_cells`` builds the planes of an
+aligned block of consecutive masks (lane i is ``base + i``; cells below
+the block width follow fixed lane patterns, the others are constant), and
+``draw_cells`` transposes an arbitrary list of masks (lane i is the
 i-th draw). On either, integer AND/OR/XOR run one BFS per source vertex
 for every lane together: ``block_planes`` gives strongness, balance,
 sigma_max and size, ``kappa_planes`` splits the strong lanes by vertex
-connectivity, and ``orbit_min_planes`` keeps the lanes whose mask is the
+connectivity, ``profile_planes`` splits them by each source's distance
+profile, and ``orbit_min_planes`` keeps the lanes whose mask is the
 least of its relabellings, the orbit-minimal witnesses of a sweep's
 equality hits. Per-lane numbers are bit-sliced counters: a list of planes,
 least significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
@@ -69,6 +71,14 @@ class MaskTables:
                 table.append(acc)
             out_table.append(tuple(table))
         self.out_table = tuple(out_table)
+        # per vertex, the cells of its out-arcs and the cells of its in-arcs
+        self.degree_cells = tuple(
+            (
+                sum(1 << k for k, (a, _) in enumerate(self.cells) if a == u),
+                sum(1 << k for k, (_, b) in enumerate(self.cells) if b == u),
+            )
+            for u in range(n)
+        )
 
     def out_rows(self, mask: int) -> list[int]:
         """Out-neighbour vertex bitmask per vertex."""
@@ -113,10 +123,12 @@ def transpose_rows(rows: list[int], n: int) -> list[int]:
     return in_rows
 
 
-def is_balanced(rows: list[int], n: int) -> bool:
-    """In-degree equals out-degree at every vertex."""
-    in_rows = transpose_rows(rows, n)
-    return all(rows[v].bit_count() == in_rows[v].bit_count() for v in range(n))
+def is_balanced(mask: int, n: int) -> bool:
+    """In-degree equals out-degree at every vertex of the mask's digraph."""
+    return all(
+        (mask & out_c).bit_count() == (mask & in_c).bit_count()
+        for out_c, in_c in tables_for(n).degree_cells
+    )
 
 
 def sigma_vector(rows: list[int], n: int, full: int) -> list[int] | None:
@@ -392,6 +404,56 @@ def kappa_planes(n: int, cells: list[int], lanes_in: int) -> dict[int, int]:
     if live:
         groups[n - 1] = live
     return groups
+
+
+def profile_planes(n: int, cells: list[int], lanes_in: int) -> list[dict[tuple[int, ...], int]]:
+    """Per source vertex, the strong lanes of ``lanes_in`` split by distance profile.
+
+    The plane-wise ``profile_vectors``: one BFS per source runs on the lanes
+    of ``lanes_in`` at once. At each level a bit-sliced counter of the newly
+    reached vertices splits every open profile group by its value, and a
+    group closes on the lanes where that count is 0. A lane whose source
+    does not reach every vertex is not strong and is left out of the groups
+    of every source.
+    """
+    t = tables_for(n)
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), plane in zip(t.cells, cells):
+        if plane:
+            into[v].append((u, plane))
+    strong = lanes_in
+    per_source = []
+    for source in range(n):
+        reached = [0] * n
+        reached[source] = lanes_in
+        open_groups = {(1,): lanes_in}
+        closed: dict[tuple[int, ...], int] = {}
+        while open_groups:
+            nxt = []
+            for w in range(n):
+                r = reached[w]
+                for u, arc in into[w]:
+                    r |= reached[u] & arc
+                nxt.append(r)
+            count: list[int] = []
+            for r, new in zip(reached, nxt):
+                _add_plane(count, r ^ new)
+            reached = nxt
+            split = {}
+            for profile, plane in open_groups.items():
+                for c, group in value_planes(count, plane).items():
+                    if c:
+                        split[profile + (c,)] = group
+                    else:
+                        closed[profile] = group
+            open_groups = split
+        spanning = {p: group for p, group in closed.items() if sum(p) == n}
+        strong &= sum(spanning.values())  # the groups are disjoint
+        per_source.append(spanning)
+    return [
+        {p: group & strong for p, group in groups.items() if group & strong}
+        for groups in per_source
+    ]
 
 
 def value_planes(counter: list[int], plane: int) -> dict[int, int]:

@@ -19,12 +19,13 @@ popcount. Equality hits gather into one plane per batch, and on an
 exhaustive block ``masks.orbit_min_planes`` decides which of them are the
 orbit-minimal witnesses. Lanes are pulled out one by one, in increasing
 lane order within a plane, only for scalar work: violations, witnesses,
-sampled equality hits, Eulerian profiles, and lambda where a class or
-bound needs it. The scalar decode is the kernel's oracle on the stride
-lanes, which ``_stride_planes`` alone chooses by stream position: once per
-batch it builds on them the maps the kernel yields (strong and balanced
-planes, value-to-plane maps of m, sigma_max and kappa), which must equal
-the kernel's; on the chain-stride equality hits ``canonical_mask`` must
+sampled equality hits, and lambda where a class or bound needs it. The
+scalar decode is the kernel's oracle on the stride lanes, which
+``_stride_planes`` alone chooses by stream position: once per batch it
+builds on them the maps the kernel yields (strong and balanced planes,
+value-to-plane maps of m, sigma_max and kappa, and in the Eulerian theorem
+each source's map from distance profile to plane), which must equal the
+kernel's; on the chain-stride equality hits ``canonical_mask`` must
 agree with the orbit-minimality planes, and every witness they keep must
 be its own canonical form.
 
@@ -411,7 +412,7 @@ def _members(
         rows = {i: t.out_rows(seq[i]) for i in on_chain | on_objects}
         sigmas = {i: masks.sigma_vector(r, n, t.full) for i, r in rows.items()}
         sigma_max_of = {i: max(s) for i, s in sigmas.items() if s is not None}  # strong lanes
-        balanced = {i for i, r in rows.items() if balanced_only and masks.is_balanced(r, n)}
+        balanced = {i for i in rows if balanced_only and masks.is_balanced(seq[i], n)}
         found = [i for i in sigma_max_of if i in balanced or not balanced_only]  # candidates
         kappa_of = {i: masks.kappa_mask(rows[i], n, t.full) for i in found} if n >= 2 else {}
         lam_of = {i: masks.lambda_mask(rows[i], n) for i in found} if need_lambda else {}
@@ -861,50 +862,99 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     return report
 
 
-def _ssg_size(counts: tuple[int, ...]) -> int:
-    """Edge count of the sequential sum of complete blocks of these sizes."""
+@lru_cache(maxsize=None)
+def _profile_extremal(counts: tuple[int, ...]) -> tuple[int, int]:
+    """The size theorem's cap for a distance profile, and where it is met.
+
+    The cap is twice the edge count of the sequential sum of complete
+    blocks of these sizes; the second item is the canonical mask of the
+    bidirected sum, the only digraph the theorem lets meet the cap.
+    """
     within = sum(c * (c - 1) // 2 for c in counts)
     between = sum(a * b for a, b in zip(counts, counts[1:]))
-    return within + between
+    extremal = masks.mask_of_digraph(profile_digraph(list(counts)))
+    return 2 * (within + between), masks.canonical_mask(sum(counts), extremal)
+
+
+def _profile_oracle(n: int, seq: Sequence[int], chain: int, profiles: list[dict]) -> None:
+    """``profile_vectors`` on the chain-stride members must give the profile planes.
+
+    Once per batch, the scalar per-source maps from profile to plane of the
+    members in ``chain`` must equal ``profiles`` restricted to ``chain``.
+    """
+    t = masks.tables_for(n)
+    scalar: list[dict] = [{} for _ in range(n)]
+    for i in masks.lanes(chain):
+        for groups, counts in zip(scalar, masks.profile_vectors(t.out_rows(seq[i]), n, t.full)):
+            groups[counts] = groups.get(counts, 0) | 1 << i
+    kernel = [{p: g & chain for p, g in groups.items() if g & chain} for groups in profiles]
+    assert scalar == kernel, (
+        f"batch at stream position {seq[0]}: profile planes and profile_vectors differ"
+    )
 
 
 def _eulerian_shard(args) -> dict:
+    """Worker body of the Eulerian size theorem over one stretch of the stream.
+
+    Per batch, the members' distance profiles come as planes from
+    ``masks.profile_planes`` on the block's own cells; the diameter is
+    the lane-wise largest eccentricity. Every (source, profile) group at
+    the diameter is weighed against each size m at once; only the lanes
+    over the cap are pulled out, and the lanes at the cap go to
+    ``_witnesses``.
+    """
     spec, lo, hi = args
     n = spec.order
-    t = masks.tables_for(n)
     stats = _new_stats()
     instances = 0
     violations = []
     mismatches = []
     equality = set()
-    profile_canon: dict[tuple[int, ...], int] = {}
     for seq, cells in _members(spec, lo, hi, stats):
-        attained: dict[int, list] = {}  # lane: (vertex, profile) pairs at the cap
+        by_m: dict[int, int] = {}
         for plane, m, *_ in cells:
-            for i in _pull(plane, stats):
-                mask = seq[i]
-                profiles = masks.profile_vectors(t.out_rows(mask), n, t.full)
-                instances += 1
-                diam = max(len(p) - 1 for p in profiles)
-                for v in range(n):
-                    counts = profiles[v]
-                    if len(counts) - 1 != diam:
-                        continue
-                    cap = 2 * _ssg_size(counts)
-                    if m > cap:
-                        violations.append((mask, v, counts, m, cap))
-                    elif m == cap:
-                        if counts not in profile_canon:
-                            profile_canon[counts] = masks.canonical_mask(
-                                n, masks.mask_of_digraph(profile_digraph(list(counts)))
-                            )
-                        attained.setdefault(i, []).append((v, counts))
+            by_m[m] = by_m.get(m, 0) | plane
+        members = sum(by_m.values())  # the cells are disjoint
+        if not members:
+            continue
+        instances += members.bit_count()
+        width = len(seq)
+        block, _ones = masks.range_cells(n, seq[0], width.bit_length() - 1)
+        profiles = masks.profile_planes(n, block, members)
+        _profile_oracle(n, seq, _stride_planes(n, seq[0], width, members)[0], profiles)
+        # lanes by eccentricity of some source, then by diameter
+        ecc: dict[int, int] = {}
+        for groups in profiles:
+            for counts, plane in groups.items():
+                ecc[len(counts) - 1] = ecc.get(len(counts) - 1, 0) | plane
+        diameter: dict[int, int] = {}
+        wider = 0
+        for e in sorted(ecc, reverse=True):
+            diameter[e] = ecc[e] & ~wider
+            wider |= ecc[e]
+        attained: dict[tuple[int, tuple[int, ...]], int] = {}  # (vertex, profile): lanes at the cap
+        for v, groups in enumerate(profiles):
+            for counts, plane in groups.items():
+                at_diameter = plane & diameter[len(counts) - 1]
+                if not at_diameter:
+                    continue
+                cap = _profile_extremal(counts)[0]
+                for m, m_plane in by_m.items():
+                    hit = at_diameter & m_plane
+                    if hit and m > cap:
+                        violations.extend((seq[i], v, counts, m, cap) for i in _pull(hit, stats))
+                    elif hit and m == cap:
+                        attained[v, counts] = attained.get((v, counts), 0) | hit
         if not attained:
             continue
-        hits = sum(1 << i for i in attained)
+        hits = 0
+        for plane in attained.values():
+            hits |= plane
         for i, form in _witnesses(spec, seq, hits, stats).items():
-            for v, counts in attained[i]:
-                if form != profile_canon[counts]:
+            for (v, counts), plane in attained.items():
+                if not plane >> i & 1:
+                    continue
+                if form != _profile_extremal(counts)[1]:
                     mismatches.append((seq[i], v, counts))
                 else:
                     equality.add(form)

@@ -22,6 +22,7 @@ def _digest(reports) -> str:
 
 # a sweep that two tests pin, by report bytes and by stats, runs once
 _shared_sweep = functools.cache(check_universal_bounds)
+_shared_theorem = functools.cache(check_eulerian_size_theorem)
 
 
 N4_GOLDEN = {
@@ -52,7 +53,7 @@ N4_GOLDEN = {
         "3c06421809115117916434396ce76698707b6e2c868d563c00c255a0bdd8a551",
     ),
     "eulerian_size_theorem": (
-        lambda: [check_eulerian_size_theorem(4)],
+        lambda: [_shared_theorem(4)],
         "7f55b12e9f0f2500ba8599d11a5d7f069a320f3634a57eb4465d2e5dbb812143",
     ),
     "extremal_uniqueness": (
@@ -73,7 +74,7 @@ N5_GOLDEN = {
         7_000,
     ),
     "eulerian_size_theorem": (
-        lambda: [check_eulerian_size_theorem(5)],
+        lambda: [_shared_theorem(5)],
         "3d5bea39666d61971862d610cfcedb80afee9ba4c7407fa24261e2080d9c8b32",
         7_000,
     ),
@@ -122,6 +123,30 @@ N5_LAMBDA_STATS = {
         "lanes_extracted": 2_366,
         "stride_lanes": 11_411,
         "orbit_min_lanes": 0,
+    },
+}
+
+# work counters of the Eulerian size theorem. Distance profiles are decided
+# as planes, so the theorem pulls lanes out only for witnesses: at n = 4
+# every lane is on the chain stride, so its 31 equality hits are pulled for
+# the canonical_mask oracle, then its 4 orbit-minimal ones; at n = 5 none of
+# the 241 hits is on the chain stride and the 7 orbit-minimal ones are pulled.
+EULERIAN_THEOREM_STATS = {
+    4: {
+        "masks": 1 << 12,
+        "blocks": 1,
+        "members": 118,
+        "lanes_extracted": 31 + 4,
+        "stride_lanes": 1 << 12,
+        "orbit_min_lanes": 31,
+    },
+    5: {
+        "masks": 1 << 20,
+        "blocks": 64,
+        "members": 7_000,
+        "lanes_extracted": 7,
+        "stride_lanes": 11_411,
+        "orbit_min_lanes": 241,
     },
 }
 
@@ -192,6 +217,11 @@ def test_order5_report_bytes(check):
 def test_order5_lambda_sweep_stats(check):
     run, _expected, _instances = N5_GOLDEN[check]
     assert all(r.stats == N5_LAMBDA_STATS[check] for r in run())
+
+
+@pytest.mark.parametrize("n", sorted(EULERIAN_THEOREM_STATS))
+def test_eulerian_size_theorem_stats(n):
+    assert _shared_theorem(n).stats == EULERIAN_THEOREM_STATS[n]
 
 
 @pytest.mark.parametrize("workers", [1, 2])

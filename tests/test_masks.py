@@ -12,9 +12,12 @@ from dgr.masks import (
     kappa_planes,
     lanes,
     orbit_min_planes,
+    profile_planes,
+    profile_vectors,
     range_cells,
     sigma_vector,
     tables_for,
+    transpose_rows,
     value_planes,
 )
 
@@ -138,7 +141,7 @@ def _assert_planes_match_scalar_decode(n, draws, block):
         rows = t.out_rows(mask)
         sigmas = sigma_vector(rows, n, t.full)
         assert (block.strong >> i) & 1 == (sigmas is not None), mask
-        assert (block.balanced >> i) & 1 == is_balanced(rows, n), mask
+        assert (block.balanced >> i) & 1 == is_balanced(mask, n), mask
         assert sizes[i] == mask.bit_count(), mask
         if sigmas is not None:
             assert sigma_maxes[i] == max(sigmas), mask
@@ -231,3 +234,85 @@ def test_order5_strong_counts_match_oeis():
     assert labeled == 565_080
     assert unlabeled == 5_048
     assert digraphs == 9_608
+
+
+def _balanced_by_transpose(n, mask):
+    rows = tables_for(n).out_rows(mask)
+    in_rows = transpose_rows(rows, n)
+    return all(rows[v].bit_count() == in_rows[v].bit_count() for v in range(n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_is_balanced_matches_the_transpose_on_every_mask(n):
+    for mask in range(tables_for(n).mask_count):
+        assert is_balanced(mask, n) == _balanced_by_transpose(n, mask), mask
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_is_balanced_matches_the_transpose_on_drawn_masks(n):
+    # uniform draws are almost never balanced, so add every draw's union
+    # with its reverse, which always is
+    rng = random.Random(n)
+    t = tables_for(n)
+    draws = [rng.getrandbits(t.num_cells) for _ in range(2_000)]
+    reverse = {k: t.bit_of[(v, u)] for k, (u, v) in enumerate(t.cells)}
+    draws += [d | sum(1 << reverse[k] for k in range(t.num_cells) if d >> k & 1) for d in draws]
+    balanced = [is_balanced(mask, n) for mask in draws]
+    assert balanced == [_balanced_by_transpose(n, mask) for mask in draws]
+    assert all(balanced[len(draws) // 2 :])
+
+
+def _assert_profile_planes_match(n, draws, cells, lanes_in):
+    """``profile_planes`` must equal ``profile_vectors`` on the strong lanes of ``lanes_in``.
+
+    Every other lane, outside ``lanes_in`` or not strong, is in no group.
+    Returns the strong lanes.
+    """
+    t = tables_for(n)
+    groups = profile_planes(n, cells, lanes_in)
+    assert len(groups) == n
+    expected = [{} for _ in range(n)]
+    strong = 0
+    for i in lanes(lanes_in):
+        profiles = profile_vectors(t.out_rows(draws[i]), n, t.full)
+        if profiles is None:
+            continue
+        strong |= 1 << i
+        for source, counts in zip(expected, profiles):
+            source[counts] = source.get(counts, 0) | 1 << i
+    assert groups == expected
+    return strong
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_profile_planes_match_profile_vectors_on_every_mask(n):
+    t = tables_for(n)
+    cells, ones = range_cells(n, 0, t.num_cells)
+    strong = _assert_profile_planes_match(n, range(t.mask_count), cells, ones)
+    assert strong.bit_count() == LABELED_STRONG[n - 1]
+    # a lane plane that leaves lanes out, strong and not
+    every_third = sum(1 << i for i in range(0, t.mask_count, 3))
+    _assert_profile_planes_match(n, range(t.mask_count), cells, every_third)
+
+
+def test_profile_planes_match_profile_vectors_on_an_order5_block():
+    base = 37 << 14
+    cells, ones = range_cells(5, base, 14)
+    strong = _assert_profile_planes_match(5, range(base, base + (1 << 14)), cells, ones)
+    assert strong == block_planes(5, cells, ones).strong != 0
+
+
+def test_profile_planes_match_profile_vectors_on_a_sampled_order6_batch():
+    # uniform draws, and draws with about three arcs in four, which have
+    # diameter 2 more often than not
+    rng = random.Random(16)
+    draws = [rng.getrandbits(30) for _ in range(2_000)]
+    draws += [rng.getrandbits(30) | rng.getrandbits(30) for _ in range(2_000)]
+    cells, ones = draw_cells(6, draws)
+    strong = _assert_profile_planes_match(6, draws, cells, ones)
+    assert strong == block_planes(6, cells, ones).strong != 0
+
+
+def test_profile_planes_of_no_lane_are_empty():
+    cells, _ones = range_cells(3, 0, 6)
+    assert profile_planes(3, cells, 0) == [{}, {}, {}]

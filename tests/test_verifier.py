@@ -198,6 +198,28 @@ def _kappa_plane_off_by_one(monkeypatch):
     monkeypatch.setattr(masks_mod, "kappa_planes", skewed)
 
 
+def _profile_planes_skewed(monkeypatch):
+    """The profile planes move the complete digraph's lanes at source 0.
+
+    They go from profile (1, n - 1) to (1, n - 2, 1). The complete digraph
+    is Eulerian and on the chain stride at n <= 4, so ``profile_vectors``
+    must catch it.
+    """
+    import dgr.masks as masks_mod
+
+    real = masks_mod.profile_planes
+
+    def skewed(n, cells, lanes_in):
+        groups = real(n, cells, lanes_in)
+        complete = _complete_lanes(cells, lanes_in)
+        if complete:
+            groups[0][(1, n - 1)] ^= complete
+            groups[0][(1, n - 2, 1)] = groups[0].get((1, n - 2, 1), 0) | complete
+        return groups
+
+    monkeypatch.setattr(masks_mod, "profile_planes", skewed)
+
+
 def _every_hit_orbit_min(monkeypatch):
     """The orbit-minimality planes keep every equality hit as a witness.
 
@@ -253,6 +275,8 @@ _CROSSCHECK_CASES = [
         (f"{name}-balanced_plane", name, _balanced_plane_drops)
         for name in ("eulerian_theorem", "enumerate")
     ),
+    # the entry point that decides distance profiles as planes
+    ("eulerian_theorem-profile_planes", "eulerian_theorem", _profile_planes_skewed),
     # the exhaustive entry points that collect witnesses
     *(
         (f"{name}-orbit_min", name, _every_hit_orbit_min)
