@@ -144,7 +144,9 @@ def edge_connectivity(D: Digraph) -> ConnectivityResult:
     """lambda(D): fewest arcs whose removal destroys strongness.
 
     A minimum arc cut separates vertex 0 from some vertex in one of the two
-    directions, so 2(n-1) unit-capacity flow runs suffice.
+    directions, so 2(n-1) unit-capacity flow runs suffice. The mask core's
+    ``lambda_mask`` takes the n cycle pairs instead; these star pairs stay,
+    so that the verifier's object-level cross-check does not share its rule.
     """
     if D.order < 2:
         raise ValueError("edge connectivity needs order >= 2")

@@ -7,27 +7,39 @@ modules, which the verifier cross-checks on a deterministic stride.
 
 Two kernels read masks. The scalar one decodes a single mask into
 out-neighbour rows (``out_rows``) and runs BFS on them (``sigma_vector``,
-``profile_vectors``, ``kappa_mask`` ...); ``is_balanced`` counts degrees
-on the mask itself. The block kernel decides up to 2**14 masks at once by
-bit-slicing: each arc cell becomes a plane, a Python int whose bit i is
-that cell's bit in lane i. ``range_cells`` builds the planes of an
-aligned block of consecutive masks (lane i is ``base + i``; cells below
-the block width follow fixed lane patterns, the others are constant), and
-``draw_cells`` transposes an arbitrary list of masks (lane i is the
-i-th draw). On either, integer AND/OR/XOR run one BFS per source vertex
-for every lane together: ``block_planes`` gives strongness, balance,
-sigma_max and size, ``kappa_planes`` splits the strong lanes by vertex
-connectivity, ``profile_planes`` splits them by each source's distance
-profile, and ``orbit_min_planes`` keeps the lanes whose mask is the
-least of its relabellings, the orbit-minimal witnesses of a sweep's
-equality hits. Per-lane numbers are bit-sliced counters: a list of planes,
-least significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
+``profile_vectors``, ``kappa_mask`` ...); ``is_balanced`` and
+``min_semidegree_mask`` count degrees on the mask itself. The block kernel
+decides up to 2**14 masks at once by bit-slicing: each arc cell becomes a
+plane, a Python int whose bit i is that cell's bit in lane i.
+``range_cells`` builds the planes of an aligned block of consecutive masks
+(lane i is ``base + i``; cells below the block width follow fixed lane
+patterns, the others are constant), and ``draw_cells`` transposes an
+arbitrary list of masks (lane i is the i-th draw). On either, integer
+AND/OR/XOR run one BFS per source vertex for every lane together:
+``block_planes`` gives strongness, balance, sigma_max and size,
+``kappa_planes`` splits the strong lanes by vertex connectivity,
+``profile_planes`` splits them by each source's distance profile, and
+``orbit_min_planes`` keeps the lanes whose mask is the least of its
+relabellings, the orbit-minimal witnesses of a sweep's equality hits.
+Per-lane numbers are bit-sliced counters: a list of planes, least
+significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 
 ``canonical_mask`` gives a digraph's canonical form, the least mask over
 all n! vertex relabellings, at every order up to 8 by one path: a table
 built once per order holds each relabelling's image bit of every cell, and
-a mask's image is the sum of the image bits of its arcs. It is the oracle
-of ``orbit_min_planes``, so the two read separate tables.
+a mask's image is the sum of the image bits of its arcs. ``is_canonical``
+walks the same images and stops at the first one smaller than the mask.
+Both are the oracle of ``orbit_min_planes``, so they read separate tables.
+
+The scalar oracle's chain check kappa <= lambda <= min semidegree is kept
+cheap. ``lambda_mask`` is the least of the n unit flows from v to
+v + 1 mod n (Schnorr's cyclic rule: every nonempty proper vertex set S
+holds some v whose successor is outside S, and that pair's flow is at most
+the arcs leaving S), each capped at the least value found so far, which
+cannot change the minimum. ``connectivity.edge_connectivity`` keeps the
+star pairs through vertex 0, so the two lambda paths share no pair rule.
+``min_semidegree_mask`` counts degrees by popcounts of the mask, as
+``is_balanced`` does.
 """
 
 from __future__ import annotations
@@ -35,8 +47,8 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import combinations, permutations, zip_longest
-from operator import itemgetter
+from itertools import combinations, permutations, repeat, zip_longest
+from operator import gt, itemgetter
 from typing import Iterator, NamedTuple
 
 from .core import Digraph
@@ -524,59 +536,77 @@ def kappa_mask(rows: list[int], n: int, full: int) -> int:
     return n - 1
 
 
-def _unit_flow(rows: list[int], s: int, t: int, n: int) -> int:
-    """Max s-t flow with unit arc capacities, by BFS augmentation."""
+def _unit_flow(rows: list[int], s: int, t: int, cap: int) -> int:
+    """Max s-t flow with unit arc capacities, by BFS augmentation, capped at ``cap``.
+
+    Stops as soon as the flow reaches ``cap``, so the result is
+    ``min(flow, cap)``: a caller after a minimum over several pairs loses
+    nothing by capping each flow at the least value found so far. Each
+    augmenting path is traced back through the BFS layers, from t to an
+    in-neighbour in the layer before, down to s.
+    """
     res = rows[:]
+    target = 1 << t
     flow = 0
-    while True:
-        parent = [-1] * n
-        parent[s] = s
-        frontier = 1 << s
-        seen = 1 << s
-        while frontier and parent[t] < 0:
+    while flow < cap:
+        layers = []
+        seen = frontier = 1 << s
+        while frontier and not seen & target:
+            layers.append(frontier)
             nxt = 0
             f = frontier
             while f:
                 b = f & -f
-                u = b.bit_length() - 1
+                nxt |= res[b.bit_length() - 1]
                 f ^= b
-                new = res[u] & ~seen
-                x = new
-                while x:
-                    bb = x & -x
-                    parent[bb.bit_length() - 1] = u
-                    x ^= bb
-                seen |= new
-                nxt |= new
-            frontier = nxt
-        if parent[t] < 0:
+            frontier = nxt & ~seen
+            seen |= frontier
+        if not seen & target:
             return flow
         v = t
-        while v != s:
-            u = parent[v]
-            res[u] &= ~(1 << v)
-            res[v] |= 1 << u
+        for layer in reversed(layers):
+            while True:
+                b = layer & -layer
+                u = b.bit_length() - 1
+                if res[u] >> v & 1:
+                    break
+                layer ^= b
+            res[u] ^= 1 << v
+            res[v] |= b
             v = u
         flow += 1
+    return flow
 
 
 def lambda_mask(rows: list[int], n: int) -> int:
-    """Edge connectivity; assumes a strong digraph of order >= 2."""
-    best = None
-    for v in range(1, n):
-        for s, t in ((0, v), (v, 0)):
-            value = _unit_flow(rows, s, t, n)
-            if best is None or value < best:
-                best = value
-                if best == 1:
-                    return 1
+    """Edge connectivity; assumes a strong digraph of order >= 2.
+
+    The minimum of the n flows from v to v + 1 mod n (Schnorr's cyclic
+    rule): every nonempty proper vertex set S holds some v with v + 1 mod n
+    outside it, so that pair's flow is at most the arcs leaving S, and no
+    flow is below lambda. Each flow is capped at the least value so far,
+    starting from n - 1, which no flow exceeds, and a flow of 1 ends the
+    search at once. ``connectivity.edge_connectivity`` keeps the 2(n - 1)
+    star pairs through vertex 0, so the object-level oracle does not share
+    this pair rule.
+    """
+    best = n - 1
+    for v in range(n):
+        best = _unit_flow(rows, v, (v + 1) % n, best)
+        if best == 1:
+            break
     return best
 
 
-def min_semidegree_mask(rows: list[int], n: int) -> int:
-    in_rows = transpose_rows(rows, n)
+def min_semidegree_mask(mask: int, n: int) -> int:
+    """Least in- or out-degree, by popcounts of the mask's degree cells.
+
+    Each vertex's out-arcs and in-arcs are fixed cell sets
+    (``MaskTables.degree_cells``), as in ``is_balanced``, so no rows are
+    decoded or transposed.
+    """
     return min(
-        min(rows[v].bit_count(), in_rows[v].bit_count()) for v in range(n)
+        (mask & cells).bit_count() for pair in tables_for(n).degree_cells for cells in pair
     )
 
 
@@ -588,8 +618,8 @@ def _cell_images(n: int) -> tuple[tuple[int, ...], ...]:
     so the image of a mask under p is the sum of the entries of its arcs:
     the bits are distinct, so the sum is their OR. The n(n-1) bit ints are
     shared by all n! rows, so a row costs a pointer per cell (20 MB at n=8).
-    The trailing 0, which adds nothing to an image, lets ``canonical_mask``
-    pick a tuple out of a row for every mask.
+    The trailing 0, which adds nothing to an image, lets ``_images`` pick a
+    tuple out of a row for every mask.
     """
     t = tables_for(n)
     bits = [1 << k for k in range(t.num_cells)]
@@ -599,15 +629,30 @@ def _cell_images(n: int) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def canonical_mask(n: int, mask: int) -> int:
-    """Minimum arc mask over all n! vertex relabellings (order <= 8)."""
+def _images(n: int, mask: int) -> Iterator[int]:
+    """The mask's image under every vertex relabelling, identity first (order <= 8)."""
     if n > CANONICAL_MAX_ORDER:
         raise ValueError(f"canonical form limited to order <= {CANONICAL_MAX_ORDER}")
-    images = _cell_images(n)
     arcs = [k for k in range(n * (n - 1)) if mask >> k & 1]
     # two reads of the trailing 0 keep every pick a tuple, even of no arc
     pick = itemgetter(*arcs, -1, -1)
-    return min(map(sum, map(pick, images)))
+    return map(sum, map(pick, _cell_images(n)))
+
+
+def canonical_mask(n: int, mask: int) -> int:
+    """Minimum arc mask over all n! vertex relabellings (order <= 8)."""
+    return min(_images(n, mask))
+
+
+def is_canonical(n: int, mask: int) -> bool:
+    """``canonical_mask(n, mask) == mask``, stopping at the first smaller image.
+
+    Reads the same images as ``canonical_mask``, in the same order. A mask
+    that is not its canonical form usually has a smaller image among the
+    first relabellings, so the search rarely runs through all n!; a
+    canonical mask still needs every image.
+    """
+    return not any(map(gt, repeat(mask), _images(n, mask)))
 
 
 @lru_cache(maxsize=None)

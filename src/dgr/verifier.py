@@ -25,9 +25,9 @@ scalar decode is the kernel's oracle on the stride lanes, which
 builds on them the maps the kernel yields (strong and balanced planes,
 value-to-plane maps of m, sigma_max and kappa, and in the Eulerian theorem
 each source's map from distance profile to plane), which must equal the
-kernel's; on the chain-stride equality hits ``canonical_mask`` must
+kernel's; on the chain-stride equality hits ``masks.is_canonical`` must
 agree with the orbit-minimality planes, and every witness they keep must
-be its own canonical form.
+pass it.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -437,7 +437,7 @@ def _members(
             # satisfy kappa <= lambda <= min semidegree
             if i in kappa_of and i in on_chain:
                 lam_of[i] = lam = lam_of.get(i) or masks.lambda_mask(rows[i], n)
-                semi = masks.min_semidegree_mask(rows[i], n)
+                semi = masks.min_semidegree_mask(seq[i], n)
                 assert kappa_of[i] <= lam <= semi, (seq[i], kappa_of[i], lam, semi)
             if i in on_objects:
                 kap = kappa_of.get(i) if i in on_chain or need_kappa else None
@@ -535,8 +535,8 @@ def _witnesses(
     holds the lex-min labeling of every class it hits: keeping only the
     orbit-minimal hits, decided as planes on the batch's own block, yields
     the canonical forms of all hits. On the chain stride (every hit at
-    n <= 4) the plane bit must equal ``canonical_mask``'s verdict; every
-    kept witness, on the stride or not, must be its own ``canonical_mask``.
+    n <= 4) the plane bit must equal ``masks.is_canonical``'s verdict;
+    every kept witness, on the stride or not, must pass it.
     A sample need not hold an orbit's minimum; its hits are canonicalised
     lane by lane.
     """
@@ -549,11 +549,11 @@ def _witnesses(
     minimal = masks.orbit_min_planes(n, cells, hits)
     for i in _pull(_stride_planes(n, seq[0], width, hits)[0], stats):
         mask = seq[i]
-        assert (minimal >> i) & 1 == (masks.canonical_mask(n, mask) == mask), mask
+        assert (minimal >> i) & 1 == masks.is_canonical(n, mask), mask
     forms = {}
     for i in _pull(minimal, stats):
         mask = forms[i] = seq[i]
-        assert masks.canonical_mask(n, mask) == mask, mask
+        assert masks.is_canonical(n, mask), mask
     return forms
 
 

@@ -129,7 +129,7 @@ N5_LAMBDA_STATS = {
 # work counters of the Eulerian size theorem. Distance profiles are decided
 # as planes, so the theorem pulls lanes out only for witnesses: at n = 4
 # every lane is on the chain stride, so its 31 equality hits are pulled for
-# the canonical_mask oracle, then its 4 orbit-minimal ones; at n = 5 none of
+# the is_canonical oracle, then its 4 orbit-minimal ones; at n = 5 none of
 # the 241 hits is on the chain stride and the 7 orbit-minimal ones are pulled.
 EULERIAN_THEOREM_STATS = {
     4: {

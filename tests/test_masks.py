@@ -3,14 +3,19 @@ from itertools import permutations
 
 import pytest
 
+from dgr.connectivity import edge_connectivity, min_semidegree
 from dgr.masks import (
     block_planes,
     canonical_mask,
+    digraph_of_mask,
     draw_cells,
     is_balanced,
+    is_canonical,
     kappa_mask,
     kappa_planes,
+    lambda_mask,
     lanes,
+    min_semidegree_mask,
     orbit_min_planes,
     profile_planes,
     profile_vectors,
@@ -20,6 +25,8 @@ from dgr.masks import (
     transpose_rows,
     value_planes,
 )
+
+from oracles import brute_edge_connectivity
 
 # OEIS A000273 (digraphs), A035512 (strong digraphs), A003030 (labeled
 # strong digraphs), orders 1..4
@@ -316,3 +323,97 @@ def test_profile_planes_match_profile_vectors_on_a_sampled_order6_batch():
 def test_profile_planes_of_no_lane_are_empty():
     cells, _ones = range_cells(3, 0, 6)
     assert profile_planes(3, cells, 0) == [{}, {}, {}]
+
+
+def _assert_lambda_mask_agrees(n, draws):
+    """``lambda_mask`` against arc-set removal and the object-level flows.
+
+    Returns the lambda values seen.
+    """
+    t = tables_for(n)
+    seen = set()
+    for mask in draws:
+        lam = lambda_mask(t.out_rows(mask), n)
+        D = digraph_of_mask(n, mask)
+        assert lam == brute_edge_connectivity(n, D.arcs) == edge_connectivity(D).value, mask
+        seen.add(lam)
+    return seen
+
+
+def _strong_draws(n, rng, count, dense):
+    """Seeded strong masks: uniform draws, or with about three arcs in four."""
+    t = tables_for(n)
+    draws = []
+    while len(draws) < count:
+        mask = rng.getrandbits(t.num_cells)
+        if dense:
+            mask |= rng.getrandbits(t.num_cells)
+        if sigma_vector(t.out_rows(mask), n, t.full) is not None:
+            draws.append(mask)
+    return draws
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_lambda_mask_matches_both_oracles_on_every_strong_mask(n):
+    t = tables_for(n)
+    strong = [m for m in range(t.mask_count) if sigma_vector(t.out_rows(m), n, t.full) is not None]
+    assert len(strong) == LABELED_STRONG[n - 1]
+    assert _assert_lambda_mask_agrees(n, strong) == set(range(1, n))
+
+
+@pytest.mark.parametrize("n, uniform, dense", [(5, 1_000, 1_000), (6, 2_000, 200)])
+def test_lambda_mask_matches_both_oracles_on_drawn_strong_masks(n, uniform, dense):
+    # the dense draws reach lambda 3 and 4; arc-set removal is slow on them
+    # at n = 6, so fewer are drawn there
+    rng = random.Random(n)
+    draws = _strong_draws(n, rng, uniform, False) + _strong_draws(n, rng, dense, True)
+    assert _assert_lambda_mask_agrees(n, draws) == {1, 2, 3, 4}
+
+
+def test_lambda_mask_of_complete_digraphs_is_n_minus_1():
+    # every cycle-pair flow is n - 1; a flow of 1 cannot end the search early
+    for n in range(2, 8):
+        t = tables_for(n)
+        assert lambda_mask(t.out_rows(t.mask_count - 1), n) == n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_min_semidegree_mask_matches_the_object_level_on_every_mask(n):
+    for mask in range(tables_for(n).mask_count):
+        assert min_semidegree_mask(mask, n) == min_semidegree(digraph_of_mask(n, mask)), mask
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_min_semidegree_mask_matches_the_object_level_on_drawn_masks(n):
+    rng = random.Random(n)
+    t = tables_for(n)
+    draws = [rng.getrandbits(t.num_cells) for _ in range(1_000)]
+    draws += [d | rng.getrandbits(t.num_cells) for d in draws]
+    draws += [t.mask_count - 1]
+    values = [min_semidegree_mask(mask, n) for mask in draws]
+    assert values == [min_semidegree(digraph_of_mask(n, mask)) for mask in draws]
+    assert values[-1] == n - 1
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_is_canonical_matches_canonical_mask_on_every_mask(n):
+    verdicts = [is_canonical(n, mask) for mask in range(tables_for(n).mask_count)]
+    assert verdicts == [canonical_mask(n, mask) == mask for mask in range(len(verdicts))]
+    assert sum(verdicts) == DIGRAPHS[n - 1]
+
+
+@pytest.mark.parametrize("n, draws", [(5, 400), (6, 60), (7, 8)])
+def test_is_canonical_matches_canonical_mask_on_drawn_masks(n, draws):
+    # each draw and its canonical form, so that both verdicts occur
+    rng = random.Random(n)
+    t = tables_for(n)
+    masks = [rng.getrandbits(t.num_cells) for _ in range(draws)]
+    masks += [canonical_mask(n, mask) for mask in masks]
+    verdicts = [is_canonical(n, mask) for mask in masks]
+    assert verdicts == [canonical_mask(n, mask) == mask for mask in masks]
+    assert all(verdicts[draws:]) and not all(verdicts[:draws])
+
+
+def test_is_canonical_rejects_orders_above_8():
+    with pytest.raises(ValueError, match="order <= 8"):
+        is_canonical(9, 0)

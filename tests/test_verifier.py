@@ -122,6 +122,20 @@ def _lambda_is_zero(monkeypatch):
     monkeypatch.setattr(masks_mod, "lambda_mask", lambda rows, n: 0)
 
 
+def _lambda_above_semidegree(monkeypatch):
+    """lambda = n breaks lambda <= min semidegree on every chain-stride candidate."""
+    import dgr.masks as masks_mod
+
+    monkeypatch.setattr(masks_mod, "lambda_mask", lambda rows, n: n)
+
+
+def _semidegree_is_zero(monkeypatch):
+    """A min semidegree of 0 breaks lambda <= min semidegree, as lambda >= 1."""
+    import dgr.masks as masks_mod
+
+    monkeypatch.setattr(masks_mod, "min_semidegree_mask", lambda mask, n: 0)
+
+
 def _transmission_off_by_one(monkeypatch):
     """The object-level transmissions disagree with the mask core's sigma."""
     import dgr.core as core_mod
@@ -223,7 +237,7 @@ def _profile_planes_skewed(monkeypatch):
 def _every_hit_orbit_min(monkeypatch):
     """The orbit-minimality planes keep every equality hit as a witness.
 
-    Every kept witness must be its own ``canonical_mask``, so any hit that
+    Every kept witness must pass ``is_canonical``, so any hit that
     is not its class's least labeling must trip the witness oracle, at
     n <= 4 and at n = 5, where these sweeps have no hit on the chain stride.
     """
@@ -265,6 +279,11 @@ _CROSSCHECK_CASES = [
     *((f"{name}-size", name, _size_off_by_one) for name in _ENTRY_POINTS),
     *((f"{name}-strong_plane", name, _strong_plane_drops) for name in _ENTRY_POINTS),
     *((f"{name}-lambda_chain", name, _lambda_is_zero) for name in _ENTRY_POINTS),
+    *(
+        (f"{name}-lambda_above_semidegree", name, _lambda_above_semidegree)
+        for name in _ENTRY_POINTS
+    ),
+    *((f"{name}-semidegree_chain", name, _semidegree_is_zero) for name in _ENTRY_POINTS),
     # the entry points with a class candidate on the object stride
     *(
         (f"{name}-object_level", name, _transmission_off_by_one)
@@ -409,7 +428,7 @@ class TestSweepStats:
         # 2**20 masks in 64 blocks of 2**14; 10,382 + 1,039 - 10 stride lanes
         # (mask % 101 == 0 or mask % 1009 == 0); all 96,275 equality lanes
         # decided as planes, then pulled out: the 939 on the chain stride
-        # (mask % 101 == 0) for the canonical_mask oracle, and the 813
+        # (mask % 101 == 0) for the is_canonical oracle, and the 813
         # orbit-minimal witnesses
         expected = {
             "masks": 1 << 20,
