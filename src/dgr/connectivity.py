@@ -3,6 +3,16 @@
 Both connectivities are computed via unit-capacity max-flow (Menger), which
 suffices at desk scale and yields an explicit minimum cut as a witness.
 Non-strong inputs are an error: neither invariant is defined for them here.
+
+Each invariant builds one flow network per digraph and runs every vertex
+pair's flow on a copy of its capacities. Each flow is capped at the least
+value found so far: a pair that reaches the cap cannot lower the minimum,
+and a pair below it runs to completion, so its residual network gives the
+minimum cut that an uncapped flow would. The first pair at the minimum
+therefore gives the witness, as with a separate network per pair. In the
+vertex-split network of kappa no flow uses the split arc of its own source
+or sink (the search starts past the first and stops before the second), so
+one network with unit split arcs serves every pair.
 """
 
 from __future__ import annotations
@@ -27,47 +37,57 @@ class ConnectivityResult:
 
 
 class _FlowNetwork:
-    """Tiny Edmonds-Karp max-flow on integer capacities."""
+    """Tiny Edmonds-Karp max-flow on integer capacities.
+
+    ``max_flow`` works on a copy of the capacities, so one network serves
+    every (s, t) pair of a digraph.
+    """
 
     def __init__(self, n_nodes: int):
         self.n = n_nodes
-        self.cap: dict[tuple[int, int], int] = {}
+        self.cap: list[list[int]] = [[0] * n_nodes for _ in range(n_nodes)]
         self.adj: list[list[int]] = [[] for _ in range(n_nodes)]
 
     def add_edge(self, u: int, v: int, capacity: int) -> None:
-        if (u, v) not in self.cap:
-            self.cap[(u, v)] = 0
-            self.cap[(v, u)] = self.cap.get((v, u), 0)
+        if v not in self.adj[u]:
             self.adj[u].append(v)
             self.adj[v].append(u)
-        self.cap[(u, v)] += capacity
+        self.cap[u][v] += capacity
 
-    def max_flow(self, s: int, t: int) -> int:
-        cap = dict(self.cap)
+    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+        """The maximum s-t flow, or ``limit`` once the flow reaches it.
+
+        That is min(max flow, limit). A flow that stops below ``limit``
+        has run to completion, so ``min_cut_side`` then gives a minimum cut.
+        """
+        cap = [row[:] for row in self.cap]
+        adj = self.adj
         total = 0
-        while True:
-            parent = {s: s}
-            queue = deque([s])
-            while queue and t not in parent:
-                u = queue.popleft()
-                for v in self.adj[u]:
-                    if v not in parent and cap[(u, v)] > 0:
+        while limit is None or total < limit:
+            parent = [-1] * self.n
+            parent[s] = s
+            queue = [s]  # breadth first: the loop reads what it appends
+            for u in queue:
+                row = cap[u]
+                for v in adj[u]:
+                    if parent[v] < 0 and row[v] > 0:
                         parent[v] = u
                         queue.append(v)
-            if t not in parent:
+                if parent[t] >= 0:
+                    break
+            if parent[t] < 0:
                 break
-            bottleneck = None
+            bottleneck = limit - total if limit is not None else cap[parent[t]][t]
             v = t
             while v != s:
                 u = parent[v]
-                c = cap[(u, v)]
-                bottleneck = c if bottleneck is None else min(bottleneck, c)
+                bottleneck = min(bottleneck, cap[u][v])
                 v = u
             v = t
             while v != s:
                 u = parent[v]
-                cap[(u, v)] -= bottleneck
-                cap[(v, u)] += bottleneck
+                cap[u][v] -= bottleneck
+                cap[v][u] += bottleneck
                 v = u
             total += bottleneck
         self._residual = cap
@@ -82,30 +102,24 @@ class _FlowNetwork:
         while queue:
             u = queue.popleft()
             for v in self.adj[u]:
-                if v not in seen and cap[(u, v)] > 0:
+                if v not in seen and cap[u][v] > 0:
                     seen.add(v)
                     queue.append(v)
         return seen
 
 
-def _vertex_cut_flow(D: Digraph, s: int, t: int) -> tuple[int, frozenset[int]]:
-    """Minimum s-t vertex cut via the standard vertex-split network."""
-    n = D.order
-    big = n + 1
-    net = _FlowNetwork(2 * n)
-    # in(v) = 2v, out(v) = 2v + 1
-    for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, big if v in (s, t) else 1)
-    for u, v in D.arcs:
-        net.add_edge(2 * u + 1, 2 * v, big)
-    value = net.max_flow(2 * s + 1, 2 * t)
-    side = net.min_cut_side()
-    cut = frozenset(v for v in range(n) if 2 * v in side and 2 * v + 1 not in side)
-    return value, cut
-
-
 def vertex_connectivity(D: Digraph) -> ConnectivityResult:
     """kappa(D): fewest vertices whose removal destroys strongness.
+
+    The least s-t vertex cut over the ordered pairs (s, t) with no arc
+    s -> t, as a max flow from out(s) to in(t) in one vertex-split network:
+    in(v) = 2v, out(v) = 2v + 1, a split arc in(v) -> out(v) of capacity 1
+    for every vertex, and an arc out(u) -> in(v) of capacity n + 1 for every
+    arc uv. The split arcs of s and t never carry flow: the search starts
+    at out(s), past s's split arc, and stops on reaching in(t), before t's.
+    So they need not be widened per pair. Each flow stops at the least
+    value found so far, and the first pair at the minimum gives the
+    witness.
 
     The complete digraph has no vertex cut; by convention it reports
     n - 1 with an empty witness.
@@ -115,13 +129,20 @@ def vertex_connectivity(D: Digraph) -> ConnectivityResult:
     if not is_strong(D):
         raise NotStrongError("vertex connectivity is defined for strong digraphs only")
     n = D.order
+    net = _FlowNetwork(2 * n)
+    for v in range(n):
+        net.add_edge(2 * v, 2 * v + 1, 1)
+    for u, v in D.arcs:
+        net.add_edge(2 * u + 1, 2 * v, n + 1)
     best: tuple[int, frozenset[int]] | None = None
     for s in range(n):
         for t in range(n):
             if s == t or D.has_arc(s, t):
                 continue
-            value, cut = _vertex_cut_flow(D, s, t)
+            value = net.max_flow(2 * s + 1, 2 * t, None if best is None else best[0])
             if best is None or value < best[0]:
+                side = net.min_cut_side()
+                cut = frozenset(v for v in range(n) if 2 * v in side and 2 * v + 1 not in side)
                 best = (value, cut)
                 if value == 1:
                     return ConnectivityResult(1, cut)
@@ -130,21 +151,13 @@ def vertex_connectivity(D: Digraph) -> ConnectivityResult:
     return ConnectivityResult(best[0], best[1])
 
 
-def _arc_cut_flow(D: Digraph, s: int, t: int) -> tuple[int, frozenset[tuple[int, int]]]:
-    net = _FlowNetwork(D.order)
-    for u, v in D.arcs:
-        net.add_edge(u, v, 1)
-    value = net.max_flow(s, t)
-    side = net.min_cut_side()
-    cut = frozenset((u, v) for u, v in D.arcs if u in side and v not in side)
-    return value, cut
-
-
 def edge_connectivity(D: Digraph) -> ConnectivityResult:
     """lambda(D): fewest arcs whose removal destroys strongness.
 
     A minimum arc cut separates vertex 0 from some vertex in one of the two
-    directions, so 2(n-1) unit-capacity flow runs suffice. The mask core's
+    directions, so 2(n-1) unit-capacity flow runs suffice, all on one
+    network of D's arcs. Each flow stops at the least value found so far,
+    and the first pair at the minimum gives the witness. The mask core's
     ``lambda_mask`` takes the n cycle pairs instead; these star pairs stay,
     so that the verifier's object-level cross-check does not share its rule.
     """
@@ -152,11 +165,16 @@ def edge_connectivity(D: Digraph) -> ConnectivityResult:
         raise ValueError("edge connectivity needs order >= 2")
     if not is_strong(D):
         raise NotStrongError("edge connectivity is defined for strong digraphs only")
+    net = _FlowNetwork(D.order)
+    for u, v in D.arcs:
+        net.add_edge(u, v, 1)
     best: tuple[int, frozenset[tuple[int, int]]] | None = None
     for v in range(1, D.order):
         for s, t in ((0, v), (v, 0)):
-            value, cut = _arc_cut_flow(D, s, t)
+            value = net.max_flow(s, t, None if best is None else best[0])
             if best is None or value < best[0]:
+                side = net.min_cut_side()
+                cut = frozenset((a, b) for a, b in D.arcs if a in side and b not in side)
                 best = (value, cut)
                 if value == 1:
                     return ConnectivityResult(1, cut)

@@ -175,13 +175,26 @@ def distances_from(D: Digraph, v: int) -> list[Optional[int]]:
     return dist
 
 
+def _reaches_every_vertex(succ: tuple[tuple[int, ...], ...]) -> bool:
+    """True iff vertex 0 reaches every vertex along the neighbour lists ``succ``."""
+    seen = [False] * len(succ)
+    seen[0] = True
+    stack = [0]
+    while stack:
+        for w in succ[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                stack.append(w)
+    return all(seen)
+
+
 def is_strong(D: Digraph) -> bool:
-    """True iff every ordered vertex pair is joined by a directed path."""
-    if D.order == 1:
-        return True
-    if None in distances_from(D, 0):
-        return False
-    return None not in distances_from(D.reverse(), 0)
+    """True iff every ordered vertex pair is joined by a directed path.
+
+    That is, vertex 0 reaches every vertex along the out-lists and along
+    the in-lists; no reversed digraph is built.
+    """
+    return _reaches_every_vertex(D.out_lists) and _reaches_every_vertex(D.in_lists)
 
 
 def transmission(D: Digraph, v: int) -> int:
@@ -201,15 +214,20 @@ def avg_distance(D: Digraph, v: int) -> Fraction:
 
 
 def remoteness(D: Digraph) -> tuple[Fraction, int]:
-    """Maximum average distance and the smallest vertex attaining it."""
+    """Maximum average distance and the smallest vertex attaining it.
+
+    One BFS per vertex: D is strong iff every vertex reaches every other,
+    so the first unreachable entry raises ``NotStrongError``.
+    """
     if D.order < 2:
         raise ValueError("remoteness needs order >= 2")
-    if not is_strong(D):
-        raise NotStrongError("remoteness is defined for strong digraphs only")
     best = -1
     witness = 0
     for v in range(D.order):
-        sigma = transmission(D, v)
+        dist = distances_from(D, v)
+        if None in dist:
+            raise NotStrongError("remoteness is defined for strong digraphs only")
+        sigma = sum(dist)  # type: ignore[arg-type]
         if sigma > best:
             best = sigma
             witness = v

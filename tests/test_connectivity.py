@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from dgr import (
     min_semidegree,
     vertex_connectivity,
 )
+from dgr.connectivity import _FlowNetwork
 from dgr.masks import digraph_of_mask
 
 from conftest import connected_graphs, strong_digraphs
@@ -25,6 +29,7 @@ from oracles import (
     strong_mask_flags,
 )
 from test_core import dpk_2121
+from test_masks import _strong_draws
 
 
 class TestVertexConnectivity:
@@ -140,3 +145,101 @@ class TestWhitneyChain:
         for mask in rng.sample(strong_masks, 400):
             D = digraph_of_mask(5, mask)
             assert vertex_connectivity(D).value == brute_vertex_connectivity(D.order, D.arcs)
+
+
+def _clrs_network():
+    """Cormen et al.'s textbook flow network: max flow 23 from 0 to 5.
+
+    Arc 2 -> 1 is added in two halves, and arc 1 -> 2 runs against it.
+    """
+    net = _FlowNetwork(6)
+    for u, v, c in [
+        (0, 1, 16), (0, 2, 13), (1, 2, 10), (2, 1, 2), (2, 1, 2), (1, 3, 12),
+        (2, 4, 14), (3, 2, 9), (3, 5, 20), (4, 3, 7), (4, 5, 4),
+    ]:
+        net.add_edge(u, v, c)
+    return net
+
+
+def _split_network():
+    """The vertex-split network of the bidirected 4-cycle, as kappa builds it."""
+    net = _FlowNetwork(8)
+    for v in range(4):
+        net.add_edge(2 * v, 2 * v + 1, 1)
+    for v in range(4):
+        for w in ((v + 1) % 4, (v - 1) % 4):
+            net.add_edge(2 * v + 1, 2 * w, 5)
+    return net
+
+
+def _cut_capacity(net, side):
+    return sum(net.cap[u][v] for u in side for v in range(net.n) if v not in side)
+
+
+@pytest.mark.parametrize("build", [_clrs_network, _split_network])
+def test_max_flow_is_the_least_cut_capped_at_the_limit(build):
+    net = build()
+    nodes = range(net.n)
+    seen = set()
+    for s in nodes:
+        for t in nodes:
+            if s == t:
+                continue
+            # max-flow min-cut: the least capacity of a cut with s in, t out
+            rest = [v for v in nodes if v not in (s, t)]
+            least = min(
+                _cut_capacity(net, {s, *combo})
+                for k in range(len(rest) + 1)
+                for combo in combinations(rest, k)
+            )
+            seen.add(least)
+            for limit in (None, *range(least + 2)):
+                value = net.max_flow(s, t, limit)
+                assert value == (least if limit is None else min(least, limit)), (s, t, limit)
+                if limit is None or value < limit:
+                    # the flow ran to completion: its residual gives a least cut
+                    side = net.min_cut_side()
+                    assert s in side and t not in side
+                    assert _cut_capacity(net, side) == least
+    assert len(seen) >= 3
+    if build is _clrs_network:
+        assert net.max_flow(0, 5) == 23
+
+
+def _connectivity_digest(n, mask_seq):
+    """sha256 over (mask, kappa, sorted kappa cut, lambda, sorted lambda cut) rows."""
+    digest = hashlib.sha256()
+    for mask in mask_seq:
+        D = digraph_of_mask(n, mask)
+        kappa, lam = vertex_connectivity(D), edge_connectivity(D)
+        row = [mask, kappa.value, sorted(kappa.witness_cut), lam.value, sorted(lam.witness_cut)]
+        digest.update(json.dumps(row).encode() + b"\n")
+    return digest.hexdigest()
+
+
+# recorded with the per-pair networks that the shared, capped network
+# replaced: the values and the witness cuts, which the CLI prints
+_EVERY_STRONG_MASK_DIGESTS = {
+    2: "9aa468604c45ff936a929ab8a4f265c7df4d035d10dc3e573f2fc9dfea6a1709",
+    3: "481a084d9314df2c49048565534b977238e05ebb533412dec950c8c785b1c372",
+    4: "b24a1622919f7eab2812c785d10e82cf7b82a5765ba381408d082e2ac8d41a61",
+}
+_DRAWN_STRONG_MASK_DIGESTS = {
+    5: "2beeb7de3032641acc237ef42003b1b025ee251650b34e61771dc35b8b50cda5",
+    6: "ebbcb78d50d03d5070f76edf98884dc2f4775d7f53c3c03ab45e3e4e8e5248fe",
+}
+
+
+@pytest.mark.parametrize("n", sorted(_EVERY_STRONG_MASK_DIGESTS))
+def test_results_and_witness_cuts_pinned_on_every_strong_mask(n):
+    flags = strong_mask_flags(n)
+    strong = [mask for mask in range(len(flags)) if flags[mask]]
+    assert _connectivity_digest(n, strong) == _EVERY_STRONG_MASK_DIGESTS[n]
+
+
+@pytest.mark.parametrize("n", sorted(_DRAWN_STRONG_MASK_DIGESTS))
+def test_results_and_witness_cuts_pinned_on_drawn_strong_masks(n):
+    # 1,000 uniform and 1,000 dense (about three arcs in four) strong draws
+    rng = random.Random(1000 + n)
+    draws = _strong_draws(n, rng, 1_000, False) + _strong_draws(n, rng, 1_000, True)
+    assert _connectivity_digest(n, draws) == _DRAWN_STRONG_MASK_DIGESTS[n]

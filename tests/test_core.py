@@ -26,9 +26,10 @@ from dgr import (
     transmission,
     underlying_graph,
 )
+from dgr.masks import digraph_of_mask
 
 from conftest import connected_graphs, digraphs, strong_digraphs
-from oracles import floyd_warshall, is_strong_oracle
+from oracles import floyd_warshall, is_strong_oracle, strong_mask_flags
 
 # The worked 6-vertex family member (kappa=2, one middle block, a=2, b=1),
 # written out arc by arc from its definition: blocks {0}, {1,2}, {3,4}, {5};
@@ -90,6 +91,13 @@ class TestStrongness:
     @given(digraphs())
     def test_matches_oracle(self, D):
         assert is_strong(D) == is_strong_oracle(D.order, D.arcs)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_oracle_on_every_mask(self, n):
+        flags = strong_mask_flags(n)
+        for mask in range(len(flags)):
+            D = digraph_of_mask(n, mask)
+            assert is_strong(D) == is_strong_oracle(n, D.arcs) == flags[mask], mask
 
 
 class TestDistances:
@@ -170,6 +178,19 @@ class TestAvgAndRemoteness:
     def test_remoteness_requires_strong(self):
         with pytest.raises(NotStrongError):
             remoteness(build_digraph(3, [(0, 1), (1, 2)]))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_remoteness_rejects_every_non_strong_mask(self, n):
+        flags = strong_mask_flags(n)
+        rejected = 0
+        for mask in range(len(flags)):
+            if flags[mask]:
+                continue
+            with pytest.raises(NotStrongError) as info:
+                remoteness(digraph_of_mask(n, mask))
+            assert str(info.value) == "remoteness is defined for strong digraphs only"
+            rejected += 1
+        assert rejected == (3, 46)[n - 2]
 
     def test_remoteness_order_one_undefined(self):
         with pytest.raises(ValueError):

@@ -98,6 +98,40 @@ class TestCLI:
         assert run(["compute", "--input", path, "--invariant", "eulerian"]) == 0
         assert capsys.readouterr().out == "true\n"
 
+    @pytest.mark.parametrize(
+        "digraph, invariant, fmt, expected",
+        [
+            (dpk_2121, "kappa", "text", "2 (witness cut: [1, 2])\n"),
+            (dpk_2121, "kappa", "json",
+             '{"invariant": "kappa", "value": 2, "witness_cut": [1, 2]}\n'),
+            (dpk_2121, "lambda", "text", "2 (witness cut: [(0, 1), (0, 2)])\n"),
+            (dpk_2121, "lambda", "json",
+             '{"invariant": "lambda", "value": 2, "witness_cut": [[0, 1], [0, 2]]}\n'),
+            (lambda: directed_cycle(4), "kappa", "text", "1 (witness cut: [1])\n"),
+            (lambda: directed_cycle(4), "kappa", "json",
+             '{"invariant": "kappa", "value": 1, "witness_cut": [1]}\n'),
+            (lambda: directed_cycle(4), "lambda", "text", "1 (witness cut: [(0, 1)])\n"),
+            (lambda: directed_cycle(4), "lambda", "json",
+             '{"invariant": "lambda", "value": 1, "witness_cut": [[0, 1]]}\n'),
+        ],
+        ids=[
+            f"{name}-{invariant}-{fmt}"
+            for name in ("dpk_2121", "cycle4")
+            for invariant in ("kappa", "lambda")
+            for fmt in ("text", "json")
+        ],
+    )
+    def test_compute_connectivity_output_pinned(
+        self, tmp_path, capsys, digraph, invariant, fmt, expected
+    ):
+        # the witness cut is part of the output; these bytes were recorded
+        # with the per-pair flow networks
+        path = tmp_path / "d.edges"
+        path.write_text(digraph_to_edge_list(digraph()))
+        args = ["compute", "--input", str(path), "--invariant", invariant, "--format", fmt]
+        assert run(args) == 0
+        assert capsys.readouterr().out == expected
+
     def test_compute_missing_file(self, capsys):
         assert run(["compute", "--input", "/nonexistent.edges", "--invariant", "diam"]) == 2
 

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import random
 
@@ -30,6 +29,7 @@ from dgr.masks import canonical_mask, digraph_of_mask, lanes, mask_of_digraph
 from dgr.verifier import _stride_planes, _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
+import order6_stretches
 from test_core import dpk_2121
 
 
@@ -142,6 +142,27 @@ def _transmission_off_by_one(monkeypatch):
 
     real = core_mod.transmission
     monkeypatch.setattr(core_mod, "transmission", lambda D, v: real(D, v) + 1)
+
+
+def _connectivity_off_by_one(name):
+    """A sabotage: the object-level ``name`` reports one more than its value."""
+
+    def sabotage(monkeypatch):
+        import dgr.connectivity as conn_mod
+
+        real = getattr(conn_mod, name)
+
+        def skewed(D):
+            result = real(D)
+            return conn_mod.ConnectivityResult(result.value + 1, result.witness_cut)
+
+        monkeypatch.setattr(conn_mod, name, skewed)
+
+    return sabotage
+
+
+_object_kappa_off_by_one = _connectivity_off_by_one("vertex_connectivity")
+_object_lambda_off_by_one = _connectivity_off_by_one("edge_connectivity")
 
 
 def _complete_lanes(cells: list[int], lanes_in: int) -> int:
@@ -286,7 +307,12 @@ _CROSSCHECK_CASES = [
     *((f"{name}-semidegree_chain", name, _semidegree_is_zero) for name in _ENTRY_POINTS),
     # the entry points with a class candidate on the object stride
     *(
-        (f"{name}-object_level", name, _transmission_off_by_one)
+        (f"{name}-{case}", name, sabotage)
+        for case, sabotage in (
+            ("object_level", _transmission_off_by_one),
+            ("object_kappa", _object_kappa_off_by_one),
+            ("object_lambda", _object_lambda_off_by_one),
+        )
         for name in ("universal_bounds", "sampled_universal_bounds")
     ),
     # the entry points whose class asks the kernel for a balanced plane
@@ -322,21 +348,6 @@ _ODD_STRETCHES = [
      999, "caa13f2417dc0d2fd366d8f33aae62c0eae9bf802c3dd4652ffe0a1e3df9af2b"),
 ]
 
-
-def _shard_digest(out: dict) -> str:
-    doc = {
-        "instances": out["instances"],
-        "per_bound": {
-            bid: {
-                "skipped": state["skipped"],
-                "violations": sorted(state["violations"]),
-                "equality": sorted(state["equality"]),
-                "by_m": sorted(state["by_m"].items()),
-            }
-            for bid, state in out["per_bound"].items()
-        },
-    }
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
 class TestSharedKernel:
@@ -390,7 +401,22 @@ class TestSharedKernel:
     ):
         out = _sweep_shard((spec, lo, hi, bound_ids))
         assert out["instances"] == instances
-        assert _shard_digest(out) == digest
+        assert order6_stretches.shard_digest(out) == digest
+
+    def test_order6_stretch_script(self, capsys):
+        # stretch 0 (masks 0 .. 2^20 - 1) holds no strong digraph
+        assert order6_stretches.main(["0", "--expect", "0" * 64]) == 1
+        row = json.loads(capsys.readouterr().out)
+        assert (row["instances"], row["stats"]["stride_lanes"]) == (0, 11411)
+        assert row["digest"] == (
+            "479f8882ab6bd1360b8de12efe166b15b7fe66f39f3176995db58b6916461641"
+        )
+        with pytest.raises(SystemExit):
+            order6_stretches.main(["1024"])
+        with pytest.raises(SystemExit):
+            order6_stretches.main(["1", "--bounds", "size_digraph,size_digraph"])
+        with pytest.raises(ValueError, match="exhaustive"):
+            EnumerationSpec(6, "strong")
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sampled_shards_concatenate_to_the_seeded_draws(self, workers):
