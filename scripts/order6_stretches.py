@@ -3,9 +3,9 @@
 
 Stretch k is the masks k * 2^20 .. (k + 1) * 2^20 - 1 of the order-6
 stream (2^30 masks, stretches 0..1023). For each stretch the script runs
-``_sweep_shard`` once per round in this process, at one worker, and prints
-one JSON line: the stretch, the bound ids, the CPU seconds of each round,
-the instances, the sweep stats and the shard digest. The digest is
+``_sweep_shard`` once in this process, at one worker, and prints one JSON
+line: the stretch, the bound ids, the CPU seconds, the instances, the sweep
+stats and the shard digest. The digest is
 ``shard_digest``, which the tier-1 stretch pins use too.
 
 The library caps exhaustive sweeps at order 5; the script lifts the cap
@@ -58,24 +58,19 @@ def order6_spec():
         verifier.EXHAUSTIVE_MAX_ORDER = cap
 
 
-def run_stretch(stretch: int, bound_ids: tuple[str, ...], rounds: int) -> dict:
+def run_stretch(stretch: int, bound_ids: tuple[str, ...]) -> dict:
     spec = order6_spec()
     lo = stretch << STRETCH_BITS
-    cpu, digests = [], set()
-    for _ in range(rounds):
-        started = time.process_time()
-        out = verifier._sweep_shard((spec, lo, lo + (1 << STRETCH_BITS), bound_ids))
-        cpu.append(round(time.process_time() - started, 3))
-        digests.add(shard_digest(out))
-    if len(digests) != 1:
-        raise AssertionError(f"stretch {stretch}: rounds disagree: {sorted(digests)}")
+    started = time.process_time()
+    out = verifier._sweep_shard((spec, lo, lo + (1 << STRETCH_BITS), bound_ids))
+    cpu = round(time.process_time() - started, 3)
     return {
         "stretch": stretch,
         "bounds": list(bound_ids),
         "cpu_s": cpu,
         "instances": out["instances"],
         "stats": out["stats"],
-        "digest": digests.pop(),
+        "digest": shard_digest(out),
     }
 
 
@@ -84,21 +79,18 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("stretches", type=int, nargs="+", help="stretch numbers, 0..1023")
     parser.add_argument("--bounds", default="digraph_order,size_digraph",
                         help="comma-separated bound ids (default: %(default)s)")
-    parser.add_argument("--rounds", type=int, default=1, help="timed runs per stretch")
     parser.add_argument("--expect", default=None,
                         help="sha256 that every stretch's digest must equal")
     args = parser.parse_args(argv)
     if any(not 0 <= k < 1 << (30 - STRETCH_BITS) for k in args.stretches):
         parser.error("stretches are 0..1023")
-    if args.rounds < 1:
-        parser.error("--rounds must be positive")
     bound_ids = tuple(args.bounds.split(","))
     known = verifier._SWEEP_BOUNDS
     if not set(bound_ids) <= set(known) or len(set(bound_ids)) != len(bound_ids):
         parser.error(f"--bounds takes distinct ids from {', '.join(known)}")
     status = 0
     for stretch in args.stretches:
-        row = run_stretch(stretch, bound_ids, args.rounds)
+        row = run_stretch(stretch, bound_ids)
         print(json.dumps(row), flush=True)
         if args.expect is not None and row["digest"] != args.expect:
             print(f"stretch {stretch}: digest {row['digest']} != {args.expect}", file=sys.stderr)

@@ -9,7 +9,9 @@ pair's flow on a copy of its capacities. Each flow is capped at the least
 value found so far: a pair that reaches the cap cannot lower the minimum,
 and a pair below it runs to completion, so its residual network gives the
 minimum cut that an uncapped flow would. The first pair at the minimum
-therefore gives the witness, as with a separate network per pair. In the
+therefore gives the witness, as with a separate network per pair. The first
+pair is capped at n, which no flow reaches: a kappa flow is at most n - 2
+and a lambda flow at most n - 1. In the
 vertex-split network of kappa no flow uses the split arc of its own source
 or sink (the search starts past the first and stops before the second), so
 one network with unit split arcs serves every pair.
@@ -54,7 +56,7 @@ class _FlowNetwork:
             self.adj[v].append(u)
         self.cap[u][v] += capacity
 
-    def max_flow(self, s: int, t: int, limit: int | None = None) -> int:
+    def max_flow(self, s: int, t: int, limit: int) -> int:
         """The maximum s-t flow, or ``limit`` once the flow reaches it.
 
         That is min(max flow, limit). A flow that stops below ``limit``
@@ -63,7 +65,7 @@ class _FlowNetwork:
         cap = [row[:] for row in self.cap]
         adj = self.adj
         total = 0
-        while limit is None or total < limit:
+        while total < limit:
             parent = [-1] * self.n
             parent[s] = s
             queue = [s]  # breadth first: the loop reads what it appends
@@ -77,7 +79,7 @@ class _FlowNetwork:
                     break
             if parent[t] < 0:
                 break
-            bottleneck = limit - total if limit is not None else cap[parent[t]][t]
+            bottleneck = limit - total
             v = t
             while v != s:
                 u = parent[v]
@@ -139,7 +141,7 @@ def vertex_connectivity(D: Digraph) -> ConnectivityResult:
         for t in range(n):
             if s == t or D.has_arc(s, t):
                 continue
-            value = net.max_flow(2 * s + 1, 2 * t, None if best is None else best[0])
+            value = net.max_flow(2 * s + 1, 2 * t, best[0] if best else n)
             if best is None or value < best[0]:
                 side = net.min_cut_side()
                 cut = frozenset(v for v in range(n) if 2 * v in side and 2 * v + 1 not in side)
@@ -165,13 +167,14 @@ def edge_connectivity(D: Digraph) -> ConnectivityResult:
         raise ValueError("edge connectivity needs order >= 2")
     if not is_strong(D):
         raise NotStrongError("edge connectivity is defined for strong digraphs only")
-    net = _FlowNetwork(D.order)
+    n = D.order
+    net = _FlowNetwork(n)
     for u, v in D.arcs:
         net.add_edge(u, v, 1)
     best: tuple[int, frozenset[tuple[int, int]]] | None = None
-    for v in range(1, D.order):
+    for v in range(1, n):
         for s, t in ((0, v), (v, 0)):
-            value = net.max_flow(s, t, None if best is None else best[0])
+            value = net.max_flow(s, t, best[0] if best else n)
             if best is None or value < best[0]:
                 side = net.min_cut_side()
                 cut = frozenset((a, b) for a, b in D.arcs if a in side and b not in side)

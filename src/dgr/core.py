@@ -224,10 +224,10 @@ def remoteness(D: Digraph) -> tuple[Fraction, int]:
     best = -1
     witness = 0
     for v in range(D.order):
-        dist = distances_from(D, v)
-        if None in dist:
-            raise NotStrongError("remoteness is defined for strong digraphs only")
-        sigma = sum(dist)  # type: ignore[arg-type]
+        try:
+            sigma = transmission(D, v)
+        except UnreachableVertexError:
+            raise NotStrongError("remoteness is defined for strong digraphs only") from None
         if sigma > best:
             best = sigma
             witness = v

@@ -193,17 +193,18 @@ def test_max_flow_is_the_least_cut_capped_at_the_limit(build):
                 for combo in combinations(rest, k)
             )
             seen.add(least)
-            for limit in (None, *range(least + 2)):
+            # a limit above the sum of s's capacities never caps a flow
+            for limit in (sum(net.cap[s]) + 1, *range(least + 2)):
                 value = net.max_flow(s, t, limit)
-                assert value == (least if limit is None else min(least, limit)), (s, t, limit)
-                if limit is None or value < limit:
+                assert value == min(least, limit), (s, t, limit)
+                if value < limit:
                     # the flow ran to completion: its residual gives a least cut
                     side = net.min_cut_side()
                     assert s in side and t not in side
                     assert _cut_capacity(net, side) == least
     assert len(seen) >= 3
     if build is _clrs_network:
-        assert net.max_flow(0, 5) == 23
+        assert net.max_flow(0, 5, sum(net.cap[0])) == 23
 
 
 def _connectivity_digest(n, mask_seq):
