@@ -62,7 +62,7 @@ def run_stretch(stretch: int, bound_ids: tuple[str, ...]) -> dict:
     spec = order6_spec()
     lo = stretch << STRETCH_BITS
     started = time.process_time()
-    out = verifier._sweep_shard((spec, lo, lo + (1 << STRETCH_BITS), bound_ids))
+    out = verifier._sweep_shard((spec, lo, lo + (1 << STRETCH_BITS), None, bound_ids))
     cpu = round(time.process_time() - started, 3)
     return {
         "stretch": stretch,

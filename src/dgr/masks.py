@@ -14,7 +14,9 @@ plane, a Python int whose bit i is that cell's bit in lane i.
 ``range_cells`` builds the planes of an aligned block of consecutive masks
 (lane i is ``base + i``; cells below the block width follow fixed lane
 patterns, the others are constant), and ``draw_cells`` transposes an
-arbitrary list of masks (lane i is the i-th draw). On either, integer
+arbitrary list of masks (lane i is the i-th draw) as one bit-matrix
+transpose of the masks packed into 32- or 64-bit words, a few
+mask/shift/xor stages over one int. On either, integer
 AND/OR/XOR run one BFS per source vertex for every lane together:
 ``block_planes`` gives strongness, balance, sigma_max and size,
 ``kappa_planes`` splits the strong lanes by vertex connectivity,
@@ -49,7 +51,7 @@ from array import array
 from functools import lru_cache
 from itertools import combinations, permutations, repeat, zip_longest
 from operator import gt, itemgetter
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .core import Digraph
 
@@ -245,28 +247,52 @@ def range_cells(n: int, base: int, bits: int) -> tuple[list[int], int]:
 
 
 @lru_cache(maxsize=None)
-def _bit_text(j: int) -> bytes:
-    """Translation table: a byte to the ASCII digit of its bit j."""
-    return bytes(0x30 | (v >> j & 1) for v in range(256))
+def _transpose_stages(word: int, words: int) -> tuple[tuple[int, int], ...]:
+    """Per stage of ``draw_cells``'s transpose, a shift and the mask of its lower bits.
+
+    ``words`` packed words of ``word`` bits form square ``word``-by-``word``
+    bit blocks. Stage j swaps bit b + j of word k with bit b of word k + j
+    wherever bit j of k and of b is 0 (Hacker's Delight 7-3); the two bits
+    lie ``(word - 1) * j`` apart. The mask holds the lower bit of every such
+    pair: in the words k with bit j clear, the bits with bit j set.
+    """
+    size = word // 8
+    stages = []
+    j = word // 2
+    while j:
+        inner = sum(((1 << j) - 1) << (b + j) for b in range(0, word, 2 * j))
+        period = inner.to_bytes(size, "little") * j + bytes(size * j)
+        stages.append(((word - 1) * j, int.from_bytes(period * (words // (2 * j)), "little")))
+        j //= 2
+    return tuple(stages)
 
 
-def draw_cells(n: int, draws: list[int]) -> tuple[list[int], int]:
+def draw_cells(n: int, draws: Sequence[int]) -> tuple[list[int], int]:
     """Cell planes and the all-lanes plane of a list of masks: lane i is draws[i].
 
-    A transpose through text: the draws are packed as little-endian 8-byte words,
-    last draw first; the bytes holding cell k, read with stride 8 and
-    translated to the digit of its bit, spell plane k most significant lane
-    first.
+    One bit-matrix transpose: the draws are packed as little-endian words of
+    32 bits when n(n-1) <= 32, else 64, into one int, and log2 of the word
+    width mask/shift/xor stages over that int transpose each square block
+    of words at once. Word k of a block then holds cell k of the block's
+    draws, so plane k is read from every block's word k with one strided
+    slice. The stage masks are built on first use, per word width, padded
+    to at least ``2**14`` draws so that shorter batches share them.
     """
     c = tables_for(n).num_cells
+    if c > 64:
+        raise ValueError("draw_cells packs masks of at most 64 cells (order <= 8)")
     ones = (1 << len(draws)) - 1
-    if not draws:
-        return [0] * c, ones
-    words = array("Q", reversed(draws))
+    word, code = (32, "I") if c <= 32 else (64, "Q")
+    packed = array(code, draws)
     if sys.byteorder == "big":
-        words.byteswap()
-    raw = words.tobytes()
-    return [int(raw[k // 8 :: 8].translate(_bit_text(k % 8)), 2) for k in range(c)], ones
+        packed.byteswap()
+    words = -(-len(packed) // word) * word
+    x = int.from_bytes(packed, "little")
+    for shift, lower in _transpose_stages(word, 1 << max(14, (words - 1).bit_length())):
+        t = (x ^ (x >> shift)) & lower
+        x ^= t ^ (t << shift)
+    view = memoryview(x.to_bytes(words * word // 8, "little")).cast(code)
+    return [int.from_bytes(view[k::word], "little") for k in range(c)], ones
 
 
 def _add_plane(counter: list[int], plane: int) -> None:

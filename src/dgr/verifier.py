@@ -11,8 +11,12 @@ Every stretch goes through the block kernel (``masks.block_planes`` and
 ``masks.kappa_planes``) in batches of up to 2**bits lanes,
 ``bits = min(n(n-1), _BLOCK_BITS)``: an exhaustive stretch in aligned
 blocks of consecutive masks, where a valid-lane plane masks off the lanes
-outside the stretch, a sampled stretch in lists of consecutive draws. Lane
-i of a batch is the mask ``seq[i]`` at stream position ``pos + i``. Members
+outside the stretch, a sampled stretch in runs of consecutive draws, each
+batch from one call of the seeded generator, transposed to planes by
+``masks.draw_cells``. A sampled piece starts from the generator state at
+its first draw, which the sweep finds in one pass over the stream and
+hands over, so no piece replays the draws before it. Lane i of a batch is
+the mask ``seq[i]`` at stream position ``pos + i``. Members
 come out once per batch, as cells: planes of lanes sharing (kappa, lambda,
 sigma_max, m), split in that order, which the checks weight by their
 popcount. Equality hits gather into one plane per batch, and on an
@@ -40,13 +44,14 @@ from __future__ import annotations
 import json
 import os
 import random
+import sys
 import time
+from array import array
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import bounds as bounds_mod
 from . import connectivity as conn_mod
@@ -86,8 +91,6 @@ _BLOCK_BITS = 14
 # A pool sweep is cut into about this many pieces per worker, each whole
 # kernel batches, so a worker on a slower or busier CPU takes fewer pieces.
 _PIECES_PER_WORKER = 8
-# Generator bits drawn at a time when a piece skips the draws before it.
-_SKIP_BITS = 1 << 20
 # Counters kept per sweep; merged across shards into ``CheckReport.stats``.
 _STAT_KEYS = (
     "masks",  # masks scanned
@@ -283,23 +286,51 @@ def _stream_length(spec: EnumerationSpec) -> int:
     return masks.tables_for(spec.order).mask_count
 
 
-def _mask_stream(spec: EnumerationSpec, lo: int, hi: int) -> Iterable[int]:
-    """Draws lo..hi-1 of a sampled spec's seeded stream.
+def _piece_states(spec: EnumerationSpec, positions: Sequence[int]) -> list[tuple | None]:
+    """The generator state at each of ``positions``, in increasing order.
 
-    A shard replays the seeded generator past the first ``lo`` draws, so
-    every shard derives its own stretch from ``(seed, lo)`` and the
-    concatenated shards equal the single-process draw sequence.
+    None at every position of an exhaustive spec. For a sampled spec one
+    ``random.Random(seed)`` walks the stream once: a draw takes one 32-bit
+    output of the generator (none at order 1, where ``getrandbits(0)``
+    takes none), skipped at most a batch of outputs per call, so no int
+    wider than one batch is built. A piece that starts from its state
+    draws exactly the draws that the single-process stream has there.
     """
+    if spec.mode != "sampled":
+        return [None] * len(positions)
     rng = random.Random(spec.seed)
-    bits = masks.tables_for(spec.order).num_cells
-    # getrandbits(k) takes ceil(k / 32) 32-bit outputs of the generator, so
-    # the first lo draws are skipped by drawing that many outputs in bulk
-    skip = 32 * lo * -(-bits // 32)
-    while skip:
-        step = min(skip, _SKIP_BITS)
-        rng.getrandbits(step)
-        skip -= step
-    return map(rng.getrandbits, repeat(bits, hi - lo))
+    per_draw = 1 if masks.tables_for(spec.order).num_cells else 0
+    states = []
+    at = 0
+    for lo in positions:
+        skip = (lo - at) * per_draw
+        at = lo
+        while skip:
+            step = min(skip, 1 << _BLOCK_BITS)
+            rng.getrandbits(32 * step)
+            skip -= step
+        states.append(rng.getstate())
+    return states
+
+
+def _draws(rng: random.Random, bits: int, count: int) -> array:
+    """The next ``count`` values of ``rng.getrandbits(bits)``, from one generator call.
+
+    For 0 < bits <= 32, ``getrandbits(bits)`` is one 32-bit output shifted
+    right by 32 - bits, and ``getrandbits(32 * count)`` holds ``count``
+    outputs in turn, least significant word first; so one shift of that
+    int and a mask of the low ``bits`` of every word give all the draws.
+    ``getrandbits(0)`` takes no output and is 0.
+    """
+    assert 0 <= bits <= 32, "a draw must fit one 32-bit output"
+    if not bits:
+        return array("I", bytes(4 * count))
+    words = rng.getrandbits(32 * count) >> (32 - bits)
+    keep = int.from_bytes(((1 << bits) - 1).to_bytes(4, "little") * count, "little")
+    seq = array("I", (words & keep).to_bytes(4 * count, "little"))
+    if sys.byteorder == "big":
+        seq.byteswap()
+    return seq
 
 
 def _new_stats() -> dict:
@@ -316,7 +347,7 @@ _Cell = tuple[int, int, int, int | None, int | None]
 
 
 def _batches(
-    spec: EnumerationSpec, lo: int, hi: int, bits: int
+    spec: EnumerationSpec, lo: int, hi: int, rng_state: tuple | None, bits: int
 ) -> Iterator[tuple[Sequence[int], int, int, list[int], int]]:
     """Masks lo..hi-1 of the stream as (seq, pos, valid, cells, ones) per batch.
 
@@ -324,8 +355,11 @@ def _batches(
     (the mask itself when exhaustive, the draw's index in the whole sample
     when sampled); ``valid`` holds the lanes in lo..hi-1. An exhaustive
     stretch is cut into aligned blocks of 2**bits consecutive masks, a block
-    cut by a shard edge keeping only its valid lanes; a sampled stretch is
-    cut into lists of up to 2**bits draws.
+    cut by a shard edge keeping only its valid lanes. A sampled stretch
+    starts from ``rng_state``, the generator state at draw lo
+    (``_piece_states``), and is cut into batches of up to 2**bits draws,
+    each from one generator call (``_draws``) and transposed to planes by
+    ``masks.draw_cells``.
     """
     n = spec.order
     width = 1 << bits
@@ -335,9 +369,10 @@ def _batches(
             cells, ones = masks.range_cells(n, base, bits)
             yield range(base, base + width), base, (1 << stop) - (1 << start), cells, ones
         return
-    draws = iter(_mask_stream(spec, lo, hi))
+    rng = random.Random()
+    rng.setstate(rng_state)
     for pos in range(lo, hi, width):
-        seq = list(islice(draws, width))
+        seq = _draws(rng, masks.tables_for(n).num_cells, min(width, hi - pos))
         cells, ones = masks.draw_cells(n, seq)
         yield seq, pos, ones, cells, ones
 
@@ -365,6 +400,7 @@ def _members(
     spec: EnumerationSpec,
     lo: int,
     hi: int,
+    rng_state: tuple | None,
     stats: dict,
     need_kappa: bool = False,
     need_lambda: bool = False,
@@ -372,12 +408,13 @@ def _members(
 ) -> Iterator[tuple[Sequence[int], list[_Cell]]]:
     """Class members among masks lo..hi-1 of the stream: the loop of every sweep.
 
-    Yields ``(seq, cells)`` once per batch, its cells disjoint; only masks
-    with at least ``m_min`` arcs are scanned. kappa comes from the kernel's
-    kappa planes and lambda lane by lane on the candidates that meet the
-    kappa threshold, each when the class filter or the caller needs it, and
-    is None otherwise; below order 2 they are never computed and count as 0
-    against a class threshold.
+    ``rng_state`` is the generator state at draw lo of a sampled stream,
+    None when exhaustive. Yields ``(seq, cells)`` once per batch, its cells
+    disjoint; only masks with at least ``m_min`` arcs are scanned. kappa
+    comes from the kernel's kappa planes and lambda lane by lane on the
+    candidates that meet the kappa threshold, each when the class filter or
+    the caller needs it, and is None otherwise; below order 2 they are
+    never computed and count as 0 against a class threshold.
     """
     n = spec.order
     t = masks.tables_for(n)
@@ -386,7 +423,8 @@ def _members(
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
     balanced_only = spec.class_filter.startswith("eulerian")
-    for seq, pos, valid, cells, ones in _batches(spec, lo, hi, min(t.num_cells, _BLOCK_BITS)):
+    bits = min(t.num_cells, _BLOCK_BITS)
+    for seq, pos, valid, cells, ones in _batches(spec, lo, hi, rng_state, bits):
         block = masks.block_planes(n, cells, ones, balanced=balanced_only)
         stats["masks"] += valid.bit_count()
         stats["blocks"] += 1
@@ -485,7 +523,8 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     mask order; sampled mode draws ``samples`` masks from the seeded
     generator and yields those passing the filter (duplicates possible).
     """
-    for seq, cells in _members(spec, 0, _stream_length(spec), _new_stats()):
+    rng_state = _piece_states(spec, [0])[0]
+    for seq, cells in _members(spec, 0, _stream_length(spec), rng_state, _new_stats()):
         # the cells are disjoint, so their sum is their union
         for i in masks.lanes(sum(plane for plane, *_ in cells)):
             yield masks.digraph_of_mask(spec.order, seq[i])
@@ -564,7 +603,7 @@ def _sweep_shard(args) -> dict:
     record violations. A bound's equality lanes gather into one plane per
     batch, which ``_witnesses`` turns into canonical forms.
     """
-    spec, lo, hi, bound_ids = args
+    spec, lo, hi, rng_state, bound_ids = args
     n = spec.order
     stats = _new_stats()
     per_bound = {
@@ -576,6 +615,7 @@ def _sweep_shard(args) -> dict:
         spec,
         lo,
         hi,
+        rng_state,
         stats,
         need_kappa=any(b in ("kappa_digraph", "eulerian_kappa") for b in bound_ids),
         need_lambda="eulerian_lambda" in bound_ids,
@@ -654,15 +694,18 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     pieces per worker, each whole kernel batches, so the batches and the
     stats are the same at every worker count and a worker that falls
     behind takes fewer pieces instead of holding up the sweep. Each shard
-    receives ``(spec, lo, hi, *extra)``. Returns the partial results in
-    stream order and the wall time of the sweep.
+    receives ``(spec, lo, hi, rng_state, *extra)``, where ``rng_state``
+    is the generator state at draw lo of a sampled stream (None when
+    exhaustive), found by one pass here, so a piece never replays the draws
+    before it. Returns the partial results in stream order and the wall
+    time of the sweep.
     """
     started = time.monotonic()
     width = 1 << min(masks.tables_for(spec.order).num_cells, _BLOCK_BITS)
     count = workers * _PIECES_PER_WORKER if workers > 1 else 1
-    args_list = [
-        (spec, lo, hi, *extra) for lo, hi in _shards(_stream_length(spec), count, width)
-    ]
+    pieces = _shards(_stream_length(spec), count, width)
+    states = _piece_states(spec, [lo for lo, _ in pieces])
+    args_list = [(spec, lo, hi, state, *extra) for (lo, hi), state in zip(pieces, states)]
     return _run_sharded(shard, args_list, workers), time.monotonic() - started
 
 
@@ -773,14 +816,14 @@ def check_universal_bound(
 
 
 def _uniqueness_shard(args) -> dict:
-    spec, lo, hi, m_min, target_num, target_den = args
+    spec, lo, hi, rng_state, m_min, target_num, target_den = args
     n = spec.order
     stats = _new_stats()
     hits = []
     breaches = []
     instances = 0
     rhs = target_num * (n - 1)
-    for seq, cells in _members(spec, lo, hi, stats, m_min=m_min):
+    for seq, cells in _members(spec, lo, hi, rng_state, stats, m_min=m_min):
         attained = 0
         for plane, m, sigma_max, _kap, _lam in cells:
             instances += plane.bit_count()
@@ -903,14 +946,14 @@ def _eulerian_shard(args) -> dict:
     over the cap are pulled out, and the lanes at the cap go to
     ``_witnesses``.
     """
-    spec, lo, hi = args
+    spec, lo, hi, rng_state = args
     n = spec.order
     stats = _new_stats()
     instances = 0
     violations = []
     mismatches = []
     equality = set()
-    for seq, cells in _members(spec, lo, hi, stats):
+    for seq, cells in _members(spec, lo, hi, rng_state, stats):
         by_m: dict[int, int] = {}
         for plane, m, *_ in cells:
             by_m[m] = by_m.get(m, 0) | plane

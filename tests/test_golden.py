@@ -234,6 +234,22 @@ def test_order6_sampled_report_bytes(workers):
     assert all(r.instances_examined == 1_370 for r in reports)
 
 
+# 40,000 draws in three batches of up to 2**14, so a pool sweep has pieces
+# that start past the first batch; recorded with the per-draw generator
+N6_THREE_BATCH_SHA256 = "50a707a41ad2e91170ebb2ed60be0c421fee39f8ddaf4856e0d744b0b5b709a5"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_order6_three_batch_sample_report_bytes(workers):
+    reports = check_universal_bounds(
+        6, "strong", ("kappa_digraph", "size_digraph"),
+        mode="sampled", samples=40_000, seed=3, workers=workers,
+    )
+    assert _digest(reports) == N6_THREE_BATCH_SHA256
+    assert all(r.instances_examined == 27_398 for r in reports)
+    assert all(r.stats["blocks"] == 3 for r in reports)
+
+
 @pytest.mark.parametrize("workers", [1, 3])
 @pytest.mark.parametrize("check", sorted(SAMPLED_GOLDEN))
 def test_sampled_report_bytes(check, workers):

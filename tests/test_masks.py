@@ -1,4 +1,5 @@
 import random
+from array import array
 from itertools import permutations
 
 import pytest
@@ -180,6 +181,28 @@ def test_draw_planes_match_scalar_decode(n):
         cells, ones = draw_cells(n, batch)
         assert len(cells) == n * (n - 1) and ones == (1 << len(batch)) - 1
         _assert_planes_match_scalar_decode(n, batch, block_planes(n, cells, ones, balanced=True))
+
+
+@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1_000, 1 << 14, (1 << 14) + 33])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_draw_cells_is_the_transpose_of_the_draws(n, length):
+    # bit i of plane k is bit k of draws[i]; orders up to 6 pack 32-bit
+    # words, 7 and 8 64-bit words, and the longest batch outgrows the
+    # stage masks of 2**14 draws
+    c = n * (n - 1)
+    rng = random.Random(length * 10 + n)
+    draws = [(1 << c) - 1] * min(length, 2) + [rng.getrandbits(c) for _ in range(length - 2)]
+    expected = [
+        int("0" + "".join("1" if d >> k & 1 else "0" for d in reversed(draws)), 2)
+        for k in range(c)
+    ]
+    assert draw_cells(n, draws) == (expected, (1 << length) - 1)
+    assert draw_cells(n, array("I" if c <= 32 else "Q", draws))[0] == expected
+
+
+def test_draw_cells_stops_at_64_cells():
+    with pytest.raises(ValueError, match="64 cells"):
+        draw_cells(9, [0])
 
 
 def _assert_kappa_planes_match(n, draws, cells, strong):

@@ -108,6 +108,24 @@ class TestEnumeration:
         assert tuple(sum(1 for _ in enumerate_digraphs(s)) for s in specs) == expected
 
 
+def _piece_batches(spec, pieces):
+    """(pos, seq) of every batch of a sampled spec's pieces, each piece from its own state."""
+    from dgr.verifier import _BLOCK_BITS, _batches, _piece_states
+
+    bits = min(spec.order * (spec.order - 1), _BLOCK_BITS)
+    starts = _piece_states(spec, [lo for lo, _ in pieces])
+    return [
+        (pos, list(seq))
+        for (lo, hi), start in zip(pieces, starts)
+        for seq, pos, *_ in _batches(spec, lo, hi, start, bits)
+    ]
+
+
+def _piece_draws(spec, pieces):
+    """The draws of a sampled spec's pieces, concatenated in piece order."""
+    return [mask for _pos, seq in _piece_batches(spec, pieces) for mask in seq]
+
+
 def _kappa_is_order(monkeypatch):
     """kappa = n disagrees with the kappa planes and breaks kappa <= lambda."""
     import dgr.masks as masks_mod
@@ -398,7 +416,7 @@ class TestSharedKernel:
     def test_odd_stretches_match_the_per_mask_kernel(
         self, spec, lo, hi, bound_ids, instances, digest
     ):
-        out = _sweep_shard((spec, lo, hi, bound_ids))
+        out = _sweep_shard((spec, lo, hi, None, bound_ids))
         assert out["instances"] == instances
         assert order6_stretches.shard_digest(out) == digest
 
@@ -408,7 +426,7 @@ class TestSharedKernel:
         spec, lo, hi, bound_ids, instances, digest = _ODD_STRETCHES[-1]
         monkeypatch.setattr(
             order6_stretches.verifier, "_sweep_shard",
-            lambda job: _sweep_shard((spec, lo, hi, job[3])),
+            lambda job: _sweep_shard((spec, lo, hi, None, job[4])),
         )
         argv = ["341", "--bounds", ",".join(bound_ids), "--expect"]
         assert order6_stretches.main([*argv, digest]) == 0
@@ -425,21 +443,21 @@ class TestSharedKernel:
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sampled_shards_concatenate_to_the_seeded_draws(self, workers):
-        from dgr.verifier import _mask_stream, _shards
+        from dgr.verifier import _shards
 
         spec = EnumerationSpec(6, "strong", mode="sampled", samples=100, seed=7)
         rng = random.Random(7)
         draws = [rng.getrandbits(30) for _ in range(100)]
         shards = _shards(100, workers)
         assert len(shards) == workers
-        assert [m for lo, hi in shards for m in _mask_stream(spec, lo, hi)] == draws
+        assert _piece_draws(spec, shards) == draws
 
     @pytest.mark.parametrize("order", [1, 2, 6])
     def test_batch_pieces_skip_to_their_own_draws(self, order):
-        from dgr.verifier import _mask_stream, _shards
+        from dgr.verifier import _shards
 
-        # a pool sweep's pieces are whole batches; at order 6 the last piece
-        # skips 49,152 draws, more than one bulk step of the generator
+        # a pool sweep's pieces are whole batches; at order 6 the last
+        # piece starts 49,152 draws in, past three batches of the generator
         spec = EnumerationSpec(order, "strong", mode="sampled", samples=50_000, seed=7)
         rng = random.Random(7)
         bits = order * (order - 1)
@@ -447,7 +465,61 @@ class TestSharedKernel:
         width = 1 << min(bits, 14)
         pieces = _shards(50_000, 16, width)
         assert len(pieces) > 1 and all(lo % width == 0 for lo, _ in pieces)
-        assert [m for lo, hi in pieces for m in _mask_stream(spec, lo, hi)] == draws
+        assert _piece_draws(spec, pieces) == draws
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
+    def test_sampled_batches_are_the_per_draw_stream(self, order):
+        # getrandbits(0) takes no generator output, so at order 1 every
+        # piece starts from the seed's own state
+        bits = order * (order - 1)
+        width = 1 << min(bits, 14)
+        samples = 2 * width + 5
+        rng = random.Random(11)
+        draws = [rng.getrandbits(bits) for _ in range(samples)]
+        spec = EnumerationSpec(order, "strong", mode="sampled", samples=samples, seed=11)
+        # past order 1 the second piece starts mid-batch, and each piece
+        # ends in a short batch
+        pieces = [(0, width // 2 + 1), (width // 2 + 1, samples)]
+        batches = _piece_batches(spec, pieces)
+        assert [(pos, len(seq)) for pos, seq in batches] == [
+            (pos, min(width, hi - pos)) for lo, hi in pieces for pos in range(lo, hi, width)
+        ]
+        assert [mask for _, seq in batches for mask in seq] == draws
+
+    @pytest.mark.parametrize("bits", range(33))
+    def test_one_bulk_call_draws_the_per_draw_values(self, bits):
+        from dgr.verifier import _draws
+
+        bulk, per_draw = random.Random(bits), random.Random(bits)
+        for count in (1, 2, 33):
+            seq = _draws(bulk, bits, count)
+            assert list(seq) == [per_draw.getrandbits(bits) for _ in range(count)]
+            # the generator is left where the draws one by one leave it
+            assert bulk.getstate() == per_draw.getstate()
+
+    def test_bulk_draws_fit_one_generator_output(self):
+        from dgr.verifier import _draws
+
+        with pytest.raises(AssertionError, match="32-bit"):
+            _draws(random.Random(1), 33, 1)
+
+    def test_piece_states_build_no_int_wider_than_a_batch(self):
+        import tracemalloc
+
+        from dgr.verifier import _piece_states, _shards
+
+        # the sweep's pass to the 16 piece starts of a 4,000,000-draw
+        # sample walks 3.75 million generator outputs, at most 2**14 a call
+        spec = EnumerationSpec(6, "strong", mode="sampled", samples=4_000_000, seed=7)
+        pieces = _shards(4_000_000, 16, 1 << 14)
+        tracemalloc.start()
+        try:
+            starts = _piece_states(spec, [lo for lo, _ in pieces])
+            _size, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(starts) == 16 and len(set(starts)) == 16
+        assert peak < 1 << 20, peak
 
 
 class TestSweepStats:
