@@ -19,13 +19,15 @@ sweep. Two paths run on the same spec:
   cell read with stride 8 and translated to the ASCII digit of its bit.
 
 Both paths must give the same draws and planes, or the script exits 1.
-The default spec is the benchmark's ``sweep-n6-sampled`` workload: order 6,
-200,000 draws, seed 1, two workers, so 13 pieces of whole 2**14-draw
-batches. Prints one JSON line with the median milliseconds per sweep of
-each path's starts, batches and total.
+The spec is the benchmark's ``sweep-n6-sampled`` workload: order 6,
+200,000 draws and two workers, so 13 pieces of whole 2**14-draw batches,
+cut as the sweep cuts them (``verifier._pieces``); only the seed is an
+option (default 1). Prints one JSON line with the median milliseconds per
+sweep, over 21 interleaved repeats, of each path's starts, batches and
+total.
 
     python3 scripts/draw_path_timing.py
-    python3 scripts/draw_path_timing.py --seed 7 --repeats 21
+    python3 scripts/draw_path_timing.py --seed 7
 """
 
 from __future__ import annotations
@@ -42,8 +44,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from dgr import masks, verifier  # noqa: E402  (imported from this checkout's src/)
+from dgr import verifier  # noqa: E402  (imported from this checkout's src/)
 
+# the benchmark's sweep-n6-sampled spec and pool size
+ORDER, SAMPLES, WORKERS = 6, 200_000, 2
+REPEATS = 21
 _TEXT_SKIP_BITS = 1 << 20
 
 
@@ -103,22 +108,22 @@ def bulk_path(spec, pieces, bits: int) -> tuple[float, float, list]:
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--order", type=int, default=6, help="order, 1..6 (default 6)")
-    parser.add_argument("--samples", type=int, default=200_000)
     parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workers", type=int, default=2, help="pool size the pieces are cut for")
-    parser.add_argument("--repeats", type=int, default=11, help="timed sweeps per path")
     args = parser.parse_args(argv)
     spec = verifier.EnumerationSpec(
-        args.order, "strong", mode="sampled", samples=args.samples, seed=args.seed
+        ORDER, "strong", mode="sampled", samples=SAMPLES, seed=args.seed
     )
-    bits = min(args.order * (args.order - 1), verifier._BLOCK_BITS)
-    count = args.workers * verifier._PIECES_PER_WORKER if args.workers > 1 else 1
-    pieces = verifier._shards(args.samples, count, 1 << bits)
+    return report(spec, REPEATS)
+
+
+def report(spec, repeats: int) -> int:
+    """Time both paths on ``spec``'s pieces and print the JSON line; 1 if they differ."""
+    bits = verifier._batch_bits(spec.order)
+    pieces = verifier._pieces(spec, WORKERS)
     paths = {"per_draw": per_draw_path, "bulk": bulk_path}
     times = {name: {"starts": [], "batches": [], "total": []} for name in paths}
     reference = None
-    for i in range(args.repeats + 1):  # the first round fills caches, untimed
+    for i in range(repeats + 1):  # the first round fills caches, untimed
         for name in paths if i % 2 else reversed(paths):
             starts, batches, out = paths[name](spec, pieces, bits)
             out = [(list(seq), cells) for seq, cells in out]
@@ -132,12 +137,12 @@ def main(argv: list[str] | None = None) -> int:
                 times[name]["batches"].append(batches)
                 times[name]["total"].append(starts + batches)
     row = {
-        "order": args.order,
-        "samples": args.samples,
-        "seed": args.seed,
+        "order": spec.order,
+        "samples": spec.samples,
+        "seed": spec.seed,
         "pieces": len(pieces),
         "batches": len(reference),
-        "repeats": args.repeats,
+        "repeats": repeats,
         "median_ms": {
             name: {part: round(1e3 * statistics.median(v), 2) for part, v in parts.items()}
             for name, parts in times.items()

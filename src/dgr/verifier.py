@@ -423,8 +423,7 @@ def _members(
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
     balanced_only = spec.class_filter.startswith("eulerian")
-    bits = min(t.num_cells, _BLOCK_BITS)
-    for seq, pos, valid, cells, ones in _batches(spec, lo, hi, rng_state, bits):
+    for seq, pos, valid, cells, ones in _batches(spec, lo, hi, rng_state, _batch_bits(n)):
         block = masks.block_planes(n, cells, ones, balanced=balanced_only)
         stats["masks"] += valid.bit_count()
         stats["blocks"] += 1
@@ -687,6 +686,17 @@ def _run_sharded(worker, args_list, workers: int) -> list[dict]:
         return list(pool.map(worker, args_list))
 
 
+def _batch_bits(n: int) -> int:
+    """log2 of the kernel's batch width at order ``n``."""
+    return min(masks.tables_for(n).num_cells, _BLOCK_BITS)
+
+
+def _pieces(spec: EnumerationSpec, workers: int) -> list[tuple[int, int]]:
+    """The stretches ``_sweep`` cuts the spec's stream into at ``workers`` workers."""
+    count = workers * _PIECES_PER_WORKER if workers > 1 else 1
+    return _shards(_stream_length(spec), count, 1 << _batch_bits(spec.order))
+
+
 def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dict], float]:
     """Run ``shard`` over contiguous stretches of the spec's mask stream.
 
@@ -701,9 +711,7 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     time of the sweep.
     """
     started = time.monotonic()
-    width = 1 << min(masks.tables_for(spec.order).num_cells, _BLOCK_BITS)
-    count = workers * _PIECES_PER_WORKER if workers > 1 else 1
-    pieces = _shards(_stream_length(spec), count, width)
+    pieces = _pieces(spec, workers)
     states = _piece_states(spec, [lo for lo, _ in pieces])
     args_list = [(spec, lo, hi, state, *extra) for (lo, hi), state in zip(pieces, states)]
     return _run_sharded(shard, args_list, workers), time.monotonic() - started

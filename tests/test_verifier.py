@@ -29,6 +29,7 @@ from dgr.masks import canonical_mask, digraph_of_mask, lanes, mask_of_digraph
 from dgr.verifier import _stride_planes, _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
+import draw_path_timing
 import order6_stretches
 from test_core import dpk_2121
 
@@ -110,9 +111,9 @@ class TestEnumeration:
 
 def _piece_batches(spec, pieces):
     """(pos, seq) of every batch of a sampled spec's pieces, each piece from its own state."""
-    from dgr.verifier import _BLOCK_BITS, _batches, _piece_states
+    from dgr.verifier import _batch_bits, _batches, _piece_states
 
-    bits = min(spec.order * (spec.order - 1), _BLOCK_BITS)
+    bits = _batch_bits(spec.order)
     starts = _piece_states(spec, [lo for lo, _ in pieces])
     return [
         (pos, list(seq))
@@ -440,6 +441,19 @@ class TestSharedKernel:
             order6_stretches.main(["1", "--bounds", "size_digraph,size_digraph"])
         with pytest.raises(ValueError, match="exhaustive"):
             EnumerationSpec(6, "strong")
+
+    @pytest.mark.parametrize("order, samples", [(1, 300), (4, 10_000)])
+    def test_draw_path_timing_script(self, capsys, order, samples):
+        from dgr.verifier import _pieces
+
+        # the script times the benchmark's order-6 spec; a small spec,
+        # cut into pieces as the sweep cuts it, stands in for it, and
+        # the script exits 0 only if both of its paths agree
+        spec = EnumerationSpec(order, "strong", mode="sampled", samples=samples, seed=7)
+        assert draw_path_timing.report(spec, 1) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert row["pieces"] == len(_pieces(spec, draw_path_timing.WORKERS)) > 1
+        assert set(row["median_ms"]) == {"per_draw", "bulk"}
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sampled_shards_concatenate_to_the_seeded_draws(self, workers):
