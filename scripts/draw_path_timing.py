@@ -101,8 +101,7 @@ def bulk_path(spec, pieces, bits: int) -> tuple[float, float, list]:
     t1 = time.perf_counter()
     out = []
     for (lo, hi), start in zip(pieces, piece_starts):
-        for seq, _pos, _valid, cells, _ones in verifier._batches(spec, lo, hi, start, bits):
-            out.append((seq, cells))
+        out.extend((b.seq, b.cells) for b in verifier._batches(spec, lo, hi, start, bits))
     return t1 - t0, time.perf_counter() - t1, out
 
 

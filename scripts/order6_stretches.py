@@ -6,10 +6,8 @@ stream (2^30 masks, stretches 0..1023). For each stretch the script runs
 ``_sweep_shard`` once in this process, at one worker, and prints one JSON
 line: the stretch, the bound ids, the CPU seconds, the instances, the sweep
 stats and the shard digest. The digest is
-``shard_digest``, which the tier-1 stretch pins use too.
-
-The library caps exhaustive sweeps at order 5; the script lifts the cap
-only while it builds its order-6 spec.
+``shard_digest``, which the tier-1 stretch pins use too. The spec is the
+library's own exhaustive ``EnumerationSpec(6, "strong")``.
 
     python3 scripts/order6_stretches.py 341 700 --bounds kappa_digraph,size_digraph
     python3 scripts/order6_stretches.py 341 --expect <sha256>   # exit 1 on a mismatch
@@ -48,18 +46,8 @@ def shard_digest(out: dict) -> str:
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 
-def order6_spec():
-    """The exhaustive order-6 strong spec, built with the order cap lifted."""
-    cap = verifier.EXHAUSTIVE_MAX_ORDER
-    verifier.EXHAUSTIVE_MAX_ORDER = 6
-    try:
-        return verifier.EnumerationSpec(6, "strong")
-    finally:
-        verifier.EXHAUSTIVE_MAX_ORDER = cap
-
-
 def run_stretch(stretch: int, bound_ids: tuple[str, ...]) -> dict:
-    spec = order6_spec()
+    spec = verifier.EnumerationSpec(6, "strong")
     lo = stretch << STRETCH_BITS
     started = time.process_time()
     out = verifier._sweep_shard((spec, lo, lo + (1 << STRETCH_BITS), None, bound_ids))

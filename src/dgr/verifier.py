@@ -3,9 +3,10 @@
 Each check enumerates labeled digraphs (all arc masks in little-endian
 order, or a seeded pseudorandom sample), filters them into a class, and
 tests a universal statement against invariants computed directly on each
-instance. Every sweep and ``enumerate_digraphs`` share one kernel,
-``_members``, which filters a contiguous stretch of the spec's stream and
-runs the strided cross-checks; each check only consumes the members.
+instance. Both modes reach order ``ENUMERATION_MAX_ORDER`` (6). Every
+sweep and ``enumerate_digraphs`` share one kernel, ``_members``, which
+filters a contiguous stretch of the spec's stream and runs the strided
+cross-checks; each check only consumes the members.
 
 Every stretch goes through the block kernel (``masks.block_planes`` and
 ``masks.kappa_planes``) in batches of up to 2**bits lanes,
@@ -15,9 +16,10 @@ outside the stretch, a sampled stretch in runs of consecutive draws, each
 batch from one call of the seeded generator, transposed to planes by
 ``masks.draw_cells``. A sampled piece starts from the generator state at
 its first draw, which the sweep finds in one pass over the stream and
-hands over, so no piece replays the draws before it. Lane i of a batch is
-the mask ``seq[i]`` at stream position ``pos + i``. Members
-come out once per batch, as cells: planes of lanes sharing (kappa, lambda,
+hands over, so no piece replays the draws before it. A batch is one
+``_Batch`` record: lane i is the mask ``seq[i]`` at stream position
+``pos + i``, and its cell planes serve every plane kernel. Members come
+out once per batch, as cells: planes of lanes sharing (kappa, lambda,
 sigma_max, m), split in that order, which the checks weight by their
 popcount. Equality hits gather into one plane per batch, and on an
 exhaustive block ``masks.orbit_min_planes`` decides which of them are the
@@ -51,7 +53,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from . import connectivity as conn_mod
@@ -68,8 +70,7 @@ from .constructions import (
 from .core import Digraph, complement, remoteness
 from .masks import CANONICAL_MAX_ORDER
 
-EXHAUSTIVE_MAX_ORDER = 5
-ENUMERATION_MAX_ORDER = 6
+ENUMERATION_MAX_ORDER = 6  # the order cap of exhaustive and sampled specs alike
 
 _FILTERS = ("strong", "strong_kappa", "eulerian", "eulerian_kappa", "eulerian_lambda")
 _SWEEP_BOUNDS = (
@@ -125,17 +126,12 @@ class EnumerationSpec:
             raise ValueError(f"{self.class_filter} needs a parameter")
         elif self.param < 0:
             raise ValueError(f"class parameter must be non-negative, got {self.param}")
-        if self.mode == "exhaustive":
-            if self.order > EXHAUSTIVE_MAX_ORDER:
-                raise ValueError(
-                    f"exhaustive mode is limited to order <= {EXHAUSTIVE_MAX_ORDER}"
-                )
-        elif self.mode == "sampled":
+        if self.mode == "sampled":
             if not self.samples or self.samples < 1:
                 raise ValueError("sampled mode needs a positive sample count")
             if self.seed is None:
                 raise ValueError("sampled mode needs an explicit seed")
-        else:
+        elif self.mode != "exhaustive":
             raise ValueError(f"unknown mode {self.mode!r}")
 
     @property
@@ -346,18 +342,31 @@ def _merge_stats(partials: list[dict]) -> dict:
 _Cell = tuple[int, int, int, int | None, int | None]
 
 
+class _Batch(NamedTuple):
+    """One kernel batch: lane i is the mask ``seq[i]`` at stream position ``pos + i``.
+
+    The position is the mask itself when exhaustive and the draw's index in
+    the whole sample when sampled. ``valid`` holds the lanes inside the
+    stretch swept; ``cells`` and ``ones`` are the batch's arc-cell planes
+    and all-lanes plane, which every plane kernel reads.
+    """
+
+    seq: Sequence[int]
+    pos: int
+    valid: int
+    cells: list[int]
+    ones: int
+
+
 def _batches(
     spec: EnumerationSpec, lo: int, hi: int, rng_state: tuple | None, bits: int
-) -> Iterator[tuple[Sequence[int], int, int, list[int], int]]:
-    """Masks lo..hi-1 of the stream as (seq, pos, valid, cells, ones) per batch.
+) -> Iterator[_Batch]:
+    """Masks lo..hi-1 of the stream, one ``_Batch`` per kernel batch.
 
-    Lane i of a batch is the mask ``seq[i]`` at stream position ``pos + i``
-    (the mask itself when exhaustive, the draw's index in the whole sample
-    when sampled); ``valid`` holds the lanes in lo..hi-1. An exhaustive
-    stretch is cut into aligned blocks of 2**bits consecutive masks, a block
-    cut by a shard edge keeping only its valid lanes. A sampled stretch
-    starts from ``rng_state``, the generator state at draw lo
-    (``_piece_states``), and is cut into batches of up to 2**bits draws,
+    An exhaustive stretch is cut into aligned blocks of 2**bits consecutive
+    masks, a block cut by a shard edge keeping only its valid lanes. A
+    sampled stretch starts from ``rng_state``, the generator state at draw
+    lo (``_piece_states``), and is cut into batches of up to 2**bits draws,
     each from one generator call (``_draws``) and transposed to planes by
     ``masks.draw_cells``.
     """
@@ -367,14 +376,14 @@ def _batches(
         for base in range(lo - lo % width, hi, width):
             start, stop = max(lo - base, 0), min(hi - base, width)
             cells, ones = masks.range_cells(n, base, bits)
-            yield range(base, base + width), base, (1 << stop) - (1 << start), cells, ones
+            yield _Batch(range(base, base + width), base, (1 << stop) - (1 << start), cells, ones)
         return
     rng = random.Random()
     rng.setstate(rng_state)
     for pos in range(lo, hi, width):
         seq = _draws(rng, masks.tables_for(n).num_cells, min(width, hi - pos))
         cells, ones = masks.draw_cells(n, seq)
-        yield seq, pos, ones, cells, ones
+        yield _Batch(seq, pos, ones, cells, ones)
 
 
 def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int]:
@@ -405,11 +414,11 @@ def _members(
     need_kappa: bool = False,
     need_lambda: bool = False,
     m_min: int = 0,
-) -> Iterator[tuple[Sequence[int], list[_Cell]]]:
+) -> Iterator[tuple[_Batch, list[_Cell]]]:
     """Class members among masks lo..hi-1 of the stream: the loop of every sweep.
 
     ``rng_state`` is the generator state at draw lo of a sampled stream,
-    None when exhaustive. Yields ``(seq, cells)`` once per batch, its cells
+    None when exhaustive. Yields ``(batch, cells)`` once per batch, its cells
     disjoint; only masks with at least ``m_min`` arcs are scanned. kappa
     comes from the kernel's kappa planes and lambda lane by lane on the
     candidates that meet the kappa threshold, each when the class filter or
@@ -423,8 +432,9 @@ def _members(
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
     balanced_only = spec.class_filter.startswith("eulerian")
-    for seq, pos, valid, cells, ones in _batches(spec, lo, hi, rng_state, _batch_bits(n)):
-        block = masks.block_planes(n, cells, ones, balanced=balanced_only)
+    for batch in _batches(spec, lo, hi, rng_state, _batch_bits(n)):
+        seq, valid, cells = batch.seq, batch.valid, batch.cells
+        block = masks.block_planes(n, cells, batch.ones, balanced=balanced_only)
         stats["masks"] += valid.bit_count()
         stats["blocks"] += 1
         if m_min:
@@ -434,7 +444,7 @@ def _members(
         candidates = valid & block.strong
         if balanced_only:
             candidates &= block.balanced
-        chain, objects = _stride_planes(n, pos, len(seq), valid)
+        chain, objects = _stride_planes(n, batch.pos, len(seq), valid)
         on_stride = chain | objects
         stats["stride_lanes"] += on_stride.bit_count()
         kappa: dict[int, int] = {}
@@ -468,7 +478,9 @@ def _members(
             "kappa": {k: p & on_stride for k, p in kappa.items() if p & on_stride},
         }
         differ = [key for key in kernel if scalar[key] != kernel[key]]
-        assert not differ, f"batch at stream position {pos}: kernel and oracle differ in {differ}"
+        assert not differ, (
+            f"batch at stream position {batch.pos}: kernel and oracle differ in {differ}"
+        )
         for i in found:
             # lambda, computed here where the sweep does not need it, must
             # satisfy kappa <= lambda <= min semidegree
@@ -487,7 +499,7 @@ def _members(
                 i: lam_of.get(i) or masks.lambda_mask(t.out_rows(seq[i]), n)
                 for i in _pull(passing, stats)
             })
-        batch = [
+        members = [
             (plane, m, sigma_max, kap, lam)
             for kap, k_plane in by_kappa.items()
             for lam, l_plane in by_lambda.items()
@@ -497,8 +509,8 @@ def _members(
             ).items()
             for m, plane in masks.value_planes(block.size, s_plane).items()
         ]
-        stats["members"] += sum(plane.bit_count() for plane, *_ in batch)
-        yield seq, batch
+        stats["members"] += sum(plane.bit_count() for plane, *_ in members)
+        yield batch, members
 
 
 def _planes(values: dict[int, object]) -> dict:
@@ -523,10 +535,10 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     generator and yields those passing the filter (duplicates possible).
     """
     rng_state = _piece_states(spec, [0])[0]
-    for seq, cells in _members(spec, 0, _stream_length(spec), rng_state, _new_stats()):
+    for batch, cells in _members(spec, 0, _stream_length(spec), rng_state, _new_stats()):
         # the cells are disjoint, so their sum is their union
         for i in masks.lanes(sum(plane for plane, *_ in cells)):
-            yield masks.digraph_of_mask(spec.order, seq[i])
+            yield masks.digraph_of_mask(spec.order, batch.seq[i])
 
 
 @lru_cache(maxsize=None)
@@ -563,9 +575,7 @@ def _object_crosscheck(n: int, mask: int, sigmas, kap, lam) -> None:
             assert conn_mod.edge_connectivity(D).value == lam, mask
 
 
-def _witnesses(
-    spec: EnumerationSpec, seq: Sequence[int], hits: int, stats: dict
-) -> dict[int, int]:
+def _witnesses(spec: EnumerationSpec, batch: _Batch, hits: int, stats: dict) -> dict[int, int]:
     """Lane to canonical form, for the lanes of ``hits`` that give a witness.
 
     ``hits`` is the union of a batch's equality lanes. Every sweep decision
@@ -578,14 +588,12 @@ def _witnesses(
     A sample need not hold an orbit's minimum; its hits are canonicalised
     lane by lane.
     """
-    n = spec.order
+    n, seq = spec.order, batch.seq
     if spec.mode == "sampled":
         return {i: masks.canonical_mask(n, seq[i]) for i in _pull(hits, stats)}
     stats["orbit_min_lanes"] += hits.bit_count()
-    width = len(seq)
-    cells, _ones = masks.range_cells(n, seq[0], width.bit_length() - 1)
-    minimal = masks.orbit_min_planes(n, cells, hits)
-    for i in _pull(_stride_planes(n, seq[0], width, hits)[0], stats):
+    minimal = masks.orbit_min_planes(n, batch.cells, hits)
+    for i in _pull(_stride_planes(n, batch.pos, len(seq), hits)[0], stats):
         mask = seq[i]
         assert (minimal >> i) & 1 == masks.is_canonical(n, mask), mask
     forms = {}
@@ -619,7 +627,7 @@ def _sweep_shard(args) -> dict:
         need_kappa=any(b in ("kappa_digraph", "eulerian_kappa") for b in bound_ids),
         need_lambda="eulerian_lambda" in bound_ids,
     )
-    for seq, cells in batches:
+    for batch, cells in batches:
         attained = dict.fromkeys(bound_ids, 0)  # equality lanes per bound
         hits = 0
         for plane, m, sigma_max, kap, lam in cells:
@@ -643,7 +651,7 @@ def _sweep_shard(args) -> dict:
                 rhs = num * (n - 1)
                 if lhs > rhs:
                     state["violations"].extend(
-                        (seq[i], sigma_max, m, bid_kap, bid_lam)
+                        (batch.seq[i], sigma_max, m, bid_kap, bid_lam)
                         for i in _pull(plane, stats)
                     )
                     row[2] += weight
@@ -654,7 +662,7 @@ def _sweep_shard(args) -> dict:
         if not hits:
             continue
         # one witness form per mask, shared by every bound it attains
-        forms = _witnesses(spec, seq, hits, stats)
+        forms = _witnesses(spec, batch, hits, stats)
         for bid, plane in attained.items():
             per_bound[bid]["equality"].update(
                 form for i, form in forms.items() if plane >> i & 1
@@ -831,7 +839,7 @@ def _uniqueness_shard(args) -> dict:
     breaches = []
     instances = 0
     rhs = target_num * (n - 1)
-    for seq, cells in _members(spec, lo, hi, rng_state, stats, m_min=m_min):
+    for batch, cells in _members(spec, lo, hi, rng_state, stats, m_min=m_min):
         attained = 0
         for plane, m, sigma_max, _kap, _lam in cells:
             instances += plane.bit_count()
@@ -839,9 +847,9 @@ def _uniqueness_shard(args) -> dict:
             if lhs == rhs:
                 attained |= plane
             elif lhs > rhs:
-                breaches.extend((seq[i], sigma_max, m) for i in _pull(plane, stats))
+                breaches.extend((batch.seq[i], sigma_max, m) for i in _pull(plane, stats))
         if attained:
-            hits.extend(_witnesses(spec, seq, attained, stats).values())
+            hits.extend(_witnesses(spec, batch, attained, stats).values())
     return {"instances": instances, "hits": hits, "breaches": breaches, "stats": stats}
 
 
@@ -853,8 +861,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     recorded in the audit section, but the family sizes counted directly
     decide feasibility, since the stated range is inconsistent with them.
     """
-    if n > EXHAUSTIVE_MAX_ORDER:
-        raise ValueError(f"exhaustive uniqueness check limited to n <= {EXHAUSTIVE_MAX_ORDER}")
+    spec = EnumerationSpec(n, "strong_kappa", kappa)
     members = enumerate_kappa_pc_family(n, kappa)
     sizes = {kappa_pc_digraph(p).size for p in members}
     guard = bounds_mod.sharpness_guard("kappa_digraph", n, m, kappa)
@@ -868,7 +875,6 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     rho_star, _ = remoteness(extremal)
     expected = canonical_form(extremal).hex()
 
-    spec = EnumerationSpec(n, "strong_kappa", kappa)
     partials, elapsed = _sweep(
         _uniqueness_shard, spec, workers, m, rho_star.numerator, rho_star.denominator
     )
@@ -927,7 +933,7 @@ def _profile_extremal(counts: tuple[int, ...]) -> tuple[int, int]:
     return 2 * (within + between), masks.canonical_mask(sum(counts), extremal)
 
 
-def _profile_oracle(n: int, seq: Sequence[int], chain: int, profiles: list[dict]) -> None:
+def _profile_oracle(n: int, batch: _Batch, chain: int, profiles: list[dict]) -> None:
     """``profile_vectors`` on the chain-stride members must give the profile planes.
 
     Once per batch, the scalar per-source maps from profile to plane of the
@@ -936,11 +942,12 @@ def _profile_oracle(n: int, seq: Sequence[int], chain: int, profiles: list[dict]
     t = masks.tables_for(n)
     scalar: list[dict] = [{} for _ in range(n)]
     for i in masks.lanes(chain):
-        for groups, counts in zip(scalar, masks.profile_vectors(t.out_rows(seq[i]), n, t.full)):
+        rows = t.out_rows(batch.seq[i])
+        for groups, counts in zip(scalar, masks.profile_vectors(rows, n, t.full)):
             groups[counts] = groups.get(counts, 0) | 1 << i
     kernel = [{p: g & chain for p, g in groups.items() if g & chain} for groups in profiles]
     assert scalar == kernel, (
-        f"batch at stream position {seq[0]}: profile planes and profile_vectors differ"
+        f"batch at stream position {batch.pos}: profile planes and profile_vectors differ"
     )
 
 
@@ -961,7 +968,7 @@ def _eulerian_shard(args) -> dict:
     violations = []
     mismatches = []
     equality = set()
-    for seq, cells in _members(spec, lo, hi, rng_state, stats):
+    for batch, cells in _members(spec, lo, hi, rng_state, stats):
         by_m: dict[int, int] = {}
         for plane, m, *_ in cells:
             by_m[m] = by_m.get(m, 0) | plane
@@ -969,10 +976,9 @@ def _eulerian_shard(args) -> dict:
         if not members:
             continue
         instances += members.bit_count()
-        width = len(seq)
-        block, _ones = masks.range_cells(n, seq[0], width.bit_length() - 1)
-        profiles = masks.profile_planes(n, block, members)
-        _profile_oracle(n, seq, _stride_planes(n, seq[0], width, members)[0], profiles)
+        profiles = masks.profile_planes(n, batch.cells, members)
+        chain = _stride_planes(n, batch.pos, len(batch.seq), members)[0]
+        _profile_oracle(n, batch, chain, profiles)
         # lanes by eccentricity of some source, then by diameter
         ecc: dict[int, int] = {}
         for groups in profiles:
@@ -993,7 +999,9 @@ def _eulerian_shard(args) -> dict:
                 for m, m_plane in by_m.items():
                     hit = at_diameter & m_plane
                     if hit and m > cap:
-                        violations.extend((seq[i], v, counts, m, cap) for i in _pull(hit, stats))
+                        violations.extend(
+                            (batch.seq[i], v, counts, m, cap) for i in _pull(hit, stats)
+                        )
                     elif hit and m == cap:
                         attained[v, counts] = attained.get((v, counts), 0) | hit
         if not attained:
@@ -1001,12 +1009,12 @@ def _eulerian_shard(args) -> dict:
         hits = 0
         for plane in attained.values():
             hits |= plane
-        for i, form in _witnesses(spec, seq, hits, stats).items():
+        for i, form in _witnesses(spec, batch, hits, stats).items():
             for (v, counts), plane in attained.items():
                 if not plane >> i & 1:
                     continue
                 if form != _profile_extremal(counts)[1]:
-                    mismatches.append((seq[i], v, counts))
+                    mismatches.append((batch.seq[i], v, counts))
                 else:
                     equality.add(form)
     return {
@@ -1026,8 +1034,6 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     the distance profile), and equality forces D to be the bidirected
     sequential sum of those blocks (checked by canonical form).
     """
-    if n > EXHAUSTIVE_MAX_ORDER:
-        raise ValueError(f"exhaustive Eulerian check limited to n <= {EXHAUSTIVE_MAX_ORDER}")
     spec = EnumerationSpec(n, "eulerian")
     partials, elapsed = _sweep(_eulerian_shard, spec, workers)
     instances = sum(p["instances"] for p in partials)

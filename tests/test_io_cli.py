@@ -269,7 +269,10 @@ class TestCLI:
         assert huge["violations"] == small["violations"] == []
 
     def test_verify_infeasible_order(self, capsys):
-        assert run(["verify", "--check", "digraph_order", "--order", "6"]) == 2
+        # past the one order cap, exhaustive and sampled alike
+        assert run(["verify", "--check", "digraph_order", "--order", "7"]) == 2
+        sampled = ["--samples", "10", "--seed", "1"]
+        assert run(["verify", "--check", "digraph_order", "--order", "7", *sampled]) == 2
 
     def test_audit(self, capsys):
         assert run(["audit", "--n", "6", "--kappa", "2", "--format", "json"]) == 0

@@ -52,8 +52,11 @@ class TestEnumeration:
         assert sum(1 for _ in enumerate_digraphs(spec)) == 118
 
     def test_exhaustive_ceiling(self):
-        with pytest.raises(ValueError, match="exhaustive"):
-            EnumerationSpec(6, "strong")
+        # one order cap for both modes: order 6 is the last that enumerates
+        with pytest.raises(ValueError, match="order must be in 1..6"):
+            EnumerationSpec(7, "strong")
+        with pytest.raises(ValueError, match="order must be in 1..6"):
+            EnumerationSpec(7, "strong", mode="sampled", samples=10, seed=1)
 
     def test_sampled_needs_seed(self):
         with pytest.raises(ValueError, match="seed"):
@@ -116,9 +119,9 @@ def _piece_batches(spec, pieces):
     bits = _batch_bits(spec.order)
     starts = _piece_states(spec, [lo for lo, _ in pieces])
     return [
-        (pos, list(seq))
+        (batch.pos, list(batch.seq))
         for (lo, hi), start in zip(pieces, starts)
-        for seq, pos, *_ in _batches(spec, lo, hi, start, bits)
+        for batch in _batches(spec, lo, hi, start, bits)
     ]
 
 
@@ -301,6 +304,21 @@ _ENTRY_POINTS = {
     ),
 }
 
+# One kernel block of the exhaustive order-6 sweep, masks 2133 * 2**14 ..
+# 2134 * 2**14 - 1: strong lanes on both strides (mask 34,954,787 =
+# 343 * 101 * 1009 among them) and equality hits on the chain stride. It
+# enters every case that skews every lane. The complete-digraph sabotages
+# stay at n <= 4: at n = 6 the complete digraph is mask 2**30 - 1, which is
+# 16 mod 101 and so off the chain stride.
+_ORDER6_BLOCK = 2133 << 14
+_ORDER6_ENTRY = {
+    "order6_block": lambda: _sweep_shard((
+        EnumerationSpec(6, "strong"), _ORDER6_BLOCK, _ORDER6_BLOCK + (1 << 14), None,
+        ("digraph_order", "size_digraph"),
+    )),
+}
+_EVERY_LANE_ENTRIES = (*_ENTRY_POINTS, *_ORDER6_ENTRY)
+
 # order-5 exhaustive sweeps none of whose equality hits lies on the chain
 # stride (mask % 101 == 0); the lambda class is the N5_GOLDEN pin
 _ORDER5_WITNESS_SWEEPS = {
@@ -313,17 +331,20 @@ _ORDER5_WITNESS_SWEEPS = {
 
 # (id, entry, sabotage): the kappa cases keep their bare entry-point ids
 _CROSSCHECK_CASES = [
-    *((name, name, _kappa_is_order) for name in _ENTRY_POINTS),
+    *((name, name, _kappa_is_order) for name in _EVERY_LANE_ENTRIES),
     *((f"{name}-sigma_max", name, _sigma_max_off_by_one) for name in _ENTRY_POINTS),
     *((f"{name}-kappa_plane", name, _kappa_plane_off_by_one) for name in _ENTRY_POINTS),
     *((f"{name}-size", name, _size_off_by_one) for name in _ENTRY_POINTS),
     *((f"{name}-strong_plane", name, _strong_plane_drops) for name in _ENTRY_POINTS),
-    *((f"{name}-lambda_chain", name, _lambda_is_zero) for name in _ENTRY_POINTS),
+    *((f"{name}-lambda_chain", name, _lambda_is_zero) for name in _EVERY_LANE_ENTRIES),
     *(
         (f"{name}-lambda_above_semidegree", name, _lambda_above_semidegree)
-        for name in _ENTRY_POINTS
+        for name in _EVERY_LANE_ENTRIES
     ),
-    *((f"{name}-semidegree_chain", name, _semidegree_is_zero) for name in _ENTRY_POINTS),
+    *(
+        (f"{name}-semidegree_chain", name, _semidegree_is_zero)
+        for name in _EVERY_LANE_ENTRIES
+    ),
     # the entry points with a class candidate on the object stride
     *(
         (f"{name}-{case}", name, sabotage)
@@ -332,7 +353,7 @@ _CROSSCHECK_CASES = [
             ("object_kappa", _object_kappa_off_by_one),
             ("object_lambda", _object_lambda_off_by_one),
         )
-        for name in ("universal_bounds", "sampled_universal_bounds")
+        for name in ("universal_bounds", "sampled_universal_bounds", *_ORDER6_ENTRY)
     ),
     # the entry points whose class asks the kernel for a balanced plane
     *(
@@ -346,25 +367,41 @@ _CROSSCHECK_CASES = [
         (f"{name}-orbit_min", name, _every_hit_orbit_min)
         for name in (
             "universal_bounds", "extremal_uniqueness", "eulerian_theorem",
-            *_ORDER5_WITNESS_SWEEPS,
+            *_ORDER5_WITNESS_SWEEPS, *_ORDER6_ENTRY,
         )
     ),
 ]
 
 # _sweep_shard over stretches that cut blocks, digests recorded with the
-# per-mask kernel it replaced: (spec, lo, hi, bound ids, instances, sha256)
+# per-mask kernel it replaced, then the order-6 stretches 33, 341 and 700
+# of scripts/order6_stretches.py: (spec, lo, hi, bound ids, instances,
+# sha256, (lanes_extracted, stride_lanes, orbit_min_lanes))
 _ODD_STRETCHES = [
     (EnumerationSpec(5, "strong"), 12345, 700001, ("digraph_order", "size_digraph"),
-     340419, "9da05c76a954b799e058903e479fb5cbe532e2141d3010a79461f903fb36be89"),
+     340419, "9da05c76a954b799e058903e479fb5cbe532e2141d3010a79461f903fb36be89",
+     (1498, 7483, 70597)),
     (EnumerationSpec(5, "eulerian"), 12345, 700001,
      ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
-     4696, "ac9f5bcdd69514a3590e48104e1d9440befd411796ca9edec43628ac73fcca83"),
+     4696, "ac9f5bcdd69514a3590e48104e1d9440befd411796ca9edec43628ac73fcca83",
+     (4702, 7483, 138)),
     (EnumerationSpec(5, "strong"), 333333, 345679, ("kappa_digraph", "size_digraph"),
-     6856, "919bfa1dd65ca6125960e0c385217ebbead38e2a61a718e8b26b77b6a7dbc0b6"),
+     6856, "919bfa1dd65ca6125960e0c385217ebbead38e2a61a718e8b26b77b6a7dbc0b6",
+     (0, 134, 0)),
     (EnumerationSpec(5, "strong_kappa", 2), 500001, 517777, ("kappa_digraph",),
-     2737, "68d4e75b78623dc46654c6b7075d8611198ac714b6f98d470f8ee70058468448"),
+     2737, "68d4e75b78623dc46654c6b7075d8611198ac714b6f98d470f8ee70058468448",
+     (0, 193, 0)),
     (EnumerationSpec(4, "strong"), 77, 3001, ("digraph_order", "kappa_digraph"),
-     999, "caa13f2417dc0d2fd366d8f33aae62c0eae9bf802c3dd4652ffe0a1e3df9af2b"),
+     999, "caa13f2417dc0d2fd366d8f33aae62c0eae9bf802c3dd4652ffe0a1e3df9af2b",
+     (681, 2924, 641)),
+    (EnumerationSpec(6, "strong"), 33 << 20, 34 << 20, ("digraph_order", "size_digraph"),
+     513830, "2283287075f2c7438912c6f2b7619a5fbd79b15722fcee5cd8bbc35da0ac725d",
+     (1892, 11410, 20004)),
+    (EnumerationSpec(6, "strong"), 341 << 20, 342 << 20, ("digraph_order", "size_digraph"),
+     853504, "a594d4f2f5b14b45059e1c6fa7fc1da0fc7454ca88b70f33e6f3dca895bd64f7",
+     (165, 11411, 17676)),
+    (EnumerationSpec(6, "strong"), 700 << 20, 701 << 20, ("digraph_order", "size_digraph"),
+     811248, "b3efbb6ed0b2d384c51385dcae6931a7ef862e02afa58b907566b7c811667043",
+     (103, 11411, 9552)),
 ]
 
 
@@ -377,7 +414,7 @@ class TestSharedKernel:
     def test_every_sweep_runs_the_crosschecks(self, monkeypatch, entry, sabotage):
         sabotage(monkeypatch)
         with pytest.raises(AssertionError):
-            {**_ENTRY_POINTS, **_ORDER5_WITNESS_SWEEPS}[entry]()
+            {**_ENTRY_POINTS, **_ORDER5_WITNESS_SWEEPS, **_ORDER6_ENTRY}[entry]()
 
     def test_sampled_order5_sweep_runs_the_kappa_oracle(self, monkeypatch):
         # stride lanes are chosen by position in the sample, so an order-5
@@ -410,21 +447,26 @@ class TestSharedKernel:
         assert 63 in [rng.getrandbits(6) for _ in range(_SAMPLED_DRAWS)]
 
     @pytest.mark.parametrize(
-        "spec, lo, hi, bound_ids, instances, digest",
+        "spec, lo, hi, bound_ids, instances, digest, lanes",
         _ODD_STRETCHES,
         ids=[f"{c[0].class_label}-{c[1]}-{c[2]}" for c in _ODD_STRETCHES],
     )
     def test_odd_stretches_match_the_per_mask_kernel(
-        self, spec, lo, hi, bound_ids, instances, digest
+        self, spec, lo, hi, bound_ids, instances, digest, lanes
     ):
         out = _sweep_shard((spec, lo, hi, None, bound_ids))
         assert out["instances"] == instances
         assert order6_stretches.shard_digest(out) == digest
+        stats = out["stats"]
+        assert (stats["masks"], stats["members"]) == (hi - lo, instances)
+        assert (stats["lanes_extracted"], stats["stride_lanes"], stats["orbit_min_lanes"]) == lanes
 
     def test_order6_stretch_script(self, capsys, monkeypatch):
-        # a real order-6 stretch runs as its own CI step; here an order-4
-        # shard with a pinned digest stands in for it
-        spec, lo, hi, bound_ids, instances, digest = _ODD_STRETCHES[-1]
+        # the real order-6 stretches are pinned in _ODD_STRETCHES; here the
+        # quicker order-4 shard with a pinned digest stands in for one
+        spec, lo, hi, bound_ids, instances, digest, _ = next(
+            row for row in _ODD_STRETCHES if row[0].order == 4
+        )
         monkeypatch.setattr(
             order6_stretches.verifier, "_sweep_shard",
             lambda job: _sweep_shard((spec, lo, hi, None, job[4])),
@@ -439,8 +481,6 @@ class TestSharedKernel:
             order6_stretches.main(["1024"])
         with pytest.raises(SystemExit):
             order6_stretches.main(["1", "--bounds", "size_digraph,size_digraph"])
-        with pytest.raises(ValueError, match="exhaustive"):
-            EnumerationSpec(6, "strong")
 
     @pytest.mark.parametrize("order, samples", [(1, 300), (4, 10_000)])
     def test_draw_path_timing_script(self, capsys, order, samples):
@@ -827,8 +867,8 @@ class TestEulerianSizeTheorem:
         assert canonical_form(directed_cycle(4)).hex() not in witnesses
 
     def test_order_cap(self):
-        with pytest.raises(ValueError):
-            check_eulerian_size_theorem(6)
+        with pytest.raises(ValueError, match="order must be in 1..6"):
+            check_eulerian_size_theorem(7)
 
 
 class TestExtremalUniqueness:
@@ -841,6 +881,12 @@ class TestExtremalUniqueness:
     def test_guard_refusal(self):
         with pytest.raises(ValueError, match="guard"):
             check_extremal_uniqueness(4, 8, 1)  # 8 is not a family size
+
+    def test_order_cap(self):
+        # no order-7 family member has one arc, but the order cap is
+        # checked first, so the refusal names the cap
+        with pytest.raises(ValueError, match="order must be in 1..6"):
+            check_extremal_uniqueness(7, 1, 1)
 
     def test_literal_guard_recorded(self):
         report = check_extremal_uniqueness(4, 9, 1)
