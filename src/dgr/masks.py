@@ -18,11 +18,17 @@ arbitrary list of masks (lane i is the i-th draw) as one bit-matrix
 transpose of the masks packed into 32- or 64-bit words, a few
 mask/shift/xor stages over one int. On either, integer
 AND/OR/XOR run one BFS per source vertex for every lane together:
-``block_planes`` gives strongness, balance, sigma_max and size,
+``block_planes`` gives strongness, sigma_max and size,
 ``kappa_planes`` splits the strong lanes by vertex connectivity,
 ``profile_planes`` splits them by each source's distance profile, and
 ``orbit_min_planes`` keeps the lanes whose mask is the least of its
 relabellings, the orbit-minimal witnesses of a sweep's equality hits.
+Two cheaper kernels need no BFS, so a sweep runs them first, on the whole
+batch, as class prefilters: ``size_counter`` counts every lane's arcs
+(``block_planes`` takes its size from it too) and ``balance_plane``
+compares every vertex's out- and in-degree counters. The verifier then
+packs the lanes it keeps into a dense batch with ``draw_cells``, so the
+BFS kernels above run only on those.
 Per-lane numbers are bit-sliced counters: a list of planes, least
 significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 
@@ -200,14 +206,12 @@ def profile_vectors(rows: list[int], n: int, full: int) -> list[tuple[int, ...]]
 class BlockPlanes(NamedTuple):
     """Per-lane results for one block or batch of masks.
 
-    ``strong`` and ``balanced`` are planes (``balanced`` is None unless it
-    was asked for); ``sigma_max`` and ``size`` are bit-sliced counters of
-    the largest transmission and of the arc count m. ``sigma_max`` is
-    meaningful on strong lanes only.
+    ``strong`` is a plane; ``sigma_max`` and ``size`` are bit-sliced
+    counters of the largest transmission and of the arc count m.
+    ``sigma_max`` is meaningful on strong lanes only.
     """
 
     strong: int
-    balanced: int | None
     sigma_max: list[int]
     size: list[int]
 
@@ -317,8 +321,36 @@ def _counter_max(a: list[int], b: list[int]) -> list[int]:
     return [y ^ ((x ^ y) & greater) for x, y in pairs]
 
 
-def block_planes(n: int, cells: list[int], ones: int, balanced: bool = False) -> BlockPlanes:
-    """Strongness, sigma_max, size (and balance) of every lane of ``ones``.
+def size_counter(cells: list[int]) -> list[int]:
+    """The arc count m of every lane, as a bit-sliced counter of the cell planes."""
+    size: list[int] = []
+    for plane in cells:
+        _add_plane(size, plane)
+    return size
+
+
+def balance_plane(n: int, cells: list[int], ones: int) -> int:
+    """Lanes of ``ones`` whose digraph is balanced: in-degree equals out-degree everywhere.
+
+    The plane-wise ``is_balanced``: per vertex, bit-sliced counters of its
+    out-arc and in-arc cells, compared bit by bit.
+    """
+    t = tables_for(n)
+    out_deg: list[list[int]] = [[] for _ in range(n)]
+    in_deg: list[list[int]] = [[] for _ in range(n)]
+    for (u, v), plane in zip(t.cells, cells):
+        if plane:
+            _add_plane(out_deg[u], plane)
+            _add_plane(in_deg[v], plane)
+    balance = ones
+    for out_c, in_c in zip(out_deg, in_deg):
+        for x, y in zip_longest(out_c, in_c, fillvalue=0):
+            balance &= ~(x ^ y)
+    return balance
+
+
+def block_planes(n: int, cells: list[int], ones: int) -> BlockPlanes:
+    """Strongness, sigma_max and size of every lane of ``ones``.
 
     ``cells`` are the arc-cell planes from ``range_cells`` or ``draw_cells``.
     The transmission of v is the sum, over BFS levels 0 .. n-2, of the
@@ -328,16 +360,9 @@ def block_planes(n: int, cells: list[int], ones: int, balanced: bool = False) ->
     """
     t = tables_for(n)
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    out_deg: list[list[int]] = [[] for _ in range(n)]
-    in_deg: list[list[int]] = [[] for _ in range(n)]
-    size: list[int] = []
     for (u, v), plane in zip(t.cells, cells):
-        _add_plane(size, plane)
         if plane:
             into[v].append((u, plane))
-            if balanced:
-                _add_plane(out_deg[u], plane)
-                _add_plane(in_deg[v], plane)
     strong = ones
     sigma_max: list[int] = []
     for source in range(n):
@@ -359,13 +384,7 @@ def block_planes(n: int, cells: list[int], ones: int, balanced: bool = False) ->
         for r in reached:
             strong &= r
         sigma_max = _counter_max(sigma_max, sigma)
-    balance = None
-    if balanced:
-        balance = ones
-        for out_c, in_c in zip(out_deg, in_deg):
-            for x, y in zip_longest(out_c, in_c, fillvalue=0):
-                balance &= ~(x ^ y)
-    return BlockPlanes(strong, balance, sigma_max, size)
+    return BlockPlanes(strong, sigma_max, size_counter(cells))
 
 
 @lru_cache(maxsize=None)

@@ -11,29 +11,37 @@ cross-checks; each check only consumes the members.
 Every stretch goes through the block kernel (``masks.block_planes`` and
 ``masks.kappa_planes``) in batches of up to 2**bits lanes,
 ``bits = min(n(n-1), _BLOCK_BITS)``: an exhaustive stretch in aligned
-blocks of consecutive masks, where a valid-lane plane masks off the lanes
-outside the stretch, a sampled stretch in runs of consecutive draws, each
-batch from one call of the seeded generator, transposed to planes by
-``masks.draw_cells``. A sampled piece starts from the generator state at
-its first draw, which the sweep finds in one pass over the stream and
-hands over, so no piece replays the draws before it. A batch is one
-``_Batch`` record: lane i is the mask ``seq[i]`` at stream position
-``pos + i``, and its cell planes serve every plane kernel. Members come
-out once per batch, as cells: planes of lanes sharing (kappa, lambda,
-sigma_max, m), split in that order, which the checks weight by their
-popcount. Equality hits gather into one plane per batch, and on an
-exhaustive block ``masks.orbit_min_planes`` decides which of them are the
+blocks of consecutive masks, where a valid-lane plane masks off the
+lanes outside the stretch, a sampled stretch in runs of consecutive
+draws, each batch from one call of the seeded generator, transposed to
+planes by ``masks.draw_cells``. A sampled piece starts from the
+generator state at its first draw, which the sweep finds in one pass
+over the stream and hands over, so no piece replays the draws before it.
+A batch is one ``_Batch`` record: lane i is the mask ``seq[i]`` at
+stream position ``pos + i``, and its cell planes serve every plane
+kernel. Before any BFS kernel runs, the class's cheap tests are decided
+on the whole batch: ``masks.size_counter`` against the uniqueness
+check's least size (a batch with fewer nonzero cell planes than that is
+skipped outright), and ``masks.balance_plane`` for the Eulerian classes.
+Unless every lane is kept, the survivors and the stride lanes are packed
+by ``_gather`` into one dense batch, transposed by ``masks.draw_cells``,
+and every later kernel and the oracle run on that. Members come out once
+per batch, as cells: planes of lanes sharing (kappa, lambda, sigma_max,
+m), split in that order, which the checks weight by their popcount.
+Equality hits gather into one plane per batch, and on an exhaustive
+block ``masks.orbit_min_planes`` decides which of them are the
 orbit-minimal witnesses. Lanes are pulled out one by one, in increasing
 lane order within a plane, only for scalar work: violations, witnesses,
 sampled equality hits, and lambda where a class or bound needs it. The
 scalar decode is the kernel's oracle on the stride lanes, which
-``_stride_planes`` alone chooses by stream position: once per batch it
-builds on them the maps the kernel yields (strong and balanced planes,
-value-to-plane maps of m, sigma_max and kappa, and in the Eulerian theorem
-each source's map from distance profile to plane), which must equal the
-kernel's; on the chain-stride equality hits ``masks.is_canonical`` must
-agree with the orbit-minimality planes, and every witness they keep must
-pass it.
+``_stride_planes`` alone chooses by stream position, once per batch and
+before the gather, which always keeps them; the batch carries them as
+its ``chain`` and ``objects`` planes. On them the oracle builds the maps
+the kernel yields (strong and balanced planes, value-to-plane maps of m,
+sigma_max and kappa, and in the Eulerian theorem each source's map from
+distance profile to plane), which must equal the kernel's; on the
+chain-stride equality hits ``masks.is_canonical`` must agree with the
+orbit-minimality planes, and every witness they keep must pass it.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -95,7 +103,7 @@ _PIECES_PER_WORKER = 8
 # Counters kept per sweep; merged across shards into ``CheckReport.stats``.
 _STAT_KEYS = (
     "masks",  # masks scanned
-    "blocks",  # block-kernel calls: exhaustive blocks and sampled batches
+    "blocks",  # batches of the stream, skipped or gathered ones included
     "members",  # class members
     "lanes_extracted",  # lanes pulled out of a cell for scalar work
     "stride_lanes",  # stride lanes re-derived by the scalar oracle, strong or not
@@ -343,12 +351,17 @@ _Cell = tuple[int, int, int, int | None, int | None]
 
 
 class _Batch(NamedTuple):
-    """One kernel batch: lane i is the mask ``seq[i]`` at stream position ``pos + i``.
+    """One kernel batch: lane i is the mask ``seq[i]``.
 
-    The position is the mask itself when exhaustive and the draw's index in
-    the whole sample when sampled. ``valid`` holds the lanes inside the
+    As ``_batches`` yields it, lane i is at stream position ``pos + i``:
+    the position is the mask itself when exhaustive and the draw's index
+    in the whole sample when sampled. ``valid`` holds the lanes inside the
     stretch swept; ``cells`` and ``ones`` are the batch's arc-cell planes
-    and all-lanes plane, which every plane kernel reads.
+    and all-lanes plane, which every plane kernel reads. ``chain`` and
+    ``objects`` are the stride planes of ``_stride_planes``, which
+    ``_members`` decides by stream position. A batch that ``_gather``
+    packs keeps ``pos``, its first stream position, and carries its stride
+    planes with its lanes; its lane i is then at no fixed position.
     """
 
     seq: Sequence[int]
@@ -356,6 +369,8 @@ class _Batch(NamedTuple):
     valid: int
     cells: list[int]
     ones: int
+    chain: int = 0
+    objects: int = 0
 
 
 def _batches(
@@ -405,6 +420,29 @@ def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int]:
     return (valid if n <= 4 else planes[0]), planes[1]
 
 
+def _gather(n: int, batch: _Batch, keep: int) -> tuple[_Batch, list[int]]:
+    """The valid lanes of ``keep`` as one dense batch, and the lanes they came from.
+
+    Lane j of the new batch is lane ``picked[j]`` of ``batch``, in
+    increasing lane order; its cell planes come from ``masks.draw_cells``,
+    its lanes are all valid, and its ``chain`` and ``objects`` planes
+    follow their lanes.
+    """
+    picked = list(masks.lanes(keep & batch.valid))
+    seq = [batch.seq[i] for i in picked]
+    cells, ones = masks.draw_cells(n, seq)
+    chain, objects = (_pick(plane, picked) for plane in (batch.chain, batch.objects))
+    return _Batch(seq, batch.pos, ones, cells, ones, chain, objects), picked
+
+
+def _pick(plane: int, picked: list[int]) -> int:
+    """Bit j of the result is bit ``picked[j]`` of ``plane``."""
+    if not picked:
+        return 0
+    digits = f"{plane:0{picked[-1] + 1}b}"[::-1]
+    return int("".join(digits[i] for i in reversed(picked)), 2)
+
+
 def _members(
     spec: EnumerationSpec,
     lo: int,
@@ -418,12 +456,17 @@ def _members(
     """Class members among masks lo..hi-1 of the stream: the loop of every sweep.
 
     ``rng_state`` is the generator state at draw lo of a sampled stream,
-    None when exhaustive. Yields ``(batch, cells)`` once per batch, its cells
-    disjoint; only masks with at least ``m_min`` arcs are scanned. kappa
-    comes from the kernel's kappa planes and lambda lane by lane on the
-    candidates that meet the kappa threshold, each when the class filter or
-    the caller needs it, and is None otherwise; below order 2 they are
-    never computed and count as 0 against a class threshold.
+    None when exhaustive. Yields ``(batch, cells)`` per batch that can
+    hold a member, its cells disjoint; only masks with at least ``m_min``
+    arcs are scanned. Before any plane kernel, the whole batch is
+    prefiltered by the class's cheap tests (size for ``m_min``, balance
+    for the Eulerian classes); when the lanes kept, the survivors and the
+    stride lanes, are not the whole batch, ``_gather`` packs them into the
+    batch that is yielded. kappa comes from the kernel's kappa planes and
+    lambda lane by lane on the candidates that meet the kappa threshold,
+    each when the class filter or the caller needs it, and is None
+    otherwise; below order 2 they are never computed and count as 0
+    against a class threshold.
     """
     n = spec.order
     t = masks.tables_for(n)
@@ -433,19 +476,33 @@ def _members(
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
     balanced_only = spec.class_filter.startswith("eulerian")
     for batch in _batches(spec, lo, hi, rng_state, _batch_bits(n)):
-        seq, valid, cells = batch.seq, batch.valid, batch.cells
-        block = masks.block_planes(n, cells, batch.ones, balanced=balanced_only)
+        valid = batch.valid
         stats["masks"] += valid.bit_count()
         stats["blocks"] += 1
         if m_min:
-            valid = sum(
-                p for m, p in masks.value_planes(block.size, valid).items() if m >= m_min
-            )
+            # a lane has at most as many arcs as the batch has nonzero cells
+            if sum(1 for plane in batch.cells if plane) < m_min:
+                continue
+            sizes = masks.value_planes(masks.size_counter(batch.cells), valid)
+            valid = sum(p for m, p in sizes.items() if m >= m_min)
+        chain, objects = _stride_planes(n, batch.pos, len(batch.seq), valid)
+        batch = batch._replace(valid=valid, chain=chain, objects=objects)
+        # the lanes the class can use, and every stride lane, which the
+        # oracle re-derives whether it passes the prefilter or not
+        keep = valid
+        if balanced_only:
+            balanced = masks.balance_plane(n, batch.cells, batch.ones)
+            keep = valid & balanced | chain | objects
+        if keep != batch.ones:
+            batch, picked = _gather(n, batch, keep)
+            if balanced_only:
+                balanced = _pick(balanced, picked)
+        seq, valid, cells = batch.seq, batch.valid, batch.cells
+        block = masks.block_planes(n, cells, batch.ones)
         candidates = valid & block.strong
         if balanced_only:
-            candidates &= block.balanced
-        chain, objects = _stride_planes(n, batch.pos, len(seq), valid)
-        on_stride = chain | objects
+            candidates &= balanced
+        on_stride = batch.chain | batch.objects
         stats["stride_lanes"] += on_stride.bit_count()
         kappa: dict[int, int] = {}
         if n >= 2:
@@ -455,24 +512,24 @@ def _members(
             kappa = masks.kappa_planes(n, cells, checked)
         # the scalar oracle: the stride lanes, decoded one by one, give the
         # kernel's own maps restricted to them
-        on_chain, on_objects = set(masks.lanes(chain)), set(masks.lanes(objects))
+        on_chain, on_objects = set(masks.lanes(batch.chain)), set(masks.lanes(batch.objects))
         rows = {i: t.out_rows(seq[i]) for i in on_chain | on_objects}
         sigmas = {i: masks.sigma_vector(r, n, t.full) for i, r in rows.items()}
         sigma_max_of = {i: max(s) for i, s in sigmas.items() if s is not None}  # strong lanes
-        balanced = {i for i in rows if balanced_only and masks.is_balanced(seq[i], n)}
-        found = [i for i in sigma_max_of if i in balanced or not balanced_only]  # candidates
+        balanced_of = {i for i in rows if balanced_only and masks.is_balanced(seq[i], n)}
+        found = [i for i in sigma_max_of if i in balanced_of or not balanced_only]  # candidates
         kappa_of = {i: masks.kappa_mask(rows[i], n, t.full) for i in found} if n >= 2 else {}
         lam_of = {i: masks.lambda_mask(rows[i], n) for i in found} if need_lambda else {}
         scalar = {
             "strong": sum(1 << i for i in sigma_max_of),
-            "balanced": sum(1 << i for i in balanced),
+            "balanced": sum(1 << i for i in balanced_of),
             "size": _planes({i: seq[i].bit_count() for i in rows}),
             "sigma_max": _planes(sigma_max_of),
             "kappa": _planes(kappa_of),
         }
         kernel = {
             "strong": block.strong & on_stride,
-            "balanced": block.balanced & on_stride if balanced_only else 0,
+            "balanced": balanced & on_stride if balanced_only else 0,
             "size": masks.value_planes(block.size, on_stride),
             "sigma_max": masks.value_planes(block.sigma_max, block.strong & on_stride),
             "kappa": {k: p & on_stride for k, p in kappa.items() if p & on_stride},
@@ -593,7 +650,7 @@ def _witnesses(spec: EnumerationSpec, batch: _Batch, hits: int, stats: dict) -> 
         return {i: masks.canonical_mask(n, seq[i]) for i in _pull(hits, stats)}
     stats["orbit_min_lanes"] += hits.bit_count()
     minimal = masks.orbit_min_planes(n, batch.cells, hits)
-    for i in _pull(_stride_planes(n, batch.pos, len(seq), hits)[0], stats):
+    for i in _pull(batch.chain & hits, stats):
         mask = seq[i]
         assert (minimal >> i) & 1 == masks.is_canonical(n, mask), mask
     forms = {}
@@ -977,8 +1034,7 @@ def _eulerian_shard(args) -> dict:
             continue
         instances += members.bit_count()
         profiles = masks.profile_planes(n, batch.cells, members)
-        chain = _stride_planes(n, batch.pos, len(batch.seq), members)[0]
-        _profile_oracle(n, batch, chain, profiles)
+        _profile_oracle(n, batch, batch.chain & members, profiles)
         # lanes by eccentricity of some source, then by diameter
         ecc: dict[int, int] = {}
         for groups in profiles:

@@ -6,6 +6,7 @@ import pytest
 
 from dgr.connectivity import edge_connectivity, min_semidegree
 from dgr.masks import (
+    balance_plane,
     block_planes,
     canonical_mask,
     digraph_of_mask,
@@ -137,19 +138,20 @@ def test_orbit_min_above_table_orders():
     assert [minimal >> i & 1 for i in range(len(draws))] == [cycle == canon, 1, 1, 1, 0, 1]
 
 
-def _assert_planes_match_scalar_decode(n, draws, block):
-    """Lane i of the block must hold the scalar decode of draws[i]."""
+def _assert_planes_match_scalar_decode(n, draws, cells, ones):
+    """Lane i of the block and balance planes must hold the scalar decode of draws[i]."""
     t = tables_for(n)
-    lanes_in = (1 << len(draws)) - 1
-    sizes = {i: v for v, p in value_planes(block.size, lanes_in).items() for i in lanes(p)}
+    block = block_planes(n, cells, ones)
+    balanced = balance_plane(n, cells, ones)
+    sizes = {i: v for v, p in value_planes(block.size, ones).items() for i in lanes(p)}
     sigma_maxes = {
-        i: v for v, p in value_planes(block.sigma_max, lanes_in).items() for i in lanes(p)
+        i: v for v, p in value_planes(block.sigma_max, ones).items() for i in lanes(p)
     }
     for i, mask in enumerate(draws):
         rows = t.out_rows(mask)
         sigmas = sigma_vector(rows, n, t.full)
         assert (block.strong >> i) & 1 == (sigmas is not None), mask
-        assert (block.balanced >> i) & 1 == is_balanced(mask, n), mask
+        assert (balanced >> i) & 1 == is_balanced(mask, n), mask
         assert sizes[i] == mask.bit_count(), mask
         if sigmas is not None:
             assert sigma_maxes[i] == max(sigmas), mask
@@ -163,8 +165,8 @@ def test_block_planes_match_scalar_decode(n, narrow):
     t = tables_for(n)
     bits = max(t.num_cells - 3, 0) if narrow else min(t.num_cells, 14)
     for base in range(0, t.mask_count, 1 << bits):
-        block = block_planes(n, *range_cells(n, base, bits), balanced=True)
-        _assert_planes_match_scalar_decode(n, range(base, base + (1 << bits)), block)
+        cells, ones = range_cells(n, base, bits)
+        _assert_planes_match_scalar_decode(n, range(base, base + (1 << bits)), cells, ones)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -180,7 +182,7 @@ def test_draw_planes_match_scalar_decode(n):
     for batch in batches:
         cells, ones = draw_cells(n, batch)
         assert len(cells) == n * (n - 1) and ones == (1 << len(batch)) - 1
-        _assert_planes_match_scalar_decode(n, batch, block_planes(n, cells, ones, balanced=True))
+        _assert_planes_match_scalar_decode(n, batch, cells, ones)
 
 
 @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1_000, 1 << 14, (1 << 14) + 33])
@@ -290,6 +292,9 @@ def test_is_balanced_matches_the_transpose_on_drawn_masks(n):
     balanced = [is_balanced(mask, n) for mask in draws]
     assert balanced == [_balanced_by_transpose(n, mask) for mask in draws]
     assert all(balanced[len(draws) // 2 :])
+    # the plane-wise balance of the same draws, as one batch
+    plane = balance_plane(n, *draw_cells(n, draws))
+    assert [bool(plane >> i & 1) for i in range(len(draws))] == balanced
 
 
 def _assert_profile_planes_match(n, draws, cells, lanes_in):

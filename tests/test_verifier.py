@@ -25,8 +25,8 @@ from dgr import (
     profile_digraph,
     remoteness,
 )
-from dgr.masks import canonical_mask, digraph_of_mask, lanes, mask_of_digraph
-from dgr.verifier import _stride_planes, _sweep_shard
+from dgr.masks import canonical_mask, digraph_of_mask, draw_cells, lanes, mask_of_digraph
+from dgr.verifier import _gather, _stride_planes, _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
 import draw_path_timing
@@ -187,11 +187,16 @@ _object_kappa_off_by_one = _connectivity_off_by_one("vertex_connectivity")
 _object_lambda_off_by_one = _connectivity_off_by_one("edge_connectivity")
 
 
+def _lanes_holding(mask: int, cells: list[int], lanes_in: int) -> int:
+    """Lanes of ``lanes_in`` that hold ``mask``: its cells set, every other cell clear."""
+    for k, plane in enumerate(cells):
+        lanes_in &= plane if mask >> k & 1 else ~plane
+    return lanes_in
+
+
 def _complete_lanes(cells: list[int], lanes_in: int) -> int:
     """Lanes of ``lanes_in`` that hold the complete digraph: every cell set."""
-    for plane in cells:
-        lanes_in &= plane
-    return lanes_in
+    return _lanes_holding((1 << len(cells)) - 1, cells, lanes_in)
 
 
 def _block_planes_skewed(edit):
@@ -208,8 +213,8 @@ def _block_planes_skewed(edit):
 
         real = masks_mod.block_planes
 
-        def skewed(n, cells, ones, balanced=False):
-            return edit(real(n, cells, ones, balanced), _complete_lanes(cells, ones))
+        def skewed(n, cells, ones):
+            return edit(real(n, cells, ones), _complete_lanes(cells, ones))
 
         monkeypatch.setattr(masks_mod, "block_planes", skewed)
 
@@ -229,9 +234,34 @@ _size_off_by_one = _block_planes_skewed(
 _strong_plane_drops = _block_planes_skewed(
     lambda block, lanes_in: block._replace(strong=block.strong & ~lanes_in)
 )
-_balanced_plane_drops = _block_planes_skewed(
-    lambda block, lanes_in: block._replace(balanced=block.balanced & ~lanes_in)
-)
+
+
+def _balance_plane_drops(mask: int):
+    """A sabotage: ``balance_plane`` drops the lanes holding ``mask``.
+
+    The prefilter keeps a stride lane that the balance plane drops, so the
+    scalar ``is_balanced`` must catch it on a stride lane, whether the
+    batch is gathered (at n >= 5) or not (at n <= 4, where every lane is a
+    stride lane).
+    """
+
+    def sabotage(monkeypatch):
+        import dgr.masks as masks_mod
+
+        real = masks_mod.balance_plane
+
+        def skewed(n, cells, ones):
+            return real(n, cells, ones) & ~_lanes_holding(mask, cells, ones)
+
+        monkeypatch.setattr(masks_mod, "balance_plane", skewed)
+
+    return sabotage
+
+
+# the complete digraph of order 4, a member of every Eulerian class
+_ORDER4_COMPLETE = (1 << 12) - 1
+# a strong, balanced order-5 mask on the chain stride: 782 * 101
+_ORDER5_CHAIN_EULERIAN = 78_982
 
 
 def _kappa_plane_off_by_one(monkeypatch):
@@ -355,10 +385,15 @@ _CROSSCHECK_CASES = [
         )
         for name in ("universal_bounds", "sampled_universal_bounds", *_ORDER6_ENTRY)
     ),
-    # the entry points whose class asks the kernel for a balanced plane
+    # the entry points whose class asks the kernel for a balanced plane,
+    # and an order-5 sweep whose batches are gathered
     *(
-        (f"{name}-balanced_plane", name, _balanced_plane_drops)
+        (f"{name}-balanced_plane", name, _balance_plane_drops(_ORDER4_COMPLETE))
         for name in ("eulerian_theorem", "enumerate")
+    ),
+    (
+        "eulerian_theorem_n5-balanced_plane", "eulerian_theorem_n5",
+        _balance_plane_drops(_ORDER5_CHAIN_EULERIAN),
     ),
     # the entry point that decides distance profiles as planes
     ("eulerian_theorem-profile_planes", "eulerian_theorem", _profile_planes_skewed),
@@ -460,6 +495,85 @@ class TestSharedKernel:
         stats = out["stats"]
         assert (stats["masks"], stats["members"]) == (hi - lo, instances)
         assert (stats["lanes_extracted"], stats["stride_lanes"], stats["orbit_min_lanes"]) == lanes
+
+    def test_order6_uniqueness_blocks_skip_and_gather(self):
+        from dgr.verifier import _uniqueness_shard
+
+        # the last 64 order-6 blocks for (m, kappa) = (25, 2), pinned with
+        # the kernel that decoded every lane of every block: blocks with
+        # fewer than 25 nonzero cells (14 low cells plus the set high ones)
+        # are skipped, the others gathered to their lanes with m >= 25
+        rho, _ = remoteness(dpk_select(6, 25, 2)[0])
+        spec = EnumerationSpec(6, "strong_kappa", 2)
+        lo, hi = (1 << 30) - (64 << 14), 1 << 30
+        out = _uniqueness_shard((spec, lo, hi, None, 25, rho.numerator, rho.denominator))
+        assert out["instances"] == 21_342
+        assert out["hits"] == [] and out["breaches"] == []
+        assert out["stats"] == {
+            "masks": 1 << 20,
+            "blocks": 64,
+            "members": 21_342,
+            "lanes_extracted": 0,
+            "stride_lanes": 244,
+            "orbit_min_lanes": 36,
+        }
+
+    def test_order6_eulerian_stretch_is_gathered(self):
+        from dgr.verifier import _eulerian_shard
+
+        # order-6 stretch 700 of scripts/order6_stretches.py, pinned with
+        # the kernel that decoded every lane: every batch is gathered to
+        # its balanced lanes and its stride lanes
+        spec = EnumerationSpec(6, "eulerian")
+        out = _eulerian_shard((spec, 700 << 20, 701 << 20, None))
+        assert out["instances"] == 2_682
+        assert out["violations"] == [] and out["mismatches"] == []
+        assert out["equality"] == set()
+        assert out["stats"] == {
+            "masks": 1 << 20,
+            "blocks": 64,
+            "members": 2_682,
+            "lanes_extracted": 0,
+            "stride_lanes": 11_411,
+            "orbit_min_lanes": 4,
+        }
+
+    @pytest.mark.parametrize(
+        "spec, lo, hi",
+        [
+            (EnumerationSpec(3, "strong"), 0, 64),
+            (EnumerationSpec(4, "eulerian"), 0, 1 << 12),
+            (EnumerationSpec(5, "eulerian"), 37 << 14, 38 << 14),
+            # a block cut by both stretch edges
+            (EnumerationSpec(5, "strong"), (37 << 14) + 999, (38 << 14) - 77),
+            (EnumerationSpec(6, "strong", mode="sampled", samples=5_000, seed=3), 0, 5_000),
+        ],
+        ids=["n3", "n4", "n5", "n5-cut", "n6-sampled"],
+    )
+    def test_gather_packs_the_kept_lanes_in_lane_order(self, spec, lo, hi):
+        from dgr.verifier import _batch_bits, _batches, _piece_states
+
+        n = spec.order
+        state = _piece_states(spec, [lo])[0]
+        batch = next(_batches(spec, lo, hi, state, _batch_bits(n)))
+        chain, objects = _stride_planes(n, batch.pos, len(batch.seq), batch.valid)
+        batch = batch._replace(chain=chain, objects=objects)
+        # some valid lanes, and every stride lane, as _members keeps them
+        keep = random.Random(lo).getrandbits(len(batch.seq)) & batch.valid | chain | objects
+        gathered, picked = _gather(n, batch, keep)
+        kept = [batch.seq[i] for i in lanes(keep)]
+        assert [batch.seq[i] for i in picked] == list(gathered.seq) == kept
+        assert (gathered.cells, gathered.ones) == draw_cells(n, kept)
+        assert gathered.pos == batch.pos
+        assert gathered.valid == gathered.ones
+        for name in ("chain", "objects"):
+            plane, packed = getattr(batch, name), getattr(gathered, name)
+            assert [gathered.seq[j] for j in lanes(packed)] == [batch.seq[i] for i in lanes(plane)]
+        assert objects and chain
+        # only valid lanes are kept; nothing kept is an empty batch
+        assert _gather(n, batch, batch.ones)[1] == list(lanes(batch.valid))
+        empty, picked = _gather(n, batch, 0)
+        assert (list(empty.seq), empty.ones, empty.chain, picked) == ([], 0, 0, [])
 
     def test_order6_stretch_script(self, capsys, monkeypatch):
         # the real order-6 stretches are pinned in _ODD_STRETCHES; here the
