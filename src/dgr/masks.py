@@ -33,10 +33,16 @@ Per-lane numbers are bit-sliced counters: a list of planes, least
 significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 
 ``canonical_mask`` gives a digraph's canonical form, the least mask over
-all n! vertex relabellings, at every order up to 8 by one path: a table
-built once per order holds each relabelling's image bit of every cell, and
-a mask's image is the sum of the image bits of its arcs. ``is_canonical``
-walks the same images and stops at the first one smaller than the mask.
+all n! vertex relabellings, at every order up to 8 by one path. The
+relabellings are cut into blocks of 120, and per block each cell's image
+bit under every relabelling of the block is packed into one int, a 32- or
+64-bit word per relabelling; the sum of a mask's arcs' ints then holds its
+images under the whole block, one per word, as nothing carries between
+words. ``canonical_mask`` takes the least word over all blocks.
+``is_canonical`` decides a block with one subtraction against the mask
+spread into every word, whose top guard bits survive exactly where an
+image is at least the mask, and stops at the first block that holds a
+smaller image; it tries the first 6 images of block 0 first, the same way.
 Both are the oracle of ``orbit_min_planes``, so they read separate tables.
 
 The scalar oracle's chain check kappa <= lambda <= min semidegree is kept
@@ -55,13 +61,14 @@ from __future__ import annotations
 import sys
 from array import array
 from functools import lru_cache
-from itertools import combinations, permutations, repeat, zip_longest
-from operator import gt, itemgetter
-from typing import Iterator, NamedTuple, Sequence
+from itertools import combinations, compress, islice, permutations, zip_longest
+from math import factorial
+from operator import add
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Digraph
 
-CANONICAL_MAX_ORDER = 8  # canonical_mask's image table holds n! rows
+CANONICAL_MAX_ORDER = 8  # canonical_mask's image blocks hold n! packed words per cell
 
 
 class MaskTables:
@@ -271,6 +278,14 @@ def _transpose_stages(word: int, words: int) -> tuple[tuple[int, int], ...]:
     return tuple(stages)
 
 
+def _pack(code: str, words: Iterable[int]) -> int:
+    """Words of one ``array`` type code as one little-endian int, word 0 lowest."""
+    packed = array(code, words)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
 def draw_cells(n: int, draws: Sequence[int]) -> tuple[list[int], int]:
     """Cell planes and the all-lanes plane of a list of masks: lane i is draws[i].
 
@@ -287,11 +302,8 @@ def draw_cells(n: int, draws: Sequence[int]) -> tuple[list[int], int]:
         raise ValueError("draw_cells packs masks of at most 64 cells (order <= 8)")
     ones = (1 << len(draws)) - 1
     word, code = (32, "I") if c <= 32 else (64, "Q")
-    packed = array(code, draws)
-    if sys.byteorder == "big":
-        packed.byteswap()
-    words = -(-len(packed) // word) * word
-    x = int.from_bytes(packed, "little")
+    words = -(-len(draws) // word) * word
+    x = _pack(code, draws)
     for shift, lower in _transpose_stages(word, 1 << max(14, (words - 1).bit_length())):
         t = (x ^ (x >> shift)) & lower
         x ^= t ^ (t << shift)
@@ -655,49 +667,111 @@ def min_semidegree_mask(mask: int, n: int) -> int:
     )
 
 
-@lru_cache(maxsize=None)
-def _cell_images(n: int) -> tuple[tuple[int, ...], ...]:
-    """Per vertex relabelling p, the image bit of every cell, then a 0.
+_IMAGE_BLOCK = 120  # relabellings per block of _image_blocks: 5!, which divides n! at n >= 5
+_IMAGE_HEAD = 6  # relabellings that is_canonical tries first: 3!, block 0's first words
 
-    Entry k of a row is ``1 << bit_of[(p[u], p[v])]`` for cell k = (u, v),
-    so the image of a mask under p is the sum of the entries of its arcs:
-    the bits are distinct, so the sum is their OR. The n(n-1) bit ints are
-    shared by all n! rows, so a row costs a pointer per cell (20 MB at n=8).
-    The trailing 0, which adds nothing to an image, lets ``_images`` pick a
-    tuple out of a row for every mask.
+
+class _ImageBlocks(NamedTuple):
+    """The image bit of every cell under every vertex relabelling, packed in words.
+
+    ``permutations(range(n))``, identity first, is cut into consecutive
+    blocks of ``_IMAGE_BLOCK`` relabellings (one block of all n! at
+    n <= 5). Per block, one int per cell k = (u, v): its word j holds
+    ``1 << bit_of[(p[u], p[v])]`` for the block's j-th relabelling p. All
+    blocks have as many words, of the ``array`` type ``code`` and ``size``
+    bytes in all, so one ``ones`` (a 1 in every word) and one ``guard``
+    (the top bit of every word) serve them all. ``head`` is block 0 cut to
+    its first ``_IMAGE_HEAD`` words, with its own ones and guard.
+    """
+
+    blocks: tuple[tuple[int, ...], ...]
+    ones: int
+    guard: int
+    head: tuple[tuple[int, ...], int, int]
+    code: str
+    size: int
+
+
+@lru_cache(maxsize=None)
+def _image_blocks(n: int) -> _ImageBlocks:
+    """Every relabelling's image bit of every cell, in blocks of packed words.
+
+    Words are 32 bits when n(n-1) <= 31, else 64, packed as in
+    ``draw_cells``; the guard bit lies above every cell bit. The images of
+    a mask under a whole block are the plain sum of its arcs' ints: within
+    a word the bits are distinct, so nothing carries out of a word. At
+    n = 8 the 336 blocks hold 56 ints of 120 words each, about 20 MB.
     """
     t = tables_for(n)
-    bits = [1 << k for k in range(t.num_cells)]
-    return tuple(
-        tuple([bits[t.bit_of[(p[u], p[v])]] for u, v in t.cells] + [0])
-        for p in permutations(range(n))
-    )
+    word, code = (32, "I") if t.num_cells <= 31 else (64, "Q")
+    bit = [0] * (n * n)  # the bit of cell (a, b) at a * n + b
+    for (a, b), k in t.bit_of.items():
+        bit[a * n + b] = 1 << k
+    perms = permutations(range(n))
+    blocks = []
+    while block := list(islice(perms, _IMAGE_BLOCK)):
+        to = list(zip(*block))  # to[u][j]: the image of vertex u under relabelling j
+        row = [[a * n for a in images] for images in to]  # offsets into bit
+        blocks.append(tuple(
+            _pack(code, map(bit.__getitem__, map(add, row[u], to[v]))) for u, v in t.cells
+        ))
+    count = min(factorial(n), _IMAGE_BLOCK)
+    ones = _pack(code, [1] * count)
+    guard = ones << (word - 1)
+    low = (1 << word * min(count, _IMAGE_HEAD)) - 1
+    head = tuple(cell & low for cell in blocks[0]), ones & low, guard & low
+    return _ImageBlocks(tuple(blocks), ones, guard, head, code, count * word // 8)
 
 
-def _images(n: int, mask: int) -> Iterator[int]:
-    """The mask's image under every vertex relabelling, identity first (order <= 8)."""
+_ARC_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
+def _arcs_of(n: int, mask: int) -> bytes:
+    """Byte k is bit k of the mask, for the n(n-1) cells: a ``compress`` selector."""
     if n > CANONICAL_MAX_ORDER:
         raise ValueError(f"canonical form limited to order <= {CANONICAL_MAX_ORDER}")
-    arcs = [k for k in range(n * (n - 1)) if mask >> k & 1]
-    # two reads of the trailing 0 keep every pick a tuple, even of no arc
-    pick = itemgetter(*arcs, -1, -1)
-    return map(sum, map(pick, _cell_images(n)))
+    return f"{mask:0{n * (n - 1)}b}"[::-1].encode().translate(_ARC_BYTES)
 
 
 def canonical_mask(n: int, mask: int) -> int:
-    """Minimum arc mask over all n! vertex relabellings (order <= 8)."""
-    return min(_images(n, mask))
+    """Minimum arc mask over all n! vertex relabellings (order <= 8).
+
+    The least word of the mask's images, every block's sum read through
+    one ``array``.
+    """
+    arcs = _arcs_of(n, mask)
+    table = _image_blocks(n)
+    images = array(table.code, b"".join(
+        sum(compress(block, arcs)).to_bytes(table.size, "little") for block in table.blocks
+    ))
+    if sys.byteorder == "big":
+        images.byteswap()
+    return min(images)
 
 
 def is_canonical(n: int, mask: int) -> bool:
-    """``canonical_mask(n, mask) == mask``, stopping at the first smaller image.
+    """``canonical_mask(n, mask) == mask``, one block of relabellings at a time.
 
-    Reads the same images as ``canonical_mask``, in the same order. A mask
-    that is not its canonical form usually has a smaller image among the
-    first relabellings, so the search rarely runs through all n!; a
-    canonical mask still needs every image.
+    In ``(img | guard) - mask * ones`` no word borrows from the next, and a
+    word keeps its guard bit exactly when its image is at least the mask.
+    The guard bit is above every image bit, so ``img | guard`` is
+    ``img + guard``, and ``guard - mask * ones`` starts each block's sum.
+    Stops at the first block that loses a guard bit. A mask that is not its
+    canonical form usually has a smaller image among the first few
+    relabellings, so block 0's short head is tried first; a canonical mask
+    needs every block.
     """
-    return not any(map(gt, repeat(mask), _images(n, mask)))
+    arcs = _arcs_of(n, mask)
+    table = _image_blocks(n)
+    head, ones, guard = table.head
+    if sum(compress(head, arcs), guard - mask * ones) & guard != guard:
+        return False
+    guard = table.guard
+    lift = guard - mask * table.ones
+    for block in table.blocks:
+        if sum(compress(block, arcs), lift) & guard != guard:
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)

@@ -357,9 +357,10 @@ class _Batch(NamedTuple):
     the position is the mask itself when exhaustive and the draw's index
     in the whole sample when sampled. ``valid`` holds the lanes inside the
     stretch swept; ``cells`` and ``ones`` are the batch's arc-cell planes
-    and all-lanes plane, which every plane kernel reads. ``chain`` and
-    ``objects`` are the stride planes of ``_stride_planes``, which
-    ``_members`` decides by stream position. A batch that ``_gather``
+    and all-lanes plane, which every plane kernel reads ([] and 0 for an
+    exhaustive block too small for ``m_min``). ``chain`` and ``objects``
+    are the stride planes of ``_stride_planes``, which ``_members``
+    decides by stream position. A batch that ``_gather``
     packs keeps ``pos``, its first stream position, and carries its stride
     planes with its lanes; its lane i is then at no fixed position.
     """
@@ -374,14 +375,17 @@ class _Batch(NamedTuple):
 
 
 def _batches(
-    spec: EnumerationSpec, lo: int, hi: int, rng_state: tuple | None, bits: int
+    spec: EnumerationSpec, lo: int, hi: int, rng_state: tuple | None, bits: int, m_min: int = 0
 ) -> Iterator[_Batch]:
     """Masks lo..hi-1 of the stream, one ``_Batch`` per kernel batch.
 
     An exhaustive stretch is cut into aligned blocks of 2**bits consecutive
     masks, a block cut by a shard edge keeping only its valid lanes. A
-    sampled stretch starts from ``rng_state``, the generator state at draw
-    lo (``_piece_states``), and is cut into batches of up to 2**bits draws,
+    block has ``bits`` varying cells and the set bits of ``base >> bits``
+    as constant ones, so a block whose masks all have fewer than ``m_min``
+    arcs is known from its base and comes without cell planes. A sampled
+    stretch starts from ``rng_state``, the generator state at draw lo
+    (``_piece_states``), and is cut into batches of up to 2**bits draws,
     each from one generator call (``_draws``) and transposed to planes by
     ``masks.draw_cells``.
     """
@@ -390,7 +394,10 @@ def _batches(
     if spec.mode == "exhaustive":
         for base in range(lo - lo % width, hi, width):
             start, stop = max(lo - base, 0), min(hi - base, width)
-            cells, ones = masks.range_cells(n, base, bits)
+            cells, ones = (
+                masks.range_cells(n, base, bits)
+                if bits + (base >> bits).bit_count() >= m_min else ([], 0)
+            )
             yield _Batch(range(base, base + width), base, (1 << stop) - (1 << start), cells, ones)
         return
     rng = random.Random()
@@ -475,12 +482,13 @@ def _members(
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
     balanced_only = spec.class_filter.startswith("eulerian")
-    for batch in _batches(spec, lo, hi, rng_state, _batch_bits(n)):
+    for batch in _batches(spec, lo, hi, rng_state, _batch_bits(n), m_min):
         valid = batch.valid
         stats["masks"] += valid.bit_count()
         stats["blocks"] += 1
         if m_min:
-            # a lane has at most as many arcs as the batch has nonzero cells
+            # a lane has at most as many arcs as the batch has nonzero cells;
+            # a block that _batches already knows to be too small has none
             if sum(1 for plane in batch.cells if plane) < m_min:
                 continue
             sizes = masks.value_planes(masks.size_counter(batch.cells), valid)

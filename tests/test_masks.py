@@ -1,11 +1,13 @@
 import random
+import tracemalloc
 from array import array
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
 from dgr.connectivity import edge_connectivity, min_semidegree
 from dgr.masks import (
+    _image_blocks,
     balance_plane,
     block_planes,
     canonical_mask,
@@ -425,8 +427,10 @@ def test_min_semidegree_mask_matches_the_object_level_on_drawn_masks(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_is_canonical_matches_canonical_mask_on_every_mask(n):
+    # both read the same image blocks, so the direct search checks them too
     verdicts = [is_canonical(n, mask) for mask in range(tables_for(n).mask_count)]
     assert verdicts == [canonical_mask(n, mask) == mask for mask in range(len(verdicts))]
+    assert verdicts == [not _has_smaller_relabelling(n, mask) for mask in range(len(verdicts))]
     assert sum(verdicts) == DIGRAPHS[n - 1]
 
 
@@ -439,7 +443,76 @@ def test_is_canonical_matches_canonical_mask_on_drawn_masks(n, draws):
     masks += [canonical_mask(n, mask) for mask in masks]
     verdicts = [is_canonical(n, mask) for mask in masks]
     assert verdicts == [canonical_mask(n, mask) == mask for mask in masks]
+    assert verdicts == [not _has_smaller_relabelling(n, mask) for mask in masks]
     assert all(verdicts[draws:]) and not all(verdicts[:draws])
+
+
+def _first_smaller_block(n, mask):
+    """The block of 5! = 120 relabellings, in ``permutations`` order, that
+    holds the mask's first smaller image; None for a canonical mask."""
+    for i, image in enumerate(_relabellings(n, mask)):
+        if image < mask:
+            return i // 120
+    return None
+
+
+@pytest.mark.parametrize("n, arcs, blocks", [(6, 3, {1, 2, 3}), (7, 2, {1, 2, 6, 7, 12})])
+def test_is_canonical_at_the_block_of_the_first_smaller_image(n, arcs, blocks):
+    # the first mask of at most ``arcs`` arcs whose first smaller image lies
+    # in block b: every earlier block holds no smaller image, block b does
+    t = tables_for(n)
+    first = {}
+    for k in range(1, arcs + 1):
+        for combo in combinations(range(t.num_cells), k):
+            mask = sum(1 << c for c in combo)
+            first.setdefault(_first_smaller_block(n, mask), mask)
+    assert blocks <= first.keys()
+    for b in sorted(blocks):
+        mask = first[b]
+        canon = min(_relabellings(n, mask))
+        assert not is_canonical(n, mask), (b, mask)
+        assert is_canonical(n, canon), (b, canon)
+        assert canonical_mask(n, mask) == canon, (b, mask)
+        assert canonical_mask(n, canon) == min(_relabellings(n, canon)) == canon, (b, canon)
+
+
+# masks whose one smaller image is their image under the first or the last
+# relabelling of a block of 120, keyed by that relabelling's index in
+# ``permutations`` order; found by a seeded search among the second-least
+# members of orbits with n! distinct images
+_LONE_SMALLER_IMAGE = {
+    6: {
+        120: 108484229, 240: 239049, 360: 374251, 480: 3470915, 600: 255655655,
+        359: 37020181, 479: 37446158, 599: 37024280,
+    },
+    7: {
+        120: 76635837401, 240: 84281370873, 720: 214087559309, 1440: 515125599181,
+        1199: 221054637555,
+    },
+}
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_is_canonical_reads_the_first_and_last_relabelling_of_a_block(n):
+    for index, mask in _LONE_SMALLER_IMAGE[n].items():
+        images = list(_relabellings(n, mask))
+        assert [i for i, image in enumerate(images) if image < mask] == [index], mask
+        assert not is_canonical(n, mask), mask
+        assert canonical_mask(n, mask) == images[index], mask
+
+
+def test_order7_image_blocks_hold_no_more_than_a_row_per_relabelling():
+    # the former table, one 43-entry row per relabelling, held 1,976,820
+    # bytes on CPython 3.11
+    tables_for(7)
+    tracemalloc.start()
+    try:
+        table = _image_blocks.__wrapped__(7)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(table.blocks) == 42
+    assert held <= 1_976_820
 
 
 def test_is_canonical_rejects_orders_above_8():

@@ -518,6 +518,32 @@ class TestSharedKernel:
             "orbit_min_lanes": 36,
         }
 
+    def test_blocks_too_small_for_m_min_build_no_planes(self, monkeypatch):
+        import dgr.masks as masks_mod
+        from dgr.verifier import _batches
+
+        # the last 1,024 order-6 blocks: a block's masks have at most its 14
+        # low cells plus the set high cells of its base as arcs, so only the
+        # blocks with at least 25 nonzero cells build their planes
+        real = masks_mod.range_cells
+        built = []
+        monkeypatch.setattr(
+            masks_mod, "range_cells", lambda n, base, bits: built.append(base) or real(n, base, bits)
+        )
+        spec = EnumerationSpec(6, "strong_kappa", 2)
+        lo, hi = (1 << 30) - (1024 << 14), 1 << 30
+        batches = list(_batches(spec, lo, hi, None, 14, 25))
+        assert [b.pos for b in batches] == list(range(lo, hi, 1 << 14))
+        assert all(b.valid == (1 << (1 << 14)) - 1 for b in batches)
+        nonzero = {b.pos: sum(1 for plane in real(6, b.pos, 14)[0] if plane) for b in batches}
+        assert built == [pos for pos in nonzero if nonzero[pos] >= 25]
+        assert 0 < len(built) < len(batches)
+        for b in batches:
+            if b.pos in set(built):
+                assert (b.cells, b.ones) == real(6, b.pos, 14)
+            else:
+                assert (b.cells, b.ones) == ([], 0)
+
     def test_order6_eulerian_stretch_is_gathered(self):
         from dgr.verifier import _eulerian_shard
 
