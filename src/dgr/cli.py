@@ -35,6 +35,9 @@ EXIT_USAGE = 1
 EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
+# generate builds all of a digraph's arcs, up to n(n - 1); `generate
+# complete --n 700` peaks at about 135 MB
+GENERATE_MAX_ORDER = 700
 _EXHAUSTIVE_ONLY_CHECKS = ("eulerian_size_theorem", "extremal_uniqueness", "lemma_monotonicity")
 _KAPPA_MAX_DEFAULT = 3
 # check-specific verify flags, by argparse dest
@@ -227,44 +230,54 @@ def _require(args, names) -> None:
         raise UsageError(f"missing flags: {', '.join(missing)}")
 
 
+def _capped(order: int) -> int:
+    """The order of a digraph to generate, refused above GENERATE_MAX_ORDER."""
+    if order > GENERATE_MAX_ORDER:
+        raise ValueError(f"order {order} is above the generate cap {GENERATE_MAX_ORDER}")
+    return order
+
+
 def _cmd_generate(args) -> int:
     try:
         if args.family == "cycle":
             _require(args, ["n"])
-            obj = core.directed_cycle(args.n)
+            obj = core.directed_cycle(_capped(args.n))
         elif args.family == "complete":
             _require(args, ["n"])
-            obj = core.complete_digraph(args.n)
+            obj = core.complete_digraph(_capped(args.n))
         elif args.family == "profile":
             if not args.blocks:
                 raise UsageError("--blocks is required for profile")
             blocks = [int(x) for x in args.blocks.split(",") if x.strip()]
+            _capped(sum(blocks))
             obj = profile_digraph(blocks)
         elif args.family == "dpk":
             if args.ell is not None:
                 _require(args, ["kappa", "a", "b"])
-                obj = kappa_pc_digraph(
-                    PathCompleteParams(args.kappa, args.ell, args.a, args.b)
-                )
+                p = PathCompleteParams(args.kappa, args.ell, args.a, args.b)
+                _capped(p.order)
+                obj = kappa_pc_digraph(p)
             else:
                 _require(args, ["n", "m", "kappa"])
-                obj, _params = dpk_select(args.n, args.m, args.kappa)
+                obj, _params = dpk_select(_capped(args.n), args.m, args.kappa)
         elif args.family == "pk":
             if args.ell is not None:
                 _require(args, ["kappa", "a", "b"])
-                obj = pc_graph(PathCompleteParams(args.kappa, args.ell, args.a, args.b))
+                p = PathCompleteParams(args.kappa, args.ell, args.a, args.b)
+                _capped(p.order)
+                obj = pc_graph(p)
             else:
                 _require(args, ["n", "m", "kappa"])
-                obj, _params = pk_select(args.n, args.m, args.kappa)
+                obj, _params = pk_select(_capped(args.n), args.m, args.kappa)
         else:  # pklambda
             if args.variant is not None:
                 _require(args, ["lambda", "k", "a", "b"])
-                obj = lambda_pc_graph(
-                    LambdaPCParams(args.lam, args.k, args.a, args.b, args.variant)
-                )
+                p = LambdaPCParams(args.lam, args.k, args.a, args.b, args.variant)
+                _capped(p.order)
+                obj = lambda_pc_graph(p)
             else:
                 _require(args, ["n", "m", "lambda"])
-                obj, _params = pk_lambda_select(args.n, args.m, args.lam)
+                obj, _params = pk_lambda_select(_capped(args.n), args.m, args.lam)
     except UsageError:
         raise
     except (ValueError, AssertionError) as exc:

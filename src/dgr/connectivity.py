@@ -160,8 +160,8 @@ def edge_connectivity(D: Digraph) -> ConnectivityResult:
     directions, so 2(n-1) unit-capacity flow runs suffice, all on one
     network of D's arcs. Each flow stops at the least value found so far,
     and the first pair at the minimum gives the witness. The mask core's
-    ``lambda_mask`` takes the n cycle pairs instead; these star pairs stay,
-    so that the verifier's object-level cross-check does not share its rule.
+    ``lambda_mask`` counts the arcs leaving every vertex set instead, so
+    the verifier's object-level cross-check shares no rule with it.
     """
     if D.order < 2:
         raise ValueError("edge connectivity needs order >= 2")

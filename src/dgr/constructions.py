@@ -227,17 +227,22 @@ class LambdaPCParams:
             raise ValueError(f"unknown variant {self.variant!r}")
 
     @property
-    def block_sizes(self) -> list[int]:
-        head = [1, self.lam] * self.k
+    def _tail(self) -> list[int]:
+        """The blocks after the k repeats of [1, lam]."""
         if self.variant == "A":
-            return head + [self.a, self.b]
+            return [self.a, self.b]
         if self.variant == "B":
-            return head + [1, self.a, self.b]
-        return head + [2, self.a, 1]
+            return [1, self.a, self.b]
+        return [2, self.a, 1]
+
+    @property
+    def block_sizes(self) -> list[int]:
+        return [1, self.lam] * self.k + self._tail
 
     @property
     def order(self) -> int:
-        return sum(self.block_sizes)
+        # closed form, so that a huge k is refused before any list is built
+        return (1 + self.lam) * self.k + sum(self._tail)
 
 
 def lambda_pc_graph(p: LambdaPCParams) -> Graph:

@@ -46,12 +46,11 @@ smaller image; it tries the first 6 images of block 0 first, the same way.
 Both are the oracle of ``orbit_min_planes``, so they read separate tables.
 
 The scalar oracle's chain check kappa <= lambda <= min semidegree is kept
-cheap. ``lambda_mask`` is the least of the n unit flows from v to
-v + 1 mod n (Schnorr's cyclic rule: every nonempty proper vertex set S
-holds some v whose successor is outside S, and that pair's flow is at most
-the arcs leaving S), each capped at the least value found so far, which
-cannot change the minimum. ``connectivity.edge_connectivity`` keeps the
-star pairs through vertex 0, so the two lambda paths share no pair rule.
+cheap. ``lambda_mask`` is edge connectivity by its definition,
+the least number of arcs leaving a nonempty proper vertex set S: one AND
+with S's cut cells and one popcount per S, 2**n - 2 in all.
+``connectivity.edge_connectivity`` runs flows on star pairs through
+vertex 0, so the two lambda paths share no table or rule.
 ``min_semidegree_mask`` counts degrees by popcounts of the mask, as
 ``is_balanced`` does.
 """
@@ -81,7 +80,6 @@ class MaskTables:
         self.mask_count = 1 << self.num_cells
         self.cells = tuple((u, v) for u in range(n) for v in range(n) if v != u)
         self.bit_of = {cell: k for k, cell in enumerate(self.cells)}
-        self.row_width = n - 1
         self.row_mask = (1 << (n - 1)) - 1
         self.row_shift = tuple(u * (n - 1) for u in range(n))
         targets = [[v for v in range(n) if v != u] for u in range(n)]
@@ -593,66 +591,27 @@ def kappa_mask(rows: list[int], n: int, full: int) -> int:
     return n - 1
 
 
-def _unit_flow(rows: list[int], s: int, t: int, cap: int) -> int:
-    """Max s-t flow with unit arc capacities, by BFS augmentation, capped at ``cap``.
+@lru_cache(maxsize=None)
+def _cut_cells(n: int) -> tuple[int, ...]:
+    """The arcs leaving each vertex set, as cell masks.
 
-    Stops as soon as the flow reaches ``cap``, so the result is
-    ``min(flow, cap)``: a caller after a minimum over several pairs loses
-    nothing by capping each flow at the least value found so far. Each
-    augmenting path is traced back through the BFS layers, from t to an
-    in-neighbour in the layer before, down to s.
+    One int per nonempty proper vertex set S, in increasing bitmask order
+    of S: the cells (u, v) with u in S and v outside it.
     """
-    res = rows[:]
-    target = 1 << t
-    flow = 0
-    while flow < cap:
-        layers = []
-        seen = frontier = 1 << s
-        while frontier and not seen & target:
-            layers.append(frontier)
-            nxt = 0
-            f = frontier
-            while f:
-                b = f & -f
-                nxt |= res[b.bit_length() - 1]
-                f ^= b
-            frontier = nxt & ~seen
-            seen |= frontier
-        if not seen & target:
-            return flow
-        v = t
-        for layer in reversed(layers):
-            while True:
-                b = layer & -layer
-                u = b.bit_length() - 1
-                if res[u] >> v & 1:
-                    break
-                layer ^= b
-            res[u] ^= 1 << v
-            res[v] |= b
-            v = u
-        flow += 1
-    return flow
+    cells = tables_for(n).cells
+    return tuple(
+        sum(1 << k for k, (u, v) in enumerate(cells) if s >> u & 1 and not s >> v & 1)
+        for s in range(1, (1 << n) - 1)
+    )
 
 
-def lambda_mask(rows: list[int], n: int) -> int:
+def lambda_mask(mask: int, n: int) -> int:
     """Edge connectivity; assumes a strong digraph of order >= 2.
 
-    The minimum of the n flows from v to v + 1 mod n (Schnorr's cyclic
-    rule): every nonempty proper vertex set S holds some v with v + 1 mod n
-    outside it, so that pair's flow is at most the arcs leaving S, and no
-    flow is below lambda. Each flow is capped at the least value so far,
-    starting from n - 1, which no flow exceeds, and a flow of 1 ends the
-    search at once. ``connectivity.edge_connectivity`` keeps the 2(n - 1)
-    star pairs through vertex 0, so the object-level oracle does not share
-    this pair rule.
+    The least number of arcs leaving a nonempty proper vertex set S (Menger,
+    arc form): one AND and one popcount per S, over ``_cut_cells(n)``.
     """
-    best = n - 1
-    for v in range(n):
-        best = _unit_flow(rows, v, (v + 1) % n, best)
-        if best == 1:
-            break
-    return best
+    return min((mask & cut).bit_count() for cut in _cut_cells(n))
 
 
 def min_semidegree_mask(mask: int, n: int) -> int:

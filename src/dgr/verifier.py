@@ -141,6 +141,8 @@ class EnumerationSpec:
                 raise ValueError("sampled mode needs an explicit seed")
         elif self.mode != "exhaustive":
             raise ValueError(f"unknown mode {self.mode!r}")
+        elif self.samples is not None or self.seed is not None:
+            raise ValueError("exhaustive mode takes no sample count or seed")
 
     @property
     def class_label(self) -> str:
@@ -527,7 +529,7 @@ def _members(
         balanced_of = {i for i in rows if balanced_only and masks.is_balanced(seq[i], n)}
         found = [i for i in sigma_max_of if i in balanced_of or not balanced_only]  # candidates
         kappa_of = {i: masks.kappa_mask(rows[i], n, t.full) for i in found} if n >= 2 else {}
-        lam_of = {i: masks.lambda_mask(rows[i], n) for i in found} if need_lambda else {}
+        lam_of = {i: masks.lambda_mask(seq[i], n) for i in found} if need_lambda else {}
         scalar = {
             "strong": sum(1 << i for i in sigma_max_of),
             "balanced": sum(1 << i for i in balanced_of),
@@ -550,7 +552,7 @@ def _members(
             # lambda, computed here where the sweep does not need it, must
             # satisfy kappa <= lambda <= min semidegree
             if i in kappa_of and i in on_chain:
-                lam_of[i] = lam = lam_of.get(i) or masks.lambda_mask(rows[i], n)
+                lam_of[i] = lam = lam_of.get(i) or masks.lambda_mask(seq[i], n)
                 semi = masks.min_semidegree_mask(seq[i], n)
                 assert kappa_of[i] <= lam <= semi, (seq[i], kappa_of[i], lam, semi)
             if i in on_objects:
@@ -561,8 +563,7 @@ def _members(
         by_lambda = {None: passing}
         if need_lambda:
             by_lambda = _planes({
-                i: lam_of.get(i) or masks.lambda_mask(t.out_rows(seq[i]), n)
-                for i in _pull(passing, stats)
+                i: masks.lambda_mask(seq[i], n) for i in _pull(passing, stats)
             })
         members = [
             (plane, m, sigma_max, kap, lam)

@@ -211,6 +211,14 @@ class TestLambdaPCGraphs:
         G = lambda_pc_graph(LambdaPCParams(2, 0, 2, 2, "B"))
         assert G.order == 5 and G.size == 8
 
+    @pytest.mark.parametrize("p", [
+        LambdaPCParams(2, 1, 2, 1, "A"), LambdaPCParams(3, 2, 1, 3, "A"),
+        LambdaPCParams(2, 0, 2, 2, "B"), LambdaPCParams(3, 3, 4, 2, "B"),
+        LambdaPCParams(3, 1, 3, 1, "C"), LambdaPCParams(3, 4, 5, 1, "C"),
+    ])
+    def test_order_is_the_sum_of_the_blocks(self, p):
+        assert p.order == sum(p.block_sizes) == lambda_pc_graph(p).order
+
     def test_variant_c_guard(self):
         with pytest.raises(ValueError, match="variant C"):
             LambdaPCParams(2, 1, 3, 1, "C")

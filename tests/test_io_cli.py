@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 
 from dgr import build_digraph, complete_graph, directed_cycle, remoteness
-from dgr.cli import run
+from dgr.cli import GENERATE_MAX_ORDER, run
 from dgr.io import (
     digraph_from_edge_list,
     digraph_to_dot,
@@ -186,6 +186,43 @@ class TestCLI:
 
     def test_generate_infeasible(self, capsys):
         assert run(["generate", "dpk", "--n", "6", "--m", "26", "--kappa", "2"]) == 2
+
+    @pytest.mark.parametrize("args", [
+        ["cycle", "--n", str(GENERATE_MAX_ORDER + 1)],
+        ["complete", "--n", str(GENERATE_MAX_ORDER + 1)],
+        ["profile", "--blocks", f"1,{GENERATE_MAX_ORDER}"],
+        ["dpk", "--n", str(GENERATE_MAX_ORDER + 1), "--m", "10", "--kappa", "2"],
+        ["dpk", "--kappa", "2", "--ell", "1", "--a", "2", "--b", str(GENERATE_MAX_ORDER - 4)],
+        ["pk", "--n", str(GENERATE_MAX_ORDER + 1), "--m", "10", "--kappa", "2"],
+        ["pk", "--kappa", "2", "--ell", "1", "--a", "2", "--b", str(GENERATE_MAX_ORDER - 4)],
+        ["pklambda", "--n", str(GENERATE_MAX_ORDER + 1), "--m", "10", "--lambda", "2"],
+        ["pklambda", "--lambda", "2", "--variant", "A", "--k", "1", "--a", "2",
+         "--b", str(GENERATE_MAX_ORDER - 4)],
+    ])
+    def test_generate_above_the_order_cap_is_input_error(self, capsys, monkeypatch, args):
+        import dgr.cli as cli_mod
+
+        # every order here is the cap plus one; no builder may run
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("builder called above the order cap")
+
+        for name in ("profile_digraph", "kappa_pc_digraph", "pc_graph", "lambda_pc_graph",
+                     "dpk_select", "pk_select", "pk_lambda_select"):
+            monkeypatch.setattr(cli_mod, name, refuse)
+        for name in ("directed_cycle", "complete_digraph"):
+            monkeypatch.setattr(cli_mod.core, name, refuse)
+        assert run(["generate", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: order {GENERATE_MAX_ORDER + 1} is above the generate cap "
+            f"{GENERATE_MAX_ORDER}\n"
+        )
+
+    def test_generate_at_the_order_cap(self, capsys):
+        assert run(["generate", "cycle", "--n", str(GENERATE_MAX_ORDER)]) == 0
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert lines[0] == str(GENERATE_MAX_ORDER) and len(lines) == GENERATE_MAX_ORDER + 1
 
     def test_bound_text(self, capsys):
         assert run(["bound", "--bound", "size_digraph", "--n", "5", "--m", "10"]) == 0

@@ -7,6 +7,7 @@ import pytest
 
 from dgr.connectivity import edge_connectivity, min_semidegree
 from dgr.masks import (
+    _cut_cells,
     _image_blocks,
     balance_plane,
     block_planes,
@@ -360,10 +361,9 @@ def _assert_lambda_mask_agrees(n, draws):
 
     Returns the lambda values seen.
     """
-    t = tables_for(n)
     seen = set()
     for mask in draws:
-        lam = lambda_mask(t.out_rows(mask), n)
+        lam = lambda_mask(mask, n)
         D = digraph_of_mask(n, mask)
         assert lam == brute_edge_connectivity(n, D.arcs) == edge_connectivity(D).value, mask
         seen.add(lam)
@@ -400,11 +400,35 @@ def test_lambda_mask_matches_both_oracles_on_drawn_strong_masks(n, uniform, dens
     assert _assert_lambda_mask_agrees(n, draws) == {1, 2, 3, 4}
 
 
+@pytest.mark.parametrize("n", [7, 8])
+def test_lambda_mask_matches_the_flows_on_drawn_strong_masks(n):
+    # arc-set removal is out of reach here; the star-pair flows are not
+    rng = random.Random(n)
+    draws = _strong_draws(n, rng, 1_000, False) + _strong_draws(n, rng, 1_000, True)
+    seen = set()
+    for mask in draws:
+        lam = lambda_mask(mask, n)
+        assert lam == edge_connectivity(digraph_of_mask(n, mask)).value, mask
+        seen.add(lam)
+    assert seen == {1, 2, 3, 4, 5}
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_cut_cells_hold_the_arcs_leaving_each_vertex_set(n):
+    t = tables_for(n)
+    cuts = _cut_cells(n)
+    assert len(cuts) == len(set(cuts)) == 2**n - 2
+    for s, cut in enumerate(cuts, start=1):
+        leaving = {(u, v) for u, v in t.cells if s >> u & 1 and not s >> v & 1}
+        assert {t.cells[k] for k in lanes(cut)} == leaving
+        assert len(leaving) == s.bit_count() * (n - s.bit_count())
+
+
 def test_lambda_mask_of_complete_digraphs_is_n_minus_1():
-    # every cycle-pair flow is n - 1; a flow of 1 cannot end the search early
-    for n in range(2, 8):
+    # a set S of k vertices has k(n - k) leaving arcs, least at k = 1 or n - 1
+    for n in range(2, 9):
         t = tables_for(n)
-        assert lambda_mask(t.out_rows(t.mask_count - 1), n) == n - 1
+        assert lambda_mask(t.mask_count - 1, n) == n - 1
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -62,6 +62,11 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="seed"):
             EnumerationSpec(6, "strong", mode="sampled", samples=10)
 
+    @pytest.mark.parametrize("given", [{"samples": 10}, {"seed": 1}, {"samples": 10, "seed": 1}])
+    def test_exhaustive_refuses_samples_and_seed(self, given):
+        with pytest.raises(ValueError, match="exhaustive mode takes no sample count or seed"):
+            EnumerationSpec(3, **given)
+
     def test_sampled_deterministic(self):
         spec = EnumerationSpec(6, "strong", mode="sampled", samples=50, seed=7)
         first = [D.arcs for D in enumerate_digraphs(spec)]
@@ -437,6 +442,19 @@ _ODD_STRETCHES = [
     (EnumerationSpec(6, "strong"), 700 << 20, 701 << 20, ("digraph_order", "size_digraph"),
      811248, "b3efbb6ed0b2d384c51385dcae6931a7ef862e02afa58b907566b7c811667043",
      (103, 11411, 9552)),
+    # the Eulerian lambda class pulls lambda for every member of a stretch
+    (EnumerationSpec(6, "eulerian"), 33 << 20, 34 << 20,
+     ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
+     988, "acfa476054f4c94ae1cdc6c134267c8ce619635811734a4fff67cc943932ee51",
+     (988, 11410, 0)),
+    (EnumerationSpec(6, "eulerian"), 341 << 20, 342 << 20,
+     ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
+     1832, "20575f09c854adb4eb14341f14e2e98ae665b976688b6139d045767c1ecefcd1",
+     (1832, 11411, 0)),
+    (EnumerationSpec(6, "eulerian"), 700 << 20, 701 << 20,
+     ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
+     2682, "75b7dbaa20835aaf8b7c8da3b8f4d914215cf85d06d88d9128f1ca76b7ef6814",
+     (2682, 11411, 2)),
 ]
 
 
@@ -886,6 +904,14 @@ class TestUniversalBoundChecks:
     def test_empty_bound_ids_rejected(self):
         with pytest.raises(ValueError, match="at least one bound"):
             check_universal_bounds(4, "strong", ())
+
+    @pytest.mark.parametrize("given", [{"samples": 5}, {"seed": 1}, {"samples": 5, "seed": 1}])
+    def test_exhaustive_sweep_refuses_samples_and_seed(self, given):
+        # refused before any sweep, where they were once silently ignored
+        with pytest.raises(ValueError, match="exhaustive mode takes no sample count or seed"):
+            check_universal_bound(3, "strong", "digraph_order", **given)
+        with pytest.raises(ValueError, match="exhaustive mode takes no sample count or seed"):
+            check_universal_bounds(3, "strong", ("digraph_order", "size_digraph"), **given)
 
     def test_eulerian_bound_needs_eulerian_class(self):
         with pytest.raises(ValueError, match="eulerian"):
