@@ -170,6 +170,8 @@ def dpk_select(
     Sizes are counted on the constructed digraphs; pairwise distinctness
     is asserted rather than assumed.
     """
+    if m > n * (n - 1):  # above the complete digraph, refused before any build
+        raise ValueError(f"no digraph of order {n} has size >= {m} (at most {n * (n - 1)})")
     members = enumerate_kappa_pc_family(n, kappa, relaxed_ell)
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
@@ -183,6 +185,8 @@ def pk_select(
     n: int, m: int, kappa: int, relaxed_ell: bool = False
 ) -> tuple[Graph, PathCompleteParams]:
     """Undirected selector mirroring dpk_select with exact edge counting."""
+    if m > n * (n - 1) // 2:  # above the complete graph, refused before any build
+        raise ValueError(f"no graph of order {n} has size >= {m} (at most {n * (n - 1) // 2})")
     members = enumerate_kappa_pc_family(n, kappa, relaxed_ell)
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
@@ -292,6 +296,8 @@ def pk_lambda_select(n: int, m: int, lam: int) -> tuple[Graph, LambdaPCParams]:
     Unlike the vertex-connectivity family, equal sizes can occur across
     variants; ties break on (variant, k, a, b).
     """
+    if m > n * (n - 1) // 2:  # above the complete graph, refused before any build
+        raise ValueError(f"no graph of order {n} has size >= {m} (at most {n * (n - 1) // 2})")
     members = enumerate_lambda_pc_family(n, lam)
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, lambda {lam}")

@@ -197,13 +197,17 @@ def is_strong(D: Digraph) -> bool:
     return _reaches_every_vertex(D.out_lists) and _reaches_every_vertex(D.in_lists)
 
 
-def transmission(D: Digraph, v: int) -> int:
-    """Sum of distances from v to every vertex; errors on unreachability."""
+def _reached_distances(D: Digraph, v: int) -> list[int]:
+    """Distances from v, or ``UnreachableVertexError`` naming the first vertex v misses."""
     dist = distances_from(D, v)
     if None in dist:
-        missing = dist.index(None)
-        raise UnreachableVertexError(f"vertex {missing} unreachable from {v}")
-    return sum(dist)  # type: ignore[arg-type]
+        raise UnreachableVertexError(f"vertex {dist.index(None)} unreachable from {v}")
+    return dist  # type: ignore[return-value]
+
+
+def transmission(D: Digraph, v: int) -> int:
+    """Sum of distances from v to every vertex; errors on unreachability."""
+    return sum(_reached_distances(D, v))
 
 
 def avg_distance(D: Digraph, v: int) -> Fraction:
@@ -236,11 +240,7 @@ def remoteness(D: Digraph) -> tuple[Fraction, int]:
 
 def eccentricity(D: Digraph, v: int) -> int:
     """Largest distance from v; errors if v cannot reach every vertex."""
-    dist = distances_from(D, v)
-    if None in dist:
-        missing = dist.index(None)
-        raise UnreachableVertexError(f"vertex {missing} unreachable from {v}")
-    return max(dist)  # type: ignore[type-var]
+    return max(_reached_distances(D, v))
 
 
 def diameter(D: Digraph) -> int:
@@ -252,14 +252,10 @@ def diameter(D: Digraph) -> int:
 
 def distance_profile(D: Digraph, v: int) -> DistanceProfile:
     """Distance degree sequence (n_0, ..., n_d) of v."""
-    dist = distances_from(D, v)
-    if None in dist:
-        missing = dist.index(None)
-        raise UnreachableVertexError(f"vertex {missing} unreachable from {v}")
-    ecc = max(dist)  # type: ignore[type-var]
-    counts = [0] * (ecc + 1)
+    dist = _reached_distances(D, v)
+    counts = [0] * (max(dist) + 1)
     for d in dist:
-        counts[d] += 1  # type: ignore[index]
+        counts[d] += 1
     return DistanceProfile(tuple(counts), v)
 
 

@@ -528,8 +528,13 @@ def _members(
         sigma_max_of = {i: max(s) for i, s in sigmas.items() if s is not None}  # strong lanes
         balanced_of = {i for i in rows if balanced_only and masks.is_balanced(seq[i], n)}
         found = [i for i in sigma_max_of if i in balanced_of or not balanced_only]  # candidates
-        kappa_of = {i: masks.kappa_mask(rows[i], n, t.full) for i in found} if n >= 2 else {}
-        lam_of = {i: masks.lambda_mask(seq[i], n) for i in found} if need_lambda else {}
+        kappa_of, lam_of = {}, {}
+        if n >= 2:
+            kappa_of = {i: masks.kappa_mask(rows[i], n, t.full) for i in found}
+            # where the sweep needs lambda, and on the chain for kappa <= lambda <= min semidegree
+            lam_of = {
+                i: masks.lambda_mask(seq[i], n) for i in found if need_lambda or i in on_chain
+            }
         scalar = {
             "strong": sum(1 << i for i in sigma_max_of),
             "balanced": sum(1 << i for i in balanced_of),
@@ -549,11 +554,8 @@ def _members(
             f"batch at stream position {batch.pos}: kernel and oracle differ in {differ}"
         )
         for i in found:
-            # lambda, computed here where the sweep does not need it, must
-            # satisfy kappa <= lambda <= min semidegree
             if i in kappa_of and i in on_chain:
-                lam_of[i] = lam = lam_of.get(i) or masks.lambda_mask(seq[i], n)
-                semi = masks.min_semidegree_mask(seq[i], n)
+                lam, semi = lam_of[i], masks.min_semidegree_mask(seq[i], n)
                 assert kappa_of[i] <= lam <= semi, (seq[i], kappa_of[i], lam, semi)
             if i in on_objects:
                 kap = kappa_of.get(i) if i in on_chain or need_kappa else None
@@ -765,12 +767,6 @@ def _batch_bits(n: int) -> int:
     return min(masks.tables_for(n).num_cells, _BLOCK_BITS)
 
 
-def _pieces(spec: EnumerationSpec, workers: int) -> list[tuple[int, int]]:
-    """The stretches ``_sweep`` cuts the spec's stream into at ``workers`` workers."""
-    count = workers * _PIECES_PER_WORKER if workers > 1 else 1
-    return _shards(_stream_length(spec), count, 1 << _batch_bits(spec.order))
-
-
 def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dict], float]:
     """Run ``shard`` over contiguous stretches of the spec's mask stream.
 
@@ -785,7 +781,8 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     time of the sweep.
     """
     started = time.monotonic()
-    pieces = _pieces(spec, workers)
+    count = workers * _PIECES_PER_WORKER if workers > 1 else 1
+    pieces = _shards(_stream_length(spec), count, 1 << _batch_bits(spec.order))
     states = _piece_states(spec, [lo for lo, _ in pieces])
     args_list = [(spec, lo, hi, state, *extra) for (lo, hi), state in zip(pieces, states)]
     return _run_sharded(shard, args_list, workers), time.monotonic() - started

@@ -249,6 +249,38 @@ class TestLambdaPCGraphs:
                 assert edge_connectivity(D).value >= lam, p
 
 
+class TestSelectorsRefuseAboveTheCompleteSize:
+    @pytest.fixture
+    def no_builds(self, monkeypatch):
+        import dgr.constructions as constructions_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a member was enumerated or built")
+
+        for name in (
+            "enumerate_kappa_pc_family", "enumerate_lambda_pc_family", "kappa_pc_digraph",
+            "pc_graph", "lambda_pc_graph", "sequential_sum_graph", "backward_sum",
+        ):
+            monkeypatch.setattr(constructions_mod, name, refuse)
+
+    @pytest.mark.parametrize("n", [6, 90, 120])
+    def test_sizes_above_the_complete_one_fail_before_any_build(self, no_builds, n):
+        arcs = n * (n - 1)
+        with pytest.raises(ValueError, match=f"no digraph of order {n} .*at most {arcs}"):
+            dpk_select(n, arcs + 1, 2)
+        with pytest.raises(ValueError, match=f"no graph of order {n} .*at most {arcs // 2}"):
+            pk_select(n, arcs // 2 + 1, 1)
+        with pytest.raises(ValueError, match=f"no graph of order {n} .*at most {arcs // 2}"):
+            pk_lambda_select(n, arcs // 2 + 1, 2)
+        # at the complete size the family is consulted
+        with pytest.raises(AssertionError, match="built"):
+            dpk_select(n, arcs, 2)
+        with pytest.raises(AssertionError, match="built"):
+            pk_select(n, arcs // 2, 1)
+        with pytest.raises(AssertionError, match="built"):
+            pk_lambda_select(n, arcs // 2, 2)
+
+
 class TestShortcutFreeDipath:
     def test_cycle(self):
         D = shortcut_free_dipath(5, {(4, 0)})

@@ -186,6 +186,9 @@ class TestCLI:
 
     def test_generate_infeasible(self, capsys):
         assert run(["generate", "dpk", "--n", "6", "--m", "26", "--kappa", "2"]) == 2
+        # a size above the complete digraph's is refused before any member is built
+        assert run(["generate", "dpk", "--n", "120", "--m", "100000", "--kappa", "2"]) == 2
+        assert "at most 14280" in capsys.readouterr().err
 
     @pytest.mark.parametrize("args", [
         ["cycle", "--n", str(GENERATE_MAX_ORDER + 1)],

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -29,8 +30,6 @@ from dgr.masks import canonical_mask, digraph_of_mask, draw_cells, lanes, mask_o
 from dgr.verifier import _gather, _stride_planes, _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
-import draw_path_timing
-import order6_stretches
 from test_core import dpk_2121
 
 
@@ -412,10 +411,29 @@ _CROSSCHECK_CASES = [
     ),
 ]
 
+
+def shard_digest(out: dict) -> str:
+    """sha256 of a ``_sweep_shard`` result: instances and every bound's outcome."""
+    doc = {
+        "instances": out["instances"],
+        "per_bound": {
+            bid: {
+                "skipped": state["skipped"],
+                "violations": sorted(state["violations"]),
+                "equality": sorted(state["equality"]),
+                "by_m": sorted(state["by_m"].items()),
+            }
+            for bid, state in out["per_bound"].items()
+        },
+    }
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
 # _sweep_shard over stretches that cut blocks, digests recorded with the
-# per-mask kernel it replaced, then the order-6 stretches 33, 341 and 700
-# of scripts/order6_stretches.py: (spec, lo, hi, bound ids, instances,
-# sha256, (lanes_extracted, stride_lanes, orbit_min_lanes))
+# per-mask kernel it replaced, then the order-6 stretches 33, 341 and 700,
+# stretch k being masks k * 2^20 .. (k + 1) * 2^20 - 1 of the exhaustive
+# order-6 stream: (spec, lo, hi, bound ids, instances, sha256,
+# (lanes_extracted, stride_lanes, orbit_min_lanes))
 _ODD_STRETCHES = [
     (EnumerationSpec(5, "strong"), 12345, 700001, ("digraph_order", "size_digraph"),
      340419, "9da05c76a954b799e058903e479fb5cbe532e2141d3010a79461f903fb36be89",
@@ -509,7 +527,7 @@ class TestSharedKernel:
     ):
         out = _sweep_shard((spec, lo, hi, None, bound_ids))
         assert out["instances"] == instances
-        assert order6_stretches.shard_digest(out) == digest
+        assert shard_digest(out) == digest
         stats = out["stats"]
         assert (stats["masks"], stats["members"]) == (hi - lo, instances)
         assert (stats["lanes_extracted"], stats["stride_lanes"], stats["orbit_min_lanes"]) == lanes
@@ -565,7 +583,7 @@ class TestSharedKernel:
     def test_order6_eulerian_stretch_is_gathered(self):
         from dgr.verifier import _eulerian_shard
 
-        # order-6 stretch 700 of scripts/order6_stretches.py, pinned with
+        # order-6 stretch 700 (masks 700 * 2^20 onwards), pinned with
         # the kernel that decoded every lane: every batch is gathered to
         # its balanced lanes and its stride lanes
         spec = EnumerationSpec(6, "eulerian")
@@ -618,40 +636,6 @@ class TestSharedKernel:
         assert _gather(n, batch, batch.ones)[1] == list(lanes(batch.valid))
         empty, picked = _gather(n, batch, 0)
         assert (list(empty.seq), empty.ones, empty.chain, picked) == ([], 0, 0, [])
-
-    def test_order6_stretch_script(self, capsys, monkeypatch):
-        # the real order-6 stretches are pinned in _ODD_STRETCHES; here the
-        # quicker order-4 shard with a pinned digest stands in for one
-        spec, lo, hi, bound_ids, instances, digest, _ = next(
-            row for row in _ODD_STRETCHES if row[0].order == 4
-        )
-        monkeypatch.setattr(
-            order6_stretches.verifier, "_sweep_shard",
-            lambda job: _sweep_shard((spec, lo, hi, None, job[4])),
-        )
-        argv = ["341", "--bounds", ",".join(bound_ids), "--expect"]
-        assert order6_stretches.main([*argv, digest]) == 0
-        row = json.loads(capsys.readouterr().out)
-        assert (row["stretch"], row["instances"], row["digest"]) == (341, instances, digest)
-        assert order6_stretches.main([*argv, "0" * 64]) == 1
-        assert "!=" in capsys.readouterr().err
-        with pytest.raises(SystemExit):
-            order6_stretches.main(["1024"])
-        with pytest.raises(SystemExit):
-            order6_stretches.main(["1", "--bounds", "size_digraph,size_digraph"])
-
-    @pytest.mark.parametrize("order, samples", [(1, 300), (4, 10_000)])
-    def test_draw_path_timing_script(self, capsys, order, samples):
-        from dgr.verifier import _pieces
-
-        # the script times the benchmark's order-6 spec; a small spec,
-        # cut into pieces as the sweep cuts it, stands in for it, and
-        # the script exits 0 only if both of its paths agree
-        spec = EnumerationSpec(order, "strong", mode="sampled", samples=samples, seed=7)
-        assert draw_path_timing.report(spec, 1) == 0
-        row = json.loads(capsys.readouterr().out)
-        assert row["pieces"] == len(_pieces(spec, draw_path_timing.WORKERS)) > 1
-        assert set(row["median_ms"]) == {"per_draw", "bulk"}
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sampled_shards_concatenate_to_the_seeded_draws(self, workers):
@@ -989,9 +973,16 @@ class TestWorkerClamp:
         assert created == [3, 2]
         assert [r.to_json() for r in many] == [r.to_json() for r in one]
         sampled = {"mode": "sampled", "samples": 20_000, "seed": 1}
+        shard, pieces = verifier_mod._sweep_shard, []
+        monkeypatch.setattr(
+            verifier_mod, "_sweep_shard", lambda job: pieces.append(job[1:3]) or shard(job)
+        )
         many = check_universal_bounds(4, "strong", ("digraph_order",), workers=1000, **sampled)
+        # five batches of up to 4,096 draws: five whole-batch pieces on
+        # three CPUs
+        assert pieces == [(lo, min(lo + 4096, 20_000)) for lo in range(0, 20_000, 4096)]
         one = check_universal_bounds(4, "strong", ("digraph_order",), workers=1, **sampled)
-        # five batches of up to 4,096 draws: five pieces on three CPUs
+        assert pieces[5:] == [(0, 20_000)]
         assert created == [3, 2, 3]
         assert [r.to_json() for r in many] == [r.to_json() for r in one]
 
