@@ -36,7 +36,8 @@ EXIT_INPUT = 2
 EXIT_VIOLATION = 3
 
 # generate builds all of a digraph's arcs, up to n(n - 1); `generate
-# complete --n 700` peaks at about 135 MB
+# complete --n 700` peaks at about 135 MB. compute refuses a loaded digraph
+# above it too, as its invariants take memory that grows with the order.
 GENERATE_MAX_ORDER = 700
 _EXHAUSTIVE_ONLY_CHECKS = ("eulerian_size_theorem", "extremal_uniqueness", "lemma_monotonicity")
 _KAPPA_MAX_DEFAULT = 3
@@ -167,6 +168,7 @@ def _cmd_compute(args) -> int:
             D = core.bidirect(io_mod.load_graph(args.input))
         else:
             D = io_mod.load_digraph(args.input)
+        _capped(D.order)
     except (OSError, ValueError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -231,9 +233,9 @@ def _require(args, names) -> None:
 
 
 def _capped(order: int) -> int:
-    """The order of a digraph to generate, refused above GENERATE_MAX_ORDER."""
+    """The order of a digraph to generate or compute on, refused above GENERATE_MAX_ORDER."""
     if order > GENERATE_MAX_ORDER:
-        raise ValueError(f"order {order} is above the generate cap {GENERATE_MAX_ORDER}")
+        raise ValueError(f"order {order} is above the order cap {GENERATE_MAX_ORDER}")
     return order
 
 

@@ -158,34 +158,25 @@ def _check_vertex(D: Digraph, v: int) -> None:
         raise ValueError(f"vertex {v} out of range for order {D.order}")
 
 
-def distances_from(D: Digraph, v: int) -> list[Optional[int]]:
-    """BFS distance vector from v; unreachable entries are None."""
-    _check_vertex(D, v)
-    dist: list[Optional[int]] = [None] * D.order
+def _bfs_distances(succ: tuple[tuple[int, ...], ...], v: int) -> list[Optional[int]]:
+    """BFS distance vector from v along the neighbour lists ``succ``; None if unreached."""
+    dist: list[Optional[int]] = [None] * len(succ)
     dist[v] = 0
     queue = deque([v])
-    out = D.out_lists
     while queue:
         u = queue.popleft()
         du = dist[u]
-        for w in out[u]:
+        for w in succ[u]:
             if dist[w] is None:
                 dist[w] = du + 1
                 queue.append(w)
     return dist
 
 
-def _reaches_every_vertex(succ: tuple[tuple[int, ...], ...]) -> bool:
-    """True iff vertex 0 reaches every vertex along the neighbour lists ``succ``."""
-    seen = [False] * len(succ)
-    seen[0] = True
-    stack = [0]
-    while stack:
-        for w in succ[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                stack.append(w)
-    return all(seen)
+def distances_from(D: Digraph, v: int) -> list[Optional[int]]:
+    """BFS distance vector from v; unreachable entries are None."""
+    _check_vertex(D, v)
+    return _bfs_distances(D.out_lists, v)
 
 
 def is_strong(D: Digraph) -> bool:
@@ -194,7 +185,7 @@ def is_strong(D: Digraph) -> bool:
     That is, vertex 0 reaches every vertex along the out-lists and along
     the in-lists; no reversed digraph is built.
     """
-    return _reaches_every_vertex(D.out_lists) and _reaches_every_vertex(D.in_lists)
+    return None not in _bfs_distances(D.out_lists, 0) and None not in _bfs_distances(D.in_lists, 0)
 
 
 def _reached_distances(D: Digraph, v: int) -> list[int]:

@@ -7,8 +7,8 @@ modules, which the verifier cross-checks on a deterministic stride.
 
 Two kernels read masks. The scalar one decodes a single mask into
 out-neighbour rows (``out_rows``) and runs BFS on them (``sigma_vector``,
-``profile_vectors``, ``kappa_mask`` ...); ``is_balanced`` and
-``min_semidegree_mask`` count degrees on the mask itself. The block kernel
+``profile_vectors``); ``is_balanced``, ``min_semidegree_mask``,
+``kappa_mask`` and ``lambda_mask`` work on the mask itself. The block kernel
 decides up to 2**14 masks at once by bit-slicing: each arc cell becomes a
 plane, a Python int whose bit i is that cell's bit in lane i.
 ``range_cells`` builds the planes of an aligned block of consecutive masks
@@ -38,7 +38,8 @@ relabellings are cut into blocks of 120, and per block each cell's image
 bit under every relabelling of the block is packed into one int, a 32- or
 64-bit word per relabelling; the sum of a mask's arcs' ints then holds its
 images under the whole block, one per word, as nothing carries between
-words. ``canonical_mask`` takes the least word over all blocks.
+words. ``canonical_mask`` takes the least word over all blocks, reading
+the words of only those blocks that hold one below the least so far.
 ``is_canonical`` decides a block with one subtraction against the mask
 spread into every word, whose top guard bits survive exactly where an
 image is at least the mask, and stops at the first block that holds a
@@ -46,11 +47,16 @@ smaller image; it tries the first 6 images of block 0 first, the same way.
 Both are the oracle of ``orbit_min_planes``, so they read separate tables.
 
 The scalar oracle's chain check kappa <= lambda <= min semidegree is kept
-cheap. ``lambda_mask`` is edge connectivity by its definition,
-the least number of arcs leaving a nonempty proper vertex set S: one AND
-with S's cut cells and one popcount per S, 2**n - 2 in all.
-``connectivity.edge_connectivity`` runs flows on star pairs through
-vertex 0, so the two lambda paths share no table or rule.
+cheap. ``kappa_mask`` and ``lambda_mask`` are vertex and edge connectivity
+by their definitions, read off one table, ``_separations(n)``: a row per
+vertex set S and ordered split of the other vertices into nonempty A and
+B, holding |S| and the cells of the arcs from A to B, in increasing |S|.
+kappa is the least |S| whose row's cells the mask misses, so one AND per
+row until the first such row; lambda is the least popcount of the
+mask's cells in the 2**n - 2 rows with S empty, the arcs leaving A.
+``kappa_planes`` removes vertex subsets and runs BFS on D - S, and
+``connectivity.vertex_connectivity`` and ``edge_connectivity`` run flows,
+so neither kernel nor object level shares a table or rule with the oracle.
 ``min_semidegree_mask`` counts degrees by popcounts of the mask, as
 ``is_balanced`` does.
 """
@@ -135,17 +141,6 @@ def digraph_of_mask(n: int, mask: int) -> Digraph:
         arcs.append(t.cells[b.bit_length() - 1])
         x ^= b
     return Digraph(n, frozenset(arcs))
-
-
-def transpose_rows(rows: list[int], n: int) -> list[int]:
-    in_rows = [0] * n
-    for u in range(n):
-        x = rows[u]
-        while x:
-            b = x & -x
-            in_rows[b.bit_length() - 1] |= 1 << u
-            x ^= b
-    return in_rows
 
 
 def is_balanced(mask: int, n: int) -> bool:
@@ -399,17 +394,17 @@ def block_planes(n: int, cells: list[int], ones: int) -> BlockPlanes:
 
 @lru_cache(maxsize=None)
 def _removal_arcs(n: int) -> tuple[tuple[int, int, tuple, tuple], ...]:
-    """The digraphs D - S that ``kappa_planes`` tests, in ``_vertex_subsets`` order.
+    """The digraphs D - S that ``kappa_planes`` tests, S of size 1 .. n-2 in turn.
 
-    Per vertex subset S: its size, the root (least vertex outside S), and
-    the arcs of D - S into and out of each other vertex outside S, as
-    (neighbour, cell index) pairs.
+    Per vertex subset S, in ``combinations`` order within each size: its
+    size, the root (least vertex outside S), and the arcs of D - S into and
+    out of each other vertex outside S, as (neighbour, cell index) pairs.
     """
     t = tables_for(n)
     out = []
-    for size_idx, subsets in enumerate(_vertex_subsets(n)):
-        for s in subsets:
-            rest = [v for v in range(n) if not s >> v & 1]
+    for size in range(1, n - 1):
+        for s in combinations(range(n), size):
+            rest = [v for v in range(n) if v not in s]
             root = rest[0]
             into = tuple(
                 (w, tuple((u, t.bit_of[(u, w)]) for u in rest if u != w))
@@ -419,7 +414,7 @@ def _removal_arcs(n: int) -> tuple[tuple[int, int, tuple, tuple], ...]:
                 (w, tuple((u, t.bit_of[(w, u)]) for u in rest if u != w))
                 for w in rest[1:]
             )
-            out.append((size_idx + 1, root, into, out_of))
+            out.append((size, root, into, out_of))
     return tuple(out)
 
 
@@ -451,11 +446,12 @@ def _reached_by_all(cells: list[int], root: int, arcs, start: int) -> int:
 def kappa_planes(n: int, cells: list[int], lanes_in: int) -> dict[int, int]:
     """Split the strong lanes of ``lanes_in`` by vertex connectivity.
 
-    The plane-wise ``kappa_mask``: for every vertex subset S, in
-    ``_vertex_subsets`` order, a forward and a backward BFS from the root
-    of D - S decide on all undecided lanes whether D - S is strong; a lane
-    that is not gets kappa = |S|. Stops once every lane is decided; the
-    lanes left at the end have kappa = n - 1.
+    The plane-wise ``kappa_mask``, by subset removal rather than its table
+    of separations: for every vertex subset S, in ``_removal_arcs`` order,
+    a forward and a backward BFS from the root of D - S decide on all
+    undecided lanes whether D - S is strong; a lane that is not gets
+    kappa = |S|. Stops once every lane is decided; the lanes left at the
+    end have kappa = n - 1.
     """
     groups: dict[int, int] = {}
     live = lanes_in
@@ -547,71 +543,48 @@ def lanes(plane: int) -> Iterator[int]:
         i = digits.find("1", i + 1)
 
 
-def _reaches_all(rows: list[int], start: int, rem: int) -> bool:
-    seen = start
-    cur = start
-    while cur:
-        nxt = 0
-        c = cur
-        while c:
-            b = c & -c
-            nxt |= rows[b.bit_length() - 1]
-            c ^= b
-        cur = nxt & rem & ~seen
-        seen |= cur
-    return seen & rem == rem
-
-
-def _strong_on(rows: list[int], in_rows: list[int], rem: int) -> bool:
-    if rem.bit_count() <= 1:
-        return True
-    start = rem & -rem
-    return _reaches_all(rows, start, rem) and _reaches_all(in_rows, start, rem)
-
-
 @lru_cache(maxsize=None)
-def _vertex_subsets(n: int) -> tuple[tuple[int, ...], ...]:
-    """Vertex-subset bitmasks grouped by size 1 .. n-2, deterministic order."""
-    by_size = []
-    for k in range(1, n - 1):
-        masks = tuple(
-            sum(1 << v for v in combo) for combo in combinations(range(n), k)
-        )
-        by_size.append(masks)
-    return tuple(by_size)
+def _separations(n: int) -> tuple[tuple[int, int], ...]:
+    """Every split of the vertices into S, A and B, as |S| and the cells of A -> B.
 
-
-def kappa_mask(rows: list[int], n: int, full: int) -> int:
-    """Vertex connectivity by subset removal; assumes a strong digraph."""
-    in_rows = transpose_rows(rows, n)
-    for size_idx, subsets in enumerate(_vertex_subsets(n)):
-        for s in subsets:
-            if not _strong_on(rows, in_rows, full ^ s):
-                return size_idx + 1
-    return n - 1
-
-
-@lru_cache(maxsize=None)
-def _cut_cells(n: int) -> tuple[int, ...]:
-    """The arcs leaving each vertex set, as cell masks.
-
-    One int per nonempty proper vertex set S, in increasing bitmask order
-    of S: the cells (u, v) with u in S and v outside it.
+    One row per vertex set S and ordered pair of nonempty sets A, B that
+    partition the vertices outside S: the size of S and the cell mask of the
+    arcs from A to B, 3**n - 2**(n+1) + 1 rows in all. Rows run in
+    increasing |S|, then increasing bitmask of S, then of A, so the first
+    2**n - 2 rows are those with S empty: the arcs leaving each nonempty
+    proper vertex set A.
     """
+    full = (1 << n) - 1
     cells = tables_for(n).cells
-    return tuple(
-        sum(1 << k for k, (u, v) in enumerate(cells) if s >> u & 1 and not s >> v & 1)
-        for s in range(1, (1 << n) - 1)
-    )
+    rows = []
+    for s in sorted(range(1 << n), key=int.bit_count):
+        rest = full ^ s
+        for a in range(1, rest):
+            if a & rest == a:
+                b = rest ^ a
+                cut = sum(1 << k for k, (u, v) in enumerate(cells) if a >> u & 1 and b >> v & 1)
+                rows.append((s.bit_count(), cut))
+    return tuple(rows)
+
+
+def kappa_mask(mask: int, n: int) -> int:
+    """Vertex connectivity, 0 if the digraph is not strong.
+
+    The least |S| such that the vertices outside S split into nonempty A
+    and B with no arc from A to B, or n - 1 if no S does: the first row of
+    ``_separations(n)`` whose cells the mask misses.
+    """
+    return next((s for s, cut in _separations(n) if not mask & cut), n - 1)
 
 
 def lambda_mask(mask: int, n: int) -> int:
     """Edge connectivity; assumes a strong digraph of order >= 2.
 
-    The least number of arcs leaving a nonempty proper vertex set S (Menger,
-    arc form): one AND and one popcount per S, over ``_cut_cells(n)``.
+    The least number of arcs leaving a nonempty proper vertex set (Menger,
+    arc form): one AND and one popcount per set, over the rows of
+    ``_separations(n)`` with S empty.
     """
-    return min((mask & cut).bit_count() for cut in _cut_cells(n))
+    return min((mask & cut).bit_count() for _, cut in islice(_separations(n), (1 << n) - 2))
 
 
 def min_semidegree_mask(mask: int, n: int) -> int:
@@ -695,17 +668,23 @@ def _arcs_of(n: int, mask: int) -> bytes:
 def canonical_mask(n: int, mask: int) -> int:
     """Minimum arc mask over all n! vertex relabellings (order <= 8).
 
-    The least word of the mask's images, every block's sum read through
-    one ``array``.
+    The least word of the mask's images, starting from the mask itself (the
+    identity's image). A block's sum is tested against the least word so
+    far as in ``is_canonical``, and its words are read through an ``array``
+    only when it holds a smaller one.
     """
     arcs = _arcs_of(n, mask)
     table = _image_blocks(n)
-    images = array(table.code, b"".join(
-        sum(compress(block, arcs)).to_bytes(table.size, "little") for block in table.blocks
-    ))
-    if sys.byteorder == "big":
-        images.byteswap()
-    return min(images)
+    guard = table.guard
+    best = mask
+    for block in table.blocks:
+        images = sum(compress(block, arcs))
+        if (images + guard - best * table.ones) & guard != guard:
+            words = array(table.code, images.to_bytes(table.size, "little"))
+            if sys.byteorder == "big":
+                words.byteswap()
+            best = min(words)
+    return best
 
 
 def is_canonical(n: int, mask: int) -> bool:

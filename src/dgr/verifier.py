@@ -523,14 +523,15 @@ def _members(
         # the scalar oracle: the stride lanes, decoded one by one, give the
         # kernel's own maps restricted to them
         on_chain, on_objects = set(masks.lanes(batch.chain)), set(masks.lanes(batch.objects))
-        rows = {i: t.out_rows(seq[i]) for i in on_chain | on_objects}
-        sigmas = {i: masks.sigma_vector(r, n, t.full) for i, r in rows.items()}
+        sigmas = {
+            i: masks.sigma_vector(t.out_rows(seq[i]), n, t.full) for i in on_chain | on_objects
+        }
         sigma_max_of = {i: max(s) for i, s in sigmas.items() if s is not None}  # strong lanes
-        balanced_of = {i for i in rows if balanced_only and masks.is_balanced(seq[i], n)}
+        balanced_of = {i for i in sigmas if balanced_only and masks.is_balanced(seq[i], n)}
         found = [i for i in sigma_max_of if i in balanced_of or not balanced_only]  # candidates
         kappa_of, lam_of = {}, {}
         if n >= 2:
-            kappa_of = {i: masks.kappa_mask(rows[i], n, t.full) for i in found}
+            kappa_of = {i: masks.kappa_mask(seq[i], n) for i in found}
             # where the sweep needs lambda, and on the chain for kappa <= lambda <= min semidegree
             lam_of = {
                 i: masks.lambda_mask(seq[i], n) for i in found if need_lambda or i in on_chain
@@ -538,7 +539,7 @@ def _members(
         scalar = {
             "strong": sum(1 << i for i in sigma_max_of),
             "balanced": sum(1 << i for i in balanced_of),
-            "size": _planes({i: seq[i].bit_count() for i in rows}),
+            "size": _planes({i: seq[i].bit_count() for i in sigmas}),
             "sigma_max": _planes(sigma_max_of),
             "kappa": _planes(kappa_of),
         }

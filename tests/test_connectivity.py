@@ -242,5 +242,5 @@ def test_results_and_witness_cuts_pinned_on_every_strong_mask(n):
 def test_results_and_witness_cuts_pinned_on_drawn_strong_masks(n):
     # 1,000 uniform and 1,000 dense (about three arcs in four) strong draws
     rng = random.Random(1000 + n)
-    draws = _strong_draws(n, rng, 1_000, False) + _strong_draws(n, rng, 1_000, True)
+    draws = _strong_draws(n, rng, 1_000, 1) + _strong_draws(n, rng, 1_000, 2)
     assert _connectivity_digest(n, draws) == _DRAWN_STRONG_MASK_DIGESTS[n]

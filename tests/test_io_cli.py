@@ -218,7 +218,7 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == (
-            f"input error: order {GENERATE_MAX_ORDER + 1} is above the generate cap "
+            f"input error: order {GENERATE_MAX_ORDER + 1} is above the order cap "
             f"{GENERATE_MAX_ORDER}\n"
         )
 
@@ -226,6 +226,37 @@ class TestCLI:
         assert run(["generate", "cycle", "--n", str(GENERATE_MAX_ORDER)]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert lines[0] == str(GENERATE_MAX_ORDER) and len(lines) == GENERATE_MAX_ORDER + 1
+
+    @pytest.mark.parametrize("invariant", ["remoteness", "eulerian"])
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_compute_above_the_order_cap_is_input_error(
+        self, tmp_path, capsys, monkeypatch, invariant, undirected
+    ):
+        import dgr.cli as cli_mod
+
+        # a file of a few bytes may declare any order; no invariant may run
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("invariant computed above the order cap")
+
+        monkeypatch.setattr(cli_mod.core, "remoteness", refuse)
+        monkeypatch.setattr(cli_mod.conn_mod, "is_eulerian", refuse)
+        path = tmp_path / "big.edges"
+        path.write_text(f"{GENERATE_MAX_ORDER + 1}\n0 1\n1 0\n")
+        args = ["compute", "--input", str(path), "--invariant", invariant]
+        assert run(args + ["--undirected"] * undirected) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"input error: order {GENERATE_MAX_ORDER + 1} is above the order cap "
+            f"{GENERATE_MAX_ORDER}\n"
+        )
+
+    def test_compute_at_the_order_cap(self, tmp_path, capsys):
+        path = tmp_path / "cycle.edges"
+        path.write_text(digraph_to_edge_list(directed_cycle(GENERATE_MAX_ORDER)))
+        assert run(["compute", "--input", str(path), "--invariant", "remoteness"]) == 0
+        # the cycle's remoteness is (1 + 2 + ... + (n - 1)) / (n - 1) = n / 2
+        assert capsys.readouterr().out == "350 (= 350) at vertex 0\n"
 
     def test_bound_text(self, capsys):
         assert run(["bound", "--bound", "size_digraph", "--n", "5", "--m", "10"]) == 0

@@ -5,10 +5,10 @@ from itertools import combinations, permutations
 
 import pytest
 
-from dgr.connectivity import edge_connectivity, min_semidegree
+from dgr.connectivity import edge_connectivity, min_semidegree, vertex_connectivity
 from dgr.masks import (
-    _cut_cells,
     _image_blocks,
+    _separations,
     balance_plane,
     block_planes,
     canonical_mask,
@@ -27,17 +27,16 @@ from dgr.masks import (
     range_cells,
     sigma_vector,
     tables_for,
-    transpose_rows,
     value_planes,
 )
 
-from oracles import brute_edge_connectivity
+from oracles import brute_edge_connectivity, brute_vertex_connectivity
 
-# OEIS A000273 (digraphs), A035512 (strong digraphs), A003030 (labeled
-# strong digraphs), orders 1..4
+# OEIS A000273 (digraphs), A035512 (strong digraphs), orders 1..4, and
+# A003030 (labeled strong digraphs), orders 1..5
 DIGRAPHS = (1, 3, 16, 218)
 STRONG_DIGRAPHS = (1, 1, 5, 83)
-LABELED_STRONG = (1, 1, 18, 1606)
+LABELED_STRONG = (1, 1, 18, 1606, 565_080)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -211,17 +210,16 @@ def test_draw_cells_stops_at_64_cells():
 
 
 def _assert_kappa_planes_match(n, draws, cells, strong):
-    t = tables_for(n)
     groups = kappa_planes(n, cells, strong)
     assert sum(p.bit_count() for p in groups.values()) == strong.bit_count()
     for kappa, plane in groups.items():
         assert plane & strong == plane
         for i in lanes(plane):
-            assert kappa_mask(t.out_rows(draws[i]), n, t.full) == kappa, draws[i]
+            assert kappa_mask(draws[i], n) == kappa, draws[i]
     return groups
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_kappa_planes_match_kappa_mask_on_every_strong_mask(n):
     t = tables_for(n)
     cells, ones = range_cells(n, 0, t.num_cells)
@@ -272,9 +270,8 @@ def test_order5_strong_counts_match_oeis():
 
 
 def _balanced_by_transpose(n, mask):
-    rows = tables_for(n).out_rows(mask)
-    in_rows = transpose_rows(rows, n)
-    return all(rows[v].bit_count() == in_rows[v].bit_count() for v in range(n))
+    D = digraph_of_mask(n, mask)
+    return all(D.out_degree(v) == D.in_degree(v) for v in range(n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -370,13 +367,17 @@ def _assert_lambda_mask_agrees(n, draws):
     return seen
 
 
-def _strong_draws(n, rng, count, dense):
-    """Seeded strong masks: uniform draws, or with about three arcs in four."""
+def _strong_draws(n, rng, count, fill):
+    """Seeded strong masks, each the OR of ``fill`` uniform draws.
+
+    A cell is an arc with probability 1 - 2**-fill: uniform at fill 1, about
+    three arcs in four at fill 2.
+    """
     t = tables_for(n)
     draws = []
     while len(draws) < count:
         mask = rng.getrandbits(t.num_cells)
-        if dense:
+        for _ in range(fill - 1):
             mask |= rng.getrandbits(t.num_cells)
         if sigma_vector(t.out_rows(mask), n, t.full) is not None:
             draws.append(mask)
@@ -396,7 +397,7 @@ def test_lambda_mask_matches_both_oracles_on_drawn_strong_masks(n, uniform, dens
     # the dense draws reach lambda 3 and 4; arc-set removal is slow on them
     # at n = 6, so fewer are drawn there
     rng = random.Random(n)
-    draws = _strong_draws(n, rng, uniform, False) + _strong_draws(n, rng, dense, True)
+    draws = _strong_draws(n, rng, uniform, 1) + _strong_draws(n, rng, dense, 2)
     assert _assert_lambda_mask_agrees(n, draws) == {1, 2, 3, 4}
 
 
@@ -404,7 +405,7 @@ def test_lambda_mask_matches_both_oracles_on_drawn_strong_masks(n, uniform, dens
 def test_lambda_mask_matches_the_flows_on_drawn_strong_masks(n):
     # arc-set removal is out of reach here; the star-pair flows are not
     rng = random.Random(n)
-    draws = _strong_draws(n, rng, 1_000, False) + _strong_draws(n, rng, 1_000, True)
+    draws = _strong_draws(n, rng, 1_000, 1) + _strong_draws(n, rng, 1_000, 2)
     seen = set()
     for mask in draws:
         lam = lambda_mask(mask, n)
@@ -413,15 +414,60 @@ def test_lambda_mask_matches_the_flows_on_drawn_strong_masks(n):
     assert seen == {1, 2, 3, 4, 5}
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_cut_cells_hold_the_arcs_leaving_each_vertex_set(n):
+@pytest.mark.parametrize("n", range(1, 9))
+def test_separations_hold_the_arcs_from_a_to_b_of_every_split(n):
     t = tables_for(n)
-    cuts = _cut_cells(n)
-    assert len(cuts) == len(set(cuts)) == 2**n - 2
-    for s, cut in enumerate(cuts, start=1):
-        leaving = {(u, v) for u, v in t.cells if s >> u & 1 and not s >> v & 1}
-        assert {t.cells[k] for k in lanes(cut)} == leaving
-        assert len(leaving) == s.bit_count() * (n - s.bit_count())
+    rows = _separations(n)
+    assert len(rows) == 3**n - 2 ** (n + 1) + 1
+    assert [s for s, _ in rows] == sorted(s for s, _ in rows)
+    # every split (S, A, B) of the vertices, with A and B nonempty, once
+    splits = [
+        (s, a, tuple(v for v in range(n) if v not in s and v not in a))
+        for size in range(n - 1)
+        for s in combinations(range(n), size)
+        for k in range(1, n - size)
+        for a in combinations([v for v in range(n) if v not in s], k)
+    ]
+    assert len(splits) == len(rows)
+    expected = sorted(
+        (len(s), sum(1 << t.bit_of[(u, v)] for u in a for v in b)) for s, a, b in splits
+    )
+    assert sorted(rows) == expected
+    # the rows with S empty are the arcs leaving each nonempty proper vertex set
+    leaving = [
+        sum(1 << k for k, (u, v) in enumerate(t.cells) if a >> u & 1 and not a >> v & 1)
+        for a in range(1, 2**n - 1)
+    ]
+    assert rows[: 2**n - 2] == tuple((0, cut) for cut in leaving)
+    assert all(s for s, _ in rows[2**n - 2 :])
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kappa_mask_matches_subset_removal_on_every_mask(n):
+    # vertex-subset removal on strong masks; 0 exactly on the others
+    t = tables_for(n)
+    seen = set()
+    for mask in range(t.mask_count):
+        kappa = kappa_mask(mask, n)
+        if sigma_vector(t.out_rows(mask), n, t.full) is None:
+            assert kappa == 0, mask
+        else:
+            assert kappa == brute_vertex_connectivity(n, digraph_of_mask(n, mask).arcs), mask
+            seen.add(kappa)
+    assert seen == set(range(1, n))
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_kappa_mask_matches_the_flows_on_drawn_dense_strong_masks(n):
+    # denser draws reach the high kappa: n - 1 only on the complete digraph
+    rng = random.Random(n)
+    seen = set()
+    for fill in range(1, 6):
+        for mask in _strong_draws(n, rng, 150, fill):
+            kappa = kappa_mask(mask, n)
+            assert kappa == vertex_connectivity(digraph_of_mask(n, mask)).value, mask
+            seen.add(kappa)
+    assert seen == set(range(1, n))
 
 
 def test_lambda_mask_of_complete_digraphs_is_n_minus_1():

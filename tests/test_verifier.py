@@ -138,7 +138,7 @@ def _kappa_is_order(monkeypatch):
     """kappa = n disagrees with the kappa planes and breaks kappa <= lambda."""
     import dgr.masks as masks_mod
 
-    monkeypatch.setattr(masks_mod, "kappa_mask", lambda rows, n, full: n)
+    monkeypatch.setattr(masks_mod, "kappa_mask", lambda mask, n: n)
 
 
 def _lambda_is_zero(monkeypatch):
