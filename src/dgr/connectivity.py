@@ -5,22 +5,23 @@ suffices at desk scale and yields an explicit minimum cut as a witness.
 Non-strong inputs are an error: neither invariant is defined for them here.
 
 Each invariant builds one flow network per digraph and runs every vertex
-pair's flow on a copy of its capacities. Each flow is capped at the least
-value found so far: a pair that reaches the cap cannot lower the minimum,
-and a pair below it runs to completion, so its residual network gives the
-minimum cut that an uncapped flow would. The first pair at the minimum
-therefore gives the witness, as with a separate network per pair. The first
-pair is capped at n, which no flow reaches: a kappa flow is at most n - 2
-and a lambda flow at most n - 1. In the
-vertex-split network of kappa no flow uses the split arc of its own source
-or sink (the search starts past the first and stops before the second), so
-one network with unit split arcs serves every pair.
+pair's flow on a copy of its capacities, in ``_least_cut``. Each flow is
+capped at the least value found so far: a pair that reaches the cap cannot
+lower the minimum, and a pair below it runs to completion, so the nodes
+its last search reached are the source side of the minimum cut that an
+uncapped flow would give. The first pair at the minimum therefore gives
+the witness, as with a separate network per pair. The first pair is capped
+at n, which no flow reaches: a kappa flow is at most n - 2 and a lambda
+flow at most n - 1. In the vertex-split network of kappa no flow uses the
+split arc of its own source or sink (the search starts past the first and
+stops before the second), so one network with unit split arcs serves
+every pair.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import permutations
 
 from .core import Digraph, NotStrongError, is_strong
 
@@ -56,11 +57,13 @@ class _FlowNetwork:
             self.adj[v].append(u)
         self.cap[u][v] += capacity
 
-    def max_flow(self, s: int, t: int, limit: int) -> int:
-        """The maximum s-t flow, or ``limit`` once the flow reaches it.
+    def max_flow(self, s: int, t: int, limit: int) -> tuple[int, set[int]]:
+        """min(maximum s-t flow, ``limit``), and the source side of a least cut.
 
-        That is min(max flow, limit). A flow that stops below ``limit``
-        has run to completion, so ``min_cut_side`` then gives a minimum cut.
+        A flow that stops below ``limit`` has run to completion: its last
+        search fails to reach t, and the nodes it reached are the source
+        side of a minimum s-t cut. A flow that reaches ``limit`` stops
+        there, with an empty side.
         """
         cap = [row[:] for row in self.cap]
         adj = self.adj
@@ -78,7 +81,7 @@ class _FlowNetwork:
                 if parent[t] >= 0:
                     break
             if parent[t] < 0:
-                break
+                return total, set(queue)
             bottleneck = limit - total
             v = t
             while v != s:
@@ -92,22 +95,25 @@ class _FlowNetwork:
                 cap[v][u] += bottleneck
                 v = u
             total += bottleneck
-        self._residual = cap
-        self._source = s
-        return total
+        return total, set()
 
-    def min_cut_side(self) -> set[int]:
-        """Nodes reachable from the source in the last residual network."""
-        cap = self._residual
-        seen = {self._source}
-        queue = deque([self._source])
-        while queue:
-            u = queue.popleft()
-            for v in self.adj[u]:
-                if v not in seen and cap[u][v] > 0:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
+
+def _least_cut(net: _FlowNetwork, pairs, limit: int, cut_of) -> ConnectivityResult | None:
+    """The least flow over the (s, t) ``pairs``, and ``cut_of`` the side of the first at it.
+
+    Each flow is capped at the least value so far, ``limit`` at first, so
+    a pair returns a side exactly when it lowers the minimum. Stops at 1,
+    the least flow in a strong digraph; None when there is no pair.
+    """
+    best = None
+    for s, t in pairs:
+        value, side = net.max_flow(s, t, limit)
+        if side:
+            best = ConnectivityResult(value, cut_of(side))
+            if value == 1:
+                break
+            limit = value
+    return best
 
 
 def vertex_connectivity(D: Digraph) -> ConnectivityResult:
@@ -136,21 +142,11 @@ def vertex_connectivity(D: Digraph) -> ConnectivityResult:
         net.add_edge(2 * v, 2 * v + 1, 1)
     for u, v in D.arcs:
         net.add_edge(2 * u + 1, 2 * v, n + 1)
-    best: tuple[int, frozenset[int]] | None = None
-    for s in range(n):
-        for t in range(n):
-            if s == t or D.has_arc(s, t):
-                continue
-            value = net.max_flow(2 * s + 1, 2 * t, best[0] if best else n)
-            if best is None or value < best[0]:
-                side = net.min_cut_side()
-                cut = frozenset(v for v in range(n) if 2 * v in side and 2 * v + 1 not in side)
-                best = (value, cut)
-                if value == 1:
-                    return ConnectivityResult(1, cut)
-    if best is None:
-        return ConnectivityResult(n - 1, frozenset())
-    return ConnectivityResult(best[0], best[1])
+    pairs = ((2 * s + 1, 2 * t) for s, t in permutations(range(n), 2) if not D.has_arc(s, t))
+    best = _least_cut(net, pairs, n, lambda side: frozenset(
+        v for v in range(n) if 2 * v in side and 2 * v + 1 not in side
+    ))
+    return best or ConnectivityResult(n - 1, frozenset())
 
 
 def edge_connectivity(D: Digraph) -> ConnectivityResult:
@@ -171,18 +167,12 @@ def edge_connectivity(D: Digraph) -> ConnectivityResult:
     net = _FlowNetwork(n)
     for u, v in D.arcs:
         net.add_edge(u, v, 1)
-    best: tuple[int, frozenset[tuple[int, int]]] | None = None
-    for v in range(1, n):
-        for s, t in ((0, v), (v, 0)):
-            value = net.max_flow(s, t, best[0] if best else n)
-            if best is None or value < best[0]:
-                side = net.min_cut_side()
-                cut = frozenset((a, b) for a, b in D.arcs if a in side and b not in side)
-                best = (value, cut)
-                if value == 1:
-                    return ConnectivityResult(1, cut)
+    pairs = (pair for v in range(1, n) for pair in ((0, v), (v, 0)))
+    best = _least_cut(net, pairs, n, lambda side: frozenset(
+        (a, b) for a, b in D.arcs if a in side and b not in side
+    ))
     assert best is not None
-    return ConnectivityResult(best[0], best[1])
+    return best
 
 
 def is_eulerian(D: Digraph) -> bool:

@@ -2,15 +2,19 @@
 
 Families are built block by block with canonical vertex labels (block 0
 first, left to right), so tests can address the distinguished source
-vertex 0 deterministically. Sizes are always obtained by counting the
-constructed arc/edge set; closed-form size expressions live in
-``claimed_sizes`` as audit targets only.
+vertex 0 deterministically. The selectors rank members by sizes counted
+from their block sizes (``sequential_sum_size``, ``backward_sum_size``),
+build only the member they choose and assert that its built arc/edge set
+has the counted size; ``construction_size`` counts a built set. The
+paper's closed-form size expressions live in ``claimed_sizes`` as audit
+targets only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import bounds as bounds_mod
 from .core import Digraph, Graph, NotStrongError, bidirect, is_strong
@@ -44,6 +48,24 @@ def sequential_sum_graph(block_sizes: list[int]) -> Graph:
             for v in right:
                 edges.add((u, v))
     return Graph(n, frozenset(edges))
+
+
+def sequential_sum_size(block_sizes: list[int]) -> int:
+    """Edges of ``sequential_sum_graph``: C(c, 2) per block c, plus consecutive products."""
+    within = (sum(map(mul, block_sizes, block_sizes)) - sum(block_sizes)) // 2
+    return within + sum(map(mul, block_sizes, block_sizes[1:]))
+
+
+def backward_sum_size(block_sizes: list[int]) -> int:
+    """Arcs of ``backward_sum(block_sizes)``: twice the sequential sum's edges, plus skip arcs.
+
+    The s_i * s_j skip arcs from block i to each block j <= i - 2 are all
+    (total**2 - sum of squares) / 2 block pairs, less the consecutive ones.
+    """
+    total = sum(block_sizes)
+    pairs = (total * total - sum(map(mul, block_sizes, block_sizes))) // 2
+    skips = pairs - sum(map(mul, block_sizes, block_sizes[1:]))
+    return 2 * sequential_sum_size(block_sizes) + skips
 
 
 def profile_digraph(block_sizes: list[int]) -> Digraph:
@@ -88,8 +110,7 @@ class PathCompleteParams:
     """Parameters (kappa, ell, a, b) of one family member.
 
     The member has block sizes [1, kappa * ell times, a, b] and order
-    1 + ell*kappa + a + b. The definition requires a >= kappa; ell = 0 is
-    admitted only through the relaxed flag on the generators.
+    1 + ell*kappa + a + b. The definition requires ell >= 1 and a >= kappa.
     """
 
     kappa: int
@@ -98,8 +119,8 @@ class PathCompleteParams:
     b: int
 
     def __post_init__(self) -> None:
-        if self.kappa < 1 or self.a < 1 or self.b < 1 or self.ell < 0:
-            raise ValueError("parameters must be positive (ell may be 0)")
+        if self.kappa < 1 or self.ell < 1 or self.a < 1 or self.b < 1:
+            raise ValueError("parameters kappa, ell, a and b must be positive")
         if self.a < self.kappa:
             raise ValueError(f"a = {self.a} must be at least kappa = {self.kappa}")
 
@@ -112,23 +133,17 @@ class PathCompleteParams:
         return [1] + [self.kappa] * self.ell + [self.a, self.b]
 
 
-def kappa_pc_digraph(p: PathCompleteParams, relaxed_ell: bool = False) -> Digraph:
+def kappa_pc_digraph(p: PathCompleteParams) -> Digraph:
     """Backward sum realising the given family member."""
-    if p.ell < 1 and not relaxed_ell:
-        raise ValueError("ell >= 1 required (pass relaxed_ell=True to allow 0)")
     return backward_sum(p.block_sizes)
 
 
-def pc_graph(p: PathCompleteParams, relaxed_ell: bool = False) -> Graph:
+def pc_graph(p: PathCompleteParams) -> Graph:
     """Undirected analogue: sequential sum of complete blocks."""
-    if p.ell < 1 and not relaxed_ell:
-        raise ValueError("ell >= 1 required (pass relaxed_ell=True to allow 0)")
     return sequential_sum_graph(p.block_sizes)
 
 
-def enumerate_kappa_pc_family(
-    n: int, kappa: int, relaxed_ell: bool = False
-) -> list[PathCompleteParams]:
+def enumerate_kappa_pc_family(n: int, kappa: int) -> list[PathCompleteParams]:
     """All feasible (ell, a, b) with 1 + ell*kappa + a + b = n, a >= kappa.
 
     Ordered lexicographically by (ell, b), matching the family's natural
@@ -137,8 +152,7 @@ def enumerate_kappa_pc_family(
     if kappa < 1:
         raise ValueError("kappa must be positive")
     members = []
-    ell_min = 0 if relaxed_ell else 1
-    ell = ell_min
+    ell = 1
     while 1 + ell * kappa + kappa + 1 <= n:
         rest = n - 1 - ell * kappa
         for b in range(1, rest - kappa + 1):
@@ -150,50 +164,51 @@ def enumerate_kappa_pc_family(
     return members
 
 
-def _select_min_size(members, size_of, m, what):
-    sizes = [size_of(p) for p in members]
+def _distinct_sizes(members, size_of) -> list[tuple[int, object]]:
+    """(size, member) pairs by increasing size, the sizes asserted pairwise distinct."""
+    sizes = [size_of(p.block_sizes) for p in members]
     if len(set(sizes)) != len(sizes):
         raise AssertionError(f"family sizes are not pairwise distinct: {sorted(sizes)}")
-    feasible = [(s, p) for s, p in zip(sizes, members) if s >= m]
-    if not feasible:
-        raise ValueError(
-            f"no {what} member has size >= {m} (family maximum is {max(sizes)})"
-        )
-    return min(feasible, key=lambda sp: sp[0])[1]
+    return sorted(zip(sizes, members), key=lambda sp: sp[0])
 
 
-def dpk_select(
-    n: int, m: int, kappa: int, relaxed_ell: bool = False
-) -> tuple[Digraph, PathCompleteParams]:
+def _select_min_size(ranked, build, m, what):
+    """Build the first member of the (size, member) pairs ``ranked`` with size >= m.
+
+    Only that member is built, and its built size must equal the count.
+    """
+    for size, p in ranked:
+        if size >= m:
+            obj = build(p)
+            assert obj.size == size, f"{p} built with size {obj.size}, counted {size}"
+            return obj, p
+    raise ValueError(f"no {what} member has size >= {m} (family maximum is {ranked[-1][0]})")
+
+
+def dpk_select(n: int, m: int, kappa: int) -> tuple[Digraph, PathCompleteParams]:
     """Minimum-size family member of order n with at least m arcs.
 
-    Sizes are counted on the constructed digraphs; pairwise distinctness
-    is asserted rather than assumed.
+    Sizes are counted from the block sizes, and pairwise distinctness is
+    asserted rather than assumed; only the chosen member is built.
     """
     if m > n * (n - 1):  # above the complete digraph, refused before any build
         raise ValueError(f"no digraph of order {n} has size >= {m} (at most {n * (n - 1)})")
-    members = enumerate_kappa_pc_family(n, kappa, relaxed_ell)
+    members = enumerate_kappa_pc_family(n, kappa)
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
-    chosen = _select_min_size(
-        members, lambda p: kappa_pc_digraph(p, relaxed_ell=True).size, m, "digraph family"
-    )
-    return kappa_pc_digraph(chosen, relaxed_ell=True), chosen
+    ranked = _distinct_sizes(members, backward_sum_size)
+    return _select_min_size(ranked, kappa_pc_digraph, m, "digraph family")
 
 
-def pk_select(
-    n: int, m: int, kappa: int, relaxed_ell: bool = False
-) -> tuple[Graph, PathCompleteParams]:
+def pk_select(n: int, m: int, kappa: int) -> tuple[Graph, PathCompleteParams]:
     """Undirected selector mirroring dpk_select with exact edge counting."""
     if m > n * (n - 1) // 2:  # above the complete graph, refused before any build
         raise ValueError(f"no graph of order {n} has size >= {m} (at most {n * (n - 1) // 2})")
-    members = enumerate_kappa_pc_family(n, kappa, relaxed_ell)
+    members = enumerate_kappa_pc_family(n, kappa)
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
-    chosen = _select_min_size(
-        members, lambda p: pc_graph(p, relaxed_ell=True).size, m, "graph family"
-    )
-    return pc_graph(chosen, relaxed_ell=True), chosen
+    ranked = _distinct_sizes(members, sequential_sum_size)
+    return _select_min_size(ranked, pc_graph, m, "graph family")
 
 
 @dataclass(frozen=True)
@@ -294,7 +309,8 @@ def pk_lambda_select(n: int, m: int, lam: int) -> tuple[Graph, LambdaPCParams]:
     """Minimum-size member of order n with at least m edges.
 
     Unlike the vertex-connectivity family, equal sizes can occur across
-    variants; ties break on (variant, k, a, b).
+    variants; ties break on (variant, k, a, b). Sizes are counted from the
+    block sizes; only the chosen member is built.
     """
     if m > n * (n - 1) // 2:  # above the complete graph, refused before any build
         raise ValueError(f"no graph of order {n} has size >= {m} (at most {n * (n - 1) // 2})")
@@ -302,15 +318,10 @@ def pk_lambda_select(n: int, m: int, lam: int) -> tuple[Graph, LambdaPCParams]:
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, lambda {lam}")
     ranked = sorted(
-        ((lambda_pc_graph(p).size, p.variant, p.k, p.a, p.b, p) for p in members),
-        key=lambda t: t[:5],
+        ((sequential_sum_size(p.block_sizes), p) for p in members),
+        key=lambda sp: (sp[0], sp[1].variant, sp[1].k, sp[1].a, sp[1].b),
     )
-    for size, *_rest, p in ranked:
-        if size >= m:
-            return lambda_pc_graph(p), p
-    raise ValueError(
-        f"no member has size >= {m} (family maximum is {ranked[-1][0]})"
-    )
+    return _select_min_size(ranked, lambda_pc_graph, m, "lambda family")
 
 
 def shortcut_free_dipath(n: int, back_arcs: set[tuple[int, int]]) -> Digraph:

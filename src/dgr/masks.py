@@ -6,23 +6,24 @@ optimisation layer; results are observably identical to the object-level
 modules, which the verifier cross-checks on a deterministic stride.
 
 Two kernels read masks. The scalar one decodes a single mask into
-out-neighbour rows (``out_rows``) and runs BFS on them (``sigma_vector``,
-``profile_vectors``); ``is_balanced``, ``min_semidegree_mask``,
-``kappa_mask`` and ``lambda_mask`` work on the mask itself. The block kernel
-decides up to 2**14 masks at once by bit-slicing: each arc cell becomes a
-plane, a Python int whose bit i is that cell's bit in lane i.
-``range_cells`` builds the planes of an aligned block of consecutive masks
-(lane i is ``base + i``; cells below the block width follow fixed lane
-patterns, the others are constant), and ``draw_cells`` transposes an
-arbitrary list of masks (lane i is the i-th draw) as one bit-matrix
-transpose of the masks packed into 32- or 64-bit words, a few
-mask/shift/xor stages over one int. On either, integer
-AND/OR/XOR run one BFS per source vertex for every lane together:
-``block_planes`` gives strongness, sigma_max and size,
-``kappa_planes`` splits the strong lanes by vertex connectivity,
-``profile_planes`` splits them by each source's distance profile, and
-``orbit_min_planes`` keeps the lanes whose mask is the least of its
-relabellings, the orbit-minimal witnesses of a sweep's equality hits.
+out-neighbour rows (``out_rows``) and runs BFS on them (``sigma_vector``);
+``is_balanced``, ``min_semidegree_mask``, ``kappa_mask`` and
+``lambda_mask`` work on the mask itself. The block kernel decides up to
+2**14 masks at once by bit-slicing: each arc cell becomes a plane, a
+Python int whose bit i is that cell's bit in lane i. ``range_cells``
+builds the planes of an aligned block of consecutive masks (lane i is
+``base + i``; cells below the block width follow fixed lane patterns, the
+others are constant), and ``draw_cells`` transposes an arbitrary list of
+masks (lane i is the i-th draw) as one bit-matrix transpose of the masks
+packed into 32- or 64-bit words, a few mask/shift/xor stages over one
+int. On either, integer AND/OR/XOR run one BFS per source vertex for
+every lane together: ``block_planes`` gives strongness, sigma_max and
+size, and ``profile_planes`` splits the strong lanes by each source's
+distance profile, both a level at a time through one ``_step``;
+``kappa_planes`` splits them by vertex connectivity, running each D - S
+to a fixed point; and ``orbit_min_planes`` keeps the lanes whose mask is
+the least of its relabellings, the orbit-minimal witnesses of a sweep's
+equality hits.
 Two cheaper kernels need no BFS, so a sweep runs them first, on the whole
 batch, as class prefilters: ``size_counter`` counts every lane's arcs
 (``block_planes`` takes its size from it too) and ``balance_plane``
@@ -43,8 +44,8 @@ the words of only those blocks that hold one below the least so far.
 ``is_canonical`` decides a block with one subtraction against the mask
 spread into every word, whose top guard bits survive exactly where an
 image is at least the mask, and stops at the first block that holds a
-smaller image; it tries the first 6 images of block 0 first, the same way.
-Both are the oracle of ``orbit_min_planes``, so they read separate tables.
+smaller image. Both are the oracle of ``orbit_min_planes``, so they read
+separate tables.
 
 The scalar oracle's chain check kappa <= lambda <= min semidegree is kept
 cheap. ``kappa_mask`` and ``lambda_mask`` are vertex and edge connectivity
@@ -88,20 +89,11 @@ class MaskTables:
         self.bit_of = {cell: k for k, cell in enumerate(self.cells)}
         self.row_mask = (1 << (n - 1)) - 1
         self.row_shift = tuple(u * (n - 1) for u in range(n))
-        targets = [[v for v in range(n) if v != u] for u in range(n)]
-        out_table = []
-        for u in range(n):
-            table = []
-            for chunk in range(1 << (n - 1)):
-                acc = 0
-                x = chunk
-                while x:
-                    b = x & -x
-                    acc |= 1 << targets[u][b.bit_length() - 1]
-                    x ^= b
-                table.append(acc)
-            out_table.append(tuple(table))
-        self.out_table = tuple(out_table)
+        # row u of the mask skips column u: its bits below u stay, the rest move up one
+        self.out_table = tuple(
+            tuple(row & ((1 << u) - 1) | (row >> u) << (u + 1) for row in range(1 << (n - 1)))
+            for u in range(n)
+        )
         # per vertex, the cells of its out-arcs and the cells of its in-arcs
         self.degree_cells = tuple(
             (
@@ -176,31 +168,6 @@ def sigma_vector(rows: list[int], n: int, full: int) -> list[int] | None:
             return None
         sigmas.append(total)
     return sigmas
-
-
-def profile_vectors(rows: list[int], n: int, full: int) -> list[tuple[int, ...]] | None:
-    """Distance degree sequence of every vertex, or None if not strong."""
-    profiles = []
-    for v in range(n):
-        seen = 1 << v
-        cur = seen
-        counts = [1]
-        while True:
-            nxt = 0
-            c = cur
-            while c:
-                b = c & -c
-                nxt |= rows[b.bit_length() - 1]
-                c ^= b
-            cur = nxt & ~seen
-            if not cur:
-                break
-            counts.append(cur.bit_count())
-            seen |= cur
-        if seen != full:
-            return None
-        profiles.append(tuple(counts))
-    return profiles
 
 
 class BlockPlanes(NamedTuple):
@@ -354,6 +321,25 @@ def balance_plane(n: int, cells: list[int], ones: int) -> int:
     return balance
 
 
+def _arcs_into(n: int, cells: list[int]) -> list[list[tuple[int, int]]]:
+    """Per vertex w, the (u, plane) pair of every arc cell u -> w that some lane holds."""
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for (u, v), plane in zip(tables_for(n).cells, cells):
+        if plane:
+            into[v].append((u, plane))
+    return into
+
+
+def _step(reached: list[int], into: list[list[tuple[int, int]]]) -> list[int]:
+    """One BFS level on every lane: w is reached once an in-neighbour is, through a held arc."""
+    nxt = []
+    for r, arcs in zip(reached, into):
+        for u, arc in arcs:
+            r |= reached[u] & arc
+        nxt.append(r)
+    return nxt
+
+
 def block_planes(n: int, cells: list[int], ones: int) -> BlockPlanes:
     """Strongness, sigma_max and size of every lane of ``ones``.
 
@@ -363,11 +349,7 @@ def block_planes(n: int, cells: list[int], ones: int) -> BlockPlanes:
     at once, and a lane is strong when every source reaches every vertex
     within n-1 levels.
     """
-    t = tables_for(n)
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), plane in zip(t.cells, cells):
-        if plane:
-            into[v].append((u, plane))
+    into = _arcs_into(n, cells)
     strong = ones
     sigma_max: list[int] = []
     for source in range(n):
@@ -375,13 +357,7 @@ def block_planes(n: int, cells: list[int], ones: int) -> BlockPlanes:
         reached[source] = ones
         sigma = [ones * (((n - 1) >> j) & 1) for j in range((n - 1).bit_length())]
         for level in range(1, n):
-            nxt = []
-            for w in range(n):
-                r = reached[w]
-                for u, arc in into[w]:
-                    r |= reached[u] & arc
-                nxt.append(r)
-            reached = nxt
+            reached = _step(reached, into)
             if level < n - 1:
                 for w in range(n):
                     if w != source:
@@ -472,18 +448,15 @@ def kappa_planes(n: int, cells: list[int], lanes_in: int) -> dict[int, int]:
 def profile_planes(n: int, cells: list[int], lanes_in: int) -> list[dict[tuple[int, ...], int]]:
     """Per source vertex, the strong lanes of ``lanes_in`` split by distance profile.
 
-    The plane-wise ``profile_vectors``: one BFS per source runs on the lanes
-    of ``lanes_in`` at once. At each level a bit-sliced counter of the newly
-    reached vertices splits every open profile group by its value, and a
-    group closes on the lanes where that count is 0. A lane whose source
+    One BFS per source runs on the lanes of ``lanes_in`` at once; its
+    scalar oracle is ``core.distance_profile``, in the verifier. At each
+    level a bit-sliced counter of the newly reached vertices splits every
+    open profile group by its value, and a group closes on the lanes where
+    that count is 0. A lane whose source
     does not reach every vertex is not strong and is left out of the groups
     of every source.
     """
-    t = tables_for(n)
-    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    for (u, v), plane in zip(t.cells, cells):
-        if plane:
-            into[v].append((u, plane))
+    into = _arcs_into(n, cells)
     strong = lanes_in
     per_source = []
     for source in range(n):
@@ -492,12 +465,7 @@ def profile_planes(n: int, cells: list[int], lanes_in: int) -> list[dict[tuple[i
         open_groups = {(1,): lanes_in}
         closed: dict[tuple[int, ...], int] = {}
         while open_groups:
-            nxt = []
-            for w in range(n):
-                r = reached[w]
-                for u, arc in into[w]:
-                    r |= reached[u] & arc
-                nxt.append(r)
+            nxt = _step(reached, into)
             count: list[int] = []
             for r, new in zip(reached, nxt):
                 _add_plane(count, r ^ new)
@@ -600,7 +568,6 @@ def min_semidegree_mask(mask: int, n: int) -> int:
 
 
 _IMAGE_BLOCK = 120  # relabellings per block of _image_blocks: 5!, which divides n! at n >= 5
-_IMAGE_HEAD = 6  # relabellings that is_canonical tries first: 3!, block 0's first words
 
 
 class _ImageBlocks(NamedTuple):
@@ -612,14 +579,12 @@ class _ImageBlocks(NamedTuple):
     ``1 << bit_of[(p[u], p[v])]`` for the block's j-th relabelling p. All
     blocks have as many words, of the ``array`` type ``code`` and ``size``
     bytes in all, so one ``ones`` (a 1 in every word) and one ``guard``
-    (the top bit of every word) serve them all. ``head`` is block 0 cut to
-    its first ``_IMAGE_HEAD`` words, with its own ones and guard.
+    (the top bit of every word) serve them all.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     ones: int
     guard: int
-    head: tuple[tuple[int, ...], int, int]
     code: str
     size: int
 
@@ -650,9 +615,7 @@ def _image_blocks(n: int) -> _ImageBlocks:
     count = min(factorial(n), _IMAGE_BLOCK)
     ones = _pack(code, [1] * count)
     guard = ones << (word - 1)
-    low = (1 << word * min(count, _IMAGE_HEAD)) - 1
-    head = tuple(cell & low for cell in blocks[0]), ones & low, guard & low
-    return _ImageBlocks(tuple(blocks), ones, guard, head, code, count * word // 8)
+    return _ImageBlocks(tuple(blocks), ones, guard, code, count * word // 8)
 
 
 _ARC_BYTES = bytes.maketrans(b"01", b"\x00\x01")
@@ -694,22 +657,14 @@ def is_canonical(n: int, mask: int) -> bool:
     word keeps its guard bit exactly when its image is at least the mask.
     The guard bit is above every image bit, so ``img | guard`` is
     ``img + guard``, and ``guard - mask * ones`` starts each block's sum.
-    Stops at the first block that loses a guard bit. A mask that is not its
-    canonical form usually has a smaller image among the first few
-    relabellings, so block 0's short head is tried first; a canonical mask
+    Stops at the first block that loses a guard bit; a canonical mask
     needs every block.
     """
     arcs = _arcs_of(n, mask)
     table = _image_blocks(n)
-    head, ones, guard = table.head
-    if sum(compress(head, arcs), guard - mask * ones) & guard != guard:
-        return False
     guard = table.guard
     lift = guard - mask * table.ones
-    for block in table.blocks:
-        if sum(compress(block, arcs), lift) & guard != guard:
-            return False
-    return True
+    return all(sum(compress(block, arcs), lift) & guard == guard for block in table.blocks)
 
 
 @lru_cache(maxsize=None)

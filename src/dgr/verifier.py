@@ -39,7 +39,8 @@ before the gather, which always keeps them; the batch carries them as
 its ``chain`` and ``objects`` planes. On them the oracle builds the maps
 the kernel yields (strong and balanced planes, value-to-plane maps of m,
 sigma_max and kappa, and in the Eulerian theorem each source's map from
-distance profile to plane), which must equal the kernel's; on the
+distance profile to plane, read by ``core.distance_profile`` on the
+decoded digraph), which must equal the kernel's; on the
 chain-stride equality hits ``masks.is_canonical`` must agree with the
 orbit-minimality planes, and every witness they keep must pass it.
 
@@ -74,6 +75,7 @@ from .constructions import (
     enumerate_kappa_pc_family,
     kappa_pc_digraph,
     profile_digraph,
+    sequential_sum_size,
 )
 from .core import Digraph, complement, remoteness
 from .masks import CANONICAL_MAX_ORDER
@@ -991,27 +993,25 @@ def _profile_extremal(counts: tuple[int, ...]) -> tuple[int, int]:
     blocks of these sizes; the second item is the canonical mask of the
     bidirected sum, the only digraph the theorem lets meet the cap.
     """
-    within = sum(c * (c - 1) // 2 for c in counts)
-    between = sum(a * b for a, b in zip(counts, counts[1:]))
     extremal = masks.mask_of_digraph(profile_digraph(list(counts)))
-    return 2 * (within + between), masks.canonical_mask(sum(counts), extremal)
+    return 2 * sequential_sum_size(list(counts)), masks.canonical_mask(sum(counts), extremal)
 
 
 def _profile_oracle(n: int, batch: _Batch, chain: int, profiles: list[dict]) -> None:
-    """``profile_vectors`` on the chain-stride members must give the profile planes.
+    """``core.distance_profile`` on the chain-stride members must give the profile planes.
 
-    Once per batch, the scalar per-source maps from profile to plane of the
-    members in ``chain`` must equal ``profiles`` restricted to ``chain``.
+    Once per batch, the object-level per-source maps from profile to plane
+    of the members in ``chain`` must equal ``profiles`` restricted to
+    ``chain``. The object layer's BFS shares no code with the planes'.
     """
-    t = masks.tables_for(n)
-    scalar: list[dict] = [{} for _ in range(n)]
-    for i in masks.lanes(chain):
-        rows = t.out_rows(batch.seq[i])
-        for groups, counts in zip(scalar, masks.profile_vectors(rows, n, t.full)):
-            groups[counts] = groups.get(counts, 0) | 1 << i
+    digraphs = {i: masks.digraph_of_mask(n, batch.seq[i]) for i in masks.lanes(chain)}
+    scalar = [
+        _planes({i: core.distance_profile(D, v).counts for i, D in digraphs.items()})
+        for v in range(n)
+    ]
     kernel = [{p: g & chain for p, g in groups.items() if g & chain} for groups in profiles]
     assert scalar == kernel, (
-        f"batch at stream position {batch.pos}: profile planes and profile_vectors differ"
+        f"batch at stream position {batch.pos}: profile planes and distance profiles differ"
     )
 
 
@@ -1152,6 +1152,8 @@ def check_lemma_monotonicity(
     """
     if n_max > 9:
         raise ValueError("monotonicity check limited to n <= 9")
+    if kappa_max < 1:
+        raise ValueError(f"kappa_max must be at least 1, got {kappa_max}")
     arc_max = min(n_max, arc_addition_n_max if arc_addition_n_max is not None else n_max)
     started = time.monotonic()
     violations: list[Counterexample] = []

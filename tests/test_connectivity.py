@@ -179,6 +179,7 @@ def _cut_capacity(net, side):
 @pytest.mark.parametrize("build", [_clrs_network, _split_network])
 def test_max_flow_is_the_least_cut_capped_at_the_limit(build):
     net = build()
+    built = [row[:] for row in net.cap]
     nodes = range(net.n)
     seen = set()
     for s in nodes:
@@ -195,16 +196,20 @@ def test_max_flow_is_the_least_cut_capped_at_the_limit(build):
             seen.add(least)
             # a limit above the sum of s's capacities never caps a flow
             for limit in (sum(net.cap[s]) + 1, *range(least + 2)):
-                value = net.max_flow(s, t, limit)
+                value, side = net.max_flow(s, t, limit)
                 assert value == min(least, limit), (s, t, limit)
                 if value < limit:
-                    # the flow ran to completion: its residual gives a least cut
-                    side = net.min_cut_side()
+                    # the flow ran to completion: its last search gives a least cut
                     assert s in side and t not in side
                     assert _cut_capacity(net, side) == least
+                else:
+                    assert side == set(), (s, t, limit)
     assert len(seen) >= 3
+    # every flow ran on a copy: the network is as built and holds no other state
+    assert net.cap == built and set(vars(net)) == {"n", "cap", "adj"}
     if build is _clrs_network:
-        assert net.max_flow(0, 5, sum(net.cap[0])) == 23
+        value, side = net.max_flow(0, 5, sum(net.cap[0]))
+        assert value == 23 and _cut_capacity(net, side) == 23
 
 
 def _connectivity_digest(n, mask_seq):

@@ -33,6 +33,8 @@ from dgr import (
     vertex_connectivity,
 )
 
+from dgr.constructions import backward_sum_size, sequential_sum_size
+
 from oracles import backward_sum_arc_count, sequential_sum_edge_count
 from test_core import dpk_2121
 
@@ -121,12 +123,9 @@ class TestKappaPCDigraph:
         with pytest.raises(ValueError, match="at least kappa"):
             PathCompleteParams(3, 1, 2, 1)
 
-    def test_ell_zero_needs_relaxed_flag(self):
-        p = PathCompleteParams(2, 0, 2, 1)
-        with pytest.raises(ValueError):
-            kappa_pc_digraph(p)
-        D = kappa_pc_digraph(p, relaxed_ell=True)
-        assert D.order == 1 + 2 + 1 and is_strong(D)
+    def test_ell_zero_refused(self):
+        with pytest.raises(ValueError, match="must be positive"):
+            PathCompleteParams(2, 0, 2, 1)
 
     @pytest.mark.parametrize("kappa,n_max", [(1, 9), (2, 9), (3, 9)])
     def test_family_invariants(self, kappa, n_max):
@@ -279,6 +278,47 @@ class TestSelectorsRefuseAboveTheCompleteSize:
             pk_select(n, arcs // 2, 1)
         with pytest.raises(AssertionError, match="built"):
             pk_lambda_select(n, arcs // 2, 2)
+
+
+class TestSelectorsCountSizes:
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+    def test_counts_equal_the_built_sizes_of_the_kappa_family(self, kappa):
+        for n in range(2 * kappa + 2, 13):
+            for p in enumerate_kappa_pc_family(n, kappa):
+                assert backward_sum_size(p.block_sizes) == kappa_pc_digraph(p).size, p
+                assert sequential_sum_size(p.block_sizes) == pc_graph(p).size, p
+
+    @pytest.mark.parametrize("lam", [2, 3])
+    def test_counts_equal_the_built_sizes_of_the_lambda_family(self, lam):
+        for n in range(lam + 2, 13):
+            for p in enumerate_lambda_pc_family(n, lam):
+                assert sequential_sum_size(p.block_sizes) == lambda_pc_graph(p).size, p
+
+    @given(st.lists(st.integers(1, 5), min_size=1, max_size=7))
+    def test_counts_match_the_oracle_formulas(self, blocks):
+        assert sequential_sum_size(blocks) == sequential_sum_edge_count(blocks)
+        assert backward_sum_size(blocks) == backward_sum_arc_count(blocks)
+
+    def test_each_selector_builds_one_member(self, monkeypatch):
+        import dgr.constructions as constructions_mod
+
+        builds = []
+        for name in ("sequential_sum_graph", "backward_sum"):
+
+            def counted(blocks, real=getattr(constructions_mod, name)):
+                builds.append(list(blocks))
+                return real(blocks)
+
+            monkeypatch.setattr(constructions_mod, name, counted)
+        D, p = dpk_select(120, 14000, 2)
+        assert (p.ell, p.a, p.b, D.size) == (1, 36, 81, 14001)
+        assert builds == [p.block_sizes]
+        builds.clear()
+        G, p = pk_select(120, 5000, 2)
+        assert G.size >= 5000 and builds == [p.block_sizes]
+        builds.clear()
+        G, p = pk_lambda_select(120, 5000, 3)
+        assert G.size >= 5000 and builds == [p.block_sizes]
 
 
 class TestShortcutFreeDipath:

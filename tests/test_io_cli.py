@@ -190,6 +190,13 @@ class TestCLI:
         assert run(["generate", "dpk", "--n", "120", "--m", "100000", "--kappa", "2"]) == 2
         assert "at most 14280" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("family", ["dpk", "pk"])
+    def test_generate_ell_zero_is_input_error(self, capsys, family):
+        args = ["generate", family, "--kappa", "1", "--ell", "0", "--a", "1", "--b", "1"]
+        assert run(args) == 2
+        err = capsys.readouterr().err
+        assert err == "input error: parameters kappa, ell, a and b must be positive\n"
+
     @pytest.mark.parametrize("args", [
         ["cycle", "--n", str(GENERATE_MAX_ORDER + 1)],
         ["complete", "--n", str(GENERATE_MAX_ORDER + 1)],
@@ -338,6 +345,14 @@ class TestCLI:
         assert huge["spec"] == {**small["spec"], "kappa_max": 100_000_000}
         assert huge["meta"] == small["meta"] and huge["meta"]["members"] == 4
         assert huge["violations"] == small["violations"] == []
+
+    @pytest.mark.parametrize("kappa_max", ["0", "-1"])
+    def test_verify_lemma_below_kappa_one_is_input_error(self, capsys, kappa_max):
+        args = ["verify", "--check", "lemma_monotonicity", "--order", "3"]
+        assert run([*args, "--kappa-max", kappa_max]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"input error: kappa_max must be at least 1, got {kappa_max}\n"
 
     def test_verify_infeasible_order(self, capsys):
         # past the one order cap, exhaustive and sampled alike

@@ -6,6 +6,7 @@ from itertools import combinations, permutations
 import pytest
 
 from dgr.connectivity import edge_connectivity, min_semidegree, vertex_connectivity
+from dgr.core import distance_profile, is_strong
 from dgr.masks import (
     _image_blocks,
     _separations,
@@ -23,7 +24,6 @@ from dgr.masks import (
     min_semidegree_mask,
     orbit_min_planes,
     profile_planes,
-    profile_vectors,
     range_cells,
     sigma_vector,
     tables_for,
@@ -138,6 +138,15 @@ def test_orbit_min_above_table_orders():
     draws = [cycle, canon, 0, 1, last_arc, (1 << t.num_cells) - 1]
     minimal = _assert_orbit_min_planes_agree(n, draws)
     assert [minimal >> i & 1 for i in range(len(draws))] == [cycle == canon, 1, 1, 1, 0, 1]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_out_rows_hold_the_out_neighbours(n):
+    t = tables_for(n)
+    rng = random.Random(n)
+    for mask in [0, (1 << t.num_cells) - 1, *(rng.getrandbits(t.num_cells) for _ in range(200))]:
+        D = digraph_of_mask(n, mask)
+        assert t.out_rows(mask) == [sum(1 << v for v in D.out_lists[u]) for u in range(n)], mask
 
 
 def _assert_planes_match_scalar_decode(n, draws, cells, ones):
@@ -298,29 +307,29 @@ def test_is_balanced_matches_the_transpose_on_drawn_masks(n):
 
 
 def _assert_profile_planes_match(n, draws, cells, lanes_in):
-    """``profile_planes`` must equal ``profile_vectors`` on the strong lanes of ``lanes_in``.
+    """``profile_planes`` must equal ``distance_profile`` on the strong lanes of ``lanes_in``.
 
     Every other lane, outside ``lanes_in`` or not strong, is in no group.
     Returns the strong lanes.
     """
-    t = tables_for(n)
     groups = profile_planes(n, cells, lanes_in)
     assert len(groups) == n
     expected = [{} for _ in range(n)]
     strong = 0
     for i in lanes(lanes_in):
-        profiles = profile_vectors(t.out_rows(draws[i]), n, t.full)
-        if profiles is None:
+        D = digraph_of_mask(n, draws[i])
+        if not is_strong(D):
             continue
         strong |= 1 << i
-        for source, counts in zip(expected, profiles):
+        for v, source in enumerate(expected):
+            counts = distance_profile(D, v).counts
             source[counts] = source.get(counts, 0) | 1 << i
     assert groups == expected
     return strong
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_profile_planes_match_profile_vectors_on_every_mask(n):
+def test_profile_planes_match_distance_profiles_on_every_mask(n):
     t = tables_for(n)
     cells, ones = range_cells(n, 0, t.num_cells)
     strong = _assert_profile_planes_match(n, range(t.mask_count), cells, ones)
@@ -330,14 +339,14 @@ def test_profile_planes_match_profile_vectors_on_every_mask(n):
     _assert_profile_planes_match(n, range(t.mask_count), cells, every_third)
 
 
-def test_profile_planes_match_profile_vectors_on_an_order5_block():
+def test_profile_planes_match_distance_profiles_on_an_order5_block():
     base = 37 << 14
     cells, ones = range_cells(5, base, 14)
     strong = _assert_profile_planes_match(5, range(base, base + (1 << 14)), cells, ones)
     assert strong == block_planes(5, cells, ones).strong != 0
 
 
-def test_profile_planes_match_profile_vectors_on_a_sampled_order6_batch():
+def test_profile_planes_match_distance_profiles_on_a_sampled_order6_batch():
     # uniform draws, and draws with about three arcs in four, which have
     # diameter 2 more often than not
     rng = random.Random(16)

@@ -293,8 +293,8 @@ def _profile_planes_skewed(monkeypatch):
     """The profile planes move the complete digraph's lanes at source 0.
 
     They go from profile (1, n - 1) to (1, n - 2, 1). The complete digraph
-    is Eulerian and on the chain stride at n <= 4, so ``profile_vectors``
-    must catch it.
+    is Eulerian and on the chain stride at n <= 4, so the profile oracle,
+    ``core.distance_profile`` on the decoded digraph, must catch it.
     """
     import dgr.masks as masks_mod
 
