@@ -133,11 +133,7 @@ def _build_parser() -> _Parser:
     p_verify.add_argument(
         "--check",
         required=True,
-        choices=[
-            "digraph_order", "size_digraph", "kappa_digraph",
-            "eulerian_size", "eulerian_kappa", "eulerian_lambda",
-            "eulerian_size_theorem", "extremal_uniqueness", "lemma_monotonicity",
-        ],
+        choices=verifier._SWEEP_BOUNDS + _EXHAUSTIVE_ONLY_CHECKS,
     )
     p_verify.add_argument("--order", type=int, default=None)
     p_verify.add_argument("--class", dest="class_filter", default=None,

@@ -5,18 +5,16 @@ first, left to right), so tests can address the distinguished source
 vertex 0 deterministically. The selectors rank members by sizes counted
 from their block sizes (``sequential_sum_size``, ``backward_sum_size``),
 build only the member they choose and assert that its built arc/edge set
-has the counted size; ``construction_size`` counts a built set. The
-paper's closed-form size expressions live in ``claimed_sizes`` as audit
-targets only.
+has the counted size. The paper's closed-form sizes of one member live in
+``claimed_sizes`` as audit targets only; the family-wide claims (largest
+and smallest size) live in ``bounds``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 
-from . import bounds as bounds_mod
 from .core import Digraph, Graph, NotStrongError, bidirect, is_strong
 
 
@@ -380,40 +378,21 @@ def has_shortcut_free_hamiltonian_dipath(D: Digraph) -> bool:
     return False
 
 
-def construction_size(obj) -> int:
-    """Arc/edge count of the actually constructed object.
-
-    Accepts family parameters, a block-size list (counted as a backward
-    sum), or an already built Digraph/Graph.
-    """
-    if isinstance(obj, PathCompleteParams):
-        return backward_sum(obj.block_sizes).size
-    if isinstance(obj, LambdaPCParams):
-        return lambda_pc_graph(obj).size
-    if isinstance(obj, (Digraph, Graph)):
-        return obj.size
-    return backward_sum(list(obj)).size
-
-
 @dataclass(frozen=True)
 class ClaimedSizes:
     """Closed-form size values for one family member, for audit comparison.
 
-    None of these is trusted: ``construction_size`` is the source of truth
-    and audits record agreement or disagreement pair by pair.
+    Neither is trusted: the size of the built member is the source of
+    truth, and audits record agreement or disagreement pair by pair.
     """
 
     prefix_size: int
     member_size_expansion: int
-    sigma_source: int
-    family_max: int
-    family_min: Fraction
 
 
 def claimed_sizes(p: PathCompleteParams) -> ClaimedSizes:
-    """Evaluate the closed forms the bounds rely on, for one member."""
+    """Evaluate the closed forms of one member's size."""
     kappa, ell, a, b = p.kappa, p.ell, p.a, p.b
-    n = p.order
     prefix_twice = ell * kappa * kappa * (ell + 3)
     assert prefix_twice % 2 == 0
     prefix = prefix_twice // 2 - kappa * (kappa - 1)
@@ -425,15 +404,4 @@ def claimed_sizes(p: PathCompleteParams) -> ClaimedSizes:
         - (kappa - 1) * a
         + b
     )
-    sigma = kappa * ell * (ell + 1) // 2 + (ell + 1) * (a + b) + b
-    b0 = bounds_mod._congruent_b(n - 1, kappa)
-    family_min = (
-        Fraction(n, 2) * (3 * kappa + n) - n - kappa * kappa - b0 * (kappa - b0)
-    )
-    return ClaimedSizes(
-        prefix_size=prefix,
-        member_size_expansion=expansion,
-        sigma_source=sigma,
-        family_max=n * n - 2 * n - 1,
-        family_min=family_min,
-    )
+    return ClaimedSizes(prefix_size=prefix, member_size_expansion=expansion)

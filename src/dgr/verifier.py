@@ -70,6 +70,7 @@ from . import core
 from . import io as io_mod
 from . import masks
 from .constructions import (
+    backward_sum_size,
     claimed_sizes,
     dpk_select,
     enumerate_kappa_pc_family,
@@ -929,7 +930,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     """
     spec = EnumerationSpec(n, "strong_kappa", kappa)
     members = enumerate_kappa_pc_family(n, kappa)
-    sizes = {kappa_pc_digraph(p).size for p in members}
+    sizes = {backward_sum_size(p.block_sizes) for p in members}
     guard = bounds_mod.sharpness_guard("kappa_digraph", n, m, kappa)
     if m not in sizes:
         raise ValueError(
@@ -1152,6 +1153,8 @@ def check_lemma_monotonicity(
     """
     if n_max > 9:
         raise ValueError("monotonicity check limited to n <= 9")
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     if kappa_max < 1:
         raise ValueError(f"kappa_max must be at least 1, got {kappa_max}")
     arc_max = min(n_max, arc_addition_n_max if arc_addition_n_max is not None else n_max)
@@ -1236,10 +1239,13 @@ def audit_size_formulas(n: int, kappa: int) -> CheckReport:
     Non-assertive: mismatches are reported as (claimed, computed) pairs,
     never raised. Residues of the direct sizes modulo kappa are listed
     against the literal congruence anchor n^2-2n-1 and the counted anchor
-    (n-1)^2.
+    (n-1)^2. The family-wide claims are read from ``bounds``, the
+    per-member ones from ``constructions.claimed_sizes``.
     """
     if n > 12:
         raise ValueError("size-formula audit limited to n <= 12")
+    if n < 1:
+        raise ValueError(f"order must be at least 1, got {n}")
     started = time.monotonic()
     family = enumerate_kappa_pc_family(n, kappa)
     records = []
@@ -1258,14 +1264,14 @@ def audit_size_formulas(n: int, kappa: int) -> CheckReport:
             }
         )
     if family:
-        b0 = (n - 1) % kappa or kappa
-        min_claim = Fraction(n, 2) * (3 * kappa + n) - n - kappa * kappa - b0 * (kappa - b0)
+        max_claim = bounds_mod.family_max_claim(n)
+        min_claim = bounds_mod.family_min_claim(n, kappa)
         records.append(
             {
                 "item": "family_max",
-                "claimed": n * n - 2 * n - 1,
+                "claimed": max_claim,
                 "computed": max(direct_sizes),
-                "match": n * n - 2 * n - 1 == max(direct_sizes),
+                "match": max_claim == max(direct_sizes),
             }
         )
         records.append(
@@ -1279,8 +1285,8 @@ def audit_size_formulas(n: int, kappa: int) -> CheckReport:
         records.append(
             {
                 "item": "congruence_class",
-                "claimed_literal": (n * n - 2 * n - 1) % kappa,
-                "claimed_counted": ((n - 1) * (n - 1)) % kappa,
+                "claimed_literal": max_claim % kappa,
+                "claimed_counted": bounds_mod.family_max_counted(n) % kappa,
                 "computed_residues": sorted({s % kappa for s in direct_sizes}),
             }
         )

@@ -7,9 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgr import (
-    BoundQuery,
     enumerate_kappa_pc_family,
-    evaluate,
     evaluate_bound,
     kappa_pc_digraph,
     m_star,
@@ -17,6 +15,8 @@ from dgr import (
     remoteness,
     sharpness_guard,
 )
+from dgr.bounds import family_min_claim
+from dgr.constructions import backward_sum_size
 
 
 class TestMStar:
@@ -46,6 +46,17 @@ class TestMStar:
         # by 2, which matters exactly when kappa >= 3
         assert m_star(9, 61, 3) == 62
         assert m_star_counted(9, 61, 3) == 61
+
+
+class TestFamilyClaims:
+    """The stated family minimum, checked against sizes counted per member."""
+
+    def test_stated_minimum_against_the_count(self):
+        # met at n = 6, kappa = 2; not even an integer at n = 7, kappa = 2
+        assert family_min_claim(6, 2) == 25 == min(
+            backward_sum_size(p.block_sizes) for p in enumerate_kappa_pc_family(6, 2)
+        )
+        assert family_min_claim(7, 2) == Fraction(69, 2)
 
 
 class TestEvaluate:
@@ -98,12 +109,12 @@ class TestEvaluate:
         assert not result.applicable
 
     def test_missing_parameters_error(self):
-        with pytest.raises(ValueError):
-            BoundQuery("kappa_graph", 6, 10)
-        with pytest.raises(ValueError):
-            BoundQuery("size_digraph", 6)
-        with pytest.raises(ValueError):
-            BoundQuery("nonsense", 6)
+        with pytest.raises(ValueError, match="kappa_graph requires kappa"):
+            evaluate_bound("kappa_graph", 6, 10)
+        with pytest.raises(ValueError, match="size_digraph requires m"):
+            evaluate_bound("size_digraph", 6)
+        with pytest.raises(ValueError, match="unknown bound id 'nonsense'"):
+            evaluate_bound("nonsense", 6)
 
     def test_unknown_lambda(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ from dgr import (
     backward_sum,
     bidirect,
     claimed_sizes,
-    construction_size,
     diameter,
     distance_profile,
     dpk_select,
@@ -33,6 +32,7 @@ from dgr import (
     vertex_connectivity,
 )
 
+from dgr import bounds
 from dgr.constructions import backward_sum_size, sequential_sum_size
 
 from oracles import backward_sum_arc_count, sequential_sum_edge_count
@@ -359,24 +359,23 @@ class TestShortcutFreeDipath:
 
 
 class TestSizesAndClaims:
-    def test_construction_size_dispatch(self):
-        assert construction_size(PathCompleteParams(2, 1, 2, 1)) == 25
-        assert construction_size([1, 2, 2]) == 18
-        assert construction_size(LambdaPCParams(2, 1, 2, 1, "A")) == 10
-        assert construction_size(dpk_2121()) == 25
+    def test_built_sizes(self):
+        assert kappa_pc_digraph(PathCompleteParams(2, 1, 2, 1)).size == 25
+        assert backward_sum([1, 2, 2]).size == 18
+        assert lambda_pc_graph(LambdaPCParams(2, 1, 2, 1, "A")).size == 10
+        assert dpk_2121().size == 25
 
     def test_claimed_prefix_and_expansion(self):
         claims = claimed_sizes(PathCompleteParams(2, 1, 2, 1))
         assert claims.member_size_expansion == 6 + 6 + 8 + 6 - 2 + 1 == 25
         prefix = claimed_sizes(PathCompleteParams(2, 2, 2, 1)).prefix_size
-        assert prefix == 18 == construction_size([1, 2, 2])
+        assert prefix == 18 == backward_sum([1, 2, 2]).size
 
     def test_family_max_claim_disagrees_with_count(self):
         # counted maximum for n=6, kappa=2 is 25; the closed form says 23
         sizes = [kappa_pc_digraph(p).size for p in enumerate_kappa_pc_family(6, 2)]
-        claims = claimed_sizes(PathCompleteParams(2, 1, 2, 1))
-        assert max(sizes) == 25
-        assert claims.family_max == 23
+        assert max(sizes) == 25 == bounds.family_max_counted(6)
+        assert bounds.family_max_claim(6) == 23
 
     @pytest.mark.parametrize("kappa", [1, 2, 3])
     def test_expansion_matches_direct_count_everywhere(self, kappa):
@@ -388,7 +387,7 @@ class TestSizesAndClaims:
     def test_counted_max_is_square_of_n_minus_1(self, kappa):
         for n in range(2 * kappa + 2, 11):
             sizes = [kappa_pc_digraph(p).size for p in enumerate_kappa_pc_family(n, kappa)]
-            assert max(sizes) == (n - 1) * (n - 1)
+            assert max(sizes) == (n - 1) * (n - 1) == bounds.family_max_counted(n)
 
     def test_lemma_b_distinct_sizes_reverse_remoteness(self):
         for kappa in (1, 2, 3):

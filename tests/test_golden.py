@@ -10,8 +10,10 @@ import hashlib
 import pytest
 
 from dgr import (
+    audit_size_formulas,
     check_eulerian_size_theorem,
     check_extremal_uniqueness,
+    check_lemma_monotonicity,
     check_universal_bounds,
 )
 
@@ -257,3 +259,17 @@ def test_sampled_report_bytes(check, workers):
     reports = run(workers)
     assert _digest(reports) == expected
     assert all(r.instances_examined == instances for r in reports)
+
+
+# the claims pathway: size-formula audits and the family monotonicity lemma
+AUDIT_SHA256 = "616c803bd6d192afee91399d6d381b4108a651ccacebd155466e2996df45588a"
+LEMMA_SHA256 = "3eb7f1653dd00dc02c17f2ef911cfa39e4263757966e9c6f1f8fad4228166ea2"
+
+
+def test_size_formula_audit_bytes():
+    reports = [audit_size_formulas(n, kappa) for n in range(4, 13) for kappa in range(1, 5)]
+    assert _digest(reports) == AUDIT_SHA256
+
+
+def test_lemma_monotonicity_report_bytes():
+    assert _digest([check_lemma_monotonicity(8, 3)]) == LEMMA_SHA256

@@ -354,6 +354,19 @@ class TestCLI:
         assert captured.out == ""
         assert captured.err == f"input error: kappa_max must be at least 1, got {kappa_max}\n"
 
+    def test_verify_lemma_below_order_one_is_input_error(self, capsys):
+        assert run(["verify", "--check", "lemma_monotonicity", "--order", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: n_max must be at least 1, got -2\n"
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_audit_below_order_one_is_usage_error(self, capsys, n):
+        assert run(["audit", "--n", n, "--kappa", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"usage error: order must be at least 1, got {n}\n"
+
     def test_verify_infeasible_order(self, capsys):
         # past the one order cap, exhaustive and sampled alike
         assert run(["verify", "--check", "digraph_order", "--order", "7"]) == 2
