@@ -145,7 +145,8 @@ def _build_parser() -> _Parser:
                           help=f"lemma_monotonicity only (default {_KAPPA_MAX_DEFAULT})")
     p_verify.add_argument("--seed", type=int, default=None)
     p_verify.add_argument("--samples", type=int, default=None)
-    p_verify.add_argument("--workers", type=int, default=None)
+    p_verify.add_argument("--workers", type=int, default=None,
+                          help="worker processes (default: $DGR_WORKERS, else 1)")
     p_verify.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_verify.add_argument("--output", default=None)
 

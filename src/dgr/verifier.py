@@ -58,7 +58,6 @@ import random
 import sys
 import time
 from array import array
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -756,12 +755,16 @@ def _run_sharded(worker, args_list, workers: int) -> list[dict]:
     """Run the shards, results in order; the pool never outnumbers shards or usable CPUs.
 
     The pool hands the shards out one at a time as its workers free up;
-    each shard is a pure function of its arguments.
+    each shard is a pure function of its arguments. Where the pool would
+    have one process, the shards run in this one, and only a sweep that
+    starts a pool imports the process-pool modules.
     """
-    if workers <= 1 or len(args_list) <= 1:
-        return [worker(a) for a in args_list]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pool_size = min(workers, len(args_list), cpus or 1)
+    if pool_size <= 1:
+        return [worker(a) for a in args_list]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
         return list(pool.map(worker, args_list))
 
@@ -782,8 +785,10 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     is the generator state at draw lo of a sampled stream (None when
     exhaustive), found by one pass here, so a piece never replays the draws
     before it. Returns the partial results in stream order and the wall
-    time of the sweep.
+    time of the sweep. ``workers`` must be an integer of at least 1.
     """
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"worker count must be an integer of at least 1, got {workers!r}")
     started = time.monotonic()
     count = workers * _PIECES_PER_WORKER if workers > 1 else 1
     pieces = _shards(_stream_length(spec), count, 1 << _batch_bits(spec.order))

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -935,8 +939,6 @@ class TestUniversalBoundChecks:
 @pytest.fixture
 def pool_sizes(monkeypatch) -> list[int]:
     """The sizes of the process pools the verifier asks for; shards run inline."""
-    import dgr.verifier as verifier_mod
-
     created = []
 
     class FakePool:
@@ -954,7 +956,8 @@ def pool_sizes(monkeypatch) -> list[int]:
         def map(self, fn, items):
             return map(fn, items)
 
-    monkeypatch.setattr(verifier_mod, "ProcessPoolExecutor", FakePool)
+    # _run_sharded imports the pool class from its module when it starts one
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
     return created
 
 
@@ -988,7 +991,8 @@ class TestWorkerClamp:
 
     def test_pool_size_without_sched_getaffinity(self, monkeypatch, pool_sizes):
         # macOS and Windows Pythons have no os.sched_getaffinity; the pool
-        # is then clamped to os.cpu_count(), or to 1 when that is unknown
+        # is then clamped to os.cpu_count(), or to 1 when that is unknown,
+        # and a pool of one is never started: the shards run in-process
         import dgr.verifier as verifier_mod
 
         monkeypatch.delattr(verifier_mod.os, "sched_getaffinity", raising=False)
@@ -996,7 +1000,52 @@ class TestWorkerClamp:
         assert verifier_mod._run_sharded(abs, [-1, -2, -3], 64) == [1, 2, 3]
         monkeypatch.setattr(verifier_mod.os, "cpu_count", lambda: None)
         assert verifier_mod._run_sharded(abs, [-1, -2, -3], 64) == [1, 2, 3]
-        assert pool_sizes == [2, 1]
+        assert pool_sizes == [2]
+
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+    @pytest.mark.parametrize(
+        "check",
+        [
+            lambda w: check_universal_bounds(4, "strong", ("digraph_order",), workers=w),
+            lambda w: check_eulerian_size_theorem(4, workers=w),
+            lambda w: check_extremal_uniqueness(4, 9, 1, workers=w),
+        ],
+        ids=["universal_bounds", "eulerian_size_theorem", "extremal_uniqueness"],
+    )
+    def test_bad_worker_count_is_refused(self, check, workers):
+        with pytest.raises(ValueError, match="worker count must be an integer of at least 1"):
+            check(workers)
+
+    def test_pool_modules_load_only_with_a_pool(self):
+        # a fresh interpreter: one-process sweeps leave the process-pool
+        # modules unloaded; a pooled sweep loads them and keeps the bytes
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import json, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "import dgr.cli\n"
+            "from dgr.verifier import check_universal_bounds\n"
+            "pool = ('concurrent.futures', 'multiprocessing')\n"
+            "check_universal_bounds(4, 'strong', ('digraph_order',))\n"
+            "before = [m for m in pool if m in sys.modules]\n"
+            "spec = dict(mode='sampled', samples=20_000, seed=1)\n"
+            "one = check_universal_bounds(4, 'strong', ('digraph_order',), **spec)\n"
+            "two = check_universal_bounds(4, 'strong', ('digraph_order',), workers=2, **spec)\n"
+            "print(json.dumps({'before': before,\n"
+            "    'after': [m for m in pool if m in sys.modules],\n"
+            "    'same': [r.to_json() for r in one] == [r.to_json() for r in two]}))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script],
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        seen = json.loads(out.splitlines()[-1])
+        assert seen["before"] == []
+        assert seen["same"]
+        # five pieces at two workers start a pool wherever two CPUs are usable
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        pooled = (cpus or 1) > 1
+        assert seen["after"] == (["concurrent.futures", "multiprocessing"] if pooled else [])
 
     def test_sampled_pool_matches_one_process(self):
         spec = {"mode": "sampled", "samples": 20_000, "seed": 1}
