@@ -250,24 +250,18 @@ def _cmd_generate(args) -> int:
             blocks = [int(x) for x in args.blocks.split(",") if x.strip()]
             _capped(sum(blocks))
             obj = profile_digraph(blocks)
-        elif args.family == "dpk":
+        elif args.family in ("dpk", "pk"):
+            build, select = (
+                (kappa_pc_digraph, dpk_select) if args.family == "dpk" else (pc_graph, pk_select)
+            )
             if args.ell is not None:
                 _require(args, ["kappa", "a", "b"])
                 p = PathCompleteParams(args.kappa, args.ell, args.a, args.b)
                 _capped(p.order)
-                obj = kappa_pc_digraph(p)
+                obj = build(p)
             else:
                 _require(args, ["n", "m", "kappa"])
-                obj, _params = dpk_select(_capped(args.n), args.m, args.kappa)
-        elif args.family == "pk":
-            if args.ell is not None:
-                _require(args, ["kappa", "a", "b"])
-                p = PathCompleteParams(args.kappa, args.ell, args.a, args.b)
-                _capped(p.order)
-                obj = pc_graph(p)
-            else:
-                _require(args, ["n", "m", "kappa"])
-                obj, _params = pk_select(_capped(args.n), args.m, args.kappa)
+                obj, _params = select(_capped(args.n), args.m, args.kappa)
         else:  # pklambda
             if args.variant is not None:
                 _require(args, ["lambda", "k", "a", "b"])

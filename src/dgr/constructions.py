@@ -2,12 +2,16 @@
 
 Families are built block by block with canonical vertex labels (block 0
 first, left to right), so tests can address the distinguished source
-vertex 0 deterministically. The selectors rank members by sizes counted
-from their block sizes (``sequential_sum_size``, ``backward_sum_size``),
-build only the member they choose and assert that its built arc/edge set
-has the counted size. The paper's closed-form sizes of one member live in
-``claimed_sizes`` as audit targets only; the family-wide claims (largest
-and smallest size) live in ``bounds``.
+vertex 0 deterministically. Both sums of complete blocks follow one rule
+on block positions, stated once in ``_next_block_ends``: u -> v is an arc
+exactly when v's block is at most one after u's. The backward sum takes
+every such pair, the sequential sum (undirected) those with u < v. The
+selectors rank members by sizes counted from their block sizes
+(``sequential_sum_size``, ``backward_sum_size``), build only the member
+they choose and assert that its built arc/edge set has the counted size.
+The paper's closed-form sizes of one member live in ``claimed_sizes`` as
+audit targets only; the family-wide claims (largest and smallest size)
+live in ``bounds``.
 """
 
 from __future__ import annotations
@@ -18,34 +22,30 @@ from operator import mul
 from .core import Digraph, Graph, NotStrongError, bidirect, is_strong
 
 
-def _block_ranges(block_sizes: list[int]) -> list[range]:
+def _next_block_ends(block_sizes: list[int]) -> list[int]:
+    """For each vertex, one past the last vertex of the block after its own.
+
+    The family rule on block positions: u -> v is an arc exactly when v's
+    block is at most one after u's, that is, when v is below this end.
+    The last block's vertices end at the order.
+    """
     if not block_sizes:
         raise ValueError("block list must be nonempty")
     if any(s < 1 for s in block_sizes):
         raise ValueError("block sizes must be positive")
-    ranges = []
+    ends = []
     start = 0
-    for s in block_sizes:
-        ranges.append(range(start, start + s))
+    for s, nxt in zip(block_sizes, [*block_sizes[1:], 0]):
+        ends += [start + s + nxt] * s
         start += s
-    return ranges
+    return ends
 
 
 def sequential_sum_graph(block_sizes: list[int]) -> Graph:
     """Complete blocks joined completely between consecutive blocks."""
-    ranges = _block_ranges(list(block_sizes))
-    n = sum(block_sizes)
-    edges = set()
-    for block in ranges:
-        for u in block:
-            for v in block:
-                if u < v:
-                    edges.add((u, v))
-    for left, right in zip(ranges, ranges[1:]):
-        for u in left:
-            for v in right:
-                edges.add((u, v))
-    return Graph(n, frozenset(edges))
+    ends = _next_block_ends(list(block_sizes))
+    edges = frozenset((u, v) for u, end in enumerate(ends) for v in range(u + 1, end))
+    return Graph(len(ends), edges)
 
 
 def sequential_sum_size(block_sizes: list[int]) -> int:
@@ -82,25 +82,9 @@ def backward_sum(block_sizes: list[int]) -> Digraph:
     block also sends one arc to every vertex of each block two or more
     positions earlier. Forward skip arcs are structurally absent.
     """
-    ranges = _block_ranges(list(block_sizes))
-    n = sum(block_sizes)
-    arcs = set()
-    for block in ranges:
-        for u in block:
-            for v in block:
-                if u != v:
-                    arcs.add((u, v))
-    for left, right in zip(ranges, ranges[1:]):
-        for u in left:
-            for v in right:
-                arcs.add((u, v))
-                arcs.add((v, u))
-    for i in range(2, len(ranges)):
-        for j in range(i - 1):
-            for u in ranges[i]:
-                for v in ranges[j]:
-                    arcs.add((u, v))
-    return Digraph(n, frozenset(arcs))
+    ends = _next_block_ends(list(block_sizes))
+    arcs = frozenset((u, v) for u, end in enumerate(ends) for v in range(end) if v != u)
+    return Digraph(len(ends), arcs)
 
 
 @dataclass(frozen=True)

@@ -44,6 +44,12 @@ decoded digraph), which must equal the kernel's; on the
 chain-stride equality hits ``masks.is_canonical`` must agree with the
 orbit-minimality planes, and every witness they keep must pass it.
 
+The shards keep no count of members of their own: the report of a
+sweep over the stream reads ``instances_examined`` from the merged
+``stats["members"]``, which ``_members`` counts, and a bound's
+``skipped_inapplicable`` is the sum of column 1 (skipped) of its merged
+``by_m`` rows.
+
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
 never assert a closed form; they record (claimed, computed) pairs and
@@ -684,29 +690,21 @@ def _sweep_shard(args) -> dict:
     spec, lo, hi, rng_state, bound_ids = args
     n = spec.order
     stats = _new_stats()
-    per_bound = {
-        bid: {"skipped": 0, "violations": [], "equality": set(), "by_m": {}}
-        for bid in bound_ids
-    }
-    instances = 0
+    per_bound = {bid: {"violations": [], "equality": set(), "by_m": {}} for bid in bound_ids}
+    takes_kappa = bounds_mod._NEEDS_KAPPA.intersection(bound_ids)
+    takes_lambda = bounds_mod._NEEDS_LAMBDA.intersection(bound_ids)
     batches = _members(
-        spec,
-        lo,
-        hi,
-        rng_state,
-        stats,
-        need_kappa=any(b in ("kappa_digraph", "eulerian_kappa") for b in bound_ids),
-        need_lambda="eulerian_lambda" in bound_ids,
+        spec, lo, hi, rng_state, stats,
+        need_kappa=bool(takes_kappa), need_lambda=bool(takes_lambda),
     )
     for batch, cells in batches:
         attained = dict.fromkeys(bound_ids, 0)  # equality lanes per bound
         hits = 0
         for plane, m, sigma_max, kap, lam in cells:
             weight = plane.bit_count()
-            instances += weight
             for bid in bound_ids:
-                bid_kap = kap if bid in ("kappa_digraph", "eulerian_kappa") else None
-                bid_lam = lam if bid == "eulerian_lambda" else None
+                bid_kap = kap if bid in takes_kappa else None
+                bid_lam = lam if bid in takes_lambda else None
                 entry = _bound_fraction(bid, n, m, bid_kap, bid_lam)
                 state = per_bound[bid]
                 row = state["by_m"].get(m)
@@ -714,7 +712,6 @@ def _sweep_shard(args) -> dict:
                     row = state["by_m"][m] = [0, 0, 0, 0]
                 row[0] += weight
                 if entry is None:
-                    state["skipped"] += weight
                     row[1] += weight
                     continue
                 num, den = entry
@@ -738,7 +735,7 @@ def _sweep_shard(args) -> dict:
             per_bound[bid]["equality"].update(
                 form for i, form in forms.items() if plane >> i & 1
             )
-    return {"instances": instances, "per_bound": per_bound, "stats": stats}
+    return {"per_bound": per_bound, "stats": stats}
 
 
 def _shards(total: int, count: int, width: int = 1) -> list[tuple[int, int]]:
@@ -843,11 +840,9 @@ def check_universal_bounds(
         raise ValueError("digraph_order needs order >= 3")
     spec = EnumerationSpec(n, class_filter, param, mode, samples, seed)
     partials, elapsed = _sweep(_sweep_shard, spec, workers, tuple(bound_ids))
-    instances = sum(p["instances"] for p in partials)
     stats = _merge_stats(partials)
     reports = []
     for bid in bound_ids:
-        skipped = sum(p["per_bound"][bid]["skipped"] for p in partials)
         raw_violations = [v for p in partials for v in p["per_bound"][bid]["violations"]]
         equality: set[int] = set()
         by_m: dict[int, list[int]] = {}
@@ -870,8 +865,8 @@ def check_universal_bounds(
             CheckReport(
                 check_id=f"universal_bound:{bid}:n={n}:class={spec.class_label}",
                 spec={**spec.header(), "bound": bid},
-                instances_examined=instances,
-                skipped_inapplicable=skipped,
+                instances_examined=stats["members"],
+                skipped_inapplicable=sum(row[1] for row in by_m.values()),
                 violations=violations,
                 equality_witnesses=witnesses,
                 meta={
@@ -909,12 +904,10 @@ def _uniqueness_shard(args) -> dict:
     stats = _new_stats()
     hits = []
     breaches = []
-    instances = 0
     rhs = target_num * (n - 1)
     for batch, cells in _members(spec, lo, hi, rng_state, stats, m_min=m_min):
         attained = 0
         for plane, m, sigma_max, _kap, _lam in cells:
-            instances += plane.bit_count()
             lhs = sigma_max * target_den
             if lhs == rhs:
                 attained |= plane
@@ -922,7 +915,7 @@ def _uniqueness_shard(args) -> dict:
                 breaches.extend((batch.seq[i], sigma_max, m) for i in _pull(plane, stats))
         if attained:
             hits.extend(_witnesses(spec, batch, attained, stats).values())
-    return {"instances": instances, "hits": hits, "breaches": breaches, "stats": stats}
+    return {"hits": hits, "breaches": breaches, "stats": stats}
 
 
 def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> CheckReport:
@@ -950,7 +943,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     partials, elapsed = _sweep(
         _uniqueness_shard, spec, workers, m, rho_star.numerator, rho_star.denominator
     )
-    instances = sum(p["instances"] for p in partials)
+    stats = _merge_stats(partials)
     hits = [mask for p in partials for mask in p["hits"]]
     breaches = [b for p in partials for b in p["breaches"]]
 
@@ -968,7 +961,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     report = CheckReport(
         check_id=f"extremal_uniqueness:n={n}:m={m}:kappa={kappa}",
         spec={**spec.header(), "m": m, "kappa": kappa},
-        instances_examined=instances,
+        instances_examined=stats["members"],
         violations=violations,
         equality_witnesses=witness_forms,
         audit_records=[
@@ -986,7 +979,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
         ],
         meta={"extra_extremal_forms": extras, "expected_form": expected},
         elapsed=elapsed,
-        stats=_merge_stats(partials),
+        stats=stats,
     )
     return report
 
@@ -1034,7 +1027,6 @@ def _eulerian_shard(args) -> dict:
     spec, lo, hi, rng_state = args
     n = spec.order
     stats = _new_stats()
-    instances = 0
     violations = []
     mismatches = []
     equality = set()
@@ -1045,7 +1037,6 @@ def _eulerian_shard(args) -> dict:
         members = sum(by_m.values())  # the cells are disjoint
         if not members:
             continue
-        instances += members.bit_count()
         profiles = masks.profile_planes(n, batch.cells, members)
         _profile_oracle(n, batch, batch.chain & members, profiles)
         # lanes by eccentricity of some source, then by diameter
@@ -1087,7 +1078,6 @@ def _eulerian_shard(args) -> dict:
                 else:
                     equality.add(form)
     return {
-        "instances": instances,
         "violations": violations,
         "mismatches": mismatches,
         "equality": equality,
@@ -1105,7 +1095,7 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     """
     spec = EnumerationSpec(n, "eulerian")
     partials, elapsed = _sweep(_eulerian_shard, spec, workers)
-    instances = sum(p["instances"] for p in partials)
+    stats = _merge_stats(partials)
     violations = []
     for p in partials:
         for mask, v, counts, m, cap in p["violations"]:
@@ -1136,19 +1126,17 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     report = CheckReport(
         check_id=f"eulerian_size_theorem:n={n}",
         spec=spec.header(),
-        instances_examined=instances,
+        instances_examined=stats["members"],
         violations=violations,
         equality_witnesses=sorted(masks.mask_bytes(n, c).hex() for c in equality),
         meta={"extra_extremal_forms": mismatches},
         elapsed=elapsed,
-        stats=_merge_stats(partials),
+        stats=stats,
     )
     return report
 
 
-def check_lemma_monotonicity(
-    n_max: int, kappa_max: int, arc_addition_n_max: int | None = None
-) -> CheckReport:
+def check_lemma_monotonicity(n_max: int, kappa_max: int) -> CheckReport:
     """Family monotonicity: arc addition drops remoteness; sizes anti-order it.
 
     Part (a): for every family member H and every complement arc, adding
@@ -1162,7 +1150,6 @@ def check_lemma_monotonicity(
         raise ValueError(f"n_max must be at least 1, got {n_max}")
     if kappa_max < 1:
         raise ValueError(f"kappa_max must be at least 1, got {kappa_max}")
-    arc_max = min(n_max, arc_addition_n_max if arc_addition_n_max is not None else n_max)
     started = time.monotonic()
     violations: list[Counterexample] = []
     members_examined = 0
@@ -1178,8 +1165,6 @@ def check_lemma_monotonicity(
                 rho_h, _ = remoteness(H)
                 values.append((p, H, rho_h))
                 members_examined += 1
-                if n > arc_max:
-                    continue
                 for arc in sorted(complement(H).arcs):
                     arcs_examined += 1
                     augmented = H.with_arc(*arc)
@@ -1223,7 +1208,7 @@ def check_lemma_monotonicity(
         spec={
             "n_max": n_max,
             "kappa_max": kappa_max,
-            "arc_addition_n_max": arc_max,
+            "arc_addition_n_max": n_max,  # kept in the report bytes: every order is checked
             "class": "kappa_pc_family",
         },
         instances_examined=members_examined,

@@ -134,7 +134,7 @@ def test_criterion_4_dpk_reproduction(criterion_recorder):
 
 def test_criterion_5_lemma_monotonicity(criterion_recorder):
     started = time.monotonic()
-    report = check_lemma_monotonicity(9, 3, arc_addition_n_max=8)
+    report = check_lemma_monotonicity(9, 3)
     elapsed = time.monotonic() - started
     ok = (
         report.violations == []

@@ -101,6 +101,34 @@ class TestBackwardSum:
         assert is_strong(backward_sum(blocks))
 
 
+class TestBlockRule:
+    @given(st.lists(st.integers(1, 4), min_size=1, max_size=6))
+    def test_pairs_by_block_distance(self, blocks):
+        # every ordered pair (u, v) of distinct vertices, classified by the
+        # block distance d = block(v) - block(u), read off the block list
+        block_of = [i for i, s in enumerate(blocks) for _ in range(s)]
+        D, G = backward_sum(blocks), sequential_sum_graph(blocks)
+        assert D.order == G.order == len(block_of)
+        classes = {"near": 0, "skip": 0, "forward": 0}
+        for u, bu in enumerate(block_of):
+            for v, bv in enumerate(block_of):
+                if u == v:
+                    continue
+                d = bv - bu
+                if abs(d) <= 1:  # same or consecutive blocks: arcs both ways, an edge
+                    classes["near"] += 1
+                    assert D.has_arc(u, v) and D.has_arc(v, u) and G.has_edge(u, v)
+                elif d <= -2:  # v two or more blocks earlier: a backward skip arc
+                    classes["skip"] += 1
+                    assert D.has_arc(u, v) and not G.has_edge(u, v)
+                else:  # v two or more blocks later: no forward skip arc
+                    classes["forward"] += 1
+                    assert not D.has_arc(u, v) and not G.has_edge(u, v)
+        # no other arc or edge exists
+        assert D.size == classes["near"] + classes["skip"]
+        assert G.size == classes["near"] // 2
+
+
 class TestKappaPCDigraph:
     def test_worked_member(self):
         D = kappa_pc_digraph(PathCompleteParams(2, 1, 2, 1))
