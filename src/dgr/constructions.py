@@ -5,10 +5,12 @@ first, left to right), so tests can address the distinguished source
 vertex 0 deterministically. Both sums of complete blocks follow one rule
 on block positions, stated once in ``_next_block_ends``: u -> v is an arc
 exactly when v's block is at most one after u's. The backward sum takes
-every such pair, the sequential sum (undirected) those with u < v. The
-selectors rank members by sizes counted from their block sizes
-(``sequential_sum_size``, ``backward_sum_size``), build only the member
-they choose and assert that its built arc/edge set has the counted size.
+every such pair, the sequential sum (undirected) those with u < v. Both
+sizes follow from three sums of the block sizes (``BlockSums``: the
+order, the sum of squares and the sum of consecutive products), which
+each member's parameters give in closed form. The selectors rank members
+by those sizes, build only the member they choose and assert that its
+built arc/edge set has the counted size.
 The paper's closed-form sizes of one member live in ``claimed_sizes`` as
 audit targets only; the family-wide claims (largest and smallest size)
 live in ``bounds``.
@@ -18,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
+from typing import NamedTuple
 
 from .core import Digraph, Graph, NotStrongError, bidirect, is_strong
 
@@ -48,22 +51,46 @@ def sequential_sum_graph(block_sizes: list[int]) -> Graph:
     return Graph(len(ends), edges)
 
 
-def sequential_sum_size(block_sizes: list[int]) -> int:
-    """Edges of ``sequential_sum_graph``: C(c, 2) per block c, plus consecutive products."""
-    within = (sum(map(mul, block_sizes, block_sizes)) - sum(block_sizes)) // 2
-    return within + sum(map(mul, block_sizes, block_sizes[1:]))
+class BlockSums(NamedTuple):
+    """The three sums of a block list that its family sizes depend on."""
+
+    total: int  # the order, the sum of the block sizes
+    squares: int  # the sum of their squares
+    adjacent: int  # the sum of the products of consecutive blocks
 
 
-def backward_sum_size(block_sizes: list[int]) -> int:
-    """Arcs of ``backward_sum(block_sizes)``: twice the sequential sum's edges, plus skip arcs.
+def block_sums(block_sizes: list[int]) -> BlockSums:
+    """``BlockSums`` of a block list, summed over its blocks."""
+    return BlockSums(
+        sum(block_sizes),
+        sum(map(mul, block_sizes, block_sizes)),
+        sum(map(mul, block_sizes, block_sizes[1:])),
+    )
+
+
+def _sequential_size(sums: BlockSums) -> int:
+    """C(c, 2) per block c, plus the products of consecutive blocks."""
+    return (sums.squares - sums.total) // 2 + sums.adjacent
+
+
+def _backward_size(sums: BlockSums) -> int:
+    """Twice the sequential sum's edges, plus the skip arcs.
 
     The s_i * s_j skip arcs from block i to each block j <= i - 2 are all
     (total**2 - sum of squares) / 2 block pairs, less the consecutive ones.
     """
-    total = sum(block_sizes)
-    pairs = (total * total - sum(map(mul, block_sizes, block_sizes))) // 2
-    skips = pairs - sum(map(mul, block_sizes, block_sizes[1:]))
-    return 2 * sequential_sum_size(block_sizes) + skips
+    skips = (sums.total * sums.total - sums.squares) // 2 - sums.adjacent
+    return 2 * _sequential_size(sums) + skips
+
+
+def sequential_sum_size(block_sizes: list[int]) -> int:
+    """Edges of ``sequential_sum_graph(block_sizes)``."""
+    return _sequential_size(block_sums(block_sizes))
+
+
+def backward_sum_size(block_sizes: list[int]) -> int:
+    """Arcs of ``backward_sum(block_sizes)``."""
+    return _backward_size(block_sums(block_sizes))
 
 
 def profile_digraph(block_sizes: list[int]) -> Digraph:
@@ -114,6 +141,17 @@ class PathCompleteParams:
     def block_sizes(self) -> list[int]:
         return [1] + [self.kappa] * self.ell + [self.a, self.b]
 
+    @property
+    def block_sums(self) -> BlockSums:
+        """``block_sums(self.block_sizes)`` in closed form, without the list."""
+        kappa, ell, a, b = self.kappa, self.ell, self.a, self.b
+        return BlockSums(
+            self.order,
+            1 + ell * kappa * kappa + a * a + b * b,
+            # consecutive products: 1 * kappa, ell - 1 of kappa * kappa, kappa * a, a * b
+            kappa + (ell - 1) * kappa * kappa + kappa * a + a * b,
+        )
+
 
 def kappa_pc_digraph(p: PathCompleteParams) -> Digraph:
     """Backward sum realising the given family member."""
@@ -148,7 +186,7 @@ def enumerate_kappa_pc_family(n: int, kappa: int) -> list[PathCompleteParams]:
 
 def _distinct_sizes(members, size_of) -> list[tuple[int, object]]:
     """(size, member) pairs by increasing size, the sizes asserted pairwise distinct."""
-    sizes = [size_of(p.block_sizes) for p in members]
+    sizes = [size_of(p.block_sums) for p in members]
     if len(set(sizes)) != len(sizes):
         raise AssertionError(f"family sizes are not pairwise distinct: {sorted(sizes)}")
     return sorted(zip(sizes, members), key=lambda sp: sp[0])
@@ -170,15 +208,16 @@ def _select_min_size(ranked, build, m, what):
 def dpk_select(n: int, m: int, kappa: int) -> tuple[Digraph, PathCompleteParams]:
     """Minimum-size family member of order n with at least m arcs.
 
-    Sizes are counted from the block sizes, and pairwise distinctness is
-    asserted rather than assumed; only the chosen member is built.
+    Sizes are counted from each member's block sums, and pairwise
+    distinctness is asserted rather than assumed; only the chosen member is
+    built.
     """
     if m > n * (n - 1):  # above the complete digraph, refused before any build
         raise ValueError(f"no digraph of order {n} has size >= {m} (at most {n * (n - 1)})")
     members = enumerate_kappa_pc_family(n, kappa)
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
-    ranked = _distinct_sizes(members, backward_sum_size)
+    ranked = _distinct_sizes(members, _backward_size)
     return _select_min_size(ranked, kappa_pc_digraph, m, "digraph family")
 
 
@@ -189,7 +228,7 @@ def pk_select(n: int, m: int, kappa: int) -> tuple[Graph, PathCompleteParams]:
     members = enumerate_kappa_pc_family(n, kappa)
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
-    ranked = _distinct_sizes(members, sequential_sum_size)
+    ranked = _distinct_sizes(members, _sequential_size)
     return _select_min_size(ranked, pc_graph, m, "graph family")
 
 
@@ -245,44 +284,54 @@ class LambdaPCParams:
         # closed form, so that a huge k is refused before any list is built
         return (1 + self.lam) * self.k + sum(self._tail)
 
+    @property
+    def block_sums(self) -> BlockSums:
+        """``block_sums(self.block_sizes)`` in closed form, without the k repeats."""
+        lam, k, tail = self.lam, self.k, self._tail
+        sums = block_sums(tail)
+        # consecutive products: k of 1 * lam, k - 1 of lam * 1, lam * the tail's first
+        joins = lam * (2 * k - 1 + tail[0]) if k else 0
+        return BlockSums(
+            self.order,
+            sums.squares + (1 + lam * lam) * k,
+            sums.adjacent + joins,
+        )
+
 
 def lambda_pc_graph(p: LambdaPCParams) -> Graph:
     return sequential_sum_graph(p.block_sizes)
 
 
 def enumerate_lambda_pc_family(n: int, lam: int) -> list[LambdaPCParams]:
-    """All members of order n over the three variants, deduplicated by shape."""
+    """All members of order n over the three variants.
+
+    No two share a block list: variant A has an even number of blocks, B
+    and C an odd one, and where B and C are as long, B's block 2k is 1 and
+    C's is 2. Within a variant, the length gives k and the tail a and b.
+    """
     if lam not in (2, 3):
         raise ValueError("lam must be 2 or 3")
     members = []
-    seen_blocks = set()
-
-    def add(p: LambdaPCParams) -> None:
-        key = tuple(p.block_sizes)
-        if key not in seen_blocks:
-            seen_blocks.add(key)
-            members.append(p)
-
     k = 1
     while k * (1 + lam) + 2 <= n:  # variant A
         rest = n - k * (1 + lam)
         for a in range(1, rest):
             b = rest - a
             if a * b >= lam:
-                add(LambdaPCParams(lam, k, a, b, "A"))
+                members.append(LambdaPCParams(lam, k, a, b, "A"))
         k += 1
     k = 0
     while k * (1 + lam) + 1 + lam + 1 <= n:  # variant B
         rest = n - k * (1 + lam) - 1
         for a in range(lam, rest):
             b = rest - a
-            add(LambdaPCParams(lam, k, a, b, "B"))
+            members.append(LambdaPCParams(lam, k, a, b, "B"))
         k += 1
     if lam == 3:
         k = 1
         while 4 * k + 3 + 3 <= n:  # variant C
             a = n - 4 * k - 3
-            add(LambdaPCParams(lam, k, a, 1, "C"))
+            members.append(LambdaPCParams(lam, k, a, 1, "C"))
             k += 1
     return members
 
@@ -291,8 +340,8 @@ def pk_lambda_select(n: int, m: int, lam: int) -> tuple[Graph, LambdaPCParams]:
     """Minimum-size member of order n with at least m edges.
 
     Unlike the vertex-connectivity family, equal sizes can occur across
-    variants; ties break on (variant, k, a, b). Sizes are counted from the
-    block sizes; only the chosen member is built.
+    variants; ties break on (variant, k, a, b). Sizes are counted from each
+    member's block sums; only the chosen member is built.
     """
     if m > n * (n - 1) // 2:  # above the complete graph, refused before any build
         raise ValueError(f"no graph of order {n} has size >= {m} (at most {n * (n - 1) // 2})")
@@ -300,7 +349,7 @@ def pk_lambda_select(n: int, m: int, lam: int) -> tuple[Graph, LambdaPCParams]:
     if not members:
         raise ValueError(f"no feasible parameters for order {n}, lambda {lam}")
     ranked = sorted(
-        ((sequential_sum_size(p.block_sizes), p) for p in members),
+        ((_sequential_size(p.block_sums), p) for p in members),
         key=lambda sp: (sp[0], sp[1].variant, sp[1].k, sp[1].a, sp[1].b),
     )
     return _select_min_size(ranked, lambda_pc_graph, m, "lambda family")

@@ -6,31 +6,36 @@ optimisation layer; results are observably identical to the object-level
 modules, which the verifier cross-checks on a deterministic stride.
 
 Two kernels read masks. The scalar one decodes a single mask into
-out-neighbour rows (``out_rows``) and runs BFS on them (``sigma_vector``);
-``is_balanced``, ``min_semidegree_mask``, ``kappa_mask`` and
-``lambda_mask`` work on the mask itself. The block kernel decides up to
-2**14 masks at once by bit-slicing: each arc cell becomes a plane, a
-Python int whose bit i is that cell's bit in lane i. ``range_cells``
-builds the planes of an aligned block of consecutive masks (lane i is
-``base + i``; cells below the block width follow fixed lane patterns, the
-others are constant), and ``draw_cells`` transposes an arbitrary list of
-masks (lane i is the i-th draw) as one bit-matrix transpose of the masks
-packed into 32- or 64-bit words, a few mask/shift/xor stages over one
-int. On either, integer AND/OR/XOR run one BFS per source vertex for
-every lane together: ``block_planes`` gives strongness, sigma_max and
-size, and ``profile_planes`` splits the strong lanes by each source's
-distance profile, both a level at a time through one ``_step``;
-``kappa_planes`` splits them by vertex connectivity, running each D - S
-to a fixed point; and ``orbit_min_planes`` keeps the lanes whose mask is
-the least of its relabellings, the orbit-minimal witnesses of a sweep's
-equality hits.
-Two cheaper kernels need no BFS, so a sweep runs them first, on the whole
-batch, as class prefilters: ``size_counter`` counts every lane's arcs
-(``block_planes`` takes its size from it too) and ``balance_plane``
-compares every vertex's out- and in-degree counters. The verifier then
-packs the lanes it keeps into a dense batch with ``draw_cells``, so the
-BFS kernels above run only on those.
-Per-lane numbers are bit-sliced counters: a list of planes, least
+out-neighbour rows (``out_rows``), and ``sigma_vector`` grows a ball
+around each vertex on them: the counts of vertices outside the balls of
+radius 0, 1, ... sum to the vertex's transmission. Each ball grows by the
+rows of its members, which a per-order table, ``_vertex_sets(n)``, lists
+with the count outside for every one of the 2**n vertex sets; so
+``sigma_vector`` refuses orders above ``CANONICAL_MAX_ORDER`` before
+building it. No plane kernel reads that table, so the oracle still shares
+no table or rule with them. ``is_balanced``, ``min_semidegree_mask``,
+``kappa_mask`` and ``lambda_mask`` work on the mask itself. The block
+kernel decides up to 2**14 masks at once by bit-slicing: each arc cell
+becomes a plane, a Python int whose bit i is that cell's bit in lane i.
+``range_cells`` builds the planes of an aligned block of consecutive masks
+(lane i is ``base + i``; cells below the block width follow fixed lane
+patterns, the others are constant), and ``draw_cells`` transposes an
+arbitrary list of masks (lane i is the i-th draw) as one bit-matrix
+transpose of the masks packed into 32- or 64-bit words, a few
+mask/shift/xor stages over one int. On either, integer AND/OR/XOR run one
+BFS per source vertex for every lane together: ``block_planes`` gives
+strongness, sigma_max and size, and ``profile_planes`` splits the strong
+lanes by each source's distance profile, both a level at a time through
+one ``_step``; ``kappa_planes`` splits them by vertex connectivity,
+running each D - S to a fixed point; and ``orbit_min_planes`` keeps the
+lanes whose mask is the least of its relabellings, the orbit-minimal
+witnesses of a sweep's equality hits. Two cheaper kernels need no BFS, so
+a sweep runs them first, on the whole batch, as class prefilters:
+``size_counter`` counts every lane's arcs (``block_planes`` takes its size
+from it too) and ``balance_plane`` compares every vertex's out- and
+in-degree counters. The verifier then packs the lanes it keeps into a
+dense batch with ``draw_cells``, so the BFS kernels above run only on
+those. Per-lane numbers are bit-sliced counters: a list of planes, least
 significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 
 ``canonical_mask`` gives a digraph's canonical form, the least mask over
@@ -74,7 +79,9 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .core import Digraph
 
-CANONICAL_MAX_ORDER = 8  # canonical_mask's image blocks hold n! packed words per cell
+# canonical_mask's image blocks hold n! packed words per cell, and
+# sigma_vector's vertex-set table 2**n rows
+CANONICAL_MAX_ORDER = 8
 
 
 class MaskTables:
@@ -136,36 +143,50 @@ def digraph_of_mask(n: int, mask: int) -> Digraph:
 
 
 def is_balanced(mask: int, n: int) -> bool:
-    """In-degree equals out-degree at every vertex of the mask's digraph."""
-    return all(
-        (mask & out_c).bit_count() == (mask & in_c).bit_count()
-        for out_c, in_c in tables_for(n).degree_cells
+    """In-degree equals out-degree at every vertex of the mask's digraph.
+
+    Returns at the first vertex whose two degrees differ.
+    """
+    for out_c, in_c in tables_for(n).degree_cells:
+        if (mask & out_c).bit_count() != (mask & in_c).bit_count():
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _vertex_sets(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per vertex set (a bitmask below 2**n), its members and how many vertices lie outside it."""
+    return tuple(
+        (tuple(u for u in range(n) if s >> u & 1), n - s.bit_count()) for s in range(1 << n)
     )
 
 
 def sigma_vector(rows: list[int], n: int, full: int) -> list[int] | None:
-    """Transmission of every vertex, or None if the digraph is not strong."""
+    """Transmission of every vertex, or None if the digraph is not strong.
+
+    sigma(v), the sum of d(v, u) over u, is also the sum over radii r >= 0
+    of the vertices outside the ball B_r(v). The ball grows by the out-rows
+    of its members, read off ``_vertex_sets(n)`` with the count outside it;
+    a ball that stops growing short of ``full`` misses a vertex. The table
+    has 2**n rows, so orders above ``CANONICAL_MAX_ORDER`` are refused
+    before it is built.
+    """
+    if n > CANONICAL_MAX_ORDER:
+        raise ValueError(f"sigma_vector limited to order <= {CANONICAL_MAX_ORDER}")
+    sets = _vertex_sets(n)
     sigmas = []
     for v in range(n):
-        seen = 1 << v
-        cur = seen
+        ball = 1 << v
         total = 0
-        d = 0
-        while True:
-            nxt = 0
-            c = cur
-            while c:
-                b = c & -c
-                nxt |= rows[b.bit_length() - 1]
-                c ^= b
-            cur = nxt & ~seen
-            if not cur:
-                break
-            d += 1
-            total += d * cur.bit_count()
-            seen |= cur
-        if seen != full:
-            return None
+        while ball != full:
+            members, outside = sets[ball]
+            total += outside
+            grown = ball
+            for u in members:
+                grown |= rows[u]
+            if grown == ball:
+                return None
+            ball = grown
         sigmas.append(total)
     return sigmas
 
@@ -542,7 +563,10 @@ def kappa_mask(mask: int, n: int) -> int:
     and B with no arc from A to B, or n - 1 if no S does: the first row of
     ``_separations(n)`` whose cells the mask misses.
     """
-    return next((s for s, cut in _separations(n) if not mask & cut), n - 1)
+    for s, cut in _separations(n):
+        if not mask & cut:
+            return s
+    return n - 1
 
 
 def lambda_mask(mask: int, n: int) -> int:
@@ -552,7 +576,12 @@ def lambda_mask(mask: int, n: int) -> int:
     arc form): one AND and one popcount per set, over the rows of
     ``_separations(n)`` with S empty.
     """
-    return min((mask & cut).bit_count() for _, cut in islice(_separations(n), (1 << n) - 2))
+    least = n - 1  # a single vertex's out-arcs, one of the rows, are at most n - 1
+    for _, cut in islice(_separations(n), (1 << n) - 2):
+        arcs = (mask & cut).bit_count()
+        if arcs < least:
+            least = arcs
+    return least
 
 
 def min_semidegree_mask(mask: int, n: int) -> int:
@@ -562,9 +591,13 @@ def min_semidegree_mask(mask: int, n: int) -> int:
     (``MaskTables.degree_cells``), as in ``is_balanced``, so no rows are
     decoded or transposed.
     """
-    return min(
-        (mask & cells).bit_count() for pair in tables_for(n).degree_cells for cells in pair
-    )
+    least = n - 1
+    for pair in tables_for(n).degree_cells:
+        for cells in pair:
+            degree = (mask & cells).bit_count()
+            if degree < least:
+                least = degree
+    return least
 
 
 _IMAGE_BLOCK = 120  # relabellings per block of _image_blocks: 5!, which divides n! at n >= 5

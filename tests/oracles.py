@@ -1,9 +1,11 @@
 """Independent oracles for the test suite.
 
 Nothing here calls back into the library's algorithms: distances come from
-Floyd-Warshall, strongness counts from batched boolean matrix closure,
-connectivity from exhaustive subset removal, and isomorphism from a direct
-permutation search. Expected values in the tests are frozen from these.
+Floyd-Warshall and, on mask rows, the frontier BFS that
+``masks.sigma_vector`` used to run; strongness counts come from batched
+boolean matrix closure, connectivity from exhaustive subset removal, and
+isomorphism from a direct permutation search. Expected values in the tests
+are frozen from these.
 """
 
 from __future__ import annotations
@@ -32,6 +34,38 @@ def floyd_warshall(order: int, arcs) -> list[list[float]]:
                 if alt < row[j]:
                     row[j] = alt
     return dist
+
+
+def frontier_sigma_vector(rows: list[int], n: int, full: int) -> list[int] | None:
+    """Transmissions by frontier BFS on out-neighbour rows; None if not strong.
+
+    The path ``dgr.masks.sigma_vector`` had before it grew balls from a
+    vertex-set table: each level ORs the rows of the newly reached vertices
+    only, and adds the level times their count.
+    """
+    sigmas = []
+    for v in range(n):
+        seen = 1 << v
+        cur = seen
+        total = 0
+        d = 0
+        while True:
+            nxt = 0
+            c = cur
+            while c:
+                b = c & -c
+                nxt |= rows[b.bit_length() - 1]
+                c ^= b
+            cur = nxt & ~seen
+            if not cur:
+                break
+            d += 1
+            total += d * cur.bit_count()
+            seen |= cur
+        if seen != full:
+            return None
+        sigmas.append(total)
+    return sigmas
 
 
 def reachable_from(order: int, arcs, start: int) -> set[int]:

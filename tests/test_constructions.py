@@ -33,7 +33,7 @@ from dgr import (
 )
 
 from dgr import bounds
-from dgr.constructions import backward_sum_size, sequential_sum_size
+from dgr.constructions import backward_sum_size, block_sums, sequential_sum_size
 
 from oracles import backward_sum_arc_count, sequential_sum_edge_count
 from test_core import dpk_2121
@@ -321,6 +321,20 @@ class TestSelectorsCountSizes:
         for n in range(lam + 2, 13):
             for p in enumerate_lambda_pc_family(n, lam):
                 assert sequential_sum_size(p.block_sizes) == lambda_pc_graph(p).size, p
+
+    @pytest.mark.parametrize("kappa", [1, 2, 3, 4])
+    def test_closed_form_sums_match_the_block_lists_of_the_kappa_family(self, kappa):
+        for n in range(2 * kappa + 2, 31):
+            for p in enumerate_kappa_pc_family(n, kappa):
+                assert p.block_sums == block_sums(p.block_sizes), p
+
+    @pytest.mark.parametrize("lam", [2, 3])
+    def test_closed_form_sums_match_the_block_lists_of_the_lambda_family(self, lam):
+        for n in range(lam + 2, 31):
+            members = enumerate_lambda_pc_family(n, lam)
+            assert len({tuple(p.block_sizes) for p in members}) == len(members), n
+            for p in members:
+                assert p.block_sums == block_sums(p.block_sizes), p
 
     @given(st.lists(st.integers(1, 5), min_size=1, max_size=7))
     def test_counts_match_the_oracle_formulas(self, blocks):

@@ -10,6 +10,7 @@ from dgr.core import distance_profile, is_strong
 from dgr.masks import (
     _image_blocks,
     _separations,
+    _vertex_sets,
     balance_plane,
     block_planes,
     canonical_mask,
@@ -30,7 +31,13 @@ from dgr.masks import (
     value_planes,
 )
 
-from oracles import brute_edge_connectivity, brute_vertex_connectivity
+from oracles import (
+    INF,
+    brute_edge_connectivity,
+    brute_vertex_connectivity,
+    floyd_warshall,
+    frontier_sigma_vector,
+)
 
 # OEIS A000273 (digraphs), A035512 (strong digraphs), orders 1..4, and
 # A003030 (labeled strong digraphs), orders 1..5
@@ -147,6 +154,61 @@ def test_out_rows_hold_the_out_neighbours(n):
     for mask in [0, (1 << t.num_cells) - 1, *(rng.getrandbits(t.num_cells) for _ in range(200))]:
         D = digraph_of_mask(n, mask)
         assert t.out_rows(mask) == [sum(1 << v for v in D.out_lists[u]) for u in range(n)], mask
+
+
+def _assert_sigma_vector_matches_floyd_warshall(n, draws):
+    """``sigma_vector`` is the row sums of the distance matrix, None when one is infinite.
+
+    Returns how many of the draws are strong.
+    """
+    t = tables_for(n)
+    strong = 0
+    for mask in draws:
+        dist = floyd_warshall(n, digraph_of_mask(n, mask).arcs)
+        expected = None if any(INF in row for row in dist) else [int(sum(row)) for row in dist]
+        assert sigma_vector(t.out_rows(mask), n, t.full) == expected, mask
+        strong += expected is not None
+    return strong
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sigma_vector_matches_floyd_warshall_on_every_mask(n):
+    t = tables_for(n)
+    assert _assert_sigma_vector_matches_floyd_warshall(n, range(t.mask_count)) == (
+        LABELED_STRONG[n - 1]
+    )
+
+
+def test_sigma_vector_matches_floyd_warshall_on_the_order5_chain_stride():
+    # every 101st mask, the chain stride of an exhaustive order-5 sweep
+    draws = range(0, tables_for(5).mask_count, 101)
+    assert 0 < _assert_sigma_vector_matches_floyd_warshall(5, draws) < len(draws)
+
+
+def test_sigma_vector_matches_floyd_warshall_on_drawn_order6_masks():
+    # 1,000 uniform draws and 1,000 dense ones, each cell an arc with
+    # probability 3/4; both hold strong and non-strong masks
+    rng = random.Random(6)
+    uniform = [rng.getrandbits(30) for _ in range(1_000)]
+    dense = [rng.getrandbits(30) | rng.getrandbits(30) for _ in range(1_000)]
+    for draws in (uniform, dense):
+        assert 0 < _assert_sigma_vector_matches_floyd_warshall(6, draws) < len(draws)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_sigma_vector_matches_the_frontier_bfs_on_every_mask(n):
+    # the path sigma_vector replaced; CI runs the same comparison on all of order 5
+    t = tables_for(n)
+    for mask in range(t.mask_count):
+        rows = t.out_rows(mask)
+        assert sigma_vector(rows, n, t.full) == frontier_sigma_vector(rows, n, t.full), mask
+
+
+def test_sigma_vector_refuses_order_9_before_building_a_table():
+    misses = _vertex_sets.cache_info().misses
+    with pytest.raises(ValueError, match="order <= 8"):
+        sigma_vector([0] * 9, 9, (1 << 9) - 1)
+    assert _vertex_sets.cache_info().misses == misses
 
 
 def _assert_planes_match_scalar_decode(n, draws, cells, ones):
