@@ -14,7 +14,9 @@ with the count outside for every one of the 2**n vertex sets; so
 ``sigma_vector`` refuses orders above ``CANONICAL_MAX_ORDER`` before
 building it. No plane kernel reads that table, so the oracle still shares
 no table or rule with them. ``is_balanced``, ``min_semidegree_mask``,
-``kappa_mask`` and ``lambda_mask`` work on the mask itself. The block
+``kappa_mask``, ``lambda_mask`` and ``kappa_lambda_mask`` work on the mask
+itself. ``build_tables`` builds every per-order table a sweep reads, so
+that a process pool's forked workers inherit them. The block
 kernel decides up to 2**14 masks at once by bit-slicing: each arc cell
 becomes a plane, a Python int whose bit i is that cell's bit in lane i.
 ``range_cells`` builds the planes of an aligned block of consecutive masks
@@ -56,11 +58,20 @@ The scalar oracle's chain check kappa <= lambda <= min semidegree is kept
 cheap. ``kappa_mask`` and ``lambda_mask`` are vertex and edge connectivity
 by their definitions, read off one table, ``_separations(n)``: a row per
 vertex set S and ordered split of the other vertices into nonempty A and
-B, holding |S| and the cells of the arcs from A to B, in increasing |S|.
-kappa is the least |S| whose row's cells the mask misses, so one AND per
-row until the first such row; lambda is the least popcount of the
-mask's cells in the 2**n - 2 rows with S empty, the arcs leaving A.
-``kappa_planes`` removes vertex subsets and runs BFS on D - S, and
+B, holding |S| and the cells of the arcs from A to B. kappa is the least
+|S| of a row whose cells the mask misses; lambda is the least popcount
+of the mask's cells in the 2**n - 2 rows with S empty, the arcs leaving
+A. Both walk one grouped view of that table, ``_separation_groups(n)``:
+the rows by |S|, then by the number of cells in the cut, both
+increasing. With ``missing`` the n(n-1) - m cells the mask lacks, two
+facts prune the walk. A missed cut lies inside the missing cells, so its
+popcount is at most ``missing``: kappa's walk skips every group wider
+than that. A cut of w cells keeps at least w - ``missing`` of the mask's
+arcs: lambda's walk stops at the first group where that reaches its least
+count so far. ``kappa_lambda_mask`` gives both in one walk, for the
+chain lanes: lambda first, then kappa = 0 where lambda is 0 and
+otherwise kappa's walk from |S| = 1. The walks keep no memo keyed by
+mask. ``kappa_planes`` removes vertex subsets and runs BFS on D - S, and
 ``connectivity.vertex_connectivity`` and ``edge_connectivity`` run flows,
 so neither kernel nor object level shares a table or rule with the oracle.
 ``min_semidegree_mask`` counts degrees by popcounts of the mask, as
@@ -82,6 +93,8 @@ from .core import Digraph
 # canonical_mask's image blocks hold n! packed words per cell, and
 # sigma_vector's vertex-set table 2**n rows
 CANONICAL_MAX_ORDER = 8
+# draw_cells pads its transpose masks to at least 2**14 draws
+_DRAW_MIN_BITS = 14
 
 
 class MaskTables:
@@ -276,7 +289,8 @@ def draw_cells(n: int, draws: Sequence[int]) -> tuple[list[int], int]:
     of words at once. Word k of a block then holds cell k of the block's
     draws, so plane k is read from every block's word k with one strided
     slice. The stage masks are built on first use, per word width, padded
-    to at least ``2**14`` draws so that shorter batches share them.
+    to at least ``2**_DRAW_MIN_BITS`` draws so that shorter batches share
+    them.
     """
     c = tables_for(n).num_cells
     if c > 64:
@@ -285,7 +299,8 @@ def draw_cells(n: int, draws: Sequence[int]) -> tuple[list[int], int]:
     word, code = (32, "I") if c <= 32 else (64, "Q")
     words = -(-len(draws) // word) * word
     x = _pack(code, draws)
-    for shift, lower in _transpose_stages(word, 1 << max(14, (words - 1).bit_length())):
+    padded = 1 << max(_DRAW_MIN_BITS, (words - 1).bit_length())
+    for shift, lower in _transpose_stages(word, padded):
         t = (x ^ (x >> shift)) & lower
         x ^= t ^ (t << shift)
     view = memoryview(x.to_bytes(words * word // 8, "little")).cast(code)
@@ -556,32 +571,88 @@ def _separations(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=None)
+def _separation_groups(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]:
+    """The rows of ``_separations(n)`` grouped by (|S|, cells in the cut).
+
+    Entry s lists, in increasing cut width, each width with the cuts of the
+    rows with |S| = s of that width, for s = 0 .. n - 1; a row whose A has
+    a vertices has a(n - s - a) cells. The cuts are the table's own ints,
+    regrouped.
+    """
+    groups: list[dict[int, list[int]]] = [{} for _ in range(n)]
+    for s, cut in _separations(n):
+        groups[s].setdefault(cut.bit_count(), []).append(cut)
+    return tuple(
+        tuple((width, tuple(by_width[width])) for width in sorted(by_width))
+        for by_width in groups
+    )
+
+
+def _kappa_walk(mask: int, n: int, missing: int, start: int) -> int:
+    """The least |S| >= start with a row the mask misses, or n - 1 if none.
+
+    ``missing`` is the count of cells the mask lacks. A missed cut lies
+    inside them, so only the groups no wider than ``missing`` are read.
+    """
+    groups = _separation_groups(n)
+    for s in range(start, n - 1):
+        for width, cuts in groups[s]:
+            if width > missing:
+                break
+            for cut in cuts:
+                if not mask & cut:
+                    return s
+    return n - 1
+
+
+def _lambda_walk(mask: int, n: int, missing: int) -> int:
+    """The least popcount of the mask's cells over the S-empty rows, at most n - 1.
+
+    A cut of w cells keeps at least w - ``missing`` of the mask's arcs, so
+    the walk stops at the first group where that is no less than the least
+    count so far.
+    """
+    least = n - 1  # a single vertex's out-arcs, one of the rows, are at most n - 1
+    for width, cuts in _separation_groups(n)[0]:
+        if width - missing >= least:
+            break
+        for cut in cuts:
+            arcs = (mask & cut).bit_count()
+            if arcs < least:
+                least = arcs
+    return least
+
+
 def kappa_mask(mask: int, n: int) -> int:
     """Vertex connectivity, 0 if the digraph is not strong.
 
     The least |S| such that the vertices outside S split into nonempty A
-    and B with no arc from A to B, or n - 1 if no S does: the first row of
-    ``_separations(n)`` whose cells the mask misses.
+    and B with no arc from A to B, or n - 1 if no S does: the least |S|
+    among the rows of ``_separations(n)`` whose cells the mask misses.
     """
-    for s, cut in _separations(n):
-        if not mask & cut:
-            return s
-    return n - 1
+    return _kappa_walk(mask, n, n * (n - 1) - mask.bit_count(), 0)
 
 
 def lambda_mask(mask: int, n: int) -> int:
     """Edge connectivity; assumes a strong digraph of order >= 2.
 
     The least number of arcs leaving a nonempty proper vertex set (Menger,
-    arc form): one AND and one popcount per set, over the rows of
+    arc form): the least popcount of the mask's cells over the rows of
     ``_separations(n)`` with S empty.
     """
-    least = n - 1  # a single vertex's out-arcs, one of the rows, are at most n - 1
-    for _, cut in islice(_separations(n), (1 << n) - 2):
-        arcs = (mask & cut).bit_count()
-        if arcs < least:
-            least = arcs
-    return least
+    return _lambda_walk(mask, n, n * (n - 1) - mask.bit_count())
+
+
+def kappa_lambda_mask(mask: int, n: int) -> tuple[int, int]:
+    """(``kappa_mask``, ``lambda_mask``) of one mask, in one walk.
+
+    lambda first; kappa is 0 where lambda is, as an S-empty row is then
+    missed, and otherwise the kappa walk starts at |S| = 1.
+    """
+    missing = n * (n - 1) - mask.bit_count()
+    lam = _lambda_walk(mask, n, missing)
+    return (_kappa_walk(mask, n, missing, 1) if lam else 0), lam
 
 
 def min_semidegree_mask(mask: int, n: int) -> int:
@@ -754,6 +825,27 @@ def orbit_min_planes(n: int, cells: list[int], lanes_in: int) -> int:
                 if not eq:
                     break
     return live << low
+
+
+def build_tables(n: int, bits: int, relabellings: bool) -> None:
+    """Build every per-order table a sweep of order n, in batches of 2**bits lanes, reads.
+
+    The decode tables, ``sigma_vector``'s vertex sets, ``kappa_planes``'s
+    removals, the separations and their grouped view, and the lane patterns
+    and transpose masks of ``range_cells`` and ``draw_cells``; with
+    ``relabellings``, also the n! relabelling tables of ``is_canonical`` and
+    ``orbit_min_planes``. A process forked afterwards inherits them.
+    """
+    t = tables_for(n)
+    _vertex_sets(n)
+    _removal_arcs(n)
+    _separation_groups(n)
+    _lane_cells(bits)
+    word = 32 if t.num_cells <= 32 else 64  # as in draw_cells
+    _transpose_stages(word, 1 << max(_DRAW_MIN_BITS, bits))
+    if relabellings:
+        _image_blocks(n)
+        _relabel_sources(n)
 
 
 def mask_bytes(n: int, mask: int) -> bytes:

@@ -66,7 +66,7 @@ import time
 from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterator, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
@@ -539,11 +539,15 @@ def _members(
         found = [i for i in sigma_max_of if i in balanced_of or not balanced_only]  # candidates
         kappa_of, lam_of = {}, {}
         if n >= 2:
-            kappa_of = {i: masks.kappa_mask(seq[i], n) for i in found}
-            # where the sweep needs lambda, and on the chain for kappa <= lambda <= min semidegree
-            lam_of = {
-                i: masks.lambda_mask(seq[i], n) for i in found if need_lambda or i in on_chain
-            }
+            # both in one walk on the chain, for kappa <= lambda <= min
+            # semidegree; elsewhere kappa, and lambda where the sweep needs it
+            for i in found:
+                if i in on_chain:
+                    kappa_of[i], lam_of[i] = masks.kappa_lambda_mask(seq[i], n)
+                else:
+                    kappa_of[i] = masks.kappa_mask(seq[i], n)
+                    if need_lambda:
+                        lam_of[i] = masks.lambda_mask(seq[i], n)
         scalar = {
             "strong": sum(1 << i for i in sigma_max_of),
             "balanced": sum(1 << i for i in balanced_of),
@@ -748,18 +752,23 @@ def _shards(total: int, count: int, width: int = 1) -> list[tuple[int, int]]:
     return [(lo, min(total, lo + step)) for lo in range(0, total, step)]
 
 
-def _run_sharded(worker, args_list, workers: int) -> list[dict]:
+def _run_sharded(worker, args_list, workers: int, tables=None) -> list[dict]:
     """Run the shards, results in order; the pool never outnumbers shards or usable CPUs.
 
     The pool hands the shards out one at a time as its workers free up;
     each shard is a pure function of its arguments. Where the pool would
     have one process, the shards run in this one, and only a sweep that
-    starts a pool imports the process-pool modules.
+    starts a pool imports the process-pool modules. ``tables``, when
+    given, builds the tables the shards read; it runs here just before a
+    pool starts, so that forked workers inherit them instead of each
+    building its own, and not at all when the shards run in this process.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pool_size = min(workers, len(args_list), cpus or 1)
     if pool_size <= 1:
         return [worker(a) for a in args_list]
+    if tables is not None:
+        tables()
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
@@ -788,10 +797,14 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
         raise ValueError(f"worker count must be an integer of at least 1, got {workers!r}")
     started = time.monotonic()
     count = workers * _PIECES_PER_WORKER if workers > 1 else 1
-    pieces = _shards(_stream_length(spec), count, 1 << _batch_bits(spec.order))
+    bits = _batch_bits(spec.order)
+    pieces = _shards(_stream_length(spec), count, 1 << bits)
     states = _piece_states(spec, [lo for lo, _ in pieces])
     args_list = [(spec, lo, hi, state, *extra) for (lo, hi), state in zip(pieces, states)]
-    return _run_sharded(shard, args_list, workers), time.monotonic() - started
+    # a sample canonicalises its equality hits only if it has any, so only
+    # an exhaustive sweep builds the relabelling tables up front
+    tables = partial(masks.build_tables, spec.order, bits, spec.mode == "exhaustive")
+    return _run_sharded(shard, args_list, workers, tables), time.monotonic() - started
 
 
 def _format_counterexample(n, mask, sigma_max, m, kap, lam, num, den) -> Counterexample:

@@ -3,14 +3,16 @@
 Nothing here calls back into the library's algorithms: distances come from
 Floyd-Warshall and, on mask rows, the frontier BFS that
 ``masks.sigma_vector`` used to run; strongness counts come from batched
-boolean matrix closure, connectivity from exhaustive subset removal, and
-isomorphism from a direct permutation search. Expected values in the tests
+boolean matrix closure, connectivity from exhaustive subset removal and,
+on a separations table, the flat row scans that ``masks.kappa_mask`` and
+``masks.lambda_mask`` used to run, and isomorphism from a direct
+permutation search. Expected values in the tests
 are frozen from these.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 
 import numpy as np
 
@@ -66,6 +68,34 @@ def frontier_sigma_vector(rows: list[int], n: int, full: int) -> list[int] | Non
             return None
         sigmas.append(total)
     return sigmas
+
+
+def flat_kappa_mask(mask: int, n: int, separations) -> int:
+    """Vertex connectivity by a flat scan of a separations table; 0 if not strong.
+
+    The path ``dgr.masks.kappa_mask`` had before it grouped the rows: the
+    |S| of the first (|S|, cut) row, in the table's increasing |S|, whose
+    cut the mask misses, else n - 1.
+    """
+    for s, cut in separations:
+        if not mask & cut:
+            return s
+    return n - 1
+
+
+def flat_lambda_mask(mask: int, n: int, separations) -> int:
+    """Edge connectivity by a flat scan of the S-empty rows of a separations table.
+
+    The path ``dgr.masks.lambda_mask`` had before it grouped the rows: the
+    least popcount of the mask's cells over the first 2**n - 2 rows, which
+    hold S empty, starting from n - 1.
+    """
+    least = n - 1
+    for _, cut in islice(separations, (1 << n) - 2):
+        arcs = (mask & cut).bit_count()
+        if arcs < least:
+            least = arcs
+    return least
 
 
 def reachable_from(order: int, arcs, start: int) -> set[int]:

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dgr import (
+    digraph_from_canonical_hex,
     enumerate_kappa_pc_family,
     evaluate_bound,
     kappa_pc_digraph,
@@ -15,6 +16,7 @@ from dgr import (
     remoteness,
     sharpness_guard,
 )
+from dgr import connectivity, core, masks
 from dgr.bounds import family_min_claim
 from dgr.constructions import backward_sum_size
 
@@ -263,3 +265,30 @@ class TestBoundVsFamily:
             Fraction(9, 3) + 2 - Fraction(1, 3) - Fraction(2, 8) - Fraction(star, 3 * 8)
         )
         assert corrected == rho
+
+
+class TestLambdaFinding:
+    """The kappa-digraph bound read at kappa := lambda fails at n = 7.
+
+    A recorded finding, not an asserted bound: the paper states no lambda
+    bound for strong digraphs, and this one, read at lambda where the paper
+    has kappa, falls below the remoteness of an order-7 digraph with
+    kappa = 1 and lambda = 2. At kappa = 1, a valid lambda bound as
+    kappa <= lambda, it holds.
+    """
+
+    FORM = "07003bfffffc71"
+
+    def test_order7_witness(self):
+        D = digraph_from_canonical_hex(self.FORM)
+        assert (D.order, D.size) == (7, 31)
+        assert [core.transmission(D, v) for v in range(7)] == [10, 10, 6, 6, 6, 7, 14]
+        rho, _ = remoteness(D)
+        assert rho == Fraction(7, 3)
+        assert connectivity.vertex_connectivity(D).value == 1
+        assert connectivity.edge_connectivity(D).value == 2
+        assert masks.kappa_lambda_mask(masks.mask_of_digraph(D), 7) == (1, 2)
+        at_lambda = evaluate_bound("kappa_digraph", 7, 31, kappa=2)
+        assert (at_lambda.value, at_lambda.m_star) == (Fraction(13, 6), 32)
+        assert at_lambda.value < rho
+        assert evaluate_bound("kappa_digraph", 7, 31, kappa=1).value == Fraction(17, 6) > rho

@@ -9,6 +9,7 @@ from dgr.connectivity import edge_connectivity, min_semidegree, vertex_connectiv
 from dgr.core import distance_profile, is_strong
 from dgr.masks import (
     _image_blocks,
+    _separation_groups,
     _separations,
     _vertex_sets,
     balance_plane,
@@ -18,6 +19,7 @@ from dgr.masks import (
     draw_cells,
     is_balanced,
     is_canonical,
+    kappa_lambda_mask,
     kappa_mask,
     kappa_planes,
     lambda_mask,
@@ -35,6 +37,8 @@ from oracles import (
     INF,
     brute_edge_connectivity,
     brute_vertex_connectivity,
+    flat_kappa_mask,
+    flat_lambda_mask,
     floyd_warshall,
     frontier_sigma_vector,
 )
@@ -539,6 +543,50 @@ def test_kappa_mask_matches_the_flows_on_drawn_dense_strong_masks(n):
             assert kappa == vertex_connectivity(digraph_of_mask(n, mask)).value, mask
             seen.add(kappa)
     assert seen == set(range(1, n))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_separation_groups_regroup_the_table(n):
+    # the same rows, by |S| and then by cut width, both increasing
+    groups = _separation_groups(n)
+    assert len(groups) == n
+    regrouped = [
+        (s, cut) for s, by_width in enumerate(groups) for _, cuts in by_width for cut in cuts
+    ]
+    assert sorted(regrouped) == sorted(_separations(n))
+    for by_width in groups:
+        widths = [width for width, _ in by_width]
+        assert widths == sorted(set(widths))
+        assert all(cut.bit_count() == width for width, cuts in by_width for cut in cuts)
+
+
+def _assert_walks_match_the_flat_scans(n, draws):
+    """kappa, lambda and the one-walk pair against the flat row scans they replaced."""
+    rows = _separations(n)
+    for mask in draws:
+        kappa, lam = flat_kappa_mask(mask, n, rows), flat_lambda_mask(mask, n, rows)
+        assert (kappa_mask(mask, n), lambda_mask(mask, n)) == (kappa, lam), mask
+        assert kappa_lambda_mask(mask, n) == (kappa, lam), mask
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_walks_match_the_flat_scans_on_every_mask(n):
+    _assert_walks_match_the_flat_scans(n, range(tables_for(n).mask_count))
+
+
+def test_walks_match_the_flat_scans_on_the_order5_chain_stride():
+    _assert_walks_match_the_flat_scans(5, range(0, tables_for(5).mask_count, 101))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_walks_match_the_flat_scans_on_drawn_strong_masks(n):
+    # uniform to dense, then the complete digraph and it minus each arc
+    rng = random.Random(n)
+    draws = [mask for fill in range(1, 6) for mask in _strong_draws(n, rng, 100, fill)]
+    full = tables_for(n).mask_count - 1
+    draws += [full] + [full ^ 1 << k for k in range(n * (n - 1))]
+    _assert_walks_match_the_flat_scans(n, draws)
+    assert {kappa_mask(mask, n) for mask in draws} == set(range(1, n))
 
 
 def test_lambda_mask_of_complete_digraphs_is_n_minus_1():

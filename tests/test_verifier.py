@@ -138,8 +138,34 @@ def _piece_draws(spec, pieces):
     return [mask for _pos, seq in _piece_batches(spec, pieces) for mask in seq]
 
 
+def _oracle_connectivity(monkeypatch, kappa=None, lam=None):
+    """Replace kappa and/or lambda, given as functions of n, wherever the scalar oracle reads them.
+
+    The chain lanes read both from ``kappa_lambda_mask``, the other lanes
+    from ``kappa_mask`` and ``lambda_mask``.
+    """
+    import dgr.masks as masks_mod
+
+    real = masks_mod.kappa_lambda_mask
+
+    def pair(mask, n):
+        k, l = real(mask, n)
+        return (k if kappa is None else kappa(n)), (l if lam is None else lam(n))
+
+    monkeypatch.setattr(masks_mod, "kappa_lambda_mask", pair)
+    if kappa is not None:
+        monkeypatch.setattr(masks_mod, "kappa_mask", lambda mask, n: kappa(n))
+    if lam is not None:
+        monkeypatch.setattr(masks_mod, "lambda_mask", lambda mask, n: lam(n))
+
+
 def _kappa_is_order(monkeypatch):
     """kappa = n disagrees with the kappa planes and breaks kappa <= lambda."""
+    _oracle_connectivity(monkeypatch, kappa=lambda n: n)
+
+
+def _kappa_only_is_order(monkeypatch):
+    """kappa = n from the kappa-only entry, which the lanes off the chain stride read."""
     import dgr.masks as masks_mod
 
     monkeypatch.setattr(masks_mod, "kappa_mask", lambda mask, n: n)
@@ -147,16 +173,30 @@ def _kappa_is_order(monkeypatch):
 
 def _lambda_is_zero(monkeypatch):
     """lambda = 0 breaks kappa <= lambda on every chain-stride candidate."""
-    import dgr.masks as masks_mod
-
-    monkeypatch.setattr(masks_mod, "lambda_mask", lambda rows, n: 0)
+    _oracle_connectivity(monkeypatch, lam=lambda n: 0)
 
 
 def _lambda_above_semidegree(monkeypatch):
     """lambda = n breaks lambda <= min semidegree on every chain-stride candidate."""
+    _oracle_connectivity(monkeypatch, lam=lambda n: n)
+
+
+def _walk_misses_one_arc(monkeypatch):
+    """The connectivity walks count one missing arc fewer than the mask lacks.
+
+    kappa's walk then skips the groups as wide as the missing arcs, and
+    lambda's stops one group early, wherever a walk runs.
+    """
     import dgr.masks as masks_mod
 
-    monkeypatch.setattr(masks_mod, "lambda_mask", lambda rows, n: n)
+    kappa_walk, lambda_walk = masks_mod._kappa_walk, masks_mod._lambda_walk
+    monkeypatch.setattr(
+        masks_mod, "_kappa_walk",
+        lambda mask, n, missing, start: kappa_walk(mask, n, missing - 1, start),
+    )
+    monkeypatch.setattr(
+        masks_mod, "_lambda_walk", lambda mask, n, missing: lambda_walk(mask, n, missing - 1)
+    )
 
 
 def _semidegree_is_zero(monkeypatch):
@@ -357,6 +397,27 @@ _ORDER6_ENTRY = {
 }
 _EVERY_LANE_ENTRIES = (*_ENTRY_POINTS, *_ORDER6_ENTRY)
 
+# The top kernel block of the exhaustive order-6 sweep, masks 2**30 - 2**14
+# .. 2**30 - 1: dense lanes, among them the complete digraph minus cell 4
+# (mask 2**30 - 17, on the chain stride), whose kappa and lambda are 4.
+_ORDER6_TOP = (1 << 30) - (1 << 14)
+_ORDER6_DENSE_ENTRY = {
+    "order6_dense_block": lambda: _sweep_shard((
+        EnumerationSpec(6, "strong"), _ORDER6_TOP, 1 << 30, None,
+        ("digraph_order", "size_digraph"),
+    )),
+}
+# The skip-rule sabotage changes a value only where the missing arcs are
+# exactly one cut (kappa) or all lie in one leaving cut (lambda). Neither
+# holds on a balanced digraph, as a balanced arc set cannot all leave one
+# vertex set, nor on the order-6 block above, whose lanes lack at least 11
+# arcs while a cut has at most 9 cells; so those entries cannot catch it
+# (test_walk_sabotage_changes_no_exempt_lane), and it has its own list.
+_WALK_SABOTAGE_ENTRIES = (
+    "universal_bounds", "extremal_uniqueness", "sampled_universal_bounds",
+    *_ORDER6_DENSE_ENTRY,
+)
+
 # order-5 exhaustive sweeps none of whose equality hits lies on the chain
 # stride (mask % 101 == 0); the lambda class is the N5_GOLDEN pin
 _ORDER5_WITNESS_SWEEPS = {
@@ -383,6 +444,9 @@ _CROSSCHECK_CASES = [
         (f"{name}-semidegree_chain", name, _semidegree_is_zero)
         for name in _EVERY_LANE_ENTRIES
     ),
+    # the lanes off the chain stride read kappa alone
+    *((f"{name}-kappa_only", name, _kappa_only_is_order) for name in _ORDER6_ENTRY),
+    *((f"{name}-walk_skip", name, _walk_misses_one_arc) for name in _WALK_SABOTAGE_ENTRIES),
     # the entry points with a class candidate on the object stride
     *(
         (f"{name}-{case}", name, sabotage)
@@ -493,7 +557,32 @@ class TestSharedKernel:
     def test_every_sweep_runs_the_crosschecks(self, monkeypatch, entry, sabotage):
         sabotage(monkeypatch)
         with pytest.raises(AssertionError):
-            {**_ENTRY_POINTS, **_ORDER5_WITNESS_SWEEPS, **_ORDER6_ENTRY}[entry]()
+            {
+                **_ENTRY_POINTS, **_ORDER5_WITNESS_SWEEPS, **_ORDER6_ENTRY,
+                **_ORDER6_DENSE_ENTRY,
+            }[entry]()
+
+    def test_walk_sabotage_changes_no_exempt_lane(self, monkeypatch):
+        # the entries left out of _WALK_SABOTAGE_ENTRIES read the same
+        # kappa and lambda with the sabotage as without: every balanced
+        # mask at n <= 4 and every mask of the order-6 block
+        import dgr.masks as masks_mod
+
+        exempt = [
+            (n, mask)
+            for n in range(2, 5)
+            for mask in range(1 << n * (n - 1))
+            if masks_mod.is_balanced(mask, n)
+        ]
+        exempt += [(6, mask) for mask in range(_ORDER6_BLOCK, _ORDER6_BLOCK + (1 << 14))]
+        dense = [(4, _ORDER4_COMPLETE ^ 1), (6, (1 << 30) - 17)]
+        expected = [masks_mod.kappa_lambda_mask(mask, n) for n, mask in exempt + dense]
+        assert expected[-2:] == [(2, 2), (4, 4)]
+        _walk_misses_one_arc(monkeypatch)
+        seen = [masks_mod.kappa_lambda_mask(mask, n) for n, mask in exempt + dense]
+        assert seen[:-2] == expected[:-2]
+        # on the complete digraph minus one arc it skips the one missed cut
+        assert seen[-2:] == [(3, 3), (5, 5)]
 
     def test_sampled_order5_sweep_runs_the_kappa_oracle(self, monkeypatch):
         # stride lanes are chosen by position in the sample, so an order-5
@@ -962,6 +1051,20 @@ def pool_sizes(monkeypatch) -> list[int]:
     return created
 
 
+# the per-order tables of dgr.masks that a sweep's shards read
+_SHARD_TABLES = (
+    "_vertex_sets", "_removal_arcs", "_separations", "_separation_groups", "_lane_cells",
+    "_transpose_stages", "_image_blocks", "_relabel_sources",
+)
+
+
+def _table_sizes(job) -> dict[str, int]:
+    """A shard that does no work: the entries of each table, as its process finds them."""
+    import dgr.masks as masks_mod
+
+    return {name: getattr(masks_mod, name).cache_info().currsize for name in _SHARD_TABLES}
+
+
 class TestWorkerClamp:
     def test_pool_never_outnumbers_shards_or_cpus(self, monkeypatch, pool_sizes):
         import dgr.verifier as verifier_mod
@@ -1047,6 +1150,34 @@ class TestWorkerClamp:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         pooled = (cpus or 1) > 1
         assert seen["after"] == (["concurrent.futures", "multiprocessing"] if pooled else [])
+
+    def test_pool_workers_inherit_the_tables(self):
+        # the sweep builds its order's tables just before it starts a pool,
+        # so a forked worker finds them built before its first shard; the
+        # relabelling tables only for an exhaustive spec, and nothing when
+        # the shards run in this process
+        import multiprocessing
+
+        import dgr.masks as masks_mod
+        import dgr.verifier as verifier_mod
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2 or multiprocessing.get_start_method() != "fork":
+            pytest.skip("the tables are inherited by forked pool workers only")
+        sampled = EnumerationSpec(6, mode="sampled", samples=40_000, seed=1)
+        exhaustive = EnumerationSpec(6)
+        relabelling = {"_image_blocks", "_relabel_sources"}
+        for spec, workers, built in (
+            (sampled, 1, set()),
+            (sampled, 2, set(_SHARD_TABLES) - relabelling),
+            (exhaustive, 2, set(_SHARD_TABLES)),
+        ):
+            for name in _SHARD_TABLES:
+                getattr(masks_mod, name).cache_clear()
+            sizes, _ = verifier_mod._sweep(_table_sizes, spec, workers)
+            assert len(sizes) > 1 or workers == 1
+            for seen in sizes:
+                assert {name for name, size in seen.items() if size} == built
 
     def test_sampled_pool_matches_one_process(self):
         spec = {"mode": "sampled", "samples": 20_000, "seed": 1}
