@@ -5,18 +5,23 @@ order, or a seeded pseudorandom sample), filters them into a class, and
 tests a universal statement against invariants computed directly on each
 instance. Both modes reach order ``ENUMERATION_MAX_ORDER`` (6). Every
 sweep and ``enumerate_digraphs`` share one kernel, ``_members``, which
-filters a contiguous stretch of the spec's stream and runs the strided
+filters one piece of the spec's stream and runs the strided
 cross-checks; each check only consumes the members.
 
-Every stretch goes through the block kernel (``masks.block_planes`` and
-``masks.kappa_planes``) in batches of up to 2**bits lanes,
-``bits = min(n(n-1), _BLOCK_BITS)``: an exhaustive stretch in aligned
-blocks of consecutive masks, where a valid-lane plane masks off the
-lanes outside the stretch, a sampled stretch in runs of consecutive
-draws, each batch from one call of the seeded generator, transposed to
-planes by ``masks.draw_cells``. A sampled piece starts from the
-generator state at its first draw, which the sweep finds in one pass
-over the stream and hands over, so no piece replays the draws before it.
+``_pieces`` cuts a spec's stream into pieces, and it alone reads the
+spec's mode. A piece is a plain, picklable value that makes its own
+batches of up to 2**bits lanes, ``bits = min(n(n-1), _BLOCK_BITS)``,
+for the block kernel (``masks.block_planes`` and ``masks.kappa_planes``):
+a ``_Blocks`` piece is a mask range, cut into aligned blocks of
+consecutive masks, where a valid-lane plane masks off the lanes outside
+the piece; a ``_Draws`` piece is a run of seeded draws, each batch from
+one call of the generator, transposed to planes by ``masks.draw_cells``.
+A ``_Draws`` piece starts from the generator state at its first draw,
+which ``_pieces`` finds in one pass over the stream and hands over, so
+no piece replays the draws before it. A piece's ``orbit_minimal`` flag
+says whether it holds the least labeling of every class it hits, which
+decides how ``_witnesses`` finds canonical forms.
+
 A batch is one ``_Batch`` record: lane i is the mask ``seq[i]`` at
 stream position ``pos + i``, and its cell planes serve every plane
 kernel. Before any BFS kernel runs, the class's cheap tests are decided
@@ -28,8 +33,8 @@ by ``_gather`` into one dense batch, transposed by ``masks.draw_cells``,
 and every later kernel and the oracle run on that. Members come out once
 per batch, as cells: planes of lanes sharing (kappa, lambda, sigma_max,
 m), split in that order, which the checks weight by their popcount.
-Equality hits gather into one plane per batch, and on an exhaustive
-block ``masks.orbit_min_planes`` decides which of them are the
+Equality hits gather into one plane per batch, and on an orbit-minimal
+piece ``masks.orbit_min_planes`` decides which of them are the
 orbit-minimal witnesses. Lanes are pulled out one by one, in increasing
 lane order within a plane, only for scalar work: violations, witnesses,
 sampled equality hits, and lambda where a class or bound needs it. The
@@ -45,10 +50,10 @@ chain-stride equality hits ``masks.is_canonical`` must agree with the
 orbit-minimality planes, and every witness they keep must pass it.
 
 The shards keep no count of members of their own: the report of a
-sweep over the stream reads ``instances_examined`` from the merged
-``stats["members"]``, which ``_members`` counts, and a bound's
-``skipped_inapplicable`` is the sum of column 1 (skipped) of its merged
-``by_m`` rows.
+sweep over the stream reads ``instances_examined`` from the
+``stats["members"]`` that ``_members`` counts and ``_sweep`` merges,
+and a bound's ``skipped_inapplicable`` is the sum of column 1 (skipped)
+of its merged ``by_m`` rows.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -131,6 +136,12 @@ class EnumerationSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
+        # bool is an int subclass; it is refused too, as the report header
+        # would record it as true
+        for name in ("order", "param", "samples", "seed"):
+            value = getattr(self, name)
+            if value is not None and type(value) is not int:
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (1 <= self.order <= ENUMERATION_MAX_ORDER):
             raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}")
         if self.class_filter not in _FILTERS:
@@ -294,39 +305,6 @@ def digraph_from_canonical_hex(canonical_hex: str) -> Digraph:
     return masks.digraph_of_mask(n, mask)
 
 
-def _stream_length(spec: EnumerationSpec) -> int:
-    if spec.mode == "sampled":
-        return spec.samples
-    return masks.tables_for(spec.order).mask_count
-
-
-def _piece_states(spec: EnumerationSpec, positions: Sequence[int]) -> list[tuple | None]:
-    """The generator state at each of ``positions``, in increasing order.
-
-    None at every position of an exhaustive spec. For a sampled spec one
-    ``random.Random(seed)`` walks the stream once: a draw takes one 32-bit
-    output of the generator (none at order 1, where ``getrandbits(0)``
-    takes none), skipped at most a batch of outputs per call, so no int
-    wider than one batch is built. A piece that starts from its state
-    draws exactly the draws that the single-process stream has there.
-    """
-    if spec.mode != "sampled":
-        return [None] * len(positions)
-    rng = random.Random(spec.seed)
-    per_draw = 1 if masks.tables_for(spec.order).num_cells else 0
-    states = []
-    at = 0
-    for lo in positions:
-        skip = (lo - at) * per_draw
-        at = lo
-        while skip:
-            step = min(skip, 1 << _BLOCK_BITS)
-            rng.getrandbits(32 * step)
-            skip -= step
-        states.append(rng.getstate())
-    return states
-
-
 def _draws(rng: random.Random, bits: int, count: int) -> array:
     """The next ``count`` values of ``rng.getrandbits(bits)``, from one generator call.
 
@@ -351,10 +329,6 @@ def _new_stats() -> dict:
     return dict.fromkeys(_STAT_KEYS, 0)
 
 
-def _merge_stats(partials: list[dict]) -> dict:
-    return {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
-
-
 # (plane, m, sigma_max, kappa, lambda): the members of a batch, for the set
 # bits of plane, that share m, sigma_max, kappa and lambda
 _Cell = tuple[int, int, int, int | None, int | None]
@@ -363,12 +337,12 @@ _Cell = tuple[int, int, int, int | None, int | None]
 class _Batch(NamedTuple):
     """One kernel batch: lane i is the mask ``seq[i]``.
 
-    As ``_batches`` yields it, lane i is at stream position ``pos + i``:
-    the position is the mask itself when exhaustive and the draw's index
-    in the whole sample when sampled. ``valid`` holds the lanes inside the
-    stretch swept; ``cells`` and ``ones`` are the batch's arc-cell planes
-    and all-lanes plane, which every plane kernel reads ([] and 0 for an
-    exhaustive block too small for ``m_min``). ``chain`` and ``objects``
+    As a piece's ``batches`` yields it, lane i is at stream position
+    ``pos + i``: the position is the mask itself in a ``_Blocks`` piece and
+    the draw's index in the whole sample in a ``_Draws`` piece. ``valid``
+    holds the lanes inside the piece; ``cells`` and ``ones`` are the
+    batch's arc-cell planes and all-lanes plane, which every plane kernel
+    reads ([] and 0 for an exhaustive block too small for ``m_min``). ``chain`` and ``objects``
     are the stride planes of ``_stride_planes``, which ``_members``
     decides by stream position. A batch that ``_gather``
     packs keeps ``pos``, its first stream position, and carries its stride
@@ -384,24 +358,29 @@ class _Batch(NamedTuple):
     objects: int = 0
 
 
-def _batches(
-    spec: EnumerationSpec, lo: int, hi: int, rng_state: tuple | None, bits: int, m_min: int = 0
-) -> Iterator[_Batch]:
-    """Masks lo..hi-1 of the stream, one ``_Batch`` per kernel batch.
+class _Blocks(NamedTuple):
+    """Masks lo..hi-1 of an exhaustive spec's stream: one piece of a sweep.
 
-    An exhaustive stretch is cut into aligned blocks of 2**bits consecutive
-    masks, a block cut by a shard edge keeping only its valid lanes. A
-    block has ``bits`` varying cells and the set bits of ``base >> bits``
-    as constant ones, so a block whose masks all have fewer than ``m_min``
-    arcs is known from its base and comes without cell planes. A sampled
-    stretch starts from ``rng_state``, the generator state at draw lo
-    (``_piece_states``), and is cut into batches of up to 2**bits draws,
-    each from one generator call (``_draws``) and transposed to planes by
-    ``masks.draw_cells``.
+    A piece is a plain value, so it pickles to a pool worker, and it makes
+    its own batches. A mask range holds the least labeling of every class
+    it hits, so its witnesses are the orbit-minimal hits.
     """
-    n = spec.order
-    width = 1 << bits
-    if spec.mode == "exhaustive":
+
+    spec: EnumerationSpec
+    lo: int
+    hi: int
+    orbit_minimal = True
+
+    def batches(self, bits: int, m_min: int = 0) -> Iterator[_Batch]:
+        """One ``_Batch`` per aligned block of 2**bits consecutive masks.
+
+        A block cut by a piece edge keeps only its valid lanes. A block has
+        ``bits`` varying cells and the set bits of ``base >> bits`` as
+        constant ones, so a block whose masks all have fewer than ``m_min``
+        arcs is known from its base and comes without cell planes.
+        """
+        n, lo, hi = self.spec.order, self.lo, self.hi
+        width = 1 << bits
         for base in range(lo - lo % width, hi, width):
             start, stop = max(lo - base, 0), min(hi - base, width)
             cells, ones = (
@@ -409,13 +388,70 @@ def _batches(
                 if bits + (base >> bits).bit_count() >= m_min else ([], 0)
             )
             yield _Batch(range(base, base + width), base, (1 << stop) - (1 << start), cells, ones)
-        return
-    rng = random.Random()
-    rng.setstate(rng_state)
-    for pos in range(lo, hi, width):
-        seq = _draws(rng, masks.tables_for(n).num_cells, min(width, hi - pos))
-        cells, ones = masks.draw_cells(n, seq)
-        yield _Batch(seq, pos, ones, cells, ones)
+
+
+class _Draws(NamedTuple):
+    """Draws lo..hi-1 of a sampled spec's stream: one piece of a sweep.
+
+    ``state`` is the generator state at draw lo, which ``_pieces`` hands
+    over, so the piece draws exactly what the single-process stream has
+    there. A sample need not hold an orbit's minimum, so its equality hits
+    are canonicalised lane by lane.
+    """
+
+    spec: EnumerationSpec
+    lo: int
+    hi: int
+    state: tuple
+    orbit_minimal = False
+
+    def batches(self, bits: int, m_min: int = 0) -> Iterator[_Batch]:
+        """One ``_Batch`` per run of up to 2**bits draws, each from one generator call.
+
+        Every batch has its cell planes, transposed by ``masks.draw_cells``;
+        ``_members`` applies ``m_min`` to them.
+        """
+        n = self.spec.order
+        num_cells = masks.tables_for(n).num_cells
+        rng = random.Random()
+        rng.setstate(self.state)
+        for pos in range(self.lo, self.hi, 1 << bits):
+            seq = _draws(rng, num_cells, min(1 << bits, self.hi - pos))
+            cells, ones = masks.draw_cells(n, seq)
+            yield _Batch(seq, pos, ones, cells, ones)
+
+
+_Piece = _Blocks | _Draws
+
+
+def _pieces(spec: EnumerationSpec, count: int, width: int) -> list[_Piece]:
+    """The spec's stream cut into at most ``count`` contiguous pieces, at multiples of ``width``.
+
+    The only reader of ``spec.mode`` outside the spec: an exhaustive
+    stream is the mask range 0..mask_count-1, a sampled one the draws
+    0..samples-1. For a sampled spec one ``random.Random(seed)`` walks the
+    stream once to each piece's first draw: a draw takes one 32-bit output
+    of the generator (none at order 1, where ``getrandbits(0)`` takes
+    none), skipped at most a batch of outputs per call, so no int wider
+    than one batch is built and no piece replays the draws before it.
+    Boundaries never influence merged results.
+    """
+    t = masks.tables_for(spec.order)
+    exhaustive = spec.mode == "exhaustive"
+    total = t.mask_count if exhaustive else spec.samples
+    step = width * -(-total // (width * count))
+    cuts = [(lo, min(total, lo + step)) for lo in range(0, total, step)]
+    if exhaustive:
+        return [_Blocks(spec, lo, hi) for lo, hi in cuts]
+    rng = random.Random(spec.seed)
+    output_bits = 32 if t.num_cells else 0
+    pieces, at = [], 0
+    for lo, hi in cuts:
+        for pos in range(at, lo, 1 << _BLOCK_BITS):
+            rng.getrandbits(output_bits * min(1 << _BLOCK_BITS, lo - pos))
+        pieces.append(_Draws(spec, lo, hi, rng.getstate()))
+        at = lo
+    return pieces
 
 
 def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int]:
@@ -461,19 +497,15 @@ def _pick(plane: int, picked: list[int]) -> int:
 
 
 def _members(
-    spec: EnumerationSpec,
-    lo: int,
-    hi: int,
-    rng_state: tuple | None,
+    piece: _Piece,
     stats: dict,
     need_kappa: bool = False,
     need_lambda: bool = False,
     m_min: int = 0,
 ) -> Iterator[tuple[_Batch, list[_Cell]]]:
-    """Class members among masks lo..hi-1 of the stream: the loop of every sweep.
+    """Class members among the masks of one piece of the stream: the loop of every sweep.
 
-    ``rng_state`` is the generator state at draw lo of a sampled stream,
-    None when exhaustive. Yields ``(batch, cells)`` per batch that can
+    Yields ``(batch, cells)`` per batch of the piece that can
     hold a member, its cells disjoint; only masks with at least ``m_min``
     arcs are scanned. Before any plane kernel, the whole batch is
     prefiltered by the class's cheap tests (size for ``m_min``, balance
@@ -485,6 +517,7 @@ def _members(
     otherwise; below order 2 they are never computed and count as 0
     against a class threshold.
     """
+    spec = piece.spec
     n = spec.order
     t = masks.tables_for(n)
     kappa_min = spec.param if spec.class_filter.endswith("_kappa") else 0
@@ -492,13 +525,13 @@ def _members(
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
     balanced_only = spec.class_filter.startswith("eulerian")
-    for batch in _batches(spec, lo, hi, rng_state, _batch_bits(n), m_min):
+    for batch in piece.batches(_batch_bits(n), m_min):
         valid = batch.valid
         stats["masks"] += valid.bit_count()
         stats["blocks"] += 1
         if m_min:
             # a lane has at most as many arcs as the batch has nonzero cells;
-            # a block that _batches already knows to be too small has none
+            # a block that the piece already knows to be too small has none
             if sum(1 for plane in batch.cells if plane) < m_min:
                 continue
             sizes = masks.value_planes(masks.size_counter(batch.cells), valid)
@@ -615,8 +648,8 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     mask order; sampled mode draws ``samples`` masks from the seeded
     generator and yields those passing the filter (duplicates possible).
     """
-    rng_state = _piece_states(spec, [0])[0]
-    for batch, cells in _members(spec, 0, _stream_length(spec), rng_state, _new_stats()):
+    (piece,) = _pieces(spec, 1, 1)
+    for batch, cells in _members(piece, _new_stats()):
         # the cells are disjoint, so their sum is their union
         for i in masks.lanes(sum(plane for plane, *_ in cells)):
             yield masks.digraph_of_mask(spec.order, batch.seq[i])
@@ -656,7 +689,7 @@ def _object_crosscheck(n: int, mask: int, sigmas, kap, lam) -> None:
             assert conn_mod.edge_connectivity(D).value == lam, mask
 
 
-def _witnesses(spec: EnumerationSpec, batch: _Batch, hits: int, stats: dict) -> dict[int, int]:
+def _witnesses(piece: _Piece, batch: _Batch, hits: int, stats: dict) -> dict[int, int]:
     """Lane to canonical form, for the lanes of ``hits`` that give a witness.
 
     ``hits`` is the union of a batch's equality lanes. Every sweep decision
@@ -666,11 +699,11 @@ def _witnesses(spec: EnumerationSpec, batch: _Batch, hits: int, stats: dict) -> 
     the canonical forms of all hits. On the chain stride (every hit at
     n <= 4) the plane bit must equal ``masks.is_canonical``'s verdict;
     every kept witness, on the stride or not, must pass it.
-    A sample need not hold an orbit's minimum; its hits are canonicalised
-    lane by lane.
+    A piece that is not ``orbit_minimal``, a sample, need not hold an
+    orbit's minimum; its hits are canonicalised lane by lane.
     """
-    n, seq = spec.order, batch.seq
-    if spec.mode == "sampled":
+    n, seq = piece.spec.order, batch.seq
+    if not piece.orbit_minimal:
         return {i: masks.canonical_mask(n, seq[i]) for i in _pull(hits, stats)}
     stats["orbit_min_lanes"] += hits.bit_count()
     minimal = masks.orbit_min_planes(n, batch.cells, hits)
@@ -684,22 +717,20 @@ def _witnesses(spec: EnumerationSpec, batch: _Batch, hits: int, stats: dict) -> 
     return forms
 
 
-def _sweep_shard(args) -> dict:
-    """Worker body for universal bound sweeps over one stretch of the stream.
+def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
+    """Worker body for universal bound sweeps over one piece of the stream.
 
     Each cell is weighed once per bound; its lanes are pulled out only to
     record violations. A bound's equality lanes gather into one plane per
     batch, which ``_witnesses`` turns into canonical forms.
     """
-    spec, lo, hi, rng_state, bound_ids = args
-    n = spec.order
+    n = piece.spec.order
     stats = _new_stats()
     per_bound = {bid: {"violations": [], "equality": set(), "by_m": {}} for bid in bound_ids}
     takes_kappa = bounds_mod._NEEDS_KAPPA.intersection(bound_ids)
     takes_lambda = bounds_mod._NEEDS_LAMBDA.intersection(bound_ids)
     batches = _members(
-        spec, lo, hi, rng_state, stats,
-        need_kappa=bool(takes_kappa), need_lambda=bool(takes_lambda),
+        piece, stats, need_kappa=bool(takes_kappa), need_lambda=bool(takes_lambda)
     )
     for batch, cells in batches:
         attained = dict.fromkeys(bound_ids, 0)  # equality lanes per bound
@@ -734,7 +765,7 @@ def _sweep_shard(args) -> dict:
         if not hits:
             continue
         # one witness form per mask, shared by every bound it attains
-        forms = _witnesses(spec, batch, hits, stats)
+        forms = _witnesses(piece, batch, hits, stats)
         for bid, plane in attained.items():
             per_bound[bid]["equality"].update(
                 form for i, form in forms.items() if plane >> i & 1
@@ -742,37 +773,27 @@ def _sweep_shard(args) -> dict:
     return {"per_bound": per_bound, "stats": stats}
 
 
-def _shards(total: int, count: int, width: int = 1) -> list[tuple[int, int]]:
-    """At most ``count`` contiguous ranges of 0..total-1, cut at multiples of ``width``.
+def _run_sharded(worker, pieces, workers: int, tables=None) -> list[dict]:
+    """``worker`` on each piece, results in order; the pool never outnumbers pieces or usable CPUs.
 
-    Boundaries never influence merged results.
-    """
-    units = -(-total // width)
-    step = width * -(-units // max(1, count))
-    return [(lo, min(total, lo + step)) for lo in range(0, total, step)]
-
-
-def _run_sharded(worker, args_list, workers: int, tables=None) -> list[dict]:
-    """Run the shards, results in order; the pool never outnumbers shards or usable CPUs.
-
-    The pool hands the shards out one at a time as its workers free up;
-    each shard is a pure function of its arguments. Where the pool would
-    have one process, the shards run in this one, and only a sweep that
+    The pool hands the pieces out one at a time as its workers free up;
+    ``worker`` is a pure function of its piece. Where the pool would
+    have one process, the pieces run in this one, and only a sweep that
     starts a pool imports the process-pool modules. ``tables``, when
     given, builds the tables the shards read; it runs here just before a
     pool starts, so that forked workers inherit them instead of each
-    building its own, and not at all when the shards run in this process.
+    building its own, and not at all when the pieces run in this process.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    pool_size = min(workers, len(args_list), cpus or 1)
+    pool_size = min(workers, len(pieces), cpus or 1)
     if pool_size <= 1:
-        return [worker(a) for a in args_list]
+        return [worker(piece) for piece in pieces]
     if tables is not None:
         tables()
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(worker, args_list))
+        return list(pool.map(worker, pieces))
 
 
 def _batch_bits(n: int) -> int:
@@ -780,31 +801,30 @@ def _batch_bits(n: int) -> int:
     return min(masks.tables_for(n).num_cells, _BLOCK_BITS)
 
 
-def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dict], float]:
-    """Run ``shard`` over contiguous stretches of the spec's mask stream.
+def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dict], dict, float]:
+    """Run ``shard(*extra, piece)`` over the pieces of the spec's stream.
 
-    One stretch at one worker; otherwise about ``_PIECES_PER_WORKER``
+    One piece at one worker; otherwise about ``_PIECES_PER_WORKER``
     pieces per worker, each whole kernel batches, so the batches and the
     stats are the same at every worker count and a worker that falls
-    behind takes fewer pieces instead of holding up the sweep. Each shard
-    receives ``(spec, lo, hi, rng_state, *extra)``, where ``rng_state``
-    is the generator state at draw lo of a sampled stream (None when
-    exhaustive), found by one pass here, so a piece never replays the draws
-    before it. Returns the partial results in stream order and the wall
-    time of the sweep. ``workers`` must be an integer of at least 1.
+    behind takes fewer pieces instead of holding up the sweep. The shard
+    goes to the pool bound to ``extra`` by ``functools.partial``, which
+    pickles. Returns the partial results in stream order, their merged
+    ``stats`` and the wall time of the sweep. ``workers`` must be an
+    integer of at least 1.
     """
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ValueError(f"worker count must be an integer of at least 1, got {workers!r}")
     started = time.monotonic()
     count = workers * _PIECES_PER_WORKER if workers > 1 else 1
     bits = _batch_bits(spec.order)
-    pieces = _shards(_stream_length(spec), count, 1 << bits)
-    states = _piece_states(spec, [lo for lo, _ in pieces])
-    args_list = [(spec, lo, hi, state, *extra) for (lo, hi), state in zip(pieces, states)]
+    pieces = _pieces(spec, count, 1 << bits)
     # a sample canonicalises its equality hits only if it has any, so only
-    # an exhaustive sweep builds the relabelling tables up front
-    tables = partial(masks.build_tables, spec.order, bits, spec.mode == "exhaustive")
-    return _run_sharded(shard, args_list, workers, tables), time.monotonic() - started
+    # orbit-minimal pieces build the relabelling tables up front
+    tables = partial(masks.build_tables, spec.order, bits, pieces[0].orbit_minimal)
+    partials = _run_sharded(partial(shard, *extra), pieces, workers, tables)
+    stats = {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
+    return partials, stats, time.monotonic() - started
 
 
 def _format_counterexample(n, mask, sigma_max, m, kap, lam, num, den) -> Counterexample:
@@ -852,8 +872,7 @@ def check_universal_bounds(
     if "digraph_order" in bound_ids and n < 3:
         raise ValueError("digraph_order needs order >= 3")
     spec = EnumerationSpec(n, class_filter, param, mode, samples, seed)
-    partials, elapsed = _sweep(_sweep_shard, spec, workers, tuple(bound_ids))
-    stats = _merge_stats(partials)
+    partials, stats, elapsed = _sweep(_sweep_shard, spec, workers, tuple(bound_ids))
     reports = []
     for bid in bound_ids:
         raw_violations = [v for p in partials for v in p["per_bound"][bid]["violations"]]
@@ -911,14 +930,13 @@ def check_universal_bound(
     )[0]
 
 
-def _uniqueness_shard(args) -> dict:
-    spec, lo, hi, rng_state, m_min, target_num, target_den = args
-    n = spec.order
+def _uniqueness_shard(m_min: int, target_num: int, target_den: int, piece: _Piece) -> dict:
+    n = piece.spec.order
     stats = _new_stats()
     hits = []
     breaches = []
     rhs = target_num * (n - 1)
-    for batch, cells in _members(spec, lo, hi, rng_state, stats, m_min=m_min):
+    for batch, cells in _members(piece, stats, m_min=m_min):
         attained = 0
         for plane, m, sigma_max, _kap, _lam in cells:
             lhs = sigma_max * target_den
@@ -927,7 +945,7 @@ def _uniqueness_shard(args) -> dict:
             elif lhs > rhs:
                 breaches.extend((batch.seq[i], sigma_max, m) for i in _pull(plane, stats))
         if attained:
-            hits.extend(_witnesses(spec, batch, attained, stats).values())
+            hits.extend(_witnesses(piece, batch, attained, stats).values())
     return {"hits": hits, "breaches": breaches, "stats": stats}
 
 
@@ -953,10 +971,9 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     rho_star, _ = remoteness(extremal)
     expected = canonical_form(extremal).hex()
 
-    partials, elapsed = _sweep(
+    partials, stats, elapsed = _sweep(
         _uniqueness_shard, spec, workers, m, rho_star.numerator, rho_star.denominator
     )
-    stats = _merge_stats(partials)
     hits = [mask for p in partials for mask in p["hits"]]
     breaches = [b for p in partials for b in p["breaches"]]
 
@@ -1027,8 +1044,8 @@ def _profile_oracle(n: int, batch: _Batch, chain: int, profiles: list[dict]) -> 
     )
 
 
-def _eulerian_shard(args) -> dict:
-    """Worker body of the Eulerian size theorem over one stretch of the stream.
+def _eulerian_shard(piece: _Piece) -> dict:
+    """Worker body of the Eulerian size theorem over one piece of the stream.
 
     Per batch, the members' distance profiles come as planes from
     ``masks.profile_planes`` on the block's own cells; the diameter is
@@ -1037,13 +1054,12 @@ def _eulerian_shard(args) -> dict:
     over the cap are pulled out, and the lanes at the cap go to
     ``_witnesses``.
     """
-    spec, lo, hi, rng_state = args
-    n = spec.order
+    n = piece.spec.order
     stats = _new_stats()
     violations = []
     mismatches = []
     equality = set()
-    for batch, cells in _members(spec, lo, hi, rng_state, stats):
+    for batch, cells in _members(piece, stats):
         by_m: dict[int, int] = {}
         for plane, m, *_ in cells:
             by_m[m] = by_m.get(m, 0) | plane
@@ -1082,7 +1098,7 @@ def _eulerian_shard(args) -> dict:
         hits = 0
         for plane in attained.values():
             hits |= plane
-        for i, form in _witnesses(spec, batch, hits, stats).items():
+        for i, form in _witnesses(piece, batch, hits, stats).items():
             for (v, counts), plane in attained.items():
                 if not plane >> i & 1:
                     continue
@@ -1107,8 +1123,7 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     sequential sum of those blocks (checked by canonical form).
     """
     spec = EnumerationSpec(n, "eulerian")
-    partials, elapsed = _sweep(_eulerian_shard, spec, workers)
-    stats = _merge_stats(partials)
+    partials, stats, elapsed = _sweep(_eulerian_shard, spec, workers)
     violations = []
     for p in partials:
         for mask, v, counts, m, cap in p["violations"]:

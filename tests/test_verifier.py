@@ -31,7 +31,7 @@ from dgr import (
     remoteness,
 )
 from dgr.masks import canonical_mask, digraph_of_mask, draw_cells, lanes, mask_of_digraph
-from dgr.verifier import _gather, _stride_planes, _sweep_shard
+from dgr.verifier import _Blocks, _Draws, _gather, _pieces, _stride_planes, _sweep_shard
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
 from test_core import dpk_2121
@@ -88,6 +88,29 @@ class TestEnumeration:
         with pytest.raises(ValueError, match="parameter"):
             EnumerationSpec(4, "strong_kappa")
 
+    @pytest.mark.parametrize(
+        "given",
+        [
+            {"order": 4, "mode": "sampled", "samples": 2.5, "seed": 1},
+            {"order": 4, "mode": "sampled", "samples": "10", "seed": 1},
+            {"order": 4, "mode": "sampled", "samples": 10, "seed": 1.5},
+            {"order": 4, "mode": "sampled", "samples": 10, "seed": "7"},
+            {"order": 4, "mode": "sampled", "samples": 10, "seed": True},
+            {"order": True},
+            {"order": 4, "class_filter": "strong_kappa", "param": 1.5},
+        ],
+        ids=["samples-float", "samples-str", "seed-float", "seed-str", "seed-bool", "order-bool",
+             "param-float"],
+    )
+    def test_non_integer_fields_refused(self, given):
+        # the report header records these fields, so a run stays
+        # reproducible only if each is the integer it claims to be
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            EnumerationSpec(**given)
+        given = dict(given)
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            check_universal_bounds(given.pop("order"), bound_ids=("size_digraph",), **given)
+
     def test_negative_param_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             EnumerationSpec(6, "strong_kappa", param=-2, mode="sampled", samples=5, seed=1)
@@ -120,22 +143,34 @@ class TestEnumeration:
         assert tuple(sum(1 for _ in enumerate_digraphs(s)) for s in specs) == expected
 
 
-def _piece_batches(spec, pieces):
-    """(pos, seq) of every batch of a sampled spec's pieces, each piece from its own state."""
-    from dgr.verifier import _batch_bits, _batches, _piece_states
+def _piece(spec, lo, hi):
+    """The piece of ``spec``'s stream lo..hi-1.
 
-    bits = _batch_bits(spec.order)
-    starts = _piece_states(spec, [lo for lo, _ in pieces])
+    A sampled piece starts from the generator state that the per-draw
+    stream, ``getrandbits`` once per draw, leaves after draw lo - 1.
+    """
+    if spec.mode == "exhaustive":
+        return _Blocks(spec, lo, hi)
+    rng = random.Random(spec.seed)
+    for _ in range(lo):
+        rng.getrandbits(spec.order * (spec.order - 1))
+    return _Draws(spec, lo, hi, rng.getstate())
+
+
+def _piece_batches(pieces):
+    """(pos, seq) of every batch of the pieces, in piece order."""
+    from dgr.verifier import _batch_bits
+
     return [
         (batch.pos, list(batch.seq))
-        for (lo, hi), start in zip(pieces, starts)
-        for batch in _batches(spec, lo, hi, start, bits)
+        for piece in pieces
+        for batch in piece.batches(_batch_bits(piece.spec.order))
     ]
 
 
-def _piece_draws(spec, pieces):
+def _piece_draws(pieces):
     """The draws of a sampled spec's pieces, concatenated in piece order."""
-    return [mask for _pos, seq in _piece_batches(spec, pieces) for mask in seq]
+    return [mask for _pos, seq in _piece_batches(pieces) for mask in seq]
 
 
 def _oracle_connectivity(monkeypatch, kappa=None, lam=None):
@@ -390,10 +425,10 @@ _ENTRY_POINTS = {
 # 16 mod 101 and so off the chain stride.
 _ORDER6_BLOCK = 2133 << 14
 _ORDER6_ENTRY = {
-    "order6_block": lambda: _sweep_shard((
-        EnumerationSpec(6, "strong"), _ORDER6_BLOCK, _ORDER6_BLOCK + (1 << 14), None,
+    "order6_block": lambda: _sweep_shard(
         ("digraph_order", "size_digraph"),
-    )),
+        _Blocks(EnumerationSpec(6, "strong"), _ORDER6_BLOCK, _ORDER6_BLOCK + (1 << 14)),
+    ),
 }
 _EVERY_LANE_ENTRIES = (*_ENTRY_POINTS, *_ORDER6_ENTRY)
 
@@ -402,10 +437,10 @@ _EVERY_LANE_ENTRIES = (*_ENTRY_POINTS, *_ORDER6_ENTRY)
 # (mask 2**30 - 17, on the chain stride), whose kappa and lambda are 4.
 _ORDER6_TOP = (1 << 30) - (1 << 14)
 _ORDER6_DENSE_ENTRY = {
-    "order6_dense_block": lambda: _sweep_shard((
-        EnumerationSpec(6, "strong"), _ORDER6_TOP, 1 << 30, None,
+    "order6_dense_block": lambda: _sweep_shard(
         ("digraph_order", "size_digraph"),
-    )),
+        _Blocks(EnumerationSpec(6, "strong"), _ORDER6_TOP, 1 << 30),
+    ),
 }
 # The skip-rule sabotage changes a value only where the missing arcs are
 # exactly one cut (kappa) or all lie in one leaving cut (lambda). Neither
@@ -622,7 +657,7 @@ class TestSharedKernel:
     def test_odd_stretches_match_the_per_mask_kernel(
         self, spec, lo, hi, bound_ids, instances, digest, lanes
     ):
-        out = _sweep_shard((spec, lo, hi, None, bound_ids))
+        out = _sweep_shard(bound_ids, _Blocks(spec, lo, hi))
         assert shard_digest(out) == digest
         stats = out["stats"]
         assert (stats["masks"], stats["members"]) == (hi - lo, instances)
@@ -638,7 +673,7 @@ class TestSharedKernel:
         rho, _ = remoteness(dpk_select(6, 25, 2)[0])
         spec = EnumerationSpec(6, "strong_kappa", 2)
         lo, hi = (1 << 30) - (64 << 14), 1 << 30
-        out = _uniqueness_shard((spec, lo, hi, None, 25, rho.numerator, rho.denominator))
+        out = _uniqueness_shard(25, rho.numerator, rho.denominator, _Blocks(spec, lo, hi))
         assert out["hits"] == [] and out["breaches"] == []
         assert out["stats"] == {
             "masks": 1 << 20,
@@ -651,7 +686,6 @@ class TestSharedKernel:
 
     def test_blocks_too_small_for_m_min_build_no_planes(self, monkeypatch):
         import dgr.masks as masks_mod
-        from dgr.verifier import _batches
 
         # the last 1,024 order-6 blocks: a block's masks have at most its 14
         # low cells plus the set high cells of its base as arcs, so only the
@@ -663,7 +697,7 @@ class TestSharedKernel:
         )
         spec = EnumerationSpec(6, "strong_kappa", 2)
         lo, hi = (1 << 30) - (1024 << 14), 1 << 30
-        batches = list(_batches(spec, lo, hi, None, 14, 25))
+        batches = list(_Blocks(spec, lo, hi).batches(14, 25))
         assert [b.pos for b in batches] == list(range(lo, hi, 1 << 14))
         assert all(b.valid == (1 << (1 << 14)) - 1 for b in batches)
         nonzero = {b.pos: sum(1 for plane in real(6, b.pos, 14)[0] if plane) for b in batches}
@@ -682,7 +716,7 @@ class TestSharedKernel:
         # the kernel that decoded every lane: every batch is gathered to
         # its balanced lanes and its stride lanes
         spec = EnumerationSpec(6, "eulerian")
-        out = _eulerian_shard((spec, 700 << 20, 701 << 20, None))
+        out = _eulerian_shard(_Blocks(spec, 700 << 20, 701 << 20))
         assert out["violations"] == [] and out["mismatches"] == []
         assert out["equality"] == set()
         assert out["stats"] == {
@@ -707,11 +741,10 @@ class TestSharedKernel:
         ids=["n3", "n4", "n5", "n5-cut", "n6-sampled"],
     )
     def test_gather_packs_the_kept_lanes_in_lane_order(self, spec, lo, hi):
-        from dgr.verifier import _batch_bits, _batches, _piece_states
+        from dgr.verifier import _batch_bits
 
         n = spec.order
-        state = _piece_states(spec, [lo])[0]
-        batch = next(_batches(spec, lo, hi, state, _batch_bits(n)))
+        batch = next(_piece(spec, lo, hi).batches(_batch_bits(n)))
         chain, objects = _stride_planes(n, batch.pos, len(batch.seq), batch.valid)
         batch = batch._replace(chain=chain, objects=objects)
         # some valid lanes, and every stride lane, as _members keeps them
@@ -731,21 +764,35 @@ class TestSharedKernel:
         empty, picked = _gather(n, batch, 0)
         assert (list(empty.seq), empty.ones, empty.chain, picked) == ([], 0, 0, [])
 
+    @pytest.mark.parametrize("order", range(1, 7))
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_pieces_partition_the_stream(self, mode, order):
+        sampled = {"samples": 50_000, "seed": 3} if mode == "sampled" else {}
+        spec = EnumerationSpec(order, mode=mode, **sampled)
+        total = sampled["samples"] if sampled else 1 << order * (order - 1)
+        kind = _Draws if sampled else _Blocks
+        for width in (1, 1 << 14):
+            for count in range(1, 18):
+                pieces = _pieces(spec, count, width)
+                assert 1 <= len(pieces) <= count
+                assert all(type(piece) is kind and piece.spec == spec for piece in pieces)
+                bounds = [(piece.lo, piece.hi) for piece in pieces]
+                # contiguous, disjoint, in order and nonempty, covering the stream
+                assert [lo for lo, _ in bounds] == [0] + [hi for _, hi in bounds[:-1]]
+                assert bounds[-1][1] == total and all(lo < hi for lo, hi in bounds)
+                assert all(lo % width == 0 for lo, _ in bounds)
+
     @pytest.mark.parametrize("workers", [1, 2, 3])
     def test_sampled_shards_concatenate_to_the_seeded_draws(self, workers):
-        from dgr.verifier import _shards
-
         spec = EnumerationSpec(6, "strong", mode="sampled", samples=100, seed=7)
         rng = random.Random(7)
         draws = [rng.getrandbits(30) for _ in range(100)]
-        shards = _shards(100, workers)
-        assert len(shards) == workers
-        assert _piece_draws(spec, shards) == draws
+        pieces = _pieces(spec, workers, 1)
+        assert len(pieces) == workers
+        assert _piece_draws(pieces) == draws
 
     @pytest.mark.parametrize("order", [1, 2, 6])
     def test_batch_pieces_skip_to_their_own_draws(self, order):
-        from dgr.verifier import _shards
-
         # a pool sweep's pieces are whole batches; at order 6 the last
         # piece starts 49,152 draws in, past three batches of the generator
         spec = EnumerationSpec(order, "strong", mode="sampled", samples=50_000, seed=7)
@@ -753,9 +800,9 @@ class TestSharedKernel:
         bits = order * (order - 1)
         draws = [rng.getrandbits(bits) for _ in range(50_000)]
         width = 1 << min(bits, 14)
-        pieces = _shards(50_000, 16, width)
-        assert len(pieces) > 1 and all(lo % width == 0 for lo, _ in pieces)
-        assert _piece_draws(spec, pieces) == draws
+        pieces = _pieces(spec, 16, width)
+        assert len(pieces) > 1 and all(piece.lo % width == 0 for piece in pieces)
+        assert _piece_draws(pieces) == draws
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
     def test_sampled_batches_are_the_per_draw_stream(self, order):
@@ -770,7 +817,7 @@ class TestSharedKernel:
         # past order 1 the second piece starts mid-batch, and each piece
         # ends in a short batch
         pieces = [(0, width // 2 + 1), (width // 2 + 1, samples)]
-        batches = _piece_batches(spec, pieces)
+        batches = _piece_batches([_piece(spec, lo, hi) for lo, hi in pieces])
         assert [(pos, len(seq)) for pos, seq in batches] == [
             (pos, min(width, hi - pos)) for lo, hi in pieces for pos in range(lo, hi, width)
         ]
@@ -793,21 +840,19 @@ class TestSharedKernel:
         with pytest.raises(AssertionError, match="32-bit"):
             _draws(random.Random(1), 33, 1)
 
-    def test_piece_states_build_no_int_wider_than_a_batch(self):
+    def test_piece_hand_over_builds_no_int_wider_than_a_batch(self):
         import tracemalloc
-
-        from dgr.verifier import _piece_states, _shards
 
         # the sweep's pass to the 16 piece starts of a 4,000,000-draw
         # sample walks 3.75 million generator outputs, at most 2**14 a call
         spec = EnumerationSpec(6, "strong", mode="sampled", samples=4_000_000, seed=7)
-        pieces = _shards(4_000_000, 16, 1 << 14)
         tracemalloc.start()
         try:
-            starts = _piece_states(spec, [lo for lo, _ in pieces])
+            pieces = _pieces(spec, 16, 1 << 14)
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        starts = [piece.state for piece in pieces]
         assert len(starts) == 16 and len(set(starts)) == 16
         assert peak < 1 << 20, peak
 
@@ -1058,11 +1103,15 @@ _SHARD_TABLES = (
 )
 
 
-def _table_sizes(job) -> dict[str, int]:
+def _table_sizes(piece) -> dict:
     """A shard that does no work: the entries of each table, as its process finds them."""
     import dgr.masks as masks_mod
+    from dgr.verifier import _new_stats
 
-    return {name: getattr(masks_mod, name).cache_info().currsize for name in _SHARD_TABLES}
+    return {
+        "sizes": {name: getattr(masks_mod, name).cache_info().currsize for name in _SHARD_TABLES},
+        "stats": _new_stats(),
+    }
 
 
 class TestWorkerClamp:
@@ -1081,9 +1130,12 @@ class TestWorkerClamp:
         assert [r.to_json() for r in many] == [r.to_json() for r in one]
         sampled = {"mode": "sampled", "samples": 20_000, "seed": 1}
         shard, pieces = verifier_mod._sweep_shard, []
-        monkeypatch.setattr(
-            verifier_mod, "_sweep_shard", lambda job: pieces.append(job[1:3]) or shard(job)
-        )
+
+        def recorded(bound_ids, piece):
+            pieces.append((piece.lo, piece.hi))
+            return shard(bound_ids, piece)
+
+        monkeypatch.setattr(verifier_mod, "_sweep_shard", recorded)
         many = check_universal_bounds(4, "strong", ("digraph_order",), workers=1000, **sampled)
         # five batches of up to 4,096 draws: five whole-batch pieces on
         # three CPUs
@@ -1106,7 +1158,7 @@ class TestWorkerClamp:
         assert verifier_mod._run_sharded(abs, [-1, -2, -3], 64) == [1, 2, 3]
         assert pool_sizes == [2]
 
-    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2"])
+    @pytest.mark.parametrize("workers", [0, -3, 2.5, "2", True])
     @pytest.mark.parametrize(
         "check",
         [
@@ -1151,6 +1203,33 @@ class TestWorkerClamp:
         pooled = (cpus or 1) > 1
         assert seen["after"] == (["concurrent.futures", "multiprocessing"] if pooled else [])
 
+    def test_spawned_pool_matches_one_process(self):
+        # macOS and Windows start pool workers by spawn, and Python 3.14
+        # on Linux by forkserver: each piece and partial-bound shard is
+        # pickled to a fresh interpreter, which must give the same bytes
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            pytest.skip("a pool needs two usable CPUs")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        script = (
+            "import json, multiprocessing, sys\n"
+            f"sys.path.insert(0, {src!r})\n"
+            "from dgr.verifier import check_eulerian_size_theorem, check_universal_bounds\n"
+            "multiprocessing.set_start_method('spawn')\n"
+            "spec = dict(mode='sampled', samples=20_000, seed=1)\n"
+            "def sweeps(w):\n"
+            "    reports = check_universal_bounds(4, workers=w, **spec)\n"
+            "    reports.append(check_eulerian_size_theorem(5, workers=w))\n"
+            "    return [r.to_json() for r in reports]\n"
+            "print(json.dumps({'same': sweeps(1) == sweeps(2),\n"
+            "    'method': multiprocessing.get_start_method()}))\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", script],
+            capture_output=True, text=True, check=True, timeout=120,
+        ).stdout
+        assert json.loads(out.splitlines()[-1]) == {"same": True, "method": "spawn"}
+
     def test_pool_workers_inherit_the_tables(self):
         # the sweep builds its order's tables just before it starts a pool,
         # so a forked worker finds them built before its first shard; the
@@ -1174,10 +1253,10 @@ class TestWorkerClamp:
         ):
             for name in _SHARD_TABLES:
                 getattr(masks_mod, name).cache_clear()
-            sizes, _ = verifier_mod._sweep(_table_sizes, spec, workers)
-            assert len(sizes) > 1 or workers == 1
-            for seen in sizes:
-                assert {name for name, size in seen.items() if size} == built
+            partials, _stats, _ = verifier_mod._sweep(_table_sizes, spec, workers)
+            assert len(partials) > 1 or workers == 1
+            for seen in partials:
+                assert {name for name, size in seen["sizes"].items() if size} == built
 
     def test_sampled_pool_matches_one_process(self):
         spec = {"mode": "sampled", "samples": 20_000, "seed": 1}
