@@ -59,6 +59,15 @@ Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
 never assert a closed form; they record (claimed, computed) pairs and
 leave judgement to the reader.
+
+A violation is one ``Counterexample``, which every check builds where it
+finds it through ``_counterexample``: the digraph's edge list and size,
+rho and bound as exact values, margin = rho - bound, and its canonical
+form. In the Eulerian size theorem rho is the vertex's average distance,
+bound the size cap and margin m - cap; in the lemma check bound is the
+family member's rho. canonical is "" above ``CANONICAL_MAX_ORDER`` and
+in the lemma's pair records. Records are sorted by (canonical, digraph),
+except the lemma check's, which keep the order they were found in.
 """
 
 from __future__ import annotations
@@ -124,6 +133,17 @@ _STAT_KEYS = (
 )
 
 
+def _require_ints(**values) -> None:
+    """Refuse each value that is neither None nor an ``int``, naming it.
+
+    bool is an int subclass; it is refused too, as a report would record
+    it as true.
+    """
+    for name, value in values.items():
+        if value is not None and type(value) is not int:
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EnumerationSpec:
     """What to enumerate: order, class filter, and exhaustive/sampled mode."""
@@ -136,12 +156,7 @@ class EnumerationSpec:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        # bool is an int subclass; it is refused too, as the report header
-        # would record it as true
-        for name in ("order", "param", "samples", "seed"):
-            value = getattr(self, name)
-            if value is not None and type(value) is not int:
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        _require_ints(order=self.order, param=self.param, samples=self.samples, seed=self.seed)
         if not (1 <= self.order <= ENUMERATION_MAX_ORDER):
             raise ValueError(f"order must be in 1..{ENUMERATION_MAX_ORDER}")
         if self.class_filter not in _FILTERS:
@@ -281,6 +296,34 @@ class CheckReport:
 def canonical_form(D: Digraph) -> bytes:
     """Minimal relabelled arc-mask encoding; equal iff digraphs are isomorphic."""
     return masks.canonical_bytes(D.order, masks.mask_of_digraph(D))
+
+
+def _counterexample(
+    D: Digraph, rho, bound, *, margin=None, kappa=None, lam=None, canonical=None
+) -> Counterexample:
+    """The record of D breaking a checked statement: every check builds its records here.
+
+    rho, bound and margin are exact values, stored as ``str``; margin is
+    rho - bound unless given. canonical is D's canonical form, or "" above
+    ``CANONICAL_MAX_ORDER``, unless given.
+    """
+    if canonical is None:
+        canonical = canonical_form(D).hex() if D.order <= CANONICAL_MAX_ORDER else ""
+    return Counterexample(
+        digraph=io_mod.digraph_to_edge_list(D),
+        rho=str(rho),
+        m=D.size,
+        kappa=kappa,
+        lam=lam,
+        bound=str(bound),
+        margin=str(rho - bound if margin is None else margin),
+        canonical=canonical,
+    )
+
+
+def _in_report_order(records) -> list[Counterexample]:
+    """Violation records by (canonical, digraph): the same bytes however the stream was cut."""
+    return sorted(records, key=lambda c: (c.canonical, c.digraph))
 
 
 def digraph_from_canonical_hex(canonical_hex: str) -> Digraph:
@@ -753,8 +796,12 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
                 lhs = sigma_max * den
                 rhs = num * (n - 1)
                 if lhs > rhs:
+                    rho, bound = Fraction(sigma_max, n - 1), Fraction(num, den)
                     state["violations"].extend(
-                        (batch.seq[i], sigma_max, m, bid_kap, bid_lam)
+                        _counterexample(
+                            masks.digraph_of_mask(n, batch.seq[i]), rho, bound,
+                            kappa=bid_kap, lam=bid_lam,
+                        )
                         for i in _pull(plane, stats)
                     )
                     row[2] += weight
@@ -827,22 +874,6 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     return partials, stats, time.monotonic() - started
 
 
-def _format_counterexample(n, mask, sigma_max, m, kap, lam, num, den) -> Counterexample:
-    D = masks.digraph_of_mask(n, mask)
-    rho = Fraction(sigma_max, n - 1)
-    bound_value = Fraction(num, den)
-    return Counterexample(
-        digraph=io_mod.digraph_to_edge_list(D),
-        rho=str(rho),
-        m=m,
-        kappa=kap,
-        lam=lam,
-        bound=str(bound_value),
-        margin=str(rho - bound_value),
-        canonical=masks.canonical_bytes(n, mask).hex(),
-    )
-
-
 def check_universal_bounds(
     n: int,
     class_filter: str = "strong",
@@ -875,7 +906,9 @@ def check_universal_bounds(
     partials, stats, elapsed = _sweep(_sweep_shard, spec, workers, tuple(bound_ids))
     reports = []
     for bid in bound_ids:
-        raw_violations = [v for p in partials for v in p["per_bound"][bid]["violations"]]
+        violations = _in_report_order(
+            v for p in partials for v in p["per_bound"][bid]["violations"]
+        )
         equality: set[int] = set()
         by_m: dict[int, list[int]] = {}
         for p in partials:
@@ -884,14 +917,6 @@ def check_universal_bounds(
                 acc = by_m.setdefault(m, [0, 0, 0, 0])
                 for i in range(4):
                     acc[i] += row[i]
-        violations = []
-        for mask, sigma_max, m, kap, lam in raw_violations:
-            entry = _bound_fraction(bid, n, m, kap, lam)
-            assert entry is not None
-            violations.append(
-                _format_counterexample(n, mask, sigma_max, m, kap, lam, *entry)
-            )
-        violations.sort(key=lambda c: (c.canonical, c.digraph))
         witnesses = sorted(masks.mask_bytes(n, cm).hex() for cm in equality)
         reports.append(
             CheckReport(
@@ -930,20 +955,26 @@ def check_universal_bound(
     )[0]
 
 
-def _uniqueness_shard(m_min: int, target_num: int, target_den: int, piece: _Piece) -> dict:
+def _uniqueness_shard(m_min: int, rho_star: Fraction, piece: _Piece) -> dict:
     n = piece.spec.order
     stats = _new_stats()
     hits = []
     breaches = []
-    rhs = target_num * (n - 1)
+    rhs = rho_star.numerator * (n - 1)
     for batch, cells in _members(piece, stats, m_min=m_min):
         attained = 0
-        for plane, m, sigma_max, _kap, _lam in cells:
-            lhs = sigma_max * target_den
+        for plane, _m, sigma_max, _kap, _lam in cells:
+            lhs = sigma_max * rho_star.denominator
             if lhs == rhs:
                 attained |= plane
             elif lhs > rhs:
-                breaches.extend((batch.seq[i], sigma_max, m) for i in _pull(plane, stats))
+                breaches.extend(
+                    _counterexample(
+                        masks.digraph_of_mask(n, batch.seq[i]), Fraction(sigma_max, n - 1),
+                        rho_star, kappa=piece.spec.param,
+                    )
+                    for i in _pull(plane, stats)
+                )
         if attained:
             hits.extend(_witnesses(piece, batch, attained, stats).values())
     return {"hits": hits, "breaches": breaches, "stats": stats}
@@ -957,6 +988,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     recorded in the audit section, but the family sizes counted directly
     decide feasibility, since the stated range is inconsistent with them.
     """
+    _require_ints(n=n, m=m, kappa=kappa)
     spec = EnumerationSpec(n, "strong_kappa", kappa)
     members = enumerate_kappa_pc_family(n, kappa)
     sizes = {backward_sum_size(p.block_sizes) for p in members}
@@ -971,23 +1003,10 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     rho_star, _ = remoteness(extremal)
     expected = canonical_form(extremal).hex()
 
-    partials, stats, elapsed = _sweep(
-        _uniqueness_shard, spec, workers, m, rho_star.numerator, rho_star.denominator
-    )
-    hits = [mask for p in partials for mask in p["hits"]]
-    breaches = [b for p in partials for b in p["breaches"]]
-
-    witness_forms = sorted(masks.mask_bytes(n, h).hex() for h in hits)
+    partials, stats, elapsed = _sweep(_uniqueness_shard, spec, workers, m, rho_star)
+    witness_forms = sorted(masks.mask_bytes(n, h).hex() for p in partials for h in p["hits"])
     extras = [w for w in witness_forms if w != expected]
-    violations = []
-    for mask, sigma_max, msize in breaches:
-        violations.append(
-            _format_counterexample(
-                n, mask, sigma_max, msize, kappa, None,
-                rho_star.numerator, rho_star.denominator,
-            )
-        )
-    violations.sort(key=lambda c: (c.canonical, c.digraph))
+    violations = _in_report_order(v for p in partials for v in p["breaches"])
     report = CheckReport(
         check_id=f"extremal_uniqueness:n={n}:m={m}:kappa={kappa}",
         spec={**spec.header(), "m": m, "kappa": kappa},
@@ -1088,8 +1107,13 @@ def _eulerian_shard(piece: _Piece) -> dict:
                 for m, m_plane in by_m.items():
                     hit = at_diameter & m_plane
                     if hit and m > cap:
+                        # rho is v's average distance, from its profile
+                        rho = Fraction(sum(i * c for i, c in enumerate(counts)), n - 1)
                         violations.extend(
-                            (batch.seq[i], v, counts, m, cap) for i in _pull(hit, stats)
+                            _counterexample(
+                                masks.digraph_of_mask(n, batch.seq[i]), rho, cap, margin=m - cap
+                            )
+                            for i in _pull(hit, stats)
                         )
                     elif hit and m == cap:
                         attained[v, counts] = attained.get((v, counts), 0) | hit
@@ -1103,7 +1127,7 @@ def _eulerian_shard(piece: _Piece) -> dict:
                 if not plane >> i & 1:
                     continue
                 if form != _profile_extremal(counts)[1]:
-                    mismatches.append((batch.seq[i], v, counts))
+                    mismatches.append(form)
                 else:
                     equality.add(form)
     return {
@@ -1124,30 +1148,8 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     """
     spec = EnumerationSpec(n, "eulerian")
     partials, stats, elapsed = _sweep(_eulerian_shard, spec, workers)
-    violations = []
-    for p in partials:
-        for mask, v, counts, m, cap in p["violations"]:
-            D = masks.digraph_of_mask(n, mask)
-            violations.append(
-                Counterexample(
-                    digraph=io_mod.digraph_to_edge_list(D),
-                    rho=str(Fraction(sum(i * c for i, c in enumerate(counts)), n - 1)),
-                    m=m,
-                    kappa=None,
-                    lam=None,
-                    bound=str(cap),
-                    margin=str(m - cap),
-                    canonical=masks.canonical_bytes(n, mask).hex(),
-                )
-            )
-    violations.sort(key=lambda c: (c.canonical, c.digraph))
-    mismatches = sorted(
-        {
-            masks.mask_bytes(n, mask).hex()
-            for p in partials
-            for mask, _v, _c in p["mismatches"]
-        }
-    )
+    violations = _in_report_order(v for p in partials for v in p["violations"])
+    mismatches = sorted({masks.mask_bytes(n, f).hex() for p in partials for f in p["mismatches"]})
     equality: set[int] = set()
     for p in partials:
         equality |= p["equality"]
@@ -1172,6 +1174,7 @@ def check_lemma_monotonicity(n_max: int, kappa_max: int) -> CheckReport:
     (n, kappa) have pairwise distinct sizes, and ordering by size exactly
     reverses ordering by remoteness.
     """
+    _require_ints(n_max=n_max, kappa_max=kappa_max)
     if n_max > 9:
         raise ValueError("monotonicity check limited to n <= 9")
     if n_max < 1:
@@ -1198,20 +1201,7 @@ def check_lemma_monotonicity(n_max: int, kappa_max: int) -> CheckReport:
                     augmented = H.with_arc(*arc)
                     rho_aug, _ = remoteness(augmented)
                     if not rho_aug < rho_h:
-                        violations.append(
-                            Counterexample(
-                                digraph=io_mod.digraph_to_edge_list(augmented),
-                                rho=str(rho_aug),
-                                m=augmented.size,
-                                kappa=kappa,
-                                lam=None,
-                                bound=str(rho_h),
-                                margin=str(rho_aug - rho_h),
-                                canonical=canonical_form(augmented).hex()
-                                if n <= CANONICAL_MAX_ORDER
-                                else "",
-                            )
-                        )
+                        violations.append(_counterexample(augmented, rho_aug, rho_h, kappa=kappa))
             for i in range(len(values)):
                 for j in range(i + 1, len(values)):
                     pairs_examined += 1
@@ -1220,16 +1210,7 @@ def check_lemma_monotonicity(n_max: int, kappa_max: int) -> CheckReport:
                     order_ok = (h1.size - h2.size) * (rho1 - rho2) < 0
                     if not (size_ok and order_ok):
                         violations.append(
-                            Counterexample(
-                                digraph=io_mod.digraph_to_edge_list(h1),
-                                rho=str(rho1),
-                                m=h1.size,
-                                kappa=kappa,
-                                lam=None,
-                                bound=str(rho2),
-                                margin=str(rho1 - rho2),
-                                canonical="",
-                            )
+                            _counterexample(h1, rho1, rho2, kappa=kappa, canonical="")
                         )
     report = CheckReport(
         check_id=f"lemma_monotonicity:n<={n_max}:kappa<={kappa_max}",
@@ -1260,6 +1241,7 @@ def audit_size_formulas(n: int, kappa: int) -> CheckReport:
     (n-1)^2. The family-wide claims are read from ``bounds``, the
     per-member ones from ``constructions.claimed_sizes``.
     """
+    _require_ints(n=n, kappa=kappa)
     if n > 12:
         raise ValueError("size-formula audit limited to n <= 12")
     if n < 1:

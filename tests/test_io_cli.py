@@ -316,6 +316,27 @@ class TestCLI:
         assert run(["verify", "--check", "digraph_order", "--order", "4"]) == 3
         assert "VIOLATION" in capsys.readouterr().out
 
+    def test_verify_exit_three_from_a_real_sweep(self, capsys, monkeypatch):
+        from fractions import Fraction
+
+        from dgr import check_universal_bounds
+        from test_verifier import lower_bounds
+
+        lower_bounds(monkeypatch, lambda n: Fraction(1, n - 1))
+        (library,) = check_universal_bounds(4, "strong", ("digraph_order",))
+        args = ["verify", "--check", "digraph_order", "--order", "4"]
+        assert run(args) == 3
+        text = capsys.readouterr().out.splitlines()
+        shown = [i for i, line in enumerate(text) if line.startswith("  VIOLATION ")]
+        assert len(shown) == 20 and text[shown[-1] + 1] == "  ... 874 more"
+        assert "result: FAILED" in text
+        assert run([*args, "--format", "json"]) == 3
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["violations"] == [v.to_dict() for v in library.violations]
+        assert run([*args, "--format", "csv"]) == 3
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert sum(int(row.split(",")[6]) for row in rows) == 894
+
     def test_verify_sampled(self, capsys):
         code = run([
             "verify", "--check", "digraph_order", "--order", "6",

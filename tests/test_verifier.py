@@ -4,6 +4,8 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -110,6 +112,26 @@ class TestEnumeration:
         given = dict(given)
         with pytest.raises(ValueError, match="must be an integer, got"):
             check_universal_bounds(given.pop("order"), bound_ids=("size_digraph",), **given)
+
+    @pytest.mark.parametrize(
+        "check, args",
+        [
+            (audit_size_formulas, (True, 1)),
+            (audit_size_formulas, (7.5, 1)),
+            (audit_size_formulas, (5, 1.5)),
+            (check_lemma_monotonicity, (6, True)),
+            (check_lemma_monotonicity, (5.5, 1)),
+            (check_lemma_monotonicity, (6, 2.0)),
+            (check_extremal_uniqueness, (4, 9.0, 1)),
+        ],
+        ids=["audit-order-bool", "audit-order-float", "audit-kappa-float", "lemma-kappa-bool",
+             "lemma-order-float", "lemma-kappa-float", "uniqueness-m-float"],
+    )
+    def test_family_checks_refuse_non_integers(self, check, args):
+        # the family checks write their arguments into the report too, by
+        # the same rule as the spec's fields
+        with pytest.raises(ValueError, match="must be an integer, got"):
+            check(*args)
 
     def test_negative_param_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
@@ -519,14 +541,15 @@ def shard_digest(out: dict) -> str:
     """sha256 of a ``_sweep_shard`` result: instances and every bound's outcome.
 
     The shard keeps no count of its own: instances are its stats' members,
-    and a bound's skipped count is column 1 of its by_m rows.
+    and a bound's skipped count is column 1 of its by_m rows. Violations
+    are their records' ``to_dict()``, in stream order.
     """
     doc = {
         "instances": out["stats"]["members"],
         "per_bound": {
             bid: {
                 "skipped": sum(row[1] for row in state["by_m"].values()),
-                "violations": sorted(state["violations"]),
+                "violations": [v.to_dict() for v in state["violations"]],
                 "equality": sorted(state["equality"]),
                 "by_m": sorted(state["by_m"].items()),
             }
@@ -673,7 +696,7 @@ class TestSharedKernel:
         rho, _ = remoteness(dpk_select(6, 25, 2)[0])
         spec = EnumerationSpec(6, "strong_kappa", 2)
         lo, hi = (1 << 30) - (64 << 14), 1 << 30
-        out = _uniqueness_shard(25, rho.numerator, rho.denominator, _Blocks(spec, lo, hi))
+        out = _uniqueness_shard(25, rho, _Blocks(spec, lo, hi))
         assert out["hits"] == [] and out["breaches"] == []
         assert out["stats"] == {
             "masks": 1 << 20,
@@ -1263,6 +1286,182 @@ class TestWorkerClamp:
         two = check_universal_bounds(4, "strong", ("digraph_order", "size_digraph"), workers=2, **spec)
         one = check_universal_bounds(4, "strong", ("digraph_order", "size_digraph"), **spec)
         assert [r.to_json() for r in two] == [r.to_json() for r in one]
+
+
+def lower_bounds(monkeypatch, step):
+    """Lower every applicable sweep bound by ``step(n)``, so the sweeps find violations."""
+    import dgr.verifier as verifier_mod
+
+    real = verifier_mod._bound_fraction
+
+    def lowered(bid, n, m, kap, lam):
+        entry = real(bid, n, m, kap, lam)
+        if entry is None:
+            return None
+        value = Fraction(*entry) - step(n)
+        return value.numerator, value.denominator
+
+    monkeypatch.setattr(verifier_mod, "_bound_fraction", lowered)
+
+
+def _profile_cap_off(cap_step):
+    """Every distance profile's size cap lowered by ``cap_step``, its extremal form wrong."""
+
+    def sabotage(monkeypatch):
+        import dgr.verifier as verifier_mod
+
+        real = verifier_mod._profile_extremal
+        monkeypatch.setattr(
+            verifier_mod, "_profile_extremal", lambda counts: (real(counts)[0] - cap_step, -1)
+        )
+
+    return sabotage
+
+
+def _least_rho_selected(monkeypatch):
+    """``dpk_select`` picks the least-rho strong 9-arc order-4 digraph, keeping its params."""
+    import dgr.verifier as verifier_mod
+
+    least = min(
+        (D for D in enumerate_digraphs(EnumerationSpec(4, "strong")) if D.size == 9),
+        key=lambda D: remoteness(D)[0],
+    )
+    real = verifier_mod.dpk_select
+    monkeypatch.setattr(verifier_mod, "dpk_select", lambda n, m, k: (least, real(n, m, k)[1]))
+
+
+def _members_are_cycles(monkeypatch):
+    import dgr.verifier as verifier_mod
+
+    monkeypatch.setattr(verifier_mod, "kappa_pc_digraph", lambda p: directed_cycle(p.order))
+
+
+def _forked_seam(seam):
+    """``seam``, skipped where pool workers would not inherit it: they do only when forked."""
+
+    def sabotage(monkeypatch):
+        import multiprocessing
+
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("a monkeypatched seam reaches pool workers only by fork")
+        seam(monkeypatch)
+
+    return sabotage
+
+
+def _reports(result):
+    return result if isinstance(result, list) else [result]
+
+
+# Each check with one seam broken, so that it finds violations: (id, seam,
+# check, violations per report, extra extremal forms per report, sha256 of
+# the report bytes). Counts and digests were recorded before the checks
+# built their records through one builder; the order-bound case runs at 1
+# and 2 workers, so its records also cross the pool.
+_SABOTAGED_CHECKS = [
+    *(
+        (
+            f"order_bounds-w{workers}",
+            _forked_seam(lambda mp: lower_bounds(mp, lambda n: Fraction(1, n - 1))),
+            partial(
+                check_universal_bounds, 4, "strong", ("digraph_order", "kappa_digraph"),
+                workers=workers,
+            ),
+            [894, 24], [None, None],
+            "0da65b51f9900e4fb971c388c035d66b1a96d305250887aa2c3eaee75438519b",
+        )
+        for workers in (1, 2)
+    ),
+    (
+        "eulerian_lambda_bound",
+        lambda mp: lower_bounds(mp, lambda n: 1),
+        partial(check_universal_bounds, 4, "eulerian_lambda", ("eulerian_lambda",), param=2),
+        [24], [None],
+        "951d21d7e4c2dc5fd0e48bd9a6d0264e7796536ffe8b229009fc22c3cc28a524",
+    ),
+    (
+        "eulerian_cap_and_form",
+        _profile_cap_off(1),
+        partial(check_eulerian_size_theorem, 4),
+        [52], [3],
+        "f63c616aacf40b30e0967b509aaa5bf184257a371515b9b6f8471db3c092c18b",
+    ),
+    (
+        "eulerian_form",
+        _profile_cap_off(0),
+        partial(check_eulerian_size_theorem, 4),
+        [0], [4],
+        "c7da2937fec75d662884e893712514326b005aace5f84d77083948b71854164f",
+    ),
+    (
+        "extremal_uniqueness",
+        _least_rho_selected,
+        partial(check_extremal_uniqueness, 4, 9, 1),
+        [120], [10],
+        "f7cb68c7a302cd097e4323e22f71435f11a964673451a5f159d8342b99799ec6",
+    ),
+    (
+        "lemma_monotonicity",
+        _members_are_cycles,
+        partial(check_lemma_monotonicity, 6, 2),
+        [239], [None],
+        "4050c61e770e6770ae47ebad606706b1b0b36410e5a8ef0eb9a1c00d63314899",
+    ),
+]
+
+
+class TestViolationRecords:
+    @pytest.mark.parametrize(
+        "seam, check, counts, extras, digest",
+        [case[1:] for case in _SABOTAGED_CHECKS],
+        ids=[case[0] for case in _SABOTAGED_CHECKS],
+    )
+    def test_sabotaged_checks_pin_their_records(
+        self, monkeypatch, seam, check, counts, extras, digest
+    ):
+        seam(monkeypatch)
+        reports = _reports(check())
+        assert [len(r.violations) for r in reports] == counts
+        assert [
+            len(r.meta["extra_extremal_forms"]) if "extra_extremal_forms" in r.meta else None
+            for r in reports
+        ] == extras
+        assert not any(r.ok for r in reports)
+        data = "".join(r.to_json() for r in reports).encode()
+        assert hashlib.sha256(data).hexdigest() == digest
+
+    def test_sweep_records_carry_their_bound(self, monkeypatch):
+        lower_bounds(monkeypatch, lambda n: Fraction(1, n - 1))
+        order, kappa = check_universal_bounds(4, "strong", ("digraph_order", "kappa_digraph"))
+        for report, takes_kappa in ((order, False), (kappa, True)):
+            for v in report.violations:
+                D = digraph_from_canonical_hex(v.canonical)
+                assert v.m == D.size and v.lam is None
+                assert (v.kappa is not None) == takes_kappa
+                assert Fraction(v.margin) == Fraction(v.rho) - Fraction(v.bound) > 0
+            keys = [(v.canonical, v.digraph) for v in report.violations]
+            assert keys == sorted(keys)
+
+    def test_lambda_records_carry_lambda(self, monkeypatch):
+        lower_bounds(monkeypatch, lambda n: 1)
+        (report,) = check_universal_bounds(4, "eulerian_lambda", ("eulerian_lambda",), param=2)
+        assert report.violations
+        assert all(v.lam in (2, 3) and v.kappa is None for v in report.violations)
+
+    def test_eulerian_records_measure_size_against_the_cap(self, monkeypatch):
+        _profile_cap_off(1)(monkeypatch)
+        report = check_eulerian_size_theorem(4)
+        for v in report.violations:
+            assert Fraction(v.margin) == v.m - Fraction(v.bound) == 1
+
+    def test_lemma_records_of_both_kinds(self, monkeypatch):
+        _members_are_cycles(monkeypatch)
+        report = check_lemma_monotonicity(6, 2)
+        # arc-addition records carry the augmented digraph's canonical
+        # form; pair records carry none
+        assert {bool(v.canonical) for v in report.violations} == {True, False}
+        for v in report.violations:
+            assert Fraction(v.margin) == Fraction(v.rho) - Fraction(v.bound)
 
 
 class TestEulerianSizeTheorem:
