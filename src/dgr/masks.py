@@ -35,9 +35,10 @@ witnesses of a sweep's equality hits. Two cheaper kernels need no BFS, so
 a sweep runs them first, on the whole batch, as class prefilters:
 ``size_counter`` counts every lane's arcs (``block_planes`` takes its size
 from it too) and ``balance_plane`` compares every vertex's out- and
-in-degree counters. The verifier then packs the lanes it keeps into a
-dense batch with ``draw_cells``, so the BFS kernels above run only on
-those. Per-lane numbers are bit-sliced counters: a list of planes, least
+in-degree counters. The verifier then packs the lanes it keeps, across
+consecutive batches, into dense batches of up to 2**14 lanes with
+``draw_cells``, so the BFS kernels above run only on those, once per
+dense batch. Per-lane numbers are bit-sliced counters: a list of planes, least
 significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 
 ``canonical_mask`` gives a digraph's canonical form, the least mask over

@@ -24,30 +24,35 @@ decides how ``_witnesses`` finds canonical forms.
 
 A batch is one ``_Batch`` record: lane i is the mask ``seq[i]`` at
 stream position ``pos + i``, and its cell planes serve every plane
-kernel. Before any BFS kernel runs, the class's cheap tests are decided
-on the whole batch: ``masks.size_counter`` against the uniqueness
-check's least size (a batch with fewer nonzero cell planes than that is
-skipped outright), and ``masks.balance_plane`` for the Eulerian classes.
-Unless every lane is kept, the survivors and the stride lanes are packed
-by ``_gather`` into one dense batch, transposed by ``masks.draw_cells``,
-and every later kernel and the oracle run on that. Members come out once
-per batch, as cells: planes of lanes sharing (kappa, lambda, sigma_max,
-m), split in that order, which the checks weight by their popcount.
-Equality hits gather into one plane per batch, and on an orbit-minimal
-piece ``masks.orbit_min_planes`` decides which of them are the
-orbit-minimal witnesses. Lanes are pulled out one by one, in increasing
-lane order within a plane, only for scalar work: violations, witnesses,
-sampled equality hits, and lambda where a class or bound needs it. The
-scalar decode is the kernel's oracle on the stride lanes, which
-``_stride_planes`` alone chooses by stream position, once per batch and
-before the gather, which always keeps them; the batch carries them as
-its ``chain`` and ``objects`` planes. On them the oracle builds the maps
-the kernel yields (strong and balanced planes, value-to-plane maps of m,
-sigma_max and kappa, and in the Eulerian theorem each source's map from
-distance profile to plane, read by ``core.distance_profile`` on the
-decoded digraph), which must equal the kernel's; on the
-chain-stride equality hits ``masks.is_canonical`` must agree with the
-orbit-minimality planes, and every witness they keep must pass it.
+kernel. Before any BFS kernel runs, ``_prefiltered`` decides the class's
+cheap tests on each whole batch of the stream: ``masks.size_counter``
+against the uniqueness check's least size (a batch with fewer nonzero
+cell planes than that is skipped outright), and ``masks.balance_plane``
+for the Eulerian classes. ``_packed`` then makes the kernel batches: a
+batch whose every lane is kept passes through untouched, and the kept
+lanes of the others are packed, in stream order and across consecutive
+batches of the piece, into dense batches of up to 2**bits lanes,
+transposed by ``masks.draw_cells``. Every later kernel and the oracle
+run once per kernel batch. Members come out once per kernel batch, as
+cells: planes of lanes sharing (kappa, lambda, sigma_max, m), split in
+that order, which the checks weight by their popcount. Equality hits
+gather into one plane per batch, and on an orbit-minimal piece
+``masks.orbit_min_planes`` decides which of them are the orbit-minimal
+witnesses. Lanes are pulled out one by one, in increasing lane order
+within a plane, only for scalar work: violations, witnesses, sampled
+equality hits, and lambda where a class or bound needs it. The scalar
+decode is the kernel's oracle on the stride lanes, which
+``_stride_planes`` alone chooses by stream position, once per stream
+batch and before the packing, which always keeps them; the kernel batch
+carries them as its ``chain`` and ``objects`` planes. On them
+``_stride_oracle`` folds each decoded lane into the maps the kernel
+yields (strong and balanced planes, value-to-plane maps of m, sigma_max
+and kappa), and in the Eulerian theorem ``_profile_oracle`` builds each
+source's map from distance profile to plane, read by
+``core.distance_profile`` on the decoded digraph; each must equal the
+kernel's. On the chain-stride equality hits ``masks.is_canonical`` must
+agree with the orbit-minimality planes, and every witness they keep
+must pass it.
 
 The shards keep no count of members of their own: the report of a
 sweep over the stream reads ``instances_examined`` from the
@@ -81,7 +86,7 @@ from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
 from . import connectivity as conn_mod
@@ -120,12 +125,12 @@ _OBJECT_STRIDE = 1009
 # Wider blocks gain no speed and raise peak memory (2**20 lanes: +30 MB).
 _BLOCK_BITS = 14
 # A pool sweep is cut into about this many pieces per worker, each whole
-# kernel batches, so a worker on a slower or busier CPU takes fewer pieces.
+# stream batches, so a worker on a slower or busier CPU takes fewer pieces.
 _PIECES_PER_WORKER = 8
 # Counters kept per sweep; merged across shards into ``CheckReport.stats``.
 _STAT_KEYS = (
     "masks",  # masks scanned
-    "blocks",  # batches of the stream, skipped or gathered ones included
+    "blocks",  # batches of the stream, skipped or packed ones included
     "members",  # class members
     "lanes_extracted",  # lanes pulled out of a cell for scalar work
     "stride_lanes",  # stride lanes re-derived by the scalar oracle, strong or not
@@ -273,10 +278,13 @@ class CheckReport:
             f"equality witnesses: {len(self.equality_witnesses)}",
         ]
         for v in self.violations[:20]:
-            lines.append(
-                f"  VIOLATION rho={v.rho} bound={v.bound} margin={v.margin} "
-                f"m={v.m} digraph={v.digraph.replace(chr(10), '; ')}"
-            )
+            fields = [f"rho={v.rho}", f"bound={v.bound}", f"margin={v.margin}", f"m={v.m}"]
+            # kappa, lambda and the canonical form where the record has them
+            for key, value in (("kappa", v.kappa), ("lambda", v.lam), ("canonical", v.canonical)):
+                if value not in (None, ""):
+                    fields.append(f"{key}={value}")
+            fields.append(f"digraph={v.digraph.replace(chr(10), '; ')}")
+            lines.append("  VIOLATION " + " ".join(fields))
         if len(self.violations) > 20:
             lines.append(f"  ... {len(self.violations) - 20} more")
         for record in self.audit_records:
@@ -378,18 +386,20 @@ _Cell = tuple[int, int, int, int | None, int | None]
 
 
 class _Batch(NamedTuple):
-    """One kernel batch: lane i is the mask ``seq[i]``.
+    """One batch of lanes: lane i is the mask ``seq[i]``.
 
     As a piece's ``batches`` yields it, lane i is at stream position
     ``pos + i``: the position is the mask itself in a ``_Blocks`` piece and
     the draw's index in the whole sample in a ``_Draws`` piece. ``valid``
     holds the lanes inside the piece; ``cells`` and ``ones`` are the
     batch's arc-cell planes and all-lanes plane, which every plane kernel
-    reads ([] and 0 for an exhaustive block too small for ``m_min``). ``chain`` and ``objects``
-    are the stride planes of ``_stride_planes``, which ``_members``
-    decides by stream position. A batch that ``_gather``
-    packs keeps ``pos``, its first stream position, and carries its stride
-    planes with its lanes; its lane i is then at no fixed position.
+    reads ([] and 0 for an exhaustive block too small for ``m_min``).
+    ``chain`` and ``objects`` are the stride planes of ``_stride_planes``,
+    which ``_prefiltered`` decides by stream position. A dense batch that
+    ``_packed`` builds holds the kept lanes of one or more consecutive
+    stream batches, all valid; its ``pos`` is the position of the first
+    batch it takes lanes from, its stride planes follow their lanes, and
+    its lane i is at no fixed position.
     """
 
     seq: Sequence[int]
@@ -452,7 +462,7 @@ class _Draws(NamedTuple):
         """One ``_Batch`` per run of up to 2**bits draws, each from one generator call.
 
         Every batch has its cell planes, transposed by ``masks.draw_cells``;
-        ``_members`` applies ``m_min`` to them.
+        ``_prefiltered`` applies ``m_min`` to them.
         """
         n = self.spec.order
         num_cells = masks.tables_for(n).num_cells
@@ -516,19 +526,75 @@ def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int]:
     return (valid if n <= 4 else planes[0]), planes[1]
 
 
-def _gather(n: int, batch: _Batch, keep: int) -> tuple[_Batch, list[int]]:
-    """The valid lanes of ``keep`` as one dense batch, and the lanes they came from.
+def _prefiltered(
+    piece: _Piece, stats: dict, m_min: int, balanced_only: bool
+) -> Iterator[tuple[_Batch, int]]:
+    """Each batch of the piece that can hold a member, and the plane of lanes it keeps.
 
-    Lane j of the new batch is lane ``picked[j]`` of ``batch``, in
-    increasing lane order; its cell planes come from ``masks.draw_cells``,
-    its lanes are all valid, and its ``chain`` and ``objects`` planes
-    follow their lanes.
+    Counts every batch's valid lanes and the batch itself. A batch whose
+    nonzero cell planes are fewer than ``m_min`` is skipped; otherwise its
+    valid lanes are cut to those with at least ``m_min`` arcs, and its
+    stride planes are set on them. The kept lanes are the valid ones, or
+    for the Eulerian classes the balanced ones and every stride lane,
+    which the oracle re-derives whether it passes the prefilter or not.
     """
-    picked = list(masks.lanes(keep & batch.valid))
-    seq = [batch.seq[i] for i in picked]
+    n = piece.spec.order
+    for batch in piece.batches(_batch_bits(n), m_min):
+        valid = batch.valid
+        stats["masks"] += valid.bit_count()
+        stats["blocks"] += 1
+        if m_min:
+            # a lane has at most as many arcs as the batch has nonzero cells;
+            # a block that the piece already knows to be too small has none
+            if sum(1 for plane in batch.cells if plane) < m_min:
+                continue
+            sizes = masks.value_planes(masks.size_counter(batch.cells), valid)
+            valid = sum(p for m, p in sizes.items() if m >= m_min)
+        chain, objects = _stride_planes(n, batch.pos, len(batch.seq), valid)
+        keep = valid
+        if balanced_only:
+            keep = valid & masks.balance_plane(n, batch.cells, batch.ones) | chain | objects
+        yield batch._replace(valid=valid, chain=chain, objects=objects), keep
+
+
+def _packed(n: int, kept: Iterable[tuple[_Batch, int]]) -> Iterator[_Batch]:
+    """The kernel batches of one piece: its kept lanes, in stream order.
+
+    A batch whose every lane is kept comes through as it is. The kept lanes
+    of the others are appended, in stream order, to one pending dense
+    batch, which is emitted when the next batch's kept lanes would make it
+    wider than ``2**_batch_bits(n)`` lanes, just before a batch that comes
+    through whole, and at the end of the piece. A dense batch holds its
+    masks in an ``array`` and its cells from ``masks.draw_cells``; its
+    lanes are all valid, its ``pos`` is the position of the first batch it
+    takes lanes from, and its ``chain`` and ``objects`` planes follow their
+    lanes.
+    """
+    width = 1 << _batch_bits(n)
+    code = "I" if masks.tables_for(n).num_cells <= 32 else "Q"
+    seq, pos, chain, objects = array(code), 0, 0, 0
+    for batch, keep in kept:
+        whole = keep == batch.ones
+        picked = [] if whole else list(masks.lanes(keep))
+        if seq and (whole or len(seq) + len(picked) > width):
+            yield _dense(n, seq, pos, chain, objects)
+            seq, chain, objects = array(code), 0, 0
+        if whole:
+            yield batch
+            continue
+        if not seq:
+            pos = batch.pos
+        chain |= _pick(batch.chain, picked) << len(seq)
+        objects |= _pick(batch.objects, picked) << len(seq)
+        seq.extend(map(batch.seq.__getitem__, picked))
+    if seq:
+        yield _dense(n, seq, pos, chain, objects)
+
+
+def _dense(n: int, seq: array, pos: int, chain: int, objects: int) -> _Batch:
+    """A packed batch of the masks ``seq``, transposed to its cell planes."""
     cells, ones = masks.draw_cells(n, seq)
-    chain, objects = (_pick(plane, picked) for plane in (batch.chain, batch.objects))
-    return _Batch(seq, batch.pos, ones, cells, ones, chain, objects), picked
+    return _Batch(seq, pos, ones, cells, ones, chain, objects)
 
 
 def _pick(plane: int, picked: list[int]) -> int:
@@ -548,13 +614,12 @@ def _members(
 ) -> Iterator[tuple[_Batch, list[_Cell]]]:
     """Class members among the masks of one piece of the stream: the loop of every sweep.
 
-    Yields ``(batch, cells)`` per batch of the piece that can
-    hold a member, its cells disjoint; only masks with at least ``m_min``
-    arcs are scanned. Before any plane kernel, the whole batch is
-    prefiltered by the class's cheap tests (size for ``m_min``, balance
-    for the Eulerian classes); when the lanes kept, the survivors and the
-    stride lanes, are not the whole batch, ``_gather`` packs them into the
-    batch that is yielded. kappa comes from the kernel's kappa planes and
+    Yields ``(batch, cells)`` per kernel batch of the piece, its cells
+    disjoint; only masks with at least ``m_min`` arcs are scanned. Before
+    any plane kernel, each batch of the stream is prefiltered by the
+    class's cheap tests (size for ``m_min``, balance for the Eulerian
+    classes) in ``_prefiltered``, and ``_packed`` packs the lanes kept into
+    the kernel batches. kappa comes from the kernel's kappa planes and
     lambda lane by lane on the candidates that meet the kappa threshold,
     each when the class filter or the caller needs it, and is None
     otherwise; below order 2 they are never computed and count as 0
@@ -562,39 +627,18 @@ def _members(
     """
     spec = piece.spec
     n = spec.order
-    t = masks.tables_for(n)
     kappa_min = spec.param if spec.class_filter.endswith("_kappa") else 0
     lambda_min = spec.param if spec.class_filter.endswith("_lambda") else 0
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
     balanced_only = spec.class_filter.startswith("eulerian")
-    for batch in piece.batches(_batch_bits(n), m_min):
-        valid = batch.valid
-        stats["masks"] += valid.bit_count()
-        stats["blocks"] += 1
-        if m_min:
-            # a lane has at most as many arcs as the batch has nonzero cells;
-            # a block that the piece already knows to be too small has none
-            if sum(1 for plane in batch.cells if plane) < m_min:
-                continue
-            sizes = masks.value_planes(masks.size_counter(batch.cells), valid)
-            valid = sum(p for m, p in sizes.items() if m >= m_min)
-        chain, objects = _stride_planes(n, batch.pos, len(batch.seq), valid)
-        batch = batch._replace(valid=valid, chain=chain, objects=objects)
-        # the lanes the class can use, and every stride lane, which the
-        # oracle re-derives whether it passes the prefilter or not
-        keep = valid
-        if balanced_only:
-            balanced = masks.balance_plane(n, batch.cells, batch.ones)
-            keep = valid & balanced | chain | objects
-        if keep != batch.ones:
-            batch, picked = _gather(n, batch, keep)
-            if balanced_only:
-                balanced = _pick(balanced, picked)
+    for batch in _packed(n, _prefiltered(piece, stats, m_min, balanced_only)):
         seq, valid, cells = batch.seq, batch.valid, batch.cells
         block = masks.block_planes(n, cells, batch.ones)
         candidates = valid & block.strong
+        balanced = None
         if balanced_only:
+            balanced = masks.balance_plane(n, cells, batch.ones)
             candidates &= balanced
         on_stride = batch.chain | batch.objects
         stats["stride_lanes"] += on_stride.bit_count()
@@ -604,51 +648,7 @@ def _members(
             # candidates only, for the oracle
             checked = candidates if need_kappa else candidates & on_stride
             kappa = masks.kappa_planes(n, cells, checked)
-        # the scalar oracle: the stride lanes, decoded one by one, give the
-        # kernel's own maps restricted to them
-        on_chain, on_objects = set(masks.lanes(batch.chain)), set(masks.lanes(batch.objects))
-        sigmas = {
-            i: masks.sigma_vector(t.out_rows(seq[i]), n, t.full) for i in on_chain | on_objects
-        }
-        sigma_max_of = {i: max(s) for i, s in sigmas.items() if s is not None}  # strong lanes
-        balanced_of = {i for i in sigmas if balanced_only and masks.is_balanced(seq[i], n)}
-        found = [i for i in sigma_max_of if i in balanced_of or not balanced_only]  # candidates
-        kappa_of, lam_of = {}, {}
-        if n >= 2:
-            # both in one walk on the chain, for kappa <= lambda <= min
-            # semidegree; elsewhere kappa, and lambda where the sweep needs it
-            for i in found:
-                if i in on_chain:
-                    kappa_of[i], lam_of[i] = masks.kappa_lambda_mask(seq[i], n)
-                else:
-                    kappa_of[i] = masks.kappa_mask(seq[i], n)
-                    if need_lambda:
-                        lam_of[i] = masks.lambda_mask(seq[i], n)
-        scalar = {
-            "strong": sum(1 << i for i in sigma_max_of),
-            "balanced": sum(1 << i for i in balanced_of),
-            "size": _planes({i: seq[i].bit_count() for i in sigmas}),
-            "sigma_max": _planes(sigma_max_of),
-            "kappa": _planes(kappa_of),
-        }
-        kernel = {
-            "strong": block.strong & on_stride,
-            "balanced": balanced & on_stride if balanced_only else 0,
-            "size": masks.value_planes(block.size, on_stride),
-            "sigma_max": masks.value_planes(block.sigma_max, block.strong & on_stride),
-            "kappa": {k: p & on_stride for k, p in kappa.items() if p & on_stride},
-        }
-        differ = [key for key in kernel if scalar[key] != kernel[key]]
-        assert not differ, (
-            f"batch at stream position {batch.pos}: kernel and oracle differ in {differ}"
-        )
-        for i in found:
-            if i in kappa_of and i in on_chain:
-                lam, semi = lam_of[i], masks.min_semidegree_mask(seq[i], n)
-                assert kappa_of[i] <= lam <= semi, (seq[i], kappa_of[i], lam, semi)
-            if i in on_objects:
-                kap = kappa_of.get(i) if i in on_chain or need_kappa else None
-                _object_crosscheck(n, seq[i], sigmas[i], kap, lam_of.get(i))
+        _stride_oracle(n, batch, block, balanced, kappa, need_kappa, need_lambda)
         by_kappa = kappa if need_kappa else {None: candidates}
         passing = sum(p for kap, p in by_kappa.items() if (kap or 0) >= kappa_min)
         by_lambda = {None: passing}
@@ -668,6 +668,99 @@ def _members(
         ]
         stats["members"] += sum(plane.bit_count() for plane, *_ in members)
         yield batch, members
+
+
+def _stride_oracle(
+    n: int,
+    batch: _Batch,
+    block: masks.BlockPlanes,
+    balanced: int | None,
+    kappa: dict[int, int],
+    need_kappa: bool,
+    need_lambda: bool,
+) -> None:
+    """The scalar decode of a batch's stride lanes must give the kernel's maps on them.
+
+    Each stride lane is decoded once and folded into the maps the kernel
+    yields: the strong and balanced planes (balanced for the Eulerian
+    classes, where ``balanced`` is the kernel's plane, else None), and the
+    value-to-plane maps of m, sigma_max and, on class candidates, kappa.
+    Per-lane values are kept only for the candidates read by the checks
+    that run once the maps agree: kappa <= lambda <= min semidegree on the
+    chain stride, and ``_object_crosscheck`` on the object stride.
+    """
+    t = masks.tables_for(n)
+    seq = batch.seq
+    on_objects = set(masks.lanes(batch.objects))
+    # per map, value to plane, each plane a bitmap whose lane bits are set
+    # in place: an int plane would be copied whole for every lane folded
+    folded: dict[str, dict] = {
+        key: {} for key in ("strong", "balanced", "size", "sigma_max", "kappa")
+    }
+    width = (len(seq) + 7) // 8
+
+    def fold(key: str, value, i: int) -> None:
+        plane = folded[key].get(value)
+        if plane is None:
+            plane = folded[key][value] = bytearray(width)
+        plane[i >> 3] |= 1 << (i & 7)
+
+    on_chain_checks, on_object_checks = [], []
+    # the chain lanes, then the object lanes off the chain
+    for plane, on_chain in ((batch.chain, True), (batch.objects & ~batch.chain, False)):
+        for i in masks.lanes(plane):
+            mask = seq[i]
+            fold("size", mask.bit_count(), i)
+            sigmas = masks.sigma_vector(t.out_rows(mask), n, t.full)
+            in_class = balanced is None or masks.is_balanced(mask, n)
+            if in_class and balanced is not None:
+                fold("balanced", True, i)
+            if sigmas is None:
+                continue
+            fold("strong", True, i)
+            fold("sigma_max", max(sigmas), i)
+            if not in_class:
+                continue
+            kap = lam = None
+            if n >= 2:
+                # both in one walk on the chain, for kappa <= lambda <= min
+                # semidegree; elsewhere kappa, and lambda where the sweep needs it
+                if on_chain:
+                    kap, lam = masks.kappa_lambda_mask(mask, n)
+                    on_chain_checks.append((mask, kap, lam))
+                else:
+                    kap = masks.kappa_mask(mask, n)
+                    if need_lambda:
+                        lam = masks.lambda_mask(mask, n)
+                fold("kappa", kap, i)
+            if i in on_objects:
+                on_object_checks.append(
+                    (mask, sigmas, kap if on_chain or need_kappa else None, lam)
+                )
+    scalar = {
+        key: {value: int.from_bytes(plane, "little") for value, plane in groups.items()}
+        for key, groups in folded.items()
+    }
+    # the strong and balanced planes are the maps' one value, True
+    for key in ("strong", "balanced"):
+        scalar[key] = scalar[key].get(True, 0)
+    on_stride = batch.chain | batch.objects
+    kernel = {
+        "strong": block.strong & on_stride,
+        "balanced": 0 if balanced is None else balanced & on_stride,
+        "size": masks.value_planes(block.size, on_stride),
+        "sigma_max": masks.value_planes(block.sigma_max, block.strong & on_stride),
+        "kappa": {k: p & on_stride for k, p in kappa.items() if p & on_stride},
+    }
+    differ = [key for key in kernel if scalar[key] != kernel[key]]
+    assert not differ, (
+        f"batch at stream position {batch.pos}: kernel and oracle differ in {differ}"
+    )
+    for mask, kap, lam in on_chain_checks:
+        semi = masks.min_semidegree_mask(mask, n)
+        assert kap <= lam <= semi, (mask, kap, lam, semi)
+    for mask, sigmas, kap, lam in on_object_checks:
+        _object_crosscheck(n, mask, sigmas, kap, lam)
 
 
 def _planes(values: dict[int, object]) -> dict:
@@ -852,7 +945,7 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     """Run ``shard(*extra, piece)`` over the pieces of the spec's stream.
 
     One piece at one worker; otherwise about ``_PIECES_PER_WORKER``
-    pieces per worker, each whole kernel batches, so the batches and the
+    pieces per worker, each whole stream batches, so the batches and the
     stats are the same at every worker count and a worker that falls
     behind takes fewer pieces instead of holding up the sweep. The shard
     goes to the pool bound to ``extra`` by ``functools.partial``, which
@@ -1069,8 +1162,10 @@ def _eulerian_shard(piece: _Piece) -> dict:
     Per batch, the members' distance profiles come as planes from
     ``masks.profile_planes`` on the block's own cells; the diameter is
     the lane-wise largest eccentricity. Every (source, profile) group at
-    the diameter is weighed against each size m at once; only the lanes
-    over the cap are pulled out, and the lanes at the cap go to
+    the diameter is weighed against each size m at once. The lanes over
+    the cap are gathered by (rho, cap, m), the whole of a record but the
+    digraph, and pulled out once per group, so a digraph whose vertices
+    give the same record lists it once; the lanes at the cap go to
     ``_witnesses``.
     """
     n = piece.spec.order
@@ -1098,6 +1193,7 @@ def _eulerian_shard(piece: _Piece) -> dict:
             diameter[e] = ecc[e] & ~wider
             wider |= ecc[e]
         attained: dict[tuple[int, tuple[int, ...]], int] = {}  # (vertex, profile): lanes at the cap
+        over: dict[tuple[Fraction, int, int], int] = {}  # (rho, cap, m): lanes over the cap
         for v, groups in enumerate(profiles):
             for counts, plane in groups.items():
                 at_diameter = plane & diameter[len(counts) - 1]
@@ -1109,14 +1205,15 @@ def _eulerian_shard(piece: _Piece) -> dict:
                     if hit and m > cap:
                         # rho is v's average distance, from its profile
                         rho = Fraction(sum(i * c for i, c in enumerate(counts)), n - 1)
-                        violations.extend(
-                            _counterexample(
-                                masks.digraph_of_mask(n, batch.seq[i]), rho, cap, margin=m - cap
-                            )
-                            for i in _pull(hit, stats)
-                        )
+                        over[rho, cap, m] = over.get((rho, cap, m), 0) | hit
                     elif hit and m == cap:
                         attained[v, counts] = attained.get((v, counts), 0) | hit
+        # one record per lane and (rho, cap, m), however many vertices give it
+        for (rho, cap, m), plane in over.items():
+            violations.extend(
+                _counterexample(masks.digraph_of_mask(n, batch.seq[i]), rho, cap, margin=m - cap)
+                for i in _pull(plane, stats)
+            )
         if not attained:
             continue
         hits = 0

@@ -337,6 +337,35 @@ class TestCLI:
         rows = capsys.readouterr().out.strip().splitlines()[1:]
         assert sum(int(row.split(",")[6]) for row in rows) == 894
 
+    def test_violation_lines_name_kappa_and_canonical(self, capsys, monkeypatch):
+        from fractions import Fraction
+
+        from dgr import check_universal_bounds
+        from test_verifier import lower_bounds
+
+        lower_bounds(monkeypatch, lambda n: Fraction(1, n - 1))
+        (library,) = check_universal_bounds(4, "strong", ("kappa_digraph",))
+        args = ["verify", "--check", "kappa_digraph", "--order", "4"]
+        assert run(args) == 3
+        shown = [
+            line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("  VIOLATION ")
+        ]
+        # the kappa the bound was evaluated at, no lambda, and the canonical
+        # form, before the edge list
+        assert shown == [
+            f"  VIOLATION rho={v.rho} bound={v.bound} margin={v.margin} m={v.m} "
+            f"kappa={v.kappa} canonical={v.canonical} digraph={v.digraph.replace(chr(10), '; ')}"
+            for v in library.violations[:20]
+        ]
+        assert all(v.kappa is not None and v.lam is None for v in library.violations)
+        # the JSON and CSV output are the records and tallies as before
+        assert run([*args, "--format", "json"]) == 3
+        assert capsys.readouterr().out == library.to_json()
+        assert run([*args, "--format", "csv"]) == 3
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert sum(int(row.split(",")[6]) for row in rows) == len(library.violations) == 24
+
     def test_verify_sampled(self, capsys):
         code = run([
             "verify", "--check", "digraph_order", "--order", "6",

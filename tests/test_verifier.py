@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -33,7 +34,10 @@ from dgr import (
     remoteness,
 )
 from dgr.masks import canonical_mask, digraph_of_mask, draw_cells, lanes, mask_of_digraph
-from dgr.verifier import _Blocks, _Draws, _gather, _pieces, _stride_planes, _sweep_shard
+from dgr.verifier import (
+    _Blocks, _Draws, _batch_bits, _new_stats, _packed, _pieces, _prefiltered, _stride_planes,
+    _sweep_shard,
+)
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
 from test_core import dpk_2121
@@ -181,8 +185,6 @@ def _piece(spec, lo, hi):
 
 def _piece_batches(pieces):
     """(pos, seq) of every batch of the pieces, in piece order."""
-    from dgr.verifier import _batch_bits
-
     return [
         (batch.pos, list(batch.seq))
         for piece in pieces
@@ -346,8 +348,8 @@ def _balance_plane_drops(mask: int):
 
     The prefilter keeps a stride lane that the balance plane drops, so the
     scalar ``is_balanced`` must catch it on a stride lane, whether the
-    batch is gathered (at n >= 5) or not (at n <= 4, where every lane is a
-    stride lane).
+    lane is packed into a dense batch (at n >= 5) or its batch is kept
+    whole (at n <= 4, where every lane is a stride lane).
     """
 
     def sabotage(monkeypatch):
@@ -515,7 +517,7 @@ _CROSSCHECK_CASES = [
         for name in ("universal_bounds", "sampled_universal_bounds", *_ORDER6_ENTRY)
     ),
     # the entry points whose class asks the kernel for a balanced plane,
-    # and an order-5 sweep whose batches are gathered
+    # and an order-5 sweep whose kept lanes are packed
     *(
         (f"{name}-balanced_plane", name, _balance_plane_drops(_ORDER4_COMPLETE))
         for name in ("eulerian_theorem", "enumerate")
@@ -692,7 +694,7 @@ class TestSharedKernel:
         # the last 64 order-6 blocks for (m, kappa) = (25, 2), pinned with
         # the kernel that decoded every lane of every block: blocks with
         # fewer than 25 nonzero cells (14 low cells plus the set high ones)
-        # are skipped, the others gathered to their lanes with m >= 25
+        # are skipped, the others cut to their lanes with m >= 25 and packed
         rho, _ = remoteness(dpk_select(6, 25, 2)[0])
         spec = EnumerationSpec(6, "strong_kappa", 2)
         lo, hi = (1 << 30) - (64 << 14), 1 << 30
@@ -736,7 +738,7 @@ class TestSharedKernel:
         from dgr.verifier import _eulerian_shard
 
         # order-6 stretch 700 (masks 700 * 2^20 onwards), pinned with
-        # the kernel that decoded every lane: every batch is gathered to
+        # the kernel that decoded every lane: every batch is packed to
         # its balanced lanes and its stride lanes
         spec = EnumerationSpec(6, "eulerian")
         out = _eulerian_shard(_Blocks(spec, 700 << 20, 701 << 20))
@@ -752,40 +754,104 @@ class TestSharedKernel:
         }
 
     @pytest.mark.parametrize(
-        "spec, lo, hi",
+        "spec, lo, hi, m_min",
         [
-            (EnumerationSpec(3, "strong"), 0, 64),
-            (EnumerationSpec(4, "eulerian"), 0, 1 << 12),
-            (EnumerationSpec(5, "eulerian"), 37 << 14, 38 << 14),
-            # a block cut by both stretch edges
-            (EnumerationSpec(5, "strong"), (37 << 14) + 999, (38 << 14) - 77),
-            (EnumerationSpec(6, "strong", mode="sampled", samples=5_000, seed=3), 0, 5_000),
+            (EnumerationSpec(3, "strong"), 0, 64, 0),
+            (EnumerationSpec(4, "eulerian"), 0, 1 << 12, 0),
+            (EnumerationSpec(5, "eulerian"), 0, 1 << 20, 0),
+            # blocks 14 .. 33, the first cut: those with 4 or 5 of the 6
+            # high cells set (15, 23, 27, 29, 30, 31) are kept whole, the
+            # others packed
+            (EnumerationSpec(5, "strong"), (14 << 14) + 999, 34 << 14, 4),
+            # few lanes of 16 arcs or more in each block: one dense batch
+            (EnumerationSpec(5, "strong"), 0, 1 << 20, 16),
+            (EnumerationSpec(6, "eulerian", mode="sampled", samples=40_000, seed=3), 0, 40_000, 0),
         ],
-        ids=["n3", "n4", "n5", "n5-cut", "n6-sampled"],
+        ids=["n3", "n4", "n5-eulerian", "n5-m_min-interleaved", "n5-m_min-dense", "n6-sampled"],
     )
-    def test_gather_packs_the_kept_lanes_in_lane_order(self, spec, lo, hi):
-        from dgr.verifier import _batch_bits
+    def test_packing_keeps_stream_order_in_full_batches(self, monkeypatch, spec, lo, hi, m_min):
+        import dgr.masks as masks_mod
 
         n = spec.order
-        batch = next(_piece(spec, lo, hi).batches(_batch_bits(n)))
-        chain, objects = _stride_planes(n, batch.pos, len(batch.seq), batch.valid)
-        batch = batch._replace(chain=chain, objects=objects)
-        # some valid lanes, and every stride lane, as _members keeps them
-        keep = random.Random(lo).getrandbits(len(batch.seq)) & batch.valid | chain | objects
-        gathered, picked = _gather(n, batch, keep)
-        kept = [batch.seq[i] for i in lanes(keep)]
-        assert [batch.seq[i] for i in picked] == list(gathered.seq) == kept
-        assert (gathered.cells, gathered.ones) == draw_cells(n, kept)
-        assert gathered.pos == batch.pos
-        assert gathered.valid == gathered.ones
-        for name in ("chain", "objects"):
-            plane, packed = getattr(batch, name), getattr(gathered, name)
-            assert [gathered.seq[j] for j in lanes(packed)] == [batch.seq[i] for i in lanes(plane)]
-        assert objects and chain
-        # only valid lanes are kept; nothing kept is an empty batch
-        assert _gather(n, batch, batch.ones)[1] == list(lanes(batch.valid))
-        empty, picked = _gather(n, batch, 0)
-        assert (list(empty.seq), empty.ones, empty.chain, picked) == ([], 0, 0, [])
+        width = 1 << _batch_bits(n)
+        balanced_only = spec.class_filter.startswith("eulerian")
+        kept = list(_prefiltered(_piece(spec, lo, hi), _new_stats(), m_min, balanced_only))
+        transposed = []
+        monkeypatch.setattr(
+            masks_mod, "draw_cells", lambda n, seq: transposed.append(len(seq)) or draw_cells(n, seq)
+        )
+        out = list(_packed(n, kept))
+        whole = [batch for batch, keep in kept if keep == batch.ones]
+        passed = [any(batch is w for w in whole) for batch in out]
+        dense = [batch for batch, through in zip(out, passed) if not through]
+        # the kept masks, and each stride's, in stream order
+        for name in ("ones", "chain", "objects"):
+            assert array("Q", (
+                batch.seq[i] for batch in out for i in lanes(getattr(batch, name))
+            )) == array("Q", (
+                batch.seq[i]
+                for batch, keep in kept
+                for i in lanes(keep if name == "ones" else getattr(batch, name))
+            ))
+        # every batch kept whole comes through itself, untransposed; the
+        # lanes of the others are packed into dense batches of at most
+        # 2**bits lanes, flushed only when the next batch's kept lanes
+        # would not fit, before a whole batch, and at the end
+        assert sum(passed) == len(whole)
+        assert transposed == [len(batch.seq) for batch in dense]
+        for batch in dense:
+            assert (batch.cells, batch.ones) == draw_cells(n, list(batch.seq))
+            assert batch.valid == batch.ones and len(batch.seq) <= width
+        expected, size = [], 0
+        for batch, keep in kept:
+            count = keep.bit_count()
+            if size and (keep == batch.ones or size + count > width):
+                expected.append(size)
+                size = 0
+            if keep == batch.ones:
+                expected.append("whole")
+            else:
+                size += count
+        expected += [size] if size else []
+        assert [
+            "whole" if through else len(batch.seq) for batch, through in zip(out, passed)
+        ] == expected
+        if m_min == 4:
+            assert 0 < len(whole) < len(out)
+        elif n == 5:
+            # the packed batches hold the lanes of many stream batches each
+            assert len(kept) > 2 * len(dense)
+
+    @pytest.mark.parametrize(
+        "check, calls",
+        [
+            (
+                partial(check_eulerian_size_theorem, 5),
+                {"block_planes": 2, "kappa_planes": 2, "profile_planes": 2, "draw_cells": 2},
+            ),
+            (
+                partial(check_universal_bounds, 5, "strong", ("size_digraph",)),
+                {"block_planes": 64, "kappa_planes": 64},
+            ),
+        ],
+        ids=["eulerian-n5", "strong-n5"],
+    )
+    def test_kernel_calls_per_sweep(self, monkeypatch, check, calls):
+        import dgr.masks as masks_mod
+
+        # the Eulerian sweep's 64 blocks keep a few hundred lanes each, packed
+        # into 2 kernel batches; every block of the strong sweep is kept whole
+        seen = dict.fromkeys(("block_planes", "kappa_planes", "profile_planes", "draw_cells"), 0)
+        for name in seen:
+            real = getattr(masks_mod, name)
+
+            def counted(*args, name=name, real=real):
+                seen[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(masks_mod, name, counted)
+        check()
+        assert {name: count for name, count in seen.items() if count} == calls
 
     @pytest.mark.parametrize("order", range(1, 7))
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -1129,7 +1195,6 @@ _SHARD_TABLES = (
 def _table_sizes(piece) -> dict:
     """A shard that does no work: the entries of each table, as its process finds them."""
     import dgr.masks as masks_mod
-    from dgr.verifier import _new_stats
 
     return {
         "sizes": {name: getattr(masks_mod, name).cache_info().currsize for name in _SHARD_TABLES},
@@ -1356,8 +1421,10 @@ def _reports(result):
 # Each check with one seam broken, so that it finds violations: (id, seam,
 # check, violations per report, extra extremal forms per report, sha256 of
 # the report bytes). Counts and digests were recorded before the checks
-# built their records through one builder; the order-bound case runs at 1
-# and 2 workers, so its records also cross the pool.
+# built their records through one builder, except the Eulerian cap case's,
+# recorded once each digraph listed each of its records once; the
+# order-bound case runs at 1 and 2 workers, so its records also cross the
+# pool.
 _SABOTAGED_CHECKS = [
     *(
         (
@@ -1383,8 +1450,8 @@ _SABOTAGED_CHECKS = [
         "eulerian_cap_and_form",
         _profile_cap_off(1),
         partial(check_eulerian_size_theorem, 4),
-        [52], [3],
-        "f63c616aacf40b30e0967b509aaa5bf184257a371515b9b6f8471db3c092c18b",
+        [31], [3],
+        "0643b02cc900453b00463501d0b40f76e3406fec33f1616ff66187c2487b822e",
     ),
     (
         "eulerian_form",
@@ -1453,6 +1520,15 @@ class TestViolationRecords:
         report = check_eulerian_size_theorem(4)
         for v in report.violations:
             assert Fraction(v.margin) == v.m - Fraction(v.bound) == 1
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_eulerian_records_are_distinct(self, monkeypatch, n):
+        # a digraph with several vertices at the diameter over the same cap
+        # gives one record, not one per vertex
+        _profile_cap_off(1)(monkeypatch)
+        report = check_eulerian_size_theorem(n)
+        assert report.violations
+        assert len(set(report.violations)) == len(report.violations)
 
     def test_lemma_records_of_both_kinds(self, monkeypatch):
         _members_are_cycles(monkeypatch)
