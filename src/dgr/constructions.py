@@ -8,9 +8,10 @@ exactly when v's block is at most one after u's. The backward sum takes
 every such pair, the sequential sum (undirected) those with u < v. Both
 sizes follow from three sums of the block sizes (``BlockSums``: the
 order, the sum of squares and the sum of consecutive products), which
-each member's parameters give in closed form. The selectors rank members
-by those sizes, build only the member they choose and assert that its
-built arc/edge set has the counted size.
+each member's parameters give in closed form. The selectors rank plain
+parameter tuples by those sizes, make the parameter object and build the
+member only for the one they choose, and assert that its built arc/edge
+set has the counted size.
 The paper's closed-form sizes of one member live in ``claimed_sizes`` as
 audit targets only; the family-wide claims (largest and smallest size)
 live in ``bounds``.
@@ -19,8 +20,9 @@ live in ``bounds``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from operator import mul
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .core import Digraph, Graph, NotStrongError, bidirect, is_strong
 
@@ -135,7 +137,7 @@ class PathCompleteParams:
 
     @property
     def order(self) -> int:
-        return 1 + self.ell * self.kappa + self.a + self.b
+        return self.block_sums.total
 
     @property
     def block_sizes(self) -> list[int]:
@@ -144,13 +146,17 @@ class PathCompleteParams:
     @property
     def block_sums(self) -> BlockSums:
         """``block_sums(self.block_sizes)`` in closed form, without the list."""
-        kappa, ell, a, b = self.kappa, self.ell, self.a, self.b
-        return BlockSums(
-            self.order,
-            1 + ell * kappa * kappa + a * a + b * b,
-            # consecutive products: 1 * kappa, ell - 1 of kappa * kappa, kappa * a, a * b
-            kappa + (ell - 1) * kappa * kappa + kappa * a + a * b,
-        )
+        return _kappa_pc_sums(self.kappa, self.ell, self.a, self.b)
+
+
+def _kappa_pc_sums(kappa: int, ell: int, a: int, b: int) -> BlockSums:
+    """``BlockSums`` of the member with these parameters, from the parameters alone."""
+    return BlockSums(
+        1 + ell * kappa + a + b,
+        1 + ell * kappa * kappa + a * a + b * b,
+        # consecutive products: 1 * kappa, ell - 1 of kappa * kappa, kappa * a, a * b
+        kappa + (ell - 1) * kappa * kappa + kappa * a + a * b,
+    )
 
 
 def kappa_pc_digraph(p: PathCompleteParams) -> Digraph:
@@ -163,73 +169,81 @@ def pc_graph(p: PathCompleteParams) -> Graph:
     return sequential_sum_graph(p.block_sizes)
 
 
+def _kappa_pc_params(n: int, kappa: int) -> Iterator[tuple[int, int, int]]:
+    """(ell, a, b) of every member of order n: 1 + ell*kappa + a + b = n, a >= kappa.
+
+    Yielded lexicographically by (ell, b), matching the family's natural
+    containment order.
+    """
+    if kappa < 1:
+        raise ValueError("kappa must be positive")
+    ell = 1
+    while 1 + ell * kappa + kappa + 1 <= n:
+        rest = n - 1 - ell * kappa
+        for b in range(1, rest - kappa + 1):
+            yield ell, rest - b, b
+        ell += 1
+
+
 def enumerate_kappa_pc_family(n: int, kappa: int) -> list[PathCompleteParams]:
     """All feasible (ell, a, b) with 1 + ell*kappa + a + b = n, a >= kappa.
 
     Ordered lexicographically by (ell, b), matching the family's natural
     containment order.
     """
-    if kappa < 1:
-        raise ValueError("kappa must be positive")
-    members = []
-    ell = 1
-    while 1 + ell * kappa + kappa + 1 <= n:
-        rest = n - 1 - ell * kappa
-        for b in range(1, rest - kappa + 1):
-            a = rest - b
-            if a >= kappa:
-                members.append(PathCompleteParams(kappa, ell, a, b))
-        ell += 1
-    members.sort(key=lambda p: (p.ell, p.b))
-    return members
+    return [PathCompleteParams(kappa, *params) for params in _kappa_pc_params(n, kappa)]
 
 
-def _distinct_sizes(members, size_of) -> list[tuple[int, object]]:
-    """(size, member) pairs by increasing size, the sizes asserted pairwise distinct."""
-    sizes = [size_of(p.block_sums) for p in members]
-    if len(set(sizes)) != len(sizes):
+def _distinct_sizes(sized: list[tuple[int, tuple]]) -> list[tuple[int, tuple]]:
+    """(size, parameters) pairs by increasing size, the sizes asserted pairwise distinct."""
+    sizes = {size for size, _ in sized}
+    if len(sizes) != len(sized):
         raise AssertionError(f"family sizes are not pairwise distinct: {sorted(sizes)}")
-    return sorted(zip(sizes, members), key=lambda sp: sp[0])
+    return sorted(sized, key=lambda sp: sp[0])
 
 
-def _select_min_size(ranked, build, m, what):
-    """Build the first member of the (size, member) pairs ``ranked`` with size >= m.
+def _select_min_size(ranked, member, build, m, what):
+    """The first of the (size, parameters) pairs ``ranked`` with size >= m, built.
 
-    Only that member is built, and its built size must equal the count.
+    Only that pair's parameters become a ``member`` and are built, and the
+    built size must equal the count.
     """
-    for size, p in ranked:
+    for size, params in ranked:
         if size >= m:
+            p = member(*params)
             obj = build(p)
             assert obj.size == size, f"{p} built with size {obj.size}, counted {size}"
             return obj, p
     raise ValueError(f"no {what} member has size >= {m} (family maximum is {ranked[-1][0]})")
 
 
+def _kappa_pc_select(n: int, m: int, kappa: int, size_of, build, what: str):
+    """The member of least size >= m, its ``size_of`` block sums, ranked over (ell, a, b)."""
+    sized = [(size_of(_kappa_pc_sums(kappa, *t)), t) for t in _kappa_pc_params(n, kappa)]
+    if not sized:
+        raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
+    return _select_min_size(
+        _distinct_sizes(sized), partial(PathCompleteParams, kappa), build, m, what
+    )
+
+
 def dpk_select(n: int, m: int, kappa: int) -> tuple[Digraph, PathCompleteParams]:
     """Minimum-size family member of order n with at least m arcs.
 
-    Sizes are counted from each member's block sums, and pairwise
-    distinctness is asserted rather than assumed; only the chosen member is
-    built.
+    Sizes are counted from each member's parameters, and pairwise
+    distinctness is asserted rather than assumed; only the chosen member
+    becomes a ``PathCompleteParams`` and is built.
     """
     if m > n * (n - 1):  # above the complete digraph, refused before any build
         raise ValueError(f"no digraph of order {n} has size >= {m} (at most {n * (n - 1)})")
-    members = enumerate_kappa_pc_family(n, kappa)
-    if not members:
-        raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
-    ranked = _distinct_sizes(members, _backward_size)
-    return _select_min_size(ranked, kappa_pc_digraph, m, "digraph family")
+    return _kappa_pc_select(n, m, kappa, _backward_size, kappa_pc_digraph, "digraph family")
 
 
 def pk_select(n: int, m: int, kappa: int) -> tuple[Graph, PathCompleteParams]:
     """Undirected selector mirroring dpk_select with exact edge counting."""
     if m > n * (n - 1) // 2:  # above the complete graph, refused before any build
         raise ValueError(f"no graph of order {n} has size >= {m} (at most {n * (n - 1) // 2})")
-    members = enumerate_kappa_pc_family(n, kappa)
-    if not members:
-        raise ValueError(f"no feasible parameters for order {n}, kappa {kappa}")
-    ranked = _distinct_sizes(members, _sequential_size)
-    return _select_min_size(ranked, pc_graph, m, "graph family")
+    return _kappa_pc_select(n, m, kappa, _sequential_size, pc_graph, "graph family")
 
 
 @dataclass(frozen=True)
@@ -267,39 +281,69 @@ class LambdaPCParams:
             raise ValueError(f"unknown variant {self.variant!r}")
 
     @property
-    def _tail(self) -> list[int]:
-        """The blocks after the k repeats of [1, lam]."""
-        if self.variant == "A":
-            return [self.a, self.b]
-        if self.variant == "B":
-            return [1, self.a, self.b]
-        return [2, self.a, 1]
-
-    @property
     def block_sizes(self) -> list[int]:
-        return [1, self.lam] * self.k + self._tail
+        return [1, self.lam] * self.k + _lambda_tail(self.a, self.b, self.variant)
 
     @property
     def order(self) -> int:
         # closed form, so that a huge k is refused before any list is built
-        return (1 + self.lam) * self.k + sum(self._tail)
+        return self.block_sums.total
 
     @property
     def block_sums(self) -> BlockSums:
         """``block_sums(self.block_sizes)`` in closed form, without the k repeats."""
-        lam, k, tail = self.lam, self.k, self._tail
-        sums = block_sums(tail)
-        # consecutive products: k of 1 * lam, k - 1 of lam * 1, lam * the tail's first
-        joins = lam * (2 * k - 1 + tail[0]) if k else 0
-        return BlockSums(
-            self.order,
-            sums.squares + (1 + lam * lam) * k,
-            sums.adjacent + joins,
-        )
+        return _lambda_pc_sums(self.lam, self.k, self.a, self.b, self.variant)
+
+
+def _lambda_tail(a: int, b: int, variant: str) -> list[int]:
+    """The blocks after the k repeats of [1, lam]."""
+    if variant == "A":
+        return [a, b]
+    if variant == "B":
+        return [1, a, b]
+    return [2, a, 1]
+
+
+def _lambda_pc_sums(lam: int, k: int, a: int, b: int, variant: str) -> BlockSums:
+    """``BlockSums`` of the member with these parameters, without the k repeats."""
+    tail = _lambda_tail(a, b, variant)
+    sums = block_sums(tail)
+    # consecutive products: k of 1 * lam, k - 1 of lam * 1, lam * the tail's first
+    joins = lam * (2 * k - 1 + tail[0]) if k else 0
+    return BlockSums(
+        (1 + lam) * k + sums.total,
+        sums.squares + (1 + lam * lam) * k,
+        sums.adjacent + joins,
+    )
 
 
 def lambda_pc_graph(p: LambdaPCParams) -> Graph:
     return sequential_sum_graph(p.block_sizes)
+
+
+def _lambda_pc_params(n: int, lam: int) -> Iterator[tuple[int, int, int, str]]:
+    """(k, a, b, variant) of every member of order n, variant A, then B, then C."""
+    if lam not in (2, 3):
+        raise ValueError("lam must be 2 or 3")
+    k = 1
+    while k * (1 + lam) + 2 <= n:  # variant A
+        rest = n - k * (1 + lam)
+        for a in range(1, rest):
+            b = rest - a
+            if a * b >= lam:
+                yield k, a, b, "A"
+        k += 1
+    k = 0
+    while k * (1 + lam) + 1 + lam + 1 <= n:  # variant B
+        rest = n - k * (1 + lam) - 1
+        for a in range(lam, rest):
+            yield k, a, rest - a, "B"
+        k += 1
+    if lam == 3:
+        k = 1
+        while 4 * k + 3 + 3 <= n:  # variant C
+            yield k, n - 4 * k - 3, 1, "C"
+            k += 1
 
 
 def enumerate_lambda_pc_family(n: int, lam: int) -> list[LambdaPCParams]:
@@ -309,31 +353,7 @@ def enumerate_lambda_pc_family(n: int, lam: int) -> list[LambdaPCParams]:
     and C an odd one, and where B and C are as long, B's block 2k is 1 and
     C's is 2. Within a variant, the length gives k and the tail a and b.
     """
-    if lam not in (2, 3):
-        raise ValueError("lam must be 2 or 3")
-    members = []
-    k = 1
-    while k * (1 + lam) + 2 <= n:  # variant A
-        rest = n - k * (1 + lam)
-        for a in range(1, rest):
-            b = rest - a
-            if a * b >= lam:
-                members.append(LambdaPCParams(lam, k, a, b, "A"))
-        k += 1
-    k = 0
-    while k * (1 + lam) + 1 + lam + 1 <= n:  # variant B
-        rest = n - k * (1 + lam) - 1
-        for a in range(lam, rest):
-            b = rest - a
-            members.append(LambdaPCParams(lam, k, a, b, "B"))
-        k += 1
-    if lam == 3:
-        k = 1
-        while 4 * k + 3 + 3 <= n:  # variant C
-            a = n - 4 * k - 3
-            members.append(LambdaPCParams(lam, k, a, 1, "C"))
-            k += 1
-    return members
+    return [LambdaPCParams(lam, *params) for params in _lambda_pc_params(n, lam)]
 
 
 def pk_lambda_select(n: int, m: int, lam: int) -> tuple[Graph, LambdaPCParams]:
@@ -341,18 +361,19 @@ def pk_lambda_select(n: int, m: int, lam: int) -> tuple[Graph, LambdaPCParams]:
 
     Unlike the vertex-connectivity family, equal sizes can occur across
     variants; ties break on (variant, k, a, b). Sizes are counted from each
-    member's block sums; only the chosen member is built.
+    member's parameters; only the chosen member becomes a ``LambdaPCParams``
+    and is built.
     """
     if m > n * (n - 1) // 2:  # above the complete graph, refused before any build
         raise ValueError(f"no graph of order {n} has size >= {m} (at most {n * (n - 1) // 2})")
-    members = enumerate_lambda_pc_family(n, lam)
-    if not members:
+    sized = [(_sequential_size(_lambda_pc_sums(lam, *t)), t) for t in _lambda_pc_params(n, lam)]
+    if not sized:
         raise ValueError(f"no feasible parameters for order {n}, lambda {lam}")
-    ranked = sorted(
-        ((_sequential_size(p.block_sums), p) for p in members),
-        key=lambda sp: (sp[0], sp[1].variant, sp[1].k, sp[1].a, sp[1].b),
+    # (size, variant, k, a, b)
+    ranked = sorted(sized, key=lambda sp: (sp[0], sp[1][3], *sp[1][:3]))
+    return _select_min_size(
+        ranked, partial(LambdaPCParams, lam), lambda_pc_graph, m, "lambda family"
     )
-    return _select_min_size(ranked, lambda_pc_graph, m, "lambda family")
 
 
 def shortcut_free_dipath(n: int, back_arcs: set[tuple[int, int]]) -> Digraph:

@@ -109,10 +109,11 @@ class MaskTables:
         self.cells = tuple((u, v) for u in range(n) for v in range(n) if v != u)
         self.bit_of = {cell: k for k, cell in enumerate(self.cells)}
         self.row_mask = (1 << (n - 1)) - 1
-        self.row_shift = tuple(u * (n - 1) for u in range(n))
-        # row u of the mask skips column u: its bits below u stay, the rest move up one
-        self.out_table = tuple(
-            tuple(row & ((1 << u) - 1) | (row >> u) << (u + 1) for row in range(1 << (n - 1)))
+        # per vertex u, the decode table of its row and the row's shift in the
+        # mask: row u skips column u, so its bits below u stay, the rest move up one
+        rows = range(1 << (n - 1))
+        self.row_tables = tuple(
+            (tuple(row & ((1 << u) - 1) | (row >> u) << (u + 1) for row in rows), u * (n - 1))
             for u in range(n)
         )
         # per vertex, the cells of its out-arcs and the cells of its in-arcs
@@ -126,10 +127,8 @@ class MaskTables:
 
     def out_rows(self, mask: int) -> list[int]:
         """Out-neighbour vertex bitmask per vertex."""
-        return [
-            self.out_table[u][(mask >> self.row_shift[u]) & self.row_mask]
-            for u in range(self.n)
-        ]
+        row_mask = self.row_mask
+        return [table[mask >> shift & row_mask] for table, shift in self.row_tables]
 
 
 @lru_cache(maxsize=None)

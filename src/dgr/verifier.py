@@ -83,9 +83,11 @@ import random
 import sys
 import time
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
@@ -602,7 +604,7 @@ def _pick(plane: int, picked: list[int]) -> int:
     if not picked:
         return 0
     digits = f"{plane:0{picked[-1] + 1}b}"[::-1]
-    return int("".join(digits[i] for i in reversed(picked)), 2)
+    return int("".join(itemgetter(*reversed(picked))(digits)), 2)
 
 
 def _members(
@@ -681,44 +683,47 @@ def _stride_oracle(
 ) -> None:
     """The scalar decode of a batch's stride lanes must give the kernel's maps on them.
 
-    Each stride lane is decoded once and folded into the maps the kernel
-    yields: the strong and balanced planes (balanced for the Eulerian
-    classes, where ``balanced`` is the kernel's plane, else None), and the
-    value-to-plane maps of m, sigma_max and, on class candidates, kappa.
+    Each stride lane, the chain lanes first and then the object lanes off
+    the chain, is decoded once by the scalar calls (``out_rows``,
+    ``sigma_vector``, ``is_balanced`` for the Eulerian classes, and the
+    connectivity walks on class candidates), and its values are written
+    straight into bitmaps: the strong and balanced planes (balanced for the
+    Eulerian classes, where ``balanced`` is the kernel's plane, else None),
+    and per value a plane of m, sigma_max and, on class candidates, kappa.
     Per-lane values are kept only for the candidates read by the checks
     that run once the maps agree: kappa <= lambda <= min semidegree on the
-    chain stride, and ``_object_crosscheck`` on the object stride.
+    chain stride, and ``_object_crosscheck`` on the object stride. A
+    mismatch names its first differing lane.
     """
     t = masks.tables_for(n)
+    out_rows, full = t.out_rows, t.full
+    sigma_vector, is_balanced = masks.sigma_vector, masks.is_balanced
+    kappa_lambda_mask, kappa_mask, lambda_mask = (
+        masks.kappa_lambda_mask, masks.kappa_mask, masks.lambda_mask
+    )
     seq = batch.seq
     on_objects = set(masks.lanes(batch.objects))
-    # per map, value to plane, each plane a bitmap whose lane bits are set
-    # in place: an int plane would be copied whole for every lane folded
-    folded: dict[str, dict] = {
-        key: {} for key in ("strong", "balanced", "size", "sigma_max", "kappa")
-    }
+    # bitmaps whose lane bits are set in place (an int plane would be copied
+    # whole for every lane), one per plane and one per value of each map
     width = (len(seq) + 7) // 8
-
-    def fold(key: str, value, i: int) -> None:
-        plane = folded[key].get(value)
-        if plane is None:
-            plane = folded[key][value] = bytearray(width)
-        plane[i >> 3] |= 1 << (i & 7)
-
+    strong, balanced_bits = bytearray(width), bytearray(width)
+    new_bitmap = partial(bytearray, width)
+    sizes, sigma_maxes, kappas = (defaultdict(new_bitmap) for _ in range(3))
+    eulerian = balanced is not None
     on_chain_checks, on_object_checks = [], []
-    # the chain lanes, then the object lanes off the chain
     for plane, on_chain in ((batch.chain, True), (batch.objects & ~batch.chain, False)):
         for i in masks.lanes(plane):
             mask = seq[i]
-            fold("size", mask.bit_count(), i)
-            sigmas = masks.sigma_vector(t.out_rows(mask), n, t.full)
-            in_class = balanced is None or masks.is_balanced(mask, n)
-            if in_class and balanced is not None:
-                fold("balanced", True, i)
+            at, bit = i >> 3, 1 << (i & 7)
+            sizes[mask.bit_count()][at] |= bit
+            sigmas = sigma_vector(out_rows(mask), n, full)
+            in_class = not eulerian or is_balanced(mask, n)
+            if in_class and eulerian:
+                balanced_bits[at] |= bit
             if sigmas is None:
                 continue
-            fold("strong", True, i)
-            fold("sigma_max", max(sigmas), i)
+            strong[at] |= bit
+            sigma_maxes[max(sigmas)][at] |= bit
             if not in_class:
                 continue
             kap = lam = None
@@ -726,24 +731,28 @@ def _stride_oracle(
                 # both in one walk on the chain, for kappa <= lambda <= min
                 # semidegree; elsewhere kappa, and lambda where the sweep needs it
                 if on_chain:
-                    kap, lam = masks.kappa_lambda_mask(mask, n)
+                    kap, lam = kappa_lambda_mask(mask, n)
                     on_chain_checks.append((mask, kap, lam))
                 else:
-                    kap = masks.kappa_mask(mask, n)
+                    kap = kappa_mask(mask, n)
                     if need_lambda:
-                        lam = masks.lambda_mask(mask, n)
-                fold("kappa", kap, i)
+                        lam = lambda_mask(mask, n)
+                kappas[kap][at] |= bit
             if i in on_objects:
                 on_object_checks.append(
                     (mask, sigmas, kap if on_chain or need_kappa else None, lam)
                 )
+
+    def planes(groups: dict) -> dict[int, int]:
+        return {value: int.from_bytes(bits, "little") for value, bits in groups.items()}
+
     scalar = {
-        key: {value: int.from_bytes(plane, "little") for value, plane in groups.items()}
-        for key, groups in folded.items()
+        "strong": int.from_bytes(strong, "little"),
+        "balanced": int.from_bytes(balanced_bits, "little"),
+        "size": planes(sizes),
+        "sigma_max": planes(sigma_maxes),
+        "kappa": planes(kappas),
     }
-    # the strong and balanced planes are the maps' one value, True
-    for key in ("strong", "balanced"):
-        scalar[key] = scalar[key].get(True, 0)
     on_stride = batch.chain | batch.objects
     kernel = {
         "strong": block.strong & on_stride,
@@ -755,12 +764,37 @@ def _stride_oracle(
     differ = [key for key in kernel if scalar[key] != kernel[key]]
     assert not differ, (
         f"batch at stream position {batch.pos}: kernel and oracle differ in {differ}"
+        + _first_difference(seq, differ[0], kernel[differ[0]], scalar[differ[0]])
     )
     for mask, kap, lam in on_chain_checks:
         semi = masks.min_semidegree_mask(mask, n)
         assert kap <= lam <= semi, (mask, kap, lam, semi)
     for mask, sigmas, kap, lam in on_object_checks:
         _object_crosscheck(n, mask, sigmas, kap, lam)
+
+
+def _first_difference(seq: Sequence[int], key: str, kernel, scalar) -> str:
+    """The first lane on which a kernel map and the oracle's differ, with its mask.
+
+    Each side reads, per lane, the values whose planes hold it (a plane is
+    the map ``{True: plane}``); built only once the maps are known to differ.
+    """
+
+    def by_lane(groups) -> dict[int, list]:
+        found: dict[int, list] = {}
+        for value, plane in ({True: groups} if isinstance(groups, int) else groups).items():
+            for i in masks.lanes(plane):
+                found.setdefault(i, []).append(value)
+        return found
+
+    kernel_at, oracle_at = by_lane(kernel), by_lane(scalar)
+    for i in sorted(kernel_at.keys() | oracle_at.keys()):
+        if kernel_at.get(i, []) != oracle_at.get(i, []):
+            return (
+                f"; first at lane {i}, mask {seq[i]}: {key} {kernel_at.get(i, [])} by the"
+                f" kernel, {oracle_at.get(i, [])} by the oracle"
+            )
+    return ""
 
 
 def _planes(values: dict[int, object]) -> dict:

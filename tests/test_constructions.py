@@ -284,9 +284,12 @@ class TestSelectorsRefuseAboveTheCompleteSize:
         def refuse(*args, **kwargs):
             raise AssertionError("a member was enumerated or built")
 
+        # the selectors read the families' parameter tuples from the same
+        # generators as the enumerations
         for name in (
-            "enumerate_kappa_pc_family", "enumerate_lambda_pc_family", "kappa_pc_digraph",
-            "pc_graph", "lambda_pc_graph", "sequential_sum_graph", "backward_sum",
+            "enumerate_kappa_pc_family", "enumerate_lambda_pc_family", "_kappa_pc_params",
+            "_lambda_pc_params", "kappa_pc_digraph", "pc_graph", "lambda_pc_graph",
+            "sequential_sum_graph", "backward_sum",
         ):
             monkeypatch.setattr(constructions_mod, name, refuse)
 
@@ -361,6 +364,28 @@ class TestSelectorsCountSizes:
         builds.clear()
         G, p = pk_lambda_select(120, 5000, 3)
         assert G.size >= 5000 and builds == [p.block_sizes]
+
+    def test_each_selector_makes_one_parameter_object(self, monkeypatch):
+        # the selectors rank plain parameter tuples; only the chosen one
+        # becomes a parameter object
+        import dgr.constructions as constructions_mod
+
+        made = []
+        for cls in (constructions_mod.PathCompleteParams, constructions_mod.LambdaPCParams):
+
+            def counted(self, real=cls.__post_init__):
+                made.append(self)
+                real(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        G, p = pk_select(700, 100000, 1)
+        assert (p.ell, p.a, p.b, G.size) == (252, 67, 380, 100000) and made == [p]
+        made.clear()
+        _, p = dpk_select(120, 14000, 2)
+        assert made == [p]
+        made.clear()
+        _, p = pk_lambda_select(120, 5000, 3)
+        assert made == [p]
 
 
 class TestShortcutFreeDipath:

@@ -151,13 +151,31 @@ def test_orbit_min_above_table_orders():
     assert [minimal >> i & 1 for i in range(len(draws))] == [cycle == canon, 1, 1, 1, 0, 1]
 
 
+def _assert_out_rows_hold_the_out_neighbours(n, draws):
+    """``out_rows`` must give, per vertex, the out-neighbours of the object-level decode."""
+    t = tables_for(n)
+    for mask in draws:
+        D = digraph_of_mask(n, mask)
+        assert t.out_rows(mask) == [sum(1 << v for v in D.out_lists[u]) for u in range(n)], mask
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_out_rows_hold_the_out_neighbours(n):
     t = tables_for(n)
     rng = random.Random(n)
-    for mask in [0, (1 << t.num_cells) - 1, *(rng.getrandbits(t.num_cells) for _ in range(200))]:
-        D = digraph_of_mask(n, mask)
-        assert t.out_rows(mask) == [sum(1 << v for v in D.out_lists[u]) for u in range(n)], mask
+    draws = [0, (1 << t.num_cells) - 1, *(rng.getrandbits(t.num_cells) for _ in range(200))]
+    _assert_out_rows_hold_the_out_neighbours(n, draws)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_out_rows_hold_the_out_neighbours_on_every_mask(n):
+    # CI makes the same comparison on all 2^20 order-5 masks
+    _assert_out_rows_hold_the_out_neighbours(n, range(tables_for(n).mask_count))
+
+
+def test_out_rows_hold_the_out_neighbours_on_the_order5_chain_stride():
+    # every 101st mask, the lanes the stride oracle decodes in an order-5 sweep
+    _assert_out_rows_hold_the_out_neighbours(5, range(0, tables_for(5).mask_count, 101))
 
 
 def _assert_sigma_vector_matches_floyd_warshall(n, draws):

@@ -538,6 +538,16 @@ _CROSSCHECK_CASES = [
     ),
 ]
 
+# the cases whose assertion message is pinned too: a map mismatch names its
+# first differing lane's mask and both sides' values there; mask 4095 is the
+# complete digraph of order 4, whose sigma_max 3 the sabotage reads as 2
+_CROSSCHECK_MESSAGES = {
+    "universal_bounds-sigma_max": (
+        r"differ in \['sigma_max'\]; first at lane 4095, mask 4095: "
+        r"sigma_max \[2\] by the kernel, \[3\] by the oracle"
+    ),
+}
+
 
 def shard_digest(out: dict) -> str:
     """sha256 of a ``_sweep_shard`` result: instances and every bound's outcome.
@@ -610,13 +620,13 @@ _ODD_STRETCHES = [
 
 class TestSharedKernel:
     @pytest.mark.parametrize(
-        "entry, sabotage",
-        [case[1:] for case in _CROSSCHECK_CASES],
+        "entry, sabotage, message",
+        [(*case[1:], _CROSSCHECK_MESSAGES.get(case[0])) for case in _CROSSCHECK_CASES],
         ids=[case[0] for case in _CROSSCHECK_CASES],
     )
-    def test_every_sweep_runs_the_crosschecks(self, monkeypatch, entry, sabotage):
+    def test_every_sweep_runs_the_crosschecks(self, monkeypatch, entry, sabotage, message):
         sabotage(monkeypatch)
-        with pytest.raises(AssertionError):
+        with pytest.raises(AssertionError, match=message):
             {
                 **_ENTRY_POINTS, **_ORDER5_WITNESS_SWEEPS, **_ORDER6_ENTRY,
                 **_ORDER6_DENSE_ENTRY,
@@ -852,6 +862,52 @@ class TestSharedKernel:
             monkeypatch.setattr(masks_mod, name, counted)
         check()
         assert {name: count for name, count in seen.items() if count} == calls
+
+    # calls of sigma_vector, is_balanced, kappa_lambda_mask, kappa_mask,
+    # lambda_mask, min_semidegree_mask and _object_crosscheck per sweep
+    @pytest.mark.parametrize(
+        "check, calls",
+        [
+            (
+                partial(check_eulerian_size_theorem, 5),
+                (11_411, 11_411, 72, 7, 0, 72, 8),
+            ),
+            (
+                partial(check_universal_bounds, 5, "strong", ("digraph_order", "size_digraph")),
+                (11_411, 0, 5_583, 550, 0, 5_583, 556),
+            ),
+            (
+                partial(
+                    check_universal_bounds, 6, "strong", ("kappa_digraph", "size_digraph"),
+                    mode="sampled", samples=200_000, seed=1,
+                ),
+                (2_178, 0, 1_373, 132, 0, 1_373, 134),
+            ),
+        ],
+        ids=["eulerian-n5", "strong-n5", "sampled-n6"],
+    )
+    def test_oracle_calls_per_sweep(self, monkeypatch, check, calls):
+        # the scalar oracle's calls at one worker: any pass over fewer or
+        # other stride lanes changes them
+        import dgr.masks as masks_mod
+        import dgr.verifier as verifier_mod
+
+        names = (
+            "sigma_vector", "is_balanced", "kappa_lambda_mask", "kappa_mask", "lambda_mask",
+            "min_semidegree_mask",
+        )
+        targets = [(masks_mod, name) for name in names] + [(verifier_mod, "_object_crosscheck")]
+        seen = {name: 0 for _, name in targets}
+        for module, name in targets:
+            real = getattr(module, name)
+
+            def counted(*args, name=name, real=real):
+                seen[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        check()
+        assert tuple(seen.values()) == calls
 
     @pytest.mark.parametrize("order", range(1, 7))
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
