@@ -16,9 +16,9 @@ building it. No plane kernel reads that table, so the oracle still shares
 no table or rule with them. ``is_balanced``, ``min_semidegree_mask``,
 ``kappa_mask``, ``lambda_mask`` and ``kappa_lambda_mask`` work on the mask
 itself. ``build_tables`` builds every per-order table a sweep reads, so
-that a process pool's forked workers inherit them. The block
-kernel decides up to 2**14 masks at once by bit-slicing: each arc cell
-becomes a plane, a Python int whose bit i is that cell's bit in lane i.
+that a process pool's forked workers inherit them. The block kernel
+decides up to ``2**BATCH_BITS`` masks at once by bit-slicing: each arc
+cell becomes a plane, a Python int whose bit i is that cell's bit in lane i.
 ``range_cells`` builds the planes of an aligned block of consecutive masks
 (lane i is ``base + i``; cells below the block width follow fixed lane
 patterns, the others are constant), and ``draw_cells`` transposes an
@@ -36,8 +36,8 @@ a sweep runs them first, on the whole batch, as class prefilters:
 ``size_counter`` counts every lane's arcs (``block_planes`` takes its size
 from it too) and ``balance_plane`` compares every vertex's out- and
 in-degree counters. The verifier then packs the lanes it keeps, across
-consecutive batches, into dense batches of up to 2**14 lanes with
-``draw_cells``, so the BFS kernels above run only on those, once per
+consecutive batches, into dense batches of up to ``2**BATCH_BITS`` lanes
+with ``draw_cells``, so the BFS kernels above run only on those, once per
 dense batch. Per-lane numbers are bit-sliced counters: a list of planes, least
 significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
 
@@ -94,8 +94,12 @@ from .core import Digraph
 # canonical_mask's image blocks hold n! packed words per cell, and
 # sigma_vector's vertex-set table 2**n rows
 CANONICAL_MAX_ORDER = 8
-# draw_cells pads its transpose masks to at least 2**14 draws
-_DRAW_MIN_BITS = 14
+# log2 of the plane kernels' batch width: a sweep's blocks, draw batches and
+# dense batches hold up to 2**15 lanes, whose planes are 4 KB, and
+# draw_cells pads its transpose masks to at least that many draws. Narrower
+# batches spend more of each kernel call on interpreter dispatch; 2**16
+# cuts that further but raises the benchmark's peak memory by 7-10%.
+BATCH_BITS = 15
 
 
 class MaskTables:
@@ -289,7 +293,7 @@ def draw_cells(n: int, draws: Sequence[int]) -> tuple[list[int], int]:
     of words at once. Word k of a block then holds cell k of the block's
     draws, so plane k is read from every block's word k with one strided
     slice. The stage masks are built on first use, per word width, padded
-    to at least ``2**_DRAW_MIN_BITS`` draws so that shorter batches share
+    to at least ``2**BATCH_BITS`` draws so that shorter batches share
     them.
     """
     c = tables_for(n).num_cells
@@ -299,7 +303,7 @@ def draw_cells(n: int, draws: Sequence[int]) -> tuple[list[int], int]:
     word, code = (32, "I") if c <= 32 else (64, "Q")
     words = -(-len(draws) // word) * word
     x = _pack(code, draws)
-    padded = 1 << max(_DRAW_MIN_BITS, (words - 1).bit_length())
+    padded = 1 << max(BATCH_BITS, (words - 1).bit_length())
     for shift, lower in _transpose_stages(word, padded):
         t = (x ^ (x >> shift)) & lower
         x ^= t ^ (t << shift)
@@ -842,7 +846,7 @@ def build_tables(n: int, bits: int, relabellings: bool) -> None:
     _separation_groups(n)
     _lane_cells(bits)
     word = 32 if t.num_cells <= 32 else 64  # as in draw_cells
-    _transpose_stages(word, 1 << max(_DRAW_MIN_BITS, bits))
+    _transpose_stages(word, 1 << BATCH_BITS)
     if relabellings:
         _image_blocks(n)
         _relabel_sources(n)

@@ -10,7 +10,7 @@ cross-checks; each check only consumes the members.
 
 ``_pieces`` cuts a spec's stream into pieces, and it alone reads the
 spec's mode. A piece is a plain, picklable value that makes its own
-batches of up to 2**bits lanes, ``bits = min(n(n-1), _BLOCK_BITS)``,
+batches of up to 2**bits lanes, ``bits = min(n(n-1), masks.BATCH_BITS)``,
 for the block kernel (``masks.block_planes`` and ``masks.kappa_planes``):
 a ``_Blocks`` piece is a mask range, cut into aligned blocks of
 consecutive masks, where a valid-lane plane masks off the lanes outside
@@ -123,9 +123,6 @@ _SWEEP_BOUNDS = (
 # slower object-level modules, are re-verified on these subsamples.
 _CHAIN_STRIDE = 101
 _OBJECT_STRIDE = 1009
-# Batch width cap of the kernel: planes of 2**14 lanes are 2 KB.
-# Wider blocks gain no speed and raise peak memory (2**20 lanes: +30 MB).
-_BLOCK_BITS = 14
 # A pool sweep is cut into about this many pieces per worker, each whole
 # stream batches, so a worker on a slower or busier CPU takes fewer pieces.
 _PIECES_PER_WORKER = 8
@@ -502,8 +499,8 @@ def _pieces(spec: EnumerationSpec, count: int, width: int) -> list[_Piece]:
     output_bits = 32 if t.num_cells else 0
     pieces, at = [], 0
     for lo, hi in cuts:
-        for pos in range(at, lo, 1 << _BLOCK_BITS):
-            rng.getrandbits(output_bits * min(1 << _BLOCK_BITS, lo - pos))
+        for pos in range(at, lo, 1 << masks.BATCH_BITS):
+            rng.getrandbits(output_bits * min(1 << masks.BATCH_BITS, lo - pos))
         pieces.append(_Draws(spec, lo, hi, rng.getstate()))
         at = lo
     return pieces
@@ -972,7 +969,7 @@ def _run_sharded(worker, pieces, workers: int, tables=None) -> list[dict]:
 
 def _batch_bits(n: int) -> int:
     """log2 of the kernel's batch width at order ``n``."""
-    return min(masks.tables_for(n).num_cells, _BLOCK_BITS)
+    return min(masks.tables_for(n).num_cells, masks.BATCH_BITS)
 
 
 def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dict], dict, float]:

@@ -16,6 +16,7 @@ from dgr import (
     check_lemma_monotonicity,
     check_universal_bounds,
 )
+from dgr.verifier import _PIECES_PER_WORKER, EnumerationSpec, _batch_bits, _pieces
 
 
 def _digest(reports) -> str:
@@ -103,7 +104,8 @@ N5_GOLDEN = {
     ),
 }
 
-# work counters of the lambda sweeps above. lambda is pulled out once on
+# work counters of the lambda sweeps above: 2**20 masks in 32 kernel blocks
+# of 2**15 lanes. lambda is pulled out once on
 # every candidate that meets the kappa threshold: the lambda class pulls
 # all 7,000 Eulerian digraphs, decides its 41 equality hits as planes and
 # pulls out the 3 orbit-minimal ones (none of the 41 is on the chain stride,
@@ -112,7 +114,7 @@ N5_GOLDEN = {
 N5_LAMBDA_STATS = {
     "eulerian_lambda_class": {
         "masks": 1 << 20,
-        "blocks": 64,
+        "blocks": 32,
         "members": 2_561,
         "lanes_extracted": 7_000 + 3,
         "stride_lanes": 11_411,
@@ -120,7 +122,7 @@ N5_LAMBDA_STATS = {
     },
     "eulerian_kappa_class_lambda_bound": {
         "masks": 1 << 20,
-        "blocks": 64,
+        "blocks": 32,
         "members": 2_366,
         "lanes_extracted": 2_366,
         "stride_lanes": 11_411,
@@ -128,8 +130,9 @@ N5_LAMBDA_STATS = {
     },
 }
 
-# work counters of the Eulerian size theorem. Distance profiles are decided
-# as planes, so the theorem pulls lanes out only for witnesses: at n = 4
+# work counters of the Eulerian size theorem, in one kernel block at n = 4
+# and 2**20 / 2**15 = 32 at n = 5. Distance profiles are decided as planes,
+# so the theorem pulls lanes out only for witnesses: at n = 4
 # every lane is on the chain stride, so its 31 equality hits are pulled for
 # the is_canonical oracle, then its 4 orbit-minimal ones; at n = 5 none of
 # the 241 hits is on the chain stride and the 7 orbit-minimal ones are pulled.
@@ -144,7 +147,7 @@ EULERIAN_THEOREM_STATS = {
     },
     5: {
         "masks": 1 << 20,
-        "blocks": 64,
+        "blocks": 32,
         "members": 7_000,
         "lanes_extracted": 7,
         "stride_lanes": 11_411,
@@ -156,7 +159,7 @@ N6_SAMPLED_SHA256 = "3ad0f13d8b08178894ad1f1d0dd8b859162ed66080bb79e49c06b07c7a1
 
 # sampled sweeps, recorded with the per-mask kernel: (run at a worker count,
 # digest, instances examined by each report). The Eulerian sample is longer
-# than one batch of 2**14 draws, so it crosses a batch edge and ends in a
+# than one batch of 2**15 draws, so it crosses a batch edge and ends in a
 # short batch, and it pulls lambda out lane by lane.
 SAMPLED_GOLDEN = {
     "strong_kappa2_n6": (
@@ -200,7 +203,7 @@ def test_order5_dual_bound_report_bytes(n5_sweeps):
 
 
 def test_order5_dual_bound_report_bytes_at_three_workers():
-    # 22 pieces, each at most three whole blocks of the exhaustive kernel
+    # 16 pieces, each two whole blocks of the exhaustive kernel
     reports = check_universal_bounds(
         5, "strong", ("digraph_order", "size_digraph"), workers=3
     )
@@ -236,20 +239,69 @@ def test_order6_sampled_report_bytes(workers):
     assert all(r.instances_examined == 1_370 for r in reports)
 
 
-# 40,000 draws in three batches of up to 2**14, so a pool sweep has pieces
-# that start past the first batch; recorded with the per-draw generator
-N6_THREE_BATCH_SHA256 = "50a707a41ad2e91170ebb2ed60be0c421fee39f8ddaf4856e0d744b0b5b709a5"
+# 40,000 draws in two batches, of 2**15 and 7,232, so a pool sweep at 2 or 3
+# workers has a piece that starts past the first batch; recorded with the
+# per-draw generator
+N6_TWO_BATCH_SHA256 = "50a707a41ad2e91170ebb2ed60be0c421fee39f8ddaf4856e0d744b0b5b709a5"
+N6_TWO_BATCH_SPEC = EnumerationSpec(6, "strong", mode="sampled", samples=40_000, seed=3)
+
+
+def _two_batch_sample(**kwargs):
+    return check_universal_bounds(
+        6, "strong", ("kappa_digraph", "size_digraph"),
+        mode="sampled", samples=40_000, seed=3, **kwargs,
+    )
+
+
+_shared_two_batch_sample = functools.cache(_two_batch_sample)
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-def test_order6_three_batch_sample_report_bytes(workers):
-    reports = check_universal_bounds(
-        6, "strong", ("kappa_digraph", "size_digraph"),
-        mode="sampled", samples=40_000, seed=3, workers=workers,
-    )
-    assert _digest(reports) == N6_THREE_BATCH_SHA256
+def test_order6_two_batch_sample_report_bytes(workers):
+    reports = _two_batch_sample(workers=workers)
+    assert _digest(reports) == N6_TWO_BATCH_SHA256
     assert all(r.instances_examined == 27_398 for r in reports)
-    assert all(r.stats["blocks"] == 3 for r in reports)
+    assert all(r.stats["blocks"] == 2 for r in reports)
+    if workers > 1:
+        width = 1 << _batch_bits(6)
+        pieces = _pieces(N6_TWO_BATCH_SPEC, workers * _PIECES_PER_WORKER, width)
+        assert pieces[-1].lo >= width
+
+
+# the batch width decides only how many batches a sweep counts: at 2**13 and
+# 2**16 lanes these sweeps keep their golden bytes and every other stat.
+# (run, digest, stream length)
+_WIDTH_FREE = {
+    "dual_bound_n5": (
+        lambda: check_universal_bounds(5, "strong", ("digraph_order", "size_digraph")),
+        N5_DUAL_BOUND_SHA256,
+        1 << 20,
+    ),
+    "eulerian_size_theorem_n5": (
+        lambda: [check_eulerian_size_theorem(5)],
+        N5_GOLDEN["eulerian_size_theorem"][1],
+        1 << 20,
+    ),
+    "two_batch_sample_n6": (_two_batch_sample, N6_TWO_BATCH_SHA256, 40_000),
+}
+
+
+@pytest.mark.parametrize("bits", [13, 16])
+def test_reports_ignore_the_batch_width(monkeypatch, n5_sweeps, bits):
+    import dgr.masks as masks_mod
+
+    at_default = {
+        "dual_bound_n5": n5_sweeps[1][0],
+        "eulerian_size_theorem_n5": [_shared_theorem(5)],
+        "two_batch_sample_n6": _shared_two_batch_sample(),
+    }
+    monkeypatch.setattr(masks_mod, "BATCH_BITS", bits)
+    for name, (run, expected, total) in _WIDTH_FREE.items():
+        reports = run()
+        assert _digest(reports) == expected, name
+        for report, default in zip(reports, at_default[name], strict=True):
+            assert report.stats["blocks"] == -(-total >> bits), name
+            assert {**report.stats, "blocks": 0} == {**default.stats, "blocks": 0}, name
 
 
 @pytest.mark.parametrize("workers", [1, 3])

@@ -8,6 +8,7 @@ import pytest
 from dgr.connectivity import edge_connectivity, min_semidegree, vertex_connectivity
 from dgr.core import distance_profile, is_strong
 from dgr.masks import (
+    BATCH_BITS,
     _image_blocks,
     _separation_groups,
     _separations,
@@ -32,6 +33,7 @@ from dgr.masks import (
     tables_for,
     value_planes,
 )
+from dgr.verifier import _batch_bits
 
 from oracles import (
     INF,
@@ -258,7 +260,7 @@ def test_block_planes_match_scalar_decode(n, narrow):
     # every mask, once in a single block at base 0 and once in blocks 2**3
     # times narrower, so that every block but the first has a nonzero base
     t = tables_for(n)
-    bits = max(t.num_cells - 3, 0) if narrow else min(t.num_cells, 14)
+    bits = max(t.num_cells - 3, 0) if narrow else _batch_bits(n)
     for base in range(0, t.mask_count, 1 << bits):
         cells, ones = range_cells(n, base, bits)
         _assert_planes_match_scalar_decode(n, range(base, base + (1 << bits)), cells, ones)
@@ -266,12 +268,12 @@ def test_block_planes_match_scalar_decode(n, narrow):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_draw_planes_match_scalar_decode(n):
-    # every mask five times, shuffled, in batches of 2**14 draws: at n = 4
-    # the 20,480 draws end in a batch of 4,096; n = 1 and 2 transpose 0 and
-    # 2 cells
-    draws = list(range(tables_for(n).mask_count)) * 5
+    # every mask nine times, shuffled, in batches of 2**BATCH_BITS draws: at
+    # n = 4 the 36,864 draws end in a batch of 4,096; n = 1 and 2 transpose
+    # 0 and 2 cells
+    draws = list(range(tables_for(n).mask_count)) * 9
     random.Random(n).shuffle(draws)
-    width = 1 << 14
+    width = 1 << BATCH_BITS
     batches = [draws[at : at + width] for at in range(0, len(draws), width)]
     assert 0 < len(batches[-1]) < width
     for batch in batches:
@@ -280,12 +282,14 @@ def test_draw_planes_match_scalar_decode(n):
         _assert_planes_match_scalar_decode(n, batch, cells, ones)
 
 
-@pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 1_000, 1 << 14, (1 << 14) + 33])
+@pytest.mark.parametrize(
+    "length", [0, 1, 31, 32, 33, 1_000, 1 << BATCH_BITS, (1 << BATCH_BITS) + 33]
+)
 @pytest.mark.parametrize("n", range(1, 9))
 def test_draw_cells_is_the_transpose_of_the_draws(n, length):
     # bit i of plane k is bit k of draws[i]; orders up to 6 pack 32-bit
     # words, 7 and 8 64-bit words, and the longest batch outgrows the
-    # stage masks of 2**14 draws
+    # stage masks of 2**BATCH_BITS draws
     c = n * (n - 1)
     rng = random.Random(length * 10 + n)
     draws = [(1 << c) - 1] * min(length, 2) + [rng.getrandbits(c) for _ in range(length - 2)]
@@ -323,7 +327,7 @@ def test_kappa_planes_match_kappa_mask_on_every_strong_mask(n):
 
 def test_kappa_planes_match_kappa_mask_on_a_sampled_batch():
     rng = random.Random(6)
-    draws = [rng.getrandbits(30) for _ in range(1 << 14)]
+    draws = [rng.getrandbits(30) for _ in range(1 << _batch_bits(6))]
     cells, ones = draw_cells(6, draws)
     strong = block_planes(6, cells, ones).strong
     assert sorted(_assert_kappa_planes_match(6, draws, cells, strong)) == [1, 2, 3]
@@ -351,8 +355,9 @@ def test_order5_strong_counts_match_oeis():
     # kernel's strong lanes, and the orbit-minimal ones among them; A000273
     # digraphs of order 5, the orbit-minimal lanes of every block
     labeled = unlabeled = digraphs = 0
-    for base in range(0, tables_for(5).mask_count, 1 << 14):
-        cells, ones = range_cells(5, base, 14)
+    bits = _batch_bits(5)
+    for base in range(0, tables_for(5).mask_count, 1 << bits):
+        cells, ones = range_cells(5, base, bits)
         strong = block_planes(5, cells, ones).strong
         labeled += strong.bit_count()
         unlabeled += orbit_min_planes(5, cells, strong).bit_count()
@@ -421,6 +426,18 @@ def test_profile_planes_match_distance_profiles_on_every_mask(n):
     # a lane plane that leaves lanes out, strong and not
     every_third = sum(1 << i for i in range(0, t.mask_count, 3))
     _assert_profile_planes_match(n, range(t.mask_count), cells, every_third)
+
+
+def test_profile_planes_leave_out_a_spanning_lane_that_is_not_strong():
+    # lane 0 is the path 0 -> 1 -> 2: source 0 reaches every vertex, the
+    # others do not, so the lane is not strong and is in no source's group
+    t = tables_for(3)
+    path = 1 << t.bit_of[(0, 1)] | 1 << t.bit_of[(1, 2)]
+    draws = [path, path | 1 << t.bit_of[(2, 0)], path | 1 << t.bit_of[(1, 0)]]
+    cells, ones = draw_cells(3, draws)
+    assert _assert_profile_planes_match(3, draws, cells, ones) == 0b010
+    groups = profile_planes(3, cells, ones)
+    assert not any(group & 1 for source in groups for group in source.values())
 
 
 def test_profile_planes_match_distance_profiles_on_an_order5_block():

@@ -441,25 +441,25 @@ _ENTRY_POINTS = {
     ),
 }
 
-# One kernel block of the exhaustive order-6 sweep, masks 2133 * 2**14 ..
-# 2134 * 2**14 - 1: strong lanes on both strides (mask 34,954,787 =
-# 343 * 101 * 1009 among them) and equality hits on the chain stride. It
-# enters every case that skews every lane. The complete-digraph sabotages
-# stay at n <= 4: at n = 6 the complete digraph is mask 2**30 - 1, which is
-# 16 mod 101 and so off the chain stride.
-_ORDER6_BLOCK = 2133 << 14
+# The kernel block of the exhaustive order-6 sweep that holds mask
+# 34,954,787 = 343 * 101 * 1009: strong lanes on both strides and equality
+# hits on the chain stride. It enters every case that skews every lane. The
+# complete-digraph sabotages stay at n <= 4: at n = 6 the complete digraph
+# is mask 2**30 - 1, which is 16 mod 101 and so off the chain stride.
+_ORDER6_WIDTH = 1 << _batch_bits(6)
+_ORDER6_BLOCK = 34_954_787 - 34_954_787 % _ORDER6_WIDTH
 _ORDER6_ENTRY = {
     "order6_block": lambda: _sweep_shard(
         ("digraph_order", "size_digraph"),
-        _Blocks(EnumerationSpec(6, "strong"), _ORDER6_BLOCK, _ORDER6_BLOCK + (1 << 14)),
+        _Blocks(EnumerationSpec(6, "strong"), _ORDER6_BLOCK, _ORDER6_BLOCK + _ORDER6_WIDTH),
     ),
 }
 _EVERY_LANE_ENTRIES = (*_ENTRY_POINTS, *_ORDER6_ENTRY)
 
-# The top kernel block of the exhaustive order-6 sweep, masks 2**30 - 2**14
-# .. 2**30 - 1: dense lanes, among them the complete digraph minus cell 4
-# (mask 2**30 - 17, on the chain stride), whose kappa and lambda are 4.
-_ORDER6_TOP = (1 << 30) - (1 << 14)
+# The top kernel block of the exhaustive order-6 sweep, masks up to 2**30 - 1:
+# dense lanes, among them the complete digraph minus cell 4 (mask 2**30 - 17,
+# on the chain stride), whose kappa and lambda are 4.
+_ORDER6_TOP = (1 << 30) - _ORDER6_WIDTH
 _ORDER6_DENSE_ENTRY = {
     "order6_dense_block": lambda: _sweep_shard(
         ("digraph_order", "size_digraph"),
@@ -644,7 +644,7 @@ class TestSharedKernel:
             for mask in range(1 << n * (n - 1))
             if masks_mod.is_balanced(mask, n)
         ]
-        exempt += [(6, mask) for mask in range(_ORDER6_BLOCK, _ORDER6_BLOCK + (1 << 14))]
+        exempt += [(6, mask) for mask in range(_ORDER6_BLOCK, _ORDER6_BLOCK + _ORDER6_WIDTH)]
         dense = [(4, _ORDER4_COMPLETE ^ 1), (6, (1 << 30) - 17)]
         expected = [masks_mod.kappa_lambda_mask(mask, n) for n, mask in exempt + dense]
         assert expected[-2:] == [(2, 2), (4, 4)]
@@ -665,7 +665,7 @@ class TestSharedKernel:
 
     @pytest.mark.parametrize("pos", [0, 1, 100, 1009, 12_345, 101 * 1009 - 7])
     def test_stride_lanes_are_the_positions_on_either_stride(self, pos):
-        width = 1 << 14
+        width = 1 << _batch_bits(5)
         valid = random.Random(pos).getrandbits(width)
 
         def on(stride):
@@ -701,18 +701,19 @@ class TestSharedKernel:
     def test_order6_uniqueness_blocks_skip_and_gather(self):
         from dgr.verifier import _uniqueness_shard
 
-        # the last 64 order-6 blocks for (m, kappa) = (25, 2), pinned with
-        # the kernel that decoded every lane of every block: blocks with
-        # fewer than 25 nonzero cells (14 low cells plus the set high ones)
-        # are skipped, the others cut to their lanes with m >= 25 and packed
+        # the last 2**20 order-6 masks, 32 blocks of 2**15, for (m, kappa) =
+        # (25, 2), pinned with the kernel that decoded every lane of every
+        # block: blocks with fewer than 25 nonzero cells (15 low cells plus
+        # the set high ones) are skipped, the others cut to their lanes with
+        # m >= 25 and packed
         rho, _ = remoteness(dpk_select(6, 25, 2)[0])
         spec = EnumerationSpec(6, "strong_kappa", 2)
-        lo, hi = (1 << 30) - (64 << 14), 1 << 30
+        lo, hi = (1 << 30) - (1 << 20), 1 << 30
         out = _uniqueness_shard(25, rho, _Blocks(spec, lo, hi))
         assert out["hits"] == [] and out["breaches"] == []
         assert out["stats"] == {
             "masks": 1 << 20,
-            "blocks": 64,
+            "blocks": 32,
             "members": 21_342,
             "lanes_extracted": 0,
             "stride_lanes": 244,
@@ -722,7 +723,7 @@ class TestSharedKernel:
     def test_blocks_too_small_for_m_min_build_no_planes(self, monkeypatch):
         import dgr.masks as masks_mod
 
-        # the last 1,024 order-6 blocks: a block's masks have at most its 14
+        # the last 1,024 order-6 blocks: a block's masks have at most its
         # low cells plus the set high cells of its base as arcs, so only the
         # blocks with at least 25 nonzero cells build their planes
         real = masks_mod.range_cells
@@ -731,32 +732,33 @@ class TestSharedKernel:
             masks_mod, "range_cells", lambda n, base, bits: built.append(base) or real(n, base, bits)
         )
         spec = EnumerationSpec(6, "strong_kappa", 2)
-        lo, hi = (1 << 30) - (1024 << 14), 1 << 30
-        batches = list(_Blocks(spec, lo, hi).batches(14, 25))
-        assert [b.pos for b in batches] == list(range(lo, hi, 1 << 14))
-        assert all(b.valid == (1 << (1 << 14)) - 1 for b in batches)
-        nonzero = {b.pos: sum(1 for plane in real(6, b.pos, 14)[0] if plane) for b in batches}
+        bits = _batch_bits(6)
+        lo, hi = (1 << 30) - (1024 << bits), 1 << 30
+        batches = list(_Blocks(spec, lo, hi).batches(bits, 25))
+        assert [b.pos for b in batches] == list(range(lo, hi, 1 << bits))
+        assert all(b.valid == (1 << (1 << bits)) - 1 for b in batches)
+        nonzero = {b.pos: sum(1 for plane in real(6, b.pos, bits)[0] if plane) for b in batches}
         assert built == [pos for pos in nonzero if nonzero[pos] >= 25]
         assert 0 < len(built) < len(batches)
         for b in batches:
             if b.pos in set(built):
-                assert (b.cells, b.ones) == real(6, b.pos, 14)
+                assert (b.cells, b.ones) == real(6, b.pos, bits)
             else:
                 assert (b.cells, b.ones) == ([], 0)
 
     def test_order6_eulerian_stretch_is_gathered(self):
         from dgr.verifier import _eulerian_shard
 
-        # order-6 stretch 700 (masks 700 * 2^20 onwards), pinned with
-        # the kernel that decoded every lane: every batch is packed to
-        # its balanced lanes and its stride lanes
+        # order-6 stretch 700 (masks 700 * 2^20 onwards, 32 blocks of
+        # 2^15), pinned with the kernel that decoded every lane: every batch
+        # is packed to its balanced lanes and its stride lanes
         spec = EnumerationSpec(6, "eulerian")
         out = _eulerian_shard(_Blocks(spec, 700 << 20, 701 << 20))
         assert out["violations"] == [] and out["mismatches"] == []
         assert out["equality"] == set()
         assert out["stats"] == {
             "masks": 1 << 20,
-            "blocks": 64,
+            "blocks": 32,
             "members": 2_682,
             "lanes_extracted": 0,
             "stride_lanes": 11_411,
@@ -769,10 +771,10 @@ class TestSharedKernel:
             (EnumerationSpec(3, "strong"), 0, 64, 0),
             (EnumerationSpec(4, "eulerian"), 0, 1 << 12, 0),
             (EnumerationSpec(5, "eulerian"), 0, 1 << 20, 0),
-            # blocks 14 .. 33, the first cut: those with 4 or 5 of the 6
+            # blocks 14 .. 31, the first cut: those with at least 4 of the 5
             # high cells set (15, 23, 27, 29, 30, 31) are kept whole, the
             # others packed
-            (EnumerationSpec(5, "strong"), (14 << 14) + 999, 34 << 14, 4),
+            (EnumerationSpec(5, "strong"), (14 << _batch_bits(5)) + 999, 1 << 20, 4),
             # few lanes of 16 arcs or more in each block: one dense batch
             (EnumerationSpec(5, "strong"), 0, 1 << 20, 16),
             (EnumerationSpec(6, "eulerian", mode="sampled", samples=40_000, seed=3), 0, 40_000, 0),
@@ -837,11 +839,11 @@ class TestSharedKernel:
         [
             (
                 partial(check_eulerian_size_theorem, 5),
-                {"block_planes": 2, "kappa_planes": 2, "profile_planes": 2, "draw_cells": 2},
+                {"block_planes": 1, "kappa_planes": 1, "profile_planes": 1, "draw_cells": 1},
             ),
             (
                 partial(check_universal_bounds, 5, "strong", ("size_digraph",)),
-                {"block_planes": 64, "kappa_planes": 64},
+                {"block_planes": 32, "kappa_planes": 32},
             ),
         ],
         ids=["eulerian-n5", "strong-n5"],
@@ -849,8 +851,8 @@ class TestSharedKernel:
     def test_kernel_calls_per_sweep(self, monkeypatch, check, calls):
         import dgr.masks as masks_mod
 
-        # the Eulerian sweep's 64 blocks keep a few hundred lanes each, packed
-        # into 2 kernel batches; every block of the strong sweep is kept whole
+        # the Eulerian sweep's 32 blocks keep about 600 lanes each, packed
+        # into 1 kernel batch; every block of the strong sweep is kept whole
         seen = dict.fromkeys(("block_planes", "kappa_planes", "profile_planes", "draw_cells"), 0)
         for name in seen:
             real = getattr(masks_mod, name)
@@ -916,7 +918,7 @@ class TestSharedKernel:
         spec = EnumerationSpec(order, mode=mode, **sampled)
         total = sampled["samples"] if sampled else 1 << order * (order - 1)
         kind = _Draws if sampled else _Blocks
-        for width in (1, 1 << 14):
+        for width in (1, 1 << _batch_bits(order)):
             for count in range(1, 18):
                 pieces = _pieces(spec, count, width)
                 assert 1 <= len(pieces) <= count
@@ -938,15 +940,17 @@ class TestSharedKernel:
 
     @pytest.mark.parametrize("order", [1, 2, 6])
     def test_batch_pieces_skip_to_their_own_draws(self, order):
-        # a pool sweep's pieces are whole batches; at order 6 the last
-        # piece starts 49,152 draws in, past three batches of the generator
-        spec = EnumerationSpec(order, "strong", mode="sampled", samples=50_000, seed=7)
+        # a pool sweep's pieces are whole batches; the last piece starts
+        # past three batches of the generator
+        width = 1 << _batch_bits(order)
+        samples = 3 * width + 1_000
+        spec = EnumerationSpec(order, "strong", mode="sampled", samples=samples, seed=7)
         rng = random.Random(7)
         bits = order * (order - 1)
-        draws = [rng.getrandbits(bits) for _ in range(50_000)]
-        width = 1 << min(bits, 14)
+        draws = [rng.getrandbits(bits) for _ in range(samples)]
         pieces = _pieces(spec, 16, width)
-        assert len(pieces) > 1 and all(piece.lo % width == 0 for piece in pieces)
+        assert all(piece.lo % width == 0 for piece in pieces)
+        assert pieces[-1].lo >= 3 * width
         assert _piece_draws(pieces) == draws
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4, 5, 6])
@@ -954,7 +958,7 @@ class TestSharedKernel:
         # getrandbits(0) takes no generator output, so at order 1 every
         # piece starts from the seed's own state
         bits = order * (order - 1)
-        width = 1 << min(bits, 14)
+        width = 1 << _batch_bits(order)
         samples = 2 * width + 5
         rng = random.Random(11)
         draws = [rng.getrandbits(bits) for _ in range(samples)]
@@ -989,11 +993,11 @@ class TestSharedKernel:
         import tracemalloc
 
         # the sweep's pass to the 16 piece starts of a 4,000,000-draw
-        # sample walks 3.75 million generator outputs, at most 2**14 a call
+        # sample walks 3.75 million generator outputs, at most a batch a call
         spec = EnumerationSpec(6, "strong", mode="sampled", samples=4_000_000, seed=7)
         tracemalloc.start()
         try:
-            pieces = _pieces(spec, 16, 1 << 14)
+            pieces = _pieces(spec, 16, 1 << _batch_bits(6))
             _size, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -1008,14 +1012,14 @@ class TestSweepStats:
         two, _ = n5_sweeps[2]
         assert [r.to_json() for r in one] == [r.to_json() for r in two]
         assert all("stats" not in json.loads(r.to_json()) for r in one)
-        # 2**20 masks in 64 blocks of 2**14; 10,382 + 1,039 - 10 stride lanes
+        # 2**20 masks in 32 blocks of 2**15; 10,382 + 1,039 - 10 stride lanes
         # (mask % 101 == 0 or mask % 1009 == 0); all 96,275 equality lanes
         # decided as planes, then pulled out: the 939 on the chain stride
         # (mask % 101 == 0) for the is_canonical oracle, and the 813
         # orbit-minimal witnesses
         expected = {
             "masks": 1 << 20,
-            "blocks": 64,
+            "blocks": 32,
             "members": 565_080,
             "lanes_extracted": 939 + 813,
             "stride_lanes": 11_411,
@@ -1035,7 +1039,8 @@ class TestSweepStats:
         ]
         one, two, three = ([r.stats for r in reports] for reports in runs)
         assert one == two == three
-        assert one[0]["blocks"] == 4
+        # 50,000 draws in batches of 2**15: one full, one of 17,232
+        assert one[0]["blocks"] == 2
         assert one[0]["masks"] == 50_000 and one[0]["members"] == 322
         # every member pulled for lambda, then the equality hits once more
         # to be canonicalised
