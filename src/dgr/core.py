@@ -4,6 +4,12 @@ Vertices are the integers ``0 .. order-1``. All ratio-valued invariants
 (average distance, remoteness) are ``fractions.Fraction``; floating point
 never enters a computation. An unreachable vertex is reported as ``None``,
 never as a large finite distance.
+
+A ``Digraph`` keeps one BFS distance row per source, beside its
+out-lists: the first question about a source runs its BFS, and every
+later distance, transmission, eccentricity, profile, remoteness or
+diameter question about it reads the stored row. ``is_strong`` runs its
+own two searches, along the out-lists and the in-lists from vertex 0.
 """
 
 from __future__ import annotations
@@ -63,6 +69,15 @@ class Digraph:
         for u, v in self.arcs:
             succ[u].append(v)
         return tuple(tuple(sorted(s)) for s in succ)
+
+    @cached_property
+    def _distance_rows(self) -> list[Optional[list[Optional[int]]]]:
+        """Per source, its BFS distance row once a question has asked for it, else None.
+
+        Filled in place by ``_row``, so each source's BFS runs at most once
+        per digraph. No row leaves the module uncopied.
+        """
+        return [None] * self.order
 
     @cached_property
     def in_lists(self) -> tuple[tuple[int, ...], ...]:
@@ -173,10 +188,19 @@ def _bfs_distances(succ: tuple[tuple[int, ...], ...], v: int) -> list[Optional[i
     return dist
 
 
-def distances_from(D: Digraph, v: int) -> list[Optional[int]]:
-    """BFS distance vector from v; unreachable entries are None."""
+def _row(D: Digraph, v: int) -> list[Optional[int]]:
+    """The stored BFS distance row of source v, running the BFS on first use; read only."""
     _check_vertex(D, v)
-    return _bfs_distances(D.out_lists, v)
+    rows = D._distance_rows
+    row = rows[v]
+    if row is None:
+        row = rows[v] = _bfs_distances(D.out_lists, v)
+    return row
+
+
+def distances_from(D: Digraph, v: int) -> list[Optional[int]]:
+    """BFS distance vector from v, a copy of the stored row; unreachable entries are None."""
+    return list(_row(D, v))
 
 
 def is_strong(D: Digraph) -> bool:
@@ -189,8 +213,8 @@ def is_strong(D: Digraph) -> bool:
 
 
 def _reached_distances(D: Digraph, v: int) -> list[int]:
-    """Distances from v, or ``UnreachableVertexError`` naming the first vertex v misses."""
-    dist = distances_from(D, v)
+    """The stored distances from v; ``UnreachableVertexError`` names the first vertex v misses."""
+    dist = _row(D, v)
     if None in dist:
         raise UnreachableVertexError(f"vertex {dist.index(None)} unreachable from {v}")
     return dist  # type: ignore[return-value]
@@ -211,8 +235,9 @@ def avg_distance(D: Digraph, v: int) -> Fraction:
 def remoteness(D: Digraph) -> tuple[Fraction, int]:
     """Maximum average distance and the smallest vertex attaining it.
 
-    One BFS per vertex: D is strong iff every vertex reaches every other,
-    so the first unreachable entry raises ``NotStrongError``.
+    Reads every source's distance row, running the BFS of those not yet
+    stored: D is strong iff every vertex reaches every other, so the first
+    unreachable entry raises ``NotStrongError``.
     """
     if D.order < 2:
         raise ValueError("remoteness needs order >= 2")

@@ -6,10 +6,11 @@ optimisation layer; results are observably identical to the object-level
 modules, which the verifier cross-checks on a deterministic stride.
 
 Two kernels read masks. The scalar one decodes a single mask into
-out-neighbour rows (``out_rows``), and ``sigma_vector`` grows a ball
-around each vertex on them: the counts of vertices outside the balls of
-radius 0, 1, ... sum to the vertex's transmission. Each ball grows by the
-rows of its members, which a per-order table, ``_vertex_sets(n)``, lists
+out-neighbour rows (``out_rows``), two rows per lookup in a per-order
+table built on first use, and ``sigma_vector`` grows a ball around each
+vertex on them: the counts of vertices outside the balls of radius 0, 1,
+... sum to the vertex's transmission. Each ball grows by the rows of its
+members, which a per-order table, ``_vertex_sets(n)``, lists
 with the count outside for every one of the 2**n vertex sets; so
 ``sigma_vector`` refuses orders above ``CANONICAL_MAX_ORDER`` before
 building it. No plane kernel reads that table, so the oracle still shares
@@ -83,8 +84,8 @@ from __future__ import annotations
 
 import sys
 from array import array
-from functools import lru_cache
-from itertools import combinations, compress, islice, permutations, zip_longest
+from functools import cached_property, lru_cache
+from itertools import combinations, compress, islice, permutations, product, zip_longest
 from math import factorial
 from operator import add
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -103,7 +104,15 @@ BATCH_BITS = 15
 
 
 class MaskTables:
-    """Per-order lookup tables for decoding arc masks."""
+    """Per-order lookup tables for decoding arc masks.
+
+    Row u of a mask, the out-arcs of vertex u, is the (n-1)-bit field at
+    bit u(n-1); it skips column u, so its bits below u stay and the rest
+    move up one. ``out_rows`` reads the rows two at a time: rows u and
+    u + 1 for even u share one 2(n-1)-bit field, and ``row_pairs`` maps
+    every value of that field to both decoded rows. At odd n the last row
+    is read alone, from a table of one-row entries.
+    """
 
     def __init__(self, n: int):
         self.n = n
@@ -112,14 +121,7 @@ class MaskTables:
         self.mask_count = 1 << self.num_cells
         self.cells = tuple((u, v) for u in range(n) for v in range(n) if v != u)
         self.bit_of = {cell: k for k, cell in enumerate(self.cells)}
-        self.row_mask = (1 << (n - 1)) - 1
-        # per vertex u, the decode table of its row and the row's shift in the
-        # mask: row u skips column u, so its bits below u stay, the rest move up one
-        rows = range(1 << (n - 1))
-        self.row_tables = tuple(
-            (tuple(row & ((1 << u) - 1) | (row >> u) << (u + 1) for row in rows), u * (n - 1))
-            for u in range(n)
-        )
+        self.pair_field = (1 << 2 * (n - 1)) - 1  # the bits of two rows
         # per vertex, the cells of its out-arcs and the cells of its in-arcs
         self.degree_cells = tuple(
             (
@@ -129,10 +131,37 @@ class MaskTables:
             for u in range(n)
         )
 
+    @cached_property
+    def row_pairs(self) -> tuple[tuple[tuple[tuple[int, ...], ...], int], ...]:
+        """Per field of ``out_rows``, its decode table and its shift in the mask.
+
+        Built on first use, from each row's own decode, with ``product``:
+        3,072 entries at n = 6, about 4 MB at n = 8, which order-8
+        canonical forms never read.
+        """
+        n = self.n
+        values = range(1 << (n - 1))
+        rows = [
+            tuple(row & ((1 << u) - 1) | (row >> u) << (u + 1) for row in values)
+            for u in range(n)
+        ]
+        fields = [
+            # product runs its last factor fastest, so entry i holds row u's
+            # decode of the low half of i and row u + 1's of the high half
+            (tuple((low, high) for high, low in product(rows[u + 1], rows[u])), u * (n - 1))
+            for u in range(0, n - 1, 2)
+        ]
+        if n % 2:
+            fields.append((tuple((row,) for row in rows[n - 1]), (n - 1) ** 2))
+        return tuple(fields)
+
     def out_rows(self, mask: int) -> list[int]:
-        """Out-neighbour vertex bitmask per vertex."""
-        row_mask = self.row_mask
-        return [table[mask >> shift & row_mask] for table, shift in self.row_tables]
+        """Out-neighbour vertex bitmask per vertex, read two rows per lookup."""
+        field = self.pair_field
+        out: list[int] = []
+        for table, shift in self.row_pairs:
+            out += table[mask >> shift & field]
+        return out
 
 
 @lru_cache(maxsize=None)
@@ -235,6 +264,21 @@ def _lane_cells(bits: int) -> tuple[int, ...]:
             span *= 2
         planes.append(plane)
     return tuple(planes)
+
+
+@lru_cache(maxsize=None)
+def weight_planes(bits: int) -> tuple[int, ...]:
+    """Entry k is the plane of the lane indices 0 .. 2**bits - 1 with at least k set bits.
+
+    For k = 0 .. bits. In a block of ``range_cells``, lane i holds the
+    block's constant arcs plus the set bits of i, so these planes cut a
+    block to its lanes of at least any arc count without counting them.
+    """
+    by_weight = value_planes(size_counter(list(_lane_cells(bits))), (1 << (1 << bits)) - 1)
+    planes = [by_weight[bits]]
+    for k in range(bits - 1, -1, -1):
+        planes.append(planes[-1] | by_weight[k])
+    return tuple(reversed(planes))
 
 
 def range_cells(n: int, base: int, bits: int) -> tuple[list[int], int]:
@@ -834,13 +878,15 @@ def orbit_min_planes(n: int, cells: list[int], lanes_in: int) -> int:
 def build_tables(n: int, bits: int, relabellings: bool) -> None:
     """Build every per-order table a sweep of order n, in batches of 2**bits lanes, reads.
 
-    The decode tables, ``sigma_vector``'s vertex sets, ``kappa_planes``'s
-    removals, the separations and their grouped view, and the lane patterns
-    and transpose masks of ``range_cells`` and ``draw_cells``; with
-    ``relabellings``, also the n! relabelling tables of ``is_canonical`` and
-    ``orbit_min_planes``. A process forked afterwards inherits them.
+    The row-pair decode tables of ``out_rows``, ``sigma_vector``'s vertex
+    sets, ``kappa_planes``'s removals, the separations and their grouped
+    view, and the lane patterns and transpose masks of ``range_cells`` and
+    ``draw_cells``; with ``relabellings``, also the n! relabelling tables of
+    ``is_canonical`` and ``orbit_min_planes``. A process forked afterwards
+    inherits them.
     """
     t = tables_for(n)
+    t.row_pairs
     _vertex_sets(n)
     _removal_arcs(n)
     _separation_groups(n)

@@ -390,9 +390,10 @@ class _Batch(NamedTuple):
     As a piece's ``batches`` yields it, lane i is at stream position
     ``pos + i``: the position is the mask itself in a ``_Blocks`` piece and
     the draw's index in the whole sample in a ``_Draws`` piece. ``valid``
-    holds the lanes inside the piece; ``cells`` and ``ones`` are the
-    batch's arc-cell planes and all-lanes plane, which every plane kernel
-    reads ([] and 0 for an exhaustive block too small for ``m_min``).
+    holds the lanes inside the piece with at least the sweep's ``m_min``
+    arcs; ``cells`` and ``ones`` are the batch's arc-cell planes and
+    all-lanes plane, which every plane kernel reads ([] and 0 for an
+    exhaustive block too small for ``m_min``).
     ``chain`` and ``objects`` are the stride planes of ``_stride_planes``,
     which ``_prefiltered`` decides by stream position. A dense batch that
     ``_packed`` builds holds the kept lanes of one or more consecutive
@@ -428,18 +429,25 @@ class _Blocks(NamedTuple):
 
         A block cut by a piece edge keeps only its valid lanes. A block has
         ``bits`` varying cells and the set bits of ``base >> bits`` as
-        constant ones, so a block whose masks all have fewer than ``m_min``
-        arcs is known from its base and comes without cell planes.
+        constant ones, so lane i of a block has ``(base >> bits).bit_count()
+        + i.bit_count()`` arcs: the lanes with at least ``m_min`` are read
+        off ``masks.weight_planes``, and a block whose masks all have fewer
+        comes without cell planes or valid lanes.
         """
         n, lo, hi = self.spec.order, self.lo, self.hi
         width = 1 << bits
         for base in range(lo - lo % width, hi, width):
             start, stop = max(lo - base, 0), min(hi - base, width)
-            cells, ones = (
-                masks.range_cells(n, base, bits)
-                if bits + (base >> bits).bit_count() >= m_min else ([], 0)
-            )
-            yield _Batch(range(base, base + width), base, (1 << stop) - (1 << start), cells, ones)
+            seq = range(base, base + width)
+            short = m_min - (base >> bits).bit_count()  # arcs the lane index must add
+            if short > bits:
+                yield _Batch(seq, base, 0, [], 0)
+                continue
+            cells, ones = masks.range_cells(n, base, bits)
+            valid = (1 << stop) - (1 << start)
+            if short > 0:
+                valid &= masks.weight_planes(bits)[short]
+            yield _Batch(seq, base, valid, cells, ones)
 
 
 class _Draws(NamedTuple):
@@ -460,8 +468,8 @@ class _Draws(NamedTuple):
     def batches(self, bits: int, m_min: int = 0) -> Iterator[_Batch]:
         """One ``_Batch`` per run of up to 2**bits draws, each from one generator call.
 
-        Every batch has its cell planes, transposed by ``masks.draw_cells``;
-        ``_prefiltered`` applies ``m_min`` to them.
+        Every batch has its cell planes, transposed by ``masks.draw_cells``,
+        and its draws with at least ``m_min`` arcs as its valid lanes.
         """
         n = self.spec.order
         num_cells = masks.tables_for(n).num_cells
@@ -470,7 +478,11 @@ class _Draws(NamedTuple):
         for pos in range(self.lo, self.hi, 1 << bits):
             seq = _draws(rng, num_cells, min(1 << bits, self.hi - pos))
             cells, ones = masks.draw_cells(n, seq)
-            yield _Batch(seq, pos, ones, cells, ones)
+            valid = ones
+            if m_min:
+                sizes = masks.value_planes(masks.size_counter(cells), ones)
+                valid = sum(p for m, p in sizes.items() if m >= m_min)
+            yield _Batch(seq, pos, valid, cells, ones)
 
 
 _Piece = _Blocks | _Draws
@@ -530,30 +542,25 @@ def _prefiltered(
 ) -> Iterator[tuple[_Batch, int]]:
     """Each batch of the piece that can hold a member, and the plane of lanes it keeps.
 
-    Counts every batch's valid lanes and the batch itself. A batch whose
-    nonzero cell planes are fewer than ``m_min`` is skipped; otherwise its
-    valid lanes are cut to those with at least ``m_min`` arcs, and its
-    stride planes are set on them. The kept lanes are the valid ones, or
-    for the Eulerian classes the balanced ones and every stride lane,
-    which the oracle re-derives whether it passes the prefilter or not.
+    Counts the piece's masks and every batch. The piece's ``batches`` cut
+    each batch's valid lanes to those with at least ``m_min`` arcs; a batch
+    left with none is skipped, and the others get their stride planes on
+    their valid lanes. The kept lanes are the valid ones, or for the
+    Eulerian classes the balanced ones and every stride lane, which the
+    oracle re-derives whether it passes the prefilter or not.
     """
     n = piece.spec.order
+    stats["masks"] += piece.hi - piece.lo
     for batch in piece.batches(_batch_bits(n), m_min):
-        valid = batch.valid
-        stats["masks"] += valid.bit_count()
         stats["blocks"] += 1
-        if m_min:
-            # a lane has at most as many arcs as the batch has nonzero cells;
-            # a block that the piece already knows to be too small has none
-            if sum(1 for plane in batch.cells if plane) < m_min:
-                continue
-            sizes = masks.value_planes(masks.size_counter(batch.cells), valid)
-            valid = sum(p for m, p in sizes.items() if m >= m_min)
+        valid = batch.valid
+        if not valid:
+            continue
         chain, objects = _stride_planes(n, batch.pos, len(batch.seq), valid)
         keep = valid
         if balanced_only:
             keep = valid & masks.balance_plane(n, batch.cells, batch.ones) | chain | objects
-        yield batch._replace(valid=valid, chain=chain, objects=objects), keep
+        yield batch._replace(chain=chain, objects=objects), keep
 
 
 def _packed(n: int, kept: Iterable[tuple[_Batch, int]]) -> Iterator[_Batch]:

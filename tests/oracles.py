@@ -6,13 +6,15 @@ Floyd-Warshall and, on mask rows, the frontier BFS that
 boolean matrix closure, connectivity from exhaustive subset removal and,
 on a separations table, the flat row scans that ``masks.kappa_mask`` and
 ``masks.lambda_mask`` used to run, and isomorphism from a direct
-permutation search. Expected values in the tests
+permutation search, and the number of labeled strong digraphs of each
+size from an exact counting polynomial. Expected values in the tests
 are frozen from these.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, islice, permutations
+from math import comb
 
 import numpy as np
 
@@ -207,3 +209,60 @@ def backward_sum_arc_count(blocks) -> int:
         for j in range(i - 1)
     )
     return n * (n - 1) - skips
+
+
+def _poly_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two integer polynomials, coefficient lists from x**0 up."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _poly_add(a: list[int], b: list[int], scale: int = 1) -> list[int]:
+    """a + scale * b."""
+    out = a + [0] * (len(b) - len(a))
+    for j, y in enumerate(b):
+        out[j] += scale * y
+    return out
+
+
+def _arc_powers(e: int) -> list[int]:
+    """(1 + x)**e: every set of e arc cells, by its size."""
+    return [comb(e, j) for j in range(e + 1)]
+
+
+def labeled_strong_by_size(n_max: int) -> list[list[int]]:
+    """Labeled strong digraphs by arc count: entry n holds, per m, those of order n with m arcs.
+
+    For n = 1 .. n_max; entry 0 is empty. Inclusion-exclusion over the
+    source strong components (Liskovets 1969; Wright 1971), x marking an
+    arc. Every labeled digraph of order n is counted by
+    alpha_n = (1 + x)**(n(n-1)), and
+
+        alpha_n = sum over k = 1 .. n of C(n, k) delta_k (1 + x)**(k(n-k)) alpha_{n-k},
+
+    which determines delta_n from the smaller orders. The exponential
+    generating functions S of the strong digraphs and Delta of the delta_n
+    satisfy 1 - exp(-S) = Delta, so S'(1 - Delta) = Delta', that is
+
+        s_n = delta_n + sum over k = 1 .. n-1 of C(n-1, k-1) s_k delta_{n-k}.
+    """
+    alpha = [_arc_powers(n * (n - 1)) for n in range(n_max + 1)]
+    delta: list[list[int]] = [[]]
+    strong: list[list[int]] = [[]]
+    for n in range(1, n_max + 1):
+        d = alpha[n]
+        for k in range(1, n):
+            term = _poly_mul(delta[k], _poly_mul(_arc_powers(k * (n - k)), alpha[n - k]))
+            d = _poly_add(d, term, -comb(n, k))
+        delta.append(d)
+        s = d
+        for k in range(1, n):
+            s = _poly_add(s, _poly_mul(strong[k], delta[n - k]), comb(n - 1, k - 1))
+        while len(s) > 1 and s[-1] == 0:
+            s.pop()
+        strong.append(s)
+    return strong

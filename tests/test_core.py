@@ -110,6 +110,9 @@ class TestDistances:
     def test_unreachable_is_none(self):
         D = build_digraph(3, [(0, 1)])
         assert distances_from(D, 0) == [0, 1, None]
+        # each call hands out its own copy of the stored row
+        distances_from(D, 0)[2] = 7
+        assert distances_from(D, 0) == [0, 1, None]
 
     def test_dpk_layer_distances(self):
         # frozen from Floyd-Warshall on the explicit arc list
@@ -140,8 +143,11 @@ class TestTransmission:
         assert transmission(dpk_2121(), 0) == 9
 
     def test_unreachable_errors(self):
-        with pytest.raises(UnreachableVertexError):
-            transmission(build_digraph(3, [(0, 1)]), 0)
+        D = build_digraph(3, [(0, 1)])
+        # the first unreached vertex is named, from the stored row as well
+        for _ in range(2):
+            with pytest.raises(UnreachableVertexError, match="^vertex 2 unreachable from 0$"):
+                transmission(D, 0)
 
     @given(strong_digraphs())
     def test_consistency_with_avg(self, D):
@@ -223,13 +229,22 @@ class TestEccentricityDiameter:
         assert diameter(D) == 3
 
     def test_diameter_requires_strong(self):
+        D = build_digraph(2, [(0, 1)])
         with pytest.raises(NotStrongError):
-            diameter(build_digraph(2, [(0, 1)]))
+            diameter(D)
+        assert eccentricity(D, 0) == 1
+        with pytest.raises(UnreachableVertexError, match="^vertex 0 unreachable from 1$"):
+            eccentricity(D, 1)
 
 
 class TestDistanceProfile:
     def test_directed_cycle(self):
         assert distance_profile(directed_cycle(4), 0).counts == (1, 1, 1, 1)
+        # without the arc 3 -> 0 only vertex 0 still reaches every vertex
+        path = build_digraph(4, [(0, 1), (1, 2), (2, 3)])
+        assert distance_profile(path, 0).counts == (1, 1, 1, 1)
+        with pytest.raises(UnreachableVertexError, match="^vertex 0 unreachable from 1$"):
+            distance_profile(path, 1)
 
     def test_complete_k4(self):
         assert distance_profile(complete_digraph(4), 0).counts == (1, 3)

@@ -18,6 +18,9 @@ from dgr import (
 )
 from dgr.verifier import _PIECES_PER_WORKER, EnumerationSpec, _batch_bits, _pieces
 
+from oracles import labeled_strong_by_size
+from test_masks import LABELED_STRONG
+
 
 def _digest(reports) -> str:
     return hashlib.sha256("".join(r.to_json() for r in reports).encode()).hexdigest()
@@ -208,6 +211,25 @@ def test_order5_dual_bound_report_bytes_at_three_workers():
         5, "strong", ("digraph_order", "size_digraph"), workers=3
     )
     assert _digest(reports) == N5_DUAL_BOUND_SHA256
+
+
+def test_strong_counting_polynomial_totals():
+    # labeled strong digraphs of order 1 .. 6 (OEIS A003030)
+    totals = [sum(by_size) for by_size in labeled_strong_by_size(6)[1:]]
+    assert totals == [*LABELED_STRONG, 734_774_776]
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_strong_sweeps_examine_the_counted_digraphs_of_every_size(n5_sweeps, n):
+    # column 0 of a strong sweep's by_m rows, the digraphs examined at
+    # each size m, is the counting polynomial's coefficient of x**m
+    reports = (
+        n5_sweeps[1][0] if n == 5
+        else check_universal_bounds(n, "strong", ("digraph_order", "size_digraph"))
+    )
+    counted = {m: count for m, count in enumerate(labeled_strong_by_size(n)[n]) if count}
+    for report in reports:
+        assert {m: examined for m, examined, *_ in report.meta["by_m"]} == counted
 
 
 @pytest.mark.parametrize("check", sorted(N5_GOLDEN))

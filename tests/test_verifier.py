@@ -725,7 +725,9 @@ class TestSharedKernel:
 
         # the last 1,024 order-6 blocks: a block's masks have at most its
         # low cells plus the set high cells of its base as arcs, so only the
-        # blocks with at least 25 nonzero cells build their planes
+        # blocks with at least 25 nonzero cells build their planes, and
+        # their valid lanes, read off the lane-index weight planes, are the
+        # lanes that the size counter of their cell planes puts at m >= 25
         real = masks_mod.range_cells
         built = []
         monkeypatch.setattr(
@@ -736,15 +738,16 @@ class TestSharedKernel:
         lo, hi = (1 << 30) - (1024 << bits), 1 << 30
         batches = list(_Blocks(spec, lo, hi).batches(bits, 25))
         assert [b.pos for b in batches] == list(range(lo, hi, 1 << bits))
-        assert all(b.valid == (1 << (1 << bits)) - 1 for b in batches)
         nonzero = {b.pos: sum(1 for plane in real(6, b.pos, bits)[0] if plane) for b in batches}
         assert built == [pos for pos in nonzero if nonzero[pos] >= 25]
         assert 0 < len(built) < len(batches)
         for b in batches:
             if b.pos in set(built):
                 assert (b.cells, b.ones) == real(6, b.pos, bits)
+                sizes = masks_mod.value_planes(masks_mod.size_counter(b.cells), b.ones)
+                assert b.valid == sum(p for m, p in sizes.items() if m >= 25) != 0
             else:
-                assert (b.cells, b.ones) == ([], 0)
+                assert (b.cells, b.ones, b.valid) == ([], 0, 0)
 
     def test_order6_eulerian_stretch_is_gathered(self):
         from dgr.verifier import _eulerian_shard
@@ -778,8 +781,12 @@ class TestSharedKernel:
             # few lanes of 16 arcs or more in each block: one dense batch
             (EnumerationSpec(5, "strong"), 0, 1 << 20, 16),
             (EnumerationSpec(6, "eulerian", mode="sampled", samples=40_000, seed=3), 0, 40_000, 0),
+            (EnumerationSpec(6, "strong", mode="sampled", samples=40_000, seed=3), 0, 40_000, 20),
         ],
-        ids=["n3", "n4", "n5-eulerian", "n5-m_min-interleaved", "n5-m_min-dense", "n6-sampled"],
+        ids=[
+            "n3", "n4", "n5-eulerian", "n5-m_min-interleaved", "n5-m_min-dense", "n6-sampled",
+            "n6-sampled-m_min",
+        ],
     )
     def test_packing_keeps_stream_order_in_full_batches(self, monkeypatch, spec, lo, hi, m_min):
         import dgr.masks as masks_mod
@@ -788,6 +795,12 @@ class TestSharedKernel:
         width = 1 << _batch_bits(n)
         balanced_only = spec.class_filter.startswith("eulerian")
         kept = list(_prefiltered(_piece(spec, lo, hi), _new_stats(), m_min, balanced_only))
+        if m_min:
+            # the kept lanes are the stream's masks with at least m_min arcs
+            assert [batch.seq[i] for batch, keep in kept for i in lanes(keep)] == [
+                mask for _pos, seq in _piece_batches([_piece(spec, lo, hi)])
+                for mask in seq[max(lo - _pos, 0):hi - _pos] if mask.bit_count() >= m_min
+            ]
         transposed = []
         monkeypatch.setattr(
             masks_mod, "draw_cells", lambda n, seq: transposed.append(len(seq)) or draw_cells(n, seq)
@@ -910,6 +923,48 @@ class TestSharedKernel:
             monkeypatch.setattr(module, name, counted)
         check()
         assert tuple(seen.values()) == calls
+
+    def test_object_oracle_runs_one_bfs_per_source(self, monkeypatch):
+        # per object lane of an order-5 sweep: is_strong's two searches and
+        # one BFS per source, whose rows transmission and remoteness share;
+        # the flows of the chain lanes check strongness on their own, and
+        # their searches are counted apart
+        import dgr.connectivity as conn_mod
+        import dgr.core as core_mod
+        import dgr.verifier as verifier_mod
+
+        searches = {"all": 0, "flows": 0}
+        real_bfs = core_mod._bfs_distances
+
+        def counted_bfs(*args):
+            searches["all"] += 1
+            return real_bfs(*args)
+
+        monkeypatch.setattr(core_mod, "_bfs_distances", counted_bfs)
+        for name in ("vertex_connectivity", "edge_connectivity"):
+            real_flow = getattr(conn_mod, name)
+
+            def counted_flow(D, real_flow=real_flow):
+                before = searches["all"]
+                result = real_flow(D)
+                searches["flows"] += searches["all"] - before
+                return result
+
+            monkeypatch.setattr(conn_mod, name, counted_flow)
+        per_lane = []
+        real_check = verifier_mod._object_crosscheck
+
+        def counted_check(*args):
+            before = dict(searches)
+            real_check(*args)
+            per_lane.append(
+                searches["all"] - before["all"] - (searches["flows"] - before["flows"])
+            )
+
+        monkeypatch.setattr(verifier_mod, "_object_crosscheck", counted_check)
+        check_universal_bounds(5, "strong", ("digraph_order", "size_digraph"))
+        assert len(per_lane) == 556 and searches["flows"] > 0
+        assert set(per_lane) == {5 + 2}
 
     @pytest.mark.parametrize("order", range(1, 7))
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
