@@ -35,8 +35,9 @@ lanes whose mask is the least of its relabellings, the orbit-minimal
 witnesses of a sweep's equality hits. Two cheaper kernels need no BFS, so
 a sweep runs them first, on the whole batch, as class prefilters:
 ``size_counter`` counts every lane's arcs (``block_planes`` takes its size
-from it too) and ``balance_plane`` compares every vertex's out- and
-in-degree counters. The verifier then packs the lanes it keeps, across
+from it too; a ``range_cells`` block needs no count, as ``weight_planes``
+gives its lanes by the set bits of their index) and ``balance_plane``
+compares every vertex's out- and in-degree counters. The verifier then packs the lanes it keeps, across
 consecutive batches, into dense batches of up to ``2**BATCH_BITS`` lanes
 with ``draw_cells``, so the BFS kernels above run only on those, once per
 dense batch. Per-lane numbers are bit-sliced counters: a list of planes, least
