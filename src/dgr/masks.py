@@ -15,11 +15,11 @@ with the count outside for every one of the 2**n vertex sets; so
 ``sigma_vector`` refuses orders above ``CANONICAL_MAX_ORDER`` before
 building it. No plane kernel reads that table, so the oracle still shares
 no table or rule with them. ``is_balanced``, ``min_semidegree_mask``,
-``kappa_mask``, ``lambda_mask`` and ``kappa_lambda_mask`` work on the mask
-itself. ``build_tables`` builds every per-order table a sweep reads, so
-that a process pool's forked workers inherit them. The block kernel
-decides up to ``2**BATCH_BITS`` masks at once by bit-slicing: each arc
-cell becomes a plane, a Python int whose bit i is that cell's bit in lane i.
+``lambda_mask`` and ``kappa_lambda_mask`` work on the mask itself.
+``build_tables`` builds every per-order table a sweep reads, so that a
+process pool's forked workers inherit them. The block kernel decides up
+to ``2**BATCH_BITS`` masks at once by bit-slicing: each arc cell becomes
+a plane, a Python int whose bit i is that cell's bit in lane i.
 ``range_cells`` builds the planes of an aligned block of consecutive masks
 (lane i is ``base + i``; cells below the block width follow fixed lane
 patterns, the others are constant), and ``draw_cells`` transposes an
@@ -57,9 +57,10 @@ image is at least the mask, and stops at the first block that holds a
 smaller image. Both are the oracle of ``orbit_min_planes``, so they read
 separate tables.
 
-The scalar oracle's chain check kappa <= lambda <= min semidegree is kept
-cheap. ``kappa_mask`` and ``lambda_mask`` are vertex and edge connectivity
-by their definitions, read off one table, ``_separations(n)``: a row per
+The scalar oracle's chain check kappa <= lambda <= min semidegree, run on
+every stride candidate, is kept cheap. ``kappa_lambda_mask`` gives vertex
+and edge connectivity, and ``lambda_mask`` the latter alone, by their
+definitions, read off one table, ``_separations(n)``: a row per
 vertex set S and ordered split of the other vertices into nonempty A and
 B, holding |S| and the cells of the arcs from A to B. kappa is the least
 |S| of a row whose cells the mask misses; lambda is the least popcount
@@ -71,8 +72,8 @@ facts prune the walk. A missed cut lies inside the missing cells, so its
 popcount is at most ``missing``: kappa's walk skips every group wider
 than that. A cut of w cells keeps at least w - ``missing`` of the mask's
 arcs: lambda's walk stops at the first group where that reaches its least
-count so far. ``kappa_lambda_mask`` gives both in one walk, for the
-chain lanes: lambda first, then kappa = 0 where lambda is 0 and
+count so far. ``kappa_lambda_mask`` gives both in one walk, for every
+stride candidate: lambda first, then kappa = 0 where lambda is 0 and
 otherwise kappa's walk from |S| = 1. The walks keep no memo keyed by
 mask. ``kappa_planes`` removes vertex subsets and runs BFS on D - S, and
 ``connectivity.vertex_connectivity`` and ``edge_connectivity`` run flows,
@@ -507,8 +508,9 @@ def _reached_by_all(cells: list[int], root: int, arcs, start: int) -> int:
 def kappa_planes(n: int, cells: list[int], lanes_in: int) -> dict[int, int]:
     """Split the strong lanes of ``lanes_in`` by vertex connectivity.
 
-    The plane-wise ``kappa_mask``, by subset removal rather than its table
-    of separations: for every vertex subset S, in ``_removal_arcs`` order,
+    The plane-wise kappa of ``kappa_lambda_mask``, which the oracle reads on
+    every stride candidate, by subset removal rather than its table of
+    separations: for every vertex subset S, in ``_removal_arcs`` order,
     a forward and a backward BFS from the root of D - S decide on all
     undecided lanes whether D - S is strong; a lane that is not gets
     kappa = |S|. Stops once every lane is decided; the lanes left at the
@@ -638,14 +640,14 @@ def _separation_groups(n: int) -> tuple[tuple[tuple[int, tuple[int, ...]], ...],
     )
 
 
-def _kappa_walk(mask: int, n: int, missing: int, start: int) -> int:
-    """The least |S| >= start with a row the mask misses, or n - 1 if none.
+def _kappa_walk(mask: int, n: int, missing: int) -> int:
+    """The least |S| >= 1 with a row the mask misses, or n - 1 if none.
 
     ``missing`` is the count of cells the mask lacks. A missed cut lies
     inside them, so only the groups no wider than ``missing`` are read.
     """
     groups = _separation_groups(n)
-    for s in range(start, n - 1):
+    for s in range(1, n - 1):
         for width, cuts in groups[s]:
             if width > missing:
                 break
@@ -673,16 +675,6 @@ def _lambda_walk(mask: int, n: int, missing: int) -> int:
     return least
 
 
-def kappa_mask(mask: int, n: int) -> int:
-    """Vertex connectivity, 0 if the digraph is not strong.
-
-    The least |S| such that the vertices outside S split into nonempty A
-    and B with no arc from A to B, or n - 1 if no S does: the least |S|
-    among the rows of ``_separations(n)`` whose cells the mask misses.
-    """
-    return _kappa_walk(mask, n, n * (n - 1) - mask.bit_count(), 0)
-
-
 def lambda_mask(mask: int, n: int) -> int:
     """Edge connectivity; assumes a strong digraph of order >= 2.
 
@@ -694,14 +686,18 @@ def lambda_mask(mask: int, n: int) -> int:
 
 
 def kappa_lambda_mask(mask: int, n: int) -> tuple[int, int]:
-    """(``kappa_mask``, ``lambda_mask``) of one mask, in one walk.
+    """Vertex and edge connectivity of one mask, both 0 if it is not strong.
 
-    lambda first; kappa is 0 where lambda is, as an S-empty row is then
-    missed, and otherwise the kappa walk starts at |S| = 1.
+    kappa is the least |S| such that the vertices outside S split into
+    nonempty A and B with no arc from A to B, or n - 1 if no S does: the
+    least |S| among the rows of ``_separations(n)`` whose cells the mask
+    misses. lambda, the ``lambda_mask`` walk, comes first; kappa is 0
+    where lambda is, as an S-empty row is then missed, and otherwise the
+    kappa walk starts at |S| = 1.
     """
     missing = n * (n - 1) - mask.bit_count()
     lam = _lambda_walk(mask, n, missing)
-    return (_kappa_walk(mask, n, missing, 1) if lam else 0), lam
+    return (_kappa_walk(mask, n, missing) if lam else 0), lam
 
 
 def min_semidegree_mask(mask: int, n: int) -> int:
@@ -876,13 +872,13 @@ def orbit_min_planes(n: int, cells: list[int], lanes_in: int) -> int:
     return live << low
 
 
-def build_tables(n: int, bits: int, relabellings: bool) -> None:
+def build_tables(n: int, bits: int) -> None:
     """Build every per-order table a sweep of order n, in batches of 2**bits lanes, reads.
 
     The row-pair decode tables of ``out_rows``, ``sigma_vector``'s vertex
     sets, ``kappa_planes``'s removals, the separations and their grouped
-    view, and the lane patterns and transpose masks of ``range_cells`` and
-    ``draw_cells``; with ``relabellings``, also the n! relabelling tables of
+    view, the lane patterns and transpose masks of ``range_cells`` and
+    ``draw_cells``, and the n! relabelling tables of ``canonical_mask``,
     ``is_canonical`` and ``orbit_min_planes``. A process forked afterwards
     inherits them.
     """
@@ -894,9 +890,8 @@ def build_tables(n: int, bits: int, relabellings: bool) -> None:
     _lane_cells(bits)
     word = 32 if t.num_cells <= 32 else 64  # as in draw_cells
     _transpose_stages(word, 1 << BATCH_BITS)
-    if relabellings:
-        _image_blocks(n)
-        _relabel_sources(n)
+    _image_blocks(n)
+    _relabel_sources(n)
 
 
 def mask_bytes(n: int, mask: int) -> bytes:

@@ -47,9 +47,10 @@ batch and before the packing, which always keeps them; the kernel batch
 carries them as its ``chain`` and ``objects`` planes. On them
 ``_stride_oracle`` folds each decoded lane into the maps the kernel
 yields (strong and balanced planes, value-to-plane maps of m, sigma_max
-and kappa), and in the Eulerian theorem ``_profile_oracle`` builds each
+and kappa) and checks kappa <= lambda <= min semidegree on every stride
+candidate; in the Eulerian theorem ``_profile_oracle`` builds each
 source's map from distance profile to plane, read by
-``core.distance_profile`` on the decoded digraph; each must equal the
+``core.distance_profile`` on the decoded digraph. Each map must equal the
 kernel's. On the chain-stride equality hits ``masks.is_canonical`` must
 agree with the orbit-minimality planes, and every witness they keep
 must pass it.
@@ -119,8 +120,9 @@ _SWEEP_BOUNDS = (
     "eulerian_lambda",
 )
 
-# Deterministic cross-check strides: mask-level connectivity chain, and the
-# slower object-level modules, are re-verified on these subsamples.
+# Deterministic cross-check strides: the scalar oracle, connectivity chain
+# included, re-derives every lane on either; the slower object-level modules
+# run on the second.
 _CHAIN_STRIDE = 101
 _OBJECT_STRIDE = 1009
 # A pool sweep is cut into about this many pieces per worker, each whole
@@ -687,65 +689,59 @@ def _stride_oracle(
 ) -> None:
     """The scalar decode of a batch's stride lanes must give the kernel's maps on them.
 
-    Each stride lane, the chain lanes first and then the object lanes off
-    the chain, is decoded once by the scalar calls (``out_rows``,
-    ``sigma_vector``, ``is_balanced`` for the Eulerian classes, and the
-    connectivity walks on class candidates), and its values are written
-    straight into bitmaps: the strong and balanced planes (balanced for the
-    Eulerian classes, where ``balanced`` is the kernel's plane, else None),
-    and per value a plane of m, sigma_max and, on class candidates, kappa.
-    Per-lane values are kept only for the candidates read by the checks
-    that run once the maps agree: kappa <= lambda <= min semidegree on the
-    chain stride, and ``_object_crosscheck`` on the object stride. A
+    Each stride lane, chain and object lanes alike and in lane order, is
+    decoded once by the scalar calls (``out_rows``, ``sigma_vector``,
+    ``is_balanced`` for the Eulerian classes, and ``kappa_lambda_mask`` on
+    class candidates), and its values are written straight into bitmaps:
+    the strong and balanced planes (balanced for the Eulerian classes,
+    where ``balanced`` is the kernel's plane, else None), and per value a
+    plane of m, sigma_max and, on class candidates, kappa. Per-lane values
+    are kept only for the candidates read by the checks that run once the
+    maps agree: kappa <= lambda <= min semidegree on every stride
+    candidate, and ``_object_crosscheck`` on the object stride, whose flows
+    get kappa and lambda on the chain and where the sweep needs them. A
     mismatch names its first differing lane.
     """
     t = masks.tables_for(n)
     out_rows, full = t.out_rows, t.full
     sigma_vector, is_balanced = masks.sigma_vector, masks.is_balanced
-    kappa_lambda_mask, kappa_mask, lambda_mask = (
-        masks.kappa_lambda_mask, masks.kappa_mask, masks.lambda_mask
-    )
+    kappa_lambda_mask = masks.kappa_lambda_mask
     seq = batch.seq
-    on_objects = set(masks.lanes(batch.objects))
     # bitmaps whose lane bits are set in place (an int plane would be copied
     # whole for every lane), one per plane and one per value of each map
     width = (len(seq) + 7) // 8
     strong, balanced_bits = bytearray(width), bytearray(width)
+    chain_bits, object_bits = (p.to_bytes(width, "little") for p in (batch.chain, batch.objects))
     new_bitmap = partial(bytearray, width)
     sizes, sigma_maxes, kappas = (defaultdict(new_bitmap) for _ in range(3))
     eulerian = balanced is not None
-    on_chain_checks, on_object_checks = [], []
-    for plane, on_chain in ((batch.chain, True), (batch.objects & ~batch.chain, False)):
-        for i in masks.lanes(plane):
-            mask = seq[i]
-            at, bit = i >> 3, 1 << (i & 7)
-            sizes[mask.bit_count()][at] |= bit
-            sigmas = sigma_vector(out_rows(mask), n, full)
-            in_class = not eulerian or is_balanced(mask, n)
-            if in_class and eulerian:
-                balanced_bits[at] |= bit
-            if sigmas is None:
-                continue
-            strong[at] |= bit
-            sigma_maxes[max(sigmas)][at] |= bit
-            if not in_class:
-                continue
-            kap = lam = None
-            if n >= 2:
-                # both in one walk on the chain, for kappa <= lambda <= min
-                # semidegree; elsewhere kappa, and lambda where the sweep needs it
-                if on_chain:
-                    kap, lam = kappa_lambda_mask(mask, n)
-                    on_chain_checks.append((mask, kap, lam))
-                else:
-                    kap = kappa_mask(mask, n)
-                    if need_lambda:
-                        lam = lambda_mask(mask, n)
-                kappas[kap][at] |= bit
-            if i in on_objects:
-                on_object_checks.append(
-                    (mask, sigmas, kap if on_chain or need_kappa else None, lam)
-                )
+    chain_checks, object_checks = [], []
+    on_stride = batch.chain | batch.objects
+    for i in masks.lanes(on_stride):
+        mask = seq[i]
+        at, bit = i >> 3, 1 << (i & 7)
+        sizes[mask.bit_count()][at] |= bit
+        sigmas = sigma_vector(out_rows(mask), n, full)
+        in_class = not eulerian or is_balanced(mask, n)
+        if in_class and eulerian:
+            balanced_bits[at] |= bit
+        if sigmas is None:
+            continue
+        strong[at] |= bit
+        sigma_maxes[max(sigmas)][at] |= bit
+        if not in_class:
+            continue
+        kap = lam = None
+        if n >= 2:
+            kap, lam = kappa_lambda_mask(mask, n)
+            kappas[kap][at] |= bit
+            chain_checks.append((mask, kap, lam))
+        if object_bits[at] & bit:
+            chained = chain_bits[at] & bit
+            object_checks.append((
+                mask, sigmas, kap if chained or need_kappa else None,
+                lam if chained or need_lambda else None,
+            ))
 
     def planes(groups: dict) -> dict[int, int]:
         return {value: int.from_bytes(bits, "little") for value, bits in groups.items()}
@@ -757,7 +753,6 @@ def _stride_oracle(
         "sigma_max": planes(sigma_maxes),
         "kappa": planes(kappas),
     }
-    on_stride = batch.chain | batch.objects
     kernel = {
         "strong": block.strong & on_stride,
         "balanced": 0 if balanced is None else balanced & on_stride,
@@ -770,10 +765,10 @@ def _stride_oracle(
         f"batch at stream position {batch.pos}: kernel and oracle differ in {differ}"
         + _first_difference(seq, differ[0], kernel[differ[0]], scalar[differ[0]])
     )
-    for mask, kap, lam in on_chain_checks:
+    for mask, kap, lam in chain_checks:
         semi = masks.min_semidegree_mask(mask, n)
         assert kap <= lam <= semi, (mask, kap, lam, semi)
-    for mask, sigmas, kap, lam in on_object_checks:
+    for mask, sigmas, kap, lam in object_checks:
         _object_crosscheck(n, mask, sigmas, kap, lam)
 
 
@@ -997,9 +992,7 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     count = workers * _PIECES_PER_WORKER if workers > 1 else 1
     bits = _batch_bits(spec.order)
     pieces = _pieces(spec, count, 1 << bits)
-    # a sample canonicalises its equality hits only if it has any, so only
-    # orbit-minimal pieces build the relabelling tables up front
-    tables = partial(masks.build_tables, spec.order, bits, pieces[0].orbit_minimal)
+    tables = partial(masks.build_tables, spec.order, bits)
     partials = _run_sharded(partial(shard, *extra), pieces, workers, tables)
     stats = {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
     return partials, stats, time.monotonic() - started

@@ -4,8 +4,8 @@ Nothing here calls back into the library's algorithms: distances come from
 Floyd-Warshall and, on mask rows, the frontier BFS that
 ``masks.sigma_vector`` used to run; strongness counts come from batched
 boolean matrix closure, connectivity from exhaustive subset removal and,
-on a separations table, the flat row scans that ``masks.kappa_mask`` and
-``masks.lambda_mask`` used to run, and isomorphism from a direct
+on a separations table, the flat row scans that the kappa and lambda
+walks of ``dgr.masks`` replaced, and isomorphism from a direct
 permutation search, and the number of labeled strong digraphs of each
 size from an exact counting polynomial. Expected values in the tests
 are frozen from these.
@@ -75,7 +75,7 @@ def frontier_sigma_vector(rows: list[int], n: int, full: int) -> list[int] | Non
 def flat_kappa_mask(mask: int, n: int, separations) -> int:
     """Vertex connectivity by a flat scan of a separations table; 0 if not strong.
 
-    The path ``dgr.masks.kappa_mask`` had before it grouped the rows: the
+    The path kappa had in ``dgr.masks`` before its walk grouped the rows: the
     |S| of the first (|S|, cut) row, in the table's increasing |S|, whose
     cut the mask misses, else n - 1.
     """

@@ -21,7 +21,6 @@ from dgr.masks import (
     is_balanced,
     is_canonical,
     kappa_lambda_mask,
-    kappa_mask,
     kappa_planes,
     lambda_mask,
     lanes,
@@ -312,7 +311,7 @@ def _assert_kappa_planes_match(n, draws, cells, strong):
     for kappa, plane in groups.items():
         assert plane & strong == plane
         for i in lanes(plane):
-            assert kappa_mask(draws[i], n) == kappa, draws[i]
+            assert kappa_lambda_mask(draws[i], n)[0] == kappa, draws[i]
     return groups
 
 
@@ -558,7 +557,7 @@ def test_kappa_mask_matches_subset_removal_on_every_mask(n):
     t = tables_for(n)
     seen = set()
     for mask in range(t.mask_count):
-        kappa = kappa_mask(mask, n)
+        kappa = kappa_lambda_mask(mask, n)[0]
         if sigma_vector(t.out_rows(mask), n, t.full) is None:
             assert kappa == 0, mask
         else:
@@ -574,7 +573,7 @@ def test_kappa_mask_matches_the_flows_on_drawn_dense_strong_masks(n):
     seen = set()
     for fill in range(1, 6):
         for mask in _strong_draws(n, rng, 150, fill):
-            kappa = kappa_mask(mask, n)
+            kappa = kappa_lambda_mask(mask, n)[0]
             assert kappa == vertex_connectivity(digraph_of_mask(n, mask)).value, mask
             seen.add(kappa)
     assert seen == set(range(1, n))
@@ -596,11 +595,11 @@ def test_separation_groups_regroup_the_table(n):
 
 
 def _assert_walks_match_the_flat_scans(n, draws):
-    """kappa, lambda and the one-walk pair against the flat row scans they replaced."""
+    """lambda and the one-walk pair against the flat row scans they replaced."""
     rows = _separations(n)
     for mask in draws:
         kappa, lam = flat_kappa_mask(mask, n, rows), flat_lambda_mask(mask, n, rows)
-        assert (kappa_mask(mask, n), lambda_mask(mask, n)) == (kappa, lam), mask
+        assert lambda_mask(mask, n) == lam, mask
         assert kappa_lambda_mask(mask, n) == (kappa, lam), mask
 
 
@@ -621,7 +620,7 @@ def test_walks_match_the_flat_scans_on_drawn_strong_masks(n):
     full = tables_for(n).mask_count - 1
     draws += [full] + [full ^ 1 << k for k in range(n * (n - 1))]
     _assert_walks_match_the_flat_scans(n, draws)
-    assert {kappa_mask(mask, n) for mask in draws} == set(range(1, n))
+    assert {kappa_lambda_mask(mask, n)[0] for mask in draws} == set(range(1, n))
 
 
 def test_lambda_mask_of_complete_digraphs_is_n_minus_1():

@@ -198,10 +198,11 @@ def _piece_draws(pieces):
 
 
 def _oracle_connectivity(monkeypatch, kappa=None, lam=None):
-    """Replace kappa and/or lambda, given as functions of n, wherever the scalar oracle reads them.
+    """Replace kappa and/or lambda, given as functions of n, wherever a sweep reads them.
 
-    The chain lanes read both from ``kappa_lambda_mask``, the other lanes
-    from ``kappa_mask`` and ``lambda_mask``.
+    The oracle reads both from ``kappa_lambda_mask`` on every stride
+    candidate; a sweep that needs lambda reads ``lambda_mask`` on its
+    members.
     """
     import dgr.masks as masks_mod
 
@@ -212,8 +213,6 @@ def _oracle_connectivity(monkeypatch, kappa=None, lam=None):
         return (k if kappa is None else kappa(n)), (l if lam is None else lam(n))
 
     monkeypatch.setattr(masks_mod, "kappa_lambda_mask", pair)
-    if kappa is not None:
-        monkeypatch.setattr(masks_mod, "kappa_mask", lambda mask, n: kappa(n))
     if lam is not None:
         monkeypatch.setattr(masks_mod, "lambda_mask", lambda mask, n: lam(n))
 
@@ -223,20 +222,31 @@ def _kappa_is_order(monkeypatch):
     _oracle_connectivity(monkeypatch, kappa=lambda n: n)
 
 
-def _kappa_only_is_order(monkeypatch):
-    """kappa = n from the kappa-only entry, which the lanes off the chain stride read."""
-    import dgr.masks as masks_mod
-
-    monkeypatch.setattr(masks_mod, "kappa_mask", lambda mask, n: n)
-
-
 def _lambda_is_zero(monkeypatch):
-    """lambda = 0 breaks kappa <= lambda on every chain-stride candidate."""
+    """lambda = 0 breaks kappa <= lambda on every stride candidate."""
     _oracle_connectivity(monkeypatch, lam=lambda n: 0)
 
 
+def _lambda_zero_off_the_chain(monkeypatch):
+    """lambda = 0 on the masks off the chain stride only, the object lanes among them.
+
+    In an exhaustive sweep a lane's mask is its stream position, so only
+    the check of kappa <= lambda on the object-stride candidates off the
+    chain stride can catch it.
+    """
+    import dgr.masks as masks_mod
+
+    real = masks_mod.kappa_lambda_mask
+
+    def pair(mask, n):
+        kappa, lam = real(mask, n)
+        return kappa, (lam if mask % 101 == 0 else 0)
+
+    monkeypatch.setattr(masks_mod, "kappa_lambda_mask", pair)
+
+
 def _lambda_above_semidegree(monkeypatch):
-    """lambda = n breaks lambda <= min semidegree on every chain-stride candidate."""
+    """lambda = n breaks lambda <= min semidegree on every stride candidate."""
     _oracle_connectivity(monkeypatch, lam=lambda n: n)
 
 
@@ -251,7 +261,7 @@ def _walk_misses_one_arc(monkeypatch):
     kappa_walk, lambda_walk = masks_mod._kappa_walk, masks_mod._lambda_walk
     monkeypatch.setattr(
         masks_mod, "_kappa_walk",
-        lambda mask, n, missing, start: kappa_walk(mask, n, missing - 1, start),
+        lambda mask, n, missing: kappa_walk(mask, n, missing - 1),
     )
     monkeypatch.setattr(
         masks_mod, "_lambda_walk", lambda mask, n, missing: lambda_walk(mask, n, missing - 1)
@@ -375,7 +385,7 @@ def _kappa_plane_off_by_one(monkeypatch):
     """The kappa planes put the complete digraph's lanes at kappa n - 2.
 
     Every entry point computes kappa planes at least on its stride
-    candidates, so the scalar ``kappa_mask`` must catch it.
+    candidates, so the scalar ``kappa_lambda_mask`` must catch it.
     """
     import dgr.masks as masks_mod
 
@@ -503,8 +513,8 @@ _CROSSCHECK_CASES = [
         (f"{name}-semidegree_chain", name, _semidegree_is_zero)
         for name in _EVERY_LANE_ENTRIES
     ),
-    # the lanes off the chain stride read kappa alone
-    *((f"{name}-kappa_only", name, _kappa_only_is_order) for name in _ORDER6_ENTRY),
+    # the object lanes off the chain stride check kappa <= lambda too
+    *((f"{name}-off_chain_lambda", name, _lambda_zero_off_the_chain) for name in _ORDER6_ENTRY),
     *((f"{name}-walk_skip", name, _walk_misses_one_arc) for name in _WALK_SABOTAGE_ENTRIES),
     # the entry points with a class candidate on the object stride
     *(
@@ -540,12 +550,15 @@ _CROSSCHECK_CASES = [
 
 # the cases whose assertion message is pinned too: a map mismatch names its
 # first differing lane's mask and both sides' values there; mask 4095 is the
-# complete digraph of order 4, whose sigma_max 3 the sabotage reads as 2
+# complete digraph of order 4, whose sigma_max 3 the sabotage reads as 2. The
+# chain check names (mask, kappa, lambda, min semidegree) of the first strong
+# object lane off the chain stride, 34,932,589 = 34,621 * 1009.
 _CROSSCHECK_MESSAGES = {
     "universal_bounds-sigma_max": (
         r"differ in \['sigma_max'\]; first at lane 4095, mask 4095: "
         r"sigma_max \[2\] by the kernel, \[3\] by the oracle"
     ),
+    "order6_block-off_chain_lambda": r"^\(34932589, 1, 0, 1\)$",
 }
 
 
@@ -656,7 +669,7 @@ class TestSharedKernel:
 
     def test_sampled_order5_sweep_runs_the_kappa_oracle(self, monkeypatch):
         # stride lanes are chosen by position in the sample, so an order-5
-        # sample reaches kappa_mask on its strong stride draws
+        # sample reaches kappa_lambda_mask on its strong stride draws
         _kappa_is_order(monkeypatch)
         with pytest.raises(AssertionError):
             check_universal_bounds(
@@ -878,25 +891,25 @@ class TestSharedKernel:
         check()
         assert {name: count for name, count in seen.items() if count} == calls
 
-    # calls of sigma_vector, is_balanced, kappa_lambda_mask, kappa_mask,
-    # lambda_mask, min_semidegree_mask and _object_crosscheck per sweep
+    # calls of sigma_vector, is_balanced, kappa_lambda_mask, lambda_mask,
+    # min_semidegree_mask and _object_crosscheck per sweep
     @pytest.mark.parametrize(
         "check, calls",
         [
             (
                 partial(check_eulerian_size_theorem, 5),
-                (11_411, 11_411, 72, 7, 0, 72, 8),
+                (11_411, 11_411, 79, 0, 79, 8),
             ),
             (
                 partial(check_universal_bounds, 5, "strong", ("digraph_order", "size_digraph")),
-                (11_411, 0, 5_583, 550, 0, 5_583, 556),
+                (11_411, 0, 6_133, 0, 6_133, 556),
             ),
             (
                 partial(
                     check_universal_bounds, 6, "strong", ("kappa_digraph", "size_digraph"),
                     mode="sampled", samples=200_000, seed=1,
                 ),
-                (2_178, 0, 1_373, 132, 0, 1_373, 134),
+                (2_178, 0, 1_505, 0, 1_505, 134),
             ),
         ],
         ids=["eulerian-n5", "strong-n5", "sampled-n6"],
@@ -908,7 +921,7 @@ class TestSharedKernel:
         import dgr.verifier as verifier_mod
 
         names = (
-            "sigma_vector", "is_balanced", "kappa_lambda_mask", "kappa_mask", "lambda_mask",
+            "sigma_vector", "is_balanced", "kappa_lambda_mask", "lambda_mask",
             "min_semidegree_mask",
         )
         targets = [(masks_mod, name) for name in names] + [(verifier_mod, "_object_crosscheck")]
@@ -1435,10 +1448,10 @@ class TestWorkerClamp:
         assert json.loads(out.splitlines()[-1]) == {"same": True, "method": "spawn"}
 
     def test_pool_workers_inherit_the_tables(self):
-        # the sweep builds its order's tables just before it starts a pool,
-        # so a forked worker finds them built before its first shard; the
-        # relabelling tables only for an exhaustive spec, and nothing when
-        # the shards run in this process
+        # the sweep builds its order's tables, the relabelling ones
+        # included, just before it starts a pool, so a forked worker finds
+        # them built before its first shard; nothing is built when the
+        # shards run in this process
         import multiprocessing
 
         import dgr.masks as masks_mod
@@ -1449,10 +1462,9 @@ class TestWorkerClamp:
             pytest.skip("the tables are inherited by forked pool workers only")
         sampled = EnumerationSpec(6, mode="sampled", samples=40_000, seed=1)
         exhaustive = EnumerationSpec(6)
-        relabelling = {"_image_blocks", "_relabel_sources"}
         for spec, workers, built in (
             (sampled, 1, set()),
-            (sampled, 2, set(_SHARD_TABLES) - relabelling),
+            (sampled, 2, set(_SHARD_TABLES)),
             (exhaustive, 2, set(_SHARD_TABLES)),
         ):
             for name in _SHARD_TABLES:
