@@ -16,6 +16,14 @@ flow at most n - 1. In the vertex-split network of kappa no flow uses the
 split arc of its own source or sink (the search starts past the first and
 stops before the second), so one network with unit split arcs serves
 every pair.
+
+A pair whose flow is known to reach the cap is not run at all. Each
+common neighbour w of s and t (s -> w -> t) gives a path of its own, so
+their count bounds both flows from below, and for lambda so does the arc
+s -> t on top of it. A pair whose bound reaches the cap would have
+returned the cap with no side; skipping it changes no minimum and no
+first pair at the minimum, so the values and witness cuts stay those of
+the flows run on every pair.
 """
 
 from __future__ import annotations
@@ -99,14 +107,18 @@ class _FlowNetwork:
 
 
 def _least_cut(net: _FlowNetwork, pairs, limit: int, cut_of) -> ConnectivityResult | None:
-    """The least flow over the (s, t) ``pairs``, and ``cut_of`` the side of the first at it.
+    """The least flow over the (s, t, lower) ``pairs``, and ``cut_of`` the side of the first at it.
 
     Each flow is capped at the least value so far, ``limit`` at first, so
-    a pair returns a side exactly when it lowers the minimum. Stops at 1,
-    the least flow in a strong digraph; None when there is no pair.
+    a pair returns a side exactly when it lowers the minimum. ``lower`` is
+    a lower bound on the pair's flow: a pair whose bound reaches the cap
+    would reach it too, so its flow is not run. Stops at 1, the least flow
+    in a strong digraph; None when there is no pair.
     """
     best = None
-    for s, t in pairs:
+    for s, t, lower in pairs:
+        if lower >= limit:
+            continue
         value, side = net.max_flow(s, t, limit)
         if side:
             best = ConnectivityResult(value, cut_of(side))
@@ -125,9 +137,11 @@ def vertex_connectivity(D: Digraph) -> ConnectivityResult:
     for every vertex, and an arc out(u) -> in(v) of capacity n + 1 for every
     arc uv. The split arcs of s and t never carry flow: the search starts
     at out(s), past s's split arc, and stops on reaching in(t), before t's.
-    So they need not be widened per pair. Each flow stops at the least
-    value found so far, and the first pair at the minimum gives the
-    witness.
+    So they need not be widened per pair. The network's rows and adjacency
+    are read off D's out- and in-lists. Each flow stops at the least value
+    found so far, a pair with at least that many common neighbours
+    (s -> w -> t, each w in every s-t cut) is skipped, and the first pair
+    at the minimum gives the witness.
 
     The complete digraph has no vertex cut; by convention it reports
     n - 1 with an empty witness.
@@ -138,11 +152,23 @@ def vertex_connectivity(D: Digraph) -> ConnectivityResult:
         raise NotStrongError("vertex connectivity is defined for strong digraphs only")
     n = D.order
     net = _FlowNetwork(2 * n)
-    for v in range(n):
-        net.add_edge(2 * v, 2 * v + 1, 1)
-    for u, v in D.arcs:
-        net.add_edge(2 * u + 1, 2 * v, n + 1)
-    pairs = ((2 * s + 1, 2 * t) for s, t in permutations(range(n), 2) if not D.has_arc(s, t))
+    cap, adj = net.cap, net.adj
+    for v, (out_v, in_v) in enumerate(zip(D.out_lists, D.in_lists)):
+        cap[2 * v][2 * v + 1] = 1
+        row, into, out_of = cap[2 * v + 1], adj[2 * v], adj[2 * v + 1]
+        into.append(2 * v + 1)
+        out_of.append(2 * v)
+        for w in out_v:
+            row[2 * w] = n + 1
+            out_of.append(2 * w)
+        for u in in_v:
+            into.append(2 * u + 1)
+    succ = list(map(frozenset, D.out_lists))
+    pairs = (
+        (2 * s + 1, 2 * t, len(succ[s].intersection(D.in_lists[t])))
+        for s, t in permutations(range(n), 2)
+        if t not in succ[s]
+    )
     best = _least_cut(net, pairs, n, lambda side: frozenset(
         v for v in range(n) if 2 * v in side and 2 * v + 1 not in side
     ))
@@ -155,9 +181,11 @@ def edge_connectivity(D: Digraph) -> ConnectivityResult:
     A minimum arc cut separates vertex 0 from some vertex in one of the two
     directions, so 2(n-1) unit-capacity flow runs suffice, all on one
     network of D's arcs. Each flow stops at the least value found so far,
-    and the first pair at the minimum gives the witness. The mask core's
-    ``lambda_mask`` counts the arcs leaving every vertex set instead, so
-    the verifier's object-level cross-check shares no rule with it.
+    a pair with at least that many arc-disjoint paths of length one or two
+    is skipped, and the first pair at the minimum gives the witness. The
+    mask core's ``lambda_mask`` counts the arcs leaving every vertex set
+    instead, so the verifier's object-level cross-check shares no rule
+    with it.
     """
     if D.order < 2:
         raise ValueError("edge connectivity needs order >= 2")
@@ -167,7 +195,17 @@ def edge_connectivity(D: Digraph) -> ConnectivityResult:
     net = _FlowNetwork(n)
     for u, v in D.arcs:
         net.add_edge(u, v, 1)
-    pairs = (pair for v in range(1, n) for pair in ((0, v), (v, 0)))
+    # the paths 0 -> w -> v, and the arc 0 -> v, share no arc; so too from v to 0
+    outs, ins = D.out_lists, D.in_lists
+    succ, pred = frozenset(outs[0]), frozenset(ins[0])
+    pairs = (
+        pair
+        for v in range(1, n)
+        for pair in (
+            (0, v, len(succ.intersection(ins[v])) + (v in succ)),
+            (v, 0, len(pred.intersection(outs[v])) + (v in pred)),
+        )
+    )
     best = _least_cut(net, pairs, n, lambda side: frozenset(
         (a, b) for a, b in D.arcs if a in side and b not in side
     ))

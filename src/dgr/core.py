@@ -10,6 +10,16 @@ out-lists: the first question about a source runs its BFS, and every
 later distance, transmission, eccentricity, profile, remoteness or
 diameter question about it reads the stored row. ``is_strong`` runs its
 own two searches, along the out-lists and the in-lists from vertex 0.
+
+The out-lists, in-lists and distance rows of a ``Digraph``, and a
+``Graph``'s adjacency, are stored attributes: ``_stored`` builds each on
+its first read and keeps it in the instance's ``__dict__``, where every
+later read finds it, as ``functools.cached_property`` does but without
+the lock that one takes on a first read under Python 3.10-3.11. The
+mask layer builds digraphs by the thousand, so a frozenset arc set of
+order at most 8 is validated by one subset test against the cached set
+of that order's arcs (``_valid_arcs``); any other arc set is checked arc
+by arc.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import lru_cache
 from typing import Iterable, Optional
 
 Arc = tuple[int, int]
@@ -38,6 +48,33 @@ def _check_endpoints(order: int, u: int, v: int) -> None:
         raise ValueError(f"endpoint out of range: ({u}, {v}) with order {order}")
 
 
+class _stored:
+    """A lock-free ``cached_property``: the first read stores the method's value.
+
+    The value goes into the instance's ``__dict__`` under the method's
+    name. The descriptor has no ``__set__``, so that entry shadows it, and
+    every later read is a plain attribute read. A stored value travels
+    with the instance through ``pickle`` and ``copy``.
+    """
+
+    def __init__(self, func):
+        self.func = func
+        self.name = func.__name__
+        self.__doc__ = func.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.func(obj)
+        return value
+
+
+@lru_cache(maxsize=None)
+def _valid_arcs(order: int) -> frozenset[Arc]:
+    """Every arc a digraph of this order may hold: the pairs of distinct vertices."""
+    return frozenset((u, v) for u in range(order) for v in range(order) if u != v)
+
+
 @dataclass(frozen=True)
 class Digraph:
     """Directed graph value: vertex set {0..order-1} plus an arc set.
@@ -52,7 +89,15 @@ class Digraph:
     def __post_init__(self) -> None:
         if self.order < 1:
             raise ValueError("order must be a positive integer")
-        arcs = frozenset((u, v) for u, v in self.arcs)
+        arcs = self.arcs
+        # a frozenset of valid arcs at an int order <= 8, the mask layer's
+        # orders, passes one subset test against that order's cached arcs;
+        # anything else, larger orders included (whose caches would hold
+        # n(n - 1) pairs each), is checked arc by arc
+        small = type(self.order) is int and self.order <= 8
+        if small and type(arcs) is frozenset and arcs <= _valid_arcs(self.order):
+            return
+        arcs = frozenset((u, v) for u, v in arcs)
         for u, v in arcs:
             _check_endpoints(self.order, u, v)
         object.__setattr__(self, "arcs", arcs)
@@ -62,7 +107,7 @@ class Digraph:
         """Number of arcs m(D)."""
         return len(self.arcs)
 
-    @cached_property
+    @_stored
     def out_lists(self) -> tuple[tuple[int, ...], ...]:
         """Sorted out-neighbour lists, built once per digraph."""
         succ: list[list[int]] = [[] for _ in range(self.order)]
@@ -70,7 +115,7 @@ class Digraph:
             succ[u].append(v)
         return tuple(tuple(sorted(s)) for s in succ)
 
-    @cached_property
+    @_stored
     def _distance_rows(self) -> list[Optional[list[Optional[int]]]]:
         """Per source, its BFS distance row once a question has asked for it, else None.
 
@@ -79,7 +124,7 @@ class Digraph:
         """
         return [None] * self.order
 
-    @cached_property
+    @_stored
     def in_lists(self) -> tuple[tuple[int, ...], ...]:
         pred: list[list[int]] = [[] for _ in range(self.order)]
         for u, v in self.arcs:
@@ -123,7 +168,7 @@ class Graph:
     def size(self) -> int:
         return len(self.edges)
 
-    @cached_property
+    @_stored
     def adjacency(self) -> tuple[tuple[int, ...], ...]:
         adj: list[list[int]] = [[] for _ in range(self.order)]
         for u, v in self.edges:

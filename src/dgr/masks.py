@@ -72,8 +72,12 @@ facts prune the walk. A missed cut lies inside the missing cells, so its
 popcount is at most ``missing``: kappa's walk skips every group wider
 than that. A cut of w cells keeps at least w - ``missing`` of the mask's
 arcs: lambda's walk stops at the first group where that reaches its least
-count so far. ``kappa_lambda_mask`` gives both in one walk, for every
-stride candidate: lambda first, then kappa = 0 where lambda is 0 and
+count so far. It also stops at the first row that holds a single arc:
+lambda is then 1, or 0 if some row no wider than ``missing`` is missed,
+which a plain AND of the rest of those rows decides. ``kappa_lambda_mask``
+gives both in one walk, for every stride candidate: lambda first, then
+kappa = lambda where lambda is at most 1 (0 when a row is missed, and 1 by
+Whitney's inequality 1 <= kappa <= lambda on a strong digraph), and
 otherwise kappa's walk from |S| = 1. The walks keep no memo keyed by
 mask. ``kappa_planes`` removes vertex subsets and runs BFS on D - S, and
 ``connectivity.vertex_connectivity`` and ``edge_connectivity`` run flows,
@@ -662,15 +666,27 @@ def _lambda_walk(mask: int, n: int, missing: int) -> int:
 
     A cut of w cells keeps at least w - ``missing`` of the mask's arcs, so
     the walk stops at the first group where that is no less than the least
-    count so far.
+    count so far. It also stops at the first row that holds one arc: the
+    least count is then 1, or 0 if a row is missed, and a missed row lies
+    inside the missing cells, so only the rows no wider than ``missing``
+    are tested for a miss, with no count.
     """
     least = n - 1  # a single vertex's out-arcs, one of the rows, are at most n - 1
-    for width, cuts in _separation_groups(n)[0]:
+    groups = _separation_groups(n)[0]
+    for at, (width, cuts) in enumerate(groups):
         if width - missing >= least:
             break
         for cut in cuts:
             arcs = (mask & cut).bit_count()
             if arcs < least:
+                if arcs == 1:
+                    for wide, rows in groups[at:]:
+                        if wide > missing:
+                            break
+                        for row in rows:
+                            if not mask & row:
+                                return 0
+                    return 1
                 least = arcs
     return least
 
@@ -691,13 +707,14 @@ def kappa_lambda_mask(mask: int, n: int) -> tuple[int, int]:
     kappa is the least |S| such that the vertices outside S split into
     nonempty A and B with no arc from A to B, or n - 1 if no S does: the
     least |S| among the rows of ``_separations(n)`` whose cells the mask
-    misses. lambda, the ``lambda_mask`` walk, comes first; kappa is 0
-    where lambda is, as an S-empty row is then missed, and otherwise the
-    kappa walk starts at |S| = 1.
+    misses. lambda, the ``lambda_mask`` walk, comes first. kappa is 0
+    where lambda is, as an S-empty row is then missed; it is 1 where lambda
+    is 1, as a strong digraph has 1 <= kappa <= lambda (Whitney's
+    inequality); and otherwise the kappa walk starts at |S| = 1.
     """
     missing = n * (n - 1) - mask.bit_count()
     lam = _lambda_walk(mask, n, missing)
-    return (_kappa_walk(mask, n, missing) if lam else 0), lam
+    return (_kappa_walk(mask, n, missing) if lam > 1 else lam), lam
 
 
 def min_semidegree_mask(mask: int, n: int) -> int:

@@ -1,3 +1,4 @@
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -76,6 +77,59 @@ class TestConstruction:
 
     def test_explicit_arc_list_has_25_arcs(self):
         assert dpk_2121().size == 25
+
+    @pytest.mark.parametrize("arc, message", [
+        ((1, 1), "self-loop at vertex 1"),
+        ((0, 3), r"endpoint out of range: \(0, 3\) with order 3"),
+        ((-1, 2), r"endpoint out of range: \(-1, 2\) with order 3"),
+    ])
+    def test_a_frozenset_is_refused_as_a_list_is(self, arc, message):
+        # a frozenset that fails the subset test takes the per-arc check
+        for arcs in ([(0, 1), arc], frozenset({(0, 1), arc})):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                Digraph(3, arcs)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_digraph(3, [(0, 1), arc])
+
+    def test_arcs_are_normalised_to_a_frozenset_of_tuples(self):
+        D = build_digraph(3, [[0, 1], (0, 1), (1, 2), [1, 2]])
+        assert type(D.arcs) is frozenset and D.arcs == {(0, 1), (1, 2)}
+        assert all(type(arc) is tuple for arc in D.arcs)
+        # a list, or a frozenset past the cached orders, takes the same path
+        assert Digraph(3, [[0, 1], (1, 2)]) == D
+        big = Digraph(9, frozenset({(0, 8), (8, 0)}))
+        assert big.arcs == {(0, 8), (8, 0)}
+        # a valid frozenset is kept as it is
+        arcs = frozenset({(0, 1), (1, 2)})
+        assert Digraph(3, arcs).arcs is arcs
+
+    def test_stored_attributes_are_built_once(self):
+        D = digraph_of_mask(4, 0b1011_0110_1101)
+        assert not {"out_lists", "in_lists", "_distance_rows"} & set(vars(D))
+        first = (D.out_lists, D.in_lists, D._distance_rows)
+        assert {"out_lists", "in_lists", "_distance_rows"} <= set(vars(D))
+        assert all(a is b for a, b in zip(first, (D.out_lists, D.in_lists, D._distance_rows)))
+        assert D.out_lists == tuple(
+            tuple(sorted(v for u, v in D.arcs if u == w)) for w in range(4)
+        )
+        assert D.in_lists == tuple(
+            tuple(sorted(u for u, v in D.arcs if v == w)) for w in range(4)
+        )
+
+    def test_pickled_digraphs_and_graphs_compare_equal(self):
+        D = digraph_of_mask(5, 123_456)
+        fresh = pickle.loads(pickle.dumps(D))
+        distances_from(D, 0)  # stores its out-lists and one distance row
+        read = pickle.loads(pickle.dumps(D))
+        assert fresh == D == read and hash(read) == hash(D)
+        assert read.out_lists == D.out_lists and distances_from(read, 0) == distances_from(D, 0)
+        G = build_graph(4, [(0, 1), (2, 1), (3, 2)])
+        assert "adjacency" not in vars(G)
+        adjacency = G.adjacency
+        assert adjacency == ((1,), (0, 2), (1, 3), (2,)) and vars(G)["adjacency"] is adjacency
+        assert G.adjacency is adjacency
+        copy = pickle.loads(pickle.dumps(G))
+        assert copy == G and copy.adjacency == adjacency
 
 
 class TestStrongness:

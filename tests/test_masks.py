@@ -623,6 +623,58 @@ def test_walks_match_the_flat_scans_on_drawn_strong_masks(n):
     assert {kappa_lambda_mask(mask, n)[0] for mask in draws} == set(range(1, n))
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 8])
+def test_one_arc_row_before_a_missed_row_still_gives_zero(n):
+    # the single arc 0 -> 1: vertex 0's out-arcs, the walk's first row,
+    # hold one arc, and the rows of the other vertices' out-arcs are missed
+    assert kappa_lambda_mask(1, n) == (0, 0)
+    assert lambda_mask(1, n) == 0
+
+
+def _first_row_of_at_most_one_arc(mask, n):
+    """The arc count of the first S-empty row, in the walk's order, that holds at most one arc."""
+    for _, cuts in _separation_groups(n)[0]:
+        for cut in cuts:
+            if (mask & cut).bit_count() <= 1:
+                return (mask & cut).bit_count()
+    return None
+
+
+def test_one_arc_stop_on_every_order4_mask_that_is_not_strong():
+    # the masks whose walk meets a one-arc row before any missed row: 1,520
+    # of them are not strong, and each must give lambda 0, as the flat scan does
+    n, rows = 4, _separations(4)
+    stopped = [
+        mask for mask in range(tables_for(n).mask_count)
+        if _first_row_of_at_most_one_arc(mask, n) == 1
+        and not is_strong(digraph_of_mask(n, mask))
+    ]
+    assert len(stopped) == 1_520
+    for mask in stopped:
+        assert flat_lambda_mask(mask, n, rows) == 0, mask
+        assert lambda_mask(mask, n) == 0, mask
+        assert kappa_lambda_mask(mask, n) == (0, 0), mask
+
+
+def test_kappa_walk_runs_only_where_lambda_is_at_least_2(monkeypatch):
+    # kappa = lambda where lambda <= 1: 0 on a mask that is not strong, and
+    # 1 by Whitney's inequality 1 <= kappa <= lambda on a strong one
+    import dgr.masks as masks_mod
+
+    n, rows, reached = 4, _separations(4), []
+    real = masks_mod._kappa_walk
+    monkeypatch.setattr(
+        masks_mod, "_kappa_walk",
+        lambda mask, n, missing: reached.append(mask) or real(mask, n, missing),
+    )
+    values = [kappa_lambda_mask(mask, n) for mask in range(tables_for(n).mask_count)]
+    assert reached == [mask for mask, (_, lam) in enumerate(values) if lam >= 2]
+    assert all(
+        kappa == flat_kappa_mask(mask, n, rows)
+        for mask, (kappa, lam) in enumerate(values) if lam <= 1
+    )
+
+
 def test_lambda_mask_of_complete_digraphs_is_n_minus_1():
     # a set S of k vertices has k(n - k) leaving arcs, least at k = 1 or n - 1
     for n in range(2, 9):

@@ -268,6 +268,20 @@ def _walk_misses_one_arc(monkeypatch):
     )
 
 
+def _kappa_walk_off_by_one(monkeypatch):
+    """The kappa walk reports one more than its value wherever it is reached.
+
+    ``kappa_lambda_mask`` reaches it only where lambda >= 2, so only the
+    kappa map of a stride candidate with lambda >= 2 can catch it.
+    """
+    import dgr.masks as masks_mod
+
+    real = masks_mod._kappa_walk
+    monkeypatch.setattr(
+        masks_mod, "_kappa_walk", lambda mask, n, missing: real(mask, n, missing) + 1
+    )
+
+
 def _semidegree_is_zero(monkeypatch):
     """A min semidegree of 0 breaks lambda <= min semidegree, as lambda >= 1."""
     import dgr.masks as masks_mod
@@ -497,6 +511,14 @@ _ORDER5_WITNESS_SWEEPS = {
     ),
 }
 
+# The entries with a stride candidate whose lambda is at least 2, the only
+# lanes on which kappa_lambda_mask runs the kappa walk. Every stride
+# candidate of the "order6_block" entry has lambda 1, so it never
+# reaches the walk.
+_KAPPA_WALK_ENTRIES = (
+    *_ENTRY_POINTS, *_ORDER5_WITNESS_SWEEPS, *_ORDER6_DENSE_ENTRY,
+)
+
 # (id, entry, sabotage): the kappa cases keep their bare entry-point ids
 _CROSSCHECK_CASES = [
     *((name, name, _kappa_is_order) for name in _EVERY_LANE_ENTRIES),
@@ -516,6 +538,7 @@ _CROSSCHECK_CASES = [
     # the object lanes off the chain stride check kappa <= lambda too
     *((f"{name}-off_chain_lambda", name, _lambda_zero_off_the_chain) for name in _ORDER6_ENTRY),
     *((f"{name}-walk_skip", name, _walk_misses_one_arc) for name in _WALK_SABOTAGE_ENTRIES),
+    *((f"{name}-kappa_walk", name, _kappa_walk_off_by_one) for name in _KAPPA_WALK_ENTRIES),
     # the entry points with a class candidate on the object stride
     *(
         (f"{name}-{case}", name, sabotage)
@@ -559,6 +582,11 @@ _CROSSCHECK_MESSAGES = {
         r"sigma_max \[2\] by the kernel, \[3\] by the oracle"
     ),
     "order6_block-off_chain_lambda": r"^\(34932589, 1, 0, 1\)$",
+    # mask 1782 has kappa and lambda 2, the first such stride candidate
+    "universal_bounds-kappa_walk": (
+        r"differ in \['kappa'\]; first at lane 1782, mask 1782: "
+        r"kappa \[2\] by the kernel, \[3\] by the oracle"
+    ),
 }
 
 
