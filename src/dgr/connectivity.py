@@ -3,6 +3,10 @@
 Both connectivities are computed via unit-capacity max-flow (Menger), which
 suffices at desk scale and yields an explicit minimum cut as a witness.
 Non-strong inputs are an error: neither invariant is defined for them here.
+The public functions guard against them with one strongness search each;
+the guard-free bodies, ``_vertex_connectivity`` and ``_edge_connectivity``,
+serve callers that have just decided strongness themselves, as the
+verifier's object-level cross-check does.
 
 Each invariant builds one flow network per digraph and runs every vertex
 pair's flow on a copy of its capacities, in ``_least_cut``. Each flow is
@@ -150,6 +154,11 @@ def vertex_connectivity(D: Digraph) -> ConnectivityResult:
         raise ValueError("vertex connectivity needs order >= 2")
     if not is_strong(D):
         raise NotStrongError("vertex connectivity is defined for strong digraphs only")
+    return _vertex_connectivity(D)
+
+
+def _vertex_connectivity(D: Digraph) -> ConnectivityResult:
+    """``vertex_connectivity`` of a digraph known to be strong, of order >= 2: no guard."""
     n = D.order
     net = _FlowNetwork(2 * n)
     cap, adj = net.cap, net.adj
@@ -191,6 +200,11 @@ def edge_connectivity(D: Digraph) -> ConnectivityResult:
         raise ValueError("edge connectivity needs order >= 2")
     if not is_strong(D):
         raise NotStrongError("edge connectivity is defined for strong digraphs only")
+    return _edge_connectivity(D)
+
+
+def _edge_connectivity(D: Digraph) -> ConnectivityResult:
+    """``edge_connectivity`` of a digraph known to be strong, of order >= 2: no guard."""
     n = D.order
     net = _FlowNetwork(n)
     for u, v in D.arcs:

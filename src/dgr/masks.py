@@ -35,13 +35,19 @@ lanes whose mask is the least of its relabellings, the orbit-minimal
 witnesses of a sweep's equality hits. Two cheaper kernels need no BFS, so
 a sweep runs them first, on the whole batch, as class prefilters:
 ``size_counter`` counts every lane's arcs (``block_planes`` takes its size
-from it too; a ``range_cells`` block needs no count, as ``weight_planes``
-gives its lanes by the set bits of their index) and ``balance_plane``
-compares every vertex's out- and in-degree counters. The verifier then packs the lanes it keeps, across
-consecutive batches, into dense batches of up to ``2**BATCH_BITS`` lanes
-with ``draw_cells``, so the BFS kernels above run only on those, once per
-dense batch. Per-lane numbers are bit-sliced counters: a list of planes, least
-significant first, so lane i holds ``sum(((p >> i) & 1) << j)``.
+from it too) and ``balance_plane`` compares every vertex's out- and
+in-degree counters. A ``range_cells`` block needs neither count: lane i
+holds the block's constant arcs plus the set bits of i, so
+``weight_planes`` gives its lanes of at least any size by the set bits of
+their index, and its twin ``degree_gap_planes`` gives each vertex's
+out-minus-in degree over the low cells as planes, once per order and
+width; ``range_balance`` then ANDs one entry per vertex, picked by the
+block's constant high cells. A batch of draws counts both. The verifier
+then packs the lanes it keeps, across consecutive batches, into dense
+batches of up to ``2**BATCH_BITS`` lanes with ``draw_cells``, so the BFS
+kernels above run only on those, once per dense batch. Per-lane numbers
+are bit-sliced counters: a list of planes, least significant first, so
+lane i holds ``sum(((p >> i) & 1) << j)``.
 
 ``canonical_mask`` gives a digraph's canonical form, the least mask over
 all n! vertex relabellings, at every order up to 8 by one path. The
@@ -285,6 +291,46 @@ def weight_planes(bits: int) -> tuple[int, ...]:
     for k in range(bits - 1, -1, -1):
         planes.append(planes[-1] | by_weight[k])
     return tuple(reversed(planes))
+
+
+@lru_cache(maxsize=None)
+def degree_gap_planes(n: int, bits: int) -> tuple[tuple[int, int, dict[int, int]], ...]:
+    """Per vertex, its high out- and in-cells, and its low-cell degree gaps as planes.
+
+    The twin of ``weight_planes`` for balance. In a block of
+    ``range_cells``, a vertex's out-degree minus its in-degree is its gap
+    over the ``bits`` low cells, which follow lane i's index, plus its gap
+    over the high cells, constant across the block. Entry u holds the cell
+    masks of u's out-arcs and in-arcs at or above ``bits``, and a map from
+    each gap over the low cells to the plane of the lane indices
+    0 .. 2**bits - 1 at that gap: a bit-sliced count of u's low out-cells
+    and of its low in-cells left clear, less the number of the latter.
+    """
+    ones = (1 << (1 << bits)) - 1
+    low = _lane_cells(bits)
+    high = ~((1 << bits) - 1)
+    entries = []
+    for out_c, in_c in tables_for(n).degree_cells:
+        ins = [low[k] for k in range(bits) if in_c >> k & 1]
+        outs = [low[k] for k in range(bits) if out_c >> k & 1]
+        counter = size_counter(outs + [ones ^ plane for plane in ins])
+        gaps = {count - len(ins): plane for count, plane in value_planes(counter, ones).items()}
+        entries.append((out_c & high, in_c & high, gaps))
+    return tuple(entries)
+
+
+def range_balance(n: int, base: int, bits: int) -> int:
+    """The ``balance_plane`` of the ``range_cells`` block of masks base .. base+2**bits-1.
+
+    Read off ``degree_gap_planes``: a vertex is balanced in lane i exactly
+    where its low-cell gap cancels its high-cell gap, which the block's
+    constant high cells give, so the plane is the AND of one entry per
+    vertex, with no count.
+    """
+    plane = (1 << (1 << bits)) - 1
+    for out_high, in_high, gaps in degree_gap_planes(n, bits):
+        plane &= gaps.get((base & in_high).bit_count() - (base & out_high).bit_count(), 0)
+    return plane
 
 
 def range_cells(n: int, base: int, bits: int) -> tuple[list[int], int]:
@@ -594,12 +640,17 @@ def value_planes(counter: list[int], plane: int) -> dict[int, int]:
 
 
 def lanes(plane: int) -> Iterator[int]:
-    """Indices of the set bits of a plane, in increasing order."""
-    digits = f"{plane:b}"[::-1]
-    i = digits.find("1")
-    while i >= 0:
-        yield i
-        i = digits.find("1", i + 1)
+    """Indices of the set bits of a plane, in increasing order.
+
+    Digit j of the plane's binary digits is bit ``top - j``, so the digits
+    are searched from the end, with no reversed copy.
+    """
+    digits = f"{plane:b}"
+    top = len(digits) - 1
+    j = digits.rfind("1")
+    while j >= 0:
+        yield top - j
+        j = digits.rfind("1", 0, j)
 
 
 @lru_cache(maxsize=None)
@@ -895,9 +946,9 @@ def build_tables(n: int, bits: int) -> None:
     The row-pair decode tables of ``out_rows``, ``sigma_vector``'s vertex
     sets, ``kappa_planes``'s removals, the separations and their grouped
     view, the lane patterns and transpose masks of ``range_cells`` and
-    ``draw_cells``, and the n! relabelling tables of ``canonical_mask``,
-    ``is_canonical`` and ``orbit_min_planes``. A process forked afterwards
-    inherits them.
+    ``draw_cells``, the degree gaps of ``range_balance``, and the n!
+    relabelling tables of ``canonical_mask``, ``is_canonical`` and
+    ``orbit_min_planes``. A process forked afterwards inherits them.
     """
     t = tables_for(n)
     t.row_pairs
@@ -905,6 +956,7 @@ def build_tables(n: int, bits: int) -> None:
     _removal_arcs(n)
     _separation_groups(n)
     _lane_cells(bits)
+    degree_gap_planes(n, bits)
     word = 32 if t.num_cells <= 32 else 64  # as in draw_cells
     _transpose_stages(word, 1 << BATCH_BITS)
     _image_blocks(n)

@@ -25,14 +25,22 @@ decides how ``_witnesses`` finds canonical forms.
 A batch is one ``_Batch`` record: lane i is the mask ``seq[i]`` at
 stream position ``pos + i``, and its cell planes serve every plane
 kernel. Before any BFS kernel runs, ``_prefiltered`` decides the class's
-cheap tests on each whole batch of the stream: ``masks.size_counter``
-against the uniqueness check's least size (a batch with fewer nonzero
-cell planes than that is skipped outright), and ``masks.balance_plane``
-for the Eulerian classes. ``_packed`` then makes the kernel batches: a
-batch whose every lane is kept passes through untouched, and the kept
-lanes of the others are packed, in stream order and across consecutive
-batches of the piece, into dense batches of up to 2**bits lanes,
-transposed by ``masks.draw_cells``. Every later kernel and the oracle
+cheap tests on each whole batch of the stream, as the piece's
+``batches`` gives them: the uniqueness check's least size (a block with
+fewer nonzero cell planes than that is skipped outright, the others cut
+by ``masks.weight_planes``, a batch of draws by ``masks.size_counter``),
+and balance for the Eulerian classes (a block's plane read off a table
+by ``masks.range_balance``, a batch of draws' counted by
+``masks.balance_plane``). That balanced plane is decided once: it
+travels with its lanes into the kernel batch, chooses the members there
+and is what the oracle checks. ``_packed`` then makes the kernel
+batches: a batch whose every lane is kept passes through untouched, and
+the kept lanes of the others are packed, in stream order and across
+consecutive batches of the piece, into dense batches of up to 2**bits
+lanes, transposed by ``masks.draw_cells``. It scans only the kept lanes
+off the strides, whose positions ``_stride_planes`` gives by arithmetic,
+merges the two in stream order, and reads the dense batch's stride and
+balanced planes off one tag byte per lane. Every later kernel and the oracle
 run once per kernel batch. Members come out once per kernel batch, as
 cells: planes of lanes sharing (kappa, lambda, sigma_max, m), split in
 that order, which the checks weight by their popcount. Equality hits
@@ -84,11 +92,13 @@ import random
 import sys
 import time
 from array import array
+from bisect import bisect_left
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import itemgetter
+from itertools import compress, repeat
+from operator import and_, rshift
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
@@ -395,13 +405,17 @@ class _Batch(NamedTuple):
     holds the lanes inside the piece with at least the sweep's ``m_min``
     arcs; ``cells`` and ``ones`` are the batch's arc-cell planes and
     all-lanes plane, which every plane kernel reads ([] and 0 for an
-    exhaustive block too small for ``m_min``).
+    exhaustive block too small for ``m_min``). ``balanced`` is the plane
+    of balanced lanes for the Eulerian classes, decided once, by the
+    piece's ``batches``, and None otherwise.
     ``chain`` and ``objects`` are the stride planes of ``_stride_planes``,
-    which ``_prefiltered`` decides by stream position. A dense batch that
-    ``_packed`` builds holds the kept lanes of one or more consecutive
-    stream batches, all valid; its ``pos`` is the position of the first
-    batch it takes lanes from, its stride planes follow their lanes, and
-    its lane i is at no fixed position.
+    which ``_prefiltered`` decides by stream position, and ``stride``
+    lists the same lanes as ``_stride_planes`` tags them. A dense batch
+    that ``_packed`` builds holds the kept lanes of one or more
+    consecutive stream batches, all valid; its ``pos`` is the position of
+    the first batch it takes lanes from, its stride and balanced planes
+    follow their lanes, its ``stride`` is empty, and its lane i is at no
+    fixed position.
     """
 
     seq: Sequence[int]
@@ -411,6 +425,8 @@ class _Batch(NamedTuple):
     ones: int
     chain: int = 0
     objects: int = 0
+    balanced: int | None = None
+    stride: Sequence[int] = ()
 
 
 class _Blocks(NamedTuple):
@@ -426,7 +442,7 @@ class _Blocks(NamedTuple):
     hi: int
     orbit_minimal = True
 
-    def batches(self, bits: int, m_min: int = 0) -> Iterator[_Batch]:
+    def batches(self, bits: int, m_min: int = 0, balanced: bool = False) -> Iterator[_Batch]:
         """One ``_Batch`` per aligned block of 2**bits consecutive masks.
 
         A block cut by a piece edge keeps only its valid lanes. A block has
@@ -434,7 +450,9 @@ class _Blocks(NamedTuple):
         constant ones, so lane i of a block has ``(base >> bits).bit_count()
         + i.bit_count()`` arcs: the lanes with at least ``m_min`` are read
         off ``masks.weight_planes``, and a block whose masks all have fewer
-        comes without cell planes or valid lanes.
+        comes without cell planes or valid lanes. Where ``balanced`` is
+        asked for, the block's balance plane is read off its twin table,
+        by ``masks.range_balance``, without counting degrees.
         """
         n, lo, hi = self.spec.order, self.lo, self.hi
         width = 1 << bits
@@ -449,7 +467,8 @@ class _Blocks(NamedTuple):
             valid = (1 << stop) - (1 << start)
             if short > 0:
                 valid &= masks.weight_planes(bits)[short]
-            yield _Batch(seq, base, valid, cells, ones)
+            plane = masks.range_balance(n, base, bits) if balanced else None
+            yield _Batch(seq, base, valid, cells, ones, balanced=plane)
 
 
 class _Draws(NamedTuple):
@@ -467,11 +486,13 @@ class _Draws(NamedTuple):
     state: tuple
     orbit_minimal = False
 
-    def batches(self, bits: int, m_min: int = 0) -> Iterator[_Batch]:
+    def batches(self, bits: int, m_min: int = 0, balanced: bool = False) -> Iterator[_Batch]:
         """One ``_Batch`` per run of up to 2**bits draws, each from one generator call.
 
         Every batch has its cell planes, transposed by ``masks.draw_cells``,
-        and its draws with at least ``m_min`` arcs as its valid lanes.
+        and its draws with at least ``m_min`` arcs as its valid lanes. Where
+        ``balanced`` is asked for, ``masks.balance_plane`` counts the
+        degrees of its cell planes.
         """
         n = self.spec.order
         num_cells = masks.tables_for(n).num_cells
@@ -484,7 +505,8 @@ class _Draws(NamedTuple):
             if m_min:
                 sizes = masks.value_planes(masks.size_counter(cells), ones)
                 valid = sum(p for m, p in sizes.items() if m >= m_min)
-            yield _Batch(seq, pos, valid, cells, ones)
+            plane = masks.balance_plane(n, cells, ones) if balanced else None
+            yield _Batch(seq, pos, valid, cells, ones, balanced=plane)
 
 
 _Piece = _Blocks | _Draws
@@ -520,23 +542,48 @@ def _pieces(spec: EnumerationSpec, count: int, width: int) -> list[_Piece]:
     return pieces
 
 
-def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int]:
-    """The valid lanes that the scalar oracle re-derives, as (chain, objects) planes.
+def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int, list[int]]:
+    """The valid lanes that the scalar oracle re-derives, as (chain, objects) planes and a list.
 
     Lane i is chosen by its stream position ``pos + i``, so one rule covers
     blocks and batches: the positions divisible by ``_CHAIN_STRIDE`` (every
-    lane at n <= 4), and those divisible by ``_OBJECT_STRIDE``. Each stride
-    is a doubling comb, one bit every ``stride`` lanes, shifted to the
-    batch's first position divisible by it.
+    lane at n <= 4, where the chain stride is 1), and those divisible by
+    ``_OBJECT_STRIDE``. Each stride's plane is a doubling comb, one bit
+    every ``stride`` lanes, shifted to the batch's first position divisible
+    by it. The list holds the same lanes in increasing order, lane i as
+    ``i << 3 | tag`` with tag bit 0 for the chain and bit 1 for the object
+    stride; bit 2 is left clear for ``_packed``. It is found by arithmetic,
+    with no scan: per stride a range of tagged lanes, cut to the valid ones
+    by the binary digits of ``valid`` read at the same stride, then one
+    sort of the two runs, where a lane on both strides, at a position
+    divisible by both, takes both bits in one entry.
     """
-    planes = []
-    for stride in (_CHAIN_STRIDE, _OBJECT_STRIDE):
+    chain_stride = 1 if n <= 4 else _CHAIN_STRIDE
+    planes, tagged, digits = [], [], b""
+    for tag, stride in ((1, chain_stride), (2, _OBJECT_STRIDE)):
+        first = -pos % stride
         comb, span = 1, stride
         while span < width:
             comb |= comb << span
             span *= 2
-        planes.append(comb << (-pos % stride) & valid)
-    return (valid if n <= 4 else planes[0]), planes[1]
+        plane = comb << first & valid
+        planes.append(plane)
+        if not plane:
+            continue
+        run = range(first << 3 | tag, width << 3, stride << 3)
+        if plane.bit_count() < len(run):  # some position of the range is not valid
+            # digit width - 1 - i is lane i's bit, formatted only where some
+            # but not all are needed; b"0" is made NUL so that it selects nothing
+            digits = digits or f"{valid:0{width}b}".encode()
+            run = compress(run, digits[width - 1 - first::-stride].replace(b"0", b"\0"))
+        tagged += run
+    tagged.sort()
+    both = chain_stride * _OBJECT_STRIDE
+    for i in range(-pos % both, width, both):
+        if valid >> i & 1:
+            at = bisect_left(tagged, i << 3)
+            tagged[at:at + 2] = [i << 3 | 3]
+    return planes[0], planes[1], tagged
 
 
 def _prefiltered(
@@ -545,24 +592,26 @@ def _prefiltered(
     """Each batch of the piece that can hold a member, and the plane of lanes it keeps.
 
     Counts the piece's masks and every batch. The piece's ``batches`` cut
-    each batch's valid lanes to those with at least ``m_min`` arcs; a batch
-    left with none is skipped, and the others get their stride planes on
-    their valid lanes. The kept lanes are the valid ones, or for the
-    Eulerian classes the balanced ones and every stride lane, which the
-    oracle re-derives whether it passes the prefilter or not.
+    each batch's valid lanes to those with at least ``m_min`` arcs and,
+    for the Eulerian classes, give its balanced plane; a batch left with
+    no valid lane is skipped, and the others get their stride planes and
+    tagged stride lanes on their valid lanes. The kept lanes are the valid
+    ones, or for the Eulerian classes the balanced ones and every stride
+    lane, which the oracle re-derives whether it passes the prefilter or
+    not.
     """
     n = piece.spec.order
     stats["masks"] += piece.hi - piece.lo
-    for batch in piece.batches(_batch_bits(n), m_min):
+    for batch in piece.batches(_batch_bits(n), m_min, balanced_only):
         stats["blocks"] += 1
         valid = batch.valid
         if not valid:
             continue
-        chain, objects = _stride_planes(n, batch.pos, len(batch.seq), valid)
+        chain, objects, stride = _stride_planes(n, batch.pos, len(batch.seq), valid)
         keep = valid
         if balanced_only:
-            keep = valid & masks.balance_plane(n, batch.cells, batch.ones) | chain | objects
-        yield batch._replace(chain=chain, objects=objects), keep
+            keep = valid & batch.balanced | chain | objects
+        yield batch._replace(chain=chain, objects=objects, stride=stride), keep
 
 
 def _packed(n: int, kept: Iterable[tuple[_Batch, int]]) -> Iterator[_Batch]:
@@ -572,45 +621,60 @@ def _packed(n: int, kept: Iterable[tuple[_Batch, int]]) -> Iterator[_Batch]:
     of the others are appended, in stream order, to one pending dense
     batch, which is emitted when the next batch's kept lanes would make it
     wider than ``2**_batch_bits(n)`` lanes, just before a batch that comes
-    through whole, and at the end of the piece. A dense batch holds its
+    through whole, and at the end of the piece. Only the kept lanes off
+    the strides are scanned: tagged ``i << 3``, plus bit 2 for the
+    Eulerian classes, where they are all balanced, they are merged with
+    the batch's tagged stride lanes by one sort of the two runs, and the
+    few balanced stride lanes get bit 2 in place. A dense batch holds its
     masks in an ``array`` and its cells from ``masks.draw_cells``; its
     lanes are all valid, its ``pos`` is the position of the first batch it
-    takes lanes from, and its ``chain`` and ``objects`` planes follow their
-    lanes.
+    takes lanes from, and ``_dense`` reads its ``chain``, ``objects`` and
+    ``balanced`` planes off the tags of its lanes.
     """
     width = 1 << _batch_bits(n)
     code = "I" if masks.tables_for(n).num_cells <= 32 else "Q"
-    seq, pos, chain, objects = array(code), 0, 0, 0
+    seq, pos, tags, eulerian = array(code), 0, bytearray(), False
     for batch, keep in kept:
         whole = keep == batch.ones
-        picked = [] if whole else list(masks.lanes(keep))
-        if seq and (whole or len(seq) + len(picked) > width):
-            yield _dense(n, seq, pos, chain, objects)
-            seq, chain, objects = array(code), 0, 0
+        run: list[int] = []
+        if not whole:
+            eulerian = batch.balanced is not None
+            stride = batch.chain | batch.objects
+            tag = 4 if eulerian else 0
+            run = [i << 3 | tag for i in masks.lanes(keep & ~stride)]
+            run += batch.stride
+            run.sort()
+            if eulerian:
+                for i in masks.lanes(stride & batch.balanced):
+                    run[bisect_left(run, i << 3)] |= 4
+        if seq and (whole or len(seq) + len(run) > width):
+            yield _dense(n, seq, pos, tags, eulerian)
+            seq, tags = array(code), bytearray()
         if whole:
             yield batch
             continue
         if not seq:
             pos = batch.pos
-        chain |= _pick(batch.chain, picked) << len(seq)
-        objects |= _pick(batch.objects, picked) << len(seq)
-        seq.extend(map(batch.seq.__getitem__, picked))
+        tags += bytes(map(and_, run, repeat(7)))
+        seq.extend(map(batch.seq.__getitem__, map(rshift, run, repeat(3))))
     if seq:
-        yield _dense(n, seq, pos, chain, objects)
+        yield _dense(n, seq, pos, tags, eulerian)
 
 
-def _dense(n: int, seq: array, pos: int, chain: int, objects: int) -> _Batch:
-    """A packed batch of the masks ``seq``, transposed to its cell planes."""
+def _dense(n: int, seq: array, pos: int, tags: bytearray, eulerian: bool) -> _Batch:
+    """A packed batch of the masks ``seq``, transposed to its cell planes.
+
+    Byte i of ``tags`` is lane i's tag of ``_packed``. Each tag bit's plane
+    is the tags, last lane first, translated to binary digits and read by
+    one ``int(..., 2)``: bit 0 the chain plane, bit 1 the objects plane
+    and, for the Eulerian classes, bit 2 the balanced plane.
+    """
     cells, ones = masks.draw_cells(n, seq)
-    return _Batch(seq, pos, ones, cells, ones, chain, objects)
-
-
-def _pick(plane: int, picked: list[int]) -> int:
-    """Bit j of the result is bit ``picked[j]`` of ``plane``."""
-    if not picked:
-        return 0
-    digits = f"{plane:0{picked[-1] + 1}b}"[::-1]
-    return int("".join(itemgetter(*reversed(picked))(digits)), 2)
+    last_first, values = tags[::-1], bytes(range(8))
+    # per tag bit, each tag to the binary digit of that bit: 48 is b"0"
+    digits = [bytes.maketrans(values, bytes(48 | v >> b & 1 for v in values)) for b in range(3)]
+    chain, objects, balanced = (int(last_first.translate(table), 2) for table in digits)
+    return _Batch(seq, pos, ones, cells, ones, chain, objects, balanced if eulerian else None)
 
 
 def _members(
@@ -644,10 +708,8 @@ def _members(
         seq, valid, cells = batch.seq, batch.valid, batch.cells
         block = masks.block_planes(n, cells, batch.ones)
         candidates = valid & block.strong
-        balanced = None
         if balanced_only:
-            balanced = masks.balance_plane(n, cells, batch.ones)
-            candidates &= balanced
+            candidates &= batch.balanced
         on_stride = batch.chain | batch.objects
         stats["stride_lanes"] += on_stride.bit_count()
         kappa: dict[int, int] = {}
@@ -656,7 +718,7 @@ def _members(
             # candidates only, for the oracle
             checked = candidates if need_kappa else candidates & on_stride
             kappa = masks.kappa_planes(n, cells, checked)
-        _stride_oracle(n, batch, block, balanced, kappa, need_kappa, need_lambda)
+        _stride_oracle(n, batch, block, kappa, need_kappa, need_lambda)
         by_kappa = kappa if need_kappa else {None: candidates}
         passing = sum(p for kap, p in by_kappa.items() if (kap or 0) >= kappa_min)
         by_lambda = {None: passing}
@@ -682,7 +744,6 @@ def _stride_oracle(
     n: int,
     batch: _Batch,
     block: masks.BlockPlanes,
-    balanced: int | None,
     kappa: dict[int, int],
     need_kappa: bool,
     need_lambda: bool,
@@ -694,8 +755,9 @@ def _stride_oracle(
     ``is_balanced`` for the Eulerian classes, and ``kappa_lambda_mask`` on
     class candidates), and its values are written straight into bitmaps:
     the strong and balanced planes (balanced for the Eulerian classes,
-    where ``balanced`` is the kernel's plane, else None), and per value a
-    plane of m, sigma_max and, on class candidates, kappa. Per-lane values
+    where the batch's ``balanced`` plane, the one that chose its members,
+    is the kernel's, else None), and per value a plane of m, sigma_max
+    and, on class candidates, kappa. Per-lane values
     are kept only for the candidates read by the checks that run once the
     maps agree: kappa <= lambda <= min semidegree on every stride
     candidate, and ``_object_crosscheck`` on the object stride, whose flows
@@ -706,7 +768,7 @@ def _stride_oracle(
     out_rows, full = t.out_rows, t.full
     sigma_vector, is_balanced = masks.sigma_vector, masks.is_balanced
     kappa_lambda_mask = masks.kappa_lambda_mask
-    seq = batch.seq
+    seq, balanced = batch.seq, batch.balanced
     # bitmaps whose lane bits are set in place (an int plane would be copied
     # whole for every lane), one per plane and one per value of each map
     width = (len(seq) + 7) // 8
@@ -842,7 +904,12 @@ def _bound_fraction(bid: str, n: int, m: int, kap: int | None, lam: int | None):
 
 
 def _object_crosscheck(n: int, mask: int, sigmas, kap, lam) -> None:
-    """Re-derive mask-level results through the object-level modules."""
+    """Re-derive mask-level results through the object-level modules.
+
+    The flows run on the guard-free connectivity bodies: D has just been
+    asserted strong here, so their own strongness search would decide
+    nothing.
+    """
     D = masks.digraph_of_mask(n, mask)
     assert core.is_strong(D)
     sig = [core.transmission(D, v) for v in range(n)]
@@ -853,9 +920,9 @@ def _object_crosscheck(n: int, mask: int, sigmas, kap, lam) -> None:
         assert witness == sigmas.index(max(sigmas))
         assert value * (n - 1) == sig[witness]
         if kap is not None:
-            assert conn_mod.vertex_connectivity(D).value == kap, mask
+            assert conn_mod._vertex_connectivity(D).value == kap, mask
         if lam is not None:
-            assert conn_mod.edge_connectivity(D).value == lam, mask
+            assert conn_mod._edge_connectivity(D).value == lam, mask
 
 
 def _witnesses(piece: _Piece, batch: _Batch, hits: int, stats: dict) -> dict[int, int]:

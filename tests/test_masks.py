@@ -27,6 +27,7 @@ from dgr.masks import (
     min_semidegree_mask,
     orbit_min_planes,
     profile_planes,
+    range_balance,
     range_cells,
     sigma_vector,
     tables_for,
@@ -263,6 +264,25 @@ def test_block_planes_match_scalar_decode(n, narrow):
     for base in range(0, t.mask_count, 1 << bits):
         cells, ones = range_cells(n, base, bits)
         _assert_planes_match_scalar_decode(n, range(base, base + (1 << bits)), cells, ones)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("narrow", [False, True], ids=["batch_width", "narrower"])
+def test_range_balance_matches_the_counters_on_every_block(n, narrow):
+    # the balance plane read off degree_gap_planes against balance_plane's
+    # degree counters on every block of the exhaustive stream, at the
+    # kernel's batch width and at a width 2**3 times narrower, where more
+    # cells are constant across a block
+    bits = max(_batch_bits(n) - 3, 0) if narrow else _batch_bits(n)
+    for base in range(0, tables_for(n).mask_count, 1 << bits):
+        assert range_balance(n, base, bits) == balance_plane(n, *range_cells(n, base, bits)), base
+
+
+def test_range_balance_matches_the_counters_on_strided_order6_blocks():
+    # every 97th of the 2**15 order-6 blocks; CI compares all of them
+    bits = _batch_bits(6)
+    for base in range(0, 1 << 30, 97 << bits):
+        assert range_balance(6, base, bits) == balance_plane(6, *range_cells(6, base, bits)), base
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -192,6 +192,15 @@ def _piece_batches(pieces):
     ]
 
 
+def _tagged_stride(chain: list[int], objects: list[int]) -> list[int]:
+    """The stride lanes in increasing order, lane i as ``i << 3 | tag``.
+
+    Tag bit 0 marks the chain stride and bit 1 the object stride.
+    """
+    on_chain, on_objects = set(chain), set(objects)
+    return [i << 3 | (i in on_chain) | (i in on_objects) << 1 for i in sorted({*chain, *objects})]
+
+
 def _piece_draws(pieces):
     """The draws of a sampled spec's pieces, concatenated in piece order."""
     return [mask for _pos, seq in _piece_batches(pieces) for mask in seq]
@@ -314,8 +323,9 @@ def _connectivity_off_by_one(name):
     return sabotage
 
 
-_object_kappa_off_by_one = _connectivity_off_by_one("vertex_connectivity")
-_object_lambda_off_by_one = _connectivity_off_by_one("edge_connectivity")
+# the object-level cross-check runs the guard-free flow bodies
+_object_kappa_off_by_one = _connectivity_off_by_one("_vertex_connectivity")
+_object_lambda_off_by_one = _connectivity_off_by_one("_edge_connectivity")
 
 
 def _lanes_holding(mask: int, cells: list[int], lanes_in: int) -> int:
@@ -370,10 +380,9 @@ _strong_plane_drops = _block_planes_skewed(
 def _balance_plane_drops(mask: int):
     """A sabotage: ``balance_plane`` drops the lanes holding ``mask``.
 
-    The prefilter keeps a stride lane that the balance plane drops, so the
-    scalar ``is_balanced`` must catch it on a stride lane, whether the
-    lane is packed into a dense batch (at n >= 5) or its batch is kept
-    whole (at n <= 4, where every lane is a stride lane).
+    A batch of draws counts its degrees by ``balance_plane``. The prefilter
+    keeps a stride lane that the balance plane drops, so the scalar
+    ``is_balanced`` must catch it on a stride lane.
     """
 
     def sabotage(monkeypatch):
@@ -385,6 +394,33 @@ def _balance_plane_drops(mask: int):
             return real(n, cells, ones) & ~_lanes_holding(mask, cells, ones)
 
         monkeypatch.setattr(masks_mod, "balance_plane", skewed)
+
+    return sabotage
+
+
+def _range_balance_drops(mask: int):
+    """A sabotage: the table's balance plane, ``range_balance``, drops the lane of ``mask``.
+
+    An exhaustive block reads its balance plane off ``degree_gap_planes``
+    through ``range_balance``. The prefilter keeps a stride lane that the
+    plane drops, and the plane travels with its lanes, so the scalar
+    ``is_balanced`` must catch it on a stride lane, whether the lane is
+    packed into a dense batch (at n >= 5) or its batch is kept whole (at
+    n <= 4, where every lane is a stride lane).
+    """
+
+    def sabotage(monkeypatch):
+        import dgr.masks as masks_mod
+
+        real = masks_mod.range_balance
+
+        def skewed(n, base, bits):
+            plane = real(n, base, bits)
+            if base <= mask < base + (1 << bits):
+                plane &= ~(1 << (mask - base))
+            return plane
+
+        monkeypatch.setattr(masks_mod, "range_balance", skewed)
 
     return sabotage
 
@@ -453,6 +489,16 @@ def _every_hit_orbit_min(monkeypatch):
 # a seeded order-3 sample that draws the complete digraph (mask 63)
 _SAMPLED_SEED = 2
 _SAMPLED_DRAWS = 200
+
+# the complete digraph of order 3, which the seeded sample draws
+_ORDER3_COMPLETE = (1 << 6) - 1
+# a sampled Eulerian sweep: its draw batches count their degrees
+_SAMPLED_EULERIAN_ENTRY = {
+    "sampled_eulerian": lambda: check_universal_bounds(
+        3, "eulerian", ("eulerian_size",),
+        mode="sampled", samples=_SAMPLED_DRAWS, seed=_SAMPLED_SEED,
+    ),
+}
 
 _ENTRY_POINTS = {
     "universal_bounds": lambda: check_universal_bounds(4, "strong", ("size_digraph",)),
@@ -549,15 +595,20 @@ _CROSSCHECK_CASES = [
         )
         for name in ("universal_bounds", "sampled_universal_bounds", *_ORDER6_ENTRY)
     ),
-    # the entry points whose class asks the kernel for a balanced plane,
-    # and an order-5 sweep whose kept lanes are packed
+    # the entry points whose class asks for a balanced plane, and an
+    # order-5 sweep whose kept lanes are packed: the exhaustive ones read it
+    # off the table, the sampled one counts degrees
     *(
-        (f"{name}-balanced_plane", name, _balance_plane_drops(_ORDER4_COMPLETE))
+        (f"{name}-balanced_plane", name, _range_balance_drops(_ORDER4_COMPLETE))
         for name in ("eulerian_theorem", "enumerate")
     ),
     (
         "eulerian_theorem_n5-balanced_plane", "eulerian_theorem_n5",
-        _balance_plane_drops(_ORDER5_CHAIN_EULERIAN),
+        _range_balance_drops(_ORDER5_CHAIN_EULERIAN),
+    ),
+    (
+        "sampled_eulerian-balanced_plane", "sampled_eulerian",
+        _balance_plane_drops(_ORDER3_COMPLETE),
     ),
     # the entry point that decides distance profiles as planes
     ("eulerian_theorem-profile_planes", "eulerian_theorem", _profile_planes_skewed),
@@ -670,7 +721,7 @@ class TestSharedKernel:
         with pytest.raises(AssertionError, match=message):
             {
                 **_ENTRY_POINTS, **_ORDER5_WITNESS_SWEEPS, **_ORDER6_ENTRY,
-                **_ORDER6_DENSE_ENTRY,
+                **_ORDER6_DENSE_ENTRY, **_SAMPLED_EULERIAN_ENTRY,
             }[entry]()
 
     def test_walk_sabotage_changes_no_exempt_lane(self, monkeypatch):
@@ -712,14 +763,37 @@ class TestSharedKernel:
         def on(stride):
             return [i for i in range(width) if valid >> i & 1 and (pos + i) % stride == 0]
 
-        chain, objects = _stride_planes(5, pos, width, valid)
+        chain, objects, stride = _stride_planes(5, pos, width, valid)
         assert list(lanes(chain)) == on(101)
         assert list(lanes(objects)) == on(1009)
+        assert stride == _tagged_stride(on(101), on(1009))
         # every valid lane is on the chain stride at n <= 4; the object
         # stride stays the positions divisible by 1009
-        chain, objects = _stride_planes(4, pos, width, valid)
+        chain, objects, stride = _stride_planes(4, pos, width, valid)
         assert chain == valid
         assert list(lanes(objects)) == on(1009)
+        assert stride == _tagged_stride(list(lanes(valid)), on(1009))
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_tagged_stride_lanes_at_every_width(self, n):
+        # the tagged list against the positions on either stride, for
+        # widths from one lane to a kernel batch, batches that start at
+        # every residue of interest, and every valid lane, none, a piece
+        # edge's run or a random plane
+        chain_stride = 1 if n <= 4 else 101
+        rng = random.Random(n)
+        for bits in sorted({0, 3, _batch_bits(n) // 2, _batch_bits(n)}):
+            width = 1 << bits
+            ones = (1 << width) - 1
+            for pos in (0, 7, 1009 - 3, 101 * 1009 - width // 2, rng.randrange(1 << 30)):
+                for valid in (ones, 0, ones >> (width // 3), rng.getrandbits(width)):
+                    chain, objects, stride = _stride_planes(n, pos, width, valid)
+                    on = [
+                        [i for i in range(width) if valid >> i & 1 and (pos + i) % s == 0]
+                        for s in (chain_stride, 1009)
+                    ]
+                    assert (list(lanes(chain)), list(lanes(objects))) == tuple(on)
+                    assert stride == _tagged_stride(*on)
 
     def test_the_sampled_entry_point_draws_the_complete_digraph(self):
         rng = random.Random(_SAMPLED_SEED)
@@ -893,7 +967,10 @@ class TestSharedKernel:
         [
             (
                 partial(check_eulerian_size_theorem, 5),
-                {"block_planes": 1, "kappa_planes": 1, "profile_planes": 1, "draw_cells": 1},
+                {
+                    "block_planes": 1, "kappa_planes": 1, "profile_planes": 1, "draw_cells": 1,
+                    "range_balance": 32,
+                },
             ),
             (
                 partial(check_universal_bounds, 5, "strong", ("size_digraph",)),
@@ -906,8 +983,14 @@ class TestSharedKernel:
         import dgr.masks as masks_mod
 
         # the Eulerian sweep's 32 blocks keep about 600 lanes each, packed
-        # into 1 kernel batch; every block of the strong sweep is kept whole
-        seen = dict.fromkeys(("block_planes", "kappa_planes", "profile_planes", "draw_cells"), 0)
+        # into 1 kernel batch; every block of the strong sweep is kept whole.
+        # Each block's balance is read off the table once, and no degree is
+        # counted, in a block or in the kernel batch
+        names = (
+            "block_planes", "kappa_planes", "profile_planes", "draw_cells", "range_balance",
+            "balance_plane",
+        )
+        seen = dict.fromkeys(names, 0)
         for name in seen:
             real = getattr(masks_mod, name)
 
@@ -968,13 +1051,13 @@ class TestSharedKernel:
     def test_object_oracle_runs_one_bfs_per_source(self, monkeypatch):
         # per object lane of an order-5 sweep: is_strong's two searches and
         # one BFS per source, whose rows transmission and remoteness share;
-        # the flows of the chain lanes check strongness on their own, and
-        # their searches are counted apart
+        # the flows of the chain lanes run on the guard-free bodies, with no
+        # strongness search of their own
         import dgr.connectivity as conn_mod
         import dgr.core as core_mod
         import dgr.verifier as verifier_mod
 
-        searches = {"all": 0, "flows": 0}
+        searches = {"all": 0, "flows": 0, "flow_calls": 0}
         real_bfs = core_mod._bfs_distances
 
         def counted_bfs(*args):
@@ -982,13 +1065,14 @@ class TestSharedKernel:
             return real_bfs(*args)
 
         monkeypatch.setattr(core_mod, "_bfs_distances", counted_bfs)
-        for name in ("vertex_connectivity", "edge_connectivity"):
+        for name in ("_vertex_connectivity", "_edge_connectivity"):
             real_flow = getattr(conn_mod, name)
 
             def counted_flow(D, real_flow=real_flow):
                 before = searches["all"]
                 result = real_flow(D)
                 searches["flows"] += searches["all"] - before
+                searches["flow_calls"] += 1
                 return result
 
             monkeypatch.setattr(conn_mod, name, counted_flow)
@@ -1004,8 +1088,8 @@ class TestSharedKernel:
 
         monkeypatch.setattr(verifier_mod, "_object_crosscheck", counted_check)
         check_universal_bounds(5, "strong", ("digraph_order", "size_digraph"))
-        assert len(per_lane) == 556 and searches["flows"] > 0
-        assert set(per_lane) == {5 + 2}
+        assert len(per_lane) == 556 and searches["flow_calls"] > 0
+        assert set(per_lane) == {5 + 2} and searches["flows"] == 0
 
     @pytest.mark.parametrize("order", range(1, 7))
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
@@ -1345,7 +1429,7 @@ def pool_sizes(monkeypatch) -> list[int]:
 # the per-order tables of dgr.masks that a sweep's shards read
 _SHARD_TABLES = (
     "_vertex_sets", "_removal_arcs", "_separations", "_separation_groups", "_lane_cells",
-    "_transpose_stages", "_image_blocks", "_relabel_sources",
+    "degree_gap_planes", "_transpose_stages", "_image_blocks", "_relabel_sources",
 )
 
 
