@@ -42,7 +42,11 @@ holds the block's constant arcs plus the set bits of i, so
 their index, and its twin ``degree_gap_planes`` gives each vertex's
 out-minus-in degree over the low cells as planes, once per order and
 width; ``range_balance`` then ANDs one entry per vertex, picked by the
-block's constant high cells. A batch of draws counts both. The verifier
+block's constant high cells. A batch of draws counts both. What an
+exhaustive stream's balance prefilter must keep is counted with no plane
+at all: ``balanced_by_size`` gives the labeled balanced digraphs of each
+size by a DP over vertex pairs, sharing no table with ``range_balance``,
+and the verifier asserts its tally of kept lanes against it. The verifier
 then packs the lanes it keeps, across consecutive batches, into dense
 batches of up to ``2**BATCH_BITS`` lanes with ``draw_cells``, so the BFS
 kernels above run only on those, once per dense batch. Per-lane numbers
@@ -331,6 +335,41 @@ def range_balance(n: int, base: int, bits: int) -> int:
     for out_high, in_high, gaps in degree_gap_planes(n, bits):
         plane &= gaps.get((base & in_high).bit_count() - (base & out_high).bit_count(), 0)
     return plane
+
+
+@lru_cache(maxsize=None)
+def balanced_by_size(n: int) -> tuple[int, ...]:
+    """Entry m is the number of labeled balanced digraphs of order n with m arcs.
+
+    For m = 0 .. n(n-1). The count the Eulerian prefilter must keep from an
+    exhaustive stream, found with no mask and no plane: a DP over the
+    unordered vertex pairs u < v in order, whose state is the out-minus-in
+    degree gap of every vertex not yet finished, each state holding the
+    polynomial in x, x marking an arc, of the arc sets placed so far. A
+    pair adds no arc or both (1 + x**2, no gap moves) or one arc either way
+    (x, gaps +1 and -1). Once its last pair is placed a vertex is finished,
+    and only the states where its gap is 0 go on. Each polynomial is one
+    int, coefficient m in the ``n(n-1) + 1`` bits at m times that width,
+    which no count of at most ``2**(n(n-1))`` arc sets overflows.
+    """
+    width = n * (n - 1) + 1
+    states = {(0,) * n: 1}
+    for u in range(n):
+        for d in range(1, n - u):  # the pair (u, u + d); u is at 0 of the state, u + d at d
+            grown: dict[tuple[int, ...], int] = {}
+            for gaps, poly in states.items():
+                arc = poly << width
+                grown[gaps] = grown.get(gaps, 0) + poly + (arc << width)
+                for step in (1, -1):
+                    moved = list(gaps)
+                    moved[0] += step
+                    moved[d] -= step
+                    key = tuple(moved)
+                    grown[key] = grown.get(key, 0) + arc
+            states = grown
+        states = {gaps[1:]: poly for gaps, poly in states.items() if not gaps[0]}
+    poly = states[()]
+    return tuple(poly >> m * width & (1 << width) - 1 for m in range(width))
 
 
 def range_cells(n: int, base: int, bits: int) -> tuple[list[int], int]:

@@ -9,7 +9,7 @@ filters one piece of the spec's stream and runs the strided
 cross-checks; each check only consumes the members.
 
 ``_pieces`` cuts a spec's stream into pieces, and it alone reads the
-spec's mode. A piece is a plain, picklable value that makes its own
+spec's mode to do so. A piece is a plain, picklable value that makes its own
 batches of up to 2**bits lanes, ``bits = min(n(n-1), masks.BATCH_BITS)``,
 for the block kernel (``masks.block_planes`` and ``masks.kappa_planes``):
 a ``_Blocks`` piece is a mask range, cut into aligned blocks of
@@ -24,44 +24,54 @@ decides how ``_witnesses`` finds canonical forms.
 
 A batch is one ``_Batch`` record: lane i is the mask ``seq[i]`` at
 stream position ``pos + i``, and its cell planes serve every plane
-kernel. Before any BFS kernel runs, ``_prefiltered`` decides the class's
-cheap tests on each whole batch of the stream, as the piece's
-``batches`` gives them: the uniqueness check's least size (a block with
-fewer nonzero cell planes than that is skipped outright, the others cut
-by ``masks.weight_planes``, a batch of draws by ``masks.size_counter``),
-and balance for the Eulerian classes (a block's plane read off a table
-by ``masks.range_balance``, a batch of draws' counted by
-``masks.balance_plane``). That balanced plane is decided once: it
-travels with its lanes into the kernel batch, chooses the members there
-and is what the oracle checks. ``_packed`` then makes the kernel
-batches: a batch whose every lane is kept passes through untouched, and
-the kept lanes of the others are packed, in stream order and across
-consecutive batches of the piece, into dense batches of up to 2**bits
-lanes, transposed by ``masks.draw_cells``. It scans only the kept lanes
-off the strides, whose positions ``_stride_planes`` gives by arithmetic,
-merges the two in stream order, and reads the dense batch's stride and
-balanced planes off one tag byte per lane. Every later kernel and the oracle
-run once per kernel batch. Members come out once per kernel batch, as
-cells: planes of lanes sharing (kappa, lambda, sigma_max, m), split in
-that order, which the checks weight by their popcount. Equality hits
-gather into one plane per batch, and on an orbit-minimal piece
+kernel. Before any BFS kernel runs, the piece's ``batches`` cut each
+batch of the stream to the lanes that pass the class's cheap tests, its
+valid lanes: the uniqueness check's least size (a block with fewer
+nonzero cell planes than that has none, the others are cut by
+``masks.weight_planes``, a batch of draws by ``masks.size_counter``), and
+balance for the Eulerian classes (a block's plane read off a table by
+``masks.range_balance``, a batch of draws' counted by
+``masks.balance_plane``). ``_prefiltered`` skips a batch with no valid
+lane and gives the others their stride planes. ``_packed`` then makes the
+kernel batches: a batch whose every lane is kept passes through
+untouched, and the kept lanes of the others are packed, in stream order
+and across consecutive batches of the piece, into dense batches of up to
+2**bits lanes, transposed by ``masks.draw_cells``, with the dense batch's
+stride planes read off one tag byte per lane. Only a block kept whole
+builds its own cell planes. Every later kernel and the oracle run once
+per kernel batch. Members come out once per kernel batch, as cells:
+planes of lanes sharing (kappa, lambda, sigma_max, m), split in that
+order, which the checks weight by their popcount. Equality hits gather
+into one plane per batch, and on an orbit-minimal piece
 ``masks.orbit_min_planes`` decides which of them are the orbit-minimal
 witnesses. Lanes are pulled out one by one, in increasing lane order
 within a plane, only for scalar work: violations, witnesses, sampled
-equality hits, and lambda where a class or bound needs it. The scalar
-decode is the kernel's oracle on the stride lanes, which
-``_stride_planes`` alone chooses by stream position, once per stream
-batch and before the packing, which always keeps them; the kernel batch
-carries them as its ``chain`` and ``objects`` planes. On them
-``_stride_oracle`` folds each decoded lane into the maps the kernel
-yields (strong and balanced planes, value-to-plane maps of m, sigma_max
-and kappa) and checks kappa <= lambda <= min semidegree on every stride
-candidate; in the Eulerian theorem ``_profile_oracle`` builds each
-source's map from distance profile to plane, read by
-``core.distance_profile`` on the decoded digraph. Each map must equal the
-kernel's. On the chain-stride equality hits ``masks.is_canonical`` must
-agree with the orbit-minimality planes, and every witness they keep
-must pass it.
+equality hits, and lambda where a class or bound needs it.
+
+The scalar decode is the kernel's oracle on the stride lanes: the kept
+lanes at stride positions, which ``_stride_planes`` alone chooses, once
+per stream batch and before the packing, so that the choice depends on
+neither the worker count nor the packing; the kernel batch carries them
+as its ``chain`` and ``objects`` planes. On them ``_stride_oracle`` folds
+each decoded lane into the maps the kernel yields (the strong plane,
+value-to-plane maps of m, sigma_max and kappa) and checks kappa
+<= lambda <= min semidegree on every stride candidate; in the Eulerian
+theorem ``_profile_oracle`` builds each source's map from distance
+profile to plane, read by ``core.distance_profile`` on the decoded
+digraph. Each map must equal the kernel's. On the chain-stride equality
+hits ``masks.is_canonical`` must agree with the orbit-minimality planes,
+and every witness they keep must pass it.
+
+The balance prefilter is checked apart, on every lane. Each lane it
+keeps meets scalar ``is_balanced`` in ``_members``, so no unbalanced
+lane is kept. A lane it drops never reaches the oracle: an exhaustive
+Eulerian-class stream must keep, size by size (each kept mask's arc
+count, read off the mask), as many lanes as ``masks.balanced_by_size``
+counts balanced masks, which ``_check_kept`` asserts once the stream is
+done; with the first check, that makes the kept lanes exactly the
+balanced ones. A sample has no such count, so there ``is_balanced`` must
+agree with the balance plane on every stride position of each batch of
+draws before the cut.
 
 The shards keep no count of members of their own: the report of a
 sweep over the stream reads ``instances_examined`` from the
@@ -93,12 +103,10 @@ import sys
 import time
 from array import array
 from bisect import bisect_left
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial
-from itertools import compress, repeat
-from operator import and_, rshift
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from . import bounds as bounds_mod
@@ -144,7 +152,7 @@ _STAT_KEYS = (
     "blocks",  # batches of the stream, skipped or packed ones included
     "members",  # class members
     "lanes_extracted",  # lanes pulled out of a cell for scalar work
-    "stride_lanes",  # stride lanes re-derived by the scalar oracle, strong or not
+    "stride_lanes",  # kept lanes at stride positions re-derived by the scalar oracle, strong or not
     "orbit_min_lanes",  # equality lanes decided by orbit_min_planes
 )
 
@@ -241,13 +249,16 @@ class Counterexample:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class CheckReport:
     """Outcome of one verification sweep or audit.
 
     ``elapsed`` is wall time and ``stats`` holds the sweep's work counters
     (see ``_STAT_KEYS``); both are excluded from the canonical
-    serialization so that identical runs serialize byte-identically.
+    serialization so that identical runs serialize byte-identically. A
+    process may hold many reports, one per sweep it runs, so a report
+    keeps its fields in slots and its witness forms interned
+    (``_form_texts``).
     """
 
     check_id: str
@@ -340,6 +351,15 @@ def _counterexample(
     )
 
 
+def _form_texts(n: int, forms: Iterable[int]) -> list[str]:
+    """The canonical forms ``forms`` of order n as sorted hex text, one interned string per form.
+
+    Every sweep of an order finds the same few witness forms again, so the
+    reports of one process share one string per form.
+    """
+    return sorted(sys.intern(masks.mask_bytes(n, form).hex()) for form in forms)
+
+
 def _in_report_order(records) -> list[Counterexample]:
     """Violation records by (canonical, digraph): the same bytes however the stream was cut."""
     return sorted(records, key=lambda c: (c.canonical, c.digraph))
@@ -402,20 +422,18 @@ class _Batch(NamedTuple):
     As a piece's ``batches`` yields it, lane i is at stream position
     ``pos + i``: the position is the mask itself in a ``_Blocks`` piece and
     the draw's index in the whole sample in a ``_Draws`` piece. ``valid``
-    holds the lanes inside the piece with at least the sweep's ``m_min``
-    arcs; ``cells`` and ``ones`` are the batch's arc-cell planes and
-    all-lanes plane, which every plane kernel reads ([] and 0 for an
-    exhaustive block too small for ``m_min``). ``balanced`` is the plane
-    of balanced lanes for the Eulerian classes, decided once, by the
-    piece's ``batches``, and None otherwise.
+    holds the lanes the prefilter keeps: those inside the piece with at
+    least the sweep's ``m_min`` arcs and, for the Eulerian classes,
+    balanced. ``cells`` and ``ones`` are the batch's arc-cell planes and
+    all-lanes plane, which every plane kernel reads; an exhaustive block
+    that is not kept whole comes without them, as [] and 0, since only
+    its kept lanes are read, once ``_packed`` has transposed them.
     ``chain`` and ``objects`` are the stride planes of ``_stride_planes``,
-    which ``_prefiltered`` decides by stream position, and ``stride``
-    lists the same lanes as ``_stride_planes`` tags them. A dense batch
-    that ``_packed`` builds holds the kept lanes of one or more
-    consecutive stream batches, all valid; its ``pos`` is the position of
-    the first batch it takes lanes from, its stride and balanced planes
-    follow their lanes, its ``stride`` is empty, and its lane i is at no
-    fixed position.
+    the kept lanes at stride positions, which ``_prefiltered`` decides. A
+    dense batch that ``_packed`` builds holds the kept lanes of one or
+    more consecutive stream batches, all valid; its ``pos`` is the
+    position of the first batch it takes lanes from, its stride planes
+    follow their lanes, and its lane i is at no fixed position.
     """
 
     seq: Sequence[int]
@@ -425,8 +443,6 @@ class _Batch(NamedTuple):
     ones: int
     chain: int = 0
     objects: int = 0
-    balanced: int | None = None
-    stride: Sequence[int] = ()
 
 
 class _Blocks(NamedTuple):
@@ -450,25 +466,28 @@ class _Blocks(NamedTuple):
         constant ones, so lane i of a block has ``(base >> bits).bit_count()
         + i.bit_count()`` arcs: the lanes with at least ``m_min`` are read
         off ``masks.weight_planes``, and a block whose masks all have fewer
-        comes without cell planes or valid lanes. Where ``balanced`` is
-        asked for, the block's balance plane is read off its twin table,
-        by ``masks.range_balance``, without counting degrees.
+        has no valid lane. Where ``balanced`` is asked for, the valid lanes
+        are cut to the balanced ones, read off the block's twin table by
+        ``masks.range_balance``, without counting degrees; the sweep checks
+        that cut by its count per size. Only a block whose every lane is
+        valid builds its cell planes.
         """
         n, lo, hi = self.spec.order, self.lo, self.hi
         width = 1 << bits
+        full = (1 << width) - 1
         for base in range(lo - lo % width, hi, width):
             start, stop = max(lo - base, 0), min(hi - base, width)
             seq = range(base, base + width)
             short = m_min - (base >> bits).bit_count()  # arcs the lane index must add
-            if short > bits:
-                yield _Batch(seq, base, 0, [], 0)
-                continue
-            cells, ones = masks.range_cells(n, base, bits)
-            valid = (1 << stop) - (1 << start)
-            if short > 0:
-                valid &= masks.weight_planes(bits)[short]
-            plane = masks.range_balance(n, base, bits) if balanced else None
-            yield _Batch(seq, base, valid, cells, ones, balanced=plane)
+            valid = 0
+            if short <= bits:
+                valid = (1 << stop) - (1 << start)
+                if short > 0:
+                    valid &= masks.weight_planes(bits)[short]
+                if balanced:
+                    valid &= masks.range_balance(n, base, bits)
+            cells, ones = masks.range_cells(n, base, bits) if valid == full else ([], 0)
+            yield _Batch(seq, base, valid, cells, ones)
 
 
 class _Draws(NamedTuple):
@@ -492,7 +511,10 @@ class _Draws(NamedTuple):
         Every batch has its cell planes, transposed by ``masks.draw_cells``,
         and its draws with at least ``m_min`` arcs as its valid lanes. Where
         ``balanced`` is asked for, ``masks.balance_plane`` counts the
-        degrees of its cell planes.
+        degrees of its cell planes, and the valid lanes are cut to the
+        balanced ones. A sample has no count to check that cut against, so
+        before it, scalar ``is_balanced`` must agree with the plane on
+        every valid lane at a stride position; a mismatch names the first.
         """
         n = self.spec.order
         num_cells = masks.tables_for(n).num_cells
@@ -505,8 +527,19 @@ class _Draws(NamedTuple):
             if m_min:
                 sizes = masks.value_planes(masks.size_counter(cells), ones)
                 valid = sum(p for m, p in sizes.items() if m >= m_min)
-            plane = masks.balance_plane(n, cells, ones) if balanced else None
-            yield _Batch(seq, pos, valid, cells, ones, balanced=plane)
+            if balanced:
+                plane = masks.balance_plane(n, cells, ones)
+                chain, objects = _stride_planes(n, pos, len(seq), valid)
+                stride = chain | objects
+                # the balanced stride lanes, by the scalar test
+                found = sum(1 << i for i in masks.lanes(stride) if masks.is_balanced(seq[i], n))
+                wrong = found ^ plane & stride
+                i = (wrong & -wrong).bit_length() - 1
+                assert not wrong, (
+                    f"draw {pos + i}, mask {seq[i]}: the balance plane and is_balanced differ"
+                )
+                valid &= plane
+            yield _Batch(seq, pos, valid, cells, ones)
 
 
 _Piece = _Blocks | _Draws
@@ -542,144 +575,104 @@ def _pieces(spec: EnumerationSpec, count: int, width: int) -> list[_Piece]:
     return pieces
 
 
-def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int, list[int]]:
-    """The valid lanes that the scalar oracle re-derives, as (chain, objects) planes and a list.
+def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int]:
+    """The lanes of ``valid`` that the scalar oracle re-derives, as (chain, objects) planes.
 
     Lane i is chosen by its stream position ``pos + i``, so one rule covers
     blocks and batches: the positions divisible by ``_CHAIN_STRIDE`` (every
     lane at n <= 4, where the chain stride is 1), and those divisible by
     ``_OBJECT_STRIDE``. Each stride's plane is a doubling comb, one bit
     every ``stride`` lanes, shifted to the batch's first position divisible
-    by it. The list holds the same lanes in increasing order, lane i as
-    ``i << 3 | tag`` with tag bit 0 for the chain and bit 1 for the object
-    stride; bit 2 is left clear for ``_packed``. It is found by arithmetic,
-    with no scan: per stride a range of tagged lanes, cut to the valid ones
-    by the binary digits of ``valid`` read at the same stride, then one
-    sort of the two runs, where a lane on both strides, at a position
-    divisible by both, takes both bits in one entry.
+    by it and cut to ``valid``.
     """
-    chain_stride = 1 if n <= 4 else _CHAIN_STRIDE
-    planes, tagged, digits = [], [], b""
-    for tag, stride in ((1, chain_stride), (2, _OBJECT_STRIDE)):
-        first = -pos % stride
+    planes = []
+    for stride in (1 if n <= 4 else _CHAIN_STRIDE, _OBJECT_STRIDE):
         comb, span = 1, stride
         while span < width:
             comb |= comb << span
             span *= 2
-        plane = comb << first & valid
-        planes.append(plane)
-        if not plane:
-            continue
-        run = range(first << 3 | tag, width << 3, stride << 3)
-        if plane.bit_count() < len(run):  # some position of the range is not valid
-            # digit width - 1 - i is lane i's bit, formatted only where some
-            # but not all are needed; b"0" is made NUL so that it selects nothing
-            digits = digits or f"{valid:0{width}b}".encode()
-            run = compress(run, digits[width - 1 - first::-stride].replace(b"0", b"\0"))
-        tagged += run
-    tagged.sort()
-    both = chain_stride * _OBJECT_STRIDE
-    for i in range(-pos % both, width, both):
-        if valid >> i & 1:
-            at = bisect_left(tagged, i << 3)
-            tagged[at:at + 2] = [i << 3 | 3]
-    return planes[0], planes[1], tagged
+        planes.append(comb << (-pos % stride) & valid)
+    return planes[0], planes[1]
 
 
-def _prefiltered(
-    piece: _Piece, stats: dict, m_min: int, balanced_only: bool
-) -> Iterator[tuple[_Batch, int]]:
-    """Each batch of the piece that can hold a member, and the plane of lanes it keeps.
+def _prefiltered(piece: _Piece, stats: dict, m_min: int, balanced_only: bool) -> Iterator[_Batch]:
+    """Each batch of the piece that keeps a lane, with its stride planes.
 
     Counts the piece's masks and every batch. The piece's ``batches`` cut
     each batch's valid lanes to those with at least ``m_min`` arcs and,
-    for the Eulerian classes, give its balanced plane; a batch left with
-    no valid lane is skipped, and the others get their stride planes and
-    tagged stride lanes on their valid lanes. The kept lanes are the valid
-    ones, or for the Eulerian classes the balanced ones and every stride
-    lane, which the oracle re-derives whether it passes the prefilter or
-    not.
+    for the Eulerian classes, to the balanced ones; a batch left with no
+    valid lane is skipped, and the others get the stride planes of their
+    valid lanes. So a stride lane is a kept lane at a stride position: the
+    rule is one of stream position and does not depend on how the stream
+    is cut.
     """
     n = piece.spec.order
     stats["masks"] += piece.hi - piece.lo
     for batch in piece.batches(_batch_bits(n), m_min, balanced_only):
         stats["blocks"] += 1
-        valid = batch.valid
-        if not valid:
-            continue
-        chain, objects, stride = _stride_planes(n, batch.pos, len(batch.seq), valid)
-        keep = valid
-        if balanced_only:
-            keep = valid & batch.balanced | chain | objects
-        yield batch._replace(chain=chain, objects=objects, stride=stride), keep
+        if batch.valid:
+            chain, objects = _stride_planes(n, batch.pos, len(batch.seq), batch.valid)
+            yield batch._replace(chain=chain, objects=objects)
 
 
-def _packed(n: int, kept: Iterable[tuple[_Batch, int]]) -> Iterator[_Batch]:
+def _packed(n: int, kept: Iterable[_Batch]) -> Iterator[_Batch]:
     """The kernel batches of one piece: its kept lanes, in stream order.
 
-    A batch whose every lane is kept comes through as it is. The kept lanes
-    of the others are appended, in stream order, to one pending dense
-    batch, which is emitted when the next batch's kept lanes would make it
-    wider than ``2**_batch_bits(n)`` lanes, just before a batch that comes
-    through whole, and at the end of the piece. Only the kept lanes off
-    the strides are scanned: tagged ``i << 3``, plus bit 2 for the
-    Eulerian classes, where they are all balanced, they are merged with
-    the batch's tagged stride lanes by one sort of the two runs, and the
-    few balanced stride lanes get bit 2 in place. A dense batch holds its
-    masks in an ``array`` and its cells from ``masks.draw_cells``; its
-    lanes are all valid, its ``pos`` is the position of the first batch it
-    takes lanes from, and ``_dense`` reads its ``chain``, ``objects`` and
-    ``balanced`` planes off the tags of its lanes.
+    A batch whose every lane is valid comes through as it is. The valid
+    lanes of the others are appended, in stream order, to one pending
+    dense batch, which is emitted when the next batch's valid lanes would
+    make it wider than ``2**_batch_bits(n)`` lanes, just before a batch
+    that comes through whole, and at the end of the piece. Each appended
+    lane gets a tag byte, bit 0 for the chain stride and bit 1 for the
+    object stride, set by bisection for the few stride lanes. A dense batch
+    holds its masks in an ``array`` and its cells from
+    ``masks.draw_cells``; its lanes are all valid, its ``pos`` is the
+    position of the first batch it takes lanes from, and ``_dense`` reads
+    its ``chain`` and ``objects`` planes off the tags of its lanes.
     """
     width = 1 << _batch_bits(n)
     code = "I" if masks.tables_for(n).num_cells <= 32 else "Q"
-    seq, pos, tags, eulerian = array(code), 0, bytearray(), False
-    for batch, keep in kept:
-        whole = keep == batch.ones
-        run: list[int] = []
-        if not whole:
-            eulerian = batch.balanced is not None
-            stride = batch.chain | batch.objects
-            tag = 4 if eulerian else 0
-            run = [i << 3 | tag for i in masks.lanes(keep & ~stride)]
-            run += batch.stride
-            run.sort()
-            if eulerian:
-                for i in masks.lanes(stride & batch.balanced):
-                    run[bisect_left(run, i << 3)] |= 4
-        if seq and (whole or len(seq) + len(run) > width):
-            yield _dense(n, seq, pos, tags, eulerian)
+    seq, pos, tags = array(code), 0, bytearray()
+    for batch in kept:
+        whole = batch.valid == batch.ones
+        if seq and (whole or len(seq) + batch.valid.bit_count() > width):
+            yield _dense(n, seq, pos, tags)
             seq, tags = array(code), bytearray()
         if whole:
             yield batch
             continue
         if not seq:
             pos = batch.pos
-        tags += bytes(map(and_, run, repeat(7)))
-        seq.extend(map(batch.seq.__getitem__, map(rshift, run, repeat(3))))
+        run = list(masks.lanes(batch.valid))
+        at = len(tags)
+        tags += bytes(len(run))
+        for tag, plane in ((1, batch.chain), (2, batch.objects)):
+            for i in masks.lanes(plane):
+                tags[at + bisect_left(run, i)] |= tag
+        seq.extend(map(batch.seq.__getitem__, run))
     if seq:
-        yield _dense(n, seq, pos, tags, eulerian)
+        yield _dense(n, seq, pos, tags)
 
 
-def _dense(n: int, seq: array, pos: int, tags: bytearray, eulerian: bool) -> _Batch:
+def _dense(n: int, seq: array, pos: int, tags: bytearray) -> _Batch:
     """A packed batch of the masks ``seq``, transposed to its cell planes.
 
     Byte i of ``tags`` is lane i's tag of ``_packed``. Each tag bit's plane
     is the tags, last lane first, translated to binary digits and read by
-    one ``int(..., 2)``: bit 0 the chain plane, bit 1 the objects plane
-    and, for the Eulerian classes, bit 2 the balanced plane.
+    one ``int(..., 2)``: bit 0 the chain plane and bit 1 the objects plane.
     """
     cells, ones = masks.draw_cells(n, seq)
-    last_first, values = tags[::-1], bytes(range(8))
+    last_first, values = tags[::-1], bytes(range(4))
     # per tag bit, each tag to the binary digit of that bit: 48 is b"0"
-    digits = [bytes.maketrans(values, bytes(48 | v >> b & 1 for v in values)) for b in range(3)]
-    chain, objects, balanced = (int(last_first.translate(table), 2) for table in digits)
-    return _Batch(seq, pos, ones, cells, ones, chain, objects, balanced if eulerian else None)
+    digits = [bytes.maketrans(values, bytes(48 | v >> b & 1 for v in values)) for b in range(2)]
+    chain, objects = (int(last_first.translate(table), 2) for table in digits)
+    return _Batch(seq, pos, ones, cells, ones, chain, objects)
 
 
 def _members(
     piece: _Piece,
     stats: dict,
+    kept: Counter,
     need_kappa: bool = False,
     need_lambda: bool = False,
     m_min: int = 0,
@@ -691,11 +684,14 @@ def _members(
     any plane kernel, each batch of the stream is prefiltered by the
     class's cheap tests (size for ``m_min``, balance for the Eulerian
     classes) in ``_prefiltered``, and ``_packed`` packs the lanes kept into
-    the kernel batches. kappa comes from the kernel's kappa planes and
-    lambda lane by lane on the candidates that meet the kappa threshold,
-    each when the class filter or the caller needs it, and is None
-    otherwise; below order 2 they are never computed and count as 0
-    against a class threshold.
+    the kernel batches. For the Eulerian classes every kept lane must pass
+    scalar ``is_balanced``, and ``kept`` tallies the kept lanes by their
+    arc count, which ``_check_kept`` compares with the count of balanced
+    masks. kappa
+    comes from the kernel's kappa planes and lambda lane by lane on the
+    candidates that meet the kappa threshold, each when the class filter
+    or the caller needs it, and is None otherwise; below order 2 they are
+    never computed and count as 0 against a class threshold.
     """
     spec = piece.spec
     n = spec.order
@@ -707,9 +703,15 @@ def _members(
     for batch in _packed(n, _prefiltered(piece, stats, m_min, balanced_only)):
         seq, valid, cells = batch.seq, batch.valid, batch.cells
         block = masks.block_planes(n, cells, batch.ones)
-        candidates = valid & block.strong
         if balanced_only:
-            candidates &= batch.balanced
+            # every lane of a kernel batch is kept: each must be balanced,
+            # and is tallied by its arc count, so the count reads no plane
+            for mask in seq:
+                assert masks.is_balanced(mask, n), (
+                    f"mask {mask} is kept, but is_balanced rejects it"
+                )
+                kept[mask.bit_count()] += 1
+        candidates = valid & block.strong
         on_stride = batch.chain | batch.objects
         stats["stride_lanes"] += on_stride.bit_count()
         kappa: dict[int, int] = {}
@@ -751,32 +753,30 @@ def _stride_oracle(
     """The scalar decode of a batch's stride lanes must give the kernel's maps on them.
 
     Each stride lane, chain and object lanes alike and in lane order, is
-    decoded once by the scalar calls (``out_rows``, ``sigma_vector``,
-    ``is_balanced`` for the Eulerian classes, and ``kappa_lambda_mask`` on
-    class candidates), and its values are written straight into bitmaps:
-    the strong and balanced planes (balanced for the Eulerian classes,
-    where the batch's ``balanced`` plane, the one that chose its members,
-    is the kernel's, else None), and per value a plane of m, sigma_max
-    and, on class candidates, kappa. Per-lane values
-    are kept only for the candidates read by the checks that run once the
-    maps agree: kappa <= lambda <= min semidegree on every stride
-    candidate, and ``_object_crosscheck`` on the object stride, whose flows
-    get kappa and lambda on the chain and where the sweep needs them. A
-    mismatch names its first differing lane.
+    decoded once by the scalar calls (``out_rows``, ``sigma_vector``, and
+    ``kappa_lambda_mask`` on the strong ones, the stride candidates: every
+    kept lane is in the class but for strongness and kappa, as ``_members``
+    has checked the balance of every lane it keeps), and its values are
+    written straight into bitmaps: the strong plane, and per value a plane
+    of m, sigma_max and, on stride candidates, kappa. Per-lane values are
+    kept only for the candidates read by the checks that run once the maps
+    agree: kappa <= lambda <= min semidegree on every stride candidate,
+    and ``_object_crosscheck`` on the object stride, whose flows get kappa
+    and lambda on the chain and where the sweep needs them. A mismatch
+    names its first differing lane.
     """
     t = masks.tables_for(n)
     out_rows, full = t.out_rows, t.full
-    sigma_vector, is_balanced = masks.sigma_vector, masks.is_balanced
+    sigma_vector = masks.sigma_vector
     kappa_lambda_mask = masks.kappa_lambda_mask
-    seq, balanced = batch.seq, batch.balanced
+    seq = batch.seq
     # bitmaps whose lane bits are set in place (an int plane would be copied
     # whole for every lane), one per plane and one per value of each map
     width = (len(seq) + 7) // 8
-    strong, balanced_bits = bytearray(width), bytearray(width)
+    strong = bytearray(width)
     chain_bits, object_bits = (p.to_bytes(width, "little") for p in (batch.chain, batch.objects))
     new_bitmap = partial(bytearray, width)
     sizes, sigma_maxes, kappas = (defaultdict(new_bitmap) for _ in range(3))
-    eulerian = balanced is not None
     chain_checks, object_checks = [], []
     on_stride = batch.chain | batch.objects
     for i in masks.lanes(on_stride):
@@ -784,15 +784,10 @@ def _stride_oracle(
         at, bit = i >> 3, 1 << (i & 7)
         sizes[mask.bit_count()][at] |= bit
         sigmas = sigma_vector(out_rows(mask), n, full)
-        in_class = not eulerian or is_balanced(mask, n)
-        if in_class and eulerian:
-            balanced_bits[at] |= bit
         if sigmas is None:
             continue
         strong[at] |= bit
         sigma_maxes[max(sigmas)][at] |= bit
-        if not in_class:
-            continue
         kap = lam = None
         if n >= 2:
             kap, lam = kappa_lambda_mask(mask, n)
@@ -810,14 +805,12 @@ def _stride_oracle(
 
     scalar = {
         "strong": int.from_bytes(strong, "little"),
-        "balanced": int.from_bytes(balanced_bits, "little"),
         "size": planes(sizes),
         "sigma_max": planes(sigma_maxes),
         "kappa": planes(kappas),
     }
     kernel = {
         "strong": block.strong & on_stride,
-        "balanced": 0 if balanced is None else balanced & on_stride,
         "size": masks.value_planes(block.size, on_stride),
         "sigma_max": masks.value_planes(block.sigma_max, block.strong & on_stride),
         "kappa": {k: p & on_stride for k, p in kappa.items() if p & on_stride},
@@ -878,12 +871,38 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     Exhaustive mode yields each digraph in the class exactly once, in arc
     mask order; sampled mode draws ``samples`` masks from the seeded
     generator and yields those passing the filter (duplicates possible).
+    Once an exhaustive Eulerian-class stream is exhausted, its kept lanes
+    are checked by ``_check_kept``, as a sweep's are.
     """
     (piece,) = _pieces(spec, 1, 1)
-    for batch, cells in _members(piece, _new_stats()):
+    kept: Counter = Counter()
+    for batch, cells in _members(piece, _new_stats(), kept):
         # the cells are disjoint, so their sum is their union
         for i in masks.lanes(sum(plane for plane, *_ in cells)):
             yield masks.digraph_of_mask(spec.order, batch.seq[i])
+    _check_kept(spec, [kept])
+
+
+def _check_kept(spec: EnumerationSpec, tallies: Iterable[Counter]) -> None:
+    """An exhaustive Eulerian-class stream must keep as many masks of each size as are balanced.
+
+    ``tallies`` are the kept lanes by arc count that ``_members`` counts,
+    one per piece, covering the stream; they are read only for such a
+    spec. The count is ``masks.balanced_by_size``, which reads no plane.
+    As ``_members`` has checked every kept lane with ``is_balanced``, equal
+    counts make the kept lanes exactly the balanced masks: the balance
+    prefilter is checked on every lane, where the stride oracle sees only
+    the kept ones at stride positions.
+    """
+    if spec.mode != "exhaustive" or not spec.class_filter.startswith("eulerian"):
+        return
+    kept = sum(tallies, Counter())
+    expected = masks.balanced_by_size(spec.order)
+    found = tuple(kept[m] for m in range(len(expected)))
+    assert found == expected, (
+        f"kept lanes by size {found}, but the balanced masks of order {spec.order}"
+        f" by size are {expected}"
+    )
 
 
 @lru_cache(maxsize=None)
@@ -965,8 +984,9 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
     per_bound = {bid: {"violations": [], "equality": set(), "by_m": {}} for bid in bound_ids}
     takes_kappa = bounds_mod._NEEDS_KAPPA.intersection(bound_ids)
     takes_lambda = bounds_mod._NEEDS_LAMBDA.intersection(bound_ids)
+    kept: Counter = Counter()
     batches = _members(
-        piece, stats, need_kappa=bool(takes_kappa), need_lambda=bool(takes_lambda)
+        piece, stats, kept, need_kappa=bool(takes_kappa), need_lambda=bool(takes_lambda)
     )
     for batch, cells in batches:
         attained = dict.fromkeys(bound_ids, 0)  # equality lanes per bound
@@ -1010,7 +1030,7 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
             per_bound[bid]["equality"].update(
                 form for i, form in forms.items() if plane >> i & 1
             )
-    return {"per_bound": per_bound, "stats": stats}
+    return {"per_bound": per_bound, "stats": stats, "kept": kept}
 
 
 def _run_sharded(worker, pieces, workers: int, tables=None) -> list[dict]:
@@ -1051,7 +1071,8 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     goes to the pool bound to ``extra`` by ``functools.partial``, which
     pickles. Returns the partial results in stream order, their merged
     ``stats`` and the wall time of the sweep. ``workers`` must be an
-    integer of at least 1.
+    integer of at least 1. Each partial result holds its ``stats`` and its
+    ``kept`` lanes by size, whose sum ``_check_kept`` checks.
     """
     if type(workers) is not int or workers < 1:
         raise ValueError(f"worker count must be an integer of at least 1, got {workers!r}")
@@ -1062,6 +1083,7 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     tables = partial(masks.build_tables, spec.order, bits)
     partials = _run_sharded(partial(shard, *extra), pieces, workers, tables)
     stats = {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
+    _check_kept(spec, (p["kept"] for p in partials))
     return partials, stats, time.monotonic() - started
 
 
@@ -1108,7 +1130,7 @@ def check_universal_bounds(
                 acc = by_m.setdefault(m, [0, 0, 0, 0])
                 for i in range(4):
                     acc[i] += row[i]
-        witnesses = sorted(masks.mask_bytes(n, cm).hex() for cm in equality)
+        witnesses = _form_texts(n, equality)
         reports.append(
             CheckReport(
                 check_id=f"universal_bound:{bid}:n={n}:class={spec.class_label}",
@@ -1152,7 +1174,8 @@ def _uniqueness_shard(m_min: int, rho_star: Fraction, piece: _Piece) -> dict:
     hits = []
     breaches = []
     rhs = rho_star.numerator * (n - 1)
-    for batch, cells in _members(piece, stats, m_min=m_min):
+    kept: Counter = Counter()
+    for batch, cells in _members(piece, stats, kept, m_min=m_min):
         attained = 0
         for plane, _m, sigma_max, _kap, _lam in cells:
             lhs = sigma_max * rho_star.denominator
@@ -1168,7 +1191,7 @@ def _uniqueness_shard(m_min: int, rho_star: Fraction, piece: _Piece) -> dict:
                 )
         if attained:
             hits.extend(_witnesses(piece, batch, attained, stats).values())
-    return {"hits": hits, "breaches": breaches, "stats": stats}
+    return {"hits": hits, "breaches": breaches, "stats": stats, "kept": kept}
 
 
 def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> CheckReport:
@@ -1195,7 +1218,7 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     expected = canonical_form(extremal).hex()
 
     partials, stats, elapsed = _sweep(_uniqueness_shard, spec, workers, m, rho_star)
-    witness_forms = sorted(masks.mask_bytes(n, h).hex() for p in partials for h in p["hits"])
+    witness_forms = _form_texts(n, (h for p in partials for h in p["hits"]))
     extras = [w for w in witness_forms if w != expected]
     violations = _in_report_order(v for p in partials for v in p["breaches"])
     report = CheckReport(
@@ -1271,7 +1294,8 @@ def _eulerian_shard(piece: _Piece) -> dict:
     violations = []
     mismatches = []
     equality = set()
-    for batch, cells in _members(piece, stats):
+    kept: Counter = Counter()
+    for batch, cells in _members(piece, stats, kept):
         by_m: dict[int, int] = {}
         for plane, m, *_ in cells:
             by_m[m] = by_m.get(m, 0) | plane
@@ -1330,6 +1354,7 @@ def _eulerian_shard(piece: _Piece) -> dict:
         "mismatches": mismatches,
         "equality": equality,
         "stats": stats,
+        "kept": kept,
     }
 
 
@@ -1344,7 +1369,7 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     spec = EnumerationSpec(n, "eulerian")
     partials, stats, elapsed = _sweep(_eulerian_shard, spec, workers)
     violations = _in_report_order(v for p in partials for v in p["violations"])
-    mismatches = sorted({masks.mask_bytes(n, f).hex() for p in partials for f in p["mismatches"]})
+    mismatches = _form_texts(n, {f for p in partials for f in p["mismatches"]})
     equality: set[int] = set()
     for p in partials:
         equality |= p["equality"]
@@ -1353,7 +1378,7 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
         spec=spec.header(),
         instances_examined=stats["members"],
         violations=violations,
-        equality_witnesses=sorted(masks.mask_bytes(n, c).hex() for c in equality),
+        equality_witnesses=_form_texts(n, equality),
         meta={"extra_extremal_forms": mismatches},
         elapsed=elapsed,
         stats=stats,

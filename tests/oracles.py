@@ -6,8 +6,9 @@ Floyd-Warshall and, on mask rows, the frontier BFS that
 boolean matrix closure, connectivity from exhaustive subset removal and,
 on a separations table, the flat row scans that the kappa and lambda
 walks of ``dgr.masks`` replaced, and isomorphism from a direct
-permutation search, and the number of labeled strong digraphs of each
-size from an exact counting polynomial. Expected values in the tests
+permutation search, the number of labeled strong digraphs of each size
+from an exact counting polynomial, and of labeled balanced ones by a
+brute count over every mask. Expected values in the tests
 are frozen from these.
 """
 
@@ -147,10 +148,24 @@ def strong_mask_flags(n: int) -> np.ndarray:
     return closure.all(axis=(1, 2))
 
 
-def eulerian_mask_flags(n: int) -> np.ndarray:
+def balanced_mask_flags(n: int) -> np.ndarray:
+    """Boolean flag per arc mask: does every vertex's row sum equal its column sum?"""
     tensor = adjacency_tensor(n)
-    balanced = (tensor.sum(axis=2) == tensor.sum(axis=1)).all(axis=1)
-    return balanced & strong_mask_flags(n)
+    return (tensor.sum(axis=2) == tensor.sum(axis=1)).all(axis=1)
+
+
+def eulerian_mask_flags(n: int) -> np.ndarray:
+    return balanced_mask_flags(n) & strong_mask_flags(n)
+
+
+def balanced_by_size_brute(n: int) -> list[int]:
+    """Labeled balanced digraphs of order n by arc count, entry m for m = 0 .. n(n-1).
+
+    A brute count over every arc mask: the flagged masks' adjacency
+    matrices summed, binned by size.
+    """
+    sizes = adjacency_tensor(n).sum(axis=(1, 2))[balanced_mask_flags(n)]
+    return np.bincount(sizes, minlength=n * (n - 1) + 1).tolist()
 
 
 def brute_vertex_connectivity(order: int, arcs) -> int:

@@ -108,19 +108,21 @@ N5_GOLDEN = {
 }
 
 # work counters of the lambda sweeps above: 2**20 masks in 32 kernel blocks
-# of 2**15 lanes. lambda is pulled out once on
-# every candidate that meets the kappa threshold: the lambda class pulls
-# all 7,000 Eulerian digraphs, decides its 41 equality hits as planes and
-# pulls out the 3 orbit-minimal ones (none of the 41 is on the chain stride,
-# mask % 101 == 0); the kappa class pulls exactly its 2,366 members, since
-# no lambda is computed below the threshold, and has no equality hit.
+# of 2**15 lanes. The stride lanes are the 84 balanced masks on either
+# stride: 76 divisible by 101 and 10 by 1009, less the 2 divisible by both.
+# lambda is pulled out once on every candidate that meets the kappa
+# threshold: the lambda class pulls all 7,000 Eulerian digraphs, decides its
+# 41 equality hits as planes and pulls out the 3 orbit-minimal ones (none of
+# the 41 is on the chain stride, mask % 101 == 0); the kappa class pulls
+# exactly its 2,366 members, since no lambda is computed below the
+# threshold, and has no equality hit.
 N5_LAMBDA_STATS = {
     "eulerian_lambda_class": {
         "masks": 1 << 20,
         "blocks": 32,
         "members": 2_561,
         "lanes_extracted": 7_000 + 3,
-        "stride_lanes": 11_411,
+        "stride_lanes": 84,
         "orbit_min_lanes": 41,
     },
     "eulerian_kappa_class_lambda_bound": {
@@ -128,24 +130,27 @@ N5_LAMBDA_STATS = {
         "blocks": 32,
         "members": 2_366,
         "lanes_extracted": 2_366,
-        "stride_lanes": 11_411,
+        "stride_lanes": 84,
         "orbit_min_lanes": 0,
     },
 }
 
 # work counters of the Eulerian size theorem, in one kernel block at n = 4
-# and 2**20 / 2**15 = 32 at n = 5. Distance profiles are decided as planes,
-# so the theorem pulls lanes out only for witnesses: at n = 4
-# every lane is on the chain stride, so its 31 equality hits are pulled for
-# the is_canonical oracle, then its 4 orbit-minimal ones; at n = 5 none of
-# the 241 hits is on the chain stride and the 7 orbit-minimal ones are pulled.
+# and 2**20 / 2**15 = 32 at n = 5. The stride lanes are the balanced masks
+# on either stride: all 152 at n = 4, where every lane is on the chain
+# stride, and the 84 of the lambda sweeps above at n = 5. Distance
+# profiles are decided as planes, so the theorem pulls lanes out only for
+# witnesses: at n = 4 every lane is on the chain stride, so its 31 equality
+# hits are pulled for the is_canonical oracle, then its 4 orbit-minimal ones;
+# at n = 5 none of the 241 hits is on the chain stride and the 7
+# orbit-minimal ones are pulled.
 EULERIAN_THEOREM_STATS = {
     4: {
         "masks": 1 << 12,
         "blocks": 1,
         "members": 118,
         "lanes_extracted": 31 + 4,
-        "stride_lanes": 1 << 12,
+        "stride_lanes": 152,
         "orbit_min_lanes": 31,
     },
     5: {
@@ -153,7 +158,7 @@ EULERIAN_THEOREM_STATS = {
         "blocks": 32,
         "members": 7_000,
         "lanes_extracted": 7,
-        "stride_lanes": 11_411,
+        "stride_lanes": 84,
         "orbit_min_lanes": 241,
     },
 }

@@ -14,6 +14,7 @@ from dgr.masks import (
     _separations,
     _vertex_sets,
     balance_plane,
+    balanced_by_size,
     block_planes,
     canonical_mask,
     digraph_of_mask,
@@ -37,6 +38,7 @@ from dgr.verifier import _batch_bits
 
 from oracles import (
     INF,
+    balanced_by_size_brute,
     brute_edge_connectivity,
     brute_vertex_connectivity,
     flat_kappa_mask,
@@ -50,6 +52,8 @@ from oracles import (
 DIGRAPHS = (1, 3, 16, 218)
 STRONG_DIGRAPHS = (1, 1, 5, 83)
 LABELED_STRONG = (1, 1, 18, 1606, 565_080)
+# labeled balanced digraphs, orders 1..7
+LABELED_BALANCED = (1, 2, 10, 152, 7_736, 1_375_952, 877_901_648)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -283,6 +287,21 @@ def test_range_balance_matches_the_counters_on_strided_order6_blocks():
     bits = _batch_bits(6)
     for base in range(0, 1 << 30, 97 << bits):
         assert range_balance(6, base, bits) == balance_plane(6, *range_cells(6, base, bits)), base
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_balanced_by_size_matches_the_brute_count(n):
+    # the degree-gap DP against a count over every mask's adjacency matrix
+    assert list(balanced_by_size(n)) == balanced_by_size_brute(n)
+
+
+def test_balanced_by_size_totals_and_complement_symmetry():
+    # the complement of a balanced digraph is balanced, so the masks with m
+    # arcs and with n(n-1) - m arcs are equally many
+    assert tuple(sum(balanced_by_size(n)) for n in range(1, 8)) == LABELED_BALANCED
+    for n in range(1, 8):
+        counts = balanced_by_size(n)
+        assert len(counts) == n * (n - 1) + 1 and counts == counts[::-1]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -33,7 +33,9 @@ from dgr import (
     profile_digraph,
     remoteness,
 )
-from dgr.masks import canonical_mask, digraph_of_mask, draw_cells, lanes, mask_of_digraph
+from dgr.masks import (
+    canonical_mask, digraph_of_mask, draw_cells, is_balanced, lanes, mask_of_digraph,
+)
 from dgr.verifier import (
     _Blocks, _Draws, _batch_bits, _new_stats, _packed, _pieces, _prefiltered, _stride_planes,
     _sweep_shard,
@@ -190,15 +192,6 @@ def _piece_batches(pieces):
         for piece in pieces
         for batch in piece.batches(_batch_bits(piece.spec.order))
     ]
-
-
-def _tagged_stride(chain: list[int], objects: list[int]) -> list[int]:
-    """The stride lanes in increasing order, lane i as ``i << 3 | tag``.
-
-    Tag bit 0 marks the chain stride and bit 1 the object stride.
-    """
-    on_chain, on_objects = set(chain), set(objects)
-    return [i << 3 | (i in on_chain) | (i in on_objects) << 1 for i in sorted({*chain, *objects})]
 
 
 def _piece_draws(pieces):
@@ -380,9 +373,10 @@ _strong_plane_drops = _block_planes_skewed(
 def _balance_plane_drops(mask: int):
     """A sabotage: ``balance_plane`` drops the lanes holding ``mask``.
 
-    A batch of draws counts its degrees by ``balance_plane``. The prefilter
-    keeps a stride lane that the balance plane drops, so the scalar
-    ``is_balanced`` must catch it on a stride lane.
+    A batch of draws counts its degrees by ``balance_plane``, and the
+    prefilter keeps only the lanes it holds, so a dropped draw never reaches
+    the stride oracle. Where the draw is at a stride position, the scalar
+    ``is_balanced`` run on those positions before the cut must catch it.
     """
 
     def sabotage(monkeypatch):
@@ -398,15 +392,17 @@ def _balance_plane_drops(mask: int):
     return sabotage
 
 
-def _range_balance_drops(mask: int):
-    """A sabotage: the table's balance plane, ``range_balance``, drops the lane of ``mask``.
+def _range_balance_flips(*flipped: int):
+    """A sabotage: the table's balance plane, ``range_balance``, flips the lanes of ``flipped``.
 
     An exhaustive block reads its balance plane off ``degree_gap_planes``
-    through ``range_balance``. The prefilter keeps a stride lane that the
-    plane drops, and the plane travels with its lanes, so the scalar
-    ``is_balanced`` must catch it on a stride lane, whether the lane is
-    packed into a dense batch (at n >= 5) or its batch is kept whole (at
-    n <= 4, where every lane is a stride lane).
+    through ``range_balance``, and the prefilter keeps only the lanes it
+    holds. A balanced mask is dropped, on a stride position or not, so it
+    never reaches the stride oracle: the sweep's count of kept lanes by
+    size against ``masks.balanced_by_size`` must catch it. An unbalanced
+    mask is kept, and the scalar ``is_balanced`` that every kept lane
+    meets must catch it, also where a dropped mask of its size leaves the
+    count as it was.
     """
 
     def sabotage(monkeypatch):
@@ -416,8 +412,9 @@ def _range_balance_drops(mask: int):
 
         def skewed(n, base, bits):
             plane = real(n, base, bits)
-            if base <= mask < base + (1 << bits):
-                plane &= ~(1 << (mask - base))
+            for mask in flipped:
+                if base <= mask < base + (1 << bits):
+                    plane ^= 1 << (mask - base)
             return plane
 
         monkeypatch.setattr(masks_mod, "range_balance", skewed)
@@ -429,6 +426,17 @@ def _range_balance_drops(mask: int):
 _ORDER4_COMPLETE = (1 << 12) - 1
 # a strong, balanced order-5 mask on the chain stride: 782 * 101
 _ORDER5_CHAIN_EULERIAN = 78_982
+# the directed 5-cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0, strong and balanced, on
+# neither stride: 78 mod 101 and 479 mod 1009
+_ORDER5_CYCLE = 99_361
+# an unbalanced order-5 mask on the chain stride, and one with 5 arcs, as
+# many as the 5-cycle, on neither stride
+_ORDER5_CHAIN_UNBALANCED = 101
+_ORDER5_UNBALANCED_5_ARCS = 31
+# a seeded order-5 sample whose draw 707 = 7 * 101, mask 70,683, is strong
+# and balanced
+_SAMPLED_N5_SEED = 10
+_SAMPLED_N5_STRIDE_EULERIAN = 70_683
 
 
 def _kappa_plane_off_by_one(monkeypatch):
@@ -497,6 +505,9 @@ _SAMPLED_EULERIAN_ENTRY = {
     "sampled_eulerian": lambda: check_universal_bounds(
         3, "eulerian", ("eulerian_size",),
         mode="sampled", samples=_SAMPLED_DRAWS, seed=_SAMPLED_SEED,
+    ),
+    "sampled_eulerian_n5": lambda: check_universal_bounds(
+        5, "eulerian", ("eulerian_size",), mode="sampled", samples=1_000, seed=_SAMPLED_N5_SEED,
     ),
 }
 
@@ -595,20 +606,39 @@ _CROSSCHECK_CASES = [
         )
         for name in ("universal_bounds", "sampled_universal_bounds", *_ORDER6_ENTRY)
     ),
-    # the entry points whose class asks for a balanced plane, and an
-    # order-5 sweep whose kept lanes are packed: the exhaustive ones read it
-    # off the table, the sampled one counts degrees
+    # the entry points whose class asks for a balanced plane, and order-5
+    # sweeps whose kept lanes are packed: the exhaustive ones read it off the
+    # table and count what it keeps, the sampled ones count degrees and
+    # check their stride positions before the cut
     *(
-        (f"{name}-balanced_plane", name, _range_balance_drops(_ORDER4_COMPLETE))
+        (f"{name}-balanced_plane", name, _range_balance_flips(_ORDER4_COMPLETE))
         for name in ("eulerian_theorem", "enumerate")
     ),
     (
         "eulerian_theorem_n5-balanced_plane", "eulerian_theorem_n5",
-        _range_balance_drops(_ORDER5_CHAIN_EULERIAN),
+        _range_balance_flips(_ORDER5_CHAIN_EULERIAN),
+    ),
+    (
+        "eulerian_theorem_n5-balanced_plane_off_stride", "eulerian_theorem_n5",
+        _range_balance_flips(_ORDER5_CYCLE),
+    ),
+    (
+        "eulerian_theorem_n5-unbalanced_plane", "eulerian_theorem_n5",
+        _range_balance_flips(_ORDER5_CHAIN_UNBALANCED),
+    ),
+    # a dropped balanced mask and a kept unbalanced one of the same size
+    # leave the count by size as it was
+    (
+        "eulerian_theorem_n5-balanced_plane_swap", "eulerian_theorem_n5",
+        _range_balance_flips(_ORDER5_CYCLE, _ORDER5_UNBALANCED_5_ARCS),
     ),
     (
         "sampled_eulerian-balanced_plane", "sampled_eulerian",
         _balance_plane_drops(_ORDER3_COMPLETE),
+    ),
+    (
+        "sampled_eulerian_n5-balanced_plane", "sampled_eulerian_n5",
+        _balance_plane_drops(_SAMPLED_N5_STRIDE_EULERIAN),
     ),
     # the entry point that decides distance profiles as planes
     ("eulerian_theorem-profile_planes", "eulerian_theorem", _profile_planes_skewed),
@@ -637,6 +667,36 @@ _CROSSCHECK_MESSAGES = {
     "universal_bounds-kappa_walk": (
         r"differ in \['kappa'\]; first at lane 1782, mask 1782: "
         r"kappa \[2\] by the kernel, \[3\] by the oracle"
+    ),
+    # a dropped balanced mask is caught by the count of kept lanes by size,
+    # once the stream is done: the order-4 complete digraph is the one
+    # balanced mask with 12 arcs, 78,982 one of the 600 order-5 ones with 7,
+    # and the 5-cycle one of the 164 with 5
+    **{
+        f"{name}-balanced_plane": r"^kept lanes by size \(.*, 0\), but the balanced .*, 1\)$"
+        for name in ("eulerian_theorem", "enumerate")
+    },
+    "eulerian_theorem_n5-balanced_plane": (
+        r"^kept lanes by size \(1, 0, 10, 20, 75, 164, 360, 599, "
+        r".*\(1, 0, 10, 20, 75, 164, 360, 600, "
+    ),
+    "eulerian_theorem_n5-balanced_plane_off_stride": (
+        r"^kept lanes by size \(1, 0, 10, 20, 75, 163, .*\(1, 0, 10, 20, 75, 164, "
+    ),
+    # a kept unbalanced mask is caught by is_balanced on every kept lane,
+    # before the count
+    "eulerian_theorem_n5-unbalanced_plane": (
+        r"^mask 101 is kept, but is_balanced rejects it$"
+    ),
+    "eulerian_theorem_n5-balanced_plane_swap": (
+        r"^mask 31 is kept, but is_balanced rejects it$"
+    ),
+    # a sample's dropped stride draw is caught before the cut
+    "sampled_eulerian-balanced_plane": (
+        r"^draw \d+, mask 63: the balance plane and is_balanced differ$"
+    ),
+    "sampled_eulerian_n5-balanced_plane": (
+        r"^draw 707, mask 70683: the balance plane and is_balanced differ$"
     ),
 }
 
@@ -667,7 +727,8 @@ def shard_digest(out: dict) -> str:
 # per-mask kernel it replaced, then the order-6 stretches 33, 341 and 700,
 # stretch k being masks k * 2^20 .. (k + 1) * 2^20 - 1 of the exhaustive
 # order-6 stream: (spec, lo, hi, bound ids, instances, sha256,
-# (lanes_extracted, stride_lanes, orbit_min_lanes))
+# (lanes_extracted, stride_lanes, orbit_min_lanes)). An Eulerian stretch's
+# stride lanes are its balanced masks on either stride.
 _ODD_STRETCHES = [
     (EnumerationSpec(5, "strong"), 12345, 700001, ("digraph_order", "size_digraph"),
      340419, "9da05c76a954b799e058903e479fb5cbe532e2141d3010a79461f903fb36be89",
@@ -675,7 +736,7 @@ _ODD_STRETCHES = [
     (EnumerationSpec(5, "eulerian"), 12345, 700001,
      ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
      4696, "ac9f5bcdd69514a3590e48104e1d9440befd411796ca9edec43628ac73fcca83",
-     (4702, 7483, 138)),
+     (4702, 56, 138)),
     (EnumerationSpec(5, "strong"), 333333, 345679, ("kappa_digraph", "size_digraph"),
      6856, "919bfa1dd65ca6125960e0c385217ebbead38e2a61a718e8b26b77b6a7dbc0b6",
      (0, 134, 0)),
@@ -698,15 +759,15 @@ _ODD_STRETCHES = [
     (EnumerationSpec(6, "eulerian"), 33 << 20, 34 << 20,
      ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
      988, "acfa476054f4c94ae1cdc6c134267c8ce619635811734a4fff67cc943932ee51",
-     (988, 11410, 0)),
+     (988, 5, 0)),
     (EnumerationSpec(6, "eulerian"), 341 << 20, 342 << 20,
      ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
      1832, "20575f09c854adb4eb14341f14e2e98ae665b976688b6139d045767c1ecefcd1",
-     (1832, 11411, 0)),
+     (1832, 11, 0)),
     (EnumerationSpec(6, "eulerian"), 700 << 20, 701 << 20,
      ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
      2682, "75b7dbaa20835aaf8b7c8da3b8f4d914215cf85d06d88d9128f1ca76b7ef6814",
-     (2682, 11411, 2)),
+     (2682, 28, 2)),
 ]
 
 
@@ -763,23 +824,21 @@ class TestSharedKernel:
         def on(stride):
             return [i for i in range(width) if valid >> i & 1 and (pos + i) % stride == 0]
 
-        chain, objects, stride = _stride_planes(5, pos, width, valid)
+        chain, objects = _stride_planes(5, pos, width, valid)
         assert list(lanes(chain)) == on(101)
         assert list(lanes(objects)) == on(1009)
-        assert stride == _tagged_stride(on(101), on(1009))
         # every valid lane is on the chain stride at n <= 4; the object
         # stride stays the positions divisible by 1009
-        chain, objects, stride = _stride_planes(4, pos, width, valid)
+        chain, objects = _stride_planes(4, pos, width, valid)
         assert chain == valid
         assert list(lanes(objects)) == on(1009)
-        assert stride == _tagged_stride(list(lanes(valid)), on(1009))
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-    def test_tagged_stride_lanes_at_every_width(self, n):
-        # the tagged list against the positions on either stride, for
-        # widths from one lane to a kernel batch, batches that start at
-        # every residue of interest, and every valid lane, none, a piece
-        # edge's run or a random plane
+    def test_stride_planes_at_every_width(self, n):
+        # the planes against the positions on either stride, for widths
+        # from one lane to a kernel batch, batches that start at every
+        # residue of interest, and every valid lane, none, a piece edge's
+        # run or a random plane
         chain_stride = 1 if n <= 4 else 101
         rng = random.Random(n)
         for bits in sorted({0, 3, _batch_bits(n) // 2, _batch_bits(n)}):
@@ -787,13 +846,12 @@ class TestSharedKernel:
             ones = (1 << width) - 1
             for pos in (0, 7, 1009 - 3, 101 * 1009 - width // 2, rng.randrange(1 << 30)):
                 for valid in (ones, 0, ones >> (width // 3), rng.getrandbits(width)):
-                    chain, objects, stride = _stride_planes(n, pos, width, valid)
+                    chain, objects = _stride_planes(n, pos, width, valid)
                     on = [
                         [i for i in range(width) if valid >> i & 1 and (pos + i) % s == 0]
                         for s in (chain_stride, 1009)
                     ]
                     assert (list(lanes(chain)), list(lanes(objects))) == tuple(on)
-                    assert stride == _tagged_stride(*on)
 
     def test_the_sampled_entry_point_draws_the_complete_digraph(self):
         rng = random.Random(_SAMPLED_SEED)
@@ -838,38 +896,62 @@ class TestSharedKernel:
     def test_blocks_too_small_for_m_min_build_no_planes(self, monkeypatch):
         import dgr.masks as masks_mod
 
-        # the last 1,024 order-6 blocks: a block's masks have at most its
-        # low cells plus the set high cells of its base as arcs, so only the
-        # blocks with at least 25 nonzero cells build their planes, and
-        # their valid lanes, read off the lane-index weight planes, are the
-        # lanes that the size counter of their cell planes puts at m >= 25
+        # a block's masks have at most its low cells plus the set high cells
+        # of its base as arcs; its valid lanes, read off the lane-index
+        # weight planes, are the lanes that the size counter of its cell
+        # planes puts at m >= m_min, none in a block with fewer nonzero
+        # cells. Only a block whose every lane is valid builds its planes:
+        # none of the last 1,024 order-6 blocks at m_min = 25, whose 15 high
+        # cells cannot hold 25 arcs, and the order-5 blocks with at least 4
+        # of their 5 high cells set at m_min = 4
         real = masks_mod.range_cells
         built = []
         monkeypatch.setattr(
             masks_mod, "range_cells", lambda n, base, bits: built.append(base) or real(n, base, bits)
         )
-        spec = EnumerationSpec(6, "strong_kappa", 2)
-        bits = _batch_bits(6)
-        lo, hi = (1 << 30) - (1024 << bits), 1 << 30
-        batches = list(_Blocks(spec, lo, hi).batches(bits, 25))
-        assert [b.pos for b in batches] == list(range(lo, hi, 1 << bits))
-        nonzero = {b.pos: sum(1 for plane in real(6, b.pos, bits)[0] if plane) for b in batches}
-        assert built == [pos for pos in nonzero if nonzero[pos] >= 25]
-        assert 0 < len(built) < len(batches)
-        for b in batches:
-            if b.pos in set(built):
-                assert (b.cells, b.ones) == real(6, b.pos, bits)
-                sizes = masks_mod.value_planes(masks_mod.size_counter(b.cells), b.ones)
-                assert b.valid == sum(p for m, p in sizes.items() if m >= 25) != 0
-            else:
-                assert (b.cells, b.ones, b.valid) == ([], 0, 0)
+        for n, m_min, blocks, whole in ((6, 25, 1024, ()), (5, 4, 32, (15, 23, 27, 29, 30, 31))):
+            spec = EnumerationSpec(n, "strong_kappa", 2)
+            bits = _batch_bits(n)
+            hi = 1 << n * (n - 1)
+            lo = hi - (blocks << bits)
+            built.clear()
+            batches = list(_Blocks(spec, lo, hi).batches(bits, m_min))
+            assert [b.pos for b in batches] == list(range(lo, hi, 1 << bits))
+            assert built == [k << bits for k in whole]
+            for b in batches:
+                cells, ones = real(n, b.pos, bits)
+                sizes = masks_mod.value_planes(masks_mod.size_counter(cells), ones)
+                assert b.valid == sum(p for m, p in sizes.items() if m >= m_min)
+                if b.pos in built:
+                    assert (b.cells, b.ones, b.valid) == (cells, ones, ones)
+                else:
+                    assert (b.cells, b.ones) == ([], 0) and b.valid != ones
+            if n == 6:
+                assert 0 < sum(1 for b in batches if b.valid) < len(batches)
+
+    def test_eulerian_blocks_build_planes_only_at_order_1(self, monkeypatch):
+        import dgr.masks as masks_mod
+
+        # an Eulerian block is kept whole only where every lane is
+        # balanced, so the one block that builds its cell planes is the
+        # single lane of order 1; every other block's balanced lanes are
+        # packed and transposed in a dense batch
+        real = masks_mod.range_cells
+        built = []
+        monkeypatch.setattr(
+            masks_mod, "range_cells",
+            lambda n, base, bits: built.append((n, base, bits)) or real(n, base, bits),
+        )
+        specs = [EnumerationSpec(n, "eulerian") for n in range(1, 6)]
+        assert [sum(1 for _ in enumerate_digraphs(spec)) for spec in specs] == [1, 1, 6, 118, 7_000]
+        assert built == [(1, 0, 0)]
 
     def test_order6_eulerian_stretch_is_gathered(self):
         from dgr.verifier import _eulerian_shard
 
         # order-6 stretch 700 (masks 700 * 2^20 onwards, 32 blocks of
         # 2^15), pinned with the kernel that decoded every lane: every batch
-        # is packed to its balanced lanes and its stride lanes
+        # is packed to its balanced lanes, 28 of them on either stride
         spec = EnumerationSpec(6, "eulerian")
         out = _eulerian_shard(_Blocks(spec, 700 << 20, 701 << 20))
         assert out["violations"] == [] and out["mismatches"] == []
@@ -879,7 +961,7 @@ class TestSharedKernel:
             "blocks": 32,
             "members": 2_682,
             "lanes_extracted": 0,
-            "stride_lanes": 11_411,
+            "stride_lanes": 28,
             "orbit_min_lanes": 4,
         }
 
@@ -910,18 +992,19 @@ class TestSharedKernel:
         width = 1 << _batch_bits(n)
         balanced_only = spec.class_filter.startswith("eulerian")
         kept = list(_prefiltered(_piece(spec, lo, hi), _new_stats(), m_min, balanced_only))
-        if m_min:
-            # the kept lanes are the stream's masks with at least m_min arcs
-            assert [batch.seq[i] for batch, keep in kept for i in lanes(keep)] == [
-                mask for _pos, seq in _piece_batches([_piece(spec, lo, hi)])
-                for mask in seq[max(lo - _pos, 0):hi - _pos] if mask.bit_count() >= m_min
-            ]
+        # the kept lanes are the stream's masks with at least m_min arcs
+        # and, for the Eulerian classes, balanced
+        assert [batch.seq[i] for batch in kept for i in lanes(batch.valid)] == [
+            mask for _pos, seq in _piece_batches([_piece(spec, lo, hi)])
+            for mask in seq[max(lo - _pos, 0):hi - _pos]
+            if mask.bit_count() >= m_min and (not balanced_only or is_balanced(mask, n))
+        ]
         transposed = []
         monkeypatch.setattr(
             masks_mod, "draw_cells", lambda n, seq: transposed.append(len(seq)) or draw_cells(n, seq)
         )
         out = list(_packed(n, kept))
-        whole = [batch for batch, keep in kept if keep == batch.ones]
+        whole = [batch for batch in kept if batch.valid == batch.ones]
         passed = [any(batch is w for w in whole) for batch in out]
         dense = [batch for batch, through in zip(out, passed) if not through]
         # the kept masks, and each stride's, in stream order
@@ -930,8 +1013,8 @@ class TestSharedKernel:
                 batch.seq[i] for batch in out for i in lanes(getattr(batch, name))
             )) == array("Q", (
                 batch.seq[i]
-                for batch, keep in kept
-                for i in lanes(keep if name == "ones" else getattr(batch, name))
+                for batch in kept
+                for i in lanes(batch.valid if name == "ones" else getattr(batch, name))
             ))
         # every batch kept whole comes through itself, untransposed; the
         # lanes of the others are packed into dense batches of at most
@@ -943,12 +1026,12 @@ class TestSharedKernel:
             assert (batch.cells, batch.ones) == draw_cells(n, list(batch.seq))
             assert batch.valid == batch.ones and len(batch.seq) <= width
         expected, size = [], 0
-        for batch, keep in kept:
-            count = keep.bit_count()
-            if size and (keep == batch.ones or size + count > width):
+        for batch in kept:
+            count = batch.valid.bit_count()
+            if size and (batch.valid == batch.ones or size + count > width):
                 expected.append(size)
                 size = 0
-            if keep == batch.ones:
+            if batch.valid == batch.ones:
                 expected.append("whole")
             else:
                 size += count
@@ -1008,8 +1091,10 @@ class TestSharedKernel:
         "check, calls",
         [
             (
+                # is_balanced on every one of the 7,736 kept (balanced)
+                # lanes, the other calls on the 84 of them at stride positions
                 partial(check_eulerian_size_theorem, 5),
-                (11_411, 11_411, 79, 0, 79, 8),
+                (84, 7_736, 79, 0, 79, 8),
             ),
             (
                 partial(check_universal_bounds, 5, "strong", ("digraph_order", "size_digraph")),
@@ -1022,12 +1107,24 @@ class TestSharedKernel:
                 ),
                 (2_178, 0, 1_505, 0, 1_505, 134),
             ),
+            (
+                # is_balanced on the 545 stride positions of the sample
+                # before the cut, then on its 359 kept (balanced) draws;
+                # lambda on its 322 members
+                partial(
+                    check_universal_bounds, 5, "eulerian",
+                    ("eulerian_size", "eulerian_kappa", "eulerian_lambda"),
+                    mode="sampled", samples=50_000, seed=5,
+                ),
+                (3, 545 + 359, 3, 322, 3, 1),
+            ),
         ],
-        ids=["eulerian-n5", "strong-n5", "sampled-n6"],
+        ids=["eulerian-n5", "strong-n5", "sampled-n6", "sampled-eulerian-n5"],
     )
     def test_oracle_calls_per_sweep(self, monkeypatch, check, calls):
         # the scalar oracle's calls at one worker: any pass over fewer or
-        # other stride lanes changes them
+        # other stride lanes changes them; an Eulerian sweep decodes only
+        # its kept lanes at stride positions
         import dgr.masks as masks_mod
         import dgr.verifier as verifier_mod
 
@@ -1225,8 +1322,10 @@ class TestSweepStats:
         # every member pulled for lambda, then the equality hits once more
         # to be canonicalised
         assert one[0]["lanes_extracted"] > 322
-        # the positions 0..49,999 divisible by 101 or 1009: 496 + 50 - 1
-        assert one[0]["stride_lanes"] == 545
+        # the balanced draws at positions divisible by 101 or 1009; all
+        # 496 + 50 - 1 of those positions are checked by is_balanced
+        # before the unbalanced draws are dropped
+        assert one[0]["stride_lanes"] == 3
 
     def test_text_prints_stats_beside_elapsed(self):
         report = check_universal_bound(3, "strong", "digraph_order")
