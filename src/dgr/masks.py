@@ -32,21 +32,22 @@ lanes by each source's distance profile, both a level at a time through
 one ``_step``; ``kappa_planes`` splits them by vertex connectivity,
 running each D - S to a fixed point; and ``orbit_min_planes`` keeps the
 lanes whose mask is the least of its relabellings, the orbit-minimal
-witnesses of a sweep's equality hits. Two cheaper kernels need no BFS, so
-a sweep runs them first, on the whole batch, as class prefilters:
+witnesses of a sweep's equality hits. Two cheaper kernels need no BFS:
 ``size_counter`` counts every lane's arcs (``block_planes`` takes its size
-from it too) and ``balance_plane`` compares every vertex's out- and
-in-degree counters. A ``range_cells`` block needs neither count: lane i
+from it) and ``balance_plane`` compares every vertex's out- and
+in-degree counters, so a sweep can run them first, on the whole batch,
+as class prefilters. A ``range_cells`` block needs neither count: lane i
 holds the block's constant arcs plus the set bits of i, so
 ``weight_planes`` gives its lanes of at least any size by the set bits of
 their index, and its twin ``degree_gap_planes`` gives each vertex's
 out-minus-in degree over the low cells as planes, once per order and
 width; ``range_balance`` then ANDs one entry per vertex, picked by the
-block's constant high cells. A batch of draws counts both. What an
-exhaustive stream's balance prefilter must keep is counted with no plane
-at all: ``balanced_by_size`` gives the labeled balanced digraphs of each
-size by a DP over vertex pairs, sharing no table with ``range_balance``,
-and the verifier asserts its tally of kept lanes against it. The verifier
+block's constant high cells. A batch of draws counts only its balance,
+as a sample is never cut by size. What an exhaustive stream's balance
+prefilter must keep is counted with no plane at all:
+``balanced_by_size`` gives the labeled balanced digraphs of each size by
+a DP over vertex pairs, sharing no table with ``range_balance``, and the
+verifier asserts its tally of kept lanes against it. The verifier
 then packs the lanes it keeps, across consecutive batches, into dense
 batches of up to ``2**BATCH_BITS`` lanes with ``draw_cells``, so the BFS
 kernels above run only on those, once per dense batch. Per-lane numbers

@@ -26,27 +26,28 @@ A batch is one ``_Batch`` record: lane i is the mask ``seq[i]`` at
 stream position ``pos + i``, and its cell planes serve every plane
 kernel. Before any BFS kernel runs, the piece's ``batches`` cut each
 batch of the stream to the lanes that pass the class's cheap tests, its
-valid lanes: the uniqueness check's least size (a block with fewer
-nonzero cell planes than that has none, the others are cut by
-``masks.weight_planes``, a batch of draws by ``masks.size_counter``), and
-balance for the Eulerian classes (a block's plane read off a table by
+valid lanes: the uniqueness check's least size, which only exhaustive
+specs ask for (a block with fewer nonzero cell planes than that has none,
+the others are cut by ``masks.weight_planes``), and balance for the
+Eulerian classes (a block's plane read off a table by
 ``masks.range_balance``, a batch of draws' counted by
-``masks.balance_plane``). ``_prefiltered`` skips a batch with no valid
-lane and gives the others their stride planes. ``_packed`` then makes the
-kernel batches: a batch whose every lane is kept passes through
-untouched, and the kept lanes of the others are packed, in stream order
-and across consecutive batches of the piece, into dense batches of up to
-2**bits lanes, transposed by ``masks.draw_cells``, with the dense batch's
-stride planes read off one tag byte per lane. Only a block kept whole
-builds its own cell planes. Every later kernel and the oracle run once
-per kernel batch. Members come out once per kernel batch, as cells:
-planes of lanes sharing (kappa, lambda, sigma_max, m), split in that
-order, which the checks weight by their popcount. Equality hits gather
-into one plane per batch, and on an orbit-minimal piece
-``masks.orbit_min_planes`` decides which of them are the orbit-minimal
-witnesses. Lanes are pulled out one by one, in increasing lane order
-within a plane, only for scalar work: violations, witnesses, sampled
-equality hits, and lambda where a class or bound needs it.
+``masks.balance_plane``). ``_packed`` is the one stage between that
+stream and the kernels: it skips a batch with no valid lane, gives the
+others their stride planes and makes the kernel batches. A batch whose
+every lane is kept passes through untouched, and the kept lanes of the
+others are packed, in stream order and across consecutive batches of
+the piece, into dense batches of up to 2**bits lanes, transposed by
+``masks.draw_cells``, with each stride's plane read off one binary digit
+per lane. Only a block kept whole builds its own cell planes. Every
+later kernel and the oracle run once per kernel batch. Members come out
+once per kernel batch, as cells: planes of lanes sharing (kappa, lambda,
+sigma_max, m), split in that order, which the checks weight by their
+popcount. Equality hits gather into one plane per batch, and on an
+orbit-minimal piece ``masks.orbit_min_planes`` decides which of them are
+the orbit-minimal witnesses. Lanes are pulled out one by one, in
+increasing lane order within a plane, only for scalar work: violations,
+witnesses, sampled equality hits, and lambda where a class or bound
+needs it.
 
 The scalar decode is the kernel's oracle on the stride lanes: the kept
 lanes at stride positions, which ``_stride_planes`` alone chooses, once
@@ -62,16 +63,16 @@ digraph. Each map must equal the kernel's. On the chain-stride equality
 hits ``masks.is_canonical`` must agree with the orbit-minimality planes,
 and every witness they keep must pass it.
 
-The balance prefilter is checked apart, on every lane. Each lane it
-keeps meets scalar ``is_balanced`` in ``_members``, so no unbalanced
-lane is kept. A lane it drops never reaches the oracle: an exhaustive
-Eulerian-class stream must keep, size by size (each kept mask's arc
-count, read off the mask), as many lanes as ``masks.balanced_by_size``
-counts balanced masks, which ``_check_kept`` asserts once the stream is
-done; with the first check, that makes the kept lanes exactly the
-balanced ones. A sample has no such count, so there ``is_balanced`` must
-agree with the balance plane on every stride position of each batch of
-draws before the cut.
+The balance prefilter is checked apart, on every lane. ``_packed``
+checks each lane it keeps with scalar ``is_balanced``, so no unbalanced
+lane is kept, and tallies it by arc count, read off the mask, into
+``stats["kept"]``. A lane it drops never reaches the oracle: an
+exhaustive Eulerian-class stream must keep, size by size, as many lanes
+as ``masks.balanced_by_size`` counts balanced masks, which
+``_check_kept`` asserts once the stream is done; with the first check,
+that makes the kept lanes exactly the balanced ones. A sample has no
+such count, so there ``is_balanced`` must agree with the balance plane
+on every stride position of each batch of draws before the cut.
 
 The shards keep no count of members of their own: the report of a
 sweep over the stream reads ``instances_examined`` from the
@@ -197,6 +198,9 @@ class EnumerationSpec:
                 raise ValueError("sampled mode needs a positive sample count")
             if self.seed is None:
                 raise ValueError("sampled mode needs an explicit seed")
+            # random.Random(-s) seeds exactly as Random(s) does
+            if self.seed < 0:
+                raise ValueError(f"seed must be non-negative, got {self.seed}")
         elif self.mode != "exhaustive":
             raise ValueError(f"unknown mode {self.mode!r}")
         elif self.samples is not None or self.seed is not None:
@@ -408,7 +412,12 @@ def _draws(rng: random.Random, bits: int, count: int) -> array:
 
 
 def _new_stats() -> dict:
-    return dict.fromkeys(_STAT_KEYS, 0)
+    """A shard's counters: ``_STAT_KEYS``, and ``kept``, the kept Eulerian lanes by arc count.
+
+    ``_sweep`` merges only ``_STAT_KEYS`` into the report's stats; the
+    ``kept`` tallies go to ``_check_kept``.
+    """
+    return {**dict.fromkeys(_STAT_KEYS, 0), "kept": Counter()}
 
 
 # (plane, m, sigma_max, kappa, lambda): the members of a batch, for the set
@@ -429,11 +438,12 @@ class _Batch(NamedTuple):
     that is not kept whole comes without them, as [] and 0, since only
     its kept lanes are read, once ``_packed`` has transposed them.
     ``chain`` and ``objects`` are the stride planes of ``_stride_planes``,
-    the kept lanes at stride positions, which ``_prefiltered`` decides. A
-    dense batch that ``_packed`` builds holds the kept lanes of one or
-    more consecutive stream batches, all valid; its ``pos`` is the
-    position of the first batch it takes lanes from, its stride planes
-    follow their lanes, and its lane i is at no fixed position.
+    the kept lanes at stride positions, which ``_packed`` decides. Every
+    lane of a kernel batch, the kind ``_packed`` yields, is kept, so its
+    ``valid`` equals its ``ones``. A dense batch holds the kept lanes of
+    one or more consecutive stream batches; its ``pos`` is the position of
+    the first batch it takes lanes from, its stride planes follow their
+    lanes, and its lane i is at no fixed position.
     """
 
     seq: Sequence[int]
@@ -509,13 +519,17 @@ class _Draws(NamedTuple):
         """One ``_Batch`` per run of up to 2**bits draws, each from one generator call.
 
         Every batch has its cell planes, transposed by ``masks.draw_cells``,
-        and its draws with at least ``m_min`` arcs as its valid lanes. Where
-        ``balanced`` is asked for, ``masks.balance_plane`` counts the
-        degrees of its cell planes, and the valid lanes are cut to the
-        balanced ones. A sample has no count to check that cut against, so
-        before it, scalar ``is_balanced`` must agree with the plane on
-        every valid lane at a stride position; a mismatch names the first.
+        and all its draws as its valid lanes. Where ``balanced`` is asked
+        for, ``masks.balance_plane`` counts the degrees of its cell planes,
+        and the valid lanes are cut to the balanced ones. A sample has no
+        count to check that cut against, so before it, scalar
+        ``is_balanced`` must agree with the plane on every draw at a stride
+        position; a mismatch names the first. A sample is never cut by
+        size: only the uniqueness check asks for an ``m_min``, and its
+        spec is exhaustive, so a nonzero one is refused.
         """
+        if m_min:
+            raise ValueError(f"a sample is not cut by size, got m_min {m_min}")
         n = self.spec.order
         num_cells = masks.tables_for(n).num_cells
         rng = random.Random()
@@ -524,9 +538,6 @@ class _Draws(NamedTuple):
             seq = _draws(rng, num_cells, min(1 << bits, self.hi - pos))
             cells, ones = masks.draw_cells(n, seq)
             valid = ones
-            if m_min:
-                sizes = masks.value_planes(masks.size_counter(cells), ones)
-                valid = sum(p for m, p in sizes.items() if m >= m_min)
             if balanced:
                 plane = masks.balance_plane(n, cells, ones)
                 chain, objects = _stride_planes(n, pos, len(seq), valid)
@@ -595,84 +606,75 @@ def _stride_planes(n: int, pos: int, width: int, valid: int) -> tuple[int, int]:
     return planes[0], planes[1]
 
 
-def _prefiltered(piece: _Piece, stats: dict, m_min: int, balanced_only: bool) -> Iterator[_Batch]:
-    """Each batch of the piece that keeps a lane, with its stride planes.
+def _packed(piece: _Piece, stats: dict, m_min: int) -> Iterator[_Batch]:
+    """The kernel batches of one piece: the one stage between its stream and the kernels.
 
-    Counts the piece's masks and every batch. The piece's ``batches`` cut
-    each batch's valid lanes to those with at least ``m_min`` arcs and,
-    for the Eulerian classes, to the balanced ones; a batch left with no
-    valid lane is skipped, and the others get the stride planes of their
-    valid lanes. So a stride lane is a kept lane at a stride position: the
-    rule is one of stream position and does not depend on how the stream
-    is cut.
-    """
-    n = piece.spec.order
-    stats["masks"] += piece.hi - piece.lo
-    for batch in piece.batches(_batch_bits(n), m_min, balanced_only):
-        stats["blocks"] += 1
-        if batch.valid:
-            chain, objects = _stride_planes(n, batch.pos, len(batch.seq), batch.valid)
-            yield batch._replace(chain=chain, objects=objects)
+    Counts the piece's masks and every batch of its stream. The piece's
+    ``batches`` cut each batch's valid lanes to those with at least
+    ``m_min`` arcs and, for the Eulerian classes, which it reads off the
+    piece's spec, to the balanced ones. A batch left with no valid lane is
+    skipped; the others get the stride planes of their valid lanes, once
+    per stream batch and before any packing, so a stride lane is a kept
+    lane at a stride position, whatever the worker count.
 
-
-def _packed(n: int, kept: Iterable[_Batch]) -> Iterator[_Batch]:
-    """The kernel batches of one piece: its kept lanes, in stream order.
+    For the Eulerian classes every kept lane must pass scalar
+    ``is_balanced``, and ``stats["kept"]`` tallies it by arc count, which
+    ``_check_kept`` compares with the count of balanced masks.
 
     A batch whose every lane is valid comes through as it is. The valid
     lanes of the others are appended, in stream order, to one pending
     dense batch, which is emitted when the next batch's valid lanes would
     make it wider than ``2**_batch_bits(n)`` lanes, just before a batch
-    that comes through whole, and at the end of the piece. Each appended
-    lane gets a tag byte, bit 0 for the chain stride and bit 1 for the
-    object stride, set by bisection for the few stride lanes. A dense batch
+    that comes through whole, and at the end of the piece. Each stride has
+    one binary digit per appended lane, ``b"1"`` on the stride, set by
+    bisection for the few stride lanes; read last lane first, the digits
+    are the dense batch's ``chain`` or ``objects`` plane. A dense batch
     holds its masks in an ``array`` and its cells from
-    ``masks.draw_cells``; its lanes are all valid, its ``pos`` is the
-    position of the first batch it takes lanes from, and ``_dense`` reads
-    its ``chain`` and ``objects`` planes off the tags of its lanes.
+    ``masks.draw_cells``; its ``pos`` is the position of the first batch
+    it takes lanes from.
     """
-    width = 1 << _batch_bits(n)
+    n = piece.spec.order
+    eulerian = piece.spec.class_filter.startswith("eulerian")
+    bits = _batch_bits(n)
     code = "I" if masks.tables_for(n).num_cells <= 32 else "Q"
-    seq, pos, tags = array(code), 0, bytearray()
-    for batch in kept:
+    is_balanced, kept = masks.is_balanced, stats["kept"]
+    stats["masks"] += piece.hi - piece.lo
+    seq, pos, digits = array(code), 0, (bytearray(), bytearray())
+    for batch in piece.batches(bits, m_min, eulerian):
+        stats["blocks"] += 1
+        if not batch.valid:
+            continue
+        strides = _stride_planes(n, batch.pos, len(batch.seq), batch.valid)
         whole = batch.valid == batch.ones
-        if seq and (whole or len(seq) + batch.valid.bit_count() > width):
-            yield _dense(n, seq, pos, tags)
-            seq, tags = array(code), bytearray()
+        run = () if whole else list(masks.lanes(batch.valid))
+        found = batch.seq if whole else list(map(batch.seq.__getitem__, run))
+        if eulerian:
+            for mask in found:
+                assert is_balanced(mask, n), f"mask {mask} is kept, but is_balanced rejects it"
+                kept[mask.bit_count()] += 1
+        if seq and (whole or len(seq) + len(found) > 1 << bits):
+            cells, ones = masks.draw_cells(n, seq)
+            yield _Batch(seq, pos, ones, cells, ones, *(int(d[::-1], 2) for d in digits))
+            seq, digits = array(code), (bytearray(), bytearray())
         if whole:
-            yield batch
+            yield batch._replace(chain=strides[0], objects=strides[1])
             continue
         if not seq:
             pos = batch.pos
-        run = list(masks.lanes(batch.valid))
-        at = len(tags)
-        tags += bytes(len(run))
-        for tag, plane in ((1, batch.chain), (2, batch.objects)):
+        for digit, plane in zip(digits, strides):
+            at = len(digit)
+            digit += b"0" * len(run)
             for i in masks.lanes(plane):
-                tags[at + bisect_left(run, i)] |= tag
-        seq.extend(map(batch.seq.__getitem__, run))
+                digit[at + bisect_left(run, i)] = ord("1")
+        seq.extend(found)
     if seq:
-        yield _dense(n, seq, pos, tags)
-
-
-def _dense(n: int, seq: array, pos: int, tags: bytearray) -> _Batch:
-    """A packed batch of the masks ``seq``, transposed to its cell planes.
-
-    Byte i of ``tags`` is lane i's tag of ``_packed``. Each tag bit's plane
-    is the tags, last lane first, translated to binary digits and read by
-    one ``int(..., 2)``: bit 0 the chain plane and bit 1 the objects plane.
-    """
-    cells, ones = masks.draw_cells(n, seq)
-    last_first, values = tags[::-1], bytes(range(4))
-    # per tag bit, each tag to the binary digit of that bit: 48 is b"0"
-    digits = [bytes.maketrans(values, bytes(48 | v >> b & 1 for v in values)) for b in range(2)]
-    chain, objects = (int(last_first.translate(table), 2) for table in digits)
-    return _Batch(seq, pos, ones, cells, ones, chain, objects)
+        cells, ones = masks.draw_cells(n, seq)
+        yield _Batch(seq, pos, ones, cells, ones, *(int(d[::-1], 2) for d in digits))
 
 
 def _members(
     piece: _Piece,
     stats: dict,
-    kept: Counter,
     need_kappa: bool = False,
     need_lambda: bool = False,
     m_min: int = 0,
@@ -680,14 +682,10 @@ def _members(
     """Class members among the masks of one piece of the stream: the loop of every sweep.
 
     Yields ``(batch, cells)`` per kernel batch of the piece, its cells
-    disjoint; only masks with at least ``m_min`` arcs are scanned. Before
-    any plane kernel, each batch of the stream is prefiltered by the
-    class's cheap tests (size for ``m_min``, balance for the Eulerian
-    classes) in ``_prefiltered``, and ``_packed`` packs the lanes kept into
-    the kernel batches. For the Eulerian classes every kept lane must pass
-    scalar ``is_balanced``, and ``kept`` tallies the kept lanes by their
-    arc count, which ``_check_kept`` compares with the count of balanced
-    masks. kappa
+    disjoint; only masks with at least ``m_min`` arcs are scanned. The
+    kernel batches come from ``_packed``, which has cut the stream to the
+    lanes that pass the class's cheap tests, so every lane of a batch is
+    kept and only strongness and connectivity are decided here. kappa
     comes from the kernel's kappa planes and lambda lane by lane on the
     candidates that meet the kappa threshold, each when the class filter
     or the caller needs it, and is None otherwise; below order 2 they are
@@ -699,19 +697,10 @@ def _members(
     lambda_min = spec.param if spec.class_filter.endswith("_lambda") else 0
     need_kappa = (need_kappa or spec.class_filter.endswith("_kappa")) and n >= 2
     need_lambda = (need_lambda or spec.class_filter.endswith("_lambda")) and n >= 2
-    balanced_only = spec.class_filter.startswith("eulerian")
-    for batch in _packed(n, _prefiltered(piece, stats, m_min, balanced_only)):
-        seq, valid, cells = batch.seq, batch.valid, batch.cells
+    for batch in _packed(piece, stats, m_min):
+        seq, cells = batch.seq, batch.cells
         block = masks.block_planes(n, cells, batch.ones)
-        if balanced_only:
-            # every lane of a kernel batch is kept: each must be balanced,
-            # and is tallied by its arc count, so the count reads no plane
-            for mask in seq:
-                assert masks.is_balanced(mask, n), (
-                    f"mask {mask} is kept, but is_balanced rejects it"
-                )
-                kept[mask.bit_count()] += 1
-        candidates = valid & block.strong
+        candidates = block.strong
         on_stride = batch.chain | batch.objects
         stats["stride_lanes"] += on_stride.bit_count()
         kappa: dict[int, int] = {}
@@ -755,7 +744,7 @@ def _stride_oracle(
     Each stride lane, chain and object lanes alike and in lane order, is
     decoded once by the scalar calls (``out_rows``, ``sigma_vector``, and
     ``kappa_lambda_mask`` on the strong ones, the stride candidates: every
-    kept lane is in the class but for strongness and kappa, as ``_members``
+    kept lane is in the class but for strongness and kappa, as ``_packed``
     has checked the balance of every lane it keeps), and its values are
     written straight into bitmaps: the strong plane, and per value a plane
     of m, sigma_max and, on stride candidates, kappa. Per-lane values are
@@ -875,24 +864,24 @@ def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     are checked by ``_check_kept``, as a sweep's are.
     """
     (piece,) = _pieces(spec, 1, 1)
-    kept: Counter = Counter()
-    for batch, cells in _members(piece, _new_stats(), kept):
+    stats = _new_stats()
+    for batch, cells in _members(piece, stats):
         # the cells are disjoint, so their sum is their union
         for i in masks.lanes(sum(plane for plane, *_ in cells)):
             yield masks.digraph_of_mask(spec.order, batch.seq[i])
-    _check_kept(spec, [kept])
+    _check_kept(spec, [stats["kept"]])
 
 
 def _check_kept(spec: EnumerationSpec, tallies: Iterable[Counter]) -> None:
     """An exhaustive Eulerian-class stream must keep as many masks of each size as are balanced.
 
-    ``tallies`` are the kept lanes by arc count that ``_members`` counts,
-    one per piece, covering the stream; they are read only for such a
-    spec. The count is ``masks.balanced_by_size``, which reads no plane.
-    As ``_members`` has checked every kept lane with ``is_balanced``, equal
-    counts make the kept lanes exactly the balanced masks: the balance
-    prefilter is checked on every lane, where the stride oracle sees only
-    the kept ones at stride positions.
+    ``tallies`` are the kept lanes by arc count that ``_packed`` counts
+    into each piece's ``stats["kept"]``, covering the stream; they are read
+    only for such a spec. The count is ``masks.balanced_by_size``, which
+    reads no plane. As ``_packed`` has checked every kept lane with
+    ``is_balanced``, equal counts make the kept lanes exactly the balanced
+    masks: the balance prefilter is checked on every lane, where the
+    stride oracle sees only the kept ones at stride positions.
     """
     if spec.mode != "exhaustive" or not spec.class_filter.startswith("eulerian"):
         return
@@ -984,10 +973,7 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
     per_bound = {bid: {"violations": [], "equality": set(), "by_m": {}} for bid in bound_ids}
     takes_kappa = bounds_mod._NEEDS_KAPPA.intersection(bound_ids)
     takes_lambda = bounds_mod._NEEDS_LAMBDA.intersection(bound_ids)
-    kept: Counter = Counter()
-    batches = _members(
-        piece, stats, kept, need_kappa=bool(takes_kappa), need_lambda=bool(takes_lambda)
-    )
+    batches = _members(piece, stats, need_kappa=bool(takes_kappa), need_lambda=bool(takes_lambda))
     for batch, cells in batches:
         attained = dict.fromkeys(bound_ids, 0)  # equality lanes per bound
         hits = 0
@@ -1030,7 +1016,7 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
             per_bound[bid]["equality"].update(
                 form for i, form in forms.items() if plane >> i & 1
             )
-    return {"per_bound": per_bound, "stats": stats, "kept": kept}
+    return {"per_bound": per_bound, "stats": stats}
 
 
 def _run_sharded(worker, pieces, workers: int, tables=None) -> list[dict]:
@@ -1071,8 +1057,8 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     goes to the pool bound to ``extra`` by ``functools.partial``, which
     pickles. Returns the partial results in stream order, their merged
     ``stats`` and the wall time of the sweep. ``workers`` must be an
-    integer of at least 1. Each partial result holds its ``stats`` and its
-    ``kept`` lanes by size, whose sum ``_check_kept`` checks.
+    integer of at least 1. Each partial result holds its ``stats``, whose
+    ``kept`` lanes by size ``_check_kept`` checks in sum.
     """
     if type(workers) is not int or workers < 1:
         raise ValueError(f"worker count must be an integer of at least 1, got {workers!r}")
@@ -1083,7 +1069,7 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     tables = partial(masks.build_tables, spec.order, bits)
     partials = _run_sharded(partial(shard, *extra), pieces, workers, tables)
     stats = {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
-    _check_kept(spec, (p["kept"] for p in partials))
+    _check_kept(spec, (p["stats"]["kept"] for p in partials))
     return partials, stats, time.monotonic() - started
 
 
@@ -1174,8 +1160,7 @@ def _uniqueness_shard(m_min: int, rho_star: Fraction, piece: _Piece) -> dict:
     hits = []
     breaches = []
     rhs = rho_star.numerator * (n - 1)
-    kept: Counter = Counter()
-    for batch, cells in _members(piece, stats, kept, m_min=m_min):
+    for batch, cells in _members(piece, stats, m_min=m_min):
         attained = 0
         for plane, _m, sigma_max, _kap, _lam in cells:
             lhs = sigma_max * rho_star.denominator
@@ -1191,7 +1176,7 @@ def _uniqueness_shard(m_min: int, rho_star: Fraction, piece: _Piece) -> dict:
                 )
         if attained:
             hits.extend(_witnesses(piece, batch, attained, stats).values())
-    return {"hits": hits, "breaches": breaches, "stats": stats, "kept": kept}
+    return {"hits": hits, "breaches": breaches, "stats": stats}
 
 
 def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> CheckReport:
@@ -1294,8 +1279,7 @@ def _eulerian_shard(piece: _Piece) -> dict:
     violations = []
     mismatches = []
     equality = set()
-    kept: Counter = Counter()
-    for batch, cells in _members(piece, stats, kept):
+    for batch, cells in _members(piece, stats):
         by_m: dict[int, int] = {}
         for plane, m, *_ in cells:
             by_m[m] = by_m.get(m, 0) | plane
@@ -1350,11 +1334,7 @@ def _eulerian_shard(piece: _Piece) -> dict:
                 else:
                     equality.add(form)
     return {
-        "violations": violations,
-        "mismatches": mismatches,
-        "equality": equality,
-        "stats": stats,
-        "kept": kept,
+        "violations": violations, "mismatches": mismatches, "equality": equality, "stats": stats,
     }
 
 

@@ -569,6 +569,17 @@ class TestVerifyExitCodes:
         assert captured.out == ""
         assert "non-negative" in captured.err
 
+    def test_negative_seed_is_input_error(self, capsys):
+        # Random(-1) would draw seed 1's sample under a header saying -1
+        code = run([
+            "verify", "--check", "digraph_order", "--order", "3", "--samples", "5",
+            "--seed", "-1",
+        ])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "input error: seed must be non-negative, got -1\n"
+
     @pytest.mark.parametrize("args", [
         ["size_digraph", "--class", "strong_kappa", "--kappa", "1"],
         ["eulerian_lambda", "--class", "eulerian_lambda", "--lambda", "2"],

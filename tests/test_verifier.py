@@ -5,6 +5,7 @@ import random
 import subprocess
 import sys
 from array import array
+from collections import Counter
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -37,8 +38,7 @@ from dgr.masks import (
     canonical_mask, digraph_of_mask, draw_cells, is_balanced, lanes, mask_of_digraph,
 )
 from dgr.verifier import (
-    _Blocks, _Draws, _batch_bits, _new_stats, _packed, _pieces, _prefiltered, _stride_planes,
-    _sweep_shard,
+    _Blocks, _Draws, _batch_bits, _new_stats, _packed, _pieces, _stride_planes, _sweep_shard,
 )
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
@@ -142,6 +142,18 @@ class TestEnumeration:
     def test_negative_param_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
             EnumerationSpec(6, "strong_kappa", param=-2, mode="sampled", samples=5, seed=1)
+
+    def test_negative_seed_rejected(self):
+        # random.Random(-s) seeds exactly as Random(s), so a negative seed
+        # would draw another seed's sample under its own header
+        assert random.Random(-7).getrandbits(64) == random.Random(7).getrandbits(64)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -7$"):
+            EnumerationSpec(4, mode="sampled", samples=500, seed=-7)
+        with pytest.raises(ValueError, match="^seed must be non-negative, got -7$"):
+            check_universal_bounds(
+                4, "strong", ("size_digraph",), mode="sampled", samples=500, seed=-7
+            )
+        assert EnumerationSpec(4, mode="sampled", samples=500, seed=0).header()["seed"] == 0
 
     @pytest.mark.parametrize("class_filter", ["strong", "eulerian"])
     def test_param_on_a_class_without_one_rejected(self, class_filter):
@@ -370,13 +382,15 @@ _strong_plane_drops = _block_planes_skewed(
 )
 
 
-def _balance_plane_drops(mask: int):
-    """A sabotage: ``balance_plane`` drops the lanes holding ``mask``.
+def _balance_plane_flips(mask: int):
+    """A sabotage: ``balance_plane`` flips the lanes holding ``mask``.
 
     A batch of draws counts its degrees by ``balance_plane``, and the
     prefilter keeps only the lanes it holds, so a dropped draw never reaches
     the stride oracle. Where the draw is at a stride position, the scalar
-    ``is_balanced`` run on those positions before the cut must catch it.
+    ``is_balanced`` run on those positions before the cut must catch it,
+    dropped or kept. An unbalanced draw kept off the strides must fail the
+    ``is_balanced`` that ``_packed`` runs on every kept lane.
     """
 
     def sabotage(monkeypatch):
@@ -385,7 +399,7 @@ def _balance_plane_drops(mask: int):
         real = masks_mod.balance_plane
 
         def skewed(n, cells, ones):
-            return real(n, cells, ones) & ~_lanes_holding(mask, cells, ones)
+            return real(n, cells, ones) ^ _lanes_holding(mask, cells, ones)
 
         monkeypatch.setattr(masks_mod, "balance_plane", skewed)
 
@@ -400,9 +414,9 @@ def _range_balance_flips(*flipped: int):
     holds. A balanced mask is dropped, on a stride position or not, so it
     never reaches the stride oracle: the sweep's count of kept lanes by
     size against ``masks.balanced_by_size`` must catch it. An unbalanced
-    mask is kept, and the scalar ``is_balanced`` that every kept lane
-    meets must catch it, also where a dropped mask of its size leaves the
-    count as it was.
+    mask is kept, and the scalar ``is_balanced`` that ``_packed`` runs on
+    every kept lane must catch it, also where a dropped mask of its size
+    leaves the count as it was.
     """
 
     def sabotage(monkeypatch):
@@ -422,8 +436,27 @@ def _range_balance_flips(*flipped: int):
     return sabotage
 
 
+def _is_balanced_rejects(mask: int):
+    """A sabotage: scalar ``is_balanced`` rejects ``mask``, a balanced mask.
+
+    The prefilter keeps the mask by its plane, and ``_packed`` runs
+    ``is_balanced`` on every kept lane, of a batch kept whole or packed,
+    so that check must name it.
+    """
+
+    def sabotage(monkeypatch):
+        import dgr.masks as masks_mod
+
+        real = masks_mod.is_balanced
+        monkeypatch.setattr(masks_mod, "is_balanced", lambda m, n: m != mask and real(m, n))
+
+    return sabotage
+
+
 # the complete digraph of order 4, a member of every Eulerian class
 _ORDER4_COMPLETE = (1 << 12) - 1
+# the one arc of cell 0, unbalanced at every order
+_ONE_ARC = 1
 # a strong, balanced order-5 mask on the chain stride: 782 * 101
 _ORDER5_CHAIN_EULERIAN = 78_982
 # the directed 5-cycle 0 -> 1 -> 2 -> 3 -> 4 -> 0, strong and balanced, on
@@ -437,6 +470,8 @@ _ORDER5_UNBALANCED_5_ARCS = 31
 # and balanced
 _SAMPLED_N5_SEED = 10
 _SAMPLED_N5_STRIDE_EULERIAN = 70_683
+# its draw 1, mask 34,167, unbalanced and on neither stride, drawn once
+_SAMPLED_N5_OFF_STRIDE_UNBALANCED = 34_167
 
 
 def _kappa_plane_off_by_one(monkeypatch):
@@ -498,7 +533,8 @@ def _every_hit_orbit_min(monkeypatch):
 _SAMPLED_SEED = 2
 _SAMPLED_DRAWS = 200
 
-# the complete digraph of order 3, which the seeded sample draws
+# the complete digraph of order 3, which the seeded sample draws; it first
+# draws _ONE_ARC at draw 42
 _ORDER3_COMPLETE = (1 << 6) - 1
 # a sampled Eulerian sweep: its draw batches count their degrees
 _SAMPLED_EULERIAN_ENTRY = {
@@ -509,6 +545,12 @@ _SAMPLED_EULERIAN_ENTRY = {
     "sampled_eulerian_n5": lambda: check_universal_bounds(
         5, "eulerian", ("eulerian_size",), mode="sampled", samples=1_000, seed=_SAMPLED_N5_SEED,
     ),
+}
+
+# order 1, whose one Eulerian block, the single mask 0, is kept whole
+_ORDER1_EULERIAN_ENTRY = {
+    "eulerian_theorem_n1": lambda: check_eulerian_size_theorem(1),
+    "enumerate_n1": lambda: list(enumerate_digraphs(EnumerationSpec(1, "eulerian"))),
 }
 
 _ENTRY_POINTS = {
@@ -606,25 +648,29 @@ _CROSSCHECK_CASES = [
         )
         for name in ("universal_bounds", "sampled_universal_bounds", *_ORDER6_ENTRY)
     ),
-    # the entry points whose class asks for a balanced plane, and order-5
-    # sweeps whose kept lanes are packed: the exhaustive ones read it off the
-    # table and count what it keeps, the sampled ones count degrees and
-    # check their stride positions before the cut
+    # the entry points whose class asks for a balanced plane, each of which
+    # must catch a dropped balanced lane and a kept unbalanced one: the
+    # exhaustive ones read the plane off the table and count what it keeps,
+    # the sampled ones count degrees and check their stride positions before
+    # the cut; every kept lane meets is_balanced in _packed
     *(
-        (f"{name}-balanced_plane", name, _range_balance_flips(_ORDER4_COMPLETE))
+        (f"{name}-{case}", name, _range_balance_flips(mask))
+        for case, mask in (
+            ("balanced_plane", _ORDER4_COMPLETE), ("unbalanced_plane", _ONE_ARC),
+        )
         for name in ("eulerian_theorem", "enumerate")
     ),
-    (
-        "eulerian_theorem_n5-balanced_plane", "eulerian_theorem_n5",
-        _range_balance_flips(_ORDER5_CHAIN_EULERIAN),
+    *(
+        (f"{name}-{case}", name, _range_balance_flips(mask))
+        for case, mask in (
+            ("balanced_plane", _ORDER5_CHAIN_EULERIAN),
+            ("unbalanced_plane", _ORDER5_CHAIN_UNBALANCED),
+        )
+        for name in ("eulerian_theorem_n5", "eulerian_lambda_class_n5")
     ),
     (
         "eulerian_theorem_n5-balanced_plane_off_stride", "eulerian_theorem_n5",
         _range_balance_flips(_ORDER5_CYCLE),
-    ),
-    (
-        "eulerian_theorem_n5-unbalanced_plane", "eulerian_theorem_n5",
-        _range_balance_flips(_ORDER5_CHAIN_UNBALANCED),
     ),
     # a dropped balanced mask and a kept unbalanced one of the same size
     # leave the count by size as it was
@@ -634,12 +680,24 @@ _CROSSCHECK_CASES = [
     ),
     (
         "sampled_eulerian-balanced_plane", "sampled_eulerian",
-        _balance_plane_drops(_ORDER3_COMPLETE),
+        _balance_plane_flips(_ORDER3_COMPLETE),
+    ),
+    (
+        "sampled_eulerian-unbalanced_plane", "sampled_eulerian",
+        _balance_plane_flips(_ONE_ARC),
     ),
     (
         "sampled_eulerian_n5-balanced_plane", "sampled_eulerian_n5",
-        _balance_plane_drops(_SAMPLED_N5_STRIDE_EULERIAN),
+        _balance_plane_flips(_SAMPLED_N5_STRIDE_EULERIAN),
     ),
+    (
+        "sampled_eulerian_n5-unbalanced_plane_off_stride", "sampled_eulerian_n5",
+        _balance_plane_flips(_SAMPLED_N5_OFF_STRIDE_UNBALANCED),
+    ),
+    # is_balanced rejects a kept balanced lane, of a batch kept whole (the
+    # one Eulerian block of order 1) or of a packed one (the 5-cycle)
+    *((f"{name}-is_balanced", name, _is_balanced_rejects(0)) for name in _ORDER1_EULERIAN_ENTRY),
+    ("eulerian_theorem_n5-is_balanced", "eulerian_theorem_n5", _is_balanced_rejects(_ORDER5_CYCLE)),
     # the entry point that decides distance profiles as planes
     ("eulerian_theorem-profile_planes", "eulerian_theorem", _profile_planes_skewed),
     # the exhaustive entry points that collect witnesses
@@ -676,24 +734,43 @@ _CROSSCHECK_MESSAGES = {
         f"{name}-balanced_plane": r"^kept lanes by size \(.*, 0\), but the balanced .*, 1\)$"
         for name in ("eulerian_theorem", "enumerate")
     },
-    "eulerian_theorem_n5-balanced_plane": (
-        r"^kept lanes by size \(1, 0, 10, 20, 75, 164, 360, 599, "
-        r".*\(1, 0, 10, 20, 75, 164, 360, 600, "
-    ),
+    **{
+        f"{name}-balanced_plane": (
+            r"^kept lanes by size \(1, 0, 10, 20, 75, 164, 360, 599, "
+            r".*\(1, 0, 10, 20, 75, 164, 360, 600, "
+        )
+        for name in ("eulerian_theorem_n5", "eulerian_lambda_class_n5")
+    },
     "eulerian_theorem_n5-balanced_plane_off_stride": (
         r"^kept lanes by size \(1, 0, 10, 20, 75, 163, .*\(1, 0, 10, 20, 75, 164, "
     ),
     # a kept unbalanced mask is caught by is_balanced on every kept lane,
-    # before the count
-    "eulerian_theorem_n5-unbalanced_plane": (
-        r"^mask 101 is kept, but is_balanced rejects it$"
-    ),
+    # before the count, as is a balanced one that is_balanced rejects
+    **{
+        f"{name}-unbalanced_plane": r"^mask 1 is kept, but is_balanced rejects it$"
+        for name in ("eulerian_theorem", "enumerate")
+    },
+    **{
+        f"{name}-unbalanced_plane": r"^mask 101 is kept, but is_balanced rejects it$"
+        for name in ("eulerian_theorem_n5", "eulerian_lambda_class_n5")
+    },
     "eulerian_theorem_n5-balanced_plane_swap": (
         r"^mask 31 is kept, but is_balanced rejects it$"
     ),
-    # a sample's dropped stride draw is caught before the cut
+    "sampled_eulerian_n5-unbalanced_plane_off_stride": (
+        r"^mask 34167 is kept, but is_balanced rejects it$"
+    ),
+    **{
+        f"{name}-is_balanced": r"^mask 0 is kept, but is_balanced rejects it$"
+        for name in _ORDER1_EULERIAN_ENTRY
+    },
+    "eulerian_theorem_n5-is_balanced": r"^mask 99361 is kept, but is_balanced rejects it$",
+    # a sample's stride draw, dropped or kept, is caught before the cut
     "sampled_eulerian-balanced_plane": (
         r"^draw \d+, mask 63: the balance plane and is_balanced differ$"
+    ),
+    "sampled_eulerian-unbalanced_plane": (
+        r"^draw 42, mask 1: the balance plane and is_balanced differ$"
     ),
     "sampled_eulerian_n5-balanced_plane": (
         r"^draw 707, mask 70683: the balance plane and is_balanced differ$"
@@ -782,7 +859,7 @@ class TestSharedKernel:
         with pytest.raises(AssertionError, match=message):
             {
                 **_ENTRY_POINTS, **_ORDER5_WITNESS_SWEEPS, **_ORDER6_ENTRY,
-                **_ORDER6_DENSE_ENTRY, **_SAMPLED_EULERIAN_ENTRY,
+                **_ORDER6_DENSE_ENTRY, **_SAMPLED_EULERIAN_ENTRY, **_ORDER1_EULERIAN_ENTRY,
             }[entry]()
 
     def test_walk_sabotage_changes_no_exempt_lane(self, monkeypatch):
@@ -891,6 +968,8 @@ class TestSharedKernel:
             "lanes_extracted": 0,
             "stride_lanes": 244,
             "orbit_min_lanes": 36,
+            # the Eulerian tally of kept lanes, empty in the strong_kappa class
+            "kept": Counter(),
         }
 
     def test_blocks_too_small_for_m_min_build_no_planes(self, monkeypatch):
@@ -951,7 +1030,9 @@ class TestSharedKernel:
 
         # order-6 stretch 700 (masks 700 * 2^20 onwards, 32 blocks of
         # 2^15), pinned with the kernel that decoded every lane: every batch
-        # is packed to its balanced lanes, 28 of them on either stride
+        # is packed to its balanced lanes, 28 of them on either stride. The
+        # 2,740 kept lanes by size, m = 10 .. 22, are the tally that the
+        # shard returned apart from its stats before the packing counted it
         spec = EnumerationSpec(6, "eulerian")
         out = _eulerian_shard(_Blocks(spec, 700 << 20, 701 << 20))
         assert out["violations"] == [] and out["mismatches"] == []
@@ -963,7 +1044,11 @@ class TestSharedKernel:
             "lanes_extracted": 0,
             "stride_lanes": 28,
             "orbit_min_lanes": 4,
+            "kept": Counter(dict(zip(
+                range(10, 23), (2, 16, 62, 170, 336, 500, 568, 500, 336, 170, 62, 16, 2)
+            ))),
         }
+        assert sum(out["stats"]["kept"].values()) == 2_740
 
     @pytest.mark.parametrize(
         "spec, lo, hi, m_min",
@@ -978,55 +1063,76 @@ class TestSharedKernel:
             # few lanes of 16 arcs or more in each block: one dense batch
             (EnumerationSpec(5, "strong"), 0, 1 << 20, 16),
             (EnumerationSpec(6, "eulerian", mode="sampled", samples=40_000, seed=3), 0, 40_000, 0),
-            (EnumerationSpec(6, "strong", mode="sampled", samples=40_000, seed=3), 0, 40_000, 20),
         ],
-        ids=[
-            "n3", "n4", "n5-eulerian", "n5-m_min-interleaved", "n5-m_min-dense", "n6-sampled",
-            "n6-sampled-m_min",
-        ],
+        ids=["n3", "n4", "n5-eulerian", "n5-m_min-interleaved", "n5-m_min-dense", "n6-sampled"],
     )
     def test_packing_keeps_stream_order_in_full_batches(self, monkeypatch, spec, lo, hi, m_min):
         import dgr.masks as masks_mod
 
         n = spec.order
-        width = 1 << _batch_bits(n)
-        balanced_only = spec.class_filter.startswith("eulerian")
-        kept = list(_prefiltered(_piece(spec, lo, hi), _new_stats(), m_min, balanced_only))
-        # the kept lanes are the stream's masks with at least m_min arcs
-        # and, for the Eulerian classes, balanced
-        assert [batch.seq[i] for batch in kept for i in lanes(batch.valid)] == [
+        bits = _batch_bits(n)
+        width = 1 << bits
+        eulerian = spec.class_filter.startswith("eulerian")
+        # the stream as the piece cuts it, and its batches that keep a lane,
+        # each with its stride planes
+        stream = list(_piece(spec, lo, hi).batches(bits, m_min, eulerian))
+        batches = [
+            batch._replace(chain=chain, objects=objects)
+            for batch in stream
+            if batch.valid
+            for chain, objects in [_stride_planes(n, batch.pos, len(batch.seq), batch.valid)]
+        ]
+        # its valid lanes are the masks with at least m_min arcs and, for the
+        # Eulerian classes, balanced
+        kept = [batch.seq[i] for batch in batches for i in lanes(batch.valid)]
+        assert kept == [
             mask for _pos, seq in _piece_batches([_piece(spec, lo, hi)])
             for mask in seq[max(lo - _pos, 0):hi - _pos]
-            if mask.bit_count() >= m_min and (not balanced_only or is_balanced(mask, n))
+            if mask.bit_count() >= m_min and (not eulerian or is_balanced(mask, n))
         ]
         transposed = []
         monkeypatch.setattr(
-            masks_mod, "draw_cells", lambda n, seq: transposed.append(len(seq)) or draw_cells(n, seq)
+            masks_mod, "draw_cells", lambda n, seq: transposed.append(seq) or draw_cells(n, seq)
         )
-        out = list(_packed(n, kept))
-        whole = [batch for batch in kept if batch.valid == batch.ones]
-        passed = [any(batch is w for w in whole) for batch in out]
-        dense = [batch for batch, through in zip(out, passed) if not through]
+        stats = _new_stats()
+        out = list(_packed(_piece(spec, lo, hi), stats, m_min))
+        assert (stats["masks"], stats["blocks"]) == (hi - lo, len(stream))
+        assert stats["kept"] == (Counter(mask.bit_count() for mask in kept) if eulerian else {})
         # the kept masks, and each stride's, in stream order
         for name in ("ones", "chain", "objects"):
             assert array("Q", (
                 batch.seq[i] for batch in out for i in lanes(getattr(batch, name))
             )) == array("Q", (
                 batch.seq[i]
-                for batch in kept
+                for batch in batches
                 for i in lanes(batch.valid if name == "ones" else getattr(batch, name))
             ))
-        # every batch kept whole comes through itself, untransposed; the
-        # lanes of the others are packed into dense batches of at most
-        # 2**bits lanes, flushed only when the next batch's kept lanes
-        # would not fit, before a whole batch, and at the end
-        assert sum(passed) == len(whole)
-        assert transposed == [len(batch.seq) for batch in dense]
+        # every lane of a kernel batch is kept, its stride lanes among them
+        for batch in out:
+            assert batch.valid == batch.ones and len(batch.seq) <= width
+            assert (batch.chain | batch.objects) & ~batch.ones == 0
+        # a batch kept whole comes through with its own masks, cells and
+        # stride planes, untransposed: the packing transposes each dense
+        # batch once, and nothing else but a sample's own draws
+        whole = {batch.pos: batch for batch in batches if batch.valid == batch.ones}
+        passed = [batch.pos in whole for batch in out]
+        dense = [batch for batch, through in zip(out, passed) if not through]
+        for batch, through in zip(out, passed):
+            if through:
+                stream_batch = whole[batch.pos]
+                assert list(batch.seq) == list(stream_batch.seq)
+                assert batch[2:] == stream_batch[2:]
+        assert [seq for seq in transposed if any(seq is d.seq for d in dense)] == [
+            d.seq for d in dense
+        ]
+        assert len(transposed) == len(dense) + (len(stream) if spec.mode == "sampled" else 0)
         for batch in dense:
             assert (batch.cells, batch.ones) == draw_cells(n, list(batch.seq))
-            assert batch.valid == batch.ones and len(batch.seq) <= width
+        # the dense batches hold at most 2**bits lanes, flushed only when the
+        # next batch's kept lanes would not fit, before a whole batch, and at
+        # the end
         expected, size = [], 0
-        for batch in kept:
+        for batch in batches:
             count = batch.valid.bit_count()
             if size and (batch.valid == batch.ones or size + count > width):
                 expected.append(size)
@@ -1043,7 +1149,16 @@ class TestSharedKernel:
             assert 0 < len(whole) < len(out)
         elif n == 5:
             # the packed batches hold the lanes of many stream batches each
-            assert len(kept) > 2 * len(dense)
+            assert len(batches) > 2 * len(dense)
+
+    def test_samples_refuse_a_size_cut(self):
+        # only the uniqueness check asks for a least size, and its spec is
+        # exhaustive: a sample's batches, and so the packing, refuse one
+        spec = EnumerationSpec(6, "strong", mode="sampled", samples=1_000, seed=3)
+        with pytest.raises(ValueError, match="not cut by size, got m_min 20"):
+            next(_piece(spec, 0, 1_000).batches(_batch_bits(6), 20))
+        with pytest.raises(ValueError, match="not cut by size, got m_min 20"):
+            next(_packed(_piece(spec, 0, 1_000), _new_stats(), 20))
 
     @pytest.mark.parametrize(
         "check, calls",
