@@ -74,11 +74,17 @@ that makes the kept lanes exactly the balanced ones. A sample has no
 such count, so there ``is_balanced`` must agree with the balance plane
 on every stride position of each batch of draws before the cut.
 
-The shards keep no count of members of their own: the report of a
-sweep over the stream reads ``instances_examined`` from the
-``stats["members"]`` that ``_members`` counts and ``_sweep`` merges,
-and a bound's ``skipped_inapplicable`` is the sum of column 1 (skipped)
-of its merged ``by_m`` rows.
+Every shard returns what its piece finds in one shape: its ``stats``
+and its ``tallies``, one ``_Tally`` per statement (a bound, the
+uniqueness claim, or the Eulerian theorem and its equality clause),
+each holding violation records, canonical forms and ``by_m`` rows. A
+shard turns a plane of lanes into violation records through
+``_record`` alone, and ``_sweep`` merges the pieces' tallies once, the
+same way for every check. The shards keep no count of members of their
+own: the report of a sweep over the stream reads ``instances_examined``
+from the ``stats["members"]`` that ``_members`` counts and ``_sweep``
+merges, and a bound's ``skipped_inapplicable`` is the sum of column 1
+(skipped) of its merged tally's ``by_m`` rows.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -91,8 +97,9 @@ rho and bound as exact values, margin = rho - bound, and its canonical
 form. In the Eulerian size theorem rho is the vertex's average distance,
 bound the size cap and margin m - cap; in the lemma check bound is the
 family member's rho. canonical is "" above ``CANONICAL_MAX_ORDER`` and
-in the lemma's pair records. Records are sorted by (canonical, digraph),
-except the lemma check's, which keep the order they were found in.
+in the lemma's pair records. ``_sweep`` sorts a sweep's records by
+(canonical, digraph); the lemma check's keep the order they were found
+in.
 """
 
 from __future__ import annotations
@@ -364,11 +371,6 @@ def _form_texts(n: int, forms: Iterable[int]) -> list[str]:
     return sorted(sys.intern(masks.mask_bytes(n, form).hex()) for form in forms)
 
 
-def _in_report_order(records) -> list[Counterexample]:
-    """Violation records by (canonical, digraph): the same bytes however the stream was cut."""
-    return sorted(records, key=lambda c: (c.canonical, c.digraph))
-
-
 def digraph_from_canonical_hex(canonical_hex: str) -> Digraph:
     """Decode a canonical form back into a representative digraph.
 
@@ -418,6 +420,23 @@ def _new_stats() -> dict:
     ``kept`` tallies go to ``_check_kept``.
     """
     return {**dict.fromkeys(_STAT_KEYS, 0), "kept": Counter()}
+
+
+@dataclass(slots=True)
+class _Tally:
+    """What a piece finds of one statement: every shard returns its findings as tallies.
+
+    ``violations`` are the ``Counterexample`` records, ``forms`` canonical
+    masks (equality witnesses, or the forms that break a uniqueness
+    claim), and ``by_m`` maps a size m to a row of counts. ``_sweep``
+    merges the pieces' tallies of each statement into one: violations
+    concatenated and put in report order, by (canonical, digraph), forms
+    unioned, and the rows of each m summed elementwise.
+    """
+
+    violations: list[Counterexample] = field(default_factory=list)
+    forms: set[int] = field(default_factory=set)
+    by_m: dict[int, list[int]] = field(default_factory=dict)
 
 
 # (plane, m, sigma_max, kappa, lambda): the members of a batch, for the set
@@ -854,6 +873,20 @@ def _pull(plane: int, stats: dict) -> Iterator[int]:
     return masks.lanes(plane)
 
 
+def _record(
+    tally: _Tally, n: int, batch: _Batch, plane: int, stats: dict, rho, bound, **fields
+) -> None:
+    """A violation record in ``tally`` per lane of ``plane``: the one path from lanes to records.
+
+    The lanes are pulled out in increasing order and decoded; ``fields``
+    (margin, kappa, lam) go to ``_counterexample`` with rho and bound.
+    """
+    tally.violations.extend(
+        _counterexample(masks.digraph_of_mask(n, batch.seq[i]), rho, bound, **fields)
+        for i in _pull(plane, stats)
+    )
+
+
 def enumerate_digraphs(spec: EnumerationSpec) -> Iterator[Digraph]:
     """Stream the labeled digraphs selected by the enumeration spec.
 
@@ -966,11 +999,13 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
 
     Each cell is weighed once per bound; its lanes are pulled out only to
     record violations. A bound's equality lanes gather into one plane per
-    batch, which ``_witnesses`` turns into canonical forms.
+    batch, which ``_witnesses`` turns into canonical forms. One tally per
+    bound id: its violations, its equality forms, and one ``by_m`` row per
+    size m of examined, skipped, violating and equality lanes.
     """
     n = piece.spec.order
     stats = _new_stats()
-    per_bound = {bid: {"violations": [], "equality": set(), "by_m": {}} for bid in bound_ids}
+    tallies = {bid: _Tally() for bid in bound_ids}
     takes_kappa = bounds_mod._NEEDS_KAPPA.intersection(bound_ids)
     takes_lambda = bounds_mod._NEEDS_LAMBDA.intersection(bound_ids)
     batches = _members(piece, stats, need_kappa=bool(takes_kappa), need_lambda=bool(takes_lambda))
@@ -983,10 +1018,10 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
                 bid_kap = kap if bid in takes_kappa else None
                 bid_lam = lam if bid in takes_lambda else None
                 entry = _bound_fraction(bid, n, m, bid_kap, bid_lam)
-                state = per_bound[bid]
-                row = state["by_m"].get(m)
+                tally = tallies[bid]
+                row = tally.by_m.get(m)
                 if row is None:
-                    row = state["by_m"][m] = [0, 0, 0, 0]
+                    row = tally.by_m[m] = [0, 0, 0, 0]
                 row[0] += weight
                 if entry is None:
                     row[1] += weight
@@ -995,13 +1030,9 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
                 lhs = sigma_max * den
                 rhs = num * (n - 1)
                 if lhs > rhs:
-                    rho, bound = Fraction(sigma_max, n - 1), Fraction(num, den)
-                    state["violations"].extend(
-                        _counterexample(
-                            masks.digraph_of_mask(n, batch.seq[i]), rho, bound,
-                            kappa=bid_kap, lam=bid_lam,
-                        )
-                        for i in _pull(plane, stats)
+                    _record(
+                        tally, n, batch, plane, stats, Fraction(sigma_max, n - 1),
+                        Fraction(num, den), kappa=bid_kap, lam=bid_lam,
                     )
                     row[2] += weight
                 elif lhs == rhs:
@@ -1013,10 +1044,8 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
         # one witness form per mask, shared by every bound it attains
         forms = _witnesses(piece, batch, hits, stats)
         for bid, plane in attained.items():
-            per_bound[bid]["equality"].update(
-                form for i, form in forms.items() if plane >> i & 1
-            )
-    return {"per_bound": per_bound, "stats": stats}
+            tallies[bid].forms.update(form for i, form in forms.items() if plane >> i & 1)
+    return {"stats": stats, "tallies": tallies}
 
 
 def _run_sharded(worker, pieces, workers: int, tables=None) -> list[dict]:
@@ -1047,18 +1076,23 @@ def _batch_bits(n: int) -> int:
     return min(masks.tables_for(n).num_cells, masks.BATCH_BITS)
 
 
-def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dict], dict, float]:
-    """Run ``shard(*extra, piece)`` over the pieces of the spec's stream.
+def _sweep(
+    shard, spec: EnumerationSpec, workers: int, *extra
+) -> tuple[dict[str, _Tally], dict, float]:
+    """Run ``shard(*extra, piece)`` over the pieces of the spec's stream, and merge what they find.
 
     One piece at one worker; otherwise about ``_PIECES_PER_WORKER``
     pieces per worker, each whole stream batches, so the batches and the
     stats are the same at every worker count and a worker that falls
     behind takes fewer pieces instead of holding up the sweep. The shard
     goes to the pool bound to ``extra`` by ``functools.partial``, which
-    pickles. Returns the partial results in stream order, their merged
-    ``stats`` and the wall time of the sweep. ``workers`` must be an
-    integer of at least 1. Each partial result holds its ``stats``, whose
-    ``kept`` lanes by size ``_check_kept`` checks in sum.
+    pickles. ``workers`` must be an integer of at least 1.
+
+    Each piece's result holds its ``stats`` and its ``tallies``, one
+    ``_Tally`` per statement key. Returns the merged tallies, the merged
+    ``stats`` and the wall time of the sweep: the tallies of a key are
+    merged as ``_Tally`` describes, the ``_STAT_KEYS`` counts summed, and
+    the ``kept`` lanes by size checked in sum by ``_check_kept``.
     """
     if type(workers) is not int or workers < 1:
         raise ValueError(f"worker count must be an integer of at least 1, got {workers!r}")
@@ -1070,7 +1104,18 @@ def _sweep(shard, spec: EnumerationSpec, workers: int, *extra) -> tuple[list[dic
     partials = _run_sharded(partial(shard, *extra), pieces, workers, tables)
     stats = {key: sum(p["stats"][key] for p in partials) for key in _STAT_KEYS}
     _check_kept(spec, (p["stats"]["kept"] for p in partials))
-    return partials, stats, time.monotonic() - started
+    tallies: dict[str, _Tally] = {}
+    for p in partials:
+        for key, part in p["tallies"].items():
+            tally = tallies.setdefault(key, _Tally())
+            tally.violations += part.violations
+            tally.forms |= part.forms
+            for m, row in part.by_m.items():
+                tally.by_m[m] = [a + b for a, b in zip(tally.by_m.get(m, [0] * len(row)), row)]
+    for tally in tallies.values():
+        # the same bytes however the stream was cut
+        tally.violations.sort(key=lambda c: (c.canonical, c.digraph))
+    return tallies, stats, time.monotonic() - started
 
 
 def check_universal_bounds(
@@ -1102,34 +1147,24 @@ def check_universal_bounds(
     if "digraph_order" in bound_ids and n < 3:
         raise ValueError("digraph_order needs order >= 3")
     spec = EnumerationSpec(n, class_filter, param, mode, samples, seed)
-    partials, stats, elapsed = _sweep(_sweep_shard, spec, workers, tuple(bound_ids))
+    tallies, stats, elapsed = _sweep(_sweep_shard, spec, workers, tuple(bound_ids))
     reports = []
     for bid in bound_ids:
-        violations = _in_report_order(
-            v for p in partials for v in p["per_bound"][bid]["violations"]
-        )
-        equality: set[int] = set()
-        by_m: dict[int, list[int]] = {}
-        for p in partials:
-            equality |= p["per_bound"][bid]["equality"]
-            for m, row in p["per_bound"][bid]["by_m"].items():
-                acc = by_m.setdefault(m, [0, 0, 0, 0])
-                for i in range(4):
-                    acc[i] += row[i]
-        witnesses = _form_texts(n, equality)
+        tally = tallies[bid]
+        witnesses = _form_texts(n, tally.forms)
         reports.append(
             CheckReport(
                 check_id=f"universal_bound:{bid}:n={n}:class={spec.class_label}",
                 spec={**spec.header(), "bound": bid},
                 instances_examined=stats["members"],
-                skipped_inapplicable=sum(row[1] for row in by_m.values()),
-                violations=violations,
+                skipped_inapplicable=sum(row[1] for row in tally.by_m.values()),
+                violations=tally.violations,
                 equality_witnesses=witnesses,
                 meta={
                     "equality_count": len(witnesses),
                     # one row per size m: examined, skipped, violations,
                     # labeled equality hits
-                    "by_m": [[m, *by_m[m]] for m in sorted(by_m)],
+                    "by_m": [[m, *tally.by_m[m]] for m in sorted(tally.by_m)],
                 },
                 elapsed=elapsed,
                 stats=dict(stats),
@@ -1155,10 +1190,15 @@ def check_universal_bound(
 
 
 def _uniqueness_shard(m_min: int, rho_star: Fraction, piece: _Piece) -> dict:
+    """Worker body of the extremal uniqueness check over one piece of the stream.
+
+    One tally: the members with at least ``m_min`` arcs whose remoteness
+    exceeds ``rho_star`` as violations, and the forms of those that attain
+    it.
+    """
     n = piece.spec.order
     stats = _new_stats()
-    hits = []
-    breaches = []
+    tally = _Tally()
     rhs = rho_star.numerator * (n - 1)
     for batch, cells in _members(piece, stats, m_min=m_min):
         attained = 0
@@ -1167,16 +1207,11 @@ def _uniqueness_shard(m_min: int, rho_star: Fraction, piece: _Piece) -> dict:
             if lhs == rhs:
                 attained |= plane
             elif lhs > rhs:
-                breaches.extend(
-                    _counterexample(
-                        masks.digraph_of_mask(n, batch.seq[i]), Fraction(sigma_max, n - 1),
-                        rho_star, kappa=piece.spec.param,
-                    )
-                    for i in _pull(plane, stats)
-                )
+                rho = Fraction(sigma_max, n - 1)
+                _record(tally, n, batch, plane, stats, rho, rho_star, kappa=piece.spec.param)
         if attained:
-            hits.extend(_witnesses(piece, batch, attained, stats).values())
-    return {"hits": hits, "breaches": breaches, "stats": stats}
+            tally.forms.update(_witnesses(piece, batch, attained, stats).values())
+    return {"stats": stats, "tallies": {"extremal": tally}}
 
 
 def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> CheckReport:
@@ -1202,15 +1237,14 @@ def check_extremal_uniqueness(n: int, m: int, kappa: int, workers: int = 1) -> C
     rho_star, _ = remoteness(extremal)
     expected = canonical_form(extremal).hex()
 
-    partials, stats, elapsed = _sweep(_uniqueness_shard, spec, workers, m, rho_star)
-    witness_forms = _form_texts(n, (h for p in partials for h in p["hits"]))
+    tallies, stats, elapsed = _sweep(_uniqueness_shard, spec, workers, m, rho_star)
+    witness_forms = _form_texts(n, tallies["extremal"].forms)
     extras = [w for w in witness_forms if w != expected]
-    violations = _in_report_order(v for p in partials for v in p["breaches"])
     report = CheckReport(
         check_id=f"extremal_uniqueness:n={n}:m={m}:kappa={kappa}",
         spec={**spec.header(), "m": m, "kappa": kappa},
         instances_examined=stats["members"],
-        violations=violations,
+        violations=tallies["extremal"].violations,
         equality_witnesses=witness_forms,
         audit_records=[
             {
@@ -1272,13 +1306,13 @@ def _eulerian_shard(piece: _Piece) -> dict:
     the cap are gathered by (rho, cap, m), the whole of a record but the
     digraph, and pulled out once per group, so a digraph whose vertices
     give the same record lists it once; the lanes at the cap go to
-    ``_witnesses``.
+    ``_witnesses``. Two tallies: the theorem's violations and the forms
+    that meet a cap as its profile's bidirected sum, and the forms that
+    meet a cap as some other digraph, which break the equality clause.
     """
     n = piece.spec.order
     stats = _new_stats()
-    violations = []
-    mismatches = []
-    equality = set()
+    theorem, mismatches = _Tally(), _Tally()
     for batch, cells in _members(piece, stats):
         by_m: dict[int, int] = {}
         for plane, m, *_ in cells:
@@ -1316,10 +1350,7 @@ def _eulerian_shard(piece: _Piece) -> dict:
                         attained[v, counts] = attained.get((v, counts), 0) | hit
         # one record per lane and (rho, cap, m), however many vertices give it
         for (rho, cap, m), plane in over.items():
-            violations.extend(
-                _counterexample(masks.digraph_of_mask(n, batch.seq[i]), rho, cap, margin=m - cap)
-                for i in _pull(plane, stats)
-            )
+            _record(theorem, n, batch, plane, stats, rho, cap, margin=m - cap)
         if not attained:
             continue
         hits = 0
@@ -1327,15 +1358,10 @@ def _eulerian_shard(piece: _Piece) -> dict:
             hits |= plane
         for i, form in _witnesses(piece, batch, hits, stats).items():
             for (v, counts), plane in attained.items():
-                if not plane >> i & 1:
-                    continue
-                if form != _profile_extremal(counts)[1]:
-                    mismatches.append(form)
-                else:
-                    equality.add(form)
-    return {
-        "violations": violations, "mismatches": mismatches, "equality": equality, "stats": stats,
-    }
+                if plane >> i & 1:
+                    extremal = form == _profile_extremal(counts)[1]
+                    (theorem if extremal else mismatches).forms.add(form)
+    return {"stats": stats, "tallies": {"theorem": theorem, "mismatches": mismatches}}
 
 
 def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
@@ -1347,19 +1373,14 @@ def check_eulerian_size_theorem(n: int, workers: int = 1) -> CheckReport:
     sequential sum of those blocks (checked by canonical form).
     """
     spec = EnumerationSpec(n, "eulerian")
-    partials, stats, elapsed = _sweep(_eulerian_shard, spec, workers)
-    violations = _in_report_order(v for p in partials for v in p["violations"])
-    mismatches = _form_texts(n, {f for p in partials for f in p["mismatches"]})
-    equality: set[int] = set()
-    for p in partials:
-        equality |= p["equality"]
+    tallies, stats, elapsed = _sweep(_eulerian_shard, spec, workers)
     report = CheckReport(
         check_id=f"eulerian_size_theorem:n={n}",
         spec=spec.header(),
         instances_examined=stats["members"],
-        violations=violations,
-        equality_witnesses=_form_texts(n, equality),
-        meta={"extra_extremal_forms": mismatches},
+        violations=tallies["theorem"].violations,
+        equality_witnesses=_form_texts(n, tallies["theorem"].forms),
+        meta={"extra_extremal_forms": _form_texts(n, tallies["mismatches"].forms)},
         elapsed=elapsed,
         stats=stats,
     )

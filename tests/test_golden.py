@@ -218,6 +218,15 @@ def test_order5_dual_bound_report_bytes_at_three_workers():
     assert _digest(reports) == N5_DUAL_BOUND_SHA256
 
 
+@pytest.mark.parametrize("workers", [2, 4])
+def test_order5_uniqueness_report_bytes_in_a_pool(workers):
+    # 16 or 32 pieces, whose breaches and witness forms the sweep merges
+    _run, expected, instances = N5_GOLDEN["extremal_uniqueness"]
+    report = check_extremal_uniqueness(5, 16, 1, workers=workers)
+    assert _digest([report]) == expected
+    assert report.instances_examined == instances
+
+
 def test_strong_counting_polynomial_totals():
     # labeled strong digraphs of order 1 .. 6 (OEIS A003030)
     totals = [sum(by_size) for by_size in labeled_strong_by_size(6)[1:]]

@@ -38,7 +38,8 @@ from dgr.masks import (
     canonical_mask, digraph_of_mask, draw_cells, is_balanced, lanes, mask_of_digraph,
 )
 from dgr.verifier import (
-    _Blocks, _Draws, _batch_bits, _new_stats, _packed, _pieces, _stride_planes, _sweep_shard,
+    _Blocks, _Draws, _Tally, _batch_bits, _new_stats, _packed, _pieces, _stride_planes,
+    _sweep_shard,
 )
 
 from oracles import are_isomorphic, eulerian_mask_flags, strong_mask_flags
@@ -782,19 +783,21 @@ def shard_digest(out: dict) -> str:
     """sha256 of a ``_sweep_shard`` result: instances and every bound's outcome.
 
     The shard keeps no count of its own: instances are its stats' members,
-    and a bound's skipped count is column 1 of its by_m rows. Violations
-    are their records' ``to_dict()``, in stream order.
+    and a bound's skipped count is column 1 of the by_m rows of its tally.
+    Violations are their records' ``to_dict()``, in stream order. The
+    document is the one recorded before the shard returned tallies, so the
+    digests stand.
     """
     doc = {
         "instances": out["stats"]["members"],
         "per_bound": {
             bid: {
-                "skipped": sum(row[1] for row in state["by_m"].values()),
-                "violations": [v.to_dict() for v in state["violations"]],
-                "equality": sorted(state["equality"]),
-                "by_m": sorted(state["by_m"].items()),
+                "skipped": sum(row[1] for row in tally.by_m.values()),
+                "violations": [v.to_dict() for v in tally.violations],
+                "equality": sorted(tally.forms),
+                "by_m": sorted(tally.by_m.items()),
             }
-            for bid, state in out["per_bound"].items()
+            for bid, tally in out["tallies"].items()
         },
     }
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
@@ -960,7 +963,7 @@ class TestSharedKernel:
         spec = EnumerationSpec(6, "strong_kappa", 2)
         lo, hi = (1 << 30) - (1 << 20), 1 << 30
         out = _uniqueness_shard(25, rho, _Blocks(spec, lo, hi))
-        assert out["hits"] == [] and out["breaches"] == []
+        assert out["tallies"] == {"extremal": _Tally()}
         assert out["stats"] == {
             "masks": 1 << 20,
             "blocks": 32,
@@ -1035,8 +1038,7 @@ class TestSharedKernel:
         # shard returned apart from its stats before the packing counted it
         spec = EnumerationSpec(6, "eulerian")
         out = _eulerian_shard(_Blocks(spec, 700 << 20, 701 << 20))
-        assert out["violations"] == [] and out["mismatches"] == []
-        assert out["equality"] == set()
+        assert out["tallies"] == {"theorem": _Tally(), "mismatches": _Tally()}
         assert out["stats"] == {
             "masks": 1 << 20,
             "blocks": 32,
@@ -1648,12 +1650,13 @@ _SHARD_TABLES = (
 
 
 def _table_sizes(piece) -> dict:
-    """A shard that does no work: the entries of each table, as its process finds them."""
+    """A shard that finds nothing: the entries of each table, as its process finds them."""
     import dgr.masks as masks_mod
 
     return {
         "sizes": {name: getattr(masks_mod, name).cache_info().currsize for name in _SHARD_TABLES},
         "stats": _new_stats(),
+        "tallies": {},
     }
 
 
@@ -1749,7 +1752,8 @@ class TestWorkerClamp:
     def test_spawned_pool_matches_one_process(self):
         # macOS and Windows start pool workers by spawn, and Python 3.14
         # on Linux by forkserver: each piece and partial-bound shard is
-        # pickled to a fresh interpreter, which must give the same bytes
+        # pickled to a fresh interpreter, and each piece's tallies pickled
+        # back, for all three shards, which must give the same bytes
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         if (cpus or 1) < 2:
             pytest.skip("a pool needs two usable CPUs")
@@ -1757,12 +1761,14 @@ class TestWorkerClamp:
         script = (
             "import json, multiprocessing, sys\n"
             f"sys.path.insert(0, {src!r})\n"
-            "from dgr.verifier import check_eulerian_size_theorem, check_universal_bounds\n"
+            "from dgr.verifier import check_eulerian_size_theorem, check_extremal_uniqueness\n"
+            "from dgr.verifier import check_universal_bounds\n"
             "multiprocessing.set_start_method('spawn')\n"
             "spec = dict(mode='sampled', samples=20_000, seed=1)\n"
             "def sweeps(w):\n"
             "    reports = check_universal_bounds(4, workers=w, **spec)\n"
             "    reports.append(check_eulerian_size_theorem(5, workers=w))\n"
+            "    reports.append(check_extremal_uniqueness(5, 16, 1, workers=w))\n"
             "    return [r.to_json() for r in reports]\n"
             "print(json.dumps({'same': sweeps(1) == sweeps(2),\n"
             "    'method': multiprocessing.get_start_method()}))\n"
@@ -1773,11 +1779,12 @@ class TestWorkerClamp:
         ).stdout
         assert json.loads(out.splitlines()[-1]) == {"same": True, "method": "spawn"}
 
-    def test_pool_workers_inherit_the_tables(self):
+    def test_pool_workers_inherit_the_tables(self, monkeypatch):
         # the sweep builds its order's tables, the relabelling ones
         # included, just before it starts a pool, so a forked worker finds
         # them built before its first shard; nothing is built when the
-        # shards run in this process
+        # shards run in this process. The sweep merges what the pieces
+        # find, so each piece's result is read as _run_sharded returns it
         import multiprocessing
 
         import dgr.masks as masks_mod
@@ -1788,6 +1795,13 @@ class TestWorkerClamp:
             pytest.skip("the tables are inherited by forked pool workers only")
         sampled = EnumerationSpec(6, mode="sampled", samples=40_000, seed=1)
         exhaustive = EnumerationSpec(6)
+        partials, run_sharded = [], verifier_mod._run_sharded
+
+        def recorded(*args):
+            partials[:] = run_sharded(*args)
+            return partials
+
+        monkeypatch.setattr(verifier_mod, "_run_sharded", recorded)
         for spec, workers, built in (
             (sampled, 1, set()),
             (sampled, 2, set(_SHARD_TABLES)),
@@ -1795,7 +1809,7 @@ class TestWorkerClamp:
         ):
             for name in _SHARD_TABLES:
                 getattr(masks_mod, name).cache_clear()
-            partials, _stats, _ = verifier_mod._sweep(_table_sizes, spec, workers)
+            verifier_mod._sweep(_table_sizes, spec, workers)
             assert len(partials) > 1 or workers == 1
             for seen in partials:
                 assert {name for name, size in seen["sizes"].items() if size} == built
@@ -1805,6 +1819,45 @@ class TestWorkerClamp:
         two = check_universal_bounds(4, "strong", ("digraph_order", "size_digraph"), workers=2, **spec)
         one = check_universal_bounds(4, "strong", ("digraph_order", "size_digraph"), **spec)
         assert [r.to_json() for r in two] == [r.to_json() for r in one]
+
+    def test_sweep_merges_the_pieces_tallies(self, monkeypatch):
+        # three hand-built piece results stand for the pieces, and the shard
+        # hands each back: two pieces share form 9 and rows for m = 3, their
+        # violations are out of report order, and the middle piece found
+        # nothing
+        import dgr.verifier as verifier_mod
+        from dgr.verifier import Counterexample
+
+        def record(canonical, digraph):
+            return Counterexample(
+                digraph=digraph, rho="2", m=3, kappa=None, lam=None, bound="1", margin="1",
+                canonical=canonical,
+            )
+
+        late, early, tied = record("0b", "0 1"), record("0a", "1 2"), record("0a", "0 2")
+        partials = [
+            {"stats": _new_stats(), "tallies": {
+                "bound": _Tally([late, early], {5, 9}, {3: [4, 1, 2, 0], 4: [1, 0, 0, 1]}),
+            }},
+            {"stats": _new_stats(), "tallies": {}},
+            {"stats": _new_stats(), "tallies": {
+                "bound": _Tally([tied], {9, 12}, {3: [2, 0, 1, 1], 6: [7, 7, 0, 0]}),
+                "other": _Tally(forms={1}),
+            }},
+        ]
+        monkeypatch.setattr(verifier_mod, "_pieces", lambda spec, count, width: partials)
+        tallies, _stats, _ = verifier_mod._sweep(lambda piece: piece, EnumerationSpec(3), 1)
+        assert tallies == {
+            "bound": _Tally(
+                [tied, early, late], {5, 9, 12},
+                {3: [6, 1, 3, 1], 4: [1, 0, 0, 1], 6: [7, 7, 0, 0]},
+            ),
+            "other": _Tally(forms={1}),
+        }
+        # the pieces' own tallies are not merged into
+        assert partials[0]["tallies"]["bound"] == _Tally(
+            [late, early], {5, 9}, {3: [4, 1, 2, 0], 4: [1, 0, 0, 1]}
+        )
 
 
 def lower_bounds(monkeypatch, step):
