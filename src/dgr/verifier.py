@@ -84,7 +84,11 @@ same way for every check. The shards keep no count of members of their
 own: the report of a sweep over the stream reads ``instances_examined``
 from the ``stats["members"]`` that ``_members`` counts and ``_sweep``
 merges, and a bound's ``skipped_inapplicable`` is the sum of column 1
-(skipped) of its merged tally's ``by_m`` rows.
+(skipped) of its merged tally's ``by_m`` rows. At more than one worker
+the shards run in worker processes that ``_fan_out`` starts once per
+sweep, each handed the pieces once, at its start, and fed piece indices
+over its own pipe; all are joined before the sweep merges their results
+or fails.
 
 Reports are deterministic: identical enumeration parameters produce
 byte-identical serialized reports regardless of worker count. Audit checks
@@ -1051,13 +1055,17 @@ def _sweep_shard(bound_ids: tuple[str, ...], piece: _Piece) -> dict:
 def _run_sharded(worker, pieces, workers: int, tables=None) -> list[dict]:
     """``worker`` on each piece, results in order; the pool never outnumbers pieces or usable CPUs.
 
-    The pool hands the pieces out one at a time as its workers free up;
-    ``worker`` is a pure function of its piece. Where the pool would
-    have one process, the pieces run in this one, and only a sweep that
-    starts a pool imports the process-pool modules. ``tables``, when
-    given, builds the tables the shards read; it runs here just before a
-    pool starts, so that forked workers inherit them instead of each
+    ``worker`` is a pure function of its piece. Where the pool would have
+    one process, the pieces run in this one, and only a sweep that starts
+    worker processes imports ``multiprocessing``. ``tables``, when given,
+    builds the tables the shards read; it runs here just before the
+    workers start, so that forked workers inherit them instead of each
     building its own, and not at all when the pieces run in this process.
+    Otherwise ``_fan_out`` starts that many worker processes, one pipe
+    each, and feeds them piece indices: the first failing piece's
+    exception is raised here with its type and args, a worker that ends
+    mid-piece fails the sweep with a ``RuntimeError``, and every worker
+    has ended when this returns or raises.
     """
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     pool_size = min(workers, len(pieces), cpus or 1)
@@ -1065,10 +1073,102 @@ def _run_sharded(worker, pieces, workers: int, tables=None) -> list[dict]:
         return [worker(piece) for piece in pieces]
     if tables is not None:
         tables()
-    from concurrent.futures import ProcessPoolExecutor
+    return _fan_out(worker, pieces, pool_size)
 
-    with ProcessPoolExecutor(max_workers=pool_size) as pool:
-        return list(pool.map(worker, pieces))
+
+def _fan_out(worker, pieces, pool_size: int) -> list:
+    """``worker`` on each piece in ``pool_size`` worker processes, results in piece order.
+
+    The processes come from the platform's default start method, each
+    with one pipe and the arguments ``(worker, pieces, its end)``: a
+    forked worker inherits them, a spawned one unpickles them once. The
+    workers run ``_serve_pieces``. Each is sent one piece index at a
+    time, the next as soon as its result is back, so a worker that falls
+    behind takes fewer pieces, and ``None`` once none is left.
+
+    Once a piece raises, no further piece is sent out; when the pieces
+    already out are back, the exception of the first failing piece in
+    stream order is raised here with its type and args, and the worker's
+    traceback text as its ``__cause__``, so a sweep fails with the
+    exception it raises in one process. A worker that ends before it
+    sends its piece's result, say killed, fails the sweep at once with a
+    ``RuntimeError`` naming the piece. Every worker is joined before this
+    returns or raises, and terminated first if a piece is still out, so
+    no process outlives the sweep.
+    """
+    import multiprocessing
+    from multiprocessing.connection import wait
+
+    context = multiprocessing.get_context()
+    results = [None] * len(pieces)
+    started = []
+    out = {}  # this process's end of a worker's pipe -> the piece that worker is on
+    try:
+        for index in range(pool_size):
+            conn, child = context.Pipe()
+            # daemonic, so a worker that a failed clean-up leaves is ended at
+            # this process's exit instead of holding it up
+            proc = context.Process(
+                target=_serve_pieces, args=(worker, pieces, child), daemon=True
+            )
+            proc.start()
+            # the worker holds the only other end, so its exit reads here as EOF
+            child.close()
+            started.append((proc, conn))
+            conn.send(index)
+            out[conn] = index
+        todo = iter(range(pool_size, len(pieces)))
+        failures = {}  # piece index -> (exception, traceback text)
+        while out:
+            for conn in wait(list(out)):
+                try:
+                    index, ok, value = conn.recv()
+                except EOFError:
+                    raise RuntimeError(
+                        f"a sweep worker ended on piece {out[conn]} of {len(pieces)}"
+                        " before sending its result"
+                    ) from None
+                if ok:
+                    results[index] = value
+                else:
+                    failures[index] = value
+                # after a failure only the pieces already out run, as one of
+                # them may come first in the stream and fail too
+                index = None if failures else next(todo, None)
+                conn.send(index)
+                if index is None:
+                    del out[conn]
+                else:
+                    out[conn] = index
+        if failures:
+            index = min(failures)
+            exc, text = failures[index]
+            exc.__cause__ = RuntimeError(f"in a sweep worker, on piece {index}:\n{text}")
+            raise exc
+    finally:
+        for proc, conn in started:
+            if out:
+                # a piece is still out, so the sweep failed: stop, do not wait
+                proc.terminate()
+            proc.join()
+            conn.close()
+    return results
+
+
+def _serve_pieces(worker, pieces, conn) -> None:
+    """A worker process of ``_fan_out``: ``worker`` on each piece index ``conn`` sends, until ``None``.
+
+    Sends back ``(index, True, result)``, or ``(index, False, (exception,
+    traceback text))`` where the piece, or the pickling of its result,
+    raised.
+    """
+    while (index := conn.recv()) is not None:
+        try:
+            conn.send((index, True, worker(pieces[index])))
+        except Exception as exc:
+            import traceback
+
+            conn.send((index, False, (exc, traceback.format_exc())))
 
 
 def _batch_bits(n: int) -> int:

@@ -1622,23 +1622,12 @@ def pool_sizes(monkeypatch) -> list[int]:
     """The sizes of the process pools the verifier asks for; shards run inline."""
     created = []
 
-    class FakePool:
-        """Records the requested pool size and runs the shards inline."""
+    def inline(worker, pieces, pool_size):
+        created.append(pool_size)
+        return [worker(piece) for piece in pieces]
 
-        def __init__(self, max_workers):
-            created.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    # _run_sharded imports the pool class from its module when it starts one
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
+    # _run_sharded starts worker processes in _fan_out alone
+    monkeypatch.setattr("dgr.verifier._fan_out", inline)
     return created
 
 
@@ -1719,8 +1708,9 @@ class TestWorkerClamp:
             check(workers)
 
     def test_pool_modules_load_only_with_a_pool(self):
-        # a fresh interpreter: one-process sweeps leave the process-pool
-        # modules unloaded; a pooled sweep loads them and keeps the bytes
+        # a fresh interpreter: one-process sweeps leave the process modules
+        # unloaded; a pooled sweep loads multiprocessing alone and keeps
+        # the bytes
         src = str(Path(__file__).resolve().parents[1] / "src")
         script = (
             "import json, sys\n"
@@ -1747,7 +1737,7 @@ class TestWorkerClamp:
         # five pieces at two workers start a pool wherever two CPUs are usable
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         pooled = (cpus or 1) > 1
-        assert seen["after"] == (["concurrent.futures", "multiprocessing"] if pooled else [])
+        assert seen["after"] == (["multiprocessing"] if pooled else [])
 
     def test_spawned_pool_matches_one_process(self):
         # macOS and Windows start pool workers by spawn, and Python 3.14
@@ -1813,6 +1803,84 @@ class TestWorkerClamp:
             assert len(partials) > 1 or workers == 1
             for seen in partials:
                 assert {name for name, size in seen["sizes"].items() if size} == built
+
+    def test_worker_assertion_reaches_the_caller(self, monkeypatch):
+        # the kappa oracle fails on every piece of the sampled order-4
+        # spec, and piece 0 is held back so that piece 1's assertion comes
+        # back first; at two workers the sweep still raises piece 0's, as
+        # one process does, and leaves no worker behind
+        import multiprocessing
+        import time
+
+        import dgr.verifier as verifier_mod
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            pytest.skip("a pool needs two usable CPUs")
+        shard = verifier_mod._sweep_shard
+
+        def first_piece_late(bound_ids, piece):
+            if piece.lo == 0:
+                time.sleep(0.2)
+            return shard(bound_ids, piece)
+
+        def seam(mp):
+            _kappa_is_order(mp)
+            mp.setattr(verifier_mod, "_sweep_shard", first_piece_late)
+
+        _forked_seam(seam)(monkeypatch)
+        sampled = {"mode": "sampled", "samples": 20_000, "seed": 1}
+        raised = []
+        for workers in (1, 2):
+            with pytest.raises(AssertionError) as info:
+                check_universal_bounds(4, "strong", ("digraph_order",), workers=workers, **sampled)
+            raised.append((type(info.value), info.value.args))
+        assert raised[0] == raised[1]
+        assert raised[0][1] and "by the oracle" in raised[0][1][0]
+        # the worker's traceback is the cause, as concurrent.futures gives it
+        assert "Traceback" in str(info.value.__cause__)
+        assert multiprocessing.active_children() == []
+
+    def test_a_dead_worker_fails_the_sweep(self, monkeypatch):
+        # a worker that exits on piece 2 of 5 fails the sweep with a
+        # RuntimeError naming that piece, at once rather than by a hang,
+        # and no worker outlives it
+        import multiprocessing
+        import signal
+
+        import dgr.verifier as verifier_mod
+
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        if (cpus or 1) < 2:
+            pytest.skip("a pool needs two usable CPUs")
+        parent, shard = os.getpid(), verifier_mod._sweep_shard
+
+        def dies_on_piece_2(bound_ids, piece):
+            if piece.lo == 2 * 4096:
+                # exiting in this process would end the test run instead
+                assert os.getpid() != parent
+                os._exit(3)
+            return shard(bound_ids, piece)
+
+        _forked_seam(lambda mp: mp.setattr(verifier_mod, "_sweep_shard", dies_on_piece_2))(
+            monkeypatch
+        )
+
+        def hung(signum, frame):
+            raise TimeoutError("the sweep did not fail within 60 s of a worker's exit")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.alarm(60)
+        try:
+            with pytest.raises(RuntimeError, match=r"^a sweep worker ended on piece 2 of 5 "):
+                check_universal_bounds(
+                    4, "strong", ("digraph_order",), workers=2,
+                    mode="sampled", samples=20_000, seed=1,
+                )
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert multiprocessing.active_children() == []
 
     def test_sampled_pool_matches_one_process(self):
         spec = {"mode": "sampled", "samples": 20_000, "seed": 1}
